@@ -15,6 +15,7 @@ from .errors import (
     GMeasureError,
     TruncationError,
 )
+from .tails import Exponential, FiniteRange, OneMinusPower, PowerLaw
 from .gmodel import (
     Alphabet,
     ExponentialCoefficients,
@@ -42,7 +43,6 @@ from .transfer import (
 )
 from .coupling import (
     BlockSchedule,
-    CouplingState,
     CouplingTable,
     FiniteDist,
     constant_schedule,
@@ -50,7 +50,6 @@ from .coupling import (
     dn_bruteforce,
     estimate_disagreement,
     maximal_coupling,
-    next_block,
     sample_block_coupling,
 )
 from .renewal import (
@@ -66,12 +65,8 @@ from .renewal import (
 from .criteria import (
     CUBIC_REMAINDER_K2,
     CriterionReport,
-    ExponentialVariation,
-    FiniteRangeVariation,
     MAX_SITE_RATIO,
-    PowerLawVariation,
     SingleSiteDSequence,
-    TabulatedVariation,
     affinity_product_floor,
     block_tv_bounds,
     check_geometric_window_sums,

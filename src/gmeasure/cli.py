@@ -16,12 +16,14 @@ import argparse
 import hashlib
 import json
 import math
+import platform
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .coupling import (
@@ -35,9 +37,6 @@ from .coupling import (
 )
 from .criteria import (
     CUBIC_REMAINDER_K2,
-    ExponentialVariation,
-    FiniteRangeVariation,
-    PowerLawVariation,
     block_tv_bounds,
     certify_cubic_remainder,
     check_geometric_window_sums,
@@ -56,6 +55,7 @@ from .renewal import (
     renewal_limit,
     renewal_solve,
 )
+from .tails import Exponential, FiniteRange, PowerLaw
 from .transfer import TransferOperator, apply_Ln, stationary, uniqueness_diagnostic
 
 __all__ = ["ExperimentConfig", "RunManifest", "run", "main"]
@@ -69,10 +69,11 @@ class ExperimentConfig:
     seed: int | None = None
 
     def canonical(self) -> str:
-        return json.dumps(
-            {"experiment": self.experiment, "params": self.params, "seed": self.seed},
-            sort_keys=True,
-        )
+        record = {"experiment": self.experiment, "params": self.params, "seed": self.seed}
+        if "model" in self.params:
+            # the model file's contents, not only its path, define the run
+            record["model_sha256"] = _sha256(Path(self.params["model"]))
+        return json.dumps(record, sort_keys=True)
 
 
 @dataclass
@@ -81,13 +82,15 @@ class RunManifest:
     version: str
     wall_clock_s: float
     outputs: dict = field(default_factory=dict)
+    environment: dict = field(default_factory=dict)
 
 
 def _write_csv(path: Path, comments: list[str], header: list[str], rows) -> None:
     lines = [f"# {c}" for c in comments]
     lines.append(",".join(header))
     for row in rows:
-        lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
+        # repr(float(v)) writes numpy floats as plain numbers, not np.float64(...)
+        lines.append(",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -95,36 +98,66 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _parse_schedule(text: str) -> BlockSchedule:
-    """Schedule grammar: 'const:2', 'geom:l=1.5,count=20', or '1,2,4'."""
-    if text.startswith("const:"):
-        return constant_schedule(int(text.split(":", 1)[1]))
-    if text.startswith("geom:"):
-        params = dict(part.split("=", 1) for part in text.split(":", 1)[1].split(","))
-        return geometric_blocks(float(params["l"]), int(params.get("count", 20)))
+def _convert(convert, text: str, what: str):
     try:
-        return BlockSchedule(tuple(int(v) for v in text.split(",")))
+        return convert(text)
     except ValueError:
-        raise ConfigError(f"cannot parse schedule {text!r}") from None
+        raise ConfigError(f"cannot parse {what} {text!r}") from None
+
+
+def _numbers(text: str, convert, what: str) -> list:
+    """Comma-separated list of numbers."""
+    return [_convert(convert, v, what) for v in text.split(",")]
+
+
+def _key_values(text: str, types: dict, optional=()) -> dict:
+    """'k=v,...' with each value converted by ``types[k]``; the keys not in
+    ``optional`` are required."""
+    params = {}
+    for part in text.split(","):
+        key, sep, value = part.partition("=")
+        if not sep or key not in types:
+            raise ConfigError(f"cannot parse {part!r}: expected key=value, keys {sorted(types)}")
+        params[key] = _convert(types[key], value, key)
+    missing = sorted(types.keys() - params.keys() - set(optional))
+    if missing:
+        raise ConfigError(f"{text!r} is missing key(s) {', '.join(missing)}")
+    return params
+
+
+def _parse_schedule(text: str) -> BlockSchedule:
+    """Schedule grammar: 'const:2', 'geom:l=1.5', or an explicit list '1,2,4'
+    that must cover the run."""
+    if text.startswith("const:"):
+        return constant_schedule(_convert(int, text[len("const:"):], "block length"))
+    if text.startswith("geom:"):
+        return geometric_blocks(_key_values(text[len("geom:"):], {"l": float})["l"])
+    return BlockSchedule(_numbers(text, int, "schedule"))
+
+
+# kind -> (law, key types, optional keys); criteria index var_n from n = 0,
+# so the power law is c * (n+1)**(-p)
+_VARIATIONS = {
+    "power_law": (lambda c, p: PowerLaw(c, p, offset=1), {"c": float, "p": float}, ()),
+    "exponential": (Exponential, {"c": float, "r": float}, ()),
+    "finite_range": (FiniteRange, {"M": int, "level": float}, ("level",)),
+}
 
 
 def _parse_variation(text: str):
     """Variation grammar: 'power_law:c=1,p=2' | 'exponential:c=1,r=0.5' |
     'finite_range:M=3'."""
-    if ":" not in text:
+    kind, sep, rest = text.partition(":")
+    if not sep or kind not in _VARIATIONS:
         raise ConfigError(f"cannot parse variation model {text!r}")
-    kind, rest = text.split(":", 1)
-    params = dict(part.split("=", 1) for part in rest.split(","))
-    try:
-        if kind == "power_law":
-            return PowerLawVariation(float(params["c"]), float(params["p"]))
-        if kind == "exponential":
-            return ExponentialVariation(float(params["c"]), float(params["r"]))
-        if kind == "finite_range":
-            return FiniteRangeVariation(int(params["M"]), float(params.get("level", 1.0)))
-    except KeyError as exc:
-        raise ConfigError(f"variation model {text!r} missing key {exc}") from None
-    raise ConfigError(f"unknown variation kind {kind!r}")
+    law, types, optional = _VARIATIONS[kind]
+    return law(**_key_values(rest, types, optional))
+
+
+def _seed(cfg: ExperimentConfig) -> int:
+    if cfg.seed is None or cfg.seed < 0:
+        raise ConfigError(f"{cfg.experiment} is stochastic: a non-negative seed is mandatory")
+    return cfg.seed
 
 
 def _positive(value, name: str):
@@ -162,10 +195,8 @@ def _run_couple(cfg: ExperimentConfig) -> dict[str, Path]:
     schedule = _parse_schedule(p["schedule"])
     depth = _positive(p["depth"], "depth")
     n_traj = _positive(p["trajectories"], "trajectories")
-    if cfg.seed is None:
-        raise ConfigError("couple is stochastic: a seed is mandatory")
     summary = estimate_disagreement(
-        model, schedule, depth, p["context_x"], p["context_y"], n_traj, cfg.seed,
+        model, schedule, depth, p["context_x"], p["context_y"], n_traj, _seed(cfg),
         block_cap=p.get("block_cap", 12),
     )
     mc_path = cfg.outdir / "couple_mc.csv"
@@ -267,8 +298,7 @@ def _run_pipeline(cfg: ExperimentConfig) -> dict[str, Path]:
     K_max = _positive(p.get("K_max", 8), "K_max")
     depth = _positive(p.get("depth", 48), "depth")
     n_traj = _positive(p.get("trajectories", 2000), "trajectories")
-    if cfg.seed is None:
-        raise ConfigError("pipeline is stochastic: a seed is mandatory")
+    seed = _seed(cfg)
     profile = variation_profile(model, schedule.B(K_max + 2))
     bounds = []
     for n in range(1, K_max + 2):
@@ -279,13 +309,9 @@ def _run_pipeline(cfg: ExperimentConfig) -> dict[str, Path]:
             )
         bounds.append(btb.site_product)
     dbar_seq = dbar(bounds[:-1], bounds[-1])
-    sweep_ratio = coupling_bound_ratio(dbar_seq, schedule.prefix
-                                       if len(schedule.prefix) > K_max
-                                       else [schedule.b(i) for i in range(1, K_max + 2)],
-                                       range(1, K_max + 1))
-    sweep_renewal = disagreement_bound_sweep(
-        dbar_seq, [schedule.b(i) for i in range(1, K_max + 2)], range(1, K_max + 1)
-    )
+    lengths = [schedule.b(i) for i in range(1, K_max + 2)]
+    sweep_ratio = coupling_bound_ratio(dbar_seq, lengths, range(1, K_max + 1))
+    sweep_renewal = disagreement_bound_sweep(dbar_seq, lengths, range(1, K_max + 1))
     for (k1, r1), (k2, r2) in zip(sweep_ratio, sweep_renewal):
         if abs(r1 - r2) > 1e-12:
             raise GMeasureError(
@@ -300,7 +326,7 @@ def _run_pipeline(cfg: ExperimentConfig) -> dict[str, Path]:
     )
     best = min(r for _, r in sweep_renewal)
     summary = estimate_disagreement(
-        model, schedule, depth, p["context_x"], p["context_y"], n_traj, cfg.seed,
+        model, schedule, depth, p["context_x"], p["context_y"], n_traj, seed,
         block_cap=p.get("block_cap", 12),
     )
     mc_path = cfg.outdir / "pipeline_mc.csv"
@@ -410,19 +436,14 @@ def run(cfg: ExperimentConfig) -> RunManifest:
         version=__version__,
         wall_clock_s=time.perf_counter() - started,
         outputs={name: _sha256(path) for name, path in sorted(outputs.items())},
+        environment={
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+        },
     )
     (cfg.outdir / "manifest.json").write_text(
-        json.dumps(
-            {
-                "config_hash": manifest.config_hash,
-                "version": manifest.version,
-                "wall_clock_s": manifest.wall_clock_s,
-                "outputs": manifest.outputs,
-            },
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n"
+        json.dumps(asdict(manifest), indent=2, sort_keys=True) + "\n"
     )
     return manifest
 
@@ -503,8 +524,8 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         }
     elif args.command == "renewal":
         params = {
-            "d": [float(v) for v in args.d.split(",")],
-            "b": [int(v) for v in args.b.split(",")],
+            "d": _numbers(args.d, float, "--d"),
+            "b": _numbers(args.b, int, "--b"),
             "K": args.K,
         }
         if args.n_max is not None:

@@ -19,8 +19,10 @@ an interval.
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field
+import functools
+import itertools
+import operator
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,8 +35,6 @@ __all__ = [
     "maximal_coupling",
     "BlockSchedule",
     "constant_schedule",
-    "CouplingState",
-    "next_block",
     "BlockRecord",
     "BlockCouplingSample",
     "sample_block_coupling",
@@ -121,84 +121,62 @@ def maximal_coupling(mu: FiniteDist, nu: FiniteDist) -> CouplingTable:
 
 
 class BlockSchedule:
-    """Block lengths b_1, b_2, ... with partial sums B_n and intervals J_n.
+    """Block lengths b_1, b_2, ... through their partial sums B_0 = 0 and
+    B_n = b_1 + ... + b_n; the n-th block interval is J_n.
 
-    ``prefix`` lists explicit lengths; runs extending past it reuse the last
-    entry (with a one-time warning unless the schedule is flagged constant).
+    ``BlockSchedule(lengths)`` takes an explicit list: B_n is its cumulative
+    sum, and an index past its end raises ConfigError, so a run never
+    silently reuses a length.  ``constant_schedule`` (B_n = b*n) and
+    ``criteria.geometric_blocks`` are closed forms defined for every n.
     """
 
-    def __init__(self, prefix, warn_on_extend: bool = True):
-        prefix = tuple(int(b) for b in prefix)
-        if not prefix:
+    def __init__(self, lengths):
+        lengths = tuple(int(b) for b in lengths)
+        if not lengths:
             raise ConfigError("schedule needs at least one block length")
-        if any(b < 1 for b in prefix):
+        if any(b < 1 for b in lengths):
             raise ConfigError("block lengths must be positive integers")
-        self.prefix = prefix
-        self.warn_on_extend = warn_on_extend
-        self._warned = False
-        self._partial = np.concatenate([[0], np.cumsum(prefix)])
+        sums = (0, *itertools.accumulate(lengths))
+        self._partial_sum = functools.partial(_explicit_partial_sum, sums)
 
-    @property
-    def horizon(self) -> int:
-        return len(self.prefix)
+    @classmethod
+    def closed_form(cls, partial_sum) -> "BlockSchedule":
+        """Schedule from a strictly increasing map n -> B_n with B_0 = 0
+        (a module-level function or a partial of one keeps it picklable)."""
+        schedule = cls.__new__(cls)
+        schedule._partial_sum = partial_sum
+        return schedule
 
     def b(self, n: int) -> int:
         """Length of the n-th block, n >= 1."""
         if n < 1:
             raise ConfigError("block index starts at 1")
-        if n <= len(self.prefix):
-            return self.prefix[n - 1]
-        if self.warn_on_extend and not self._warned:
-            warnings.warn(
-                f"schedule horizon {len(self.prefix)} exceeded at block {n}; "
-                "reusing the last tabulated length",
-                stacklevel=2,
-            )
-            self._warned = True
-        return self.prefix[-1]
+        return self.B(n) - self.B(n - 1)
 
     def B(self, n: int) -> int:
         """Partial sum b_1 + ... + b_n, with B(0) = 0."""
         if n < 0:
             raise ConfigError("partial-sum index must be >= 0")
-        if n < len(self._partial):
-            return int(self._partial[n])
-        extra = n - len(self.prefix)
-        return int(self._partial[-1]) + extra * self.prefix[-1]
+        return self._partial_sum(n)
 
     def J(self, n: int) -> tuple[int, int]:
         """The n-th block interval [1 - B_n, -B_{n-1}], n >= 1."""
         return (1 - self.B(n), -self.B(n - 1))
 
 
+def _explicit_partial_sum(sums: tuple[int, ...], n: int) -> int:
+    if n >= len(sums):
+        raise ConfigError(
+            f"block {n} lies past the end of an explicit schedule of {len(sums) - 1} lengths"
+        )
+    return sums[n]
+
+
 def constant_schedule(b: int = 1) -> BlockSchedule:
-    return BlockSchedule((b,), warn_on_extend=False)
-
-
-@dataclass
-class CouplingState:
-    """Pair of leftward-grown histories on [a+1, 0] plus the agreement run.
-
-    ``run`` counts the consecutive immediately-preceding agreeing blocks and
-    resets to 0 after any disagreeing block.
-    """
-
-    x: tuple[int, ...] = ()
-    y: tuple[int, ...] = ()
-    run: int = 0
-    a: int = 0
-
-    def __post_init__(self):
-        if len(self.x) != len(self.y):
-            raise ConfigError("both histories must have the same length")
-        if self.run < 0:
-            raise ConfigError("agreement run must be >= 0")
-
-
-def next_block(state: CouplingState, schedule: BlockSchedule) -> tuple[int, int]:
-    """Interval of the next block: length b_{run+1}, ending at state.a."""
-    length = schedule.b(state.run + 1)
-    return (state.a - length + 1, state.a)
+    b = int(b)
+    if b < 1:
+        raise ConfigError("block lengths must be positive integers")
+    return BlockSchedule.closed_form(functools.partial(operator.mul, b))
 
 
 # ---------------------------------------------------------------------------
@@ -395,6 +373,11 @@ def estimate_disagreement(
     """
     if n_traj < 1:
         raise ConfigError("need at least one trajectory")
+    # a trajectory asks for b_k only while B_{k-1} <= depth, so an explicit
+    # schedule too short for the run fails here, before any sampling
+    n = 0
+    while schedule.B(n) <= depth:
+        n += 1
     counts = np.zeros(depth + 1, dtype=np.int64)
     run_stats: dict[int, list[int]] = {}
     max_slack = 0.0

@@ -1,8 +1,8 @@
 """Uniqueness criteria for g-chains over parametric variation models.
 
 The criteria act on the log-oscillation sequence var_n = var_{[0,n]}(log g)
-(equivalently rho_n = exp(var_n)).  Parametric kinds (power law, exponential,
-finite range) are classified in closed form; tabulated inputs can only be
+(equivalently rho_n = exp(var_n)).  Closed-form tail laws (``tails``) are
+classified from their asymptotic class; tabulated profiles can only be
 reported as inconclusive with diagnostics, since a numeric prefix cannot
 certify divergence of a series.
 
@@ -14,6 +14,7 @@ resulting upper bounds for the worst-case block total variation d_n.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -22,16 +23,13 @@ import numpy as np
 
 from .coupling import BlockSchedule
 from .errors import ConfigError
+from .tails import Exponential, FiniteRange, OneMinusPower, PowerLaw
 
 __all__ = [
     "SATISFIED",
     "VIOLATED",
     "INCONCLUSIVE",
     "CriterionReport",
-    "PowerLawVariation",
-    "ExponentialVariation",
-    "FiniteRangeVariation",
-    "TabulatedVariation",
     "check_square_summable_variation",
     "check_rho_product_series",
     "check_variation_o_sqrt",
@@ -75,138 +73,79 @@ class CriterionReport:
         }
 
 
-# ---------------------------------------------------------------------------
-# variation models
-
-
-@dataclass(frozen=True)
-class PowerLawVariation:
-    """var_n = c * (n+1)**(-p)."""
-
-    c: float
-    p: float
-
-    def __post_init__(self):
-        if self.c < 0 or self.p < 0:
-            raise ConfigError("power-law variation needs c >= 0 and p >= 0")
-
-    def var_at(self, n: int) -> float:
-        return self.c * (n + 1) ** (-self.p)
-
-
-@dataclass(frozen=True)
-class ExponentialVariation:
-    """var_n = c * r**n with 0 < r < 1."""
-
-    c: float
-    r: float
-
-    def __post_init__(self):
-        if self.c < 0 or not 0 < self.r < 1:
-            raise ConfigError("exponential variation needs c >= 0 and r in (0, 1)")
-
-    def var_at(self, n: int) -> float:
-        return self.c * self.r**n
-
-
-@dataclass(frozen=True)
-class FiniteRangeVariation:
-    """var_n = level for n < M and 0 from n = M on."""
-
-    M: int
-    level: float = 1.0
-
-    def var_at(self, n: int) -> float:
-        return self.level if n < self.M else 0.0
-
-
-@dataclass(frozen=True)
-class TabulatedVariation:
-    """Explicit prefix plus a dominating extrapolation model."""
-
-    values: tuple[float, ...]
-    tail: PowerLawVariation | ExponentialVariation | FiniteRangeVariation | None = None
-
-    def __post_init__(self):
-        vals = self.values
-        if any(vals[i] < vals[i + 1] - 1e-12 for i in range(len(vals) - 1)):
-            raise ConfigError("tabulated variation must be non-increasing")
-        if any(v < 0 for v in vals):
-            raise ConfigError("variation values must be non-negative")
-
-    def var_at(self, n: int) -> float:
-        if n < len(self.values):
-            return self.values[n]
-        if self.tail is None:
-            raise ConfigError(f"n={n} beyond tabulated range and no tail model")
-        return self.tail.var_at(n)
-
-
-def _tabulated_diagnostics(vm, terms=64) -> dict:
+def _tabulated_report(name: str, vm, terms=64) -> CriterionReport:
     partial = float(sum(vm.var_at(n) ** 2 for n in range(terms)))
-    return {"kind": "tabulated", "square_partial_sum": partial, "terms": terms}
+    return CriterionReport(
+        name,
+        INCONCLUSIVE,
+        {"kind": "tabulated", "square_partial_sum": partial, "terms": terms},
+    )
+
+
+def _verdict(holds: bool) -> str:
+    return SATISFIED if holds else VIOLATED
+
+
+def _product_series(c: float, p: float, scale: float) -> tuple[str, dict]:
+    """Does sum_n exp(-scale * sum_{i<=n} x_i) diverge for x_i ~ c * i**(-p)?
+
+      * bounded partial sums (summable x) -> terms bounded below -> diverges;
+      * x_i ~ c/i -> terms ~ n**(-scale*c) -> diverges iff scale*c <= 1;
+      * partial sums growing like a power of n -> stretched-exponential terms
+        -> converges.
+    """
+    if c == 0 or p > 1:
+        return SATISFIED, {"kind": "bounded_product"}
+    if p == 1:
+        return _verdict(scale * c <= 1), {"kind": "harmonic", "term_exponent": scale * c}
+    return VIOLATED, {"kind": "stretched_exponential", "sum_exponent": 1 - p}
 
 
 # ---------------------------------------------------------------------------
 # series criteria
+#
+# Each criterion reads the variation law's asymptotic class (c, p), var_n ~
+# c * n**(-p); p = inf marks laws below every power, which satisfy all four.
+# Anything without a class (a tabulated profile) is inconclusive.
 
 
 def check_square_summable_variation(vm) -> CriterionReport:
     """Does sum_n var_n**2 converge?"""
     name = "square_summable_variation"
-    if isinstance(vm, (FiniteRangeVariation, ExponentialVariation)):
+    if not hasattr(vm, "asymptotic"):
+        return _tabulated_report(name, vm)
+    c, p = vm.asymptotic
+    if p == math.inf:
         return CriterionReport(name, SATISFIED, {"kind": "closed_form"})
-    if isinstance(vm, PowerLawVariation):
-        if vm.c == 0 or 2 * vm.p > 1:
-            return CriterionReport(
-                name, SATISFIED, {"kind": "p_series", "exponent": 2 * vm.p}
-            )
-        return CriterionReport(
-            name, VIOLATED, {"kind": "p_series", "exponent": 2 * vm.p}
-        )
-    return CriterionReport(name, INCONCLUSIVE, _tabulated_diagnostics(vm))
+    return CriterionReport(
+        name, _verdict(c == 0 or 2 * p > 1), {"kind": "p_series", "exponent": 2 * p}
+    )
 
 
 def check_rho_product_series(vm, epsilon: float) -> CriterionReport:
     """Does sum_n prod_{i<=n} rho_i**(-(1/2+epsilon)) diverge?
 
     The n-th term is exp(-(1/2+eps) * sum_{i<=n} var_i), so the verdict is
-    governed by the growth of the partial sums of var:
-      * bounded partial sums (summable var) -> terms bounded below -> diverges;
-      * var_i ~ c/i -> terms ~ n**(-(1/2+eps)c) -> diverges iff (1/2+eps)c <= 1;
-      * partial sums growing like a power of n -> stretched-exponential terms
-        -> converges.
+    governed by the growth of the partial sums of var.
     """
     name = "rho_product_series"
     if epsilon <= 0:
         raise ConfigError("epsilon must be positive")
-    s = 0.5 + epsilon
-    if isinstance(vm, (FiniteRangeVariation, ExponentialVariation)):
-        return CriterionReport(name, SATISFIED, {"kind": "bounded_product"})
-    if isinstance(vm, PowerLawVariation):
-        if vm.c == 0 or vm.p > 1:
-            return CriterionReport(name, SATISFIED, {"kind": "bounded_product"})
-        if vm.p == 1:
-            verdict = SATISFIED if s * vm.c <= 1 else VIOLATED
-            return CriterionReport(
-                name, verdict, {"kind": "harmonic", "term_exponent": s * vm.c}
-            )
-        return CriterionReport(
-            name, VIOLATED, {"kind": "stretched_exponential", "sum_exponent": 1 - vm.p}
-        )
-    return CriterionReport(name, INCONCLUSIVE, _tabulated_diagnostics(vm))
+    if not hasattr(vm, "asymptotic"):
+        return _tabulated_report(name, vm)
+    c, p = vm.asymptotic
+    return CriterionReport(name, *_product_series(c, p, 0.5 + epsilon))
 
 
 def check_variation_o_sqrt(vm) -> CriterionReport:
     """Is var_n = o(n**(-1/2))?"""
     name = "variation_o_sqrt"
-    if isinstance(vm, (FiniteRangeVariation, ExponentialVariation)):
+    if not hasattr(vm, "asymptotic"):
+        return _tabulated_report(name, vm)
+    c, p = vm.asymptotic
+    if p == math.inf:
         return CriterionReport(name, SATISFIED, {"kind": "closed_form"})
-    if isinstance(vm, PowerLawVariation):
-        if vm.c == 0 or vm.p > 0.5:
-            return CriterionReport(name, SATISFIED, {"kind": "power", "p": vm.p})
-        return CriterionReport(name, VIOLATED, {"kind": "power", "p": vm.p})
-    return CriterionReport(name, INCONCLUSIVE, _tabulated_diagnostics(vm))
+    return CriterionReport(name, _verdict(c == 0 or p > 0.5), {"kind": "power", "p": p})
 
 
 def check_geometric_window_sums(vm, lam: float) -> CriterionReport:
@@ -223,26 +162,18 @@ def check_geometric_window_sums(vm, lam: float) -> CriterionReport:
     for n in (4, 6, 8):
         lo, hi = math.ceil(lam ** (n - 1)), math.ceil(lam**n)
         windows[n] = float(sum(vm.var_at(i) ** 2 for i in range(lo, hi + 1)))
-    if isinstance(vm, (FiniteRangeVariation, ExponentialVariation)):
+    if not hasattr(vm, "asymptotic"):
+        return _tabulated_report(name, vm)
+    c, p = vm.asymptotic
+    if p == math.inf:
         return CriterionReport(
             name, SATISFIED, {"kind": "closed_form", "limit": 0.0, "windows": windows}
         )
-    if isinstance(vm, PowerLawVariation):
-        if vm.c == 0 or vm.p > 0.5:
-            return CriterionReport(
-                name, SATISFIED, {"kind": "power", "limit": 0.0, "windows": windows}
-            )
-        if vm.p == 0.5:
-            limit = vm.c**2 * math.log(lam)
-            return CriterionReport(
-                name, VIOLATED, {"kind": "power", "limit": limit, "windows": windows}
-            )
-        return CriterionReport(
-            name,
-            VIOLATED,
-            {"kind": "power", "limit": math.inf, "windows": windows},
-        )
-    return CriterionReport(name, INCONCLUSIVE, _tabulated_diagnostics(vm))
+    holds = c == 0 or p > 0.5
+    limit = 0.0 if holds else c**2 * math.log(lam) if p == 0.5 else math.inf
+    return CriterionReport(
+        name, _verdict(holds), {"kind": "power", "limit": limit, "windows": windows}
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -250,90 +181,34 @@ def check_geometric_window_sums(vm, lam: float) -> CriterionReport:
 
 
 @dataclass(frozen=True)
-class ZeroDTail:
-    def d_at(self, n: int) -> float:
-        return 0.0
-
-
-@dataclass(frozen=True)
-class ConstantDTail:
-    v: float
-
-    def d_at(self, n: int) -> float:
-        return self.v
-
-
-@dataclass(frozen=True)
-class PowerDTail:
-    """d_n = a * n**(-q)."""
-
-    a: float
-    q: float
-
-    def d_at(self, n: int) -> float:
-        return self.a * n ** (-self.q)
-
-
-@dataclass(frozen=True)
-class OneMinusPowerDTail:
-    """d_n = 1 - a * n**(-q): disagreement probability tending to 1."""
-
-    a: float
-    q: float
-
-    def d_at(self, n: int) -> float:
-        return 1.0 - self.a * n ** (-self.q)
-
-
-@dataclass(frozen=True)
 class SingleSiteDSequence:
-    """Single-site disagreement bounds: explicit prefix plus a tail law."""
+    """Single-site disagreement bounds d_1, d_2, ...: an explicit prefix,
+    then a closed-form tail law (identically zero by default)."""
 
     values: tuple[float, ...] = ()
-    tail: ZeroDTail | ConstantDTail | PowerDTail | OneMinusPowerDTail = ZeroDTail()
+    tail: PowerLaw | Exponential | FiniteRange | OneMinusPower = FiniteRange(0)
 
     def d_at(self, n: int) -> float:
         if n <= len(self.values):
             return self.values[n - 1]
-        return self.tail.d_at(n)
+        return self.tail.var_at(n)
 
 
 def check_single_site_series(dseq: SingleSiteDSequence) -> CriterionReport:
     """Does sum_n prod_{i<=n} (1 - d_i) diverge?
 
     Divergence of this series is a sufficient condition for a unique
-    g-measure; the products are classified in closed form from the tail law.
+    g-measure.  prod (1 - d_i) behaves like exp(-sum d_i) (for d_i ~ a/i,
+    like n**(-a)), so the tail law's class decides as for the rho-product
+    series with scale 1.
     """
     name = "single_site_series"
     if any(not 0 <= v <= 1 for v in dseq.values):
         raise ConfigError("d values must lie in [0, 1]")
     if any(v >= 1.0 for v in dseq.values):
         return CriterionReport(name, VIOLATED, {"kind": "prefix_hits_one"})
-    tail = dseq.tail
-    if isinstance(tail, ZeroDTail):
-        return CriterionReport(name, SATISFIED, {"kind": "eventually_zero"})
-    if isinstance(tail, ConstantDTail):
-        verdict = SATISFIED if tail.v == 0 else VIOLATED
-        return CriterionReport(name, verdict, {"kind": "constant", "v": tail.v})
-    if isinstance(tail, PowerDTail):
-        if tail.a == 0 or tail.q > 1:
-            return CriterionReport(name, SATISFIED, {"kind": "summable_d"})
-        if tail.q == 1:
-            # prod (1 - a/i) ~ n**(-a): the series diverges iff a <= 1
-            verdict = SATISFIED if tail.a <= 1 else VIOLATED
-            return CriterionReport(
-                name, verdict, {"kind": "harmonic_d", "product_exponent": tail.a}
-            )
-        return CriterionReport(
-            name, VIOLATED, {"kind": "stretched_exponential_products"}
-        )
-    if isinstance(tail, OneMinusPowerDTail):
-        if tail.q > 0:
-            # products shrink factorially fast
-            return CriterionReport(name, VIOLATED, {"kind": "d_tends_to_one"})
-        verdict = SATISFIED if tail.a >= 1 else VIOLATED
-        return CriterionReport(name, verdict, {"kind": "constant", "v": 1 - tail.a})
-    raise ConfigError(f"unknown tail law {tail!r}")
+    c, p = dseq.tail.asymptotic
+    return CriterionReport(name, *_product_series(c, p, 1.0))
 
 
 def single_site_tv_bound(rho: float) -> float:
@@ -470,24 +345,27 @@ def block_tv_bounds(vm, schedule: BlockSchedule, n: int, lam: float = 2.0) -> Bl
 # block schedules with geometric growth
 
 
-def geometric_blocks(growth: float, count: int) -> BlockSchedule:
-    """Schedule with partial sums B_n = ceil(growth**n / (growth - 1)).
+def geometric_blocks(growth: float) -> BlockSchedule:
+    """Schedule with partial sums B_0 = 0 and B_n = ceil(growth**n / (growth - 1)).
 
     The increments then satisfy floor(growth**(n-1)) <= b_n <=
     ceil(growth**(n-1)) for n >= 2 (the gap between consecutive partial sums
-    is growth**(n-1) before rounding), which is asserted here.
+    is growth**(n-1) before rounding).
     """
-    if growth <= 1:
-        raise ConfigError("growth must exceed 1")
-    if count < 1:
-        raise ConfigError("count must be >= 1")
-    B = [math.ceil(growth**n / (growth - 1.0)) for n in range(count + 1)]
-    B[0] = 0
-    b = [B[n] - B[n - 1] for n in range(1, count + 1)]
-    for n in range(2, count + 1):
-        step = growth ** (n - 1)
-        assert math.floor(step) <= b[n - 1] <= math.ceil(step), (n, b[n - 1], step)
-    return BlockSchedule(tuple(b))
+    if not 1 < growth < math.inf:
+        raise ConfigError("growth must be a finite number above 1")
+    return BlockSchedule.closed_form(functools.partial(_geometric_partial_sum, growth))
+
+
+def _geometric_partial_sum(growth: float, n: int) -> int:
+    if n == 0:
+        return 0
+    try:
+        return math.ceil(growth**n / (growth - 1.0))
+    except OverflowError:
+        raise ConfigError(
+            f"partial sum B_{n} of the growth-{growth} schedule exceeds float range"
+        ) from None
 
 
 def coupling_bound_ratio(dbar_seq, b_seq, K_sweep) -> list[tuple[int, float]]:

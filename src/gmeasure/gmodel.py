@@ -25,7 +25,7 @@ happens when the word is shorter than M+1 symbols).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -33,6 +33,7 @@ import numpy as np
 from scipy.special import zeta
 
 from .errors import ConfigError
+from .tails import Exponential, FiniteRange, PowerLaw
 
 __all__ = [
     "Alphabet",
@@ -48,9 +49,6 @@ __all__ = [
     "rho_interval",
     "variation_profile",
     "VariationProfile",
-    "ZeroTail",
-    "PowerTail",
-    "ExponentialTail",
     "finite_memory_surrogate",
     "parse_model",
     "load_model",
@@ -432,56 +430,26 @@ def rho_interval(model, n: int) -> tuple[float, float]:
 
 
 @dataclass(frozen=True)
-class ZeroTail:
-    """Variation vanishes beyond the memory horizon."""
-
-    start: int
-
-    def var_at(self, n: int) -> float:
-        return 0.0
-
-
-@dataclass(frozen=True)
-class PowerTail:
-    """var(n) <= coef * n**(-exponent)."""
-
-    coef: float
-    exponent: float
-
-    def var_at(self, n: int) -> float:
-        return self.coef * n ** (-self.exponent)
-
-
-@dataclass(frozen=True)
-class ExponentialTail:
-    """var(n) <= coef * ratio**n."""
-
-    coef: float
-    ratio: float
-
-    def var_at(self, n: int) -> float:
-        return self.coef * self.ratio**n
-
-
-@dataclass(frozen=True)
 class VariationProfile:
     """Per-n values (or upper bounds) of the log-oscillation of g.
 
-    ``values[n]`` is var_{[0,n]}(log g) for n up to the tabulated horizon;
-    beyond it, the closed-form ``tail`` supplies an upper bound.
+    ``values[n]`` is var_{[0,n]}(log g) for n up to the tabulated horizon:
+    a non-increasing prefix.  Beyond it, the closed-form ``tail`` law
+    supplies an upper bound.
     """
 
-    kind: str  # "exact" or "upper_bound"
     values: np.ndarray
-    tail: ZeroTail | PowerTail | ExponentialTail | None = None
+    tail: PowerLaw | Exponential | FiniteRange | None = None
+    kind: str = "upper_bound"  # or "exact"
 
     def __post_init__(self):
+        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
         if self.kind not in ("exact", "upper_bound"):
             raise ConfigError("profile kind must be 'exact' or 'upper_bound'")
         diffs = np.diff(self.values)
         if (diffs > 1e-12).any():
             raise ConfigError("variation values must be non-increasing")
-        if (np.asarray(self.values) < -1e-15).any():
+        if (self.values < -1e-15).any():
             raise ConfigError("variation values must be non-negative")
 
     @property
@@ -506,19 +474,23 @@ def variation_profile(model, horizon: int) -> VariationProfile:
     uppers = np.array([math.log(model.rho(n)[1]) for n in range(horizon + 1)])
     uppers = np.minimum.accumulate(uppers)  # clear float noise in flat stretches
     if isinstance(model, FiniteMemoryModel):
-        return VariationProfile("exact", uppers, ZeroTail(model.memory))
+        # var_n is non-increasing, so values[horizon] bounds it up to the
+        # memory, and it vanishes from n = memory on
+        return VariationProfile(
+            uppers, FiniteRange(model.memory, float(uppers[horizon])), "exact"
+        )
     coeffs = model.coefficients
     g_min = 0.5 - model.theta * model.total_mass
     if isinstance(coeffs, PowerLawCoefficients):
         # tail(n) <= c * n**(1-p) / (p-1) and log(1+x) <= x
-        tail = PowerTail(
+        tail = PowerLaw(
             2 * model.theta * coeffs.c / (g_min * (coeffs.p - 1)), coeffs.p - 1
         )
     else:
-        tail = ExponentialTail(
+        tail = Exponential(
             2 * model.theta * coeffs.c * coeffs.r / (g_min * (1 - coeffs.r)), coeffs.r
         )
-    return VariationProfile("upper_bound", uppers, tail)
+    return VariationProfile(uppers, tail)
 
 
 def finite_memory_surrogate(model, memory: int):
@@ -528,6 +500,8 @@ def finite_memory_surrogate(model, memory: int):
     |g - g_mid| over all words of length memory+1 and ``defect`` is the
     largest per-context normalisation correction that was applied.
     """
+    if memory < 0:
+        raise ConfigError("surrogate memory must be >= 0")
     size = model.alphabet.size
     n_entries = size ** (memory + 1)
     vec = np.empty(n_entries)
@@ -582,17 +556,18 @@ def parse_model(text: str):
             raise ConfigError(f"missing required key {key!r}")
         return plain[key]
 
-    def number(key: str) -> float:
+    def number(key: str, text: str | None = None) -> float:
+        text = need(key) if text is None else text
         try:
-            return float(need(key))
+            return float(text)
         except ValueError:
-            raise ConfigError(f"key {key!r} must be numeric, got {plain[key]!r}") from None
+            raise ConfigError(f"key {key!r} must be numeric, got {text!r}") from None
 
     alphabet = Alphabet(tuple(s.strip() for s in need("alphabet").split(",")))
     variant = need("variant")
     if variant == "finite_memory":
         memory = int(number("memory"))
-        entries = {word: float(value) for word, value in table.items()}
+        entries = {word: number(f"table[{word}]", value) for word, value in table.items()}
         return FiniteMemoryModel(alphabet, memory, entries)
     if variant == "long_range_linear":
         law = need("coeff_law")
@@ -614,10 +589,14 @@ def parse_model(text: str):
         if signs:
             sign_map = [0.0] * alphabet.size
             for symbol, value in signs.items():
-                sign_map[alphabet.index(symbol)] = float(value)
+                sign_map[alphabet.index(symbol)] = number(f"sign[{symbol}]", value)
         return LongRangeLinearModel(alphabet, number("theta"), coeffs, sign_map)
     raise ConfigError(f"unknown variant {variant!r}")
 
 
 def load_model(path):
-    return parse_model(Path(path).read_text())
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ConfigError(f"cannot read model file {str(path)!r}: {exc.strerror}") from None
+    return parse_model(text)

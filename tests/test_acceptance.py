@@ -5,7 +5,7 @@ report lines and timings.
 
 Two clauses of the written criteria are mathematically unattainable and are
 kept as strict xfail tests next to corrected companions (full analysis in
-the project notes): the renewal convergence tolerance at the stated horizon
+docs/decisions.md): the renewal convergence tolerance at the stated horizon
 over the degenerate part of the d-grid, and the geometric-schedule limit
 ``growth - 1`` whose true value is ``(growth - 1) / growth``.
 """
@@ -18,10 +18,13 @@ import numpy as np
 import pytest
 
 from gmeasure import (
+    Exponential,
     FiniteDist,
+    FiniteRange,
     FiniteMemoryModel,
     RenewalSpec,
     TransferOperator,
+    PowerLaw,
     Word,
     apply_Ln,
     build_alphabeta,
@@ -41,9 +44,6 @@ from gmeasure import (
 from gmeasure.criteria import (
     SATISFIED,
     VIOLATED,
-    ExponentialVariation,
-    FiniteRangeVariation,
-    PowerLawVariation,
     affinity_product_floor,
     block_tv_bounds,
     certify_cubic_remainder,
@@ -160,7 +160,7 @@ def test_criterion_03_renewal_limit():
     strict=True,
     reason="renewal convergence within 50*B_{K+1} steps at 1e-6 fails for "
     "grid specs whose d-sequence has trailing zeros (and a handful of sparse "
-    "two-point kernels); see the decisions ledger",
+    "two-point kernels); see docs/decisions.md",
 )
 def test_criterion_03_literal_horizon():
     for spec in _grid_specs():
@@ -323,18 +323,18 @@ def test_criterion_09_criteria_classification():
     t0 = time.perf_counter()
     sq, osq = check_square_summable_variation, check_variation_o_sqrt
 
-    flat = PowerLawVariation(1.0, 2.0)
+    flat = PowerLaw(1.0, 2.0, offset=1)
     assert sq(flat).verdict == SATISFIED
     assert osq(flat).verdict == SATISFIED
     assert check_geometric_window_sums(flat, 2.0).verdict == SATISFIED
 
-    rough = PowerLawVariation(1.0, 0.5)
+    rough = PowerLaw(1.0, 0.5, offset=1)
     assert osq(rough).verdict == VIOLATED
     report = check_geometric_window_sums(rough, 2.0)
     assert report.verdict == VIOLATED
     assert report.evidence["limit"] == pytest.approx(math.log(2.0), abs=1e-12)
 
-    for vm in (flat, rough, PowerLawVariation(1, 0.3), ExponentialVariation(1, 0.5)):
+    for vm in (flat, rough, PowerLaw(1, 0.3, offset=1), Exponential(1, 0.5)):
         verdicts = {
             check_geometric_window_sums(vm, lam).verdict for lam in (1.5, 2.0, 4.0)
         }
@@ -342,10 +342,10 @@ def test_criterion_09_criteria_classification():
 
     # implication chain on a 20-point parameter grid
     grid = (
-        [PowerLawVariation(1.0, p) for p in np.linspace(0.3, 3.0, 12)]
-        + [PowerLawVariation(0.5, 0.4), PowerLawVariation(2.0, 0.8)]
-        + [ExponentialVariation(1.0, r) for r in (0.3, 0.6, 0.9)]
-        + [FiniteRangeVariation(M) for M in (1, 4, 9)]
+        [PowerLaw(1.0, p, offset=1) for p in np.linspace(0.3, 3.0, 12)]
+        + [PowerLaw(0.5, 0.4, offset=1), PowerLaw(2.0, 0.8, offset=1)]
+        + [Exponential(1.0, r) for r in (0.3, 0.6, 0.9)]
+        + [FiniteRange(M) for M in (1, 4, 9)]
     )
     assert len(grid) == 20
     for vm in grid:
@@ -373,8 +373,9 @@ def test_criterion_10_algebraic_cross_check():
 
     # corrected geometric limit: the final-block share tends to (l-1)/l
     for growth in (1.25, 1.5, 2.0):
-        sched = geometric_blocks(growth, 24)
-        r20 = coupling_bound_ratio((0.0,) * 20, sched.prefix, [20])[0][1]
+        sched = geometric_blocks(growth)
+        lengths = [sched.b(n) for n in range(1, 25)]
+        r20 = coupling_bound_ratio((0.0,) * 20, lengths, [20])[0][1]
         assert abs(r20 - (growth - 1) / growth) < 1e-3
     elapsed = _report(10, "ratio vs renewal cross-check", t0)
     assert elapsed < 5.0
@@ -384,10 +385,11 @@ def test_criterion_10_algebraic_cross_check():
     strict=True,
     reason="the geometric-schedule bound converges to (growth-1)/growth, not "
     "growth-1: the last block is a (growth-1)/growth share of its partial sum; "
-    "see the decisions ledger",
+    "see docs/decisions.md",
 )
 def test_criterion_10_literal_geometric_limit():
     for growth in (1.25, 1.5, 2.0):
-        sched = geometric_blocks(growth, 24)
-        r20 = coupling_bound_ratio((0.0,) * 20, sched.prefix, [20])[0][1]
+        sched = geometric_blocks(growth)
+        lengths = [sched.b(n) for n in range(1, 25)]
+        r20 = coupling_bound_ratio((0.0,) * 20, lengths, [20])[0][1]
         assert abs(r20 - (growth - 1)) < 1e-3

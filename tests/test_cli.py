@@ -145,3 +145,65 @@ def test_missing_seed_is_config_error(longrange_file, tmp_path, capsys):
     with pytest.raises(SystemExit):
         # argparse enforces the mandatory seed for stochastic experiments
         main(["couple", "--model", str(longrange_file), "--out", str(tmp_path / "z")])
+
+
+# malformed input -> exit code 2 and a one-line message, never a traceback
+BAD_INPUTS = {
+    "geom growth not a number": ["pipeline", "--schedule", "geom:l=abc"],
+    "geom without growth": ["pipeline", "--schedule", "geom:count=3"],
+    "geom with count": ["pipeline", "--schedule", "geom:l=1.5,count=20"],
+    "geom partial sum beyond float range": ["pipeline", "--schedule", "geom:l=1e200"],
+    "explicit list shorter than K_max": ["pipeline", "--schedule", "1,2"],
+    "explicit list shorter than the depth": ["couple", "--schedule", "1,2", "--depth", "8"],
+    "const length not an integer": ["couple", "--schedule", "const:x"],
+    "variation value not a number": ["criteria", "--variation", "power_law:c=abc,p=2"],
+    "variation key without value": ["criteria", "--variation", "power_law:c"],
+    "negative finite range": ["criteria", "--variation", "finite_range:M=-1"],
+    "renewal d not a number": ["renewal", "--d", "0.5,x", "--b", "2,2", "--K", "1"],
+    "missing model file": ["transfer", "--model", "{missing}"],
+    "model table entry not a number": ["transfer", "--model", "{bad_table}"],
+    "negative surrogate memory": ["transfer", "--model", "{longrange}", "--trunc-memory", "-1"],
+    "negative seed": ["couple", "--seed", "-1"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exits_2_with_one_line(case, longrange_file, tmp_path, capsys):
+    bad_table = tmp_path / "bad_table.gmodel"
+    bad_table.write_text(MEM1_MODEL.replace("0.3", "x"))
+    argv = [a.format(missing=tmp_path / "absent.gmodel", bad_table=bad_table,
+                     longrange=longrange_file) for a in BAD_INPUTS[case]]
+    if argv[0] in ("pipeline", "couple"):
+        argv += ["--model", str(longrange_file)]
+        if "--seed" not in argv:
+            argv += ["--seed", "1"]
+    rc = main(argv + ["--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err, err
+
+
+def test_couple_dn_cells_are_plain_numbers(longrange_file, tmp_path):
+    out = tmp_path / "dn"
+    assert main(["couple", "--model", str(longrange_file), "--depth", "4",
+                 "--trajectories", "2", "--seed", "1", "--dn-max", "2",
+                 "--tail-len", "2", "--out", str(out)]) == 0
+    header, rows = read_csv_rows(out / "couple_dn.csv")
+    assert header == ["n", "dn_lower", "dn_upper"] and rows
+    for row in rows:
+        for cell in row:
+            float(cell)
+
+
+def test_config_hash_covers_model_contents(tmp_path):
+    path = tmp_path / "model.gmodel"
+    hashes = []
+    for text in (MEM1_MODEL, MEM1_MODEL.replace("0.3", "0.2").replace("0.7", "0.8")):
+        path.write_text(text)
+        out = tmp_path / f"run{len(hashes)}"
+        assert main(["transfer", "--model", str(path), "--n-max", "3",
+                     "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert set(manifest["environment"]) == {"python", "numpy", "scipy"}
+        hashes.append(manifest["config_hash"])
+    assert hashes[0] != hashes[1]

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,6 @@ from gmeasure import (
     BlockSchedule,
     BudgetError,
     ConfigError,
-    CouplingState,
     FiniteDist,
     FiniteMemoryModel,
     constant_schedule,
@@ -15,10 +16,10 @@ from gmeasure import (
     dn_bruteforce,
     estimate_disagreement,
     maximal_coupling,
-    next_block,
     sample_block_coupling,
 )
 from gmeasure.coupling import TruncationError, _block_conditional
+from gmeasure.criteria import geometric_blocks
 from gmeasure.gmodel import Word, cylinder_prob, decode, encode
 from oracles import total_variation
 
@@ -103,6 +104,10 @@ def test_finite_dist_validation(alphabet):
 def test_schedule_partial_sums():
     sched = BlockSchedule((1, 2, 4))
     assert [sched.B(n) for n in range(4)] == [0, 1, 3, 7]
+    for schedule in (sched, constant_schedule(2), geometric_blocks(1.5)):
+        # schedules can be sent to worker processes
+        copy = pickle.loads(pickle.dumps(schedule))
+        assert [copy.B(n) for n in range(4)] == [schedule.B(n) for n in range(4)]
     assert sched.J(1) == (0, 0)
     assert sched.J(2) == (-2, -1)
     assert sched.J(3) == (-6, -3)
@@ -115,46 +120,67 @@ def test_schedule_validation():
         BlockSchedule((1, 0))
 
 
-def test_schedule_extension_warns():
+def test_schedule_past_end_raises():
     sched = BlockSchedule((1, 2))
-    with pytest.warns(UserWarning):
-        assert sched.b(3) == 2
-    assert constant_schedule(1).b(100) == 1  # no warning for constant schedules
-
-
-def test_all_disagreeing_blocks_use_first_length():
-    sched = BlockSchedule((1, 2, 4, 8))
-    state = CouplingState(run=0, a=0)
-    assert next_block(state, sched) == (0, 0)
-    state = CouplingState(x=(0,), y=(1,), run=0, a=-1)
-    assert next_block(state, sched) == (-1, -1)
-
-
-def test_two_agreements_then_third_length():
-    sched = BlockSchedule((1, 2, 4, 8))
-    state = CouplingState(x=(0, 1, 0), y=(0, 1, 0), run=2, a=-3)
-    lo, hi = next_block(state, sched)
-    assert hi - lo + 1 == 4
-
-
-def test_trace_agree_agree_disagree_agree():
-    # hand trace: lengths (1, 2, 4, 1, 2) for pattern agree, agree, disagree, agree
-    sched = BlockSchedule((1, 2, 4, 8))
-    lengths = []
-    run, a = 0, 0
-    for agreed in (True, True, False, True, True):
-        lo, hi = next_block(CouplingState(run=run, a=a), sched)
-        lengths.append(hi - lo + 1)
-        run = run + 1 if agreed else 0
-        a = lo - 1
-    assert lengths == [1, 2, 4, 1, 2]
-
-
-def test_coupling_state_validation():
+    assert sched.b(2) == 2
     with pytest.raises(ConfigError):
-        CouplingState(x=(0,), y=(0, 1))
+        sched.b(3)
     with pytest.raises(ConfigError):
-        CouplingState(run=-1)
+        sched.B(3)
+    assert constant_schedule(1).b(100) == 1  # closed forms cover every n
+    assert constant_schedule(3).B(100) == 300
+
+
+def test_explicit_schedule_must_cover_the_run(longrange):
+    # B_3 = 7 <= depth: a run of three agreeing blocks would overrun the list
+    with pytest.raises(ConfigError):
+        estimate_disagreement(longrange, BlockSchedule((1, 2, 4)), 7, "1" * 8, "0" * 8,
+                              n_traj=1, seed=0)
+
+
+def copy_model(alphabet, memory, eps=1e-9):
+    """g copies coordinate ``memory``: x_0 = x_memory except with probability eps."""
+    words = np.array([decode(code, 2, memory + 1) for code in range(2 ** (memory + 1))])
+    return FiniteMemoryModel(alphabet, memory, np.where(words[:, 0] == words[:, -1], 1 - eps, eps))
+
+
+def block_trace(sample, sched):
+    """(length, run_before, agreed) per BlockRecord, after checking the run
+    recursion: each block ends where the previous one began, has length
+    b(run_before + 1), and a disagreement resets the run to 0."""
+    run, end, trace = 0, 0, []
+    for rec in sample.blocks:
+        length = rec.interval[1] - rec.interval[0] + 1
+        assert rec.run_before == run and rec.interval[1] == end
+        assert length == sched.b(rec.run_before + 1)
+        trace.append((length, rec.run_before, rec.agreed))
+        run = run + 1 if rec.agreed else 0
+        end = rec.interval[0] - 1
+    return trace
+
+
+def test_all_disagreeing_blocks_use_first_length(alphabet):
+    # x copies its context 1s and y its 0s, so every block disagrees
+    sched = BlockSchedule((1, 2, 4, 8))
+    sample = sample_block_coupling(copy_model(alphabet, 1), sched, 5, "1", "0", rng=0)
+    assert block_trace(sample, sched) == [(1, 0, False)] * 6
+
+
+def test_two_agreements_then_third_length(iid):
+    sched = BlockSchedule((1, 2, 4, 8))
+    sample = sample_block_coupling(iid, sched, 6, "1", "0", rng=0)
+    assert block_trace(sample, sched) == [(1, 0, True), (2, 1, True), (4, 2, True)]
+
+
+def test_trace_agree_agree_disagree_agree(alphabet):
+    # memory-7 copying: sites 0..-9 copy context positions 7,6,5,4,3,2,1,7,6,5,
+    # and the contexts differ only at position 3, i.e. at site -4
+    sched = BlockSchedule((1, 2, 4, 8))
+    sample = sample_block_coupling(copy_model(alphabet, 7), sched, 9,
+                                   "1111111", "1101111", rng=0)
+    assert block_trace(sample, sched) == [
+        (1, 0, True), (2, 1, True), (4, 2, False), (1, 0, True), (2, 1, True)
+    ]
 
 
 # --- block coupling sampler -----------------------------------------------------
@@ -174,13 +200,13 @@ def test_iid_any_contexts_never_disagree(iid):
 
 def test_finite_memory_agreeing_window_couples(mem1):
     # contexts equal on the last memory symbols force agreement a.s.
-    sample = sample_block_coupling(mem1, BlockSchedule((1, 2), warn_on_extend=False),
+    sample = sample_block_coupling(mem1, BlockSchedule((1,) + (2,) * 12),
                                    24, "10", "10", rng=7)
     assert not sample.disagree.any()
 
 
 def test_sample_covers_requested_depth(longrange):
-    sample = sample_block_coupling(longrange, BlockSchedule((1, 2, 3), warn_on_extend=False),
+    sample = sample_block_coupling(longrange, BlockSchedule((1, 2) + (3,) * 5),
                                    15, "1" * 24, "0" * 24, rng=3)
     assert sample.coords[0] <= -15
     assert sample.coords[-1] == 0
@@ -256,7 +282,7 @@ def test_dn_zero_once_memory_covered(alphabet, mem1, rng):
 
     assert dn_bruteforce(mem1, constant_schedule(1), 2, 1) == (0.0, 0.0)
     model = FiniteMemoryModel(alphabet, 2, random_positive_table(alphabet, 2, rng))
-    sched = BlockSchedule((2, 1, 1), warn_on_extend=False)
+    sched = BlockSchedule((2, 1, 1))
     # B_{n-1} = 3 >= memory for n = 3
     assert dn_bruteforce(model, sched, 3, 2) == (0.0, 0.0)
 

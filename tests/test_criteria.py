@@ -6,13 +6,14 @@ import pytest
 from gmeasure import (
     CUBIC_REMAINDER_K2,
     ConfigError,
-    ExponentialVariation,
-    FiniteRangeVariation,
+    Exponential,
+    FiniteRange,
     MAX_SITE_RATIO,
-    PowerLawVariation,
+    OneMinusPower,
+    PowerLaw,
     RenewalSpec,
     SingleSiteDSequence,
-    TabulatedVariation,
+    VariationProfile,
     affinity_product_floor,
     block_tv_bounds,
     build_alphabeta,
@@ -35,10 +36,6 @@ from gmeasure.criteria import (
     INCONCLUSIVE,
     SATISFIED,
     VIOLATED,
-    ConstantDTail,
-    OneMinusPowerDTail,
-    PowerDTail,
-    ZeroDTail,
     certify_cubic_remainder,
     cubic_remainder_constant,
 )
@@ -49,57 +46,57 @@ from oracles import conditional_product_measure, total_variation
 
 
 def test_square_summable_classification():
-    assert check_square_summable_variation(PowerLawVariation(1, 2)).verdict == SATISFIED
-    assert check_square_summable_variation(PowerLawVariation(1, 0.5)).verdict == VIOLATED
-    assert check_square_summable_variation(FiniteRangeVariation(3)).verdict == SATISFIED
-    assert check_square_summable_variation(ExponentialVariation(1, 0.5)).verdict == SATISFIED
+    assert check_square_summable_variation(PowerLaw(1, 2, offset=1)).verdict == SATISFIED
+    assert check_square_summable_variation(PowerLaw(1, 0.5, offset=1)).verdict == VIOLATED
+    assert check_square_summable_variation(FiniteRange(3)).verdict == SATISFIED
+    assert check_square_summable_variation(Exponential(1, 0.5)).verdict == SATISFIED
 
 
 def test_rho_product_series_classification():
-    assert check_rho_product_series(FiniteRangeVariation(2), 0.1).verdict == SATISFIED
-    assert check_rho_product_series(PowerLawVariation(1, 2), 0.1).verdict == SATISFIED
+    assert check_rho_product_series(FiniteRange(2), 0.1).verdict == SATISFIED
+    assert check_rho_product_series(PowerLaw(1, 2, offset=1), 0.1).verdict == SATISFIED
     # harmonic boundary: terms ~ n**(-(1/2+eps)c)
-    assert check_rho_product_series(PowerLawVariation(1.0, 1), 0.25).verdict == SATISFIED
-    assert check_rho_product_series(PowerLawVariation(1.4, 1), 0.25).verdict == VIOLATED
-    assert check_rho_product_series(PowerLawVariation(1, 0.6), 0.1).verdict == VIOLATED
+    assert check_rho_product_series(PowerLaw(1.0, 1, offset=1), 0.25).verdict == SATISFIED
+    assert check_rho_product_series(PowerLaw(1.4, 1, offset=1), 0.25).verdict == VIOLATED
+    assert check_rho_product_series(PowerLaw(1, 0.6, offset=1), 0.1).verdict == VIOLATED
     with pytest.raises(ConfigError):
-        check_rho_product_series(PowerLawVariation(1, 2), 0.0)
+        check_rho_product_series(PowerLaw(1, 2, offset=1), 0.0)
 
 
 def test_variation_o_sqrt_classification():
-    assert check_variation_o_sqrt(PowerLawVariation(1, 1)).verdict == SATISFIED
-    assert check_variation_o_sqrt(PowerLawVariation(1, 0.5)).verdict == VIOLATED
-    assert check_variation_o_sqrt(ExponentialVariation(2, 0.9)).verdict == SATISFIED
+    assert check_variation_o_sqrt(PowerLaw(1, 1, offset=1)).verdict == SATISFIED
+    assert check_variation_o_sqrt(PowerLaw(1, 0.5, offset=1)).verdict == VIOLATED
+    assert check_variation_o_sqrt(Exponential(2, 0.9)).verdict == SATISFIED
 
 
 def test_window_sums_classification_and_evidence():
-    report = check_geometric_window_sums(PowerLawVariation(1, 1), 2.0)
+    report = check_geometric_window_sums(PowerLaw(1, 1, offset=1), 2.0)
     assert report.verdict == SATISFIED and report.evidence["limit"] == 0.0
-    report = check_geometric_window_sums(PowerLawVariation(1, 0.5), 2.0)
+    report = check_geometric_window_sums(PowerLaw(1, 0.5, offset=1), 2.0)
     assert report.verdict == VIOLATED
     assert report.evidence["limit"] == pytest.approx(math.log(2.0), abs=1e-12)
-    report = check_geometric_window_sums(PowerLawVariation(2, 0.5), 3.0)
+    report = check_geometric_window_sums(PowerLaw(2, 0.5, offset=1), 3.0)
     assert report.evidence["limit"] == pytest.approx(4 * math.log(3.0), abs=1e-12)
-    assert check_geometric_window_sums(PowerLawVariation(1, 0.3), 2.0).verdict == VIOLATED
+    assert check_geometric_window_sums(PowerLaw(1, 0.3, offset=1), 2.0).verdict == VIOLATED
     with pytest.raises(ConfigError):
-        check_geometric_window_sums(PowerLawVariation(1, 1), 1.0)
+        check_geometric_window_sums(PowerLaw(1, 1, offset=1), 1.0)
 
 
 def test_window_sums_numeric_windows_approach_limit():
-    report = check_geometric_window_sums(PowerLawVariation(1, 0.5), 2.0)
+    report = check_geometric_window_sums(PowerLaw(1, 0.5, offset=1), 2.0)
     windows = report.evidence["windows"]
     assert abs(windows[8] - math.log(2.0)) < abs(windows[4] - math.log(2.0))
 
 
 def test_lambda_invariance_of_verdicts():
-    for vm in (PowerLawVariation(1, 2), PowerLawVariation(1, 0.5),
-               PowerLawVariation(1, 0.3), ExponentialVariation(1, 0.7)):
+    for vm in (PowerLaw(1, 2, offset=1), PowerLaw(1, 0.5, offset=1),
+               PowerLaw(1, 0.3, offset=1), Exponential(1, 0.7)):
         verdicts = {check_geometric_window_sums(vm, lam).verdict for lam in (1.5, 2, 4)}
         assert len(verdicts) == 1
 
 
 def test_tabulated_is_inconclusive():
-    vm = TabulatedVariation((0.5, 0.4, 0.3), PowerLawVariation(0.3, 2))
+    vm = VariationProfile((0.5, 0.4, 0.3), PowerLaw(0.3, 2, offset=1))
     for report in (
         check_square_summable_variation(vm),
         check_rho_product_series(vm, 0.1),
@@ -112,9 +109,9 @@ def test_tabulated_is_inconclusive():
 
 def test_tabulated_validation():
     with pytest.raises(ConfigError):
-        TabulatedVariation((0.1, 0.5))
+        VariationProfile((0.1, 0.5))
     with pytest.raises(ConfigError):
-        TabulatedVariation((0.5, 0.1)).var_at(5)
+        VariationProfile((0.5, 0.1)).var_at(5)
 
 
 # --- single-site series -----------------------------------------------------------
@@ -122,25 +119,25 @@ def test_tabulated_validation():
 
 def test_single_site_series_examples():
     assert check_single_site_series(SingleSiteDSequence()).verdict == SATISFIED
-    report = check_single_site_series(SingleSiteDSequence(tail=OneMinusPowerDTail(1, 1)))
+    report = check_single_site_series(SingleSiteDSequence(tail=OneMinusPower(1, 1)))
     assert report.verdict == VIOLATED  # d_n = 1 - 1/n, products decay factorially
     assert check_single_site_series(
-        SingleSiteDSequence(tail=PowerDTail(0.5, 1))
+        SingleSiteDSequence(tail=PowerLaw(0.5, 1))
     ).verdict == SATISFIED  # d_n = a/n with a < 1
     assert check_single_site_series(
-        SingleSiteDSequence(tail=PowerDTail(2.0, 1))
+        SingleSiteDSequence(tail=PowerLaw(2.0, 1))
     ).verdict == VIOLATED
     assert check_single_site_series(
-        SingleSiteDSequence(tail=PowerDTail(0.9, 0.5))
+        SingleSiteDSequence(tail=PowerLaw(0.9, 0.5))
     ).verdict == VIOLATED
     assert check_single_site_series(
-        SingleSiteDSequence(tail=PowerDTail(5.0, 2))
+        SingleSiteDSequence(tail=PowerLaw(5.0, 2))
     ).verdict == SATISFIED
     assert check_single_site_series(
-        SingleSiteDSequence(tail=ConstantDTail(0.2))
+        SingleSiteDSequence(tail=PowerLaw(0.2, 0))
     ).verdict == VIOLATED
     assert check_single_site_series(
-        SingleSiteDSequence(values=(1.0,), tail=ZeroDTail())
+        SingleSiteDSequence(values=(1.0,), tail=FiniteRange(0))
     ).verdict == VIOLATED  # a prefix entry of 1 kills every product
 
 
@@ -269,7 +266,7 @@ def test_affinity_floor_gap_vanishes_near_one():
 
 
 def test_block_bounds_zero_for_finite_range():
-    vm = FiniteRangeVariation(2, level=0.3)
+    vm = FiniteRange(2, level=0.3)
     sched = constant_schedule(1)
     bounds = block_tv_bounds(vm, sched, 4)  # window sites {3}: var = 0
     assert bounds.site_product == 0.0
@@ -287,7 +284,7 @@ def test_block_bounds_dominate_bruteforce(longrange):
 
 def test_block_bounds_square_sum_leading_order():
     # for tiny oscillation the square-sum bound reduces to sqrt(sum var^2/4)
-    vm = PowerLawVariation(1e-3, 1.0)
+    vm = PowerLaw(1e-3, 1.0, offset=1)
     sched = constant_schedule(2)
     bounds = block_tv_bounds(vm, sched, 3)
     expect = math.sqrt(sum(vm.var_at(i) ** 2 / 4 for i in (6, 7)))
@@ -295,7 +292,7 @@ def test_block_bounds_square_sum_leading_order():
 
 
 def test_block_bounds_validity_windows():
-    vm = FiniteRangeVariation(3, level=2.0)  # rho = e^2 > (1+sqrt(2))^2 early on
+    vm = FiniteRange(3, level=2.0)  # rho = e^2 > (1+sqrt(2))^2 early on
     sched = constant_schedule(1)
     bounds = block_tv_bounds(vm, sched, 1)
     assert bounds.site_product is None
@@ -308,21 +305,21 @@ def test_block_bounds_validity_windows():
 
 
 def test_geometric_blocks_doubling():
-    sched = geometric_blocks(2.0, 6)
+    sched = geometric_blocks(2.0)
     assert [sched.B(n) for n in range(1, 5)] == [2, 4, 8, 16]
-    assert sched.prefix[:4] == (2, 2, 4, 8)
+    assert [sched.b(n) for n in range(1, 5)] == [2, 2, 4, 8]
 
 
 def test_geometric_blocks_increasing():
-    sched = geometric_blocks(1.5, 6)
-    assert all(b >= 1 for b in sched.prefix)
-    assert sched.prefix[-1] > sched.prefix[1]
+    lengths = [geometric_blocks(1.5).b(n) for n in range(1, 7)]
+    assert all(b >= 1 for b in lengths)
+    assert lengths[-1] > lengths[1]
 
 
 def test_geometric_blocks_bracketing_shifted():
     # increments track growth**(n-1): floor(g^(n-1)) <= b_n <= ceil(g^(n-1))
     for growth in (1.25, 1.5, 2.0, 3.0):
-        sched = geometric_blocks(growth, 12)
+        sched = geometric_blocks(growth)
         for n in range(2, 13):
             step = growth ** (n - 1)
             assert math.floor(step) <= sched.b(n) <= math.ceil(step)
@@ -331,10 +328,10 @@ def test_geometric_blocks_bracketing_shifted():
 @pytest.mark.xfail(
     strict=True,
     reason="with B_n = ceil(growth^n/(growth-1)) the increments track "
-    "growth^(n-1), not growth^n; see the decisions ledger",
+    "growth^(n-1), not growth^n; see docs/decisions.md",
 )
 def test_geometric_blocks_bracketing_literal():
-    sched = geometric_blocks(2.0, 8)
+    sched = geometric_blocks(2.0)
     for n in range(2, 9):
         assert math.floor(2.0**n) <= sched.b(n) <= math.ceil(2.0**n)
 
@@ -366,19 +363,21 @@ def test_ratio_equals_renewal_limit(rng):
 def test_ratio_zero_d_geometric_limit_corrected():
     # share of the final block: (growth - 1) / growth
     for growth in (1.25, 1.5, 2.0):
-        sched = geometric_blocks(growth, 24)
-        ratio = coupling_bound_ratio((0.0,) * 20, sched.prefix, [20])[0][1]
+        sched = geometric_blocks(growth)
+        lengths = [sched.b(n) for n in range(1, 25)]
+        ratio = coupling_bound_ratio((0.0,) * 20, lengths, [20])[0][1]
         assert ratio == pytest.approx((growth - 1) / growth, abs=1e-3)
 
 
 @pytest.mark.xfail(
     strict=True,
     reason="the final-block share of a geometric schedule converges to "
-    "(growth-1)/growth, not growth-1; see the decisions ledger",
+    "(growth-1)/growth, not growth-1; see docs/decisions.md",
 )
 def test_ratio_zero_d_geometric_limit_literal():
-    sched = geometric_blocks(1.5, 24)
-    ratio = coupling_bound_ratio((0.0,) * 20, sched.prefix, [20])[0][1]
+    sched = geometric_blocks(1.5)
+    lengths = [sched.b(n) for n in range(1, 25)]
+    ratio = coupling_bound_ratio((0.0,) * 20, lengths, [20])[0][1]
     assert ratio == pytest.approx(0.5, abs=1e-3)
 
 

@@ -202,6 +202,20 @@ def test_variation_profile_monotone_and_cutoff(mem1, longrange):
     assert prof.var_at(200) > 0.0
 
 
+def test_finite_memory_profile_tail_is_a_bound(alphabet, rng):
+    # below the memory the tail repeats the last tabulated value, an upper
+    # bound because var_n is non-increasing
+    from conftest import random_positive_table
+
+    model = FiniteMemoryModel(alphabet, 3, random_positive_table(alphabet, 3, rng))
+    full = variation_profile(model, 5)
+    assert full.var_at(2) > 0.0
+    for h in range(3):
+        short = variation_profile(model, h)
+        for n in range(6):
+            assert short.var_at(n) >= full.var_at(n)
+
+
 def test_variation_profile_powerlaw_tail_tracks_coefficients(longrange):
     # var_n = log(1 + 2*theta*tail_n/g_min) is pinched between linear bounds
     prof = variation_profile(longrange, 30)

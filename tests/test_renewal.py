@@ -191,8 +191,9 @@ def test_bound_sweep_unit_blocks_matches_closed_form():
 def test_bound_sweep_geometric_blocks_limit():
     # with vanishing d the bound tends to (l-1)/l, the share of the last block
     for growth in (1.25, 1.5, 2.0):
-        sched = geometric_blocks(growth, 26)
-        sweep = disagreement_bound_sweep((0.0,) * 24, sched.prefix, [8, 16, 24])
+        sched = geometric_blocks(growth)
+        lengths = [sched.b(n) for n in range(1, 27)]
+        sweep = disagreement_bound_sweep((0.0,) * 24, lengths, [8, 16, 24])
         target = (growth - 1) / growth
         for _, value in sweep:
             assert abs(value - target) < 0.05
