@@ -13,11 +13,15 @@ Exit codes: 0 success, 2 configuration error, 3 enumeration budget exceeded.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
+import os
 import platform
+import shutil
 import sys
+import tempfile
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -28,6 +32,7 @@ import scipy
 from . import __version__
 from .coupling import (
     BlockSchedule,
+    check_dn_budget,
     constant_schedule,
     dbar,
     dn_bruteforce,
@@ -195,6 +200,10 @@ def _run_couple(cfg: ExperimentConfig) -> dict[str, Path]:
     schedule = _parse_schedule(p["schedule"])
     depth = _positive(p["depth"], "depth")
     n_traj = _positive(p["trajectories"], "trajectories")
+    dn_max = p.get("dn_max", 0)
+    tail_len = p.get("tail_len", 3)
+    for n in range(1, dn_max + 1):  # budgets first: no sampling for a run that cannot finish
+        check_dn_budget(model, schedule, n, tail_len)
     summary = estimate_disagreement(
         model, schedule, depth, p["context_x"], p["context_y"], n_traj, _seed(cfg),
         block_cap=p.get("block_cap", 12),
@@ -207,11 +216,10 @@ def _run_couple(cfg: ExperimentConfig) -> dict[str, Path]:
         [(-n, float(summary.freq[n]), float(summary.stderr[n])) for n in range(depth + 1)],
     )
     outputs = {"couple_mc.csv": mc_path}
-    dn_max = p.get("dn_max", 0)
     if dn_max:
         rows = []
         for n in range(1, dn_max + 1):
-            lo, hi = dn_bruteforce(model, schedule, n, p.get("tail_len", 3))
+            lo, hi = dn_bruteforce(model, schedule, n, tail_len)
             rows.append((n, lo, hi))
         dn_path = cfg.outdir / "couple_dn.csv"
         _write_csv(
@@ -426,25 +434,36 @@ _RUNNERS = {
 
 
 def run(cfg: ExperimentConfig) -> RunManifest:
+    """Run one experiment.  Outputs are written into a temporary directory
+    beside ``cfg.outdir`` and renamed into place only when the run succeeds,
+    so a failed run leaves no partial artifacts."""
     if cfg.experiment not in _RUNNERS:
         raise ConfigError(f"unknown experiment {cfg.experiment!r}")
-    cfg.outdir.mkdir(parents=True, exist_ok=True)
-    started = time.perf_counter()
-    outputs = _RUNNERS[cfg.experiment](cfg)
-    manifest = RunManifest(
-        config_hash=hashlib.sha256(cfg.canonical().encode()).hexdigest(),
-        version=__version__,
-        wall_clock_s=time.perf_counter() - started,
-        outputs={name: _sha256(path) for name, path in sorted(outputs.items())},
-        environment={
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "scipy": scipy.__version__,
-        },
-    )
-    (cfg.outdir / "manifest.json").write_text(
-        json.dumps(asdict(manifest), indent=2, sort_keys=True) + "\n"
-    )
+    cfg.outdir.parent.mkdir(parents=True, exist_ok=True)
+    work = Path(tempfile.mkdtemp(prefix=f".{cfg.outdir.name}.", dir=cfg.outdir.parent))
+    try:
+        started = time.perf_counter()
+        outputs = _RUNNERS[cfg.experiment](dataclasses.replace(cfg, outdir=work))
+        manifest = RunManifest(
+            config_hash=hashlib.sha256(cfg.canonical().encode()).hexdigest(),
+            version=__version__,
+            wall_clock_s=time.perf_counter() - started,
+            outputs={name: _sha256(path) for name, path in sorted(outputs.items())},
+            environment={
+                "python": platform.python_version(),
+                "numpy": np.__version__,
+                "scipy": scipy.__version__,
+            },
+        )
+        (work / "manifest.json").write_text(
+            json.dumps(asdict(manifest), indent=2, sort_keys=True) + "\n"
+        )
+        cfg.outdir.mkdir(exist_ok=True)
+        # the manifest moves last: it never describes outputs not yet in place
+        for path in sorted(work.iterdir(), key=lambda path: path.name == "manifest.json"):
+            os.replace(path, cfg.outdir / path.name)
+    finally:
+        shutil.rmtree(work, ignore_errors=True)
     return manifest
 
 

@@ -11,6 +11,19 @@ any disagreement resets the run (the first block uses b_1).  Each block is
 drawn from the maximal coupling of the two conditional block distributions
 given everything sampled so far plus the initial tail contexts.
 
+The sampler runs all trajectories of a batch together.  Histories sit in
+right-aligned ``(trajectories, width)`` buffers; the long-range context sums
+are updated as each block is prepended, so a site reads its context sum
+instead of rereading the history.  Trajectories due a block of the same
+length share kernel calls of at most ``_MAX_ROWS`` (context, word) rows.
+Uniform-order contract: trajectory i draws its uniforms from its own
+generator (the i-th child of the seed sequence in ``estimate_disagreement``)
+and consumes them in order, one per block drawn on the diagonal and three
+per block drawn off it (the diagonal test, then the two residual draws).
+``rng.random(n)`` gives the same doubles as n calls to ``rng.random()``, so
+pre-drawing them keeps every trajectory, and every artifact, independent of
+the batch size; ``sample_block_coupling`` is the batch of one.
+
 ``dn_bruteforce`` computes the worst-case block total variation after
 agreement on the previous B_{n-1} coordinates by exhaustive enumeration of
 agreeing parts and truncated tail pairs, with truncation slack reported as
@@ -27,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError, ConfigError, DEFAULT_BUDGET, TruncationError
-from .gmodel import Alphabet, Word, decode, encode
+from .gmodel import Alphabet, Word, all_words, interval_product
 
 __all__ = [
     "FiniteDist",
@@ -40,6 +53,7 @@ __all__ = [
     "sample_block_coupling",
     "MonteCarloSummary",
     "estimate_disagreement",
+    "check_dn_budget",
     "dn_bruteforce",
     "dbar",
 ]
@@ -182,53 +196,65 @@ def constant_schedule(b: int = 1) -> BlockSchedule:
 # ---------------------------------------------------------------------------
 # conditional block distributions
 
+# (context, word) rows per kernel call: a fixed cap, so each kernel array
+# holds at most _MAX_ROWS x block length floats whatever the batch
+_MAX_ROWS = 1024
+# trajectories x (depth + 1) sampled together: uniforms, histories, context
+# sums and block records of a batch grow with this product
+_BATCH_SITES = 1 << 16
 
-def _block_conditional(model, block_len: int, known: np.ndarray):
-    """Midpoint probabilities and truncation slack for one block.
 
-    ``known`` holds the symbol indices of all coordinates to the right of the
-    block (sampled history followed by the tail context).  Returns
-    ``(probs, slack)`` where ``probs`` are the normalised midpoints over the
-    alphabet^block_len words and ``slack`` is the summed half-widths.
+def _block_laws(model, words: np.ndarray, field: np.ndarray, known_len: np.ndarray):
+    """Midpoint block laws and truncation slacks, one per context row.
+
+    ``words`` are all the words of one block length (``all_words``),
+    ``field`` rows summarise the known right contexts (``context_field``)
+    and ``known_len`` gives their lengths.  Returns ``(probs, slack)``:
+    ``probs`` (rows, words) are the normalised midpoints of the per-word
+    interval products, ``slack`` the summed half-widths plus the
+    normalisation defect.
     """
-    size = model.alphabet.size
-    n_words = size**block_len
-    buf = np.empty(block_len + len(known), dtype=np.intp)
-    buf[block_len:] = known
-    mids = np.empty(n_words)
-    slack = 0.0
-    for code in range(n_words):
-        buf[:block_len] = decode(code, size, block_len)
-        lo = hi = 1.0
-        for j in range(block_len):
-            mid, rad = model.eval_indices(buf[j:])
-            lo *= max(mid - rad, 0.0)
-            hi *= min(mid + rad, 1.0)
-        mids[code] = 0.5 * (lo + hi)
-        slack += 0.5 * (hi - lo)
-    total = mids.sum()
-    if slack == 0.0:
-        # exact factors: the vector sums to 1 up to float roundoff only
-        return mids / total, 0.0
-    return mids / total, slack + abs(total - 1.0)
+    n_rows, n_words = len(field), len(words)
+    mids = np.empty((n_rows, n_words))
+    halves = np.empty((n_rows, n_words))
+    rows_per_call = max(1, _MAX_ROWS // n_words)
+    for r in range(0, n_rows, rows_per_call):
+        for w in range(0, n_words, _MAX_ROWS):
+            tile = np.s_[r : r + rows_per_call, w : w + _MAX_ROWS]
+            mid, rad = model.site_intervals(
+                words[tile[1]], field[tile[0], None], known_len[tile[0], None]
+            )
+            lo, hi = interval_product(mid, rad)
+            mids[tile] = 0.5 * (lo + hi)
+            halves[tile] = 0.5 * (hi - lo)
+    total = mids.sum(axis=1)
+    slack = halves.sum(axis=1)
+    # exact factors: the midpoints sum to 1 up to float roundoff only
+    slack = np.where(slack == 0.0, 0.0, slack + np.abs(total - 1.0))
+    return mids / total[:, None], slack
 
 
-def _sample_pair(p: np.ndarray, q: np.ndarray, rng) -> tuple[int, int, float]:
-    """Draw one pair from the maximal coupling of two probability vectors."""
+def _draw_pairs(p: np.ndarray, q: np.ndarray, u: np.ndarray):
+    """One draw per row from the maximal coupling of ``p[i]`` and ``q[i]``.
+
+    ``u[i]`` holds the row's next three uniforms.  The first decides the
+    diagonal branch and picks the common word; only off the diagonal are the
+    other two used, to draw the two residuals independently.  Returns
+    ``(jx, jy, tv, used)`` with ``used`` = 1 or 3 uniforms consumed.
+    """
     m = np.minimum(p, q)
-    omega = m.sum()
+    omega = m.sum(axis=1)
     tv = 1.0 - omega
-    u = rng.random()
-    if u < omega:
-        j = int(np.searchsorted(np.cumsum(m), u, side="right"))
-        j = min(j, len(p) - 1)
-        return j, j, tv
-    # disagreement branch: the residuals are sampled independently
-    rx = rng.random() * tv
-    ry = rng.random() * tv
-    jx = min(int(np.searchsorted(np.cumsum(p - m), rx, side="right")), len(p) - 1)
-    jy = min(int(np.searchsorted(np.cumsum(q - m), ry, side="right")), len(q) - 1)
-    return jx, jy, tv
+    last = p.shape[1] - 1
+
+    def pick(weights, v):  # searchsorted(cumsum(weights), v, side="right")
+        return np.minimum((np.cumsum(weights, axis=1) <= v[:, None]).sum(axis=1), last)
+
+    diagonal = u[:, 0] < omega
+    j = pick(m, u[:, 0])
+    jx = np.where(diagonal, j, pick(p - m, u[:, 1] * tv))
+    jy = np.where(diagonal, j, pick(q - m, u[:, 2] * tv))
+    return jx, jy, tv, np.where(diagonal, 1, 3)
 
 
 @dataclass(frozen=True)
@@ -267,6 +293,102 @@ def _context_indices(model, context) -> np.ndarray:
     return np.asarray(model.alphabet.indices(symbols), dtype=np.intp)
 
 
+def _max_uniforms(depth: int) -> int:
+    # a block covers at least one site, so a trajectory draws at most
+    # depth + 1 blocks, each consuming at most 3 uniforms
+    return 3 * (depth + 1)
+
+
+def _reachable_lengths(schedule: BlockSchedule, depth: int) -> np.ndarray:
+    """b_{k+1} for every run k a trajectory can reach.  A run of k agreeing
+    blocks covers B_k sites, so b_{k+1} is asked for only while
+    B_k <= depth; an explicit schedule too short for the run fails here,
+    before any sampling."""
+    lengths = []
+    while schedule.B(len(lengths)) <= depth:
+        lengths.append(schedule.b(len(lengths) + 1))
+    return np.asarray(lengths)
+
+
+@dataclass
+class _Batch:
+    """Coupled trajectories, one per row.  Histories are right-aligned:
+    column ``width - 1 - n`` holds coordinate -n.  ``blocks`` maps a field
+    name to one entry per drawn block, in drawing order per trajectory."""
+
+    x: np.ndarray
+    y: np.ndarray
+    covered: np.ndarray  # sites sampled per trajectory
+    used: np.ndarray     # uniforms consumed per trajectory
+    blocks: dict
+
+
+def _couple(model, schedule, depth, x_context, y_context, uniforms,
+            block_cap, trunc_tol) -> _Batch:
+    """Grow one coupled pair of histories per row of ``uniforms`` leftward
+    past coordinate ``-depth``, all rows together.
+
+    Each step draws the next block of every unfinished trajectory; those
+    with the same block length share kernel calls.  The long-range context
+    sums are updated as blocks are prepended, so no site rereads the
+    history.  Trajectory i reads ``uniforms[i]`` in order, one per diagonal
+    draw and three per off-diagonal draw, so its path does not depend on
+    the batch it is drawn in.
+    """
+    if not model.is_positive:
+        raise ConfigError("block coupling requires a positive model")
+    contexts = [_context_indices(model, c) for c in (x_context, y_context)]
+    if len(contexts[0]) != len(contexts[1]):
+        raise ConfigError("tail contexts must have equal length")
+    lengths = _reachable_lengths(schedule, depth)
+    size = model.alphabet.size
+    n_traj = len(uniforms)
+    # the last block starts at most depth sites in and blocks longer than
+    # block_cap are refused, so width covers every site and context distance
+    width = depth + min(int(lengths.max()), block_cap)
+    words_of = {b: all_words(size, b) for b in set(lengths.tolist()) if b <= block_cap}
+    hist = np.zeros((2, n_traj, width), dtype=np.min_scalar_type(size - 1))
+    fields = [np.repeat(model.context_field(c, width)[None], n_traj, axis=0) for c in contexts]
+    covered = np.zeros(n_traj, dtype=np.intp)
+    run = np.zeros(n_traj, dtype=np.intp)
+    used = np.zeros(n_traj, dtype=np.intp)
+    log = []
+    while (active := np.flatnonzero(covered <= depth)).size:
+        active_len = lengths[run[active]]
+        for b in np.unique(active_len).tolist():
+            if b > block_cap:
+                raise BudgetError(
+                    f"block length {b} exceeds block_cap {block_cap} "
+                    f"({size}^{b} joint words)"
+                )
+            group, words = active[active_len == b], words_of[b]
+            step = max(1, _MAX_ROWS // len(words))
+            for rows in (group[i : i + step] for i in range(0, len(group), step)):
+                known_len = len(contexts[0]) + covered[rows]
+                (p, slack_x), (q, slack_y) = (
+                    _block_laws(model, words, f[rows], known_len) for f in fields
+                )
+                slack = slack_x + slack_y
+                if slack.max() > trunc_tol:
+                    raise TruncationError(
+                        f"block truncation slack {slack.max():.3e} exceeds tolerance {trunc_tol}"
+                    )
+                u = np.take_along_axis(uniforms[rows], used[rows, None] + np.arange(3), axis=1)
+                jx, jy, tv, n_used = _draw_pairs(p, q, u)
+                cols = width - b - covered[rows, None] + np.arange(b)
+                for side, j in enumerate((jx, jy)):
+                    hist[side, rows[:, None], cols] = words[j]
+                    fields[side][rows] = model.extend_field(fields[side][rows], words[j])
+                agreed = jx == jy
+                log.append((covered[rows], np.full(len(rows), b), run[rows], agreed, tv, slack))
+                covered[rows] += b
+                run[rows] = np.where(agreed, run[rows] + 1, 0)
+                used[rows] += n_used
+    names = ("start", "length", "run_before", "agreed", "tv", "slack")
+    blocks = {name: np.concatenate(column) for name, column in zip(names, zip(*log))}
+    return _Batch(hist[0], hist[1], covered, used, blocks)
+
+
 def sample_block_coupling(
     model,
     schedule: BlockSchedule,
@@ -283,58 +405,33 @@ def sample_block_coupling(
     block laws given history + context, computed via cylinder products with
     truncation slack recorded per block.  Raises BudgetError when a block
     length exceeds ``block_cap`` and TruncationError when a block's slack
-    exceeds ``trunc_tol``.
+    exceeds ``trunc_tol``.  This is the batch of one of the sampler behind
+    ``estimate_disagreement``: ``rng`` supplies one uniform per diagonal
+    draw and three per off-diagonal draw, and is left advanced by exactly
+    the uniforms used.
     """
-    if not model.is_positive:
-        raise ConfigError("block coupling requires a positive model")
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(rng)
-    ctx_x = _context_indices(model, x_context)
-    ctx_y = _context_indices(model, y_context)
-    if len(ctx_x) != len(ctx_y):
-        raise ConfigError("tail contexts must have equal length")
-    size = model.alphabet.size
-
-    # history buffers: position i holds coordinate (a + 1 + i) .. 0 reversed;
-    # simplest correct layout is right-to-left growth in python lists.
-    hist_x: list[int] = []  # hist[0] is the leftmost sampled coordinate
-    hist_y: list[int] = []
-    dis: list[bool] = []
-    blocks: list[BlockRecord] = []
-    run = 0
-    a = 0
-    while a > -depth - 1:
-        b = schedule.b(run + 1)
-        if b > block_cap:
-            raise BudgetError(
-                f"block length {b} exceeds block_cap {block_cap} "
-                f"({size}^{b} joint words)"
-            )
-        known_x = np.concatenate([np.asarray(hist_x, dtype=np.intp), ctx_x])
-        known_y = np.concatenate([np.asarray(hist_y, dtype=np.intp), ctx_y])
-        p, slack_x = _block_conditional(model, b, known_x)
-        q, slack_y = _block_conditional(model, b, known_y)
-        slack = slack_x + slack_y
-        if slack > trunc_tol:
-            raise TruncationError(
-                f"block truncation slack {slack:.3e} exceeds tolerance {trunc_tol}"
-            )
-        jx, jy, tv = _sample_pair(p, q, rng)
-        wx = decode(jx, size, b)
-        wy = decode(jy, size, b)
-        agreed = jx == jy
-        blocks.append(BlockRecord((a - b + 1, a), run, agreed, tv, slack))
-        hist_x = list(wx) + hist_x
-        hist_y = list(wy) + hist_y
-        dis = [sx != sy for sx, sy in zip(wx, wy)] + dis
-        run = run + 1 if agreed else 0
-        a -= b
+    state = rng.bit_generator.state
+    batch = _couple(model, schedule, depth, x_context, y_context,
+                    rng.random((1, _max_uniforms(depth))), block_cap, trunc_tol)
+    rng.bit_generator.state = state
+    rng.random(int(batch.used[0]))
+    covered = int(batch.covered[0])
+    x = batch.x[0, -covered:].astype(np.intp)
+    y = batch.y[0, -covered:].astype(np.intp)
+    blocks = batch.blocks
     return BlockCouplingSample(
-        coords=np.arange(a + 1, 1),
-        x=np.asarray(hist_x, dtype=np.intp),
-        y=np.asarray(hist_y, dtype=np.intp),
-        disagree=np.asarray(dis, dtype=bool),
-        blocks=blocks,
+        coords=np.arange(1 - covered, 1),
+        x=x,
+        y=y,
+        disagree=x != y,
+        blocks=[
+            BlockRecord((-start - length + 1, -start), run, agreed, tv, slack)
+            for start, length, run, agreed, tv, slack in zip(
+                *(blocks[k].tolist() for k in ("start", "length", "run_before", "agreed", "tv", "slack"))
+            )
+        ],
     )
 
 
@@ -367,43 +464,61 @@ def estimate_disagreement(
 ) -> MonteCarloSummary:
     """Monte Carlo disagreement frequencies from independent trajectories.
 
-    Per-trajectory generators are spawned from a single seed sequence, so
-    results are reproducible and trajectories could be drawn in parallel
-    without changing the output.
+    Per-trajectory generators are spawned from a single seed sequence and
+    each trajectory's uniforms are drawn from its own generator, so the
+    result equals that of ``n_traj`` separate ``sample_block_coupling``
+    calls on the spawned children, whatever the batching.
     """
     if n_traj < 1:
         raise ConfigError("need at least one trajectory")
-    # a trajectory asks for b_k only while B_{k-1} <= depth, so an explicit
-    # schedule too short for the run fails here, before any sampling
-    n = 0
-    while schedule.B(n) <= depth:
-        n += 1
+    n_runs = len(_reachable_lengths(schedule, depth))
     counts = np.zeros(depth + 1, dtype=np.int64)
-    run_stats: dict[int, list[int]] = {}
+    seen = np.zeros(n_runs, dtype=np.int64)
+    bad = np.zeros(n_runs, dtype=np.int64)
     max_slack = 0.0
     children = np.random.SeedSequence(seed).spawn(n_traj)
-    for child in children:
-        sample = sample_block_coupling(
-            model, schedule, depth, x_context, y_context,
-            np.random.default_rng(child), block_cap, trunc_tol,
-        )
-        flipped = sample.disagree[::-1]  # index n -> coordinate -n
-        counts += flipped[: depth + 1]
-        for rec in sample.blocks:
-            stats = run_stats.setdefault(rec.run_before, [0, 0])
-            stats[0] += 1
-            stats[1] += not rec.agreed
-            max_slack = max(max_slack, rec.truncation_error)
+    per_batch = max(1, _BATCH_SITES // (depth + 1))
+    for start in range(0, n_traj, per_batch):
+        uniforms = np.array([
+            np.random.default_rng(child).random(_max_uniforms(depth))
+            for child in children[start : start + per_batch]
+        ])
+        batch = _couple(model, schedule, depth, x_context, y_context,
+                        uniforms, block_cap, trunc_tol)
+        # column n of the flipped histories is coordinate -n
+        counts += (batch.x != batch.y)[:, ::-1][:, : depth + 1].sum(axis=0)
+        runs = batch.blocks["run_before"]
+        seen += np.bincount(runs, minlength=n_runs)
+        bad += np.bincount(runs[~batch.blocks["agreed"]], minlength=n_runs)
+        max_slack = max(max_slack, float(batch.blocks["slack"].max()))
     freq = counts / n_traj
     stderr = np.sqrt(freq * (1 - freq) / n_traj)
-    return MonteCarloSummary(
-        n_traj, depth, freq, stderr,
-        {k: tuple(v) for k, v in run_stats.items()}, max_slack,
-    )
+    run_stats = {k: (int(seen[k]), int(bad[k])) for k in np.flatnonzero(seen).tolist()}
+    return MonteCarloSummary(n_traj, depth, freq, stderr, run_stats, max_slack)
 
 
 # ---------------------------------------------------------------------------
 # worst-case block total variation
+
+
+def check_dn_budget(model, schedule: BlockSchedule, n: int, tail_len: int,
+                    budget: int = DEFAULT_BUDGET) -> int:
+    """Joint states ``dn_bruteforce`` enumerates for block n; raises
+    BudgetError when they exceed ``budget``, before any work is done."""
+    if n < 1:
+        raise ConfigError("block index must be >= 1")
+    if tail_len < 0:
+        raise ConfigError("tail_len must be >= 0")
+    size = model.alphabet.size
+    agree_len = schedule.B(n - 1)
+    block_len = schedule.b(n)
+    states = size**agree_len * (size**tail_len) ** 2 * size**block_len
+    if states > budget:
+        raise BudgetError(
+            f"{states} joint states exceed enumeration budget {budget} "
+            f"(agree {agree_len}, tails 2x{tail_len}, block {block_len})"
+        )
+    return states
 
 
 def dn_bruteforce(
@@ -423,36 +538,29 @@ def dn_bruteforce(
     accumulated truncation slack, and dominates the true supremum over all
     infinite tail completions.
     """
-    if n < 1:
-        raise ConfigError("block index must be >= 1")
-    if tail_len < 0:
-        raise ConfigError("tail_len must be >= 0")
+    check_dn_budget(model, schedule, n, tail_len, budget)
     size = model.alphabet.size
     agree_len = schedule.B(n - 1)
     block_len = schedule.b(n)
-    states = size**agree_len * (size**tail_len) ** 2 * size**block_len
-    if states > budget:
-        raise BudgetError(
-            f"{states} joint states exceed enumeration budget {budget} "
-            f"(agree {agree_len}, tails 2x{tail_len}, block {block_len})"
-        )
-    n_agree = size**agree_len
-    n_tails = size**tail_len
-    lower = 0.0
-    upper = 0.0
-    for code_a in range(n_agree):
-        agree = np.asarray(decode(code_a, size, agree_len), dtype=np.intp)
-        dists = []
-        for code_t in range(n_tails):
-            tail = np.asarray(decode(code_t, size, tail_len), dtype=np.intp)
-            dists.append(_block_conditional(model, block_len, np.concatenate([agree, tail])))
-        for i in range(n_tails):
-            p, slack_p = dists[i]
-            for j in range(i + 1, n_tails):
-                q, slack_q = dists[j]
-                tv = 0.5 * float(np.abs(p - q).sum())
-                lower = max(lower, tv)
-                upper = max(upper, tv + 0.5 * (slack_p + slack_q))
+    n_tails, n_agree = size**tail_len, size**agree_len
+    if n_tails == 1:
+        return 0.0, 0.0  # one tail: no pair of laws to compare
+    words = all_words(size, block_len)
+    left, right = np.triu_indices(n_tails, 1)
+    # agreeing parts per step, so that the step's pairs of laws stay small
+    step = max(1, _MAX_ROWS // (len(left) * len(words)))
+    lower = upper = 0.0
+    for a in range(0, n_agree, step):
+        # context rows: agreeing part followed by tail, for every tail
+        codes = np.arange(a * n_tails, min(a + step, n_agree) * n_tails)
+        known = all_words(size, agree_len + tail_len, codes)
+        laws, slacks = _block_laws(model, words, model.context_field(known, block_len),
+                                   np.full(len(known), known.shape[1]))
+        laws = laws.reshape(-1, n_tails, len(words))
+        slacks = slacks.reshape(-1, n_tails)
+        tv = 0.5 * np.abs(laws[:, left] - laws[:, right]).sum(axis=2)
+        lower = max(lower, float(tv.max()))
+        upper = max(upper, float((tv + 0.5 * (slacks[:, left] + slacks[:, right])).max()))
     return lower, max(upper, lower)
 
 

@@ -20,6 +20,18 @@ in ``[value - error_bound, value + error_bound]``.  An ``error_bound`` of
 exactly 0 signals an exact evaluation; a positive bound signals that the
 word was too short to pin the value down (for a finite-memory model this
 happens when the word is shorter than M+1 symbols).
+
+``eval_indices`` is the scalar reference route: one word, one interval.
+The batched kernel evaluates every site of a batch of word rows at once.
+A known right context is first summarised by ``context_field`` (its first
+M symbols for a finite-memory model; for the long-range model, the context
+sums ``sum_i a_{t+i} s(known_i)`` at each distance t), ``extend_field``
+prepends sampled symbols to such a summary without rereading the context,
+and ``site_intervals`` returns ``(mid, rad)`` for each site with the same
+interval semantics as ``eval_indices``.  The long-range kernel reads
+precomputed coefficient and tail vectors (no ``zeta`` call per evaluation);
+the finite-memory kernel gathers from the table, or from min/max tables over
+the completions where fewer than M+1 symbols are known.
 """
 
 from __future__ import annotations
@@ -134,6 +146,14 @@ def decode(code: int, size: int, length: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def all_words(size: int, length: int, codes=None) -> np.ndarray:
+    """The words of ``length`` symbols with lexicographic indices ``codes``
+    (default: all of them, in order) as rows."""
+    codes = np.arange(size**length) if codes is None else np.asarray(codes)
+    digits = codes[:, None] // size ** np.arange(length - 1, -1, -1) % size
+    return digits.astype(np.min_scalar_type(size - 1))
+
+
 # ---------------------------------------------------------------------------
 # coefficient laws for the long-range family
 
@@ -149,21 +169,31 @@ class PowerLawCoefficients:
         self.c = float(c)
         self.p = float(p)
         self._avec = np.zeros(1)  # a_0 placeholder, grown on demand
+        self._zvec = np.zeros(1)  # zeta(p, k) at index k >= 1, grown on demand
 
     @classmethod
     def from_mass(cls, p: float, mass: float) -> "PowerLawCoefficients":
         """Scale so that sum_k a_k equals ``mass``."""
         return cls(mass / float(zeta(p, 1)), p)
 
+    def _zeta(self, k: int) -> np.ndarray:
+        """Hurwitz zeta(p, j) for j = 0..k (index 0 unused), one vectorised
+        ``zeta`` call per growth."""
+        if len(self._zvec) <= k:
+            m = max(2 * len(self._zvec), k + 1)
+            self._zvec = np.concatenate([[0.0], zeta(self.p, np.arange(1, m, dtype=float))])
+        return self._zvec
+
     def tail(self, n: int) -> float:
         """sum_{k > n} a_k via the Hurwitz zeta function (no cancellation)."""
-        return self.c * float(zeta(self.p, n + 1))
+        return self.c * float(self._zeta(n + 1)[n + 1])
 
     def prefix(self, n: int) -> float:
         """sum_{k <= n} a_k."""
         if n <= 0:
             return 0.0
-        return self.c * float(zeta(self.p, 1) - zeta(self.p, n + 1))
+        z = self._zeta(n + 1)
+        return self.c * float(z[1] - z[n + 1])
 
     @property
     def total(self) -> float:
@@ -254,10 +284,51 @@ class FiniteMemoryModel:
         if not np.allclose(rowsums, 1.0, atol=1e-9):
             raise ConfigError("conditional probabilities must sum to 1 per context")
         self.table = vec
+        self._bounds = None  # stacked min/max tables, built on first kernel call
 
     @property
     def is_positive(self) -> bool:
         return bool((self.table > 0).all())
+
+    def context_field(self, known, reach: int) -> np.ndarray:
+        """The first ``memory`` symbols of each known context row (zero-padded
+        where fewer are known; ``site_intervals`` reads only known ones)."""
+        known = np.asarray(known)
+        width = min(known.shape[-1], self.memory)
+        field = np.zeros(known.shape[:-1] + (self.memory,), dtype=np.int64)
+        field[..., :width] = known[..., :width]
+        return field
+
+    def extend_field(self, field: np.ndarray, words: np.ndarray) -> np.ndarray:
+        """The field after ``words`` are prepended to the known contexts."""
+        return np.concatenate([words, field], axis=-1)[..., : self.memory]
+
+    def site_intervals(self, words, field: np.ndarray, known_len):
+        """``(mid, rad)`` of g at each site of the word rows ``words``
+        (..., b), each followed by a known context of length ``known_len``
+        summarised by ``field``; leading axes broadcast.  Site j sees
+        n = min(b - j + known_len, memory + 1) symbols: a full window reads
+        the table, a shorter one the min/max over its completions."""
+        words = np.asarray(words)
+        b, size, full = words.shape[-1], self.alphabet.size, self.memory + 1
+        lead = np.broadcast_shapes(words.shape[:-1], field.shape[:-1])
+        seq = np.concatenate([np.broadcast_to(words, lead + (b,)),
+                              np.broadcast_to(field, lead + (self.memory,))], axis=-1)
+        code = np.zeros(lead + (b,), dtype=np.int64)
+        for k in range(full):
+            code = code * size + seq[..., k : k + b]
+        n = np.minimum(np.add.outer(known_len, np.arange(b, 0, -1)), full)
+        if self._bounds is None:
+            grouped = [self.table.reshape(size**m, -1) for m in range(1, full + 1)]
+            self._bounds = (
+                np.cumsum([0, 0] + [size**m for m in range(1, full)]),
+                np.concatenate([g.min(axis=1) for g in grouped]),
+                np.concatenate([g.max(axis=1) for g in grouped]),
+            )
+        offsets, lo_table, hi_table = self._bounds
+        idx = offsets[n] + code // size ** (full - n)
+        lo, hi = lo_table[idx], hi_table[idx]
+        return 0.5 * (lo + hi), 0.5 * (hi - lo)
 
     def eval_indices(self, idx: Sequence[int]) -> tuple[float, float]:
         """Interval for g on a word given as symbol indices for coords 0..len-1."""
@@ -271,14 +342,6 @@ class FiniteMemoryModel:
         block = self.table[base : base + size**missing]
         lo, hi = float(block.min()), float(block.max())
         return 0.5 * (lo + hi), 0.5 * (hi - lo)
-
-    def uniform_eval_error(self, word_len: int) -> float:
-        """Worst-case half-width of eval_indices over words of that length."""
-        if word_len >= self.memory + 1:
-            return 0.0
-        size = self.alphabet.size
-        grouped = self.table.reshape(size**word_len, -1)
-        return float(0.5 * (grouped.max(axis=1) - grouped.min(axis=1)).max())
 
     def rho(self, n: int) -> tuple[float, float]:
         """Exact oscillation ratio of g over pairs agreeing on [0, n]."""
@@ -325,10 +388,60 @@ class LongRangeLinearModel:
         if sorted(signs) != [-1.0, 1.0]:
             raise ConfigError("sign map must assign -1 and +1")
         self._signs = np.asarray(signs)
+        self._rad = np.zeros(0)  # theta * tail(k) at index k, grown on demand
 
     @property
     def is_positive(self) -> bool:
         return True  # enforced by the constructor constraints
+
+    def _radii(self, n: int) -> np.ndarray:
+        """theta * tail(k) for k = 0..n-1: the half-width of g on a word of
+        k + 1 symbols, bit for bit as ``eval_indices`` computes it."""
+        if len(self._rad) < n:
+            m = max(2 * len(self._rad), n)
+            self._rad = self.theta * np.array([self.coefficients.tail(k) for k in range(m)])
+        return self._rad
+
+    def context_field(self, known, reach: int) -> np.ndarray:
+        """Context sums F[..., t-1] = sum_i a_{t+i} s(known_i), t = 1..reach,
+        of the known context rows ``known`` (..., L), nearest symbol first."""
+        known = np.asarray(known)
+        avec = self.coefficients.array(reach + known.shape[-1])
+        field = np.zeros(known.shape[:-1] + (reach,))
+        for i in range(known.shape[-1]):
+            field += self._signs[known[..., i, None]] * avec[i + 1 : i + 1 + reach]
+        return field
+
+    def extend_field(self, field: np.ndarray, words: np.ndarray) -> np.ndarray:
+        """The field after ``words`` (..., b) are prepended to the known
+        contexts: F'(t) = sum_{i<b} a_{t+i} s(w_i) + F(t + b).  Distances past
+        reach - b keep only the word terms; callers size the reach so that
+        no later block reads them."""
+        b, reach = words.shape[-1], field.shape[-1]
+        avec = self.coefficients.array(reach + b)
+        out = np.zeros_like(field)
+        out[..., : reach - b] = field[..., b:]
+        for i in range(b):
+            out += self._signs[words[..., i, None]] * avec[i + 1 : i + 1 + reach]
+        return out
+
+    def site_intervals(self, words, field: np.ndarray, known_len):
+        """``(mid, rad)`` of g at each site of the word rows ``words``
+        (..., b), each followed by a known context of length ``known_len``
+        whose context sums ``field`` reach at least b; leading axes
+        broadcast.  Site j reads its context sum F(b - j) and its tail
+        radius theta * tail(b - j + known_len - 1) from precomputed vectors."""
+        words = np.asarray(words)
+        b = words.shape[-1]
+        avec = self.coefficients.array(b)
+        signs = self._signs[words]
+        inner = np.zeros(signs.shape)
+        for k in range(1, b):
+            inner[..., : b - k] += avec[k] * signs[..., k:]
+        mid = 0.5 + self.theta * signs * (inner + field[..., b - 1 :: -1])
+        idx = np.add.outer(known_len, np.arange(b - 1, -1, -1))
+        rad = self._radii(int(np.max(idx)) + 1)[idx]
+        return mid, np.broadcast_to(rad, mid.shape)
 
     @property
     def total_mass(self) -> float:
@@ -343,9 +456,6 @@ class LongRangeLinearModel:
             avec = self.coefficients.array(n - 1)
             mid = 0.5 + self.theta * float(signs[0]) * float(np.dot(avec[1:n], signs[1:]))
         return mid, self.theta * self.coefficients.tail(n - 1)
-
-    def uniform_eval_error(self, word_len: int) -> float:
-        return self.theta * self.coefficients.tail(word_len - 1)
 
     def rho(self, n: int) -> tuple[float, float]:
         g_min = 0.5 - self.theta * self.total_mass
@@ -399,23 +509,39 @@ def cylinder_prob(
     multiplicatively, so the error bound is 0 exactly when every factor's
     dependence window lies inside block + context.
     """
-    if context is None or len(context) == 0:
-        combined = _check_word(model, block)
-    else:
+    block_idx = _check_word(model, block)
+    context_idx = ()
+    if context is not None and len(context) > 0:
         if context.anchor != block.end + 1:
             raise ConfigError(
                 f"context interval {context.interval} is not adjacent to "
                 f"block interval {block.interval}"
             )
-        combined = _check_word(model, block) + _check_word(model, context)
+        context_idx = _check_word(model, context)
     if len(block) == 0:
         return 1.0, 0.0
+    mid, rad = _word_intervals(model, np.array([block_idx]), np.array([context_idx], dtype=int))
+    lo, hi = interval_product(mid, rad)
+    return float(0.5 * (lo[0] + hi[0])), float(0.5 * (hi[0] - lo[0]))
+
+
+def _word_intervals(model, words: np.ndarray, known: np.ndarray):
+    """The kernel on explicit contexts: ``(mid, rad)`` at every site of the
+    word rows ``words`` (..., b), each followed by its known context row
+    ``known`` (..., L); leading axes broadcast."""
+    field = model.context_field(known, words.shape[-1])
+    return model.site_intervals(words, field, known.shape[-1])
+
+
+def interval_product(mid: np.ndarray, rad: np.ndarray):
+    """Bounds ``(lo, hi)`` on products over the last axis of factors lying in
+    [mid - rad, mid + rad], each clipped to [0, 1]; the factors are
+    multiplied left to right."""
     lo = hi = 1.0
-    for j in range(len(block)):
-        mid, rad = model.eval_indices(combined[j:])
-        lo *= max(mid - rad, 0.0)
-        hi *= min(mid + rad, 1.0)
-    return 0.5 * (lo + hi), 0.5 * (hi - lo)
+    for j in range(mid.shape[-1]):
+        lo = lo * np.maximum(mid[..., j] - rad[..., j], 0.0)
+        hi = hi * np.minimum(mid[..., j] + rad[..., j], 1.0)
+    return lo, hi
 
 
 def rho_interval(model, n: int) -> tuple[float, float]:
@@ -503,16 +629,14 @@ def finite_memory_surrogate(model, memory: int):
     if memory < 0:
         raise ConfigError("surrogate memory must be >= 0")
     size = model.alphabet.size
-    n_entries = size ** (memory + 1)
-    vec = np.empty(n_entries)
-    for code in range(n_entries):
-        vec[code], _ = model.eval_indices(decode(code, size, memory + 1))
-    grouped = vec.reshape(size, size**memory)
+    words = all_words(size, memory + 1)
+    mid, rad = _word_intervals(model, words[:, :1], words[:, 1:])
+    grouped = mid.reshape(size, size**memory)
     rowsums = grouped.sum(axis=0)
     defect = float(np.abs(rowsums - 1.0).max())
     grouped /= rowsums
     surrogate = FiniteMemoryModel(model.alphabet, memory, grouped.reshape(-1))
-    return surrogate, defect, model.uniform_eval_error(memory + 1)
+    return surrogate, defect, float(rad.max())
 
 
 # ---------------------------------------------------------------------------

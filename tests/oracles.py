@@ -3,7 +3,9 @@
 Each oracle recomputes a quantity along a different route than the library
 code it checks: direct chain enumeration for the renewal sequence, dense
 matrix powers for the transfer operator, full eigendecomposition for the
-stationary vector, and plain summation for total variation.
+stationary vector, and plain summation for total variation.  The cylinder,
+surrogate and d_n oracles loop over words with the scalar ``eval_indices``
+and never call the batched kernel.
 """
 
 import numpy as np
@@ -110,3 +112,57 @@ def conditional_product_measure(kernels: list[np.ndarray]) -> np.ndarray:
             p *= kernels[i][word[i], eta_code]
         probs[code] = p
     return probs
+
+
+def cylinder_interval(model, block, context) -> tuple[float, float]:
+    """Interval product over the block's sites, one ``eval_indices`` call per
+    site; ``block`` and ``context`` are symbol-index sequences."""
+    combined = tuple(block) + tuple(context)
+    lo = hi = 1.0
+    for j in range(len(block)):
+        mid, rad = model.eval_indices(combined[j:])
+        lo *= max(mid - rad, 0.0)
+        hi *= min(mid + rad, 1.0)
+    return 0.5 * (lo + hi), 0.5 * (hi - lo)
+
+
+def surrogate_table(model, memory: int) -> tuple[np.ndarray, float, float]:
+    """Midpoint table over words of length memory+1, normalised per context,
+    the largest normalisation correction and the largest half-width."""
+    size = model.alphabet.size
+    evals = np.array([model.eval_indices(decode(code, size, memory + 1))
+                      for code in range(size ** (memory + 1))])
+    grouped = evals[:, 0].reshape(size, size**memory)
+    rowsums = grouped.sum(axis=0)
+    return ((grouped / rowsums).reshape(-1), float(np.abs(rowsums - 1.0).max()),
+            float(evals[:, 1].max()))
+
+
+def block_law(model, block_len: int, known) -> tuple[np.ndarray, float]:
+    """Normalised midpoint block law and its truncation slack, word by word."""
+    size = model.alphabet.size
+    mids, slack = [], 0.0
+    for code in range(size**block_len):
+        mid, half = cylinder_interval(model, decode(code, size, block_len), known)
+        mids.append(mid)
+        slack += half
+    total = sum(mids)
+    return np.array(mids) / total, (slack + abs(total - 1.0) if slack else 0.0)
+
+
+def dn_enumerate(model, schedule, n: int, tail_len: int) -> tuple[float, float]:
+    """Worst-case block-n total variation by enumerating agreeing parts and
+    pairs of tails, as ``(lower, upper)``."""
+    size = model.alphabet.size
+    agree_len, block_len = schedule.B(n - 1), schedule.b(n)
+    lower = upper = 0.0
+    for code_a in range(size**agree_len):
+        agree = decode(code_a, size, agree_len)
+        laws = [block_law(model, block_len, agree + decode(code_t, size, tail_len))
+                for code_t in range(size**tail_len)]
+        for i, (p, slack_p) in enumerate(laws):
+            for q, slack_q in laws[i + 1 :]:
+                tv = total_variation(p, q)
+                lower = max(lower, tv)
+                upper = max(upper, tv + 0.5 * (slack_p + slack_q))
+    return lower, max(upper, lower)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -104,6 +105,42 @@ def test_couple_different_seed_changes_output(longrange_file, tmp_path):
     assert main(base + ["--seed", "1", "--out", str(out1)]) == 0
     assert main(base + ["--seed", "2", "--out", str(out2)]) == 0
     assert (out1 / "couple_mc.csv").read_bytes() != (out2 / "couple_mc.csv").read_bytes()
+
+
+def test_failed_couple_leaves_no_artifacts(longrange_file, tmp_path):
+    # the dn budget fails at n = 17; it is checked before any sampling, and
+    # outputs reach --out only when the whole run succeeds
+    out = tmp_path / "out"
+    rc = main(["couple", "--model", str(longrange_file), "--dn-max", "30",
+               "--depth", "4", "--trajectories", "2", "--seed", "1", "--out", str(out)])
+    assert rc == 3
+    assert not (out / "couple_mc.csv").exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["longrange.gmodel"]
+
+
+# SHA-256 of the Monte Carlo CSVs; the sampler consumes each trajectory's
+# uniforms in a fixed order (one per diagonal draw, three otherwise), so
+# these stay fixed whatever the batching
+PINNED_MC = {
+    ("pipeline", "const:1"): "6457f77d0fa47a8b7fe6d451fbe10ac19bac18c6e58e8890f9206ef698f0af80",
+    ("pipeline", "geom:l=1.5"): "a38e38af75c9677fbe3dcdbe3ab5b87e58359b85af70aae23953b1545758d2ba",
+    ("couple", "const:1"): "615afcbb7430b486f4163b1369b02f05d341f205ecabebf35a561907f17b6440",
+    ("couple", "geom:l=1.5"): "7e98175ef253e01190e153a6d7881399cb7bc4623fc7a97577ed5875903c5c0f",
+}
+
+
+@pytest.mark.parametrize("command,schedule", sorted(PINNED_MC))
+def test_mc_csv_digests_are_pinned(command, schedule, longrange_file, tmp_path):
+    context = 12 if schedule == "const:1" else 48  # long blocks need a long context
+    argv = [command, "--model", str(longrange_file), "--schedule", schedule,
+            "--depth", "12", "--trajectories", "30", "--seed", "5",
+            "--context-x", "1" * context, "--context-y", "0" * context,
+            "--out", str(tmp_path)]
+    if command == "pipeline":
+        argv += ["--K-max", "4"]
+    assert main(argv) == 0
+    digest = hashlib.sha256((tmp_path / f"{command}_mc.csv").read_bytes()).hexdigest()
+    assert digest == PINNED_MC[command, schedule]
 
 
 def test_pipeline_subcommand(longrange_file, tmp_path):

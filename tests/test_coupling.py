@@ -18,9 +18,10 @@ from gmeasure import (
     maximal_coupling,
     sample_block_coupling,
 )
-from gmeasure.coupling import TruncationError, _block_conditional
+from gmeasure import coupling
+from gmeasure.coupling import TruncationError, _block_laws
 from gmeasure.criteria import geometric_blocks
-from gmeasure.gmodel import Word, cylinder_prob, decode, encode
+from gmeasure.gmodel import Word, all_words, cylinder_prob, decode, encode
 from oracles import total_variation
 
 
@@ -254,6 +255,37 @@ def test_estimate_disagreement_deterministic(longrange):
     assert a.run_stats == b.run_stats
 
 
+@pytest.mark.parametrize("small_batches", [False, True])
+def test_estimate_equals_separate_samples(longrange, monkeypatch, small_batches):
+    # the batched sampler gives each trajectory the path sample_block_coupling
+    # draws from the same spawned child, whatever the batch and tile sizes
+    if small_batches:  # batches of 6 trajectories, 3 (context, word) rows per call
+        monkeypatch.setattr(coupling, "_BATCH_SITES", 100)
+        monkeypatch.setattr(coupling, "_MAX_ROWS", 3)
+    sched, depth, n_traj = geometric_blocks(1.5), 14, 40
+    summary = estimate_disagreement(longrange, sched, depth, "1" * 48, "0" * 48,
+                                    n_traj=n_traj, seed=21)
+    counts = np.zeros(depth + 1)
+    run_stats = {}
+    for child in np.random.SeedSequence(21).spawn(n_traj):
+        sample = sample_block_coupling(longrange, sched, depth, "1" * 48, "0" * 48,
+                                       np.random.default_rng(child))
+        counts += sample.disagree[::-1][: depth + 1]
+        for rec in sample.blocks:
+            seen, bad = run_stats.get(rec.run_before, (0, 0))
+            run_stats[rec.run_before] = (seen + 1, bad + (not rec.agreed))
+    assert (summary.freq == counts / n_traj).all()
+    assert summary.run_stats == run_stats
+    assert max(run_stats) >= 2  # blocks of three lengths were drawn together
+
+
+def test_sampler_leaves_generator_after_the_uniforms_used(iid):
+    # i.i.d. blocks always agree: one uniform per block, 21 blocks
+    rng = np.random.default_rng(4)
+    sample_block_coupling(iid, constant_schedule(1), 20, "1", "0", rng)
+    assert rng.random() == np.random.default_rng(4).random(22)[-1]
+
+
 def test_estimate_disagreement_rate_decreases(longrange):
     summary = estimate_disagreement(longrange, constant_schedule(1), 48,
                                     "1" * 48, "0" * 48, n_traj=400, seed=11)
@@ -263,10 +295,11 @@ def test_estimate_disagreement_rate_decreases(longrange):
 
 
 def test_block_conditional_normalised(longrange, rng):
-    known = rng.integers(0, 2, 20)
-    probs, slack = _block_conditional(longrange, 2, np.asarray(known, dtype=np.intp))
+    known = rng.integers(0, 2, (1, 20))
+    probs, slack = _block_laws(longrange, all_words(2, 2), longrange.context_field(known, 2),
+                               np.array([20]))
     assert probs.sum() == pytest.approx(1.0, abs=1e-14)
-    assert 0 < slack < 0.1
+    assert 0 < slack[0] < 0.1
 
 
 # --- worst-case block total variation -------------------------------------------

@@ -253,7 +253,7 @@ def test_surrogate_of_finite_memory_is_exact(mem1):
 def test_surrogate_longrange_rows_normalised(longrange):
     surrogate, defect, width = finite_memory_surrogate(longrange, 5)
     assert defect < 1e-12  # midpoints of this family are exactly normalised
-    assert 0 < width == longrange.uniform_eval_error(6)
+    assert 0 < width == longrange.theta * longrange.coefficients.tail(5)
 
 
 # --- table validation and model files ----------------------------------------
@@ -331,6 +331,18 @@ def test_exponential_coefficients():
 def test_powerlaw_prefix_plus_tail_is_total(n):
     coeffs = PowerLawCoefficients.from_mass(2.0, 0.5)
     assert coeffs.prefix(n) + coeffs.tail(n) == pytest.approx(0.5, abs=1e-12)
+
+
+def test_powerlaw_tails_read_a_zeta_cache_bit_for_bit():
+    from scipy.special import zeta
+
+    coeffs = PowerLawCoefficients(0.3, 2.5)
+    for k in range(500, -1, -1):  # the first call grows the cache past 500
+        assert coeffs.tail(k) == coeffs.c * float(zeta(2.5, k + 1))
+        assert coeffs.prefix(k) == (
+            coeffs.c * float(zeta(2.5, 1) - zeta(2.5, k + 1)) if k > 0 else 0.0
+        )
+    assert len(coeffs._zvec) == 502
 
 
 def test_decode_encode_roundtrip():
