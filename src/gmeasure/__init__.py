@@ -43,8 +43,7 @@ from .transfer import (
 )
 from .coupling import (
     BlockSchedule,
-    CouplingTable,
-    FiniteDist,
+    MaximalCoupling,
     constant_schedule,
     dbar,
     dn_bruteforce,

@@ -38,7 +38,6 @@ from .coupling import (
     dn_bruteforce,
     estimate_disagreement,
     maximal_coupling,
-    FiniteDist,
 )
 from .criteria import (
     CUBIC_REMAINDER_K2,
@@ -201,12 +200,13 @@ def _run_couple(cfg: ExperimentConfig) -> dict[str, Path]:
     depth = _positive(p["depth"], "depth")
     n_traj = _positive(p["trajectories"], "trajectories")
     dn_max = p.get("dn_max", 0)
+    if dn_max < 0:
+        raise ConfigError(f"dn_max must be >= 0, got {dn_max}")
     tail_len = p.get("tail_len", 3)
     for n in range(1, dn_max + 1):  # budgets first: no sampling for a run that cannot finish
         check_dn_budget(model, schedule, n, tail_len)
     summary = estimate_disagreement(
-        model, schedule, depth, p["context_x"], p["context_y"], n_traj, _seed(cfg),
-        block_cap=p.get("block_cap", 12),
+        model, schedule, depth, p["context_x"], p["context_y"], n_traj, _seed(cfg)
     )
     mc_path = cfg.outdir / "couple_mc.csv"
     _write_csv(
@@ -334,8 +334,7 @@ def _run_pipeline(cfg: ExperimentConfig) -> dict[str, Path]:
     )
     best = min(r for _, r in sweep_renewal)
     summary = estimate_disagreement(
-        model, schedule, depth, p["context_x"], p["context_y"], n_traj, seed,
-        block_cap=p.get("block_cap", 12),
+        model, schedule, depth, p["context_x"], p["context_y"], n_traj, seed
     )
     mc_path = cfg.outdir / "pipeline_mc.csv"
     _write_csv(
@@ -374,18 +373,13 @@ def _run_selftest(cfg: ExperimentConfig) -> dict[str, Path]:
 
     ok = True
     for _ in range(200):
-        size = int(rng.integers(2, 64))
-        size = 1 << max(1, int(math.log2(size)))  # power of alphabet size 2
-        p = rng.random(size) + 1e-9
-        q = rng.random(size) + 1e-9
-        alphabet = binary_alphabet()
-        mu = FiniteDist(0, alphabet, p / p.sum())
-        nu = FiniteDist(0, alphabet, q / q.sum())
-        table = maximal_coupling(mu, nu)
-        tv = 0.5 * float(np.abs(mu.probs - nu.probs).sum())
-        ok &= abs(table.disagreement_mass - tv) < 1e-12
-        ok &= np.abs(table.joint.sum(axis=1) - mu.probs).max() < 1e-12
-        ok &= np.abs(table.joint.sum(axis=0) - nu.probs).max() < 1e-12
+        p = rng.random(int(rng.integers(2, 64))) + 1e-9
+        q = rng.random(len(p)) + 1e-9
+        pair = maximal_coupling(p / p.sum(), q / q.sum())
+        tv = 0.5 * float(np.abs(pair.p - pair.q).sum())
+        ok &= abs(pair.tv - tv) < 1e-12
+        ok &= np.abs(pair.joint.sum(axis=1) - pair.p).max() < 1e-12
+        ok &= np.abs(pair.joint.sum(axis=0) - pair.q).max() < 1e-12
     checks.append(("maximal coupling TV identity", ok))
 
     ok = True
@@ -494,7 +488,6 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--context-y", default="0" * 32)
     c.add_argument("--dn-max", type=int, default=0)
     c.add_argument("--tail-len", type=int, default=3)
-    c.add_argument("--block-cap", type=int, default=12)
     c.add_argument("--out", required=True)
 
     r = sub.add_parser("renewal", help="renewal sequence and limits")
@@ -539,7 +532,7 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
             "model": args.model, "schedule": args.schedule, "depth": args.depth,
             "trajectories": args.trajectories, "context_x": args.context_x,
             "context_y": args.context_y, "dn_max": args.dn_max,
-            "tail_len": args.tail_len, "block_cap": args.block_cap,
+            "tail_len": args.tail_len,
         }
     elif args.command == "renewal":
         params = {
@@ -563,7 +556,9 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, unknown = parser.parse_known_args(argv)
+        if unknown:
+            raise ConfigError(f"unrecognized arguments: {' '.join(unknown)}")
         run(_config_from_args(args))
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -1,8 +1,10 @@
 """Maximal couplings, block schedules, and the leftward block coupling.
 
-``maximal_coupling`` builds the joint table that puts the largest possible
-mass on the diagonal, so its off-diagonal (disagreement) mass equals the
-total-variation distance between the marginals.
+``maximal_coupling(p, q)`` is the one maximal-coupling primitive.  The
+``MaximalCoupling`` it returns has two views of one law per row: the dense
+joint table ``.joint`` (mass min(p, q) on the diagonal, so the disagreement
+mass is the total variation) and ``.draw``, with which the sampler below
+draws every block.
 
 The block coupling grows a pair of histories leftward from coordinate 0,
 block by block.  Block lengths come from a schedule b_1, b_2, ...: after a
@@ -40,12 +42,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError, ConfigError, DEFAULT_BUDGET, TruncationError
-from .gmodel import Alphabet, Word, all_words, interval_product
+from .gmodel import Word, all_words, interval_product
 
 __all__ = [
-    "FiniteDist",
-    "CouplingTable",
+    "MaximalCoupling",
     "maximal_coupling",
+    "BLOCK_CAP",
     "BlockSchedule",
     "constant_schedule",
     "BlockRecord",
@@ -60,74 +62,71 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# finite distributions and the maximal coupling
+# the maximal coupling
 
 
 @dataclass
-class FiniteDist:
-    """Probability vector over words on an integer interval.
+class MaximalCoupling:
+    """Maximal coupling of ``p`` and ``q``, one law per row (last axis):
+    ``common = min(p, q)`` stays on the diagonal; ``tv = 1 - overlap``, with
+    ``overlap = common.sum(-1)``, is the total variation.  ``scan`` holds the
+    running sums of ``common``, ``p - common`` and ``q - common`` over words
+    (axis 1, rows last, so one scan serves all rows); ``draw`` searches it."""
 
-    ``probs`` is indexed lexicographically (leftmost coordinate most
-    significant).  ``anchor`` is the leftmost coordinate of the support
-    interval; the word length is implied by the vector size.
-    """
-
-    anchor: int
-    alphabet: Alphabet
-    probs: np.ndarray
-
-    def __post_init__(self):
-        self.probs = np.asarray(self.probs, dtype=float)
-        if (self.probs < 0).any():
-            raise ConfigError("probabilities must be non-negative")
-        if abs(self.probs.sum() - 1.0) > 1e-12:
-            raise ConfigError(f"probabilities sum to {self.probs.sum()!r}, not 1")
-        length = round(np.log(len(self.probs)) / np.log(self.alphabet.size))
-        if self.alphabet.size**length != len(self.probs):
-            raise ConfigError("vector size must be a power of the alphabet size")
-        self.word_len = length
+    p: np.ndarray
+    q: np.ndarray
+    common: np.ndarray
+    overlap: np.ndarray  # kept: 1 - tv need not round back to it
+    tv: np.ndarray
+    scan: np.ndarray
 
     @property
-    def interval(self) -> tuple[int, int]:
-        return (self.anchor, self.anchor + self.word_len - 1)
+    def joint(self) -> np.ndarray:
+        """Dense joint law per row, ``diag(common) + outer(p - common,
+        q - common) / tv``: off the diagonal the two residuals are drawn
+        independently; for small supports only."""
+        off = (self.p - self.common)[..., :, None] * (self.q - self.common)[..., None, :]
+        # equal marginals leave no residual to spread
+        tv = np.where(self.tv > 0, self.tv, np.inf)[..., None, None]
+        return self.common[..., None, :] * np.eye(self.p.shape[-1]) + off / tv
+
+    def draw(self, u: np.ndarray):
+        """One draw per row from the joint law.
+
+        ``u[..., :3]`` holds the row's next three uniforms.  The first decides
+        the diagonal branch and picks the common word; only off the diagonal
+        are the other two used, to draw the two residuals independently.
+        Returns ``(jx, jy, used)`` with ``used`` = 1 or 3 uniforms consumed.
+        """
+        v = np.array((u[..., 0], u[..., 1] * self.tv, u[..., 2] * self.tv))
+        # searchsorted(scan, v, side="right") for the three at once
+        last = self.p.shape[-1] - 1
+        j, jx, jy = np.minimum((self.scan <= v[:, None]).sum(axis=1), last)
+        diagonal = u[..., 0] < self.overlap
+        jx, jy = np.where(diagonal, j, (jx, jy))
+        return jx, jy, np.where(diagonal, 1, 3)
 
 
-@dataclass
-class CouplingTable:
-    """Joint law over word pairs with prescribed marginals."""
-
-    joint: np.ndarray
-    mu: FiniteDist
-    nu: FiniteDist
-
-    @property
-    def diagonal_mass(self) -> float:
-        return float(np.trace(self.joint))
-
-    @property
-    def disagreement_mass(self) -> float:
-        return 1.0 - self.diagonal_mass
-
-
-def maximal_coupling(mu: FiniteDist, nu: FiniteDist) -> CouplingTable:
-    """Couple two distributions with min(mu, nu) on the diagonal.
-
-    Off the diagonal, mass is spread as the product of the two residuals
-    renormalised by the disagreement mass; when the marginals coincide the
-    off-diagonal part is identically zero.  The disagreement mass equals
-    the total-variation distance (1/2) * sum |mu - nu|.
-    """
-    if mu.interval != nu.interval or len(mu.probs) != len(nu.probs):
-        raise ConfigError(
-            f"marginal supports differ: {mu.interval} vs {nu.interval}"
-        )
-    p, q = mu.probs, nu.probs
-    m = np.minimum(p, q)
-    joint = np.diag(m)
-    disagreement = 1.0 - m.sum()
-    if disagreement > 0:
-        joint += np.outer(p - m, q - m) / disagreement
-    return CouplingTable(joint, mu, nu)
+def maximal_coupling(p, q) -> MaximalCoupling:
+    """The maximal coupling of two laws, or of two batches of laws row by
+    row.  Raises ConfigError unless ``p`` and ``q`` have one shape, with
+    non-negative entries and every row summing to 1 within 1e-12."""
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    if p.shape != q.shape or p.ndim not in (1, 2) or not p.shape[-1]:
+        raise ConfigError(f"laws need one non-empty 1-D or 2-D shape, got {p.shape}, {q.shape}")
+    common = np.minimum(p, q)
+    # min(p, q) >= 0 exactly when both laws are; `not >=` also rejects NaN
+    if not common.min() >= 0:
+        raise ConfigError("probabilities must be non-negative")
+    overlap = common.sum(axis=-1)
+    tv = 1.0 - overlap
+    scan = np.cumsum(np.array((common.T, (p - common).T, (q - common).T)), axis=1)
+    # a row of p sums to 1 exactly when its residual p - common sums to tv
+    defect = np.abs(scan[1:, -1] - tv).max()
+    if not defect <= 1e-12:
+        raise ConfigError(f"probabilities sum to 1 only within {defect!r}")
+    return MaximalCoupling(p, q, common, overlap, tv, scan)
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +198,8 @@ def constant_schedule(b: int = 1) -> BlockSchedule:
 # (context, word) rows per kernel call: a fixed cap, so each kernel array
 # holds at most _MAX_ROWS x block length floats whatever the batch
 _MAX_ROWS = 1024
+# longest block the sampler enumerates: both block laws hold |S|^b words
+BLOCK_CAP = 12
 # trajectories x (depth + 1) sampled together: uniforms, histories, context
 # sums and block records of a batch grow with this product
 _BATCH_SITES = 1 << 16
@@ -234,29 +235,6 @@ def _block_laws(model, words: np.ndarray, field: np.ndarray, known_len: np.ndarr
     return mids / total[:, None], slack
 
 
-def _draw_pairs(p: np.ndarray, q: np.ndarray, u: np.ndarray):
-    """One draw per row from the maximal coupling of ``p[i]`` and ``q[i]``.
-
-    ``u[i]`` holds the row's next three uniforms.  The first decides the
-    diagonal branch and picks the common word; only off the diagonal are the
-    other two used, to draw the two residuals independently.  Returns
-    ``(jx, jy, tv, used)`` with ``used`` = 1 or 3 uniforms consumed.
-    """
-    m = np.minimum(p, q)
-    omega = m.sum(axis=1)
-    tv = 1.0 - omega
-    last = p.shape[1] - 1
-
-    def pick(weights, v):  # searchsorted(cumsum(weights), v, side="right")
-        return np.minimum((np.cumsum(weights, axis=1) <= v[:, None]).sum(axis=1), last)
-
-    diagonal = u[:, 0] < omega
-    j = pick(m, u[:, 0])
-    jx = np.where(diagonal, j, pick(p - m, u[:, 1] * tv))
-    jy = np.where(diagonal, j, pick(q - m, u[:, 2] * tv))
-    return jx, jy, tv, np.where(diagonal, 1, 3)
-
-
 @dataclass(frozen=True)
 class BlockRecord:
     interval: tuple[int, int]
@@ -276,18 +254,12 @@ class BlockCouplingSample:
     disagree: np.ndarray  # bool per coordinate
     blocks: list[BlockRecord]
 
-    def disagree_at(self, n: int) -> bool:
-        """Indicator of disagreement at coordinate -n."""
-        return bool(self.disagree[len(self.disagree) - 1 - n])
-
 
 def _context_indices(model, context) -> np.ndarray:
     if isinstance(context, Word):
         if context.anchor != 1:
             raise ConfigError("tail contexts must be anchored at coordinate 1")
         symbols = context.symbols
-    elif isinstance(context, str):
-        symbols = tuple(context)
     else:
         symbols = tuple(context)
     return np.asarray(model.alphabet.indices(symbols), dtype=np.intp)
@@ -302,11 +274,17 @@ def _max_uniforms(depth: int) -> int:
 def _reachable_lengths(schedule: BlockSchedule, depth: int) -> np.ndarray:
     """b_{k+1} for every run k a trajectory can reach.  A run of k agreeing
     blocks covers B_k sites, so b_{k+1} is asked for only while
-    B_k <= depth; an explicit schedule too short for the run fails here,
-    before any sampling."""
+    B_k <= depth.  An explicit schedule too short for the run, or a
+    reachable block longer than ``BLOCK_CAP``, fails here, before any
+    sampling."""
     lengths = []
     while schedule.B(len(lengths)) <= depth:
         lengths.append(schedule.b(len(lengths) + 1))
+        if lengths[-1] > BLOCK_CAP:
+            raise BudgetError(
+                f"run {len(lengths) - 1} reaches a block of length {lengths[-1]}; "
+                f"the sampler enumerates blocks of at most {BLOCK_CAP} sites"
+            )
     return np.asarray(lengths)
 
 
@@ -323,10 +301,10 @@ class _Batch:
     blocks: dict
 
 
-def _couple(model, schedule, depth, x_context, y_context, uniforms,
-            block_cap, trunc_tol) -> _Batch:
+def _couple(model, lengths, depth, x_context, y_context, uniforms, trunc_tol) -> _Batch:
     """Grow one coupled pair of histories per row of ``uniforms`` leftward
-    past coordinate ``-depth``, all rows together.
+    past coordinate ``-depth``, all rows together; ``lengths`` are the
+    block lengths by run (``_reachable_lengths``).
 
     Each step draws the next block of every unfinished trajectory; those
     with the same block length share kernel calls.  The long-range context
@@ -340,13 +318,12 @@ def _couple(model, schedule, depth, x_context, y_context, uniforms,
     contexts = [_context_indices(model, c) for c in (x_context, y_context)]
     if len(contexts[0]) != len(contexts[1]):
         raise ConfigError("tail contexts must have equal length")
-    lengths = _reachable_lengths(schedule, depth)
     size = model.alphabet.size
     n_traj = len(uniforms)
-    # the last block starts at most depth sites in and blocks longer than
-    # block_cap are refused, so width covers every site and context distance
-    width = depth + min(int(lengths.max()), block_cap)
-    words_of = {b: all_words(size, b) for b in set(lengths.tolist()) if b <= block_cap}
+    # the last block starts at most depth sites in, so width covers every
+    # site and context distance
+    width = depth + int(lengths.max())
+    words_of = {b: all_words(size, b) for b in set(lengths.tolist())}
     hist = np.zeros((2, n_traj, width), dtype=np.min_scalar_type(size - 1))
     fields = [np.repeat(model.context_field(c, width)[None], n_traj, axis=0) for c in contexts]
     covered = np.zeros(n_traj, dtype=np.intp)
@@ -356,11 +333,6 @@ def _couple(model, schedule, depth, x_context, y_context, uniforms,
     while (active := np.flatnonzero(covered <= depth)).size:
         active_len = lengths[run[active]]
         for b in np.unique(active_len).tolist():
-            if b > block_cap:
-                raise BudgetError(
-                    f"block length {b} exceeds block_cap {block_cap} "
-                    f"({size}^{b} joint words)"
-                )
             group, words = active[active_len == b], words_of[b]
             step = max(1, _MAX_ROWS // len(words))
             for rows in (group[i : i + step] for i in range(0, len(group), step)):
@@ -374,13 +346,14 @@ def _couple(model, schedule, depth, x_context, y_context, uniforms,
                         f"block truncation slack {slack.max():.3e} exceeds tolerance {trunc_tol}"
                     )
                 u = np.take_along_axis(uniforms[rows], used[rows, None] + np.arange(3), axis=1)
-                jx, jy, tv, n_used = _draw_pairs(p, q, u)
+                pair = maximal_coupling(p, q)
+                jx, jy, n_used = pair.draw(u)
                 cols = width - b - covered[rows, None] + np.arange(b)
                 for side, j in enumerate((jx, jy)):
                     hist[side, rows[:, None], cols] = words[j]
                     fields[side][rows] = model.extend_field(fields[side][rows], words[j])
                 agreed = jx == jy
-                log.append((covered[rows], np.full(len(rows), b), run[rows], agreed, tv, slack))
+                log.append((covered[rows], np.full(len(rows), b), run[rows], agreed, pair.tv, slack))
                 covered[rows] += b
                 run[rows] = np.where(agreed, run[rows] + 1, 0)
                 used[rows] += n_used
@@ -396,25 +369,25 @@ def sample_block_coupling(
     x_context,
     y_context,
     rng,
-    block_cap: int = 12,
     trunc_tol: float = 0.05,
 ) -> BlockCouplingSample:
     """Grow one block-coupled trajectory leftward past coordinate ``-depth``.
 
     Each block is drawn from the maximal coupling of the two conditional
     block laws given history + context, computed via cylinder products with
-    truncation slack recorded per block.  Raises BudgetError when a block
-    length exceeds ``block_cap`` and TruncationError when a block's slack
-    exceeds ``trunc_tol``.  This is the batch of one of the sampler behind
+    truncation slack recorded per block.  Raises BudgetError, before any
+    uniform is drawn, when a reachable block is longer than ``BLOCK_CAP``,
+    and TruncationError when a block's slack exceeds ``trunc_tol``.  This is the batch of one of the sampler behind
     ``estimate_disagreement``: ``rng`` supplies one uniform per diagonal
     draw and three per off-diagonal draw, and is left advanced by exactly
     the uniforms used.
     """
+    lengths = _reachable_lengths(schedule, depth)
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(rng)
     state = rng.bit_generator.state
-    batch = _couple(model, schedule, depth, x_context, y_context,
-                    rng.random((1, _max_uniforms(depth))), block_cap, trunc_tol)
+    batch = _couple(model, lengths, depth, x_context, y_context,
+                    rng.random((1, _max_uniforms(depth))), trunc_tol)
     rng.bit_generator.state = state
     rng.random(int(batch.used[0]))
     covered = int(batch.covered[0])
@@ -446,10 +419,6 @@ class MonteCarloSummary:
     run_stats: dict      # run k -> [blocks seen, blocks disagreed]
     max_block_slack: float
 
-    def run_freq(self, k: int) -> tuple[int, float]:
-        count, bad = self.run_stats.get(k, (0, 0))
-        return count, (bad / count if count else 0.0)
-
 
 def estimate_disagreement(
     model,
@@ -459,7 +428,6 @@ def estimate_disagreement(
     y_context,
     n_traj: int,
     seed: int,
-    block_cap: int = 12,
     trunc_tol: float = 0.05,
 ) -> MonteCarloSummary:
     """Monte Carlo disagreement frequencies from independent trajectories.
@@ -471,7 +439,8 @@ def estimate_disagreement(
     """
     if n_traj < 1:
         raise ConfigError("need at least one trajectory")
-    n_runs = len(_reachable_lengths(schedule, depth))
+    lengths = _reachable_lengths(schedule, depth)
+    n_runs = len(lengths)
     counts = np.zeros(depth + 1, dtype=np.int64)
     seen = np.zeros(n_runs, dtype=np.int64)
     bad = np.zeros(n_runs, dtype=np.int64)
@@ -483,8 +452,7 @@ def estimate_disagreement(
             np.random.default_rng(child).random(_max_uniforms(depth))
             for child in children[start : start + per_batch]
         ])
-        batch = _couple(model, schedule, depth, x_context, y_context,
-                        uniforms, block_cap, trunc_tol)
+        batch = _couple(model, lengths, depth, x_context, y_context, uniforms, trunc_tol)
         # column n of the flipped histories is coordinate -n
         counts += (batch.x != batch.y)[:, ::-1][:, : depth + 1].sum(axis=0)
         runs = batch.blocks["run_before"]

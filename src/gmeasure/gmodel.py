@@ -96,9 +96,6 @@ class Alphabet:
     def indices(self, symbols: Sequence[str]) -> tuple[int, ...]:
         return tuple(self.index(s) for s in symbols)
 
-    def word_from_string(self, text: str, anchor: int = 0) -> "Word":
-        return Word(anchor, tuple(text))
-
 
 def binary_alphabet() -> Alphabet:
     return Alphabet(("0", "1"))

@@ -19,7 +19,6 @@ import pytest
 
 from gmeasure import (
     Exponential,
-    FiniteDist,
     FiniteRange,
     FiniteMemoryModel,
     RenewalSpec,
@@ -88,19 +87,18 @@ def _grid_specs():
 # --- criterion 1 -----------------------------------------------------------------
 
 
-def test_criterion_01_maximal_coupling_tv(alphabet):
+def test_criterion_01_maximal_coupling_tv():
     t0 = time.perf_counter()
     rng = np.random.default_rng(101)
     for _ in range(1000):
         size = 2 ** int(rng.integers(1, 7))  # supports up to 64
         p = rng.random(size) + 1e-9
         q = rng.random(size) + 1e-9
-        mu = FiniteDist(0, alphabet, p / p.sum())
-        nu = FiniteDist(0, alphabet, q / q.sum())
-        table = maximal_coupling(mu, nu)
-        assert abs(table.disagreement_mass - total_variation(mu.probs, nu.probs)) < 1e-12
-        assert np.abs(table.joint.sum(axis=1) - mu.probs).max() < 1e-12
-        assert np.abs(table.joint.sum(axis=0) - nu.probs).max() < 1e-12
+        # the primitive whose .draw the Monte Carlo sampler uses
+        pair = maximal_coupling(p / p.sum(), q / q.sum())
+        assert abs(pair.tv - total_variation(pair.p, pair.q)) < 1e-12
+        assert np.abs(pair.joint.sum(axis=1) - pair.p).max() < 1e-12
+        assert np.abs(pair.joint.sum(axis=0) - pair.q).max() < 1e-12
     elapsed = _report(1, "maximal coupling TV identity", t0)
     assert elapsed < 5.0
 

@@ -118,6 +118,15 @@ def test_failed_couple_leaves_no_artifacts(longrange_file, tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["longrange.gmodel"]
 
 
+def test_block_cap_fails_before_sampling(longrange_file, tmp_path):
+    # run 1 reaches a block of length 20 > BLOCK_CAP: refused up front
+    out = tmp_path / "out"
+    rc = main(["couple", "--model", str(longrange_file), "--schedule", "1,20",
+               "--depth", "4", "--seed", "1", "--out", str(out)])
+    assert rc == 3
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["longrange.gmodel"]
+
+
 # SHA-256 of the Monte Carlo CSVs; the sampler consumes each trajectory's
 # uniforms in a fixed order (one per diagonal draw, three otherwise), so
 # these stay fixed whatever the batching
@@ -201,6 +210,8 @@ BAD_INPUTS = {
     "model table entry not a number": ["transfer", "--model", "{bad_table}"],
     "negative surrogate memory": ["transfer", "--model", "{longrange}", "--trunc-memory", "-1"],
     "negative seed": ["couple", "--seed", "-1"],
+    "negative dn_max": ["couple", "--dn-max", "-1"],
+    "removed block cap option": ["couple", "--block-cap", "12"],
 }
 
 

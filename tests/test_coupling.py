@@ -9,7 +9,6 @@ from gmeasure import (
     BlockSchedule,
     BudgetError,
     ConfigError,
-    FiniteDist,
     FiniteMemoryModel,
     constant_schedule,
     dbar,
@@ -25,40 +24,34 @@ from gmeasure.gmodel import Word, all_words, cylinder_prob, decode, encode
 from oracles import total_variation
 
 
-def dist(alphabet, values):
-    return FiniteDist(0, alphabet, np.asarray(values, dtype=float))
-
-
 # --- maximal coupling ---------------------------------------------------------
 
 
-def test_identical_marginals_fully_diagonal(alphabet):
-    mu = dist(alphabet, (0.4, 0.6))
-    table = maximal_coupling(mu, mu)
-    assert table.disagreement_mass == 0.0
-    assert np.abs(table.joint - np.diag((0.4, 0.6))).max() == 0.0
+def test_identical_marginals_fully_diagonal():
+    pair = maximal_coupling((0.4, 0.6), (0.4, 0.6))
+    assert pair.tv == 0.0
+    assert np.abs(pair.joint - np.diag((0.4, 0.6))).max() == 0.0
 
 
-def test_hand_example(alphabet):
-    mu = dist(alphabet, (0.5, 0.5))
-    nu = dist(alphabet, (0.75, 0.25))
-    table = maximal_coupling(mu, nu)
+def test_hand_example():
+    pair = maximal_coupling((0.5, 0.5), (0.75, 0.25))
     expect = np.array([[0.5, 0.0], [0.25, 0.25]])
-    assert np.abs(table.joint - expect).max() < 1e-15
-    assert table.disagreement_mass == pytest.approx(0.25, abs=1e-15)
+    assert np.abs(pair.joint - expect).max() < 1e-15
+    assert pair.tv == pytest.approx(0.25, abs=1e-15)
 
 
-def test_disjoint_supports(alphabet):
-    mu = dist(alphabet, (1.0, 0.0))
-    nu = dist(alphabet, (0.0, 1.0))
-    assert maximal_coupling(mu, nu).disagreement_mass == pytest.approx(1.0, abs=0)
+def test_disjoint_supports():
+    assert maximal_coupling((1.0, 0.0), (0.0, 1.0)).tv == pytest.approx(1.0, abs=0)
 
 
-def test_support_mismatch(alphabet):
-    mu = dist(alphabet, (0.5, 0.5))
-    nu = FiniteDist(1, alphabet, np.array([0.5, 0.5]))
+@pytest.mark.parametrize("p,q", [
+    ((-0.1, 1.1), (0.5, 0.5)),        # a negative entry
+    ((0.5, 0.5), (0.5, 0.6)),         # a row not summing to 1
+    ((0.5, 0.5), (0.5, 0.25, 0.25)),  # shapes differ
+], ids=["negative entry", "row sum", "shape mismatch"])
+def test_maximal_coupling_validation(p, q):
     with pytest.raises(ConfigError):
-        maximal_coupling(mu, nu)
+        maximal_coupling(p, q)
 
 
 @settings(max_examples=300, deadline=None)
@@ -73,30 +66,35 @@ def test_coupling_invariants(raw_p, raw_q, log_size):
     size = 2**log_size
     p = rng.random(size) + 1e-9
     q = rng.random(size) + 1e-9
-    from gmeasure import binary_alphabet
-
-    alphabet = binary_alphabet()
-    mu = FiniteDist(0, alphabet, p / p.sum())
-    nu = FiniteDist(0, alphabet, q / q.sum())
-    table = maximal_coupling(mu, nu)
-    assert (table.joint >= -1e-15).all()
-    assert np.abs(table.joint.sum(axis=1) - mu.probs).max() < 1e-12
-    assert np.abs(table.joint.sum(axis=0) - nu.probs).max() < 1e-12
-    assert table.diagonal_mass == pytest.approx(
-        float(np.minimum(mu.probs, nu.probs).sum()), abs=1e-12
+    pair = maximal_coupling(p / p.sum(), q / q.sum())
+    assert (pair.joint >= -1e-15).all()
+    assert np.abs(pair.joint.sum(axis=1) - pair.p).max() < 1e-12
+    assert np.abs(pair.joint.sum(axis=0) - pair.q).max() < 1e-12
+    assert np.trace(pair.joint) == pytest.approx(
+        float(np.minimum(pair.p, pair.q).sum()), abs=1e-12
     )
-    assert table.disagreement_mass == pytest.approx(
-        total_variation(mu.probs, nu.probs), abs=1e-12
-    )
+    assert pair.tv == pytest.approx(total_variation(pair.p, pair.q), abs=1e-12)
 
 
-def test_finite_dist_validation(alphabet):
-    with pytest.raises(ConfigError):
-        FiniteDist(0, alphabet, np.array([0.5, 0.6]))
-    with pytest.raises(ConfigError):
-        FiniteDist(0, alphabet, np.array([-0.1, 1.1]))
-    with pytest.raises(ConfigError):
-        FiniteDist(0, alphabet, np.array([0.5, 0.25, 0.25]))
+def test_batched_tv_is_the_total_variation_per_row(rng):
+    p, q = rng.random((2, 50, 16))
+    pair = maximal_coupling(p / p.sum(1, keepdims=True), q / q.sum(1, keepdims=True))
+    assert pair.tv.shape == (50,)
+    for tv, p_row, q_row in zip(pair.tv, pair.p, pair.q):
+        assert tv == pytest.approx(total_variation(p_row, q_row), abs=1e-12)
+
+
+def test_draw_reproduces_the_joint_table():
+    # the sampler's draws follow the table the acceptance suite certifies
+    n = 200_000
+    p, q = np.array([0.1, 0.4, 0.2, 0.3]), np.array([0.3, 0.1, 0.5, 0.1])
+    pair = maximal_coupling(np.tile(p, (n, 1)), np.tile(q, (n, 1)))
+    jx, jy, used = pair.draw(np.random.default_rng(0).random((n, 3)))
+    # one uniform on the diagonal; the residuals have disjoint supports
+    assert ((used == 1) == (jx == jy)).all()
+    empirical = np.bincount(4 * jx + jy, minlength=16).reshape(4, 4) / n
+    joint = pair.joint[0]
+    assert (np.abs(empirical - joint) <= 4 * np.sqrt(joint * (1 - joint) / n)).all()
 
 
 # --- schedules and the interval recursion --------------------------------------
@@ -218,6 +216,21 @@ def test_block_cap_error(longrange):
     sched = BlockSchedule((20,))
     with pytest.raises(BudgetError):
         sample_block_coupling(longrange, sched, 8, "1" * 4, "0" * 4, rng=0)
+
+
+def test_block_cap_is_checked_before_sampling(alphabet, monkeypatch):
+    # every block disagrees, so no trajectory ever asks for the length-20
+    # block; the cap still refuses the run before any block law or uniform
+    def no_block_laws(*args):
+        raise AssertionError("block laws computed before the cap check")
+
+    monkeypatch.setattr(coupling, "_block_laws", no_block_laws)
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(BudgetError):
+        sample_block_coupling(copy_model(alphabet, 1), BlockSchedule((1, 20)), 5,
+                              "1", "0", rng)
+    assert rng.bit_generator.state == state
 
 
 def test_truncation_tolerance_error(longrange):
