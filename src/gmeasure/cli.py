@@ -2,18 +2,20 @@
 
 Subcommands: ``transfer``, ``couple``, ``renewal``, ``criteria``,
 ``pipeline``, ``selftest``.  Each run validates its configuration, executes
-with an explicit seed where randomness is involved, writes CSV/JSON
-artifacts into the output directory, and records a manifest with a config
-hash and per-output checksums.  Identical configuration and seed reproduce
-byte-identical artifacts.
+with an explicit seed where randomness is involved, and publishes CSV/JSON
+artifacts into the output directory together with a manifest holding a
+config hash and per-output checksums.  Identical configuration and seed
+reproduce byte-identical artifacts.
 
-Exit codes: 0 success, 2 configuration error, 3 enumeration budget exceeded.
+Exit codes: 0 success; 1 any other gmeasure error (a truncation or
+convergence failure, a failed selftest or ratio/renewal cross-check);
+2 configuration error, every argparse error included; 3 enumeration budget
+exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import math
@@ -24,6 +26,7 @@ import sys
 import tempfile
 import time
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -76,7 +79,7 @@ class ExperimentConfig:
         record = {"experiment": self.experiment, "params": self.params, "seed": self.seed}
         if "model" in self.params:
             # the model file's contents, not only its path, define the run
-            record["model_sha256"] = _sha256(Path(self.params["model"]))
+            record["model_sha256"] = _sha256(Path(self.params["model"]).read_bytes())
         return json.dumps(record, sort_keys=True)
 
 
@@ -89,17 +92,27 @@ class RunManifest:
     environment: dict = field(default_factory=dict)
 
 
-def _write_csv(path: Path, comments: list[str], header: list[str], rows) -> None:
+def _cell(v) -> str:
+    # repr(float(v)) writes numpy floats as plain numbers, not np.float64(...)
+    return repr(float(v)) if isinstance(v, float) else str(v)
+
+
+def _csv(comments: list[str], header: list[str], columns) -> bytes:
+    """CSV artifact: '# ' comment lines, the header, then one row per index
+    of the equal-length ``columns``, formatted cell by cell as rows are
+    joined."""
     lines = [f"# {c}" for c in comments]
     lines.append(",".join(header))
-    for row in rows:
-        # repr(float(v)) writes numpy floats as plain numbers, not np.float64(...)
-        lines.append(",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    lines.extend(map(",".join, zip(*(map(_cell, c) for c in columns), strict=True)))
+    return ("\n".join(lines) + "\n").encode()
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _json(record) -> bytes:
+    return (json.dumps(record, indent=2, sort_keys=True) + "\n").encode()
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
 def _convert(convert, text: str, what: str):
@@ -171,141 +184,104 @@ def _positive(value, name: str):
 
 
 # ---------------------------------------------------------------------------
-# experiment bodies
+# experiment bodies: each maps a configuration to {artifact name: bytes}
 
 
-def _run_transfer(cfg: ExperimentConfig) -> dict[str, Path]:
+def _run_transfer(cfg: ExperimentConfig) -> dict[str, bytes]:
     p = cfg.params
-    model = load_model(p["model"])
     rows = uniqueness_diagnostic(
-        model,
-        _positive(p["n_max"], "n_max"),
-        trunc_memory=p.get("trunc_memory"),
+        load_model(p["model"]), _positive(p["n_max"], "n_max"), trunc_memory=p["trunc_memory"]
     )
-    out = cfg.outdir / "transfer.csv"
-    _write_csv(
-        out,
+    return {"transfer.csv": _csv(
         ["oscillation: sup L^n f - inf L^n f for the transfer operator L",
          "truncation_error: bound on the surrogate-vs-true oscillation drift"],
         ["n", "oscillation", "truncation_error"],
-        [(r.n, r.oscillation, r.truncation_error) for r in rows],
-    )
-    return {"transfer.csv": out}
+        zip(*((r.n, r.oscillation, r.truncation_error) for r in rows)),
+    )}
 
 
-def _run_couple(cfg: ExperimentConfig) -> dict[str, Path]:
+def _run_couple(cfg: ExperimentConfig) -> dict[str, bytes]:
     p = cfg.params
     model = load_model(p["model"])
     schedule = _parse_schedule(p["schedule"])
     depth = _positive(p["depth"], "depth")
     n_traj = _positive(p["trajectories"], "trajectories")
-    dn_max = p.get("dn_max", 0)
+    dn_max = p["dn_max"]
     if dn_max < 0:
         raise ConfigError(f"dn_max must be >= 0, got {dn_max}")
-    tail_len = p.get("tail_len", 3)
     for n in range(1, dn_max + 1):  # budgets first: no sampling for a run that cannot finish
-        check_dn_budget(model, schedule, n, tail_len)
+        check_dn_budget(model, schedule, n, p["tail_len"])
     summary = estimate_disagreement(
         model, schedule, depth, p["context_x"], p["context_y"], n_traj, _seed(cfg)
     )
-    mc_path = cfg.outdir / "couple_mc.csv"
-    _write_csv(
-        mc_path,
+    outputs = {"couple_mc.csv": _csv(
         ["empirical_disagreement: fraction of coupled pairs differing at coordinate -n"],
         ["coordinate", "empirical_disagreement", "stderr"],
-        [(-n, float(summary.freq[n]), float(summary.stderr[n])) for n in range(depth + 1)],
-    )
-    outputs = {"couple_mc.csv": mc_path}
+        [range(0, -depth - 1, -1), summary.freq.tolist(), summary.stderr.tolist()],
+    )}
     if dn_max:
-        rows = []
-        for n in range(1, dn_max + 1):
-            lo, hi = dn_bruteforce(model, schedule, n, tail_len)
-            rows.append((n, lo, hi))
-        dn_path = cfg.outdir / "couple_dn.csv"
-        _write_csv(
-            dn_path,
+        bounds = [dn_bruteforce(model, schedule, n, p["tail_len"]) for n in range(1, dn_max + 1)]
+        outputs["couple_dn.csv"] = _csv(
             ["dn bounds: worst-case block-n total variation after B_{n-1} agreements"],
             ["n", "dn_lower", "dn_upper"],
-            rows,
+            [range(1, dn_max + 1), *zip(*bounds)],
         )
-        outputs["couple_dn.csv"] = dn_path
     return outputs
 
 
-def _run_renewal(cfg: ExperimentConfig) -> dict[str, Path]:
+def _run_renewal(cfg: ExperimentConfig) -> dict[str, bytes]:
     p = cfg.params
-    d = tuple(float(v) for v in p["d"])
-    b = tuple(int(v) for v in p["b"])
-    K = _positive(p["K"], "K")
-    spec = RenewalSpec(d[:K], b[: K + 1], K)
-    ab = build_alphabeta(spec)
-    n_max = _positive(p.get("n_max", 50 * ab.boundaries[-1]), "n_max")
-    u = renewal_solve(ab, n_max)
-    u_path = cfg.outdir / "renewal_u.csv"
-    _write_csv(
-        u_path,
-        ["u_n: probability the dominating block chain disagrees at coordinate -n"],
-        ["n", "u_n"],
-        [(n, float(u[n])) for n in range(n_max + 1)],
-    )
-    sweep = disagreement_bound_sweep(d, b, range(1, K + 1))
-    lim_path = cfg.outdir / "renewal_limit.csv"
-    _write_csv(
-        lim_path,
-        ["limit: renewal-theorem limit of u along the boundary lattice, per truncation K"],
-        ["K", "limit"],
-        sweep,
-    )
-    return {"renewal_u.csv": u_path, "renewal_limit.csv": lim_path}
+    d, b, K = p["d"], p["b"], _positive(p["K"], "K")
+    ab = build_alphabeta(RenewalSpec(tuple(d[:K]), tuple(b[: K + 1]), K))
+    n_max = _positive(50 * ab.boundaries[-1] if p["n_max"] is None else p["n_max"], "n_max")
+    return {
+        "renewal_u.csv": _csv(
+            ["u_n: probability the dominating block chain disagrees at coordinate -n"],
+            ["n", "u_n"],
+            [range(n_max + 1), renewal_solve(ab, n_max).tolist()],
+        ),
+        "renewal_limit.csv": _csv(
+            ["limit: renewal-theorem limit of u along the boundary lattice, per truncation K"],
+            ["K", "limit"],
+            zip(*disagreement_bound_sweep(tuple(d), tuple(b), range(1, K + 1))),
+        ),
+    }
 
 
-def _run_criteria(cfg: ExperimentConfig) -> dict[str, Path]:
+def _run_criteria(cfg: ExperimentConfig) -> dict[str, bytes]:
     p = cfg.params
     vm = _parse_variation(p["variation"])
-    epsilon = p.get("epsilon", 0.1)
-    lam = p.get("lam", 2.0)
     reports = [
         check_square_summable_variation(vm),
-        check_rho_product_series(vm, epsilon),
+        check_rho_product_series(vm, p["epsilon"]),
         check_variation_o_sqrt(vm),
-        check_geometric_window_sums(vm, lam),
+        check_geometric_window_sums(vm, p["lam"]),
     ]
-    json_path = cfg.outdir / "criteria.json"
-    json_path.write_text(
-        json.dumps(
-            {
-                "variation": p["variation"],
-                "epsilon": epsilon,
-                "lambda": lam,
-                "reports": [r.to_dict() for r in reports],
-            },
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n"
-    )
-    csv_path = cfg.outdir / "criteria_evidence.csv"
-    _write_csv(
-        csv_path,
-        ["verdict per criterion with scalar evidence where available"],
-        ["criterion", "verdict", "evidence_limit"],
-        [
-            (r.criterion, r.verdict, float(r.evidence.get("limit", math.nan)))
-            for r in reports
-        ],
-    )
-    return {"criteria.json": json_path, "criteria_evidence.csv": csv_path}
+    return {
+        "criteria.json": _json({
+            "variation": p["variation"],
+            "epsilon": p["epsilon"],
+            "lambda": p["lam"],
+            "reports": [r.to_dict() for r in reports],
+        }),
+        "criteria_evidence.csv": _csv(
+            ["verdict per criterion with scalar evidence where available"],
+            ["criterion", "verdict", "evidence_limit"],
+            zip(*((r.criterion, r.verdict, float(r.evidence.get("limit", math.nan)))
+                  for r in reports)),
+        ),
+    }
 
 
-def _run_pipeline(cfg: ExperimentConfig) -> dict[str, Path]:
+def _run_pipeline(cfg: ExperimentConfig) -> dict[str, bytes]:
     """Variation profile -> block TV bounds -> dbar -> ratio/renewal bounds
     -> Monte Carlo comparison."""
     p = cfg.params
     model = load_model(p["model"])
     schedule = _parse_schedule(p["schedule"])
-    K_max = _positive(p.get("K_max", 8), "K_max")
-    depth = _positive(p.get("depth", 48), "depth")
-    n_traj = _positive(p.get("trajectories", 2000), "trajectories")
+    K_max = _positive(p["K_max"], "K_max")
+    depth = _positive(p["depth"], "depth")
+    n_traj = _positive(p["trajectories"], "trajectories")
     seed = _seed(cfg)
     profile = variation_profile(model, schedule.B(K_max + 2))
     bounds = []
@@ -325,49 +301,34 @@ def _run_pipeline(cfg: ExperimentConfig) -> dict[str, Path]:
             raise GMeasureError(
                 f"ratio/renewal cross-check failed at K={k1}: {r1!r} vs {r2!r}"
             )
-    bounds_path = cfg.outdir / "pipeline_bounds.csv"
-    _write_csv(
-        bounds_path,
-        ["R_K: asymptotic disagreement bound (closed form and renewal route agree)"],
-        ["K", "ratio_bound", "renewal_bound"],
-        [(k, r1, r2) for (k, r1), (_, r2) in zip(sweep_ratio, sweep_renewal)],
-    )
-    best = min(r for _, r in sweep_renewal)
+    Ks, ratio_bounds = zip(*sweep_ratio)
+    renewal_bounds = [r for _, r in sweep_renewal]
+    best = min(renewal_bounds)
     summary = estimate_disagreement(
         model, schedule, depth, p["context_x"], p["context_y"], n_traj, seed
     )
-    mc_path = cfg.outdir / "pipeline_mc.csv"
-    _write_csv(
-        mc_path,
-        ["empirical disagreement vs the best asymptotic bound over the K sweep"],
-        ["coordinate", "empirical_disagreement", "stderr", "bound"],
-        [
-            (-n, float(summary.freq[n]), float(summary.stderr[n]), best)
-            for n in range(depth + 1)
-        ],
-    )
-    json_path = cfg.outdir / "pipeline_summary.json"
-    json_path.write_text(
-        json.dumps(
-            {
-                "dbar": [float(v) for v in dbar_seq],
-                "bounds": {str(k): r for k, r in sweep_renewal},
-                "best_bound": best,
-                "max_block_truncation": summary.max_block_slack,
-            },
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n"
-    )
     return {
-        "pipeline_bounds.csv": bounds_path,
-        "pipeline_mc.csv": mc_path,
-        "pipeline_summary.json": json_path,
+        "pipeline_bounds.csv": _csv(
+            ["R_K: asymptotic disagreement bound (closed form and renewal route agree)"],
+            ["K", "ratio_bound", "renewal_bound"],
+            [Ks, ratio_bounds, renewal_bounds],
+        ),
+        "pipeline_mc.csv": _csv(
+            ["empirical disagreement vs the best asymptotic bound over the K sweep"],
+            ["coordinate", "empirical_disagreement", "stderr", "bound"],
+            [range(0, -depth - 1, -1), summary.freq.tolist(), summary.stderr.tolist(),
+             [best] * (depth + 1)],
+        ),
+        "pipeline_summary.json": _json({
+            "dbar": [float(v) for v in dbar_seq],
+            "bounds": {str(k): r for k, r in sweep_renewal},
+            "best_bound": best,
+            "max_block_truncation": summary.max_block_slack,
+        }),
     }
 
 
-def _run_selftest(cfg: ExperimentConfig) -> dict[str, Path]:
+def _run_selftest(cfg: ExperimentConfig) -> dict[str, bytes]:
     rng = np.random.default_rng(0)
     checks: list[tuple[str, bool]] = []
 
@@ -408,13 +369,11 @@ def _run_selftest(cfg: ExperimentConfig) -> dict[str, Path]:
          certify_cubic_remainder(2.0, 20_000) >= 0.0 and CUBIC_REMAINDER_K2 > 0.125)
     )
 
-    lines = [f"{'PASS' if ok else 'FAIL'}  {name}" for name, ok in checks]
-    report = cfg.outdir / "selftest.txt"
-    report.write_text("\n".join(lines) + "\n")
-    print("\n".join(lines))
+    report = "\n".join(f"{'PASS' if ok else 'FAIL'}  {name}" for name, ok in checks)
+    print(report)
     if not all(ok for _, ok in checks):
         raise GMeasureError("selftest failed")
-    return {"selftest.txt": report}
+    return {"selftest.txt": (report + "\n").encode()}
 
 
 _RUNNERS = {
@@ -428,34 +387,35 @@ _RUNNERS = {
 
 
 def run(cfg: ExperimentConfig) -> RunManifest:
-    """Run one experiment.  Outputs are written into a temporary directory
-    beside ``cfg.outdir`` and renamed into place only when the run succeeds,
-    so a failed run leaves no partial artifacts."""
+    """Run one experiment and publish its artifacts.  The artifacts are
+    checksummed in memory, written into a temporary directory beside
+    ``cfg.outdir`` and renamed into place, manifest last, so a failed run
+    leaves no partial artifacts."""
     if cfg.experiment not in _RUNNERS:
         raise ConfigError(f"unknown experiment {cfg.experiment!r}")
+    started = time.perf_counter()
+    outputs = _RUNNERS[cfg.experiment](cfg)
+    manifest = RunManifest(
+        config_hash=_sha256(cfg.canonical().encode()),
+        version=__version__,
+        wall_clock_s=time.perf_counter() - started,
+        outputs={name: _sha256(data) for name, data in sorted(outputs.items())},
+        environment={
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+        },
+    )
+    # the manifest moves last: it never describes outputs not yet in place
+    outputs["manifest.json"] = _json(asdict(manifest))
     cfg.outdir.parent.mkdir(parents=True, exist_ok=True)
     work = Path(tempfile.mkdtemp(prefix=f".{cfg.outdir.name}.", dir=cfg.outdir.parent))
     try:
-        started = time.perf_counter()
-        outputs = _RUNNERS[cfg.experiment](dataclasses.replace(cfg, outdir=work))
-        manifest = RunManifest(
-            config_hash=hashlib.sha256(cfg.canonical().encode()).hexdigest(),
-            version=__version__,
-            wall_clock_s=time.perf_counter() - started,
-            outputs={name: _sha256(path) for name, path in sorted(outputs.items())},
-            environment={
-                "python": platform.python_version(),
-                "numpy": np.__version__,
-                "scipy": scipy.__version__,
-            },
-        )
-        (work / "manifest.json").write_text(
-            json.dumps(asdict(manifest), indent=2, sort_keys=True) + "\n"
-        )
+        for name, data in outputs.items():
+            (work / name).write_bytes(data)
         cfg.outdir.mkdir(exist_ok=True)
-        # the manifest moves last: it never describes outputs not yet in place
-        for path in sorted(work.iterdir(), key=lambda path: path.name == "manifest.json"):
-            os.replace(path, cfg.outdir / path.name)
+        for name in outputs:
+            os.replace(work / name, cfg.outdir / name)
     finally:
         shutil.rmtree(work, ignore_errors=True)
     return manifest
@@ -465,8 +425,15 @@ def run(cfg: ExperimentConfig) -> RunManifest:
 # argument parsing
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a parse error as a ConfigError: one line and exit code 2."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gmeasure",
         description="Numerics for g-function chains: couplings, renewal bounds, criteria.",
     )
@@ -491,8 +458,10 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--out", required=True)
 
     r = sub.add_parser("renewal", help="renewal sequence and limits")
-    r.add_argument("--d", required=True, help="comma-separated d_1..d_K")
-    r.add_argument("--b", required=True, help="comma-separated b_1..b_{K+1}")
+    r.add_argument("--d", type=partial(_numbers, convert=float, what="--d"), required=True,
+                   help="comma-separated d_1..d_K")
+    r.add_argument("--b", type=partial(_numbers, convert=int, what="--b"), required=True,
+                   help="comma-separated b_1..b_{K+1}")
     r.add_argument("--K", type=int, required=True)
     r.add_argument("--n-max", type=int, default=None)
     r.add_argument("--out", required=True)
@@ -521,45 +490,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    params: dict = {}
-    seed = getattr(args, "seed", None)
-    if args.command == "transfer":
-        params = {"model": args.model, "n_max": args.n_max,
-                  "trunc_memory": args.trunc_memory}
-    elif args.command == "couple":
-        params = {
-            "model": args.model, "schedule": args.schedule, "depth": args.depth,
-            "trajectories": args.trajectories, "context_x": args.context_x,
-            "context_y": args.context_y, "dn_max": args.dn_max,
-            "tail_len": args.tail_len,
-        }
-    elif args.command == "renewal":
-        params = {
-            "d": _numbers(args.d, float, "--d"),
-            "b": _numbers(args.b, int, "--b"),
-            "K": args.K,
-        }
-        if args.n_max is not None:
-            params["n_max"] = args.n_max
-    elif args.command == "criteria":
-        params = {"variation": args.variation, "epsilon": args.epsilon, "lam": args.lam}
-    elif args.command == "pipeline":
-        params = {
-            "model": args.model, "schedule": args.schedule, "K_max": args.K_max,
-            "depth": args.depth, "trajectories": args.trajectories,
-            "context_x": args.context_x, "context_y": args.context_y,
-        }
-    return ExperimentConfig(args.command, params, Path(args.out), seed)
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args, unknown = parser.parse_known_args(argv)
-        if unknown:
-            raise ConfigError(f"unrecognized arguments: {' '.join(unknown)}")
-        run(_config_from_args(args))
+        params = vars(_build_parser().parse_args(argv))
+        command, out, seed = params.pop("command"), params.pop("out"), params.pop("seed", None)
+        run(ExperimentConfig(command, params, Path(out), seed))
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

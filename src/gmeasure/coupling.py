@@ -377,10 +377,10 @@ def sample_block_coupling(
     block laws given history + context, computed via cylinder products with
     truncation slack recorded per block.  Raises BudgetError, before any
     uniform is drawn, when a reachable block is longer than ``BLOCK_CAP``,
-    and TruncationError when a block's slack exceeds ``trunc_tol``.  This is the batch of one of the sampler behind
-    ``estimate_disagreement``: ``rng`` supplies one uniform per diagonal
-    draw and three per off-diagonal draw, and is left advanced by exactly
-    the uniforms used.
+    and TruncationError when a block's slack exceeds ``trunc_tol``.  This is
+    the batch of one of the sampler behind ``estimate_disagreement``: ``rng``
+    supplies one uniform per diagonal draw and three per off-diagonal draw,
+    and is left advanced by exactly the uniforms used.
     """
     lengths = _reachable_lengths(schedule, depth)
     if isinstance(rng, (int, np.integer)):

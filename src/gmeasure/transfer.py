@@ -137,18 +137,14 @@ class StationaryMeasure:
 
 def _is_uniquely_ergodic(op: TransferOperator) -> bool:
     """True iff the cylinder chain has exactly one closed communicating class."""
-    rows = np.concatenate([np.arange(op.dim)] * op.model.alphabet.size)
-    cols = np.concatenate(op._src)
     mask = np.concatenate(op._weight) > 0
-    adj = coo_matrix(
-        (np.ones(mask.sum()), (rows[mask], cols[mask])), shape=(op.dim, op.dim)
-    )
+    rows = np.concatenate([np.arange(op.dim)] * op.model.alphabet.size)[mask]
+    cols = np.concatenate(op._src)[mask]
+    adj = coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(op.dim, op.dim))
     n_comp, labels = connected_components(adj, directed=True, connection="strong")
-    leaves = np.zeros(n_comp, dtype=bool)
-    for u, v in zip(rows[mask], cols[mask]):
-        if labels[u] != labels[v]:
-            leaves[labels[u]] = True
-    return int((~leaves).sum()) == 1
+    src_class, dst_class = labels[rows], labels[cols]
+    # a class is closed unless one of its edges leaves it
+    return n_comp - len(np.unique(src_class[src_class != dst_class])) == 1
 
 
 def stationary(op: TransferOperator, tol: float = 1e-13,

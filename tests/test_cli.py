@@ -127,29 +127,76 @@ def test_block_cap_fails_before_sampling(longrange_file, tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["longrange.gmodel"]
 
 
-# SHA-256 of the Monte Carlo CSVs; the sampler consumes each trajectory's
-# uniforms in a fixed order (one per diagonal draw, three otherwise), so
-# these stay fixed whatever the batching
-PINNED_MC = {
-    ("pipeline", "const:1"): "6457f77d0fa47a8b7fe6d451fbe10ac19bac18c6e58e8890f9206ef698f0af80",
-    ("pipeline", "geom:l=1.5"): "a38e38af75c9677fbe3dcdbe3ab5b87e58359b85af70aae23953b1545758d2ba",
-    ("couple", "const:1"): "615afcbb7430b486f4163b1369b02f05d341f205ecabebf35a561907f17b6440",
-    ("couple", "geom:l=1.5"): "7e98175ef253e01190e153a6d7881399cb7bc4623fc7a97577ed5875903c5c0f",
+# SHA-256 of every artifact of a fixed set of runs, one row per run.  The
+# sampler consumes each trajectory's uniforms in a fixed order (one per
+# diagonal draw, three otherwise), so the Monte Carlo CSVs stay fixed
+# whatever the batching.
+def _mc_argv(command, schedule):
+    context = 12 if schedule == "const:1" else 48  # long blocks need a long context
+    argv = [command, "--model", "{longrange}", "--schedule", schedule,
+            "--depth", "12", "--trajectories", "30", "--seed", "5",
+            "--context-x", "1" * context, "--context-y", "0" * context]
+    return argv + ["--K-max", "4"] if command == "pipeline" else argv
+
+
+PINNED = {
+    "couple-const:1": (_mc_argv("couple", "const:1"), {
+        "couple_mc.csv": "615afcbb7430b486f4163b1369b02f05d341f205ecabebf35a561907f17b6440",
+    }),
+    "couple-geom:l=1.5": (_mc_argv("couple", "geom:l=1.5"), {
+        "couple_mc.csv": "7e98175ef253e01190e153a6d7881399cb7bc4623fc7a97577ed5875903c5c0f",
+    }),
+    "pipeline-const:1": (_mc_argv("pipeline", "const:1"), {
+        "pipeline_mc.csv": "6457f77d0fa47a8b7fe6d451fbe10ac19bac18c6e58e8890f9206ef698f0af80",
+        "pipeline_bounds.csv": "1654337fca0123ff4d719de938434ecff5701160a23d2b75de7fe385b8b9f523",
+        "pipeline_summary.json": "10fe7a4f1cf8cbe1f34e98d204c4831721ee69d2ce97550744fec6e8f0be69c6",
+    }),
+    "pipeline-geom:l=1.5": (_mc_argv("pipeline", "geom:l=1.5"), {
+        "pipeline_mc.csv": "a38e38af75c9677fbe3dcdbe3ab5b87e58359b85af70aae23953b1545758d2ba",
+        "pipeline_bounds.csv": "c603ec905ad9773f52bb1622877e99641eb5969e158c019a039d7106bb001a00",
+        "pipeline_summary.json": "52454dd4ca2191b9a5f704a0b36c3483c044381153092c41f8a1d2647177379f",
+    }),
+    "couple-dn": (["couple", "--model", "{longrange}", "--depth", "6", "--trajectories", "20",
+                   "--seed", "3", "--dn-max", "3", "--tail-len", "2"], {
+        "couple_mc.csv": "50f8226641623c8468143f9ccb88be8690e82620ac886fe54fdaa91deb3d3445",
+        "couple_dn.csv": "632bd18c4b5729dba8277e47c600f0ed4d4794e277c294037badc232d11f7d08",
+    }),
+    "transfer-finite-memory": (["transfer", "--model", "{mem1}", "--n-max", "12"], {
+        "transfer.csv": "8a720e5604398a8031723189d146206f75b2d2d8956d542a48fbb698f7408917",
+    }),
+    "transfer-trunc-memory": (["transfer", "--model", "{longrange}", "--n-max", "12",
+                               "--trunc-memory", "6"], {
+        "transfer.csv": "823c0685f3107ca942cad2aa33c258e0f6df8c2134dc8b70b40fb0d16630cea8",
+    }),
+    "renewal": (["renewal", "--d", "0.5,0.3", "--b", "1,2,3", "--K", "2"], {
+        "renewal_u.csv": "82bffef2726b045ddd615bc6b4cf8d206cbbfffa059b809d838f0dc03bc16708",
+        "renewal_limit.csv": "9057f7778c6620ac84702fbf54faee9a9a4b1d06916b171658c5148d90b83150",
+    }),
+    "renewal-n-max": (["renewal", "--d", "0.5,0.3", "--b", "1,2,3", "--K", "2",
+                       "--n-max", "40"], {
+        "renewal_u.csv": "bdb3d313f108ad1ef008904b0609d17c458b09e271d02597d83b2ef49d18e114",
+        "renewal_limit.csv": "9057f7778c6620ac84702fbf54faee9a9a4b1d06916b171658c5148d90b83150",
+    }),
+    "criteria": (["criteria", "--variation", "exponential:c=1,r=0.5"], {
+        "criteria.json": "028d38ff4f8a7cf4551e288a7321a684bf3b510cbf98ceda34f02e8e5d8437bd",
+        "criteria_evidence.csv": "62d3497d78e85c9c2f8e7b7e519b37a55d2373cfe43f7484e99aed846941577a",
+    }),
+    "selftest": (["selftest"], {
+        "selftest.txt": "9d90e54367dc7dfb77cba38436e306bf7ceb5c6ccb045107b01395a041686fbd",
+    }),
 }
 
 
-@pytest.mark.parametrize("command,schedule", sorted(PINNED_MC))
-def test_mc_csv_digests_are_pinned(command, schedule, longrange_file, tmp_path):
-    context = 12 if schedule == "const:1" else 48  # long blocks need a long context
-    argv = [command, "--model", str(longrange_file), "--schedule", schedule,
-            "--depth", "12", "--trajectories", "30", "--seed", "5",
-            "--context-x", "1" * context, "--context-y", "0" * context,
-            "--out", str(tmp_path)]
-    if command == "pipeline":
-        argv += ["--K-max", "4"]
-    assert main(argv) == 0
-    digest = hashlib.sha256((tmp_path / f"{command}_mc.csv").read_bytes()).hexdigest()
-    assert digest == PINNED_MC[command, schedule]
+@pytest.mark.parametrize("run", sorted(PINNED))
+def test_artifact_digests_are_pinned(run, mem1_file, longrange_file, tmp_path):
+    argv, digests = PINNED[run]
+    out = tmp_path / "out"
+    argv = [a.format(mem1=mem1_file, longrange=longrange_file) for a in argv]
+    assert main(argv + ["--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert set(manifest["outputs"]) == set(digests)
+    for name, digest in digests.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
 def test_pipeline_subcommand(longrange_file, tmp_path):
@@ -188,9 +235,11 @@ def test_budget_error_exit_code(longrange_file, tmp_path):
 
 
 def test_missing_seed_is_config_error(longrange_file, tmp_path, capsys):
-    with pytest.raises(SystemExit):
-        # argparse enforces the mandatory seed for stochastic experiments
-        main(["couple", "--model", str(longrange_file), "--out", str(tmp_path / "z")])
+    # argparse enforces the mandatory seed for stochastic experiments
+    rc = main(["couple", "--model", str(longrange_file), "--out", str(tmp_path / "z")])
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert len(err.strip().splitlines()) == 1 and "--seed" in err, err
 
 
 # malformed input -> exit code 2 and a one-line message, never a traceback
@@ -212,6 +261,10 @@ BAD_INPUTS = {
     "negative seed": ["couple", "--seed", "-1"],
     "negative dn_max": ["couple", "--dn-max", "-1"],
     "removed block cap option": ["couple", "--block-cap", "12"],
+    "depth not an integer": ["couple", "--depth", "abc"],
+    "renewal b not a number": ["renewal", "--d", "0.5", "--b", "2,x", "--K", "1"],
+    "renewal n_max zero": ["renewal", "--d", "0.5", "--b", "2,2", "--K", "1", "--n-max", "0"],
+    "unknown subcommand": ["bogus"],
 }
 
 
