@@ -117,9 +117,12 @@ def _sha256(data: bytes) -> str:
 
 def _convert(convert, text: str, what: str):
     try:
-        return convert(text)
+        value = convert(text)
     except ValueError:
         raise ConfigError(f"cannot parse {what} {text!r}") from None
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{what} must be finite, got {text!r}")
+    return value
 
 
 def _numbers(text: str, convert, what: str) -> list:
@@ -469,8 +472,8 @@ def _build_parser() -> argparse.ArgumentParser:
     k = sub.add_parser("criteria", help="closed-form uniqueness criteria")
     k.add_argument("--variation", required=True,
                    help="power_law:c=1,p=2 | exponential:c=1,r=0.5 | finite_range:M=3")
-    k.add_argument("--epsilon", type=float, default=0.1)
-    k.add_argument("--lam", type=float, default=2.0)
+    k.add_argument("--epsilon", type=partial(_convert, float, what="--epsilon"), default=0.1)
+    k.add_argument("--lam", type=partial(_convert, float, what="--lam"), default=2.0)
     k.add_argument("--out", required=True)
 
     pl = sub.add_parser("pipeline", help="bounds pipeline + Monte Carlo comparison")

@@ -129,7 +129,7 @@ def check_rho_product_series(vm, epsilon: float) -> CriterionReport:
     governed by the growth of the partial sums of var.
     """
     name = "rho_product_series"
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ConfigError("epsilon must be positive")
     if not hasattr(vm, "asymptotic"):
         return _tabulated_report(name, vm)
@@ -156,8 +156,8 @@ def check_geometric_window_sums(vm, lam: float) -> CriterionReport:
     depend on which lam > 1 is used.
     """
     name = "geometric_window_sums"
-    if lam <= 1:
-        raise ConfigError("lambda must exceed 1")
+    if not 1 < lam < math.inf:
+        raise ConfigError("lambda must be finite and exceed 1")
     windows = {}
     for n in (4, 6, 8):
         lo, hi = math.ceil(lam ** (n - 1)), math.ceil(lam**n)

@@ -42,7 +42,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.special import zeta
 
 from .errors import ConfigError
 from .tails import Exponential, FiniteRange, PowerLaw
@@ -159,9 +158,9 @@ class PowerLawCoefficients:
     """a_k = c * k**(-p), k >= 1.  Requires p > 1 so the mass is finite."""
 
     def __init__(self, c: float, p: float):
-        if p <= 1:
+        if not p > 1:
             raise ConfigError("power-law exponent must exceed 1")
-        if c < 0:
+        if not c >= 0:
             raise ConfigError("coefficient scale must be non-negative")
         self.c = float(c)
         self.p = float(p)
@@ -171,12 +170,16 @@ class PowerLawCoefficients:
     @classmethod
     def from_mass(cls, p: float, mass: float) -> "PowerLawCoefficients":
         """Scale so that sum_k a_k equals ``mass``."""
+        from scipy.special import zeta  # ~0.2 s to import; only power laws need it
+
         return cls(mass / float(zeta(p, 1)), p)
 
     def _zeta(self, k: int) -> np.ndarray:
         """Hurwitz zeta(p, j) for j = 0..k (index 0 unused), one vectorised
         ``zeta`` call per growth."""
         if len(self._zvec) <= k:
+            from scipy.special import zeta  # ~0.2 s to import; only power laws need it
+
             m = max(2 * len(self._zvec), k + 1)
             self._zvec = np.concatenate([[0.0], zeta(self.p, np.arange(1, m, dtype=float))])
         return self._zvec
@@ -211,7 +214,7 @@ class ExponentialCoefficients:
     def __init__(self, c: float, r: float):
         if not 0 < r < 1:
             raise ConfigError("exponential ratio must lie in (0, 1)")
-        if c < 0:
+        if not c >= 0:
             raise ConfigError("coefficient scale must be non-negative")
         self.c = float(c)
         self.r = float(r)
@@ -680,9 +683,12 @@ def parse_model(text: str):
     def number(key: str, text: str | None = None) -> float:
         text = need(key) if text is None else text
         try:
-            return float(text)
+            value = float(text)
         except ValueError:
             raise ConfigError(f"key {key!r} must be numeric, got {text!r}") from None
+        if not math.isfinite(value):
+            raise ConfigError(f"key {key!r} must be finite, got {text!r}")
+        return value
 
     alphabet = Alphabet(tuple(s.strip() for s in need("alphabet").split(",")))
     variant = need("variant")

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import ConfigError
 
@@ -149,6 +148,8 @@ def renewal_solve(ab: AlphaBeta, n_max: int) -> np.ndarray:
     den[0] = 1.0
     for i, a in ab.alpha.items():
         den[i] -= a
+    from scipy.signal import lfilter  # ~0.4-0.6 s to import; only this solve needs it
+
     return lfilter([1.0], den, beta)
 
 

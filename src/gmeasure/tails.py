@@ -30,7 +30,7 @@ class PowerLaw:
     offset: int = 0
 
     def __post_init__(self):
-        if self.c < 0 or self.p < 0:
+        if not (self.c >= 0 and self.p >= 0):
             raise ConfigError("power law needs c >= 0 and p >= 0")
 
     def var_at(self, n: int) -> float:
@@ -51,7 +51,7 @@ class Exponential:
     asymptotic = FASTER_THAN_EVERY_POWER
 
     def __post_init__(self):
-        if self.c < 0 or not 0 < self.r < 1:
+        if not (self.c >= 0 and 0 < self.r < 1):
             raise ConfigError("exponential law needs c >= 0 and r in (0, 1)")
 
     def var_at(self, n: int) -> float:
@@ -68,7 +68,7 @@ class FiniteRange:
     asymptotic = FASTER_THAN_EVERY_POWER
 
     def __post_init__(self):
-        if self.M < 0 or self.level < 0:
+        if not (self.M >= 0 and self.level >= 0):
             raise ConfigError("finite-range law needs M >= 0 and level >= 0")
 
     def var_at(self, n: int) -> float:

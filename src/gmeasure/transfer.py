@@ -16,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import BudgetError, ConfigError, ConvergenceError, DEFAULT_BUDGET
 from .gmodel import (
@@ -137,6 +135,10 @@ class StationaryMeasure:
 
 def _is_uniquely_ergodic(op: TransferOperator) -> bool:
     """True iff the cylinder chain has exactly one closed communicating class."""
+    # ~0.2 s to import; only this check needs them
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
     mask = np.concatenate(op._weight) > 0
     rows = np.concatenate([np.arange(op.dim)] * op.model.alphabet.size)[mask]
     cols = np.concatenate(op._src)[mask]

@@ -1,9 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gmeasure
 from gmeasure.cli import main
 
 MEM1_MODEL = """
@@ -265,23 +270,76 @@ BAD_INPUTS = {
     "renewal b not a number": ["renewal", "--d", "0.5", "--b", "2,x", "--K", "1"],
     "renewal n_max zero": ["renewal", "--d", "0.5", "--b", "2,2", "--K", "1", "--n-max", "0"],
     "unknown subcommand": ["bogus"],
+    "lambda not finite": ["criteria", "--variation", "power_law:c=1,p=2", "--lam", "nan"],
+    "epsilon not finite": ["criteria", "--variation", "power_law:c=1,p=2", "--epsilon", "nan"],
+    "variation value not finite": ["criteria", "--variation", "power_law:c=nan,p=2"],
+    "model coeff_mass not finite": ["transfer", "--model", "{nan_mass}"],
+}
+
+# the BAD_INPUTS rows holding a non-finite number, and what their message says
+NON_FINITE = {
+    "lambda not finite": "--lam must be finite",
+    "epsilon not finite": "--epsilon must be finite",
+    "variation value not finite": "c must be finite",
+    "model coeff_mass not finite": "'coeff_mass' must be finite",
 }
 
 
-@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
-def test_bad_input_exits_2_with_one_line(case, longrange_file, tmp_path, capsys):
+def bad_input_argv(case, longrange_file, tmp_path):
     bad_table = tmp_path / "bad_table.gmodel"
     bad_table.write_text(MEM1_MODEL.replace("0.3", "x"))
+    nan_mass = tmp_path / "nan_mass.gmodel"
+    nan_mass.write_text(LONGRANGE_MODEL.replace("coeff_mass = 0.5", "coeff_mass = nan"))
     argv = [a.format(missing=tmp_path / "absent.gmodel", bad_table=bad_table,
-                     longrange=longrange_file) for a in BAD_INPUTS[case]]
+                     longrange=longrange_file, nan_mass=nan_mass) for a in BAD_INPUTS[case]]
     if argv[0] in ("pipeline", "couple"):
         argv += ["--model", str(longrange_file)]
         if "--seed" not in argv:
             argv += ["--seed", "1"]
-    rc = main(argv + ["--out", str(tmp_path / "out")])
+    return argv + ["--out", str(tmp_path / "out")]
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exits_2_with_one_line(case, longrange_file, tmp_path, capsys):
+    rc = main(bad_input_argv(case, longrange_file, tmp_path))
     err = capsys.readouterr().err
     assert rc == 2, err
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err, err
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE))
+def test_non_finite_number_is_rejected_by_name(case, longrange_file, tmp_path, capsys):
+    assert main(bad_input_argv(case, longrange_file, tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert NON_FINITE[case] in err, err
+
+
+# a fresh interpreter runs one subcommand and prints its exit code and the
+# scipy subpackages (first two name components) it imported
+IMPORT_PROBE = """\
+import sys
+from gmeasure.cli import main
+rc = main(sys.argv[1:])
+print(rc, *sorted({".".join(m.split(".")[:2]) for m in sys.modules if m.startswith("scipy.")}))
+"""
+
+
+@pytest.mark.parametrize("law, absent", [
+    ("exponential", {"scipy.special", "scipy.signal", "scipy.sparse"}),
+    ("power_law", {"scipy.signal", "scipy.sparse"}),
+], ids=["exponential", "power_law"])
+def test_pipeline_imports_only_the_scipy_it_calls(law, absent, tmp_path):
+    model = tmp_path / "model.gmodel"
+    model.write_text(LONGRANGE_MODEL if law == "power_law" else LONGRANGE_MODEL.replace(
+        "coeff_law = power_law\ncoeff_p = 2", "coeff_law = exponential\ncoeff_r = 0.7"))
+    argv = ["pipeline", "--model", str(model), "--depth", "8", "--trajectories", "10",
+            "--K-max", "3", "--seed", "1", "--out", str(tmp_path / "out")]
+    src = Path(gmeasure.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, *argv], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
+    rc, *loaded = proc.stdout.split() or ["no output"]
+    assert rc == "0", proc.stderr
+    assert not absent & set(loaded), loaded
 
 
 def test_couple_dn_cells_are_plain_numbers(longrange_file, tmp_path):

@@ -386,3 +386,15 @@ def test_ratio_input_validation():
         coupling_bound_ratio((0.5,), (1,), [1])
     with pytest.raises(ConfigError):
         coupling_bound_ratio((0.5,), (1, 1), [2])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: PowerLaw(math.nan, 2.0),
+    lambda: PowerLaw(1.0, math.nan),
+    lambda: Exponential(math.nan, 0.5),
+    lambda: Exponential(1.0, math.nan),
+    lambda: FiniteRange(3, math.nan),
+], ids=["power_c", "power_p", "exponential_c", "exponential_r", "finite_range_level"])
+def test_tail_laws_reject_nan(make):
+    with pytest.raises(ConfigError):
+        make()
