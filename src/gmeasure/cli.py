@@ -92,18 +92,13 @@ class RunManifest:
     environment: dict = field(default_factory=dict)
 
 
-def _cell(v) -> str:
-    # repr(float(v)) writes numpy floats as plain numbers, not np.float64(...)
-    return repr(float(v)) if isinstance(v, float) else str(v)
-
-
 def _csv(comments: list[str], header: list[str], columns) -> bytes:
     """CSV artifact: '# ' comment lines, the header, then one row per index
-    of the equal-length ``columns``, formatted cell by cell as rows are
-    joined."""
+    of the equal-length ``columns``, formatted cell by cell with ``str`` as
+    rows are joined (a float's ``str`` is its shortest round-trip repr)."""
     lines = [f"# {c}" for c in comments]
     lines.append(",".join(header))
-    lines.extend(map(",".join, zip(*(map(_cell, c) for c in columns), strict=True)))
+    lines.extend(map(",".join, zip(*(map(str, c) for c in columns), strict=True)))
     return ("\n".join(lines) + "\n").encode()
 
 
@@ -265,7 +260,7 @@ def _run_criteria(cfg: ExperimentConfig) -> dict[str, bytes]:
             "variation": p["variation"],
             "epsilon": p["epsilon"],
             "lambda": p["lam"],
-            "reports": [r.to_dict() for r in reports],
+            "reports": [asdict(r) for r in reports],
         }),
         "criteria_evidence.csv": _csv(
             ["verdict per criterion with scalar evidence where available"],

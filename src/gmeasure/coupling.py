@@ -412,8 +412,6 @@ def sample_block_coupling(
 class MonteCarloSummary:
     """Aggregated disagreement statistics over many coupled trajectories."""
 
-    n_traj: int
-    depth: int
     freq: np.ndarray     # index n -> empirical P(disagree at -n), n = 0..depth
     stderr: np.ndarray
     run_stats: dict      # run k -> [blocks seen, blocks disagreed]
@@ -462,17 +460,16 @@ def estimate_disagreement(
     freq = counts / n_traj
     stderr = np.sqrt(freq * (1 - freq) / n_traj)
     run_stats = {k: (int(seen[k]), int(bad[k])) for k in np.flatnonzero(seen).tolist()}
-    return MonteCarloSummary(n_traj, depth, freq, stderr, run_stats, max_slack)
+    return MonteCarloSummary(freq, stderr, run_stats, max_slack)
 
 
 # ---------------------------------------------------------------------------
 # worst-case block total variation
 
 
-def check_dn_budget(model, schedule: BlockSchedule, n: int, tail_len: int,
-                    budget: int = DEFAULT_BUDGET) -> int:
+def check_dn_budget(model, schedule: BlockSchedule, n: int, tail_len: int) -> int:
     """Joint states ``dn_bruteforce`` enumerates for block n; raises
-    BudgetError when they exceed ``budget``, before any work is done."""
+    BudgetError when they exceed ``DEFAULT_BUDGET``, before any work is done."""
     if n < 1:
         raise ConfigError("block index must be >= 1")
     if tail_len < 0:
@@ -481,21 +478,15 @@ def check_dn_budget(model, schedule: BlockSchedule, n: int, tail_len: int,
     agree_len = schedule.B(n - 1)
     block_len = schedule.b(n)
     states = size**agree_len * (size**tail_len) ** 2 * size**block_len
-    if states > budget:
+    if states > DEFAULT_BUDGET:
         raise BudgetError(
-            f"{states} joint states exceed enumeration budget {budget} "
+            f"{states} joint states exceed enumeration budget {DEFAULT_BUDGET} "
             f"(agree {agree_len}, tails 2x{tail_len}, block {block_len})"
         )
     return states
 
 
-def dn_bruteforce(
-    model,
-    schedule: BlockSchedule,
-    n: int,
-    tail_len: int,
-    budget: int = DEFAULT_BUDGET,
-) -> tuple[float, float]:
+def dn_bruteforce(model, schedule: BlockSchedule, n: int, tail_len: int) -> tuple[float, float]:
     """Bounds for the worst-case block-n total variation d_n.
 
     Enumerates every agreeing part on the B_{n-1} coordinates right of the
@@ -506,7 +497,7 @@ def dn_bruteforce(
     accumulated truncation slack, and dominates the true supremum over all
     infinite tail completions.
     """
-    check_dn_budget(model, schedule, n, tail_len, budget)
+    check_dn_budget(model, schedule, n, tail_len)
     size = model.alphabet.size
     agree_len = schedule.B(n - 1)
     block_len = schedule.b(n)

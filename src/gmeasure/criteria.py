@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .coupling import BlockSchedule
-from .errors import ConfigError
+from .errors import BudgetError, ConfigError, DEFAULT_BUDGET
 from .tails import Exponential, FiniteRange, OneMinusPower, PowerLaw
 
 __all__ = [
@@ -65,15 +65,9 @@ class CriterionReport:
     verdict: str
     evidence: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "criterion": self.criterion,
-            "verdict": self.verdict,
-            "evidence": self.evidence,
-        }
 
-
-def _tabulated_report(name: str, vm, terms=64) -> CriterionReport:
+def _tabulated_report(name: str, vm) -> CriterionReport:
+    terms = 64
     partial = float(sum(vm.var_at(n) ** 2 for n in range(terms)))
     return CriterionReport(
         name,
@@ -153,11 +147,18 @@ def check_geometric_window_sums(vm, lam: float) -> CriterionReport:
 
     For var_i = c*(i+1)**(-1/2) the window sums converge to c**2 * log(lam)
     (the geometric windows of the harmonic series), so the verdict cannot
-    depend on which lam > 1 is used.
+    depend on which lam > 1 is used.  The windows end at ceil(lam^8), so
+    BudgetError is raised, before any term is summed, when that exceeds
+    ``DEFAULT_BUDGET``.
     """
     name = "geometric_window_sums"
     if not 1 < lam < math.inf:
         raise ConfigError("lambda must be finite and exceed 1")
+    # compared in logs: lam**8 itself overflows for large lam
+    if 8 * math.log(lam) > math.log(DEFAULT_BUDGET):
+        raise BudgetError(
+            f"window end ceil(lambda^8) for lambda={lam} exceeds budget {DEFAULT_BUDGET}"
+        )
     windows = {}
     for n in (4, 6, 8):
         lo, hi = math.ceil(lam ** (n - 1)), math.ceil(lam**n)
@@ -187,11 +188,6 @@ class SingleSiteDSequence:
 
     values: tuple[float, ...] = ()
     tail: PowerLaw | Exponential | FiniteRange | OneMinusPower = FiniteRange(0)
-
-    def d_at(self, n: int) -> float:
-        if n <= len(self.values):
-            return self.values[n - 1]
-        return self.tail.var_at(n)
 
 
 def check_single_site_series(dseq: SingleSiteDSequence) -> CriterionReport:
@@ -308,8 +304,9 @@ class BlockTvBounds:
     sites [B_{n-1}, B_n - 1] separating the block from the agreement region;
     it is None when some site ratio exceeds MAX_SITE_RATIO.  ``square_sum``
     is the cubic-remainder bound sqrt(sum window (log rho)**2/4 + K (log
-    rho)**3) over the later window [B_n, B_{n+1} - 1]; it applies only once
-    the oscillation ratios have dropped below ``lam`` and is None before.
+    rho)**3) over the later window [B_n, B_{n+1} - 1], with the lambda = 2
+    constant K = ``CUBIC_REMAINDER_K2``; it applies only once the oscillation
+    ratios have dropped below 2 and is None before.
     """
 
     n: int
@@ -317,8 +314,9 @@ class BlockTvBounds:
     square_sum: float | None
 
 
-def block_tv_bounds(vm, schedule: BlockSchedule, n: int, lam: float = 2.0) -> BlockTvBounds:
-    """Both closed-form upper bounds for d_n from a variation model.
+def block_tv_bounds(vm, schedule: BlockSchedule, n: int) -> BlockTvBounds:
+    """Both closed-form upper bounds for d_n from a variation model, with the
+    square-sum bound taken in the lambda = 2 window.
 
     ``vm`` is anything exposing var_at(n) (a variation profile or a
     parametric variation model).
@@ -332,10 +330,9 @@ def block_tv_bounds(vm, schedule: BlockSchedule, n: int, lam: float = 2.0) -> Bl
         site_product = tv_bound_from_site_ratios(rhos)
     later = range(schedule.B(n), schedule.B(n + 1))
     square_sum = None
-    if all(vm.var_at(i) <= math.log(lam) for i in later):
-        K = cubic_remainder_constant(lam)
+    if all(vm.var_at(i) <= math.log(2.0) for i in later):
         acc = sum(
-            vm.var_at(i) ** 2 / 4.0 + K * vm.var_at(i) ** 3 for i in later
+            vm.var_at(i) ** 2 / 4.0 + CUBIC_REMAINDER_K2 * vm.var_at(i) ** 3 for i in later
         )
         square_sum = math.sqrt(acc)
     return BlockTvBounds(n, site_product, square_sum)

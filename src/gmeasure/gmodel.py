@@ -266,7 +266,7 @@ class FiniteMemoryModel:
         if isinstance(table, dict):
             vec = np.full(n_entries, np.nan)
             for key, value in table.items():
-                syms = tuple(key) if isinstance(key, str) else tuple(key)
+                syms = tuple(key)
                 if len(syms) != memory + 1:
                     raise ConfigError(
                         f"table word {key!r} must have length {memory + 1}"
@@ -588,9 +588,6 @@ class VariationProfile:
         if self.tail is None:
             raise ConfigError(f"n={n} beyond horizon {self.horizon} and no tail model")
         return self.tail.var_at(n)
-
-    def rho_at(self, n: int) -> float:
-        return math.exp(self.var_at(n))
 
 
 def variation_profile(model, horizon: int) -> VariationProfile:

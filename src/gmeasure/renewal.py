@@ -25,6 +25,7 @@ e.g. d_1 = 1, b = (1, 1) forces u_n = 1 for every n.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import reduce
@@ -67,10 +68,6 @@ class RenewalSpec:
         if any(int(v) != v or v < 1 for v in self.b):
             raise ConfigError("block lengths must be positive integers")
 
-    def boundary(self, k: int) -> int:
-        """B_k = b_1 + ... + b_k, with B_0 = 0."""
-        return int(sum(self.b[:k]))
-
 
 @dataclass(frozen=True)
 class AlphaBeta:
@@ -87,29 +84,25 @@ class AlphaBeta:
     period: int
     boundaries: tuple[int, ...]
 
-    def alpha_at(self, i: int) -> float:
-        return self.alpha.get(i, 0.0)
-
 
 def build_alphabeta(spec: RenewalSpec) -> AlphaBeta:
     """First-disagreement law alpha and boundary-layer term beta.
 
     alpha_{B_k} = d_k * prod_{j<k} (1 - d_j) for k <= K, and the leftover
     prod_{j<=K} (1 - d_j) sits at B_{K+1}; the masses telescope to 1.
-    beta_n repeats the alpha value of the block containing n.
+    beta_n repeats the alpha value of the block containing n.  Block lengths
+    are at least 1, so the boundaries are distinct.
     """
-    K = spec.K
-    boundaries = tuple(spec.boundary(k) for k in range(1, K + 2))
-    alpha: dict[int, float] = {}
-    beta = np.zeros(boundaries[-1])
+    lengths = [int(v) for v in spec.b[: spec.K + 1]]
+    boundaries = tuple(itertools.accumulate(lengths))
+    masses = []
     survive = 1.0
-    for k in range(1, K + 1):
-        mass = spec.d[k - 1] * survive
-        alpha[boundaries[k - 1]] = alpha.get(boundaries[k - 1], 0.0) + mass
-        beta[spec.boundary(k - 1) : spec.boundary(k)] = mass
-        survive *= 1.0 - spec.d[k - 1]
-    alpha[boundaries[-1]] = alpha.get(boundaries[-1], 0.0) + survive
-    beta[spec.boundary(K) : spec.boundary(K + 1)] = survive
+    for d in spec.d[: spec.K]:
+        masses.append(d * survive)
+        survive *= 1.0 - d
+    masses.append(survive)
+    alpha = dict(zip(boundaries, masses))
+    beta = np.repeat(masses, lengths)
     total = sum(alpha.values())
     if abs(total - 1.0) > 1e-12:
         raise ConfigError(f"alpha masses sum to {total!r}, not 1")

@@ -52,8 +52,7 @@ def indicator(alphabet: Alphabet, symbol: str, window: int = 1) -> np.ndarray:
 class TransferOperator:
     """Exact action of the transfer operator on S^window cylinder functions."""
 
-    def __init__(self, model: FiniteMemoryModel, window: int | None = None,
-                 budget: int = DEFAULT_BUDGET):
+    def __init__(self, model: FiniteMemoryModel, window: int | None = None):
         if not isinstance(model, FiniteMemoryModel):
             raise ConfigError("the exact transfer operator needs a finite-memory model")
         self.model = model
@@ -63,9 +62,9 @@ class TransferOperator:
             raise ConfigError(
                 f"window must be at least max(memory, 1) = {max(model.memory, 1)}"
             )
-        if size**self.window > budget:
+        if size**self.window > DEFAULT_BUDGET:
             raise BudgetError(
-                f"state dimension {size}^{self.window} exceeds budget {budget}"
+                f"state dimension {size}^{self.window} exceeds budget {DEFAULT_BUDGET}"
             )
         self.dim = size**self.window
         u = np.arange(self.dim)
@@ -149,18 +148,19 @@ def _is_uniquely_ergodic(op: TransferOperator) -> bool:
     return n_comp - len(np.unique(src_class[src_class != dst_class])) == 1
 
 
-def stationary(op: TransferOperator, tol: float = 1e-13,
-               max_iter: int = MAX_POWER_ITERATIONS) -> StationaryMeasure:
+def stationary(op: TransferOperator, tol: float = 1e-13) -> StationaryMeasure:
     """Damped dual power iteration to the stationary cylinder distribution.
 
     Plain power iteration with damping 1/2 (which leaves the fixed point
-    unchanged but removes periodicity); no acceleration, explicit cap.
+    unchanged but removes periodicity); no acceleration.  Raises
+    ConvergenceError when the l1 residual is still at least ``tol`` after
+    ``MAX_POWER_ITERATIONS`` steps.
     """
     if tol <= 0:
         raise ConfigError("tol must be positive")
     pi = np.full(op.dim, 1.0 / op.dim)
     residual = np.inf
-    for _ in range(max_iter):
+    for _ in range(MAX_POWER_ITERATIONS):
         image = op.apply_dual(pi)
         residual = float(np.abs(image - pi).sum())
         if residual < tol:
@@ -170,7 +170,7 @@ def stationary(op: TransferOperator, tol: float = 1e-13,
         pi /= pi.sum()
     else:
         raise ConvergenceError(
-            f"dual power iteration did not reach tol={tol} in {max_iter} steps",
+            f"dual power iteration did not reach tol={tol} in {MAX_POWER_ITERATIONS} steps",
             residual,
         )
     return StationaryMeasure(op.model, op.window, pi, residual, _is_uniquely_ergodic(op))
@@ -184,23 +184,20 @@ class DiagnosticPoint:
 
 
 def uniqueness_diagnostic(
-    model,
-    n_max: int,
-    f: np.ndarray | None = None,
-    window: int | None = None,
-    trunc_memory: int | None = None,
-    budget: int = DEFAULT_BUDGET,
+    model, n_max: int, trunc_memory: int | None = None
 ) -> list[DiagnosticPoint]:
-    """Oscillation sup L^n f - inf L^n f for n = 0..n_max.
+    """Oscillation sup L^n f - inf L^n f for n = 0..n_max, where f is the
+    indicator of the first symbol at coordinate 0.
 
     Long-range models are projected onto a finite-memory surrogate with
     memory ``trunc_memory``; the reported truncation error bounds the drift
     between the surrogate's oscillation and the true one,
 
-        |osc_true(n) - osc_surrogate(n)| <= 2 n |S| (half_width + defect) |f|_inf,
+        |osc_true(n) - osc_surrogate(n)| <= 2 n |S| (half_width + defect),
 
-    using that the operator is a sup-norm contraction.  Convergence of the
-    oscillation to 0 is evidence (not proof) of a unique g-chain.
+    using that the operator is a sup-norm contraction and |f|_inf = 1.
+    Convergence of the oscillation to 0 is evidence (not proof) of a unique
+    g-chain.
     """
     if n_max < 0:
         raise ConfigError("n_max must be >= 0")
@@ -209,19 +206,17 @@ def uniqueness_diagnostic(
     else:
         if trunc_memory is None:
             raise ConfigError("long-range models need an explicit trunc_memory")
-        if model.alphabet.size ** max(trunc_memory, 1) > budget:
+        # the operator's own check, made before the surrogate is built
+        if model.alphabet.size ** max(trunc_memory, 1) > DEFAULT_BUDGET:
             raise BudgetError(
                 f"surrogate dimension {model.alphabet.size}^{trunc_memory} "
-                f"exceeds budget {budget}"
+                f"exceeds budget {DEFAULT_BUDGET}"
             )
         surrogate, defect, half_width = finite_memory_surrogate(model, trunc_memory)
-    op = TransferOperator(surrogate, window, budget=budget)
-    if f is None:
-        f = indicator(model.alphabet, model.alphabet.symbols[0], op.window)
-    f = np.asarray(f, dtype=float)
-    per_step = 2.0 * model.alphabet.size * (half_width + defect) * float(np.abs(f).max())
+    op = TransferOperator(surrogate)
+    per_step = 2.0 * model.alphabet.size * (half_width + defect)
     rows = []
-    g = f
+    g = indicator(model.alphabet, model.alphabet.symbols[0], op.window)
     for n in range(n_max + 1):
         rows.append(DiagnosticPoint(n, float(g.max() - g.min()), n * per_step))
         if n < n_max:

@@ -132,6 +132,18 @@ def test_block_cap_fails_before_sampling(longrange_file, tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["longrange.gmodel"]
 
 
+@pytest.mark.parametrize("lam", ["6.8", "8", "1e300"])
+def test_criteria_window_budget_is_checked_first(lam, tmp_path, capsys):
+    # the last geometric window ends at ceil(lam**8) > DEFAULT_BUDGET = 2**22
+    out = tmp_path / "out"
+    rc = main(["criteria", "--variation", "power_law:c=1,p=2", "--lam", lam,
+               "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 3, err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err, err
+    assert not out.exists()
+
+
 # SHA-256 of every artifact of a fixed set of runs, one row per run.  The
 # sampler consumes each trajectory's uniforms in a fixed order (one per
 # diagonal draw, three otherwise), so the Monte Carlo CSVs stay fixed
