@@ -53,7 +53,7 @@ from .criteria import (
     coupling_bound_ratio,
     geometric_blocks,
 )
-from .errors import BudgetError, ConfigError, GMeasureError
+from .errors import DEFAULT_BUDGET, BudgetError, ConfigError, GMeasureError
 from .gmodel import binary_alphabet, iid_model, load_model, variation_profile
 from .renewal import (
     RenewalSpec,
@@ -92,13 +92,24 @@ class RunManifest:
     environment: dict = field(default_factory=dict)
 
 
+def _cells(column):
+    """The cells of one column: ``str`` of each value.  A float64 array's
+    distinct bit patterns are formatted once each, as Python floats; keying
+    by bits, not by value, keeps 0.0 apart from -0.0."""
+    if not (isinstance(column, np.ndarray) and column.dtype == np.float64):
+        return map(str, column)
+    _, first, inverse = np.unique(column.view(np.int64), return_index=True, return_inverse=True)
+    return np.array([str(v) for v in column[first].tolist()], dtype=object)[inverse].tolist()
+
+
 def _csv(comments: list[str], header: list[str], columns) -> bytes:
     """CSV artifact: '# ' comment lines, the header, then one row per index
-    of the equal-length ``columns``, formatted cell by cell with ``str`` as
-    rows are joined (a float's ``str`` is its shortest round-trip repr)."""
+    of the equal-length ``columns``.  A cell is ``str`` of its value, so a
+    float's cell is its shortest round-trip repr whatever container it came
+    in; a float64 array formats each distinct bit pattern once."""
     lines = [f"# {c}" for c in comments]
     lines.append(",".join(header))
-    lines.extend(map(",".join, zip(*(map(str, c) for c in columns), strict=True)))
+    lines.extend(map(",".join, zip(*map(_cells, columns), strict=True)))
     return ("\n".join(lines) + "\n").encode()
 
 
@@ -194,7 +205,7 @@ def _run_transfer(cfg: ExperimentConfig) -> dict[str, bytes]:
         ["oscillation: sup L^n f - inf L^n f for the transfer operator L",
          "truncation_error: bound on the surrogate-vs-true oscillation drift"],
         ["n", "oscillation", "truncation_error"],
-        zip(*((r.n, r.oscillation, r.truncation_error) for r in rows)),
+        [[r.n for r in rows], *np.array([(r.oscillation, r.truncation_error) for r in rows]).T],
     )}
 
 
@@ -215,7 +226,7 @@ def _run_couple(cfg: ExperimentConfig) -> dict[str, bytes]:
     outputs = {"couple_mc.csv": _csv(
         ["empirical_disagreement: fraction of coupled pairs differing at coordinate -n"],
         ["coordinate", "empirical_disagreement", "stderr"],
-        [range(0, -depth - 1, -1), summary.freq.tolist(), summary.stderr.tolist()],
+        [range(0, -depth - 1, -1), summary.freq, summary.stderr],
     )}
     if dn_max:
         bounds = [dn_bruteforce(model, schedule, n, p["tail_len"]) for n in range(1, dn_max + 1)]
@@ -232,11 +243,13 @@ def _run_renewal(cfg: ExperimentConfig) -> dict[str, bytes]:
     d, b, K = p["d"], p["b"], _positive(p["K"], "K")
     ab = build_alphabeta(RenewalSpec(tuple(d[:K]), tuple(b[: K + 1]), K))
     n_max = _positive(50 * ab.boundaries[-1] if p["n_max"] is None else p["n_max"], "n_max")
+    if n_max + 1 > DEFAULT_BUDGET:  # one float and one CSV row per n
+        raise BudgetError(f"n_max + 1 = {n_max + 1} rows exceeds budget {DEFAULT_BUDGET}")
     return {
         "renewal_u.csv": _csv(
             ["u_n: probability the dominating block chain disagrees at coordinate -n"],
             ["n", "u_n"],
-            [range(n_max + 1), renewal_solve(ab, n_max).tolist()],
+            [range(n_max + 1), renewal_solve(ab, n_max)],
         ),
         "renewal_limit.csv": _csv(
             ["limit: renewal-theorem limit of u along the boundary lattice, per truncation K"],
@@ -314,8 +327,7 @@ def _run_pipeline(cfg: ExperimentConfig) -> dict[str, bytes]:
         "pipeline_mc.csv": _csv(
             ["empirical disagreement vs the best asymptotic bound over the K sweep"],
             ["coordinate", "empirical_disagreement", "stderr", "bound"],
-            [range(0, -depth - 1, -1), summary.freq.tolist(), summary.stderr.tolist(),
-             [best] * (depth + 1)],
+            [range(0, -depth - 1, -1), summary.freq, summary.stderr, np.full(depth + 1, best)],
         ),
         "pipeline_summary.json": _json({
             "dbar": [float(v) for v in dbar_seq],

@@ -159,12 +159,12 @@ def check_geometric_window_sums(vm, lam: float) -> CriterionReport:
         raise BudgetError(
             f"window end ceil(lambda^8) for lambda={lam} exceeds budget {DEFAULT_BUDGET}"
         )
+    if not hasattr(vm, "asymptotic"):
+        return _tabulated_report(name, vm)
     windows = {}
     for n in (4, 6, 8):
         lo, hi = math.ceil(lam ** (n - 1)), math.ceil(lam**n)
         windows[n] = float(sum(vm.var_at(i) ** 2 for i in range(lo, hi + 1)))
-    if not hasattr(vm, "asymptotic"):
-        return _tabulated_report(name, vm)
     c, p = vm.asymptotic
     if p == math.inf:
         return CriterionReport(

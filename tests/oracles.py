@@ -5,7 +5,7 @@ code it checks: direct chain enumeration for the renewal sequence, dense
 matrix powers for the transfer operator, full eigendecomposition for the
 stationary vector, and plain summation for total variation.  The cylinder,
 surrogate and d_n oracles loop over words with the scalar ``eval_indices``
-and never call the batched kernel.
+and never call the batched kernel.  The CSV oracle formats cell by cell.
 """
 
 import numpy as np
@@ -166,3 +166,12 @@ def dn_enumerate(model, schedule, n: int, tail_len: int) -> tuple[float, float]:
                 lower = max(lower, tv)
                 upper = max(upper, tv + 0.5 * (slack_p + slack_q))
     return lower, max(upper, lower)
+
+
+def csv_cell_by_cell(comments, header, columns) -> bytes:
+    """A CLI CSV artifact built with one ``str`` call per cell, with no
+    sharing between equal values."""
+    lines = [f"# {c}" for c in comments]
+    lines.append(",".join(header))
+    lines.extend(map(",".join, zip(*(map(str, c) for c in columns), strict=True)))
+    return ("\n".join(lines) + "\n").encode()

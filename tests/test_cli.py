@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,9 +8,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gmeasure
+from gmeasure import cli
 from gmeasure.cli import main
+from oracles import csv_cell_by_cell
 
 MEM1_MODEL = """
 variant = finite_memory
@@ -194,6 +199,12 @@ PINNED = {
         "renewal_u.csv": "bdb3d313f108ad1ef008904b0609d17c458b09e271d02597d83b2ef49d18e114",
         "renewal_limit.csv": "9057f7778c6620ac84702fbf54faee9a9a4b1d06916b171658c5148d90b83150",
     }),
+    # the benchmark's renewal run: 200 001 rows, 489 distinct u_n values
+    "renewal-bench": (["renewal", "--d", "0.5,0.4,0.3,0.25,0.2,0.15,0.1,0.08",
+                       "--b", "1,1,2,2,3,3,4,4,5", "--K", "8", "--n-max", "200000"], {
+        "renewal_u.csv": "53cb1b4800fddefd39204494a222a32f303a27e36a27ffdba6412804ea319e41",
+        "renewal_limit.csv": "b6f442a21b749519cf9dfb20cde967fa9a833bde36d0fd77f7547882aee6b004",
+    }),
     "criteria": (["criteria", "--variation", "exponential:c=1,r=0.5"], {
         "criteria.json": "028d38ff4f8a7cf4551e288a7321a684bf3b510cbf98ceda34f02e8e5d8437bd",
         "criteria_evidence.csv": "62d3497d78e85c9c2f8e7b7e519b37a55d2373cfe43f7484e99aed846941577a",
@@ -214,6 +225,64 @@ def test_artifact_digests_are_pinned(run, mem1_file, longrange_file, tmp_path):
     assert set(manifest["outputs"]) == set(digests)
     for name, digest in digests.items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
+def _python_values(columns):
+    """The columns as the cell-by-cell writer was given them: float arrays
+    as lists of Python floats."""
+    return [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+
+
+CSV_COLUMNS = {
+    "signed zeros": [np.array([0.0, -0.0, -0.0, 0.0, 1.0, -1.0])],
+    "nan and infinities": [np.array([np.nan, np.inf, -np.inf, -np.nan, np.nan, 0.0])],
+    "extreme reprs": [np.array([5e-324, 1e-05, 1e16, 0.1 + 0.2, -5e-324, 1e16])],
+    "heavy repeats": [np.repeat([0.25, 1 / 3, -2.0, 0.25], 1000)],
+    "non-contiguous slice": [(np.arange(60.0) / 7)[::2]],
+    "int range and strings": [range(3), ["a", "b", "c"], np.array([1.5, -0.0, 1.5])],
+    "int array": [np.arange(-2, 2), np.array([1.0, 1.0, 2.0, -0.0])],
+    "zero rows": [range(0), np.array([])],
+}
+
+
+@pytest.mark.parametrize("case", sorted(CSV_COLUMNS))
+def test_csv_matches_cell_by_cell_oracle(case):
+    columns = CSV_COLUMNS[case]
+    header = [f"c{i}" for i in range(len(columns))]
+    expected = csv_cell_by_cell(["a comment"], header, _python_values(columns))
+    assert cli._csv(["a comment"], header, columns) == expected
+
+
+# a small pool, so that drawn columns repeat values and bit patterns
+FLOAT_POOL = [0.0, -0.0, 1.0, -1.0, 0.1 + 0.2, 1 / 3, 5e-324, 1e-05, 1e16, 2.0**-1074 * 3,
+              math.inf, -math.inf, math.nan, 0.5, 1e300]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(FLOAT_POOL), max_size=40), st.integers(1, 3))
+def test_csv_float_columns_match_oracle(values, step):
+    column = np.array(values, dtype=np.float64)[::step]
+    columns = [range(len(column)), column, column[::-1]]
+    expected = csv_cell_by_cell([], ["n", "x", "y"], _python_values(columns))
+    assert cli._csv([], ["n", "x", "y"], columns) == expected
+
+
+@pytest.mark.parametrize("argv", [
+    ["--b", "2,2", "--n-max", "4194304"],  # n_max + 1 = 2^22 + 1 rows
+    ["--b", "1,90000"],  # the default n_max = 50 * B_2 = 4 500 050
+], ids=["explicit", "default"])
+def test_renewal_row_budget_is_checked_first(argv, monkeypatch, tmp_path, capsys):
+    # more than DEFAULT_BUDGET rows: refused before u is solved for
+    def refuse(*args):
+        raise AssertionError("renewal_solve called")
+
+    monkeypatch.setattr(cli, "renewal_solve", refuse)
+    out = tmp_path / "out"
+    rc = main(["renewal", "--d", "0.5", "--K", "1", *argv, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 3, err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err, err
+    assert not out.exists()
 
 
 def test_pipeline_subcommand(longrange_file, tmp_path):

@@ -107,6 +107,23 @@ def test_tabulated_is_inconclusive():
         assert "square_partial_sum" in report.evidence
 
 
+def test_tabulated_window_sums_sum_no_window(monkeypatch):
+    # a tabulated profile gets the inconclusive report before any window is
+    # summed: the only var_at calls left are the report's own partial sum
+    vm = VariationProfile((0.5, 0.4, 0.3), PowerLaw(0.3, 2, offset=1))
+    seen = []
+    var_at = VariationProfile.var_at
+
+    def counted(self, n):
+        seen.append(n)
+        return var_at(self, n)
+
+    monkeypatch.setattr(VariationProfile, "var_at", counted)
+    report = check_geometric_window_sums(vm, 6.7)
+    assert report.verdict == INCONCLUSIVE and "windows" not in report.evidence
+    assert sum(n >= report.evidence["terms"] for n in seen) == 0
+
+
 def test_tabulated_validation():
     with pytest.raises(ConfigError):
         VariationProfile((0.1, 0.5))
