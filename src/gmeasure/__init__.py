@@ -18,10 +18,8 @@ from .errors import (
 from .tails import Exponential, FiniteRange, OneMinusPower, PowerLaw
 from .gmodel import (
     Alphabet,
-    ExponentialCoefficients,
     FiniteMemoryModel,
     LongRangeLinearModel,
-    PowerLawCoefficients,
     VariationProfile,
     Word,
     binary_alphabet,

@@ -192,15 +192,21 @@ def _positive(value, name: str):
     return value
 
 
+def _rows(n_max: int) -> int:
+    """n_max, once its n_max + 1 CSV rows (one per n) fit the budget."""
+    if n_max + 1 > DEFAULT_BUDGET:
+        raise BudgetError(f"n_max + 1 = {n_max + 1} rows exceeds budget {DEFAULT_BUDGET}")
+    return n_max
+
+
 # ---------------------------------------------------------------------------
 # experiment bodies: each maps a configuration to {artifact name: bytes}
 
 
 def _run_transfer(cfg: ExperimentConfig) -> dict[str, bytes]:
     p = cfg.params
-    rows = uniqueness_diagnostic(
-        load_model(p["model"]), _positive(p["n_max"], "n_max"), trunc_memory=p["trunc_memory"]
-    )
+    n_max = _rows(_positive(p["n_max"], "n_max"))
+    rows = uniqueness_diagnostic(load_model(p["model"]), n_max, trunc_memory=p["trunc_memory"])
     return {"transfer.csv": _csv(
         ["oscillation: sup L^n f - inf L^n f for the transfer operator L",
          "truncation_error: bound on the surrogate-vs-true oscillation drift"],
@@ -242,9 +248,8 @@ def _run_renewal(cfg: ExperimentConfig) -> dict[str, bytes]:
     p = cfg.params
     d, b, K = p["d"], p["b"], _positive(p["K"], "K")
     ab = build_alphabeta(RenewalSpec(tuple(d[:K]), tuple(b[: K + 1]), K))
-    n_max = _positive(50 * ab.boundaries[-1] if p["n_max"] is None else p["n_max"], "n_max")
-    if n_max + 1 > DEFAULT_BUDGET:  # one float and one CSV row per n
-        raise BudgetError(f"n_max + 1 = {n_max + 1} rows exceeds budget {DEFAULT_BUDGET}")
+    n_max = 50 * ab.boundaries[-1] if p["n_max"] is None else p["n_max"]
+    n_max = _rows(_positive(n_max, "n_max"))
     return {
         "renewal_u.csv": _csv(
             ["u_n: probability the dominating block chain disagrees at coordinate -n"],
@@ -288,9 +293,14 @@ def _run_pipeline(cfg: ExperimentConfig) -> dict[str, bytes]:
     """Variation profile -> block TV bounds -> dbar -> ratio/renewal bounds
     -> Monte Carlo comparison."""
     p = cfg.params
-    model = load_model(p["model"])
     schedule = _parse_schedule(p["schedule"])
     K_max = _positive(p["K_max"], "K_max")
+    work = 0  # the closed-form and renewal sweeps cost K + B_{K+1} at each K
+    for K in range(1, K_max + 1):
+        work += K + schedule.B(K + 1)
+        if work > DEFAULT_BUDGET:
+            raise BudgetError(f"the K sweep to K_max = {K_max} exceeds budget {DEFAULT_BUDGET}")
+    model = load_model(p["model"])
     depth = _positive(p["depth"], "depth")
     n_traj = _positive(p["trajectories"], "trajectories")
     seed = _seed(cfg)

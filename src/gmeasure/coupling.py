@@ -48,6 +48,7 @@ __all__ = [
     "MaximalCoupling",
     "maximal_coupling",
     "BLOCK_CAP",
+    "TRUNC_TOL",
     "BlockSchedule",
     "constant_schedule",
     "BlockRecord",
@@ -200,6 +201,8 @@ def constant_schedule(b: int = 1) -> BlockSchedule:
 _MAX_ROWS = 1024
 # longest block the sampler enumerates: both block laws hold |S|^b words
 BLOCK_CAP = 12
+# largest truncation slack of a block law the sampler draws from
+TRUNC_TOL = 0.05
 # trajectories x (depth + 1) sampled together: uniforms, histories, context
 # sums and block records of a batch grow with this product
 _BATCH_SITES = 1 << 16
@@ -301,7 +304,7 @@ class _Batch:
     blocks: dict
 
 
-def _couple(model, lengths, depth, x_context, y_context, uniforms, trunc_tol) -> _Batch:
+def _couple(model, lengths, depth, x_context, y_context, uniforms) -> _Batch:
     """Grow one coupled pair of histories per row of ``uniforms`` leftward
     past coordinate ``-depth``, all rows together; ``lengths`` are the
     block lengths by run (``_reachable_lengths``).
@@ -341,9 +344,9 @@ def _couple(model, lengths, depth, x_context, y_context, uniforms, trunc_tol) ->
                     _block_laws(model, words, f[rows], known_len) for f in fields
                 )
                 slack = slack_x + slack_y
-                if slack.max() > trunc_tol:
+                if slack.max() > TRUNC_TOL:
                     raise TruncationError(
-                        f"block truncation slack {slack.max():.3e} exceeds tolerance {trunc_tol}"
+                        f"block truncation slack {slack.max():.3e} exceeds tolerance {TRUNC_TOL}"
                     )
                 u = np.take_along_axis(uniforms[rows], used[rows, None] + np.arange(3), axis=1)
                 pair = maximal_coupling(p, q)
@@ -369,7 +372,6 @@ def sample_block_coupling(
     x_context,
     y_context,
     rng,
-    trunc_tol: float = 0.05,
 ) -> BlockCouplingSample:
     """Grow one block-coupled trajectory leftward past coordinate ``-depth``.
 
@@ -377,7 +379,7 @@ def sample_block_coupling(
     block laws given history + context, computed via cylinder products with
     truncation slack recorded per block.  Raises BudgetError, before any
     uniform is drawn, when a reachable block is longer than ``BLOCK_CAP``,
-    and TruncationError when a block's slack exceeds ``trunc_tol``.  This is
+    and TruncationError when a block's slack exceeds ``TRUNC_TOL``.  This is
     the batch of one of the sampler behind ``estimate_disagreement``: ``rng``
     supplies one uniform per diagonal draw and three per off-diagonal draw,
     and is left advanced by exactly the uniforms used.
@@ -387,7 +389,7 @@ def sample_block_coupling(
         rng = np.random.default_rng(rng)
     state = rng.bit_generator.state
     batch = _couple(model, lengths, depth, x_context, y_context,
-                    rng.random((1, _max_uniforms(depth))), trunc_tol)
+                    rng.random((1, _max_uniforms(depth))))
     rng.bit_generator.state = state
     rng.random(int(batch.used[0]))
     covered = int(batch.covered[0])
@@ -426,7 +428,6 @@ def estimate_disagreement(
     y_context,
     n_traj: int,
     seed: int,
-    trunc_tol: float = 0.05,
 ) -> MonteCarloSummary:
     """Monte Carlo disagreement frequencies from independent trajectories.
 
@@ -450,7 +451,7 @@ def estimate_disagreement(
             np.random.default_rng(child).random(_max_uniforms(depth))
             for child in children[start : start + per_batch]
         ])
-        batch = _couple(model, lengths, depth, x_context, y_context, uniforms, trunc_tol)
+        batch = _couple(model, lengths, depth, x_context, y_context, uniforms)
         # column n of the flipped histories is coordinate -n
         counts += (batch.x != batch.y)[:, ::-1][:, : depth + 1].sum(axis=0)
         runs = batch.blocks["run_before"]

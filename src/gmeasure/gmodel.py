@@ -10,9 +10,9 @@ Two concrete families are implemented:
   as an explicit table over words of length M+1.
 * ``LongRangeLinearModel`` -- on a binary alphabet,
   ``g(x) = 1/2 + theta * s(x_0) * sum_{k>=1} a_k * s(x_k)``
-  with signs s(.) in {-1,+1} and a summable coefficient law ``a_k``
-  (power-law or exponential).  Positivity and normalisation hold whenever
-  ``theta < 1/2`` and ``sum a_k <= 1``.
+  with signs s(.) in {-1,+1} and coefficients a_k = ``law.var_at(k)`` from a
+  summable ``tails`` law (``PowerLaw`` or ``Exponential``).  Positivity and
+  normalisation hold whenever ``theta < 1/2`` and ``sum a_k <= 1``.
 
 Evaluations on finite words return an interval ``(value, error_bound)``:
 the true value of g for *every* completion of the unknown coordinates lies
@@ -29,7 +29,7 @@ sums ``sum_i a_{t+i} s(known_i)`` at each distance t), ``extend_field``
 prepends sampled symbols to such a summary without rereading the context,
 and ``site_intervals`` returns ``(mid, rad)`` for each site with the same
 interval semantics as ``eval_indices``.  The long-range kernel reads
-precomputed coefficient and tail vectors (no ``zeta`` call per evaluation);
+cached coefficient and tail-radius vectors (no ``zeta`` call per evaluation);
 the finite-memory kernel gathers from the table, or from min/max tables over
 the completions where fewer than M+1 symbols are known.
 """
@@ -37,7 +37,7 @@ the completions where fewer than M+1 symbols are known.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -50,8 +50,6 @@ __all__ = [
     "Alphabet",
     "Word",
     "binary_alphabet",
-    "PowerLawCoefficients",
-    "ExponentialCoefficients",
     "FiniteMemoryModel",
     "LongRangeLinearModel",
     "iid_model",
@@ -151,100 +149,6 @@ def all_words(size: int, length: int, codes=None) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# coefficient laws for the long-range family
-
-
-class PowerLawCoefficients:
-    """a_k = c * k**(-p), k >= 1.  Requires p > 1 so the mass is finite."""
-
-    def __init__(self, c: float, p: float):
-        if not p > 1:
-            raise ConfigError("power-law exponent must exceed 1")
-        if not c >= 0:
-            raise ConfigError("coefficient scale must be non-negative")
-        self.c = float(c)
-        self.p = float(p)
-        self._avec = np.zeros(1)  # a_0 placeholder, grown on demand
-        self._zvec = np.zeros(1)  # zeta(p, k) at index k >= 1, grown on demand
-
-    @classmethod
-    def from_mass(cls, p: float, mass: float) -> "PowerLawCoefficients":
-        """Scale so that sum_k a_k equals ``mass``."""
-        from scipy.special import zeta  # ~0.2 s to import; only power laws need it
-
-        return cls(mass / float(zeta(p, 1)), p)
-
-    def _zeta(self, k: int) -> np.ndarray:
-        """Hurwitz zeta(p, j) for j = 0..k (index 0 unused), one vectorised
-        ``zeta`` call per growth."""
-        if len(self._zvec) <= k:
-            from scipy.special import zeta  # ~0.2 s to import; only power laws need it
-
-            m = max(2 * len(self._zvec), k + 1)
-            self._zvec = np.concatenate([[0.0], zeta(self.p, np.arange(1, m, dtype=float))])
-        return self._zvec
-
-    def tail(self, n: int) -> float:
-        """sum_{k > n} a_k via the Hurwitz zeta function (no cancellation)."""
-        return self.c * float(self._zeta(n + 1)[n + 1])
-
-    def prefix(self, n: int) -> float:
-        """sum_{k <= n} a_k."""
-        if n <= 0:
-            return 0.0
-        z = self._zeta(n + 1)
-        return self.c * float(z[1] - z[n + 1])
-
-    @property
-    def total(self) -> float:
-        return self.tail(0)
-
-    def array(self, n: int) -> np.ndarray:
-        """Coefficients a_1..a_n as a vector (index 0 unused, kept 0)."""
-        if len(self._avec) <= n:
-            m = max(2 * len(self._avec), n + 1)
-            k = np.arange(1, m, dtype=float)
-            self._avec = np.concatenate([[0.0], self.c * k ** (-self.p)])
-        return self._avec[: n + 1]
-
-
-class ExponentialCoefficients:
-    """a_k = c * r**k, k >= 1, with 0 < r < 1."""
-
-    def __init__(self, c: float, r: float):
-        if not 0 < r < 1:
-            raise ConfigError("exponential ratio must lie in (0, 1)")
-        if not c >= 0:
-            raise ConfigError("coefficient scale must be non-negative")
-        self.c = float(c)
-        self.r = float(r)
-        self._avec = np.zeros(1)
-
-    @classmethod
-    def from_mass(cls, r: float, mass: float) -> "ExponentialCoefficients":
-        return cls(mass * (1 - r) / r, r)
-
-    def tail(self, n: int) -> float:
-        return self.c * self.r ** (n + 1) / (1 - self.r)
-
-    def prefix(self, n: int) -> float:
-        if n <= 0:
-            return 0.0
-        return self.c * self.r * (1 - self.r**n) / (1 - self.r)
-
-    @property
-    def total(self) -> float:
-        return self.tail(0)
-
-    def array(self, n: int) -> np.ndarray:
-        if len(self._avec) <= n:
-            m = max(2 * len(self._avec), n + 1)
-            k = np.arange(1, m, dtype=float)
-            self._avec = np.concatenate([[0.0], self.c * self.r**k])
-        return self._avec[: n + 1]
-
-
-# ---------------------------------------------------------------------------
 # models
 
 
@@ -257,27 +161,27 @@ class FiniteMemoryModel:
     """
 
     def __init__(self, alphabet: Alphabet, memory: int, table):
-        if memory < 0:
-            raise ConfigError("memory must be >= 0")
+        if not (memory >= 0 and float(memory).is_integer()):
+            raise ConfigError(f"memory must be an integer >= 0, got {memory}")
         self.alphabet = alphabet
-        self.memory = int(memory)
+        self.memory = memory = int(memory)
         size = alphabet.size
-        n_entries = size ** (memory + 1)
         if isinstance(table, dict):
-            vec = np.full(n_entries, np.nan)
-            for key, value in table.items():
-                syms = tuple(key)
-                if len(syms) != memory + 1:
-                    raise ConfigError(
-                        f"table word {key!r} must have length {memory + 1}"
-                    )
-                vec[encode(alphabet.indices(syms), size)] = float(value)
-            if np.isnan(vec).any():
+            # word lengths and the entry count are checked before the table
+            # of size**(memory+1) entries is allocated; an entry left NaN
+            # fails the row-sum check below
+            for key in table:
+                if len(key) != memory + 1:
+                    raise ConfigError(f"table word {key!r} must have length {memory + 1}")
+            if not table or len(table) != size ** (memory + 1):
                 raise ConfigError("table is missing entries")
+            vec = np.full(len(table), np.nan)
+            for key, value in table.items():
+                vec[encode(alphabet.indices(tuple(key)), size)] = float(value)
         else:
             vec = np.asarray(table, dtype=float)
-            if vec.shape != (n_entries,):
-                raise ConfigError(f"table must have {n_entries} entries")
+            if vec.shape != (size ** (memory + 1),):
+                raise ConfigError(f"table must have {size ** (memory + 1)} entries")
         if (vec < 0).any():
             raise ConfigError("table entries must be non-negative")
         rowsums = vec.reshape(size, size**memory).sum(axis=0)
@@ -358,6 +262,8 @@ class FiniteMemoryModel:
 class LongRangeLinearModel:
     """Binary-alphabet family g(x) = 1/2 + theta*s(x_0)*sum_k a_k*s(x_k).
 
+    ``coefficients`` is ``tails.PowerLaw(c, p)`` (offset 0, p > 1) or
+    ``tails.Exponential(c, r)``, with a_k = ``coefficients.var_at(k)``.
     Signs s map the two symbols to -1/+1 (alphabet order by default), theta
     lies in (0, 1/2), and the coefficient mass sum_k a_k is at most 1, which
     keeps g strictly positive.  The oscillation ratio over pairs agreeing on
@@ -376,23 +282,38 @@ class LongRangeLinearModel:
             raise ConfigError("long-range linear family is defined on a binary alphabet")
         if not 0 < theta < 0.5:
             raise ConfigError("theta must lie in (0, 1/2)")
+        if not isinstance(coefficients, (PowerLaw, Exponential)) or getattr(coefficients, "offset", 0):
+            raise ConfigError(
+                f"coefficients must be PowerLaw(c, p) or Exponential(c, r), got {coefficients!r}"
+            )
+        if isinstance(coefficients, PowerLaw) and not coefficients.p > 1:
+            raise ConfigError("power-law exponent must exceed 1")
         self.alphabet = alphabet
         self.theta = float(theta)
         self.coefficients = coefficients
-        total = coefficients.total
-        if total > 1 + 1e-12:
-            raise ConfigError(f"coefficient mass {total:.6f} exceeds 1")
+        self.total_mass = coefficients.total
+        if self.total_mass > 1 + 1e-12:
+            raise ConfigError(f"coefficient mass {self.total_mass:.6f} exceeds 1")
         if signs is None:
             signs = (-1.0, 1.0)
         signs = tuple(float(s) for s in signs)
         if sorted(signs) != [-1.0, 1.0]:
             raise ConfigError("sign map must assign -1 and +1")
         self._signs = np.asarray(signs)
+        self._avec = np.zeros(1)  # a_k at index k >= 1 (index 0 kept 0), grown on demand
         self._rad = np.zeros(0)  # theta * tail(k) at index k, grown on demand
 
     @property
     def is_positive(self) -> bool:
         return True  # enforced by the constructor constraints
+
+    def _coeffs(self, n: int) -> np.ndarray:
+        """Coefficients a_1..a_n as a vector (index 0 unused, kept 0)."""
+        if len(self._avec) <= n:
+            m = max(2 * len(self._avec), n + 1)
+            k = np.arange(1, m, dtype=float)
+            self._avec = np.concatenate([[0.0], self.coefficients.var_at(k)])
+        return self._avec[: n + 1]
 
     def _radii(self, n: int) -> np.ndarray:
         """theta * tail(k) for k = 0..n-1: the half-width of g on a word of
@@ -406,7 +327,7 @@ class LongRangeLinearModel:
         """Context sums F[..., t-1] = sum_i a_{t+i} s(known_i), t = 1..reach,
         of the known context rows ``known`` (..., L), nearest symbol first."""
         known = np.asarray(known)
-        avec = self.coefficients.array(reach + known.shape[-1])
+        avec = self._coeffs(reach + known.shape[-1])
         field = np.zeros(known.shape[:-1] + (reach,))
         for i in range(known.shape[-1]):
             field += self._signs[known[..., i, None]] * avec[i + 1 : i + 1 + reach]
@@ -418,7 +339,7 @@ class LongRangeLinearModel:
         reach - b keep only the word terms; callers size the reach so that
         no later block reads them."""
         b, reach = words.shape[-1], field.shape[-1]
-        avec = self.coefficients.array(reach + b)
+        avec = self._coeffs(reach + b)
         out = np.zeros_like(field)
         out[..., : reach - b] = field[..., b:]
         for i in range(b):
@@ -433,7 +354,7 @@ class LongRangeLinearModel:
         radius theta * tail(b - j + known_len - 1) from precomputed vectors."""
         words = np.asarray(words)
         b = words.shape[-1]
-        avec = self.coefficients.array(b)
+        avec = self._coeffs(b)
         signs = self._signs[words]
         inner = np.zeros(signs.shape)
         for k in range(1, b):
@@ -443,17 +364,13 @@ class LongRangeLinearModel:
         rad = self._radii(int(np.max(idx)) + 1)[idx]
         return mid, np.broadcast_to(rad, mid.shape)
 
-    @property
-    def total_mass(self) -> float:
-        return self.coefficients.total
-
     def eval_indices(self, idx: Sequence[int]) -> tuple[float, float]:
         n = len(idx)
         signs = self._signs[np.asarray(idx, dtype=np.intp)]
         if n == 1:
             mid = 0.5
         else:
-            avec = self.coefficients.array(n - 1)
+            avec = self._coeffs(n - 1)
             mid = 0.5 + self.theta * float(signs[0]) * float(np.dot(avec[1:n], signs[1:]))
         return mid, self.theta * self.coefficients.tail(n - 1)
 
@@ -602,18 +519,10 @@ def variation_profile(model, horizon: int) -> VariationProfile:
         return VariationProfile(
             uppers, FiniteRange(model.memory, float(uppers[horizon])), "exact"
         )
-    coeffs = model.coefficients
+    # var_n = log rho_n <= 2 * theta * tail(n) / g_min, by log(1+x) <= x
     g_min = 0.5 - model.theta * model.total_mass
-    if isinstance(coeffs, PowerLawCoefficients):
-        # tail(n) <= c * n**(1-p) / (p-1) and log(1+x) <= x
-        tail = PowerLaw(
-            2 * model.theta * coeffs.c / (g_min * (coeffs.p - 1)), coeffs.p - 1
-        )
-    else:
-        tail = Exponential(
-            2 * model.theta * coeffs.c * coeffs.r / (g_min * (1 - coeffs.r)), coeffs.r
-        )
-    return VariationProfile(uppers, tail)
+    law = model.coefficients.tail_law
+    return VariationProfile(uppers, replace(law, c=2 * model.theta * law.c / g_min))
 
 
 def finite_memory_surrogate(model, memory: int):
@@ -653,6 +562,10 @@ def finite_memory_surrogate(model, memory: int):
 #   sign[0] = -1                (optional; defaults follow alphabet order)
 
 
+# coeff_law -> (tails law, key of its shape parameter)
+_COEFF_LAWS = {"power_law": (PowerLaw, "coeff_p"), "exponential": (Exponential, "coeff_r")}
+
+
 def parse_model(text: str):
     """Parse a model definition; raises ConfigError with the offending line."""
     plain: dict[str, str] = {}
@@ -690,25 +603,19 @@ def parse_model(text: str):
     alphabet = Alphabet(tuple(s.strip() for s in need("alphabet").split(",")))
     variant = need("variant")
     if variant == "finite_memory":
-        memory = int(number("memory"))
+        memory = number("memory")
         entries = {word: number(f"table[{word}]", value) for word, value in table.items()}
         return FiniteMemoryModel(alphabet, memory, entries)
     if variant == "long_range_linear":
         law = need("coeff_law")
-        if law == "power_law":
-            p = number("coeff_p")
-            if "coeff_mass" in plain:
-                coeffs = PowerLawCoefficients.from_mass(p, number("coeff_mass"))
-            else:
-                coeffs = PowerLawCoefficients(number("coeff_c"), p)
-        elif law == "exponential":
-            r = number("coeff_r")
-            if "coeff_mass" in plain:
-                coeffs = ExponentialCoefficients.from_mass(r, number("coeff_mass"))
-            else:
-                coeffs = ExponentialCoefficients(number("coeff_c"), r)
-        else:
+        if law not in _COEFF_LAWS:
             raise ConfigError(f"unknown coeff_law {law!r}")
+        cls, shape_key = _COEFF_LAWS[law]
+        shape = number(shape_key)
+        if "coeff_mass" in plain:
+            coeffs = cls.from_mass(shape, number("coeff_mass"))
+        else:
+            coeffs = cls(number("coeff_c"), shape)
         sign_map = None
         if signs:
             sign_map = [0.0] * alphabet.size

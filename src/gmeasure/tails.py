@@ -1,12 +1,17 @@
 """Closed-form tail laws for variation sequences and disagreement bounds.
 
 One family serves the tails of variation profiles, the parametric variation
-models the uniqueness criteria classify, and the tails of single-site
-disagreement sequences.  ``var_at(n)`` evaluates a law at n >= 0.
+models the uniqueness criteria classify, the tails of single-site
+disagreement sequences, and the coefficients a_k = ``var_at(k)``, k >= 1, of
+the long-range linear g-model.  ``var_at(n)`` evaluates a law at n >= 0.
 ``asymptotic`` is its class as a pair ``(c, p)``: the law behaves like
 ``c * n**(-p)`` as n grows, with ``p = inf`` (and ``c = 0``) for laws that
 vanish faster than every power, and ``p = 0`` for a positive limit ``c``.
 The criteria classify a law from this pair alone.
+
+The summable laws, ``Exponential`` and ``PowerLaw`` with offset 0 and p > 1,
+give the model its sums ``tail(n)`` = sum_{k>n} a_k, ``prefix(n)`` =
+sum_{1<=k<=n} a_k and ``total``, plus ``from_mass`` and ``tail_law``.
 """
 
 from __future__ import annotations
@@ -21,9 +26,16 @@ __all__ = ["PowerLaw", "Exponential", "FiniteRange", "OneMinusPower"]
 FASTER_THAN_EVERY_POWER = (0.0, math.inf)
 
 
+def _zeta(p: float, q: float) -> float:
+    from scipy.special import zeta  # ~0.2 s to import; only power-law sums need it
+
+    return float(zeta(p, q))
+
+
 @dataclass(frozen=True)
 class PowerLaw:
-    """c * (n + offset)**(-p); p = 0 gives the constant c."""
+    """c * (n + offset)**(-p); p = 0 gives the constant c.  Its sums use the
+    Hurwitz zeta function, so ``tail`` suffers no cancellation."""
 
     c: float
     p: float
@@ -39,6 +51,30 @@ class PowerLaw:
     @property
     def asymptotic(self) -> tuple[float, float]:
         return self.c, self.p
+
+    @classmethod
+    def from_mass(cls, p: float, mass: float) -> "PowerLaw":
+        """Scale so that sum_{k >= 1} c * k**(-p) equals ``mass``."""
+        if not p > 1:
+            raise ConfigError("power-law exponent must exceed 1")
+        return cls(mass / _zeta(p, 1), p)
+
+    def tail(self, n: int) -> float:
+        return self.c * _zeta(self.p, n + 1)
+
+    def prefix(self, n: int) -> float:
+        if n <= 0:
+            return 0.0
+        return self.c * (_zeta(self.p, 1) - _zeta(self.p, n + 1))
+
+    @property
+    def total(self) -> float:
+        return self.tail(0)
+
+    @property
+    def tail_law(self) -> "PowerLaw":
+        """tail(n) <= c * n**(1-p) / (p-1)."""
+        return PowerLaw(self.c / (self.p - 1), self.p - 1)
 
 
 @dataclass(frozen=True)
@@ -56,6 +92,30 @@ class Exponential:
 
     def var_at(self, n: int) -> float:
         return self.c * self.r**n
+
+    @classmethod
+    def from_mass(cls, r: float, mass: float) -> "Exponential":
+        """Scale so that sum_{k >= 1} c * r**k equals ``mass``."""
+        if not 0 < r < 1:  # before r divides
+            raise ConfigError("exponential law needs r in (0, 1)")
+        return cls(mass * (1 - r) / r, r)
+
+    def tail(self, n: int) -> float:
+        return self.c * self.r ** (n + 1) / (1 - self.r)
+
+    def prefix(self, n: int) -> float:
+        if n <= 0:
+            return 0.0
+        return self.c * self.r * (1 - self.r**n) / (1 - self.r)
+
+    @property
+    def total(self) -> float:
+        return self.tail(0)
+
+    @property
+    def tail_law(self) -> "Exponential":
+        """tail(n) = c * r / (1 - r) * r**n."""
+        return Exponential(self.c * self.r / (1 - self.r), self.r)
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ import pytest
 from gmeasure import (
     FiniteMemoryModel,
     LongRangeLinearModel,
-    PowerLawCoefficients,
+    PowerLaw,
     binary_alphabet,
     iid_model,
 )
@@ -32,7 +32,7 @@ def mem1(alphabet):
 def longrange(alphabet):
     # theta = 1/4, power-law decay k**-2 with total coefficient mass 1/2
     return LongRangeLinearModel(
-        alphabet, 0.25, PowerLawCoefficients.from_mass(2.0, 0.5)
+        alphabet, 0.25, PowerLaw.from_mass(2.0, 0.5)
     )
 
 

@@ -35,6 +35,32 @@ coeff_p = 2
 coeff_mass = 0.5
 """
 
+# the benchmark's exponential model
+EXPONENTIAL_MODEL = LONGRANGE_MODEL.replace(
+    "coeff_law = power_law\ncoeff_p = 2", "coeff_law = exponential\ncoeff_r = 0.7")
+
+MODELS = {
+    "mem1": MEM1_MODEL,
+    "longrange": LONGRANGE_MODEL,
+    "exponential": EXPONENTIAL_MODEL,
+    "exponential_c": EXPONENTIAL_MODEL.replace("coeff_mass = 0.5", "coeff_c = 0.2"),
+    # model files of the BAD_INPUTS rows
+    "bad_table": MEM1_MODEL.replace("0.3", "x"),
+    "nan_mass": LONGRANGE_MODEL.replace("coeff_mass = 0.5", "coeff_mass = nan"),
+    "zero_ratio": EXPONENTIAL_MODEL.replace("coeff_r = 0.7", "coeff_r = 0"),
+    "fractional_memory": MEM1_MODEL.replace("memory = 1", "memory = 1.5"),
+    "memory_40": MEM1_MODEL.replace("memory = 1", "memory = 40"),
+    "memory_100": MEM1_MODEL.replace("memory = 1", "memory = 100"),
+}
+
+
+def write_models(tmp_path):
+    """Every MODELS text written to ``tmp_path``: {name: path}."""
+    paths = {name: tmp_path / f"{name}.gmodel" for name in MODELS}
+    for name, path in paths.items():
+        path.write_text(MODELS[name])
+    return paths
+
 
 @pytest.fixture
 def mem1_file(tmp_path):
@@ -153,9 +179,9 @@ def test_criteria_window_budget_is_checked_first(lam, tmp_path, capsys):
 # sampler consumes each trajectory's uniforms in a fixed order (one per
 # diagonal draw, three otherwise), so the Monte Carlo CSVs stay fixed
 # whatever the batching.
-def _mc_argv(command, schedule):
+def _mc_argv(command, schedule, model="longrange"):
     context = 12 if schedule == "const:1" else 48  # long blocks need a long context
-    argv = [command, "--model", "{longrange}", "--schedule", schedule,
+    argv = [command, "--model", f"{{{model}}}", "--schedule", schedule,
             "--depth", "12", "--trajectories", "30", "--seed", "5",
             "--context-x", "1" * context, "--context-y", "0" * context]
     return argv + ["--K-max", "4"] if command == "pipeline" else argv
@@ -183,12 +209,28 @@ PINNED = {
         "couple_mc.csv": "50f8226641623c8468143f9ccb88be8690e82620ac886fe54fdaa91deb3d3445",
         "couple_dn.csv": "632bd18c4b5729dba8277e47c600f0ed4d4794e277c294037badc232d11f7d08",
     }),
+    # the exponential coefficient law, scaled by coeff_mass and given by coeff_c
+    "pipeline-exponential": (_mc_argv("pipeline", "geom:l=1.5", "exponential"), {
+        "pipeline_mc.csv": "5f4fcc7eb5af899da8a6dd32b1a0834abc58e652b60bdedf770f3a504bdb57ad",
+        "pipeline_bounds.csv": "c90189c924491452b555824b247b12ebab4fdf2284eac76bb809863003965621",
+        "pipeline_summary.json": "2ced4bb55869897d3f835b980bb200fe46d0048f3c58bc213267497543e9b6d5",
+    }),
+    "couple-dn-exponential": (["couple", "--model", "{exponential}", "--depth", "6",
+                               "--trajectories", "20", "--seed", "3", "--dn-max", "3",
+                               "--tail-len", "2"], {
+        "couple_mc.csv": "e884267bd772d0efffe580c66c47d82248d5f75ed25aab3b8dc36cf5c134aeaf",
+        "couple_dn.csv": "2ff8b43edc66fcb03929501d86163a61724251c1b37c8d77a4d7505047c26155",
+    }),
     "transfer-finite-memory": (["transfer", "--model", "{mem1}", "--n-max", "12"], {
         "transfer.csv": "8a720e5604398a8031723189d146206f75b2d2d8956d542a48fbb698f7408917",
     }),
     "transfer-trunc-memory": (["transfer", "--model", "{longrange}", "--n-max", "12",
                                "--trunc-memory", "6"], {
         "transfer.csv": "823c0685f3107ca942cad2aa33c258e0f6df8c2134dc8b70b40fb0d16630cea8",
+    }),
+    "transfer-trunc-memory-exponential": (["transfer", "--model", "{exponential_c}",
+                                           "--n-max", "12", "--trunc-memory", "6"], {
+        "transfer.csv": "622dcf3614c38a2f7a3eaf9b17d4808996a63fd5c94fe58dd1bdadb87b28754b",
     }),
     "renewal": (["renewal", "--d", "0.5,0.3", "--b", "1,2,3", "--K", "2"], {
         "renewal_u.csv": "82bffef2726b045ddd615bc6b4cf8d206cbbfffa059b809d838f0dc03bc16708",
@@ -216,10 +258,10 @@ PINNED = {
 
 
 @pytest.mark.parametrize("run", sorted(PINNED))
-def test_artifact_digests_are_pinned(run, mem1_file, longrange_file, tmp_path):
+def test_artifact_digests_are_pinned(run, tmp_path):
     argv, digests = PINNED[run]
     out = tmp_path / "out"
-    argv = [a.format(mem1=mem1_file, longrange=longrange_file) for a in argv]
+    argv = [a.format(**write_models(tmp_path)) for a in argv]
     assert main(argv + ["--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert set(manifest["outputs"]) == set(digests)
@@ -279,6 +321,30 @@ def test_renewal_row_budget_is_checked_first(argv, monkeypatch, tmp_path, capsys
     monkeypatch.setattr(cli, "renewal_solve", refuse)
     out = tmp_path / "out"
     rc = main(["renewal", "--d", "0.5", "--K", "1", *argv, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 3, err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, refused", [
+    # n_max + 1 = 2^22 + 1 rows
+    (["transfer", "--model", "{mem1}", "--n-max", "4194304"],
+     ("load_model", "uniqueness_diagnostic")),
+    # the K sweep passes DEFAULT_BUDGET near K = 2048
+    (["pipeline", "--model", "{exponential}", "--seed", "1", "--K-max", "100000"],
+     ("load_model", "variation_profile")),
+], ids=["transfer-n-max", "pipeline-K-max"])
+def test_work_limits_are_checked_first(argv, refused, monkeypatch, tmp_path, capsys):
+    # over budget: refused before the model is loaded
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for name in refused:
+        monkeypatch.setattr(cli, name, refuse)
+    out = tmp_path / "out"
+    paths = write_models(tmp_path)
+    rc = main([a.format(**paths) for a in argv] + ["--out", str(out)])
     err = capsys.readouterr().err
     assert rc == 3, err
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err, err
@@ -355,6 +421,10 @@ BAD_INPUTS = {
     "epsilon not finite": ["criteria", "--variation", "power_law:c=1,p=2", "--epsilon", "nan"],
     "variation value not finite": ["criteria", "--variation", "power_law:c=nan,p=2"],
     "model coeff_mass not finite": ["transfer", "--model", "{nan_mass}"],
+    "model coeff_r zero with coeff_mass": ["transfer", "--model", "{zero_ratio}"],
+    "model memory not an integer": ["transfer", "--model", "{fractional_memory}"],
+    "model memory 40": ["transfer", "--model", "{memory_40}"],
+    "model memory 100": ["transfer", "--model", "{memory_100}"],
 }
 
 # the BAD_INPUTS rows holding a non-finite number, and what their message says
@@ -367,12 +437,8 @@ NON_FINITE = {
 
 
 def bad_input_argv(case, longrange_file, tmp_path):
-    bad_table = tmp_path / "bad_table.gmodel"
-    bad_table.write_text(MEM1_MODEL.replace("0.3", "x"))
-    nan_mass = tmp_path / "nan_mass.gmodel"
-    nan_mass.write_text(LONGRANGE_MODEL.replace("coeff_mass = 0.5", "coeff_mass = nan"))
-    argv = [a.format(missing=tmp_path / "absent.gmodel", bad_table=bad_table,
-                     longrange=longrange_file, nan_mass=nan_mass) for a in BAD_INPUTS[case]]
+    paths = write_models(tmp_path)
+    argv = [a.format(missing=tmp_path / "absent.gmodel", **paths) for a in BAD_INPUTS[case]]
     if argv[0] in ("pipeline", "couple"):
         argv += ["--model", str(longrange_file)]
         if "--seed" not in argv:
@@ -411,8 +477,7 @@ print(rc, *sorted({".".join(m.split(".")[:2]) for m in sys.modules if m.startswi
 ], ids=["exponential", "power_law"])
 def test_pipeline_imports_only_the_scipy_it_calls(law, absent, tmp_path):
     model = tmp_path / "model.gmodel"
-    model.write_text(LONGRANGE_MODEL if law == "power_law" else LONGRANGE_MODEL.replace(
-        "coeff_law = power_law\ncoeff_p = 2", "coeff_law = exponential\ncoeff_r = 0.7"))
+    model.write_text(LONGRANGE_MODEL if law == "power_law" else EXPONENTIAL_MODEL)
     argv = ["pipeline", "--model", str(model), "--depth", "8", "--trajectories", "10",
             "--K-max", "3", "--seed", "1", "--out", str(tmp_path / "out")]
     src = Path(gmeasure.__file__).resolve().parents[1]

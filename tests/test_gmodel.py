@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 from gmeasure import (
     Alphabet,
     ConfigError,
-    ExponentialCoefficients,
+    Exponential,
     FiniteMemoryModel,
+    FiniteRange,
     LongRangeLinearModel,
-    PowerLawCoefficients,
+    OneMinusPower,
+    PowerLaw,
     Word,
     binary_alphabet,
     cylinder_prob,
@@ -265,9 +267,17 @@ def test_table_validation(alphabet):
     with pytest.raises(ConfigError):
         FiniteMemoryModel(alphabet, 1, {"00": 1.0})
     with pytest.raises(ConfigError):
-        LongRangeLinearModel(alphabet, 0.6, PowerLawCoefficients.from_mass(2, 0.5))
+        LongRangeLinearModel(alphabet, 0.6, PowerLaw.from_mass(2, 0.5))
     with pytest.raises(ConfigError):
-        LongRangeLinearModel(alphabet, 0.25, PowerLawCoefficients.from_mass(2, 1.5))
+        LongRangeLinearModel(alphabet, 0.25, PowerLaw.from_mass(2, 1.5))
+
+
+@pytest.mark.parametrize("law", [
+    PowerLaw(0.1, 2, offset=1), PowerLaw(0.1, 1), FiniteRange(3), OneMinusPower(0.5, 1),
+], ids=["shifted power law", "power law p = 1", "finite range", "one minus power"])
+def test_long_range_coefficients_are_summable_laws(alphabet, law):
+    with pytest.raises(ConfigError):
+        LongRangeLinearModel(alphabet, 0.25, law)
 
 
 def test_parse_finite_memory_roundtrip():
@@ -304,6 +314,9 @@ def test_parse_long_range():
     assert model.total_mass == pytest.approx(0.5, abs=1e-12)
 
 
+LONG_RANGE = "variant = long_range_linear\nalphabet = 0,1\ntheta = 0.25\n"
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -312,6 +325,10 @@ def test_parse_long_range():
         "alphabet = 0,1\n",
         "variant = finite_memory\nalphabet = 0,1\nmemory x 1\n",
         "variant = long_range_linear\nalphabet = 0,1\ntheta = 0.25\ncoeff_law = power_law\n",
+        LONG_RANGE + "coeff_law = power_law\ncoeff_p = 1\ncoeff_mass = 0.5\n",
+        LONG_RANGE + "coeff_law = power_law\ncoeff_p = 0.5\ncoeff_mass = 0.5\n",
+        LONG_RANGE + "coeff_law = power_law\ncoeff_p = 2\ncoeff_c = -0.1\n",
+        LONG_RANGE + "coeff_law = gamma\ncoeff_mass = 0.5\n",
     ],
 )
 def test_parse_errors(text):
@@ -320,7 +337,7 @@ def test_parse_errors(text):
 
 
 def test_exponential_coefficients():
-    coeffs = ExponentialCoefficients.from_mass(0.5, 0.8)
+    coeffs = Exponential.from_mass(0.5, 0.8)
     assert coeffs.total == pytest.approx(0.8, abs=1e-12)
     assert coeffs.tail(3) == pytest.approx(sum(coeffs.c * 0.5**k for k in range(4, 200)), abs=1e-12)
     assert coeffs.prefix(3) + coeffs.tail(3) == pytest.approx(0.8, abs=1e-12)
@@ -329,20 +346,19 @@ def test_exponential_coefficients():
 @settings(max_examples=200, deadline=None)
 @given(st.integers(min_value=0, max_value=500))
 def test_powerlaw_prefix_plus_tail_is_total(n):
-    coeffs = PowerLawCoefficients.from_mass(2.0, 0.5)
+    coeffs = PowerLaw.from_mass(2.0, 0.5)
     assert coeffs.prefix(n) + coeffs.tail(n) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_powerlaw_tails_read_a_zeta_cache_bit_for_bit():
     from scipy.special import zeta
 
-    coeffs = PowerLawCoefficients(0.3, 2.5)
-    for k in range(500, -1, -1):  # the first call grows the cache past 500
+    coeffs = PowerLaw(0.3, 2.5)
+    for k in range(500, -1, -1):
         assert coeffs.tail(k) == coeffs.c * float(zeta(2.5, k + 1))
         assert coeffs.prefix(k) == (
             coeffs.c * float(zeta(2.5, 1) - zeta(2.5, k + 1)) if k > 0 else 0.0
         )
-    assert len(coeffs._zvec) == 502
 
 
 def test_decode_encode_roundtrip():

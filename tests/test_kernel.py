@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 
 from gmeasure import (
     Alphabet,
-    ExponentialCoefficients,
+    Exponential,
     FiniteMemoryModel,
     LongRangeLinearModel,
-    PowerLawCoefficients,
+    PowerLaw,
     Word,
     binary_alphabet,
     constant_schedule,
@@ -29,8 +29,8 @@ from oracles import cylinder_interval, dn_enumerate, surrogate_table
 long_range = st.builds(
     lambda theta, law, p, r, mass: LongRangeLinearModel(
         binary_alphabet(), theta,
-        PowerLawCoefficients.from_mass(p, mass) if law == "power"
-        else ExponentialCoefficients.from_mass(r, mass),
+        PowerLaw.from_mass(p, mass) if law == "power"
+        else Exponential.from_mass(r, mass),
     ),
     st.floats(0.05, 0.45), st.sampled_from(["power", "exponential"]),
     st.floats(1.2, 3.0), st.floats(0.2, 0.9), st.floats(0.1, 1.0),
