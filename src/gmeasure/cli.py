@@ -36,6 +36,7 @@ from . import __version__
 from .coupling import (
     BlockSchedule,
     check_dn_budget,
+    check_mc_budget,
     constant_schedule,
     dbar,
     dn_bruteforce,
@@ -217,10 +218,10 @@ def _run_transfer(cfg: ExperimentConfig) -> dict[str, bytes]:
 
 def _run_couple(cfg: ExperimentConfig) -> dict[str, bytes]:
     p = cfg.params
-    model = load_model(p["model"])
     schedule = _parse_schedule(p["schedule"])
     depth = _positive(p["depth"], "depth")
-    n_traj = _positive(p["trajectories"], "trajectories")
+    n_traj = check_mc_budget(depth, _positive(p["trajectories"], "trajectories"))
+    model = load_model(p["model"])
     dn_max = p["dn_max"]
     if dn_max < 0:
         raise ConfigError(f"dn_max must be >= 0, got {dn_max}")
@@ -300,9 +301,9 @@ def _run_pipeline(cfg: ExperimentConfig) -> dict[str, bytes]:
         work += K + schedule.B(K + 1)
         if work > DEFAULT_BUDGET:
             raise BudgetError(f"the K sweep to K_max = {K_max} exceeds budget {DEFAULT_BUDGET}")
-    model = load_model(p["model"])
     depth = _positive(p["depth"], "depth")
-    n_traj = _positive(p["trajectories"], "trajectories")
+    n_traj = check_mc_budget(depth, _positive(p["trajectories"], "trajectories"))
+    model = load_model(p["model"])
     seed = _seed(cfg)
     profile = variation_profile(model, schedule.B(K_max + 2))
     bounds = []

@@ -13,11 +13,12 @@ any disagreement resets the run (the first block uses b_1).  Each block is
 drawn from the maximal coupling of the two conditional block distributions
 given everything sampled so far plus the initial tail contexts.
 
-The sampler runs all trajectories of a batch together.  Histories sit in
-right-aligned ``(trajectories, width)`` buffers; the long-range context sums
-are updated as each block is prepended, so a site reads its context sum
-instead of rereading the history.  Trajectories due a block of the same
-length share kernel calls of at most ``_MAX_ROWS`` (context, word) rows.
+The sampler runs all trajectories of a batch together.  Histories and
+long-range context sums sit in right-aligned ``(side, trajectory, width)``
+buffers; the sums are updated as each block is prepended, so a site reads
+its context sum instead of rereading the history.  Trajectories due a block
+of the same length, on both sides, share kernel calls of at most
+``_MAX_ROWS`` (context, word) rows, reading word terms computed once a batch.
 Uniform-order contract: trajectory i draws its uniforms from its own
 generator (the i-th child of the seed sequence in ``estimate_disagreement``)
 and consumes them in order, one per block drawn on the diagonal and three
@@ -56,6 +57,7 @@ __all__ = [
     "sample_block_coupling",
     "MonteCarloSummary",
     "estimate_disagreement",
+    "check_mc_budget",
     "check_dn_budget",
     "dn_bruteforce",
     "dbar",
@@ -208,34 +210,37 @@ TRUNC_TOL = 0.05
 _BATCH_SITES = 1 << 16
 
 
-def _block_laws(model, words: np.ndarray, field: np.ndarray, known_len: np.ndarray):
+def _block_laws(model, words: np.ndarray, field: np.ndarray, known_len, terms=None):
     """Midpoint block laws and truncation slacks, one per context row.
 
     ``words`` are all the words of one block length (``all_words``),
-    ``field`` rows summarise the known right contexts (``context_field``)
-    and ``known_len`` gives their lengths.  Returns ``(probs, slack)``:
-    ``probs`` (rows, words) are the normalised midpoints of the per-word
-    interval products, ``slack`` the summed half-widths plus the
-    normalisation defect.
+    ``terms`` their ``word_terms`` unless computed here, ``field`` (..., reach)
+    rows summarise the known right contexts (``context_field``) and
+    ``known_len`` gives their lengths, broadcast to the leading axes, which
+    share kernel calls.  Returns ``(probs, slack)``: ``probs`` (..., words)
+    are the normalised midpoints of the per-word interval products,
+    ``slack`` the summed half-widths plus the normalisation defect.
     """
-    n_rows, n_words = len(field), len(words)
+    lead, terms = field.shape[:-1], model.word_terms(words) if terms is None else terms
+    known_len = np.broadcast_to(known_len, lead).ravel()
+    n_rows, n_words = len(known_len), len(words)
+    field = field.reshape(n_rows, field.shape[-1])
     mids = np.empty((n_rows, n_words))
     halves = np.empty((n_rows, n_words))
     rows_per_call = max(1, _MAX_ROWS // n_words)
     for r in range(0, n_rows, rows_per_call):
         for w in range(0, n_words, _MAX_ROWS):
             tile = np.s_[r : r + rows_per_call, w : w + _MAX_ROWS]
-            mid, rad = model.site_intervals(
-                words[tile[1]], field[tile[0], None], known_len[tile[0], None]
-            )
-            lo, hi = interval_product(mid, rad)
+            lo, hi = interval_product(*model.site_intervals(
+                terms[..., tile[1], :], field[tile[0], None], known_len[tile[0], None]
+            ))
             mids[tile] = 0.5 * (lo + hi)
             halves[tile] = 0.5 * (hi - lo)
     total = mids.sum(axis=1)
     slack = halves.sum(axis=1)
     # exact factors: the midpoints sum to 1 up to float roundoff only
     slack = np.where(slack == 0.0, 0.0, slack + np.abs(total - 1.0))
-    return mids / total[:, None], slack
+    return (mids / total[:, None]).reshape(lead + (n_words,)), slack.reshape(lead)
 
 
 @dataclass(frozen=True)
@@ -291,11 +296,15 @@ def _reachable_lengths(schedule: BlockSchedule, depth: int) -> np.ndarray:
     return np.asarray(lengths)
 
 
+_BLOCK_FIELDS = ("start", "length", "run_before", "agreed", "tv", "slack")
+
+
 @dataclass
 class _Batch:
     """Coupled trajectories, one per row.  Histories are right-aligned:
-    column ``width - 1 - n`` holds coordinate -n.  ``blocks`` maps a field
-    name to one entry per drawn block, in drawing order per trajectory."""
+    column ``width - 1 - n`` holds coordinate -n.  ``blocks`` maps each of
+    ``_BLOCK_FIELDS`` to one entry per drawn block, in drawing order per
+    trajectory."""
 
     x: np.ndarray
     y: np.ndarray
@@ -327,8 +336,9 @@ def _couple(model, lengths, depth, x_context, y_context, uniforms) -> _Batch:
     # site and context distance
     width = depth + int(lengths.max())
     words_of = {b: all_words(size, b) for b in set(lengths.tolist())}
+    terms_of = {b: model.word_terms(words) for b, words in words_of.items()}
     hist = np.zeros((2, n_traj, width), dtype=np.min_scalar_type(size - 1))
-    fields = [np.repeat(model.context_field(c, width)[None], n_traj, axis=0) for c in contexts]
+    fields = np.repeat(model.context_field(np.stack(contexts), width)[:, None], n_traj, axis=1)
     covered = np.zeros(n_traj, dtype=np.intp)
     run = np.zeros(n_traj, dtype=np.intp)
     used = np.zeros(n_traj, dtype=np.intp)
@@ -340,10 +350,10 @@ def _couple(model, lengths, depth, x_context, y_context, uniforms) -> _Batch:
             step = max(1, _MAX_ROWS // len(words))
             for rows in (group[i : i + step] for i in range(0, len(group), step)):
                 known_len = len(contexts[0]) + covered[rows]
-                (p, slack_x), (q, slack_y) = (
-                    _block_laws(model, words, f[rows], known_len) for f in fields
-                )
-                slack = slack_x + slack_y
+                # take: a C-ordered copy, unlike fields[:, rows]
+                (p, q), slack = _block_laws(model, words, np.take(fields, rows, axis=1),
+                                            known_len, terms_of[b])
+                slack = slack[0] + slack[1]
                 if slack.max() > TRUNC_TOL:
                     raise TruncationError(
                         f"block truncation slack {slack.max():.3e} exceeds tolerance {TRUNC_TOL}"
@@ -352,16 +362,15 @@ def _couple(model, lengths, depth, x_context, y_context, uniforms) -> _Batch:
                 pair = maximal_coupling(p, q)
                 jx, jy, n_used = pair.draw(u)
                 cols = width - b - covered[rows, None] + np.arange(b)
-                for side, j in enumerate((jx, jy)):
-                    hist[side, rows[:, None], cols] = words[j]
-                    fields[side][rows] = model.extend_field(fields[side][rows], words[j])
+                drawn = words[np.array((jx, jy))]
+                hist[:, rows[:, None], cols] = drawn
+                fields[:, rows] = model.extend_field(np.take(fields, rows, axis=1), drawn)
                 agreed = jx == jy
                 log.append((covered[rows], np.full(len(rows), b), run[rows], agreed, pair.tv, slack))
                 covered[rows] += b
                 run[rows] = np.where(agreed, run[rows] + 1, 0)
                 used[rows] += n_used
-    names = ("start", "length", "run_before", "agreed", "tv", "slack")
-    blocks = {name: np.concatenate(column) for name, column in zip(names, zip(*log))}
+    blocks = {name: np.concatenate(column) for name, column in zip(_BLOCK_FIELDS, zip(*log))}
     return _Batch(hist[0], hist[1], covered, used, blocks)
 
 
@@ -393,21 +402,11 @@ def sample_block_coupling(
     rng.bit_generator.state = state
     rng.random(int(batch.used[0]))
     covered = int(batch.covered[0])
-    x = batch.x[0, -covered:].astype(np.intp)
-    y = batch.y[0, -covered:].astype(np.intp)
-    blocks = batch.blocks
-    return BlockCouplingSample(
-        coords=np.arange(1 - covered, 1),
-        x=x,
-        y=y,
-        disagree=x != y,
-        blocks=[
-            BlockRecord((-start - length + 1, -start), run, agreed, tv, slack)
-            for start, length, run, agreed, tv, slack in zip(
-                *(blocks[k].tolist() for k in ("start", "length", "run_before", "agreed", "tv", "slack"))
-            )
-        ],
-    )
+    x, y = batch.x[0, -covered:].astype(np.intp), batch.y[0, -covered:].astype(np.intp)
+    records = [BlockRecord((-start - length + 1, -start), run, agreed, tv, slack)
+               for start, length, run, agreed, tv, slack
+               in zip(*(batch.blocks[k].tolist() for k in _BLOCK_FIELDS))]
+    return BlockCouplingSample(np.arange(1 - covered, 1), x, y, x != y, records)
 
 
 @dataclass
@@ -431,25 +430,24 @@ def estimate_disagreement(
 ) -> MonteCarloSummary:
     """Monte Carlo disagreement frequencies from independent trajectories.
 
-    Per-trajectory generators are spawned from a single seed sequence and
-    each trajectory's uniforms are drawn from its own generator, so the
-    result equals that of ``n_traj`` separate ``sample_block_coupling``
-    calls on the spawned children, whatever the batching.
-    """
-    if n_traj < 1:
-        raise ConfigError("need at least one trajectory")
+    Per-trajectory generators are spawned, a batch at a time, from a single
+    seed sequence and each trajectory's uniforms are drawn from its own
+    generator, so the result equals that of ``n_traj`` separate
+    ``sample_block_coupling`` calls on the spawned children, whatever the
+    batching.  ``check_mc_budget`` comes first."""
+    check_mc_budget(depth, n_traj)
     lengths = _reachable_lengths(schedule, depth)
     n_runs = len(lengths)
     counts = np.zeros(depth + 1, dtype=np.int64)
     seen = np.zeros(n_runs, dtype=np.int64)
     bad = np.zeros(n_runs, dtype=np.int64)
     max_slack = 0.0
-    children = np.random.SeedSequence(seed).spawn(n_traj)
+    seeds = np.random.SeedSequence(seed)  # each spawn continues the child count
     per_batch = max(1, _BATCH_SITES // (depth + 1))
     for start in range(0, n_traj, per_batch):
         uniforms = np.array([
             np.random.default_rng(child).random(_max_uniforms(depth))
-            for child in children[start : start + per_batch]
+            for child in seeds.spawn(min(per_batch, n_traj - start))
         ])
         batch = _couple(model, lengths, depth, x_context, y_context, uniforms)
         # column n of the flipped histories is coordinate -n
@@ -462,6 +460,16 @@ def estimate_disagreement(
     stderr = np.sqrt(freq * (1 - freq) / n_traj)
     run_stats = {k: (int(seen[k]), int(bad[k])) for k in np.flatnonzero(seen).tolist()}
     return MonteCarloSummary(freq, stderr, run_stats, max_slack)
+
+
+def check_mc_budget(depth: int, n_traj: int) -> int:
+    """``n_traj``, once it is >= 1 and its 3 * (depth + 1) uniforms each fit the budget."""
+    if n_traj < 1:
+        raise ConfigError("need at least one trajectory")
+    if n_traj * _max_uniforms(depth) > DEFAULT_BUDGET:
+        raise BudgetError(f"{n_traj} trajectories x {_max_uniforms(depth)} uniforms "
+                          f"exceed budget {DEFAULT_BUDGET}")
+    return n_traj
 
 
 # ---------------------------------------------------------------------------
@@ -506,18 +514,17 @@ def dn_bruteforce(model, schedule: BlockSchedule, n: int, tail_len: int) -> tupl
     if n_tails == 1:
         return 0.0, 0.0  # one tail: no pair of laws to compare
     words = all_words(size, block_len)
+    terms = model.word_terms(words)  # once: every step reads the same words
     left, right = np.triu_indices(n_tails, 1)
     # agreeing parts per step, so that the step's pairs of laws stay small
     step = max(1, _MAX_ROWS // (len(left) * len(words)))
     lower = upper = 0.0
     for a in range(0, n_agree, step):
         # context rows: agreeing part followed by tail, for every tail
-        codes = np.arange(a * n_tails, min(a + step, n_agree) * n_tails)
+        codes = np.arange(a * n_tails, min(a + step, n_agree) * n_tails).reshape(-1, n_tails)
         known = all_words(size, agree_len + tail_len, codes)
         laws, slacks = _block_laws(model, words, model.context_field(known, block_len),
-                                   np.full(len(known), known.shape[1]))
-        laws = laws.reshape(-1, n_tails, len(words))
-        slacks = slacks.reshape(-1, n_tails)
+                                   known.shape[-1], terms)
         tv = 0.5 * np.abs(laws[:, left] - laws[:, right]).sum(axis=2)
         lower = max(lower, float(tv.max()))
         upper = max(upper, float((tv + 0.5 * (slacks[:, left] + slacks[:, right])).max()))

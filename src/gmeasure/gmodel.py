@@ -23,15 +23,15 @@ happens when the word is shorter than M+1 symbols).
 
 ``eval_indices`` is the scalar reference route: one word, one interval.
 The batched kernel evaluates every site of a batch of word rows at once.
-A known right context is first summarised by ``context_field`` (its first
-M symbols for a finite-memory model; for the long-range model, the context
-sums ``sum_i a_{t+i} s(known_i)`` at each distance t), ``extend_field``
-prepends sampled symbols to such a summary without rereading the context,
-and ``site_intervals`` returns ``(mid, rad)`` for each site with the same
-interval semantics as ``eval_indices``.  The long-range kernel reads
-cached coefficient and tail-radius vectors (no ``zeta`` call per evaluation);
-the finite-memory kernel gathers from the table, or from min/max tables over
-the completions where fewer than M+1 symbols are known.
+Its word part, ``word_terms``, is computed once for words read under many
+contexts.  A known right context is summarised by ``context_field`` (its
+first M symbols for a finite-memory model; for the long-range model, the
+context sums ``sum_i a_{t+i} s(known_i)`` at each distance t),
+``extend_field`` prepends sampled symbols to such a summary without
+rereading it, and ``site_intervals`` returns ``(mid, rad)`` per site with
+the interval semantics of ``eval_indices``.  The long-range kernel reads
+cached tail radii, never ``zeta``; the finite-memory kernel gathers from the
+table, or from min/max tables over completions of windows under M+1 symbols.
 """
 
 from __future__ import annotations
@@ -144,7 +144,7 @@ def all_words(size: int, length: int, codes=None) -> np.ndarray:
     """The words of ``length`` symbols with lexicographic indices ``codes``
     (default: all of them, in order) as rows."""
     codes = np.arange(size**length) if codes is None else np.asarray(codes)
-    digits = codes[:, None] // size ** np.arange(length - 1, -1, -1) % size
+    digits = codes[..., None] // size ** np.arange(length - 1, -1, -1) % size
     return digits.astype(np.min_scalar_type(size - 1))
 
 
@@ -207,13 +207,16 @@ class FiniteMemoryModel:
         """The field after ``words`` are prepended to the known contexts."""
         return np.concatenate([words, field], axis=-1)[..., : self.memory]
 
+    def word_terms(self, words) -> np.ndarray:
+        """The word part of the kernel: the word rows themselves."""
+        return np.asarray(words)
+
     def site_intervals(self, words, field: np.ndarray, known_len):
         """``(mid, rad)`` of g at each site of the word rows ``words``
-        (..., b), each followed by a known context of length ``known_len``
-        summarised by ``field``; leading axes broadcast.  Site j sees
-        n = min(b - j + known_len, memory + 1) symbols: a full window reads
-        the table, a shorter one the min/max over its completions."""
-        words = np.asarray(words)
+        (..., b; their ``word_terms``), each followed by a known context of
+        length ``known_len`` summarised by ``field``; leading axes broadcast.
+        Site j sees n = min(b - j + known_len, memory + 1) symbols: a full
+        window reads the table, a shorter one the min/max over completions."""
         b, size, full = words.shape[-1], self.alphabet.size, self.memory + 1
         lead = np.broadcast_shapes(words.shape[:-1], field.shape[:-1])
         seq = np.concatenate([np.broadcast_to(words, lead + (b,)),
@@ -342,24 +345,33 @@ class LongRangeLinearModel:
         avec = self._coeffs(reach + b)
         out = np.zeros_like(field)
         out[..., : reach - b] = field[..., b:]
-        for i in range(b):
-            out += self._signs[words[..., i, None]] * avec[i + 1 : i + 1 + reach]
+        for i in range(b):  # + or - a_{t+i} in place: no temporary of the field's size
+            sign = self._signs[words[..., i, None]]
+            np.add(out, avec[i + 1 : i + 1 + reach], out=out, where=sign > 0)
+            np.subtract(out, avec[i + 1 : i + 1 + reach], out=out, where=sign < 0)
         return out
 
-    def site_intervals(self, words, field: np.ndarray, known_len):
-        """``(mid, rad)`` of g at each site of the word rows ``words``
-        (..., b), each followed by a known context of length ``known_len``
-        whose context sums ``field`` reach at least b; leading axes
-        broadcast.  Site j reads its context sum F(b - j) and its tail
-        radius theta * tail(b - j + known_len - 1) from precomputed vectors."""
+    def word_terms(self, words) -> np.ndarray:
+        """The word part of the kernel for word rows ``words`` (..., b), built in
+        place: theta * s(w_j) at ``[0, ..., j]``, sum_k a_k s(w_{j+k}) at ``[1, ..., j]``."""
         words = np.asarray(words)
         b = words.shape[-1]
         avec = self._coeffs(b)
-        signs = self._signs[words]
-        inner = np.zeros(signs.shape)
+        signs, inner = terms = np.zeros((2,) + words.shape)
+        signs[...] = self._signs[words]
         for k in range(1, b):
             inner[..., : b - k] += avec[k] * signs[..., k:]
-        mid = 0.5 + self.theta * signs * (inner + field[..., b - 1 :: -1])
+        signs *= self.theta
+        return terms
+
+    def site_intervals(self, terms, field: np.ndarray, known_len):
+        """``(mid, rad)`` of g at each site of the word rows with ``word_terms``
+        ``terms`` (2, ..., b), each followed by a known context of length
+        ``known_len`` whose context sums ``field`` reach at least b; leading
+        axes broadcast.  Site j adds its context sum F(b - j) and reads its
+        tail radius theta * tail(b - j + known_len - 1) from a cached vector."""
+        b = terms.shape[-1]
+        mid = 0.5 + terms[0] * (terms[1] + field[..., b - 1 :: -1])
         idx = np.add.outer(known_len, np.arange(b - 1, -1, -1))
         rad = self._radii(int(np.max(idx)) + 1)[idx]
         return mid, np.broadcast_to(rad, mid.shape)
@@ -447,7 +459,7 @@ def _word_intervals(model, words: np.ndarray, known: np.ndarray):
     word rows ``words`` (..., b), each followed by its known context row
     ``known`` (..., L); leading axes broadcast."""
     field = model.context_field(known, words.shape[-1])
-    return model.site_intervals(words, field, known.shape[-1])
+    return model.site_intervals(model.word_terms(words), field, known.shape[-1])
 
 
 def interval_product(mid: np.ndarray, rad: np.ndarray):

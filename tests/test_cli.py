@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gmeasure
-from gmeasure import cli
+from gmeasure import cli, coupling
 from gmeasure.cli import main
 from oracles import csv_cell_by_cell
 
@@ -345,6 +345,25 @@ def test_work_limits_are_checked_first(argv, refused, monkeypatch, tmp_path, cap
     out = tmp_path / "out"
     paths = write_models(tmp_path)
     rc = main([a.format(**paths) for a in argv] + ["--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 3, err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["couple", "pipeline"])
+def test_trajectory_work_limit_is_checked_first(command, monkeypatch, tmp_path, capsys):
+    # 30 000 trajectories x 3 * 65 uniforms = 5.85M, over DEFAULT_BUDGET:
+    # refused before the model is loaded or a trajectory is sampled
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(coupling, "_couple", refuse)
+    monkeypatch.setattr(cli, "load_model", refuse)
+    out = tmp_path / "out"
+    paths = write_models(tmp_path)
+    rc = main([command, "--model", str(paths["longrange"]), "--seed", "1",
+               "--trajectories", "30000", "--depth", "64", "--out", str(out)])
     err = capsys.readouterr().err
     assert rc == 3, err
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err, err

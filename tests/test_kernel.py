@@ -22,9 +22,11 @@ from gmeasure import (
     cylinder_prob,
     dn_bruteforce,
 )
-from gmeasure.coupling import BlockSchedule
-from gmeasure.gmodel import finite_memory_surrogate
-from oracles import cylinder_interval, dn_enumerate, surrogate_table
+from gmeasure import coupling, estimate_disagreement
+from gmeasure.coupling import BlockSchedule, _block_laws
+from gmeasure.criteria import geometric_blocks
+from gmeasure.gmodel import all_words, finite_memory_surrogate, interval_product
+from oracles import block_law, cylinder_interval, dn_enumerate, surrogate_table
 
 long_range = st.builds(
     lambda theta, law, p, r, mass: LongRangeLinearModel(
@@ -58,7 +60,7 @@ def test_kernel_matches_eval_indices(model, b, L, seed):
     size = model.alphabet.size
     words = rng.integers(0, size, (4, b))
     known = rng.integers(0, size, (4, L))
-    mid, rad = model.site_intervals(words, model.context_field(known, b), L)
+    mid, rad = model.site_intervals(model.word_terms(words), model.context_field(known, b), L)
     for row in range(4):
         sequence = tuple(words[row]) + tuple(known[row])
         for j in range(b):
@@ -99,3 +101,74 @@ def test_dn_bruteforce_matches_oracle(model, lengths, n, tail_len):
     expect_lower, expect_upper = dn_enumerate(model, schedule, n, tail_len)
     assert lower == pytest.approx(expect_lower, abs=1e-15)
     assert upper == pytest.approx(expect_upper, abs=1e-15)
+
+
+def _stacked_models():
+    rng = np.random.default_rng(5)
+    tables = {size: rng.uniform(0.05, 1.0, (size, size**2)) for size in (2, 3)}
+    return {
+        "power": LongRangeLinearModel(binary_alphabet(), 0.25, PowerLaw.from_mass(2.0, 0.5)),
+        "exponential": LongRangeLinearModel(binary_alphabet(), 0.3,
+                                            Exponential.from_mass(0.7, 0.6)),
+        **{f"memory-2 on {size} symbols": FiniteMemoryModel(
+            Alphabet(tuple("abc"[:size])), 2, (raw / raw.sum(axis=0)).reshape(-1))
+           for size, raw in tables.items()},
+    }
+
+
+@pytest.mark.parametrize("b", [1, 2, 3, 4])
+@pytest.mark.parametrize("name", list(_stacked_models()))
+def test_stacked_block_laws_match_oracle(name, b, monkeypatch):
+    # three (context, word) rows per kernel call: tiles split the words and
+    # the context rows, and the two sides share every call
+    monkeypatch.setattr(coupling, "_MAX_ROWS", 3)
+    model = _stacked_models()[name]
+    size = model.alphabet.size
+    rng = np.random.default_rng(b)
+    known_len = np.array([0, 1, 2, 5])
+    known = rng.integers(0, size, (2, len(known_len), known_len.max()))
+    # row r of each side knows the first known_len[r] symbols of its context
+    field = np.array([[model.context_field(known[side, row, :L], b)
+                       for row, L in enumerate(known_len)] for side in range(2)])
+    words = all_words(size, b)
+    probs, slack = _block_laws(model, words, field, known_len)
+    terms = model.word_terms(words)
+    for side in range(2):
+        one_probs, one_slack = _block_laws(model, words, field[side], known_len)
+        assert np.array_equal(probs[side], one_probs)
+        assert np.array_equal(slack[side], one_slack)
+        for row, L in enumerate(known_len.tolist()):
+            context = known[side, row, :L]
+            lo, hi = interval_product(*model.site_intervals(terms, field[side, row], L))
+            for w, word in enumerate(words):
+                mid, half = cylinder_interval(model, word, context)
+                assert abs(0.5 * (lo[w] + hi[w]) - mid) <= 1e-15
+                assert abs(0.5 * (hi[w] - lo[w]) - half) <= 1e-15
+            expect_probs, expect_slack = block_law(model, b, tuple(context))
+            assert np.abs(probs[side, row] - expect_probs).max() <= 1e-15
+            assert slack[side, row] == pytest.approx(expect_slack, abs=1e-15)
+
+
+def _count_word_terms(monkeypatch, model):
+    calls = []
+    word_terms = type(model).word_terms
+
+    def counted(self, words):
+        calls.append(np.shape(words))
+        return word_terms(self, words)
+
+    monkeypatch.setattr(type(model), "word_terms", counted)
+    return calls
+
+
+def test_word_terms_computed_once_per_block_length(monkeypatch):
+    # the mc_long_blocks benchmark configuration: one batch, whose runs reach
+    # the block lengths 3, 2, 2, 4, 5, 7 and 12
+    model = LongRangeLinearModel(binary_alphabet(), 0.25, Exponential.from_mass(0.7, 0.5))
+    calls = _count_word_terms(monkeypatch, model)
+    estimate_disagreement(model, geometric_blocks(1.5), 34, "1" * 48, "0" * 48, 8, seed=3)
+    assert sorted(shape[-1] for shape in calls) == [2, 3, 4, 5, 7, 12]
+    calls.clear()
+    # 16 agreeing parts x 8 tails, enumerated in two steps
+    dn_bruteforce(model, constant_schedule(2), 3, 3)
+    assert len(calls) == 1
