@@ -14,11 +14,13 @@ drawn from the maximal coupling of the two conditional block distributions
 given everything sampled so far plus the initial tail contexts.
 
 The sampler runs all trajectories of a batch together.  Histories and
-long-range context sums sit in right-aligned ``(side, trajectory, width)``
-buffers; the sums are updated as each block is prepended, so a site reads
-its context sum instead of rereading the history.  Trajectories due a block
-of the same length, on both sides, share kernel calls of at most
-``_MAX_ROWS`` (context, word) rows, reading word terms computed once a batch.
+context states (``gmodel.context_state``) sit in right-aligned
+``(side, trajectory, width)`` buffers.  Trajectories due a block of one
+length at one frontier form a group, indexed by a slice when its rows are
+consecutive: the block reads only its own state columns, and once drawn
+adds its sites in place to the columns left of it.  Both sides of a group
+share kernel calls of at most ``_MAX_ROWS`` (context, word) rows, reading
+word terms computed once a batch.
 Uniform-order contract: trajectory i draws its uniforms from its own
 generator (the i-th child of the seed sequence in ``estimate_disagreement``)
 and consumes them in order, one per block drawn on the diagonal and three
@@ -43,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError, ConfigError, DEFAULT_BUDGET, TruncationError
-from .gmodel import Word, all_words, interval_product
+from .gmodel import Word, add_context, all_words, context_state, interval_product
 
 __all__ = [
     "MaximalCoupling",
@@ -210,21 +212,22 @@ TRUNC_TOL = 0.05
 _BATCH_SITES = 1 << 16
 
 
-def _block_laws(model, words: np.ndarray, field: np.ndarray, known_len, terms=None):
+def _block_laws(model, words: np.ndarray, state: np.ndarray, known_len, terms=None):
     """Midpoint block laws and truncation slacks, one per context row.
 
     ``words`` are all the words of one block length (``all_words``),
-    ``terms`` their ``word_terms`` unless computed here, ``field`` (..., reach)
-    rows summarise the known right contexts (``context_field``) and
-    ``known_len`` gives their lengths, broadcast to the leading axes, which
-    share kernel calls.  Returns ``(probs, slack)``: ``probs`` (..., words)
-    are the normalised midpoints of the per-word interval products,
-    ``slack`` the summed half-widths plus the normalisation defect.
+    ``terms`` their ``word_terms`` unless computed here, ``state`` (..., b)
+    rows hold the context state of the block's columns
+    (``gmodel.context_state``) and ``known_len`` gives the lengths of the
+    known contexts, broadcast to the leading axes, which share kernel calls.
+    Returns ``(probs, slack)``: ``probs`` (..., words) are the normalised
+    midpoints of the per-word interval products, ``slack`` the summed
+    half-widths plus the normalisation defect.
     """
-    lead, terms = field.shape[:-1], model.word_terms(words) if terms is None else terms
+    lead, terms = state.shape[:-1], model.word_terms(words.T) if terms is None else terms
     known_len = np.broadcast_to(known_len, lead).ravel()
     n_rows, n_words = len(known_len), len(words)
-    field = field.reshape(n_rows, field.shape[-1])
+    state = state.reshape(n_rows, state.shape[-1]).T  # sites first
     mids = np.empty((n_rows, n_words))
     halves = np.empty((n_rows, n_words))
     rows_per_call = max(1, _MAX_ROWS // n_words)
@@ -232,7 +235,7 @@ def _block_laws(model, words: np.ndarray, field: np.ndarray, known_len, terms=No
         for w in range(0, n_words, _MAX_ROWS):
             tile = np.s_[r : r + rows_per_call, w : w + _MAX_ROWS]
             lo, hi = interval_product(*model.site_intervals(
-                terms[..., tile[1], :], field[tile[0], None], known_len[tile[0], None]
+                terms[..., None, tile[1]], state[:, tile[0], None], known_len[tile[0], None]
             ))
             mids[tile] = 0.5 * (lo + hi)
             halves[tile] = 0.5 * (hi - lo)
@@ -319,11 +322,10 @@ def _couple(model, lengths, depth, x_context, y_context, uniforms) -> _Batch:
     block lengths by run (``_reachable_lengths``).
 
     Each step draws the next block of every unfinished trajectory; those
-    with the same block length share kernel calls.  The long-range context
-    sums are updated as blocks are prepended, so no site rereads the
-    history.  Trajectory i reads ``uniforms[i]`` in order, one per diagonal
-    draw and three per off-diagonal draw, so its path does not depend on
-    the batch it is drawn in.
+    with the same block length and frontier share kernel calls and one
+    context-state update.  Trajectory i reads ``uniforms[i]`` in order, one
+    per diagonal and three per off-diagonal draw, so its path does not
+    depend on the batch it is drawn in.
     """
     if not model.is_positive:
         raise ConfigError("block coupling requires a positive model")
@@ -332,45 +334,44 @@ def _couple(model, lengths, depth, x_context, y_context, uniforms) -> _Batch:
         raise ConfigError("tail contexts must have equal length")
     size = model.alphabet.size
     n_traj = len(uniforms)
-    # the last block starts at most depth sites in, so width covers every
-    # site and context distance
+    # the last block starts at most depth sites in, so width covers every site
     width = depth + int(lengths.max())
     words_of = {b: all_words(size, b) for b in set(lengths.tolist())}
-    terms_of = {b: model.word_terms(words) for b, words in words_of.items()}
+    terms_of = {b: model.word_terms(words.T) for b, words in words_of.items()}
     hist = np.zeros((2, n_traj, width), dtype=np.min_scalar_type(size - 1))
-    fields = np.repeat(model.context_field(np.stack(contexts), width)[:, None], n_traj, axis=1)
+    state = np.repeat(context_state(model, np.stack(contexts), width)[:, None], n_traj, axis=1)
     covered = np.zeros(n_traj, dtype=np.intp)
     run = np.zeros(n_traj, dtype=np.intp)
     used = np.zeros(n_traj, dtype=np.intp)
     log = []
     while (active := np.flatnonzero(covered <= depth)).size:
-        active_len = lengths[run[active]]
-        for b in np.unique(active_len).tolist():
-            group, words = active[active_len == b], words_of[b]
+        # one group per (block length, frontier), rows ascending
+        key = lengths[run[active]] * (depth + 1) + covered[active]
+        order = np.argsort(key, kind="stable")
+        for group in np.split(active[order], np.flatnonzero(np.diff(key[order])) + 1):
+            b, front = int(lengths[run[group[0]]]), int(covered[group[0]])
+            words, c0 = words_of[b], width - b - front
             step = max(1, _MAX_ROWS // len(words))
-            for rows in (group[i : i + step] for i in range(0, len(group), step)):
-                known_len = len(contexts[0]) + covered[rows]
-                # take: a C-ordered copy, unlike fields[:, rows]
-                (p, q), slack = _block_laws(model, words, np.take(fields, rows, axis=1),
-                                            known_len, terms_of[b])
+            for part in (group[i : i + step] for i in range(0, len(group), step)):
+                rows = slice(part[0], part[-1] + 1) if part[-1] - part[0] < len(part) else part
+                (p, q), slack = _block_laws(model, words, state[:, rows, c0 : c0 + b],
+                                            len(contexts[0]) + front, terms_of[b])
                 slack = slack[0] + slack[1]
                 if slack.max() > TRUNC_TOL:
                     raise TruncationError(
                         f"block truncation slack {slack.max():.3e} exceeds tolerance {TRUNC_TOL}"
                     )
-                u = np.take_along_axis(uniforms[rows], used[rows, None] + np.arange(3), axis=1)
                 pair = maximal_coupling(p, q)
-                jx, jy, n_used = pair.draw(u)
-                cols = width - b - covered[rows, None] + np.arange(b)
-                drawn = words[np.array((jx, jy))]
-                hist[:, rows[:, None], cols] = drawn
-                fields[:, rows] = model.extend_field(np.take(fields, rows, axis=1), drawn)
+                jx, jy, n_used = pair.draw(uniforms[part[:, None], used[part, None] + np.arange(3)])
+                hist[:, rows, c0 : c0 + b] = drawn = words[np.array((jx, jy))]
+                add_context(model, state, (slice(None), rows), drawn, c0)
                 agreed = jx == jy
-                log.append((covered[rows], np.full(len(rows), b), run[rows], agreed, pair.tv, slack))
-                covered[rows] += b
-                run[rows] = np.where(agreed, run[rows] + 1, 0)
-                used[rows] += n_used
-    blocks = {name: np.concatenate(column) for name, column in zip(_BLOCK_FIELDS, zip(*log))}
+                log.append((covered[part], np.full(len(part), b), run[part], agreed, pair.tv, slack))
+                covered[part] += b
+                run[part] = np.where(agreed, run[part] + 1, 0)
+                used[part] += n_used
+    log = list(zip(*log))  # one tuple per field, freed once its column is built
+    blocks = {name: np.concatenate(log.pop(0)) for name in _BLOCK_FIELDS}
     return _Batch(hist[0], hist[1], covered, used, blocks)
 
 
@@ -445,10 +446,9 @@ def estimate_disagreement(
     seeds = np.random.SeedSequence(seed)  # each spawn continues the child count
     per_batch = max(1, _BATCH_SITES // (depth + 1))
     for start in range(0, n_traj, per_batch):
-        uniforms = np.array([
-            np.random.default_rng(child).random(_max_uniforms(depth))
-            for child in seeds.spawn(min(per_batch, n_traj - start))
-        ])
+        uniforms = np.empty((min(per_batch, n_traj - start), _max_uniforms(depth)))
+        for row, child in zip(uniforms, seeds.spawn(len(uniforms))):
+            np.random.default_rng(child).random(out=row)
         batch = _couple(model, lengths, depth, x_context, y_context, uniforms)
         # column n of the flipped histories is coordinate -n
         counts += (batch.x != batch.y)[:, ::-1][:, : depth + 1].sum(axis=0)
@@ -514,7 +514,7 @@ def dn_bruteforce(model, schedule: BlockSchedule, n: int, tail_len: int) -> tupl
     if n_tails == 1:
         return 0.0, 0.0  # one tail: no pair of laws to compare
     words = all_words(size, block_len)
-    terms = model.word_terms(words)  # once: every step reads the same words
+    terms = model.word_terms(words.T)  # once: every step reads the same words
     left, right = np.triu_indices(n_tails, 1)
     # agreeing parts per step, so that the step's pairs of laws stay small
     step = max(1, _MAX_ROWS // (len(left) * len(words)))
@@ -523,7 +523,7 @@ def dn_bruteforce(model, schedule: BlockSchedule, n: int, tail_len: int) -> tupl
         # context rows: agreeing part followed by tail, for every tail
         codes = np.arange(a * n_tails, min(a + step, n_agree) * n_tails).reshape(-1, n_tails)
         known = all_words(size, agree_len + tail_len, codes)
-        laws, slacks = _block_laws(model, words, model.context_field(known, block_len),
+        laws, slacks = _block_laws(model, words, context_state(model, known, block_len),
                                    known.shape[-1], terms)
         tv = 0.5 * np.abs(laws[:, left] - laws[:, right]).sum(axis=2)
         lower = max(lower, float(tv.max()))

@@ -22,16 +22,19 @@ word was too short to pin the value down (for a finite-memory model this
 happens when the word is shorter than M+1 symbols).
 
 ``eval_indices`` is the scalar reference route: one word, one interval.
-The batched kernel evaluates every site of a batch of word rows at once.
-Its word part, ``word_terms``, is computed once for words read under many
-contexts.  A known right context is summarised by ``context_field`` (its
-first M symbols for a finite-memory model; for the long-range model, the
-context sums ``sum_i a_{t+i} s(known_i)`` at each distance t),
-``extend_field`` prepends sampled symbols to such a summary without
-rereading it, and ``site_intervals`` returns ``(mid, rad)`` per site with
-the interval semantics of ``eval_indices``.  The long-range kernel reads
-cached tail radii, never ``zeta``; the finite-memory kernel gathers from the
-table, or from min/max tables over completions of windows under M+1 symbols.
+The batched kernel evaluates every site of a batch of word rows at once,
+sites on axis 0.  A known right context enters through its context state,
+laid out like the sampler's histories (column ``width - 1 - n`` is
+coordinate -n): column c holds sum_k a_k v(x_{c+k}) over the known symbols
+right of c, with v the sign and a_k the coefficient for the long-range
+model, and v the symbol index and a_k its place value size**(memory - k),
+so a window code, for a finite-memory model.  ``context_state`` builds it,
+``add_context`` adds symbols to it in place, ``word_terms`` is the
+context-free part, computed once for words read under many contexts, and
+``site_intervals`` returns ``(mid, rad)`` per site with the interval
+semantics of ``eval_indices``.  The long-range kernel reads cached tail
+radii, never ``zeta``; the finite-memory kernel gathers from the table, or
+from min/max tables over completions of windows under M+1 symbols.
 """
 
 from __future__ import annotations
@@ -188,43 +191,36 @@ class FiniteMemoryModel:
         if not np.allclose(rowsums, 1.0, atol=1e-9):
             raise ConfigError("conditional probabilities must sum to 1 per context")
         self.table = vec
+        self.symbol_values = np.arange(size)  # v(s) = s: the state is a code
+        self._place = size ** np.arange(memory, -1, -1)
         self._bounds = None  # stacked min/max tables, built on first kernel call
 
     @property
     def is_positive(self) -> bool:
         return bool((self.table > 0).all())
 
-    def context_field(self, known, reach: int) -> np.ndarray:
-        """The first ``memory`` symbols of each known context row (zero-padded
-        where fewer are known; ``site_intervals`` reads only known ones)."""
-        known = np.asarray(known)
-        width = min(known.shape[-1], self.memory)
-        field = np.zeros(known.shape[:-1] + (self.memory,), dtype=np.int64)
-        field[..., :width] = known[..., :width]
-        return field
-
-    def extend_field(self, field: np.ndarray, words: np.ndarray) -> np.ndarray:
-        """The field after ``words`` are prepended to the known contexts."""
-        return np.concatenate([words, field], axis=-1)[..., : self.memory]
+    def context_weights(self, n: int) -> np.ndarray:
+        """Place values size**(memory - k) of the symbol k sites to the right,
+        k = 0..memory; none further right enters the code."""
+        return self._place
 
     def word_terms(self, words) -> np.ndarray:
-        """The word part of the kernel: the word rows themselves."""
-        return np.asarray(words)
+        """The word part of the kernel for word rows ``words`` (b, ...), sites
+        first: at site j, the code of w_j..w_{j+memory} within the word."""
+        words = np.asarray(words)
+        codes = np.zeros(words.shape, dtype=np.int64)
+        for k in range(min(len(words), self.memory + 1)):
+            codes[: len(words) - k] += words[k:] * self._place[k]
+        return codes
 
-    def site_intervals(self, words, field: np.ndarray, known_len):
-        """``(mid, rad)`` of g at each site of the word rows ``words``
-        (..., b; their ``word_terms``), each followed by a known context of
-        length ``known_len`` summarised by ``field``; leading axes broadcast.
-        Site j sees n = min(b - j + known_len, memory + 1) symbols: a full
-        window reads the table, a shorter one the min/max over completions."""
-        b, size, full = words.shape[-1], self.alphabet.size, self.memory + 1
-        lead = np.broadcast_shapes(words.shape[:-1], field.shape[:-1])
-        seq = np.concatenate([np.broadcast_to(words, lead + (b,)),
-                              np.broadcast_to(field, lead + (self.memory,))], axis=-1)
-        code = np.zeros(lead + (b,), dtype=np.int64)
-        for k in range(full):
-            code = code * size + seq[..., k : k + b]
-        n = np.minimum(np.add.outer(known_len, np.arange(b, 0, -1)), full)
+    def site_intervals(self, codes, state: np.ndarray, known_len):
+        """``(mid, rad)`` (b, ...) of g at each site of word rows with
+        ``word_terms`` ``codes`` (b, ...), followed by known contexts of length
+        ``known_len`` whose context state at the block's columns is ``state``
+        (b, ...).  Site j sees n = min(b - j + known_len, memory + 1) symbols:
+        a full window reads the table, a shorter one the min/max over completions."""
+        size, full = self.alphabet.size, self.memory + 1
+        n = np.minimum(_known_right(state, known_len), full)
         if self._bounds is None:
             grouped = [self.table.reshape(size**m, -1) for m in range(1, full + 1)]
             self._bounds = (
@@ -233,7 +229,7 @@ class FiniteMemoryModel:
                 np.concatenate([g.max(axis=1) for g in grouped]),
             )
         offsets, lo_table, hi_table = self._bounds
-        idx = offsets[n] + code // size ** (full - n)
+        idx = offsets[n] + (codes + state) // size ** (full - n)
         lo, hi = lo_table[idx], hi_table[idx]
         return 0.5 * (lo + hi), 0.5 * (hi - lo)
 
@@ -302,7 +298,7 @@ class LongRangeLinearModel:
         signs = tuple(float(s) for s in signs)
         if sorted(signs) != [-1.0, 1.0]:
             raise ConfigError("sign map must assign -1 and +1")
-        self._signs = np.asarray(signs)
+        self.symbol_values = np.asarray(signs)
         self._avec = np.zeros(1)  # a_k at index k >= 1 (index 0 kept 0), grown on demand
         self._rad = np.zeros(0)  # theta * tail(k) at index k, grown on demand
 
@@ -310,8 +306,9 @@ class LongRangeLinearModel:
     def is_positive(self) -> bool:
         return True  # enforced by the constructor constraints
 
-    def _coeffs(self, n: int) -> np.ndarray:
-        """Coefficients a_1..a_n as a vector (index 0 unused, kept 0)."""
+    def context_weights(self, n: int) -> np.ndarray:
+        """Coefficients a_1..a_n as a vector (index 0 kept 0: a site's own
+        sign enters through ``word_terms``)."""
         if len(self._avec) <= n:
             m = max(2 * len(self._avec), n + 1)
             k = np.arange(1, m, dtype=float)
@@ -326,63 +323,37 @@ class LongRangeLinearModel:
             self._rad = self.theta * np.array([self.coefficients.tail(k) for k in range(m)])
         return self._rad
 
-    def context_field(self, known, reach: int) -> np.ndarray:
-        """Context sums F[..., t-1] = sum_i a_{t+i} s(known_i), t = 1..reach,
-        of the known context rows ``known`` (..., L), nearest symbol first."""
-        known = np.asarray(known)
-        avec = self._coeffs(reach + known.shape[-1])
-        field = np.zeros(known.shape[:-1] + (reach,))
-        for i in range(known.shape[-1]):
-            field += self._signs[known[..., i, None]] * avec[i + 1 : i + 1 + reach]
-        return field
-
-    def extend_field(self, field: np.ndarray, words: np.ndarray) -> np.ndarray:
-        """The field after ``words`` (..., b) are prepended to the known
-        contexts: F'(t) = sum_{i<b} a_{t+i} s(w_i) + F(t + b).  Distances past
-        reach - b keep only the word terms; callers size the reach so that
-        no later block reads them."""
-        b, reach = words.shape[-1], field.shape[-1]
-        avec = self._coeffs(reach + b)
-        out = np.zeros_like(field)
-        out[..., : reach - b] = field[..., b:]
-        for i in range(b):  # + or - a_{t+i} in place: no temporary of the field's size
-            sign = self._signs[words[..., i, None]]
-            np.add(out, avec[i + 1 : i + 1 + reach], out=out, where=sign > 0)
-            np.subtract(out, avec[i + 1 : i + 1 + reach], out=out, where=sign < 0)
-        return out
-
     def word_terms(self, words) -> np.ndarray:
-        """The word part of the kernel for word rows ``words`` (..., b), built in
-        place: theta * s(w_j) at ``[0, ..., j]``, sum_k a_k s(w_{j+k}) at ``[1, ..., j]``."""
+        """The word part of the kernel for word rows ``words`` (b, ...), built in
+        place: theta * s(w_j) at ``[0, j]``, sum_k a_k s(w_{j+k}) at ``[1, j]``."""
         words = np.asarray(words)
-        b = words.shape[-1]
-        avec = self._coeffs(b)
+        b = len(words)
+        avec = self.context_weights(b)
         signs, inner = terms = np.zeros((2,) + words.shape)
-        signs[...] = self._signs[words]
+        signs[...] = self.symbol_values[words]
         for k in range(1, b):
-            inner[..., : b - k] += avec[k] * signs[..., k:]
+            inner[: b - k] += avec[k] * signs[k:]
         signs *= self.theta
         return terms
 
-    def site_intervals(self, terms, field: np.ndarray, known_len):
-        """``(mid, rad)`` of g at each site of the word rows with ``word_terms``
-        ``terms`` (2, ..., b), each followed by a known context of length
-        ``known_len`` whose context sums ``field`` reach at least b; leading
-        axes broadcast.  Site j adds its context sum F(b - j) and reads its
-        tail radius theta * tail(b - j + known_len - 1) from a cached vector."""
-        b = terms.shape[-1]
-        mid = 0.5 + terms[0] * (terms[1] + field[..., b - 1 :: -1])
-        idx = np.add.outer(known_len, np.arange(b - 1, -1, -1))
+    def site_intervals(self, terms, state: np.ndarray, known_len):
+        """``(mid, rad)`` (b, ...) of g at each site of word rows with
+        ``word_terms`` ``terms`` (2, b, ...), followed by known contexts of
+        length ``known_len`` whose context sums at the block's columns are
+        ``state`` (b, ...).  Site j adds its context sum and reads its tail
+        radius theta * tail(b - j + known_len - 1) from a cached vector."""
+        mid = 0.5 + terms[0] * (terms[1] + state)
+        idx = _known_right(state, known_len) - 1
         rad = self._radii(int(np.max(idx)) + 1)[idx]
         return mid, np.broadcast_to(rad, mid.shape)
 
     def eval_indices(self, idx: Sequence[int]) -> tuple[float, float]:
         n = len(idx)
-        signs = self._signs[np.asarray(idx, dtype=np.intp)]
+        signs = self.symbol_values[np.asarray(idx, dtype=np.intp)]
         if n == 1:
             mid = 0.5
         else:
-            avec = self._coeffs(n - 1)
+            avec = self.context_weights(n - 1)
             mid = 0.5 + self.theta * float(signs[0]) * float(np.dot(avec[1:n], signs[1:]))
         return mid, self.theta * self.coefficients.tail(n - 1)
 
@@ -455,22 +426,49 @@ def cylinder_prob(
 
 
 def _word_intervals(model, words: np.ndarray, known: np.ndarray):
-    """The kernel on explicit contexts: ``(mid, rad)`` at every site of the
-    word rows ``words`` (..., b), each followed by its known context row
-    ``known`` (..., L); leading axes broadcast."""
-    field = model.context_field(known, words.shape[-1])
-    return model.site_intervals(model.word_terms(words), field, known.shape[-1])
+    """The kernel on explicit contexts: ``(mid, rad)`` (b, ...) at every site
+    of the word rows ``words`` (..., b), each followed by its known context
+    row ``known`` (..., L); leading axes broadcast."""
+    state = context_state(model, known, words.shape[-1])
+    return model.site_intervals(model.word_terms(np.moveaxis(words, -1, 0)),
+                                np.moveaxis(state, -1, 0), known.shape[-1])
+
+
+def _known_right(state: np.ndarray, known_len):
+    """b - j + known_len at site j of the b = len(state) sites of a block."""
+    b = len(state)
+    return np.arange(b, 0, -1).reshape((b,) + (1,) * (state.ndim - 1)) + known_len
+
+
+def context_state(model, known, width: int) -> np.ndarray:
+    """Context state (..., width) of ``width`` columns followed by the known
+    context rows ``known`` (..., L), nearest symbol first."""
+    known = np.asarray(known)
+    state = np.zeros(known.shape[:-1] + (width,), dtype=model.symbol_values.dtype)
+    add_context(model, state, (...,), known, width)
+    return state
+
+
+def add_context(model, state: np.ndarray, rows: tuple, symbols: np.ndarray, c0: int):
+    """Add ``symbols`` (..., b), at columns c0, c0 + 1, ..., to the context
+    state ``state[rows]`` of the columns left of c0, in place: column c gains
+    a_{c0+i-c} v(symbols_i), one site at a time, from the left.  ``rows``
+    indexes the leading axes; sites past a finite memory are skipped."""
+    weights = model.context_weights(c0 + symbols.shape[-1])
+    hi = min(c0, state.shape[-1])
+    for i in range(symbols.shape[-1]):
+        c = c0 + i
+        lo = max(0, c + 1 - len(weights))
+        if lo < hi:
+            value = model.symbol_values[symbols[..., i, None]]
+            state[rows + (slice(lo, hi),)] += value * weights[c - lo : c - hi : -1]
 
 
 def interval_product(mid: np.ndarray, rad: np.ndarray):
-    """Bounds ``(lo, hi)`` on products over the last axis of factors lying in
-    [mid - rad, mid + rad], each clipped to [0, 1]; the factors are
-    multiplied left to right."""
-    lo = hi = 1.0
-    for j in range(mid.shape[-1]):
-        lo = lo * np.maximum(mid[..., j] - rad[..., j], 0.0)
-        hi = hi * np.minimum(mid[..., j] + rad[..., j], 1.0)
-    return lo, hi
+    """Bounds ``(lo, hi)`` on products over axis 0 of factors lying in
+    [mid - rad, mid + rad], each clipped to [0, 1].  A reduction over axis 0
+    multiplies element by element, site after site, from the left."""
+    return np.maximum(mid - rad, 0.0).prod(axis=0), np.minimum(mid + rad, 1.0).prod(axis=0)
 
 
 def rho_interval(model, n: int) -> tuple[float, float]:

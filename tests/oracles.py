@@ -5,7 +5,9 @@ code it checks: direct chain enumeration for the renewal sequence, dense
 matrix powers for the transfer operator, full eigendecomposition for the
 stationary vector, and plain summation for total variation.  The cylinder,
 surrogate and d_n oracles loop over words with the scalar ``eval_indices``
-and never call the batched kernel.  The CSV oracle formats cell by cell.
+and never call the batched kernel.  The interval-product and context-sum
+oracles add and multiply one term at a time, in the kernel's order.  The
+CSV oracle formats cell by cell.
 """
 
 import numpy as np
@@ -124,6 +126,43 @@ def cylinder_interval(model, block, context) -> tuple[float, float]:
         lo *= max(mid - rad, 0.0)
         hi *= min(mid + rad, 1.0)
     return 0.5 * (lo + hi), 0.5 * (hi - lo)
+
+
+def interval_product_loop(mid, rad):
+    """Bounds ``(lo, hi)`` on products over the last axis of factors in
+    [mid - rad, mid + rad], each clipped to [0, 1], multiplied column by
+    column from the left."""
+    lo = hi = 1.0
+    for j in range(mid.shape[-1]):
+        lo = lo * np.maximum(mid[..., j] - rad[..., j], 0.0)
+        hi = hi * np.minimum(mid[..., j] + rad[..., j], 1.0)
+    return lo, hi
+
+
+def context_sums(model, context, hist, blocks, width: int) -> np.ndarray:
+    """Long-range context sums of one side of one trajectory at every column
+    of a right-aligned history of ``width`` columns.
+
+    ``context`` holds the symbols at columns width, width + 1, ...;
+    ``blocks`` the ``(c0, b)`` of each drawn block in drawing order, with
+    symbols ``hist[c0:c0 + b]``.  Column c sums a_{c'-c} s(x_{c'}) over the
+    context and the blocks that start right of c, one scalar term at a
+    time: context first, then blocks in drawing order, sites left to right.
+    The a_k are the model's stored coefficients.
+    """
+    a = model.context_weights(width + len(context)).tolist()
+    sign = model.symbol_values.tolist()
+    sums = []
+    for c in range(width):
+        total = 0.0
+        for i, symbol in enumerate(context):
+            total += sign[symbol] * a[width + i - c]
+        for c0, b in blocks:
+            if c0 > c:
+                for col in range(c0, c0 + b):
+                    total += sign[hist[col]] * a[col - c]
+        sums.append(total)
+    return np.array(sums)
 
 
 def surrogate_table(model, memory: int) -> tuple[np.ndarray, float, float]:

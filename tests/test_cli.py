@@ -179,12 +179,20 @@ def test_criteria_window_budget_is_checked_first(lam, tmp_path, capsys):
 # sampler consumes each trajectory's uniforms in a fixed order (one per
 # diagonal draw, three otherwise), so the Monte Carlo CSVs stay fixed
 # whatever the batching.
-def _mc_argv(command, schedule, model="longrange"):
-    context = 12 if schedule == "const:1" else 48  # long blocks need a long context
+def _mc_argv(command, schedule, model="longrange", context=None):
+    if context is None:
+        context = 12 if schedule == "const:1" else 48  # long blocks need a long context
     argv = [command, "--model", f"{{{model}}}", "--schedule", schedule,
             "--depth", "12", "--trajectories", "30", "--seed", "5",
             "--context-x", "1" * context, "--context-y", "0" * context]
     return argv + ["--K-max", "4"] if command == "pipeline" else argv
+
+
+def _bench_argv(model, schedule, depth, trajectories, context):
+    """A Monte Carlo benchmark workload's ``pipeline`` run at seed 1."""
+    return ["pipeline", "--model", f"{{{model}}}", "--schedule", schedule, "--K-max", "8",
+            "--depth", str(depth), "--trajectories", str(trajectories), "--seed", "1",
+            "--context-x", "1" * context, "--context-y", "0" * context]
 
 
 PINNED = {
@@ -203,6 +211,24 @@ PINNED = {
         "pipeline_mc.csv": "a38e38af75c9677fbe3dcdbe3ab5b87e58359b85af70aae23953b1545758d2ba",
         "pipeline_bounds.csv": "c603ec905ad9773f52bb1622877e99641eb5969e158c019a039d7106bb001a00",
         "pipeline_summary.json": "52454dd4ca2191b9a5f704a0b36c3483c044381153092c41f8a1d2647177379f",
+    }),
+    # finite memory through the Monte Carlo sampler, from one-symbol contexts
+    "couple-mem1-const:1": (_mc_argv("couple", "const:1", "mem1", context=1), {
+        "couple_mc.csv": "40c9e7c8daaff8971a346a3ea3cf3389969587dcb8d44879a7d8a6d62436b90f",
+    }),
+    "couple-mem1-geom:l=1.5": (_mc_argv("couple", "geom:l=1.5", "mem1", context=1), {
+        "couple_mc.csv": "8ab01abf283d82499fb31637671073022b5ad72389f3f3d30ea6c50f024b6fad",
+    }),
+    # the two Monte Carlo benchmark workloads at seed 1
+    "pipeline-mc_short_blocks": (_bench_argv("longrange", "const:1", 64, 200, 64), {
+        "pipeline_mc.csv": "056abb80e254f3c3438a9547743564fc4c8c07937d6ef9e1322302627b87d2e9",
+        "pipeline_bounds.csv": "3867c26f1d0ca0833e59428e828019c112a75152084b509cfd7fada865b0d86d",
+        "pipeline_summary.json": "ddfd3ca0cfab1cafc7b7150b83aac0b6a3f8bfd7091176ecd0441541be868213",
+    }),
+    "pipeline-mc_long_blocks": (_bench_argv("exponential", "geom:l=1.5", 34, 8, 48), {
+        "pipeline_mc.csv": "691398a3cdc0236cabd419ffbab01c35d523c6725e537c9960d84948e52d77ad",
+        "pipeline_bounds.csv": "3d8e4d0a1007ba2584fefebe1e2db31ba6b1501622a6ac3d616294e5f4dba1bb",
+        "pipeline_summary.json": "0071d9ba8cd4af19416017b43aa8cc8ec260acf76e122a28fdae4c016a790c77",
     }),
     "couple-dn": (["couple", "--model", "{longrange}", "--depth", "6", "--trajectories", "20",
                    "--seed", "3", "--dn-max", "3", "--tail-len", "2"], {

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gmeasure import (
+    Alphabet,
     BlockSchedule,
     BudgetError,
     ConfigError,
@@ -20,7 +21,8 @@ from gmeasure import (
 from gmeasure import coupling
 from gmeasure.coupling import TruncationError, _block_laws
 from gmeasure.criteria import geometric_blocks
-from gmeasure.gmodel import Word, all_words, cylinder_prob, decode, encode
+from gmeasure.gmodel import Word, all_words, context_state, cylinder_prob, decode, encode
+from conftest import random_positive_table
 from oracles import total_variation
 
 
@@ -267,28 +269,64 @@ def test_estimate_disagreement_deterministic(longrange):
     assert a.run_stats == b.run_stats
 
 
+def _memory2_model():
+    alphabet = Alphabet(("0", "1", "2"))
+    return FiniteMemoryModel(alphabet, 2,
+                             random_positive_table(alphabet, 2, np.random.default_rng(8)))
+
+
 @pytest.mark.parametrize("small_batches", [False, True])
 def test_estimate_equals_separate_samples(longrange, monkeypatch, small_batches):
     # the batched sampler gives each trajectory the path sample_block_coupling
     # draws from the same spawned child, whatever the batch and tile sizes
-    if small_batches:  # batches of 6 trajectories, 3 (context, word) rows per call
+    if small_batches:  # batches of 6 trajectories, 8 (context, word) rows per call
         monkeypatch.setattr(coupling, "_BATCH_SITES", 100)
-        monkeypatch.setattr(coupling, "_MAX_ROWS", 3)
+        monkeypatch.setattr(coupling, "_MAX_ROWS", 8)
+    batches, kinds = [], set()
+    couple, add_context = coupling._couple, coupling.add_context
+
+    def logged_couple(*args):
+        batches.append(couple(*args))
+        return batches[-1]
+
+    def logged_add_context(model, state, rows, symbols, c0):
+        if symbols.shape[1] > 1:  # the row index of a group of several rows
+            kinds.add(type(rows[1]).__name__)
+        add_context(model, state, rows, symbols, c0)
+
+    monkeypatch.setattr(coupling, "_couple", logged_couple)
+    monkeypatch.setattr(coupling, "add_context", logged_add_context)
     sched, depth, n_traj = geometric_blocks(1.5), 14, 40
-    summary = estimate_disagreement(longrange, sched, depth, "1" * 48, "0" * 48,
-                                    n_traj=n_traj, seed=21)
-    counts = np.zeros(depth + 1)
-    run_stats = {}
-    for child in np.random.SeedSequence(21).spawn(n_traj):
-        sample = sample_block_coupling(longrange, sched, depth, "1" * 48, "0" * 48,
-                                       np.random.default_rng(child))
-        counts += sample.disagree[::-1][: depth + 1]
-        for rec in sample.blocks:
-            seen, bad = run_stats.get(rec.run_before, (0, 0))
-            run_stats[rec.run_before] = (seen + 1, bad + (not rec.agreed))
-    assert (summary.freq == counts / n_traj).all()
-    assert summary.run_stats == run_stats
-    assert max(run_stats) >= 2  # blocks of three lengths were drawn together
+    for model in (longrange, _memory2_model()):
+        batches.clear()
+        summary = estimate_disagreement(model, sched, depth, "1" * 48, "0" * 48,
+                                        n_traj=n_traj, seed=21)
+        batched = list(batches)
+        x, y = (np.concatenate([getattr(b, side) for b in batched]) for side in "xy")
+        covered = np.concatenate([b.covered for b in batched])
+        records = sorted(zip(*(np.concatenate([b.blocks[k] for b in batched]).tolist()
+                               for k in coupling._BLOCK_FIELDS)))
+        counts = np.zeros(depth + 1)
+        run_stats, expect_records = {}, []
+        for i, child in enumerate(np.random.SeedSequence(21).spawn(n_traj)):
+            sample = sample_block_coupling(model, sched, depth, "1" * 48, "0" * 48,
+                                           np.random.default_rng(child))
+            assert len(sample.x) == covered[i]
+            assert np.array_equal(x[i, -covered[i]:], sample.x)
+            assert np.array_equal(y[i, -covered[i]:], sample.y)
+            counts += sample.disagree[::-1][: depth + 1]
+            for rec in sample.blocks:
+                seen, bad = run_stats.get(rec.run_before, (0, 0))
+                run_stats[rec.run_before] = (seen + 1, bad + (not rec.agreed))
+                start, end = -rec.interval[1], -rec.interval[0]
+                expect_records.append((start, end - start + 1, rec.run_before, rec.agreed,
+                                       rec.tv, rec.truncation_error))
+        assert records == sorted(expect_records)
+        assert (summary.freq == counts / n_traj).all()
+        assert summary.run_stats == run_stats
+        assert max(run_stats) >= 2  # blocks of three lengths were drawn together
+    # groups of consecutive rows and of scattered rows were both drawn
+    assert kinds == {"slice", "ndarray"}
 
 
 def test_sampler_leaves_generator_after_the_uniforms_used(iid):
@@ -308,7 +346,7 @@ def test_estimate_disagreement_rate_decreases(longrange):
 
 def test_block_conditional_normalised(longrange, rng):
     known = rng.integers(0, 2, (1, 20))
-    probs, slack = _block_laws(longrange, all_words(2, 2), longrange.context_field(known, 2),
+    probs, slack = _block_laws(longrange, all_words(2, 2), context_state(longrange, known, 2),
                                np.array([20]))
     assert probs.sum() == pytest.approx(1.0, abs=1e-14)
     assert 0 < slack[0] < 0.1
@@ -323,8 +361,6 @@ def test_dn_zero_for_iid(iid):
 
 
 def test_dn_zero_once_memory_covered(alphabet, mem1, rng):
-    from conftest import random_positive_table
-
     assert dn_bruteforce(mem1, constant_schedule(1), 2, 1) == (0.0, 0.0)
     model = FiniteMemoryModel(alphabet, 2, random_positive_table(alphabet, 2, rng))
     sched = BlockSchedule((2, 1, 1))

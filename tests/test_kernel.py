@@ -5,6 +5,8 @@ gives on the same word; the routes built on the kernel must match the
 word-by-word oracles, which never call it.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,8 +27,10 @@ from gmeasure import (
 from gmeasure import coupling, estimate_disagreement
 from gmeasure.coupling import BlockSchedule, _block_laws
 from gmeasure.criteria import geometric_blocks
-from gmeasure.gmodel import all_words, finite_memory_surrogate, interval_product
-from oracles import block_law, cylinder_interval, dn_enumerate, surrogate_table
+from gmeasure.gmodel import (add_context, all_words, context_state, finite_memory_surrogate,
+                             interval_product)
+from oracles import (block_law, context_sums, cylinder_interval, dn_enumerate,
+                     interval_product_loop, surrogate_table)
 
 long_range = st.builds(
     lambda theta, law, p, r, mass: LongRangeLinearModel(
@@ -60,13 +64,13 @@ def test_kernel_matches_eval_indices(model, b, L, seed):
     size = model.alphabet.size
     words = rng.integers(0, size, (4, b))
     known = rng.integers(0, size, (4, L))
-    mid, rad = model.site_intervals(model.word_terms(words), model.context_field(known, b), L)
+    mid, rad = model.site_intervals(model.word_terms(words.T), context_state(model, known, b).T, L)
     for row in range(4):
         sequence = tuple(words[row]) + tuple(known[row])
         for j in range(b):
             m, e = model.eval_indices(sequence[j:])
-            assert abs((mid[row, j] - rad[row, j]) - (m - e)) <= 1e-15
-            assert abs((mid[row, j] + rad[row, j]) - (m + e)) <= 1e-15
+            assert abs((mid[j, row] - rad[j, row]) - (m - e)) <= 1e-15
+            assert abs((mid[j, row] + rad[j, row]) - (m + e)) <= 1e-15
 
 
 @settings(max_examples=100, deadline=None)
@@ -128,18 +132,18 @@ def test_stacked_block_laws_match_oracle(name, b, monkeypatch):
     known_len = np.array([0, 1, 2, 5])
     known = rng.integers(0, size, (2, len(known_len), known_len.max()))
     # row r of each side knows the first known_len[r] symbols of its context
-    field = np.array([[model.context_field(known[side, row, :L], b)
+    state = np.array([[context_state(model, known[side, row, :L], b)
                        for row, L in enumerate(known_len)] for side in range(2)])
     words = all_words(size, b)
-    probs, slack = _block_laws(model, words, field, known_len)
-    terms = model.word_terms(words)
+    probs, slack = _block_laws(model, words, state, known_len)
+    terms = model.word_terms(words.T)
     for side in range(2):
-        one_probs, one_slack = _block_laws(model, words, field[side], known_len)
+        one_probs, one_slack = _block_laws(model, words, state[side], known_len)
         assert np.array_equal(probs[side], one_probs)
         assert np.array_equal(slack[side], one_slack)
         for row, L in enumerate(known_len.tolist()):
             context = known[side, row, :L]
-            lo, hi = interval_product(*model.site_intervals(terms, field[side, row], L))
+            lo, hi = interval_product(*model.site_intervals(terms, state[side, row, :, None], L))
             for w, word in enumerate(words):
                 mid, half = cylinder_interval(model, word, context)
                 assert abs(0.5 * (lo[w] + hi[w]) - mid) <= 1e-15
@@ -167,8 +171,84 @@ def test_word_terms_computed_once_per_block_length(monkeypatch):
     model = LongRangeLinearModel(binary_alphabet(), 0.25, Exponential.from_mass(0.7, 0.5))
     calls = _count_word_terms(monkeypatch, model)
     estimate_disagreement(model, geometric_blocks(1.5), 34, "1" * 48, "0" * 48, 8, seed=3)
-    assert sorted(shape[-1] for shape in calls) == [2, 3, 4, 5, 7, 12]
+    assert sorted(shape[0] for shape in calls) == [2, 3, 4, 5, 7, 12]  # sites first
     calls.clear()
     # 16 agreeing parts x 8 tails, enumerated in two steps
     dn_bruteforce(model, constant_schedule(2), 3, 3)
     assert len(calls) == 1
+
+
+def _bits(x):
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 5), st.integers(1, 6),
+       st.sampled_from(["per word", "per row", "zero"]), st.booleans(), st.integers(0, 2**32 - 1))
+def test_interval_product_matches_loop_oracle(b, n_rows, n_words, radii, strided, seed):
+    # factors from [-0.1, 1.1] and radii up to 0.2: products clip at 0 and at 1
+    rng = np.random.default_rng(seed)
+    mid = rng.uniform(-0.1, 1.1, (b, n_rows, n_words))
+    if strided:  # sites first as a view of a sites-last array
+        mid = np.moveaxis(np.ascontiguousarray(np.moveaxis(mid, 0, -1)), -1, 0)
+    rad = {"per word": rng.uniform(0, 0.2, (b, n_rows, n_words)),
+           "per row": rng.uniform(0, 0.2, (b, n_rows, 1)),  # broadcast over words
+           "zero": np.zeros((b, 1, 1))}[radii]
+    lo, hi = interval_product(mid, rad)
+    expect_lo, expect_hi = interval_product_loop(
+        np.moveaxis(mid, 0, -1), np.moveaxis(np.broadcast_to(rad, mid.shape), 0, -1))
+    assert np.array_equal(_bits(lo), _bits(expect_lo))
+    assert np.array_equal(_bits(hi), _bits(expect_hi))
+
+
+def _draw_blocks(model, rng, n_rows, width, L):
+    """Random blocks of 1 to 3 sites, drawn as the sampler draws them: rows
+    at the same frontier due the same length share one ``add_context`` call,
+    indexed by a slice when they are consecutive.  Returns the contexts, the
+    histories, each row's ``(c0, b)`` in drawing order, the in-place sums and
+    the kinds of row index used."""
+    contexts = rng.integers(0, 2, (2, L))
+    state = np.repeat(context_state(model, contexts, width)[:, None], n_rows, axis=1)
+    hist = np.zeros((2, n_rows, width), dtype=np.intp)
+    covered = np.zeros(n_rows, dtype=np.intp)
+    blocks = [[] for _ in range(n_rows)]
+    kinds = set()
+    while (active := np.flatnonzero(covered < width)).size:
+        lengths = np.minimum(rng.integers(1, 4, len(active)), width - covered[active])
+        groups = {}
+        for row, b in zip(active.tolist(), lengths.tolist()):
+            groups.setdefault((b, int(covered[row])), []).append(row)
+        for (b, front), rows in groups.items():
+            rows = np.array(rows)
+            index = slice(rows[0], rows[-1] + 1) if rows[-1] - rows[0] < len(rows) else rows
+            if len(rows) > 1:
+                kinds.add(type(index).__name__)
+            c0 = width - b - front
+            hist[:, rows, c0 : c0 + b] = drawn = rng.integers(0, 2, (2, len(rows), b))
+            add_context(model, state, (slice(None), index), drawn, c0)
+            for row in rows.tolist():
+                blocks[row].append((c0, b))
+            covered[rows] += b
+    return contexts, hist, blocks, state, kinds
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("law", [PowerLaw.from_mass(2.0, 0.5), Exponential.from_mass(0.7, 0.5)],
+                         ids=["power", "exponential"])
+def test_in_place_context_sums_match_oracle(law, seed):
+    model = LongRangeLinearModel(binary_alphabet(), 0.25, law)
+    width, L = 30, 6
+    contexts, hist, blocks, state, kinds = _draw_blocks(
+        model, np.random.default_rng(seed), 9, width, L)
+    assert kinds == {"slice", "ndarray"}  # consecutive and scattered groups both drawn
+    for side in range(2):
+        for row in range(9):
+            expect = context_sums(model, contexts[side], hist[side, row], blocks[row], width)
+            assert np.array_equal(_bits(state[side, row]), _bits(expect))
+            # the plain sum over the symbols right of each column's block
+            seq = hist[side, row].tolist() + contexts[side].tolist()
+            for c0, b in blocks[row]:
+                for c in range(c0, c0 + b):
+                    plain = math.fsum(law.var_at(col - c) * model.symbol_values[seq[col]]
+                                      for col in range(c0 + b, width + L))
+                    assert abs(state[side, row, c] - plain) <= 1e-15
