@@ -516,13 +516,14 @@ def dn_bruteforce(model, schedule: BlockSchedule, n: int, tail_len: int) -> tupl
     words = all_words(size, block_len)
     terms = model.word_terms(words.T)  # once: every step reads the same words
     left, right = np.triu_indices(n_tails, 1)
+    # [a, t]: agreeing part a followed by tail t; the budget caps its rows
+    # at 2^22 / (n_tails * len(words)) <= 2^20
+    contexts = all_words(size, agree_len + tail_len).reshape(n_agree, n_tails, -1)
     # agreeing parts per step, so that the step's pairs of laws stay small
     step = max(1, _MAX_ROWS // (len(left) * len(words)))
     lower = upper = 0.0
     for a in range(0, n_agree, step):
-        # context rows: agreeing part followed by tail, for every tail
-        codes = np.arange(a * n_tails, min(a + step, n_agree) * n_tails).reshape(-1, n_tails)
-        known = all_words(size, agree_len + tail_len, codes)
+        known = contexts[a : a + step]
         laws, slacks = _block_laws(model, words, context_state(model, known, block_len),
                                    known.shape[-1], terms)
         tv = 0.5 * np.abs(laws[:, left] - laws[:, right]).sum(axis=2)

@@ -46,7 +46,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import BudgetError, ConfigError, DEFAULT_BUDGET
 from .tails import Exponential, FiniteRange, PowerLaw
 
 __all__ = [
@@ -143,12 +143,11 @@ def decode(code: int, size: int, length: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def all_words(size: int, length: int, codes=None) -> np.ndarray:
-    """The words of ``length`` symbols with lexicographic indices ``codes``
-    (default: all of them, in order) as rows."""
-    codes = np.arange(size**length) if codes is None else np.asarray(codes)
-    digits = codes[..., None] // size ** np.arange(length - 1, -1, -1) % size
-    return digits.astype(np.min_scalar_type(size - 1))
+def all_words(size: int, length: int) -> np.ndarray:
+    """Every word of ``length`` symbols as a row, row i the word of
+    lexicographic index i: numpy's C order over ``(size,) * length``."""
+    shape = (size,) * length
+    return np.indices(shape, dtype=np.min_scalar_type(size - 1)).reshape(length, size**length).T
 
 
 # ---------------------------------------------------------------------------
@@ -540,11 +539,15 @@ def finite_memory_surrogate(model, memory: int):
 
     Returns ``(surrogate, defect, half_width)`` where ``half_width`` bounds
     |g - g_mid| over all words of length memory+1 and ``defect`` is the
-    largest per-context normalisation correction that was applied.
+    largest per-context normalisation correction that was applied.  Raises
+    BudgetError, before any word is enumerated, when the size**(memory+1)
+    words exceed ``DEFAULT_BUDGET``.
     """
     if memory < 0:
         raise ConfigError("surrogate memory must be >= 0")
     size = model.alphabet.size
+    if size ** (memory + 1) > DEFAULT_BUDGET:
+        raise BudgetError(f"surrogate table {size}^{memory + 1} exceeds budget {DEFAULT_BUDGET}")
     words = all_words(size, memory + 1)
     mid, rad = _word_intervals(model, words[:, :1], words[:, 1:])
     grouped = mid.reshape(size, size**memory)

@@ -9,6 +9,12 @@ For a model with memory M the operator is closed on functions of W >= max(M, 1)
 coordinates; its dual fixed point is a stationary g-measure restricted to
 length-W cylinders.  Uniqueness of the g-chain is *diagnosed* (never proved)
 through the decay of the oscillation of L^n f.
+
+Functions over S^W are indexed lexicographically, numpy's C order over
+(|S|,) * W, so f at the extensions s.u[:W-1] is one ``np.repeat`` of f
+reshaped to (|S|, |S|^(W-1)).  The operator is one (|S|, |S|^W) weight array,
+weight[s, u] = g(s.u[:M]), read by ``apply``, ``apply_dual`` and the
+uniqueness flag of ``stationary``.
 """
 
 from __future__ import annotations
@@ -41,12 +47,12 @@ MAX_POWER_ITERATIONS = 100_000
 
 def indicator(alphabet: Alphabet, symbol: str, window: int = 1) -> np.ndarray:
     """Indicator of ``symbol`` at coordinate 0, as a vector over S^window."""
-    size = alphabet.size
-    f = np.zeros(size**window)
-    s = alphabet.index(symbol)
-    block = size ** (window - 1)
-    f[s * block : (s + 1) * block] = 1.0
-    return f
+    return np.repeat(np.eye(alphabet.size)[alphabet.index(symbol)], alphabet.size ** (window - 1))
+
+
+def _extensions(f: np.ndarray, size: int) -> np.ndarray:
+    """``f`` at the extension s.u[:window-1] of each word u, as a (size, dim) array."""
+    return np.repeat(f.reshape(size, -1), size, axis=1)
 
 
 class TransferOperator:
@@ -67,28 +73,21 @@ class TransferOperator:
                 f"state dimension {size}^{self.window} exceeds budget {DEFAULT_BUDGET}"
             )
         self.dim = size**self.window
-        u = np.arange(self.dim)
-        # f-index of the extension s.u[:window-1] and its g-weight g(s.u[:memory])
-        self._src = [s * size ** (self.window - 1) + u // size for s in range(size)]
-        self._weight = [
-            model.table[s * size**model.memory + u // size ** (self.window - model.memory)]
-            for s in range(size)
-        ]
+        table = model.table.reshape(size, -1)  # [s, window code of x_1..x_memory]
+        self.weight = np.repeat(table, self.dim // table.shape[1], axis=1)
 
     def apply(self, f: np.ndarray) -> np.ndarray:
         f = np.asarray(f, dtype=float)
         if f.shape != (self.dim,):
             raise ConfigError(f"function must have shape ({self.dim},), got {f.shape}")
-        out = np.zeros(self.dim)
-        for src, w in zip(self._src, self._weight):
-            out += w * f[src]
-        return out
+        return (self.weight * _extensions(f, self.model.alphabet.size)).sum(axis=0)
 
     def apply_dual(self, pi: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.dim)
-        for src, w in zip(self._src, self._weight):
-            np.add.at(out, src, w * pi)
-        return out
+        size = self.model.alphabet.size
+        # [s, v, t]: the mass word v.t sends to s.v; slices added in order,
+        # which is faster than a reduction over the short last axis
+        terms = (self.weight * pi).reshape(size, -1, size)
+        return sum(terms[..., t] for t in range(size)).reshape(-1)
 
 
 def apply_Ln(op: TransferOperator, f: np.ndarray, n: int) -> np.ndarray:
@@ -138,9 +137,9 @@ def _is_uniquely_ergodic(op: TransferOperator) -> bool:
     from scipy.sparse import coo_matrix
     from scipy.sparse.csgraph import connected_components
 
-    mask = np.concatenate(op._weight) > 0
-    rows = np.concatenate([np.arange(op.dim)] * op.model.alphabet.size)[mask]
-    cols = np.concatenate(op._src)[mask]
+    mask = op.weight > 0
+    rows = np.broadcast_to(np.arange(op.dim), mask.shape)[mask]
+    cols = _extensions(np.arange(op.dim), op.model.alphabet.size)[mask]
     adj = coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(op.dim, op.dim))
     n_comp, labels = connected_components(adj, directed=True, connection="strong")
     src_class, dst_class = labels[rows], labels[cols]
@@ -206,12 +205,6 @@ def uniqueness_diagnostic(
     else:
         if trunc_memory is None:
             raise ConfigError("long-range models need an explicit trunc_memory")
-        # the operator's own check, made before the surrogate is built
-        if model.alphabet.size ** max(trunc_memory, 1) > DEFAULT_BUDGET:
-            raise BudgetError(
-                f"surrogate dimension {model.alphabet.size}^{trunc_memory} "
-                f"exceeds budget {DEFAULT_BUDGET}"
-            )
         surrogate, defect, half_width = finite_memory_surrogate(model, trunc_memory)
     op = TransferOperator(surrogate)
     per_step = 2.0 * model.alphabet.size * (half_width + defect)

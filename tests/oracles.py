@@ -2,7 +2,8 @@
 
 Each oracle recomputes a quantity along a different route than the library
 code it checks: direct chain enumeration for the renewal sequence, dense
-matrix powers for the transfer operator, full eigendecomposition for the
+matrix powers and per-symbol index lists for the transfer operator, boolean
+reachability for its closed classes, full eigendecomposition for the
 stationary vector, and plain summation for total variation.  The cylinder,
 surrogate and d_n oracles loop over words with the scalar ``eval_indices``
 and never call the batched kernel.  The interval-product and context-sum
@@ -69,6 +70,49 @@ def dense_transfer_matrix(model, window: int) -> np.ndarray:
             v_code = encode(extended[:window], size)
             A[u_code, v_code] += weight
     return A
+
+
+def _index_lists(model, window: int):
+    """Per symbol s, the lexicographic index of the extension s.u[:window-1]
+    of every word u of length ``window``, and its weight g(s.u[:memory]),
+    by integer division of codes."""
+    size, memory = model.alphabet.size, model.memory
+    u = np.arange(size**window)
+    src = [s * size ** (window - 1) + u // size for s in range(size)]
+    weight = [model.table[s * size**memory + u // size ** (window - memory)] for s in range(size)]
+    return zip(src, weight)
+
+
+def transfer_apply_loop(model, window: int, f: np.ndarray) -> np.ndarray:
+    """(L f)(u) = sum_s g(s.u) f(s.u), one symbol at a time."""
+    out = np.zeros(len(f))
+    for src, w in _index_lists(model, window):
+        out += w * f[src]
+    return out
+
+
+def transfer_apply_dual_loop(model, window: int, pi: np.ndarray) -> np.ndarray:
+    """The dual action: each word's mass scattered to its extensions, one
+    symbol at a time and in word order within a symbol."""
+    out = np.zeros(len(pi))
+    for src, w in _index_lists(model, window):
+        np.add.at(out, src, w * pi)
+    return out
+
+
+def closed_class_count(A: np.ndarray) -> int:
+    """Closed communicating classes of the chain with transition matrix A,
+    from the transitive closure of its support by repeated squaring."""
+    reach = (A > 0) | np.eye(len(A), dtype=bool)
+    while True:
+        closure = reach.astype(np.int64) @ reach.astype(np.int64) > 0
+        if (closure == reach).all():
+            break
+        reach = closure
+    mutual = reach & reach.T
+    # u lies in a closed class iff every state it reaches reaches it back
+    return len({tuple(np.flatnonzero(mutual[u])) for u in range(len(A))
+                if (mutual[u] == reach[u]).all()})
 
 
 def left_perron_vector(A: np.ndarray) -> np.ndarray:

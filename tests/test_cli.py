@@ -431,6 +431,21 @@ def test_budget_error_exit_code(longrange_file, tmp_path):
     assert rc == 3
 
 
+def test_surrogate_budget_is_checked_before_its_words(longrange_file, tmp_path, capsys,
+                                                      monkeypatch):
+    # 2^23 surrogate words exceed DEFAULT_BUDGET = 2^22; the operator's 2^22 states do not
+    def refuse(*args):
+        raise AssertionError("surrogate words enumerated")
+
+    monkeypatch.setattr(gmeasure.gmodel, "all_words", refuse)
+    rc = main(["transfer", "--model", str(longrange_file), "--trunc-memory", "22",
+               "--n-max", "1", "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 3, err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err, err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["longrange.gmodel"]
+
+
 def test_missing_seed_is_config_error(longrange_file, tmp_path, capsys):
     # argparse enforces the mandatory seed for stochastic experiments
     rc = main(["couple", "--model", str(longrange_file), "--out", str(tmp_path / "z")])
@@ -516,15 +531,26 @@ print(rc, *sorted({".".join(m.split(".")[:2]) for m in sys.modules if m.startswi
 """
 
 
-@pytest.mark.parametrize("law, absent", [
-    ("exponential", {"scipy.special", "scipy.signal", "scipy.sparse"}),
-    ("power_law", {"scipy.signal", "scipy.sparse"}),
-], ids=["exponential", "power_law"])
-def test_pipeline_imports_only_the_scipy_it_calls(law, absent, tmp_path):
-    model = tmp_path / "model.gmodel"
-    model.write_text(LONGRANGE_MODEL if law == "power_law" else EXPONENTIAL_MODEL)
-    argv = ["pipeline", "--model", str(model), "--depth", "8", "--trajectories", "10",
-            "--K-max", "3", "--seed", "1", "--out", str(tmp_path / "out")]
+NO_SCIPY_SUBPACKAGE = {"scipy.special", "scipy.signal", "scipy.sparse"}
+PIPELINE_ARGV = ["pipeline", "--depth", "8", "--trajectories", "10", "--K-max", "3", "--seed", "1"]
+
+
+@pytest.mark.parametrize("model, argv, absent", [
+    ("exponential", PIPELINE_ARGV, NO_SCIPY_SUBPACKAGE),
+    ("longrange", PIPELINE_ARGV, {"scipy.signal", "scipy.sparse"}),
+    ("mem1", ["transfer", "--n-max", "5"], NO_SCIPY_SUBPACKAGE),
+    ("exponential", ["transfer", "--n-max", "5", "--trunc-memory", "4"], NO_SCIPY_SUBPACKAGE),
+    (None, ["criteria", "--variation", "power_law:c=1,p=2"], NO_SCIPY_SUBPACKAGE),
+    ("exponential", ["couple", "--depth", "8", "--trajectories", "10", "--seed", "1",
+                     "--dn-max", "2", "--tail-len", "2"], NO_SCIPY_SUBPACKAGE),
+], ids=["exponential", "power_law", "transfer-finite-memory", "transfer-exponential",
+        "criteria", "couple-exponential"])
+def test_pipeline_imports_only_the_scipy_it_calls(model, argv, absent, tmp_path):
+    if model is not None:
+        path = tmp_path / "model.gmodel"
+        path.write_text(MODELS[model])
+        argv = argv + ["--model", str(path)]
+    argv = argv + ["--out", str(tmp_path / "out")]
     src = Path(gmeasure.__file__).resolve().parents[1]
     proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, *argv], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)

@@ -23,7 +23,7 @@ from gmeasure import (
     rho_interval,
     variation_profile,
 )
-from gmeasure.gmodel import decode, finite_memory_surrogate
+from gmeasure.gmodel import all_words, decode, finite_memory_surrogate
 
 
 def test_alphabet_validation():
@@ -366,3 +366,15 @@ def test_decode_encode_roundtrip():
 
     for code in range(27):
         assert encode(decode(code, 3, 3), 3) == code
+
+
+@pytest.mark.parametrize("size", [2, 3, 4])
+def test_all_words_rows_are_the_decoded_codes_in_order(size):
+    # length 0 is the one empty word, shape (1, 0)
+    for length in range(6):
+        words = all_words(size, length)
+        assert words.dtype == np.uint8
+        assert words.shape == (size**length, length)
+        assert [tuple(row) for row in words.tolist()] == [
+            decode(code, size, length) for code in range(size**length)
+        ]

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gmeasure import (
+    Alphabet,
     BudgetError,
     ConfigError,
     FiniteMemoryModel,
@@ -12,7 +13,28 @@ from gmeasure import (
     stationary,
     uniqueness_diagnostic,
 )
-from oracles import dense_transfer_matrix, dobrushin_coefficient, left_perron_vector
+from oracles import (
+    closed_class_count,
+    dense_transfer_matrix,
+    dobrushin_coefficient,
+    left_perron_vector,
+    transfer_apply_dual_loop,
+    transfer_apply_loop,
+)
+
+
+def models_with_zero_entries(rng):
+    """(model, window): 2-4 symbols, memory 0-3, windows M..M+2 (at least 1),
+    random tables with about a third of their entries zero."""
+    for size in (2, 3, 4):
+        alphabet = Alphabet(tuple("abcd"[:size]))
+        for memory in range(4):
+            table = rng.random((size, size**memory))
+            table[rng.random(table.shape) < 0.3] = 0.0
+            table[0, table.sum(axis=0) == 0.0] = 1.0
+            model = FiniteMemoryModel(alphabet, memory, (table / table.sum(axis=0)).reshape(-1))
+            for window in range(max(memory, 1), memory + 3):
+                yield model, window
 
 
 def test_preserves_constants(iid, mem1):
@@ -56,6 +78,53 @@ def test_matches_dense_matrix_power_oracle(mem1, rng):
         for n in (1, 3, 7):
             expect = np.linalg.matrix_power(A, n) @ f
             assert np.abs(apply_Ln(op, f, n) - expect).max() < 1e-12
+
+
+def test_apply_and_dual_match_index_list_loops_bit_for_bit(rng):
+    for model, window in models_with_zero_entries(rng):
+        op = TransferOperator(model, window)
+        f, pi = rng.random(op.dim), rng.random(op.dim)
+        assert op.apply(f).tobytes() == transfer_apply_loop(model, window, f).tobytes()
+        assert op.apply_dual(pi).tobytes() == transfer_apply_dual_loop(model, window, pi).tobytes()
+
+
+def test_apply_dual_is_the_dense_transpose(rng):
+    for model, window in models_with_zero_entries(rng):
+        op = TransferOperator(model, window)
+        pi = rng.random(op.dim)
+        pi /= pi.sum()
+        expect = dense_transfer_matrix(model, window).T @ pi
+        assert np.abs(op.apply_dual(pi) - expect).max() < 1e-12
+
+
+def _two_absorbing_pairs():
+    # 3 symbols, memory 2: x_1 = x_2 = 0 forces 0, x_1 = x_2 = 1 forces 1,
+    # any other context draws uniformly
+    table = np.full((3, 3, 3), 1 / 3)
+    table[:, 0, 0] = table[:, 1, 1] = 0.0
+    table[0, 0, 0] = table[1, 1, 1] = 1.0
+    return FiniteMemoryModel(Alphabet(("0", "1", "2")), 2, table.reshape(-1))
+
+
+UNIQUENESS_CASES = {
+    # context 0 forces 0; context 1 draws either: {0} is the one closed class
+    "zero entries, one closed class": (
+        lambda a: FiniteMemoryModel(a, 1, {"00": 1.0, "10": 0.0, "01": 0.5, "11": 0.5}), True),
+    "two closed classes, 3 symbols, memory 2": (lambda a: _two_absorbing_pairs(), False),
+    # memory 0 read through windows of 1-2 symbols: only 00.. stays reachable
+    "iid with a zero entry": (lambda a: FiniteMemoryModel(a, 0, {"0": 1.0, "1": 0.0}), True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNIQUENESS_CASES))
+def test_unique_flag_matches_closed_class_oracle(case, alphabet):
+    build, unique = UNIQUENESS_CASES[case]
+    model = build(alphabet)
+    # windows from max(memory, 1) to memory + 2, so some exceed the memory
+    for window in range(max(model.memory, 1), model.memory + 3):
+        measure = stationary(TransferOperator(model, window))
+        assert (closed_class_count(dense_transfer_matrix(model, window)) == 1) == unique
+        assert measure.unique == unique
 
 
 def test_stationary_iid_product_measure(iid):
