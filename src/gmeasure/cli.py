@@ -93,6 +93,10 @@ class RunManifest:
     environment: dict = field(default_factory=dict)
 
 
+# rows of a CSV artifact built and encoded at a time
+_CSV_ROWS = 16384
+
+
 def _cells(column):
     """The cells of one column: ``str`` of each value.  A float64 array's
     distinct bit patterns are formatted once each, as Python floats; keying
@@ -107,11 +111,19 @@ def _csv(comments: list[str], header: list[str], columns) -> bytes:
     """CSV artifact: '# ' comment lines, the header, then one row per index
     of the equal-length ``columns``.  A cell is ``str`` of its value, so a
     float's cell is its shortest round-trip repr whatever container it came
-    in; a float64 array formats each distinct bit pattern once."""
-    lines = [f"# {c}" for c in comments]
-    lines.append(",".join(header))
-    lines.extend(map(",".join, zip(*map(_cells, columns), strict=True)))
-    return ("\n".join(lines) + "\n").encode()
+    in; a float64 array formats each distinct bit pattern of a chunk once.
+    Rows are built and encoded ``_CSV_ROWS`` at a time, so the row strings
+    of one chunk are held at once, never those of the whole artifact."""
+    columns = list(columns)
+    lengths = {len(c) for c in columns}
+    if len(lengths) > 1:
+        raise ValueError(f"CSV columns have different lengths {sorted(lengths)}")
+    head = "".join(f"# {c}\n" for c in comments) + ",".join(header) + "\n"
+    parts = [head.encode()]
+    for lo in range(0, max(lengths, default=0), _CSV_ROWS):
+        cells = (_cells(c[lo : lo + _CSV_ROWS]) for c in columns)
+        parts.append(("\n".join(map(",".join, zip(*cells))) + "\n").encode())
+    return b"".join(parts)
 
 
 def _json(record) -> bytes:
@@ -250,7 +262,11 @@ def _run_renewal(cfg: ExperimentConfig) -> dict[str, bytes]:
     d, b, K = p["d"], p["b"], _positive(p["K"], "K")
     ab = build_alphabeta(RenewalSpec(tuple(d[:K]), tuple(b[: K + 1]), K))
     n_max = 50 * ab.boundaries[-1] if p["n_max"] is None else p["n_max"]
-    n_max = _rows(_positive(n_max, "n_max"))
+    work = (_positive(n_max, "n_max") + 1) * (K + 1)  # tap reads of renewal_solve
+    if work > DEFAULT_BUDGET:
+        raise BudgetError(
+            f"renewal work (n_max + 1)(K + 1) = {work} tap reads exceeds budget {DEFAULT_BUDGET}"
+        )
     return {
         "renewal_u.csv": _csv(
             ["u_n: probability the dominating block chain disagrees at coordinate -n"],

@@ -21,6 +21,10 @@ per-coordinate disagreement probability.
 Note the summation in the recursion runs up to i = n (the i = n term pairs
 alpha_n with u_0); direct enumeration of the chain confirms this indexing,
 e.g. d_1 = 1, b = (1, 1) forces u_n = 1 for every n.
+
+``renewal_solve`` uses numpy only: fixed-length chunks, each a few slice
+additions for the boundary lags that reach back before the chunk and one
+convolution with the truncated series 1 / (1 - alpha(z)).
 """
 
 from __future__ import annotations
@@ -128,22 +132,70 @@ def effective_lattice(ab: AlphaBeta) -> int:
 def renewal_solve(ab: AlphaBeta, n_max: int) -> np.ndarray:
     """Exact renewal sequence u_0..u_{n_max}.
 
-    The recursion is a linear constant-coefficient filter
-    u_n - sum_i alpha_i u_{n-i} = beta_n, evaluated with scipy's IIR filter;
-    the test suite validates it against direct enumeration of the chain.
+    The recursion u = beta + alpha * u is solved in chunks of ``_CHUNK``
+    entries.  A chunk first adds the alpha terms that read finished
+    entries, one slice per boundary; its own part of the recursion is then
+    one convolution with h, the first ``_CHUNK`` terms of 1 / (1 - alpha(z)),
+    which is built once by the same scheme with chunk lengths doubling from
+    1.  The work is (n_max + 1)(K + 1) tap reads plus one convolution per
+    chunk; the test suite validates the result against direct enumeration
+    of the chain and against an all-pole IIR filter.
     """
     if n_max < 0:
         raise ConfigError("n_max must be >= 0")
-    beta = np.zeros(n_max + 1)
+    taps = [(i, a) for i, a in ab.alpha.items() if a != 0.0]
+    u = np.zeros(n_max + 1)
     m = min(n_max + 1, len(ab.beta))
-    beta[:m] = ab.beta[:m]
-    den = np.zeros(ab.boundaries[-1] + 1)
-    den[0] = 1.0
-    for i, a in ab.alpha.items():
-        den[i] -= a
-    from scipy.signal import lfilter  # ~0.4-0.6 s to import; only this solve needs it
+    u[:m] = ab.beta[:m]
+    h = np.zeros(min(_CHUNK, n_max + 1))
+    h[0] = 1.0
+    done = 1
+    while done < len(h):
+        stop = min(2 * done, len(h))
+        _solve_chunk(h, taps, done, stop, h[: stop - done])
+        done = stop
+    for start in range(0, n_max + 1, _CHUNK):
+        _solve_chunk(u, taps, start, min(start + _CHUNK, n_max + 1), h)
+    return u
 
-    return lfilter([1.0], den, beta)
+
+# entries per chunk of the renewal solve; h holds this many terms
+_CHUNK = 8192
+# largest (trimmed support) x (length) product convolved directly; larger
+# ones go through the FFT, which costs about as much as 2^21 direct terms
+_DIRECT_MAX = 1 << 21
+
+
+def _solve_chunk(u: np.ndarray, taps, start: int, stop: int, h: np.ndarray) -> None:
+    """Solve u[start:stop] of u = rhs + alpha * u in place, given every
+    entry before ``start``; on entry u[start:stop] holds the chunk's rhs.
+    ``h`` holds at least the chunk's length of terms of 1 / (1 - alpha(z))."""
+    rhs = u[start:stop]
+    for i, a in taps:
+        lo = max(start - i, 0)
+        hi = min(stop - i, start)
+        if lo < hi:
+            rhs[lo + i - start : hi + i - start] += a * u[lo:hi]
+    _convolve_head(rhs, h)
+
+
+def _convolve_head(x: np.ndarray, h: np.ndarray) -> None:
+    """Replace x in place by the first len(x) terms of the convolution x * h.
+
+    Leading and trailing zeros of x are trimmed first.  A small product of
+    the support and the length is convolved directly, so 0/1 data give
+    exact results; a larger one goes through ``rfft``/``irfft``.
+    """
+    support = np.flatnonzero(x)
+    if support.size == 0:
+        return
+    lo, hi = int(support[0]), int(support[-1]) + 1
+    n = len(x) - lo
+    if (hi - lo) * n <= _DIRECT_MAX:
+        x[lo:] = np.convolve(x[lo:hi], h[:n])[:n]
+    else:
+        size = 1 << (hi - lo + n - 2).bit_length()  # the full length: no wrap into the head
+        x[lo:] = np.fft.irfft(np.fft.rfft(x[lo:hi], size) * np.fft.rfft(h[:n], size), size)[:n]
 
 
 def renewal_limit(ab: AlphaBeta, lattice: int | None = None) -> float:

@@ -1,18 +1,19 @@
 """Independent oracles used by the test suite.
 
 Each oracle recomputes a quantity along a different route than the library
-code it checks: direct chain enumeration for the renewal sequence, dense
-matrix powers and per-symbol index lists for the transfer operator, boolean
-reachability for its closed classes, full eigendecomposition for the
-stationary vector, and plain summation for total variation.  The cylinder,
-surrogate and d_n oracles loop over words with the scalar ``eval_indices``
-and never call the batched kernel.  The interval-product and context-sum
-oracles add and multiply one term at a time, in the kernel's order.  The
-CSV oracle formats cell by cell.
+code it checks: direct chain enumeration and an all-pole IIR filter for the
+renewal sequence, dense matrix powers and per-symbol index lists for the
+transfer operator, boolean reachability for its closed classes, full
+eigendecomposition for the stationary vector, and plain summation for total
+variation.  The cylinder, surrogate and d_n oracles loop over words with the
+scalar ``eval_indices`` and never call the batched kernel.  The
+interval-product and context-sum oracles add and multiply one term at a
+time, in the kernel's order.  The CSV oracle formats cell by cell.
 """
 
 import numpy as np
 import scipy.linalg
+from scipy.signal import lfilter
 
 from gmeasure.gmodel import decode, encode
 from gmeasure.renewal import RenewalSpec
@@ -53,6 +54,19 @@ def chain_disagreement(spec: RenewalSpec, n_max: int) -> np.ndarray:
                 nxt = states.setdefault(cover + length, {})
                 nxt[next_run] = nxt.get(next_run, 0.0) + mass
     return np.cumsum(diff)[: n_max + 1]
+
+
+def renewal_lfilter(ab, n_max: int) -> np.ndarray:
+    """u_0..u_{n_max} of u = beta + alpha * u as one all-pole filter with the
+    dense denominator 1 - alpha(z), one recursion step per entry."""
+    beta = np.zeros(n_max + 1)
+    m = min(n_max + 1, len(ab.beta))
+    beta[:m] = ab.beta[:m]
+    den = np.zeros(ab.boundaries[-1] + 1)
+    den[0] = 1.0
+    for i, a in ab.alpha.items():
+        den[i] -= a
+    return lfilter([1.0], den, beta)
 
 
 def dense_transfer_matrix(model, window: int) -> np.ndarray:

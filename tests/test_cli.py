@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 import gmeasure
 from gmeasure import cli, coupling
 from gmeasure.cli import main
+from gmeasure.renewal import RenewalSpec, build_alphabeta, renewal_solve
 from oracles import csv_cell_by_cell
 
 MEM1_MODEL = """
@@ -259,18 +261,18 @@ PINNED = {
         "transfer.csv": "622dcf3614c38a2f7a3eaf9b17d4808996a63fd5c94fe58dd1bdadb87b28754b",
     }),
     "renewal": (["renewal", "--d", "0.5,0.3", "--b", "1,2,3", "--K", "2"], {
-        "renewal_u.csv": "82bffef2726b045ddd615bc6b4cf8d206cbbfffa059b809d838f0dc03bc16708",
+        "renewal_u.csv": "421c4bc8a77b2ca231291dc05d2c0ec96c604f38c06fe1bfbc00d1184e810a17",
         "renewal_limit.csv": "9057f7778c6620ac84702fbf54faee9a9a4b1d06916b171658c5148d90b83150",
     }),
     "renewal-n-max": (["renewal", "--d", "0.5,0.3", "--b", "1,2,3", "--K", "2",
                        "--n-max", "40"], {
-        "renewal_u.csv": "bdb3d313f108ad1ef008904b0609d17c458b09e271d02597d83b2ef49d18e114",
+        "renewal_u.csv": "6f133c5d3759568248130ec535e14e8f7e1f40f24d5ddc6c196c99fb602fb862",
         "renewal_limit.csv": "9057f7778c6620ac84702fbf54faee9a9a4b1d06916b171658c5148d90b83150",
     }),
-    # the benchmark's renewal run: 200 001 rows, 489 distinct u_n values
+    # the benchmark's renewal run: 200 001 rows, 493 distinct u_n values
     "renewal-bench": (["renewal", "--d", "0.5,0.4,0.3,0.25,0.2,0.15,0.1,0.08",
                        "--b", "1,1,2,2,3,3,4,4,5", "--K", "8", "--n-max", "200000"], {
-        "renewal_u.csv": "53cb1b4800fddefd39204494a222a32f303a27e36a27ffdba6412804ea319e41",
+        "renewal_u.csv": "188afed79c825240a0800e4a3975cc1fe3797f56e3839829427b3b842078906f",
         "renewal_limit.csv": "b6f442a21b749519cf9dfb20cde967fa9a833bde36d0fd77f7547882aee6b004",
     }),
     "criteria": (["criteria", "--variation", "exponential:c=1,r=0.5"], {
@@ -313,6 +315,21 @@ CSV_COLUMNS = {
 }
 
 
+def _chunk_columns(n):
+    """Columns of n rows of every kind the runners pass: a range, float64
+    arrays with repeats and signed zeros, tuples from ``zip`` and strings."""
+    x = np.tile([0.0, -0.0, 0.1 + 0.2, 1 / 3, -0.0, 1e16], n // 6 + 1)[:n]
+    pairs = [(i % 3, float(-i)) for i in range(n)]
+    ints, floats = zip(*pairs) if pairs else ((), ())
+    return [range(n), x, np.full(n, -0.0), ints, floats, [f"s{i % 5}" for i in range(n)]]
+
+
+# row counts at and around the writer's chunk length
+_CHUNK = cli._CSV_ROWS
+CSV_COLUMNS.update({f"{n} rows": _chunk_columns(n)
+                    for n in (0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1)})
+
+
 @pytest.mark.parametrize("case", sorted(CSV_COLUMNS))
 def test_csv_matches_cell_by_cell_oracle(case):
     columns = CSV_COLUMNS[case]
@@ -335,10 +352,28 @@ def test_csv_float_columns_match_oracle(values, step):
     assert cli._csv([], ["n", "x", "y"], columns) == expected
 
 
+def test_csv_peak_memory_is_bounded():
+    # the benchmark's renewal columns: 200 001 rows of distinct and repeated floats
+    spec = RenewalSpec((0.5, 0.4, 0.3, 0.25, 0.2, 0.15, 0.1, 0.08),
+                       (1, 1, 2, 2, 3, 3, 4, 4, 5), 8)
+    columns = [range(200_001), renewal_solve(build_alphabeta(spec), 200_000)]
+    tracemalloc.start()
+    try:
+        data = cli._csv(["u_n"], ["n", "u_n"], columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * len(data), (peak, len(data))
+
+
 @pytest.mark.parametrize("argv", [
     ["--b", "2,2", "--n-max", "4194304"],  # n_max + 1 = 2^22 + 1 rows
     ["--b", "1,90000"],  # the default n_max = 50 * B_2 = 4 500 050
-], ids=["explicit", "default"])
+    # 250 001 rows, but (n_max + 1)(K + 1) = 5 250 021 tap reads; the later
+    # --d and --K replace the test's own
+    ["--d", ",".join(["0.5"] * 20), "--b", ",".join(["1"] * 21), "--K", "20",
+     "--n-max", "250000"],
+], ids=["explicit", "default", "taps"])
 def test_renewal_row_budget_is_checked_first(argv, monkeypatch, tmp_path, capsys):
     # more than DEFAULT_BUDGET rows: refused before u is solved for
     def refuse(*args):
@@ -543,8 +578,9 @@ PIPELINE_ARGV = ["pipeline", "--depth", "8", "--trajectories", "10", "--K-max", 
     (None, ["criteria", "--variation", "power_law:c=1,p=2"], NO_SCIPY_SUBPACKAGE),
     ("exponential", ["couple", "--depth", "8", "--trajectories", "10", "--seed", "1",
                      "--dn-max", "2", "--tail-len", "2"], NO_SCIPY_SUBPACKAGE),
+    (None, ["renewal", "--d", "0.5", "--b", "2,2", "--K", "1"], NO_SCIPY_SUBPACKAGE),
 ], ids=["exponential", "power_law", "transfer-finite-memory", "transfer-exponential",
-        "criteria", "couple-exponential"])
+        "criteria", "couple-exponential", "renewal"])
 def test_pipeline_imports_only_the_scipy_it_calls(model, argv, absent, tmp_path):
     if model is not None:
         path = tmp_path / "model.gmodel"

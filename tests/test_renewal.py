@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -16,8 +17,10 @@ from gmeasure import (
     renewal_limit,
     renewal_solve,
 )
+from gmeasure import renewal
 from gmeasure.criteria import geometric_blocks
-from oracles import chain_disagreement
+from oracles import chain_disagreement, renewal_lfilter
+from test_acceptance import _grid_specs
 
 
 def test_spec_validation():
@@ -114,6 +117,70 @@ def test_solver_matches_oracle_small_grid():
                 assert np.abs(
                     renewal_solve(ab, n_max) - chain_disagreement(spec, n_max)
                 ).max() < 1e-12
+
+
+# the benchmark's renewal spec
+BENCH_SPEC = RenewalSpec((0.5, 0.4, 0.3, 0.25, 0.2, 0.15, 0.1, 0.08),
+                         (1, 1, 2, 2, 3, 3, 4, 4, 5), 8)
+
+
+def test_solver_matches_lfilter_oracle_on_grid():
+    for spec in _grid_specs():
+        ab = build_alphabeta(spec)
+        n_max = 4 * ab.boundaries[-1]
+        assert np.abs(renewal_solve(ab, n_max) - renewal_lfilter(ab, n_max)).max() < 1e-12
+
+
+def _spy(monkeypatch, owner, name):
+    """Count the calls of ``owner.name`` and pass them through."""
+    calls = []
+    real = getattr(owner, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("spec, n_max, branches", [
+    # short taps: every chunk's rhs has a short support and is convolved directly
+    (BENCH_SPEC, 200_000, {"direct"}),
+    # a tap past the chunk length: whole chunks go through the FFT
+    (RenewalSpec((0.5,), (1, 1000), 1), 50_050, {"direct", "fft"}),
+    (RenewalSpec((0.5,), (1, 4000), 1), 200_050, {"direct", "fft"}),
+], ids=["bench", "B2=1001", "B2=4001"])
+def test_solver_matches_lfilter_oracle(spec, n_max, branches, monkeypatch):
+    direct = _spy(monkeypatch, np, "convolve")
+    fft = _spy(monkeypatch, np.fft, "rfft")
+    ab = build_alphabeta(spec)
+    u = renewal_solve(ab, n_max)
+    ran = {name for name, calls in (("direct", direct), ("fft", fft)) if calls}
+    assert ran == branches
+    assert np.abs(u - renewal_lfilter(ab, n_max)).max() < 1e-12
+
+
+def test_long_block_solve_is_fast():
+    # B_2 = 40 001 at its default n_max = 50 * B_2; a dense filter takes ~100 s
+    spec = RenewalSpec((0.5,), (1, 40_000), 1)
+    ab = build_alphabeta(spec)
+    n_max = 50 * ab.boundaries[-1]
+    t0 = time.perf_counter()
+    u = renewal_solve(ab, n_max)
+    assert time.perf_counter() - t0 < 5.0
+    assert len(u) == n_max + 1
+    assert np.abs(u[:20_000] - chain_disagreement(spec, 19_999)).max() < 1e-12
+
+
+def test_chunk_edges_match_lfilter_oracle(monkeypatch):
+    # a short chunk, so that boundaries straddle several chunk edges
+    monkeypatch.setattr(renewal, "_CHUNK", 16)
+    for spec in (BENCH_SPEC, RenewalSpec((0.5, 0.25), (3, 20, 7), 2)):
+        ab = build_alphabeta(spec)
+        for n_max in (0, 14, 15, 16, 17, 100):
+            u = renewal_solve(ab, n_max)
+            assert np.abs(u - renewal_lfilter(ab, n_max)).max() < 1e-12
 
 
 # --- limits -------------------------------------------------------------------
