@@ -316,10 +316,14 @@ class LongRangeLinearModel:
 
     def _radii(self, n: int) -> np.ndarray:
         """theta * tail(k) for k = 0..n-1: the half-width of g on a word of
-        k + 1 symbols, bit for bit as ``eval_indices`` computes it."""
-        if len(self._rad) < n:
-            m = max(2 * len(self._rad), n)
-            self._rad = self.theta * np.array([self.coefficients.tail(k) for k in range(m)])
+        k + 1 symbols, bit for bit as ``eval_indices`` computes it.  The cache
+        at least doubles when it grows and keeps its entries, so each k costs
+        one scalar ``tail`` call per model (an array ``**`` would differ from
+        the scalar one in the last bit)."""
+        have = len(self._rad)
+        if have < n:
+            new = [self.coefficients.tail(k) for k in range(have, max(2 * have, n))]
+            self._rad = np.concatenate([self._rad, self.theta * np.array(new)])
         return self._rad
 
     def word_terms(self, words) -> np.ndarray:

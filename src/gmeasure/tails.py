@@ -12,6 +12,9 @@ The criteria classify a law from this pair alone.
 The summable laws, ``Exponential`` and ``PowerLaw`` with offset 0 and p > 1,
 give the model its sums ``tail(n)`` = sum_{k>n} a_k, ``prefix(n)`` =
 sum_{1<=k<=n} a_k and ``total``, plus ``from_mass`` and ``tail_law``.
+The power-law sums are Hurwitz zeta values, computed here by an
+Euler-Maclaurin sum in plain floats (no scipy) whose remainder is bounded
+by its first omitted term.
 """
 
 from __future__ import annotations
@@ -26,16 +29,44 @@ __all__ = ["PowerLaw", "Exponential", "FiniteRange", "OneMinusPower"]
 FASTER_THAN_EVERY_POWER = (0.0, math.inf)
 
 
-def _zeta(p: float, q: float) -> float:
-    from scipy.special import zeta  # ~0.2 s to import; only power-law sums need it
+# Euler-Maclaurin constants of ``_zeta``: the direct terms, and B_2j / (2j)!
+# for j = 1..8
+_DIRECT = 12
+_BERNOULLI = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160,
+              -691 / 1307674368000, 1 / 74724249600, -3617 / 10670622842880000)
 
-    return float(zeta(p, q))
+
+def _zeta(p: float, q: float) -> float:
+    """Hurwitz zeta sum_{k >= 0} (q + k)**(-p) for real p > 1 and q >= 1.
+
+    With a = q + 12 it is sum_{k < 12} (q + k)**(-p) + a**(1-p) / (p-1)
+    + a**(-p) / 2 + sum_{j=1..8} B_2j / (2j)! * p (p+1) ... (p+2j-2)
+    * a**(-p-2j+1) (DLMF 25.11; F. Johansson, Numer. Algorithms 2015).  For
+    real p > 1 the remainder is at most the first omitted term, j = 9, and
+    that is below 3e-20 of the value for every p > 1 and q >= 1 (largest
+    near p = 2.5, q = 1): far below rounding.  The corrections are summed by
+    Horner's rule, the direct terms smallest first, and the integral term,
+    the largest for large q, last.  Python floats stay Python floats, so a
+    scalar call costs a few microseconds.
+    """
+    a = q + _DIRECT
+    x = a ** -p
+    h = 1 / (a * a)
+    s = 0.0
+    for j in range(len(_BERNOULLI), 0, -1):
+        s = _BERNOULLI[j - 1] + (p + 2 * j - 1) * (p + 2 * j) * h * s
+    total = x / 2 + p * x / a * s
+    for k in range(_DIRECT - 1, -1, -1):
+        total += (q + k) ** -p
+    return total + x * a / (p - 1)
 
 
 @dataclass(frozen=True)
 class PowerLaw:
     """c * (n + offset)**(-p); p = 0 gives the constant c.  Its sums use the
-    Hurwitz zeta function, so ``tail`` suffers no cancellation."""
+    Hurwitz zeta function, so ``tail`` suffers no cancellation: ``tail(n)`` is
+    c * zeta(p, n + 1), evaluated by ``_zeta``'s Euler-Maclaurin sum, whose
+    remainder is below 3e-20 of the value (its first omitted term)."""
 
     c: float
     p: float

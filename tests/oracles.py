@@ -2,18 +2,20 @@
 
 Each oracle recomputes a quantity along a different route than the library
 code it checks: direct chain enumeration and an all-pole IIR filter for the
-renewal sequence, dense matrix powers and per-symbol index lists for the
-transfer operator, boolean reachability for its closed classes, full
-eigendecomposition for the stationary vector, and plain summation for total
-variation.  The cylinder, surrogate and d_n oracles loop over words with the
-scalar ``eval_indices`` and never call the batched kernel.  The
-interval-product and context-sum oracles add and multiply one term at a
-time, in the kernel's order.  The CSV oracle formats cell by cell.
+renewal sequence, scipy's Hurwitz zeta for the power-law tail sums, dense
+matrix powers and per-symbol index lists for the transfer operator, boolean
+reachability for its closed classes, full eigendecomposition for the
+stationary vector, and plain summation for total variation.  The cylinder,
+surrogate and d_n oracles loop over words with the scalar ``eval_indices``
+and never call the batched kernel.  The interval-product and context-sum
+oracles add and multiply one term at a time, in the kernel's order.  The CSV
+oracle formats cell by cell.
 """
 
 import numpy as np
 import scipy.linalg
 from scipy.signal import lfilter
+from scipy.special import zeta
 
 from gmeasure.gmodel import decode, encode
 from gmeasure.renewal import RenewalSpec
@@ -67,6 +69,11 @@ def renewal_lfilter(ab, n_max: int) -> np.ndarray:
     for i, a in ab.alpha.items():
         den[i] -= a
     return lfilter([1.0], den, beta)
+
+
+def hurwitz_zeta(p: float, q) -> np.ndarray:
+    """sum_{k >= 0} (q + k)**(-p) by scipy (Cephes), elementwise over q."""
+    return zeta(p, np.asarray(q, dtype=float))
 
 
 def dense_transfer_matrix(model, window: int) -> np.ndarray:

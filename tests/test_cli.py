@@ -212,7 +212,7 @@ PINNED = {
     "pipeline-geom:l=1.5": (_mc_argv("pipeline", "geom:l=1.5"), {
         "pipeline_mc.csv": "a38e38af75c9677fbe3dcdbe3ab5b87e58359b85af70aae23953b1545758d2ba",
         "pipeline_bounds.csv": "c603ec905ad9773f52bb1622877e99641eb5969e158c019a039d7106bb001a00",
-        "pipeline_summary.json": "52454dd4ca2191b9a5f704a0b36c3483c044381153092c41f8a1d2647177379f",
+        "pipeline_summary.json": "7b306ac69033a60a16a61e62941e717a7591064a18e286920ba09c0a3d73b3a8",
     }),
     # finite memory through the Monte Carlo sampler, from one-symbol contexts
     "couple-mem1-const:1": (_mc_argv("couple", "const:1", "mem1", context=1), {
@@ -235,7 +235,7 @@ PINNED = {
     "couple-dn": (["couple", "--model", "{longrange}", "--depth", "6", "--trajectories", "20",
                    "--seed", "3", "--dn-max", "3", "--tail-len", "2"], {
         "couple_mc.csv": "50f8226641623c8468143f9ccb88be8690e82620ac886fe54fdaa91deb3d3445",
-        "couple_dn.csv": "632bd18c4b5729dba8277e47c600f0ed4d4794e277c294037badc232d11f7d08",
+        "couple_dn.csv": "7ef9db64d47536baa5e8138b6859ad9e44f707e905deaa9d0dbb6cefae833da3",
     }),
     # the exponential coefficient law, scaled by coeff_mass and given by coeff_c
     "pipeline-exponential": (_mc_argv("pipeline", "geom:l=1.5", "exponential"), {
@@ -254,7 +254,7 @@ PINNED = {
     }),
     "transfer-trunc-memory": (["transfer", "--model", "{longrange}", "--n-max", "12",
                                "--trunc-memory", "6"], {
-        "transfer.csv": "823c0685f3107ca942cad2aa33c258e0f6df8c2134dc8b70b40fb0d16630cea8",
+        "transfer.csv": "b573d56d33c2379f13dd0afd049aa38d59d80e319fdb03427d25efb131954345",
     }),
     "transfer-trunc-memory-exponential": (["transfer", "--model", "{exponential_c}",
                                            "--n-max", "12", "--trunc-memory", "6"], {
@@ -568,19 +568,22 @@ print(rc, *sorted({".".join(m.split(".")[:2]) for m in sys.modules if m.startswi
 
 NO_SCIPY_SUBPACKAGE = {"scipy.special", "scipy.signal", "scipy.sparse"}
 PIPELINE_ARGV = ["pipeline", "--depth", "8", "--trajectories", "10", "--K-max", "3", "--seed", "1"]
+COUPLE_DN_ARGV = ["couple", "--depth", "8", "--trajectories", "10", "--seed", "1",
+                  "--dn-max", "2", "--tail-len", "2"]
 
 
 @pytest.mark.parametrize("model, argv, absent", [
     ("exponential", PIPELINE_ARGV, NO_SCIPY_SUBPACKAGE),
-    ("longrange", PIPELINE_ARGV, {"scipy.signal", "scipy.sparse"}),
+    ("longrange", PIPELINE_ARGV, NO_SCIPY_SUBPACKAGE),
     ("mem1", ["transfer", "--n-max", "5"], NO_SCIPY_SUBPACKAGE),
     ("exponential", ["transfer", "--n-max", "5", "--trunc-memory", "4"], NO_SCIPY_SUBPACKAGE),
+    ("longrange", ["transfer", "--n-max", "5", "--trunc-memory", "4"], NO_SCIPY_SUBPACKAGE),
     (None, ["criteria", "--variation", "power_law:c=1,p=2"], NO_SCIPY_SUBPACKAGE),
-    ("exponential", ["couple", "--depth", "8", "--trajectories", "10", "--seed", "1",
-                     "--dn-max", "2", "--tail-len", "2"], NO_SCIPY_SUBPACKAGE),
+    ("exponential", COUPLE_DN_ARGV, NO_SCIPY_SUBPACKAGE),
+    ("longrange", COUPLE_DN_ARGV, NO_SCIPY_SUBPACKAGE),
     (None, ["renewal", "--d", "0.5", "--b", "2,2", "--K", "1"], NO_SCIPY_SUBPACKAGE),
 ], ids=["exponential", "power_law", "transfer-finite-memory", "transfer-exponential",
-        "criteria", "couple-exponential", "renewal"])
+        "transfer-power-law", "criteria", "couple-exponential", "couple-power-law", "renewal"])
 def test_pipeline_imports_only_the_scipy_it_calls(model, argv, absent, tmp_path):
     if model is not None:
         path = tmp_path / "model.gmodel"

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,7 +24,9 @@ from gmeasure import (
     rho_interval,
     variation_profile,
 )
+from gmeasure import tails
 from gmeasure.gmodel import all_words, decode, finite_memory_surrogate
+from oracles import hurwitz_zeta
 
 
 def test_alphabet_validation():
@@ -350,15 +353,76 @@ def test_powerlaw_prefix_plus_tail_is_total(n):
     assert coeffs.prefix(n) + coeffs.tail(n) == pytest.approx(0.5, abs=1e-12)
 
 
-def test_powerlaw_tails_read_a_zeta_cache_bit_for_bit():
-    from scipy.special import zeta
+ZETA_P = [1.001, 1.01, 1.2, 1.5, 2, 2.5, 3, 6]
+ZETA_Q = np.concatenate([np.arange(1, 3001), np.geomspace(1, 2.0**40, 400)])
 
-    coeffs = PowerLaw(0.3, 2.5)
-    for k in range(500, -1, -1):
-        assert coeffs.tail(k) == coeffs.c * float(zeta(2.5, k + 1))
-        assert coeffs.prefix(k) == (
-            coeffs.c * float(zeta(2.5, 1) - zeta(2.5, k + 1)) if k > 0 else 0.0
-        )
+
+def _ulps(value, ref, unit=None):
+    return np.abs(np.asarray(value) - ref) / np.spacing(np.abs(ref if unit is None else unit))
+
+
+@pytest.mark.parametrize("p", ZETA_P)
+def test_zeta_is_within_4_ulps_of_the_oracle(p):
+    mine = [tails._zeta(p, q) for q in ZETA_Q.tolist()]
+    assert all(type(z) is float for z in mine)  # scalar calls stay Python floats
+    assert np.max(_ulps(mine, hurwitz_zeta(p, ZETA_Q))) <= 4
+
+
+def test_zeta_of_2_at_1_is_the_correctly_rounded_basel_sum():
+    assert tails._zeta(2.0, 1) == math.pi**2 / 6
+
+
+@pytest.mark.parametrize("p", ZETA_P)
+def test_powerlaw_sums_are_within_4_ulps_of_the_oracle(p):
+    # c = 1/4 scales exactly, so ulps of the sums are ulps of the zeta values
+    coeffs = PowerLaw(0.25, p)
+    k = np.arange(501)
+    tail = [coeffs.tail(n) for n in k.tolist()]
+    assert np.max(_ulps(tail, coeffs.c * hurwitz_zeta(p, k + 1))) <= 4
+    # prefix(n) subtracts two zeta values: counted in ulps of the larger, the total
+    total = coeffs.c * hurwitz_zeta(p, 1)
+    prefix = [coeffs.prefix(n) for n in k.tolist()]
+    assert prefix[0] == 0.0
+    assert np.max(_ulps(prefix[1:], total - coeffs.c * hurwitz_zeta(p, k[1:] + 1), total)) <= 4
+    assert _ulps(PowerLaw.from_mass(p, 0.5).c, 0.5 / hurwitz_zeta(p, 1)) <= 4
+
+
+def _bernoulli(n: int) -> Fraction:
+    """B_n exactly, by the Akiyama-Tanigawa algorithm."""
+    row = [Fraction(0)] * (n + 1)
+    for m in range(n + 1):
+        row[m] = Fraction(1, m + 1)
+        for j in range(m, 0, -1):
+            row[j - 1] = j * (row[j - 1] - row[j])
+    return row[0]
+
+
+def test_euler_maclaurin_remainder_is_below_rounding():
+    terms = len(tails._BERNOULLI)
+    for j, coeff in enumerate(tails._BERNOULLI, start=1):
+        assert coeff == float(_bernoulli(2 * j) / math.factorial(2 * j))
+    # the remainder of the zeta sum is at most its first omitted term
+    omitted = abs(float(_bernoulli(2 * terms + 2) / math.factorial(2 * terms + 2)))
+    a = ZETA_Q + tails._DIRECT
+    for p in ZETA_P:
+        term = omitted * math.prod(p + i for i in range(2 * terms + 1)) * a ** (-p - 2 * terms - 1)
+        assert np.all(term <= 1e-19 * hurwitz_zeta(p, ZETA_Q))
+
+
+@pytest.mark.parametrize("law", [PowerLaw.from_mass(2.0, 0.5), Exponential.from_mass(0.7, 0.5)],
+                         ids=["power", "exponential"])
+def test_radii_cache_grows_without_recomputing(law, monkeypatch):
+    model = LongRangeLinearModel(binary_alphabet(), 0.25, law)
+    calls = []
+    tail = type(law).tail
+    monkeypatch.setattr(type(law), "tail", lambda self, n: calls.append(n) or tail(self, n))
+    model._radii(65)
+    radii = model._radii(130)
+    assert sorted(calls) == list(range(130))  # each k once, not 65 + 130 calls
+    assert len(radii) == 130
+    at_once = model.theta * np.array([tail(law, k) for k in range(130)])
+    assert np.array_equal(radii.view(np.uint64), at_once.view(np.uint64))
+    assert [model.eval_indices([0] * (k + 1))[1] for k in range(130)] == radii.tolist()
 
 
 def test_decode_encode_roundtrip():
