@@ -21,14 +21,11 @@ from .gmodel import (
     FiniteMemoryModel,
     LongRangeLinearModel,
     VariationProfile,
-    Word,
     binary_alphabet,
     cylinder_prob,
-    eval_g,
     iid_model,
     load_model,
     parse_model,
-    rho_interval,
     variation_profile,
 )
 from .transfer import (
@@ -55,7 +52,6 @@ from .renewal import (
     build_alphabeta,
     disagreement_bound_sweep,
     effective_lattice,
-    period,
     renewal_limit,
     renewal_solve,
 )
@@ -74,6 +70,5 @@ from .criteria import (
     coupling_bound_ratio,
     geometric_blocks,
     hellinger_floor,
-    single_site_tv_bound,
     tv_bound_from_site_ratios,
 )

@@ -54,7 +54,7 @@ from .criteria import (
     coupling_bound_ratio,
     geometric_blocks,
 )
-from .errors import DEFAULT_BUDGET, BudgetError, ConfigError, GMeasureError
+from .errors import BudgetError, ConfigError, GMeasureError, check_budget
 from .gmodel import binary_alphabet, iid_model, load_model, variation_profile
 from .renewal import (
     RenewalSpec,
@@ -207,8 +207,7 @@ def _positive(value, name: str):
 
 def _rows(n_max: int) -> int:
     """n_max, once its n_max + 1 CSV rows (one per n) fit the budget."""
-    if n_max + 1 > DEFAULT_BUDGET:
-        raise BudgetError(f"n_max + 1 = {n_max + 1} rows exceeds budget {DEFAULT_BUDGET}")
+    check_budget(n_max + 1, f"n_max + 1 = {n_max + 1} rows")
     return n_max
 
 
@@ -263,10 +262,7 @@ def _run_renewal(cfg: ExperimentConfig) -> dict[str, bytes]:
     ab = build_alphabeta(RenewalSpec(tuple(d[:K]), tuple(b[: K + 1]), K))
     n_max = 50 * ab.boundaries[-1] if p["n_max"] is None else p["n_max"]
     work = (_positive(n_max, "n_max") + 1) * (K + 1)  # tap reads of renewal_solve
-    if work > DEFAULT_BUDGET:
-        raise BudgetError(
-            f"renewal work (n_max + 1)(K + 1) = {work} tap reads exceeds budget {DEFAULT_BUDGET}"
-        )
+    check_budget(work, f"renewal work (n_max + 1)(K + 1) = {work} tap reads")
     return {
         "renewal_u.csv": _csv(
             ["u_n: probability the dominating block chain disagrees at coordinate -n"],
@@ -312,11 +308,11 @@ def _run_pipeline(cfg: ExperimentConfig) -> dict[str, bytes]:
     p = cfg.params
     schedule = _parse_schedule(p["schedule"])
     K_max = _positive(p["K_max"], "K_max")
-    work = 0  # the closed-form and renewal sweeps cost K + B_{K+1} at each K
+    # the closed-form and renewal sweeps cost K + B_{K+1} at each K; the
+    # check leaves the loop at the first K past the budget
+    work, sweep = 0, f"the K sweep to K_max = {K_max}"
     for K in range(1, K_max + 1):
-        work += K + schedule.B(K + 1)
-        if work > DEFAULT_BUDGET:
-            raise BudgetError(f"the K sweep to K_max = {K_max} exceeds budget {DEFAULT_BUDGET}")
+        work = check_budget(work + K + schedule.B(K + 1), sweep)
     depth = _positive(p["depth"], "depth")
     n_traj = check_mc_budget(depth, _positive(p["trajectories"], "trajectories"))
     model = load_model(p["model"])

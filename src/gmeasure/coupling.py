@@ -44,8 +44,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetError, ConfigError, DEFAULT_BUDGET, TruncationError
-from .gmodel import Word, add_context, all_words, context_state, interval_product
+from .errors import BudgetError, ConfigError, TruncationError, check_budget
+from .gmodel import add_context, all_words, context_state, interval_product
 
 __all__ = [
     "MaximalCoupling",
@@ -212,11 +212,11 @@ TRUNC_TOL = 0.05
 _BATCH_SITES = 1 << 16
 
 
-def _block_laws(model, words: np.ndarray, state: np.ndarray, known_len, terms=None):
+def _block_laws(model, words: np.ndarray, state: np.ndarray, known_len, terms):
     """Midpoint block laws and truncation slacks, one per context row.
 
     ``words`` are all the words of one block length (``all_words``),
-    ``terms`` their ``word_terms`` unless computed here, ``state`` (..., b)
+    ``terms`` their ``word_terms``, ``state`` (..., b)
     rows hold the context state of the block's columns
     (``gmodel.context_state``) and ``known_len`` gives the lengths of the
     known contexts, broadcast to the leading axes, which share kernel calls.
@@ -224,7 +224,7 @@ def _block_laws(model, words: np.ndarray, state: np.ndarray, known_len, terms=No
     midpoints of the per-word interval products, ``slack`` the summed
     half-widths plus the normalisation defect.
     """
-    lead, terms = state.shape[:-1], model.word_terms(words.T) if terms is None else terms
+    lead = state.shape[:-1]
     known_len = np.broadcast_to(known_len, lead).ravel()
     n_rows, n_words = len(known_len), len(words)
     state = state.reshape(n_rows, state.shape[-1]).T  # sites first
@@ -264,16 +264,6 @@ class BlockCouplingSample:
     y: np.ndarray
     disagree: np.ndarray  # bool per coordinate
     blocks: list[BlockRecord]
-
-
-def _context_indices(model, context) -> np.ndarray:
-    if isinstance(context, Word):
-        if context.anchor != 1:
-            raise ConfigError("tail contexts must be anchored at coordinate 1")
-        symbols = context.symbols
-    else:
-        symbols = tuple(context)
-    return np.asarray(model.alphabet.indices(symbols), dtype=np.intp)
 
 
 def _max_uniforms(depth: int) -> int:
@@ -329,7 +319,8 @@ def _couple(model, lengths, depth, x_context, y_context, uniforms) -> _Batch:
     """
     if not model.is_positive:
         raise ConfigError("block coupling requires a positive model")
-    contexts = [_context_indices(model, c) for c in (x_context, y_context)]
+    contexts = [np.asarray(model.alphabet.indices(c), dtype=np.intp)
+                for c in (x_context, y_context)]
     if len(contexts[0]) != len(contexts[1]):
         raise ConfigError("tail contexts must have equal length")
     size = model.alphabet.size
@@ -466,9 +457,8 @@ def check_mc_budget(depth: int, n_traj: int) -> int:
     """``n_traj``, once it is >= 1 and its 3 * (depth + 1) uniforms each fit the budget."""
     if n_traj < 1:
         raise ConfigError("need at least one trajectory")
-    if n_traj * _max_uniforms(depth) > DEFAULT_BUDGET:
-        raise BudgetError(f"{n_traj} trajectories x {_max_uniforms(depth)} uniforms "
-                          f"exceed budget {DEFAULT_BUDGET}")
+    check_budget(n_traj * _max_uniforms(depth),
+                 f"drawing {n_traj} trajectories x {_max_uniforms(depth)} uniforms")
     return n_traj
 
 
@@ -486,13 +476,11 @@ def check_dn_budget(model, schedule: BlockSchedule, n: int, tail_len: int) -> in
     size = model.alphabet.size
     agree_len = schedule.B(n - 1)
     block_len = schedule.b(n)
-    states = size**agree_len * (size**tail_len) ** 2 * size**block_len
-    if states > DEFAULT_BUDGET:
-        raise BudgetError(
-            f"{states} joint states exceed enumeration budget {DEFAULT_BUDGET} "
-            f"(agree {agree_len}, tails 2x{tail_len}, block {block_len})"
-        )
-    return states
+    return check_budget(
+        size**agree_len * (size**tail_len) ** 2 * size**block_len,
+        f"enumerating {size}^{agree_len + 2 * tail_len + block_len} joint states "
+        f"(agree {agree_len}, tails 2x{tail_len}, block {block_len})",
+    )
 
 
 def dn_bruteforce(model, schedule: BlockSchedule, n: int, tail_len: int) -> tuple[float, float]:

@@ -36,7 +36,6 @@ __all__ = [
     "check_geometric_window_sums",
     "SingleSiteDSequence",
     "check_single_site_series",
-    "single_site_tv_bound",
     "hellinger_floor",
     "MAX_SITE_RATIO",
     "tv_bound_from_site_ratios",
@@ -207,17 +206,6 @@ def check_single_site_series(dseq: SingleSiteDSequence) -> CriterionReport:
     return CriterionReport(name, *_product_series(c, p, 1.0))
 
 
-def single_site_tv_bound(rho: float) -> float:
-    """Upper bound rho - 1 for the single-site total variation of g.
-
-    For histories agreeing on [0, n], half the summed first-symbol
-    differences of g is at most rho_{[0,n]} - 1.
-    """
-    if rho < 1:
-        raise ConfigError("oscillation ratio must be >= 1")
-    return rho - 1.0
-
-
 # ---------------------------------------------------------------------------
 # Hellinger toolchain
 
@@ -302,21 +290,15 @@ class BlockTvBounds:
 
     ``site_product`` is the bound sqrt(1 - prod (affinity floor)**2) over the
     sites [B_{n-1}, B_n - 1] separating the block from the agreement region;
-    it is None when some site ratio exceeds MAX_SITE_RATIO.  ``square_sum``
-    is the cubic-remainder bound sqrt(sum window (log rho)**2/4 + K (log
-    rho)**3) over the later window [B_n, B_{n+1} - 1], with the lambda = 2
-    constant K = ``CUBIC_REMAINDER_K2``; it applies only once the oscillation
-    ratios have dropped below 2 and is None before.
+    it is None when some site ratio exceeds MAX_SITE_RATIO.
     """
 
     n: int
     site_product: float | None
-    square_sum: float | None
 
 
 def block_tv_bounds(vm, schedule: BlockSchedule, n: int) -> BlockTvBounds:
-    """Both closed-form upper bounds for d_n from a variation model, with the
-    square-sum bound taken in the lambda = 2 window.
+    """The closed-form upper bound for d_n from a variation model.
 
     ``vm`` is anything exposing var_at(n) (a variation profile or a
     parametric variation model).
@@ -328,14 +310,7 @@ def block_tv_bounds(vm, schedule: BlockSchedule, n: int) -> BlockTvBounds:
     site_product = None
     if all(r <= MAX_SITE_RATIO for r in rhos):
         site_product = tv_bound_from_site_ratios(rhos)
-    later = range(schedule.B(n), schedule.B(n + 1))
-    square_sum = None
-    if all(vm.var_at(i) <= math.log(2.0) for i in later):
-        acc = sum(
-            vm.var_at(i) ** 2 / 4.0 + CUBIC_REMAINDER_K2 * vm.var_at(i) ** 3 for i in later
-        )
-        square_sum = math.sqrt(acc)
-    return BlockTvBounds(n, site_product, square_sum)
+    return BlockTvBounds(n, site_product)
 
 
 # ---------------------------------------------------------------------------

@@ -27,3 +27,12 @@ class ConvergenceError(GMeasureError):
 
 # Joint-state cap for exact enumerations (block tables, operator lattices).
 DEFAULT_BUDGET = 1 << 22
+
+
+def check_budget(count: int, what: str) -> int:
+    """``count``, once it is at most ``DEFAULT_BUDGET``; otherwise raises
+    BudgetError with the one-line message "<what> exceeds budget ...", so
+    ``what`` names the count (and may quote it)."""
+    if count > DEFAULT_BUDGET:
+        raise BudgetError(f"{what} exceeds budget {DEFAULT_BUDGET}")
+    return count

@@ -21,6 +21,11 @@ exactly 0 signals an exact evaluation; a positive bound signals that the
 word was too short to pin the value down (for a finite-memory model this
 happens when the word is shorter than M+1 symbols).
 
+A word is a plain sequence of symbols read from left to right, x_0 first;
+g is shift invariant, so no word carries its position.  ``cylinder_prob``
+takes a block and the known context right next to it as two such
+sequences, the context's nearest symbol first.
+
 ``eval_indices`` is the scalar reference route: one word, one interval.
 The batched kernel evaluates every site of a batch of word rows at once,
 sites on axis 0.  A known right context enters through its context state,
@@ -46,19 +51,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BudgetError, ConfigError, DEFAULT_BUDGET
+from .errors import ConfigError, check_budget
 from .tails import Exponential, FiniteRange, PowerLaw
 
 __all__ = [
     "Alphabet",
-    "Word",
     "binary_alphabet",
     "FiniteMemoryModel",
     "LongRangeLinearModel",
     "iid_model",
-    "eval_g",
     "cylinder_prob",
-    "rho_interval",
     "variation_profile",
     "VariationProfile",
     "finite_memory_surrogate",
@@ -99,33 +101,6 @@ class Alphabet:
 
 def binary_alphabet() -> Alphabet:
     return Alphabet(("0", "1"))
-
-
-@dataclass(frozen=True)
-class Word:
-    """Finite configuration on the integer interval [anchor, anchor+len-1].
-
-    The empty word (no symbols) stands for the empty interval [m, n], m > n.
-    """
-
-    anchor: int
-    symbols: tuple[str, ...]
-
-    def __len__(self) -> int:
-        return len(self.symbols)
-
-    @property
-    def interval(self) -> tuple[int, int]:
-        # inclusive; (anchor, anchor - 1) when empty
-        return (self.anchor, self.anchor + len(self.symbols) - 1)
-
-    @property
-    def end(self) -> int:
-        return self.anchor + len(self.symbols) - 1
-
-    @staticmethod
-    def empty(anchor: int = 0) -> "Word":
-        return Word(anchor, ())
 
 
 def encode(digits: Sequence[int], size: int) -> int:
@@ -376,52 +351,20 @@ def iid_model(alphabet: Alphabet, probs: Sequence[float]) -> FiniteMemoryModel:
 # operations
 
 
-def _check_word(model, word: Word) -> tuple[int, ...]:
-    return model.alphabet.indices(word.symbols)
+def cylinder_prob(model, block: Sequence[str], context: Sequence[str] = ()) -> tuple[float, float]:
+    """Probability of the symbols ``block`` under the conditional cylinder
+    law given the symbols ``context`` right next to it, both read from left
+    to right, so ``context[0]`` is the block's right neighbour.
 
-
-def eval_g(model, word: Word, truncation: int | None = None) -> tuple[float, float]:
-    """Evaluate g on the cylinder fixed by ``word`` (anchored at 0).
-
-    Returns ``(value, error_bound)`` with the interval semantics described in
-    the module docstring.  ``truncation`` caps the number of coordinates used
-    in the computation; for the long-range family it must be at least the
-    word length (coordinates beyond the word are unknown and are covered by
-    the error bound either way).
-    """
-    if word.anchor != 0:
-        raise ConfigError("eval_g expects a word anchored at coordinate 0")
-    if len(word) < 1:
-        raise ConfigError("eval_g expects a non-empty word")
-    idx = _check_word(model, word)
-    if truncation is not None:
-        if isinstance(model, LongRangeLinearModel) and truncation < len(idx):
-            raise ConfigError("truncation must be at least the word length")
-        idx = idx[: max(truncation, 1)]
-    return model.eval_indices(idx)
-
-
-def cylinder_prob(
-    model, block: Word, context: Word | None = None
-) -> tuple[float, float]:
-    """Probability of ``block`` under the conditional cylinder law given
-    the adjacent ``context`` to its right.
-
-    The value is the product over block coordinates i of g applied to the
+    The value is the product over block sites i of g applied to the
     sequence starting at i; per-factor truncation intervals are propagated
     multiplicatively, so the error bound is 0 exactly when every factor's
-    dependence window lies inside block + context.
+    dependence window lies inside block + context.  The empty block has
+    probability 1.
     """
-    block_idx = _check_word(model, block)
-    context_idx = ()
-    if context is not None and len(context) > 0:
-        if context.anchor != block.end + 1:
-            raise ConfigError(
-                f"context interval {context.interval} is not adjacent to "
-                f"block interval {block.interval}"
-            )
-        context_idx = _check_word(model, context)
-    if len(block) == 0:
+    block_idx = model.alphabet.indices(block)
+    context_idx = model.alphabet.indices(context)
+    if not block_idx:
         return 1.0, 0.0
     mid, rad = _word_intervals(model, np.array([block_idx]), np.array([context_idx], dtype=int))
     lo, hi = interval_product(mid, rad)
@@ -472,13 +415,6 @@ def interval_product(mid: np.ndarray, rad: np.ndarray):
     [mid - rad, mid + rad], each clipped to [0, 1].  A reduction over axis 0
     multiplies element by element, site after site, from the left."""
     return np.maximum(mid - rad, 0.0).prod(axis=0), np.minimum(mid + rad, 1.0).prod(axis=0)
-
-
-def rho_interval(model, n: int) -> tuple[float, float]:
-    """Bounds on the oscillation ratio of g over pairs agreeing on [0, n]."""
-    if n < 0:
-        raise ConfigError("n must be >= 0")
-    return model.rho(n)
 
 
 # ---------------------------------------------------------------------------
@@ -550,8 +486,7 @@ def finite_memory_surrogate(model, memory: int):
     if memory < 0:
         raise ConfigError("surrogate memory must be >= 0")
     size = model.alphabet.size
-    if size ** (memory + 1) > DEFAULT_BUDGET:
-        raise BudgetError(f"surrogate table {size}^{memory + 1} exceeds budget {DEFAULT_BUDGET}")
+    check_budget(size ** (memory + 1), f"surrogate table {size}^{memory + 1}")
     words = all_words(size, memory + 1)
     mid, rad = _word_intervals(model, words[:, :1], words[:, 1:])
     grouped = mid.reshape(size, size**memory)

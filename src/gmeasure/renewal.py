@@ -42,7 +42,6 @@ __all__ = [
     "RenewalSpec",
     "AlphaBeta",
     "build_alphabeta",
-    "period",
     "effective_lattice",
     "renewal_solve",
     "renewal_limit",
@@ -114,16 +113,11 @@ def build_alphabeta(spec: RenewalSpec) -> AlphaBeta:
     return AlphaBeta(alpha, beta, m, boundaries)
 
 
-def period(ab: AlphaBeta) -> int:
-    """gcd of the boundary support of alpha."""
-    return ab.period
-
-
 def effective_lattice(ab: AlphaBeta) -> int:
     """gcd of the boundaries that carry strictly positive alpha mass.
 
-    When some d_k vanish this can be coarser than ``period``; the renewal
-    sequence then converges only along multiples of this lattice.
+    When some d_k vanish this can be coarser than ``AlphaBeta.period``; the
+    renewal sequence then converges only along multiples of this lattice.
     """
     support = [i for i, a in ab.alpha.items() if a > 0.0]
     return reduce(math.gcd, support)
@@ -138,8 +132,11 @@ def renewal_solve(ab: AlphaBeta, n_max: int) -> np.ndarray:
     one convolution with h, the first ``_CHUNK`` terms of 1 / (1 - alpha(z)),
     which is built once by the same scheme with chunk lengths doubling from
     1.  The work is (n_max + 1)(K + 1) tap reads plus one convolution per
-    chunk; the test suite validates the result against direct enumeration
-    of the chain and against an all-pole IIR filter.
+    chunk.  The CLI budget counts the tap reads only: a chunk's convolution
+    costs O(C log C) by FFT, C = ``_CHUNK`` (the direct route is taken only
+    below that cost), so all convolutions together cost at most a fixed
+    multiple of the tap reads.  The test suite validates the result against
+    direct enumeration of the chain and against an all-pole IIR filter.
     """
     if n_max < 0:
         raise ConfigError("n_max must be >= 0")

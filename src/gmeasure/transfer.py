@@ -23,14 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetError, ConfigError, ConvergenceError, DEFAULT_BUDGET
-from .gmodel import (
-    Alphabet,
-    FiniteMemoryModel,
-    Word,
-    encode,
-    finite_memory_surrogate,
-)
+from .errors import ConfigError, ConvergenceError, check_budget
+from .gmodel import Alphabet, FiniteMemoryModel, encode, finite_memory_surrogate
 
 __all__ = [
     "TransferOperator",
@@ -68,11 +62,7 @@ class TransferOperator:
             raise ConfigError(
                 f"window must be at least max(memory, 1) = {max(model.memory, 1)}"
             )
-        if size**self.window > DEFAULT_BUDGET:
-            raise BudgetError(
-                f"state dimension {size}^{self.window} exceeds budget {DEFAULT_BUDGET}"
-            )
-        self.dim = size**self.window
+        self.dim = check_budget(size**self.window, f"state dimension {size}^{self.window}")
         table = model.table.reshape(size, -1)  # [s, window code of x_1..x_memory]
         self.weight = np.repeat(table, self.dim // table.shape[1], axis=1)
 
@@ -112,9 +102,15 @@ class StationaryMeasure:
     residual: float
     unique: bool
 
-    def prob(self, word: Word) -> float:
-        """Cylinder probability of ``word`` (anchor-free by shift invariance)."""
-        idx = self.model.alphabet.indices(word.symbols)
+    def prob(self, symbols) -> float:
+        """Stationary probability of the cylinder of the symbol sequence
+        ``symbols``, wherever it sits (the measure is shift invariant).
+
+        Up to ``window`` symbols it sums or reads ``probs``; a longer word
+        extends the last ``window`` symbols leftward one table factor at a
+        time, and every factor reads a full window of memory + 1 symbols
+        because ``window`` is at least the memory."""
+        idx = self.model.alphabet.indices(symbols)
         size = self.model.alphabet.size
         k = len(idx)
         if k == 0:
@@ -124,10 +120,7 @@ class StationaryMeasure:
             return float(grouped[encode(idx, size)].sum())
         p = float(self.probs[encode(idx[k - self.window :], size)])
         for i in range(k - self.window - 1, -1, -1):
-            value, err = self.model.eval_indices(idx[i : i + self.model.memory + 1])
-            if err != 0.0:
-                raise ConfigError("stationary extension needs full memory windows")
-            p *= value
+            p *= float(self.model.table[encode(idx[i : i + self.model.memory + 1], size)])
         return p
 
 

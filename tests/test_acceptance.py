@@ -24,7 +24,6 @@ from gmeasure import (
     RenewalSpec,
     TransferOperator,
     PowerLaw,
-    Word,
     apply_Ln,
     build_alphabeta,
     constant_schedule,
@@ -301,7 +300,7 @@ def test_criterion_07_coupling_vs_renewal_bound(longrange):
 def test_criterion_08_transfer_correctness(alphabet, iid):
     t0 = time.perf_counter()
     measure = stationary(TransferOperator(iid))
-    assert measure.prob(Word(0, ("0", "0"))) == pytest.approx(0.09, abs=1e-15)
+    assert measure.prob(("0", "0")) == pytest.approx(0.09, abs=1e-15)
 
     rng = np.random.default_rng(808)
     for _ in range(5):

@@ -21,7 +21,7 @@ from gmeasure import (
 from gmeasure import coupling
 from gmeasure.coupling import TruncationError, _block_laws
 from gmeasure.criteria import geometric_blocks
-from gmeasure.gmodel import Word, all_words, context_state, cylinder_prob, decode, encode
+from gmeasure.gmodel import all_words, context_state, cylinder_prob, decode, encode
 from conftest import random_positive_table
 from oracles import total_variation
 
@@ -254,8 +254,8 @@ def test_sampler_marginal_law_matches_cylinder_probs(mem1):
         summary_counts[code] += 1
     freq = summary_counts / n_traj
     for code in range(8):
-        word = Word(-2, tuple(str(d) for d in decode(code, 2, 3)))
-        exact, err = cylinder_prob(mem1, word, Word(1, tuple(ctx)))
+        word = tuple(str(d) for d in decode(code, 2, 3))
+        exact, err = cylinder_prob(mem1, word, tuple(ctx))
         assert err == 0.0
         assert abs(freq[code] - exact) < 4 / np.sqrt(n_traj)
 
@@ -346,8 +346,9 @@ def test_estimate_disagreement_rate_decreases(longrange):
 
 def test_block_conditional_normalised(longrange, rng):
     known = rng.integers(0, 2, (1, 20))
-    probs, slack = _block_laws(longrange, all_words(2, 2), context_state(longrange, known, 2),
-                               np.array([20]))
+    words = all_words(2, 2)
+    probs, slack = _block_laws(longrange, words, context_state(longrange, known, 2),
+                               np.array([20]), longrange.word_terms(words.T))
     assert probs.sum() == pytest.approx(1.0, abs=1e-14)
     assert 0 < slack[0] < 0.1
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -28,7 +29,6 @@ from gmeasure import (
     geometric_blocks,
     hellinger_floor,
     renewal_limit,
-    single_site_tv_bound,
     tv_bound_from_site_ratios,
     variation_profile,
 )
@@ -158,13 +158,6 @@ def test_single_site_series_examples():
     ).verdict == VIOLATED  # a prefix entry of 1 kills every product
 
 
-def test_single_site_tv_bound_values():
-    assert single_site_tv_bound(1.0) == 0.0
-    assert single_site_tv_bound(1.5) == 0.5
-    with pytest.raises(ConfigError):
-        single_site_tv_bound(0.9)
-
-
 def test_single_site_tv_bound_dominates_exact(longrange, rng):
     # half the summed first-symbol differences vs rho - 1, on random pairs
     for n in (1, 2, 4):
@@ -180,7 +173,7 @@ def test_single_site_tv_bound_dominates_exact(longrange, rng):
                 vy, ey = longrange.eval_indices(np.concatenate([[s], common, ty]))
                 half_sum += 0.5 * abs(vx - vy)
                 slack += ex + ey
-            assert half_sum <= single_site_tv_bound(rho_upper) + slack + 1e-12
+            assert half_sum <= rho_upper - 1.0 + slack + 1e-12
 
 
 # --- Hellinger toolchain ------------------------------------------------------
@@ -287,7 +280,6 @@ def test_block_bounds_zero_for_finite_range():
     sched = constant_schedule(1)
     bounds = block_tv_bounds(vm, sched, 4)  # window sites {3}: var = 0
     assert bounds.site_product == 0.0
-    assert bounds.square_sum == 0.0
 
 
 def test_block_bounds_dominate_bruteforce(longrange):
@@ -299,13 +291,18 @@ def test_block_bounds_dominate_bruteforce(longrange):
         assert lower <= bound + (upper - lower) + 1e-12
 
 
-def test_block_bounds_square_sum_leading_order():
-    # for tiny oscillation the square-sum bound reduces to sqrt(sum var^2/4)
-    vm = PowerLaw(1e-3, 1.0, offset=1)
-    sched = constant_schedule(2)
-    bounds = block_tv_bounds(vm, sched, 3)
-    expect = math.sqrt(sum(vm.var_at(i) ** 2 / 4 for i in (6, 7)))
-    assert bounds.square_sum == pytest.approx(expect, rel=1e-3)
+def test_every_block_bound_field_dominates_the_bruteforce_witness(longrange):
+    # the power-law benchmark model on const:1: a field that bounds d_n can
+    # never fall below the largest total variation dn_bruteforce finds
+    profile = variation_profile(longrange, 40)
+    sched = constant_schedule(1)
+    for n in range(1, 5):
+        lower, _ = dn_bruteforce(longrange, sched, n, 6)
+        bounds = block_tv_bounds(profile, sched, n)
+        for field in dataclasses.fields(bounds):
+            value = getattr(bounds, field.name)
+            if isinstance(value, float):
+                assert value >= lower, (n, field.name, value, lower)
 
 
 def test_block_bounds_validity_windows():
@@ -313,9 +310,8 @@ def test_block_bounds_validity_windows():
     sched = constant_schedule(1)
     bounds = block_tv_bounds(vm, sched, 1)
     assert bounds.site_product is None
-    assert bounds.square_sum is None  # later window still inside the level region
     late = block_tv_bounds(vm, sched, 5)
-    assert late.site_product == 0.0 and late.square_sum == 0.0
+    assert late.site_product == 0.0
 
 
 # --- geometric schedules and the closed-form ratio -------------------------------

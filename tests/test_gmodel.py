@@ -15,13 +15,10 @@ from gmeasure import (
     LongRangeLinearModel,
     OneMinusPower,
     PowerLaw,
-    Word,
     binary_alphabet,
     cylinder_prob,
-    eval_g,
     iid_model,
     parse_model,
-    rho_interval,
     variation_profile,
 )
 from gmeasure import tails
@@ -39,23 +36,17 @@ def test_alphabet_validation():
         binary_alphabet().index("2")
 
 
-def test_word_interval():
-    w = Word(-3, ("0", "1"))
-    assert w.interval == (-3, -2)
-    assert len(Word.empty()) == 0
-
-
-# --- eval_g -----------------------------------------------------------------
+# --- eval_indices -----------------------------------------------------------
 
 
 def test_eval_iid_reads_table(iid):
-    assert eval_g(iid, Word(0, ("0",))) == (0.3, 0.0)
-    assert eval_g(iid, Word(0, ("1",))) == (0.7, 0.0)
+    assert iid.eval_indices(iid.alphabet.indices(("0",))) == (0.3, 0.0)
+    assert iid.eval_indices(iid.alphabet.indices(("1",))) == (0.7, 0.0)
 
 
 def test_eval_longrange_hand_formula(longrange):
-    # word "11", truncation 2: value 1/2 + theta*a_1, error theta*(mass - a_1)
-    value, err = eval_g(longrange, Word(0, ("1", "1")), truncation=2)
+    # word "11": value 1/2 + theta*a_1, error theta*(mass - a_1)
+    value, err = longrange.eval_indices(longrange.alphabet.indices(("1", "1")))
     a1 = 0.5 / (np.pi**2 / 6)
     assert value == pytest.approx(0.5 + 0.25 * a1, abs=1e-14)
     assert err == pytest.approx(0.25 * (0.5 - a1), abs=1e-14)
@@ -63,7 +54,7 @@ def test_eval_longrange_hand_formula(longrange):
 
 def test_eval_longrange_interval_covers_completions(longrange):
     # brute force over all completions of the word up to a long horizon
-    value, err = eval_g(longrange, Word(0, ("1", "0", "1")))
+    value, err = longrange.eval_indices(longrange.alphabet.indices(("1", "0", "1")))
     rng = np.random.default_rng(5)
     for _ in range(200):
         tail = rng.integers(0, 2, 40)
@@ -72,26 +63,14 @@ def test_eval_longrange_interval_covers_completions(longrange):
         assert value - err - 1e-12 <= v <= value + err + 1e-12
 
 
-def test_eval_requires_anchor_zero(iid):
-    with pytest.raises(ConfigError):
-        eval_g(iid, Word(1, ("0",)))
-    with pytest.raises(ConfigError):
-        eval_g(iid, Word.empty())
-
-
 def test_eval_rejects_unknown_symbol(iid):
     with pytest.raises(ConfigError):
-        eval_g(iid, Word(0, ("2",)))
-
-
-def test_eval_longrange_truncation_below_word_length(longrange):
-    with pytest.raises(ConfigError):
-        eval_g(longrange, Word(0, ("1", "1", "0")), truncation=2)
+        iid.eval_indices(iid.alphabet.indices(("2",)))
 
 
 def test_eval_short_word_signals_with_positive_bound(mem1):
     # a word shorter than memory+1 cannot be evaluated exactly
-    value, err = eval_g(mem1, Word(0, ("0",)))
+    value, err = mem1.eval_indices(mem1.alphabet.indices(("0",)))
     assert err > 0.0
     assert value - err <= 0.3 <= value + err
     assert value - err <= 0.6 <= value + err
@@ -103,7 +82,7 @@ def test_normalization_over_first_symbol(iid, mem1, longrange, rng):
             ctx = tuple(str(s) for s in rng.integers(0, 2, 6))
             total, slack = 0.0, 0.0
             for s in ("0", "1"):
-                v, e = eval_g(model, Word(0, (s,) + ctx))
+                v, e = model.eval_indices(model.alphabet.indices((s,) + ctx))
                 total += v
                 slack += e
             assert abs(total - 1.0) <= slack + 1e-12
@@ -113,7 +92,7 @@ def test_normalization_over_first_symbol(iid, mem1, longrange, rng):
 
 
 def test_cylinder_iid_product(iid):
-    value, err = cylinder_prob(iid, Word(-1, ("0", "1")))
+    value, err = cylinder_prob(iid, ("0", "1"))
     assert value == pytest.approx(0.21, abs=0)
     assert err == 0.0
 
@@ -121,14 +100,9 @@ def test_cylinder_iid_product(iid):
 def test_cylinder_mem1_two_table_entries(mem1):
     # block "01" on [-1, 0] with context "1" on [1, 1]:
     # g(0,1) * g(1,1) read off the table
-    value, err = cylinder_prob(mem1, Word(-1, ("0", "1")), Word(1, ("1",)))
+    value, err = cylinder_prob(mem1, ("0", "1"), ("1",))
     assert err == 0.0
     assert value == pytest.approx(0.6 * 0.4, abs=0)
-
-
-def test_cylinder_interval_mismatch(mem1):
-    with pytest.raises(ConfigError):
-        cylinder_prob(mem1, Word(-1, ("0", "1")), Word(2, ("1",)))
 
 
 def test_cylinder_consistency_identity(mem1, longrange, rng):
@@ -138,14 +112,10 @@ def test_cylinder_consistency_identity(mem1, longrange, rng):
         for _ in range(50):
             syms = tuple(str(s) for s in rng.integers(0, 2, 6))
             ctx = tuple(str(s) for s in rng.integers(0, 2, 8))
-            block = Word(-5, syms)
-            context = Word(1, ctx)
-            whole, e_whole = cylinder_prob(model, block, context)
+            whole, e_whole = cylinder_prob(model, syms, ctx)
             i = int(rng.integers(1, 6))
-            left = Word(-5, syms[:i])
-            right = Word(-5 + i, syms[i:])
-            part_r, e_r = cylinder_prob(model, right, Word(1, ctx))
-            part_l, e_l = cylinder_prob(model, left, Word(-5 + i, syms[i:] + ctx))
+            part_r, e_r = cylinder_prob(model, syms[i:], ctx)
+            part_l, e_l = cylinder_prob(model, syms[:i], syms[i:] + ctx)
             slack = e_whole + e_l + e_r
             assert abs(whole - part_l * part_r) <= slack + 1e-12
             if slack == 0.0:
@@ -153,35 +123,35 @@ def test_cylinder_consistency_identity(mem1, longrange, rng):
 
 
 def test_cylinder_empty_block(mem1):
-    assert cylinder_prob(mem1, Word.empty(0)) == (1.0, 0.0)
+    assert cylinder_prob(mem1, ()) == (1.0, 0.0)
 
 
-# --- rho_interval and variation profiles ------------------------------------
+# --- rho and variation profiles ---------------------------------------------
 
 
 def test_rho_iid_is_one(iid):
-    assert rho_interval(iid, 0) == (1.0, 1.0)
+    assert iid.rho(0) == (1.0, 1.0)
 
 
 def test_rho_finite_memory_cutoff(alphabet, rng):
     from conftest import random_positive_table
 
     model = FiniteMemoryModel(alphabet, 2, random_positive_table(alphabet, 2, rng))
-    assert rho_interval(model, 4) == (1.0, 1.0)
-    lo, hi = rho_interval(model, 1)
+    assert model.rho(4) == (1.0, 1.0)
+    lo, hi = model.rho(1)
     assert lo == hi >= 1.0
 
 
 def test_rho_rejects_nonpositive_model(alphabet):
     model = FiniteMemoryModel(alphabet, 0, (0.0, 1.0))
     with pytest.raises(ConfigError):
-        rho_interval(model, 0)
+        model.rho(0)
 
 
 def test_rho_longrange_dominates_random_search(longrange, rng):
     # random pairs agreeing on [0, n] must not beat the closed-form upper bound
     for n in (0, 1, 3):
-        _, upper = rho_interval(longrange, n)
+        _, upper = longrange.rho(n)
         best = 1.0
         for _ in range(300):
             common = rng.integers(0, 2, n + 1)
@@ -297,7 +267,7 @@ def test_parse_finite_memory_roundtrip():
         """
     )
     assert isinstance(model, FiniteMemoryModel)
-    assert eval_g(model, Word(0, ("0", "1"))) == (0.6, 0.0)
+    assert model.eval_indices(model.alphabet.indices(("0", "1"))) == (0.6, 0.0)
 
 
 def test_parse_long_range():

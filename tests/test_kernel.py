@@ -18,7 +18,6 @@ from gmeasure import (
     FiniteMemoryModel,
     LongRangeLinearModel,
     PowerLaw,
-    Word,
     binary_alphabet,
     constant_schedule,
     cylinder_prob,
@@ -80,8 +79,8 @@ def test_cylinder_prob_matches_oracle(model, b, L, seed):
     symbols = model.alphabet.symbols
     block = rng.integers(0, len(symbols), b)
     context = rng.integers(0, len(symbols), L)
-    value, err = cylinder_prob(model, Word(1 - b, tuple(symbols[s] for s in block)),
-                               Word(1, tuple(symbols[s] for s in context)))
+    value, err = cylinder_prob(model, tuple(symbols[s] for s in block),
+                               tuple(symbols[s] for s in context))
     expect_value, expect_err = cylinder_interval(model, block, context)
     assert value == pytest.approx(expect_value, abs=1e-15)
     assert err == pytest.approx(expect_err, abs=1e-15)
@@ -135,10 +134,10 @@ def test_stacked_block_laws_match_oracle(name, b, monkeypatch):
     state = np.array([[context_state(model, known[side, row, :L], b)
                        for row, L in enumerate(known_len)] for side in range(2)])
     words = all_words(size, b)
-    probs, slack = _block_laws(model, words, state, known_len)
     terms = model.word_terms(words.T)
+    probs, slack = _block_laws(model, words, state, known_len, terms)
     for side in range(2):
-        one_probs, one_slack = _block_laws(model, words, state[side], known_len)
+        one_probs, one_slack = _block_laws(model, words, state[side], known_len, terms)
         assert np.array_equal(probs[side], one_probs)
         assert np.array_equal(slack[side], one_slack)
         for row, L in enumerate(known_len.tolist()):

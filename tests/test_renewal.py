@@ -13,7 +13,6 @@ from gmeasure import (
     build_alphabeta,
     disagreement_bound_sweep,
     effective_lattice,
-    period,
     renewal_limit,
     renewal_solve,
 )
@@ -64,17 +63,17 @@ def test_alpha_telescopes_to_one(K, seed):
 def test_period_examples():
     ab = build_alphabeta(RenewalSpec((0.5, 0.25), (2, 2, 2), 2))
     assert ab.boundaries == (2, 4, 6)
-    assert period(ab) == 2
+    assert ab.period == 2
     ab = build_alphabeta(RenewalSpec((0.5,), (1, 5), 1))
-    assert period(ab) == 1
+    assert ab.period == 1
     ab = build_alphabeta(RenewalSpec((0.5, 0.25), (3, 3, 3), 2))
     assert ab.boundaries == (3, 6, 9)
-    assert period(ab) == 3
+    assert ab.period == 3
 
 
 def test_effective_lattice_drops_zero_mass():
     ab = build_alphabeta(RenewalSpec((0.5, 0.0), (2, 1, 3), 2))
-    assert period(ab) == 1          # boundary set {2, 3, 6}
+    assert ab.period == 1          # boundary set {2, 3, 6}
     assert effective_lattice(ab) == 2  # positive mass only at {2, 6}
 
 

@@ -7,7 +7,6 @@ from gmeasure import (
     ConfigError,
     FiniteMemoryModel,
     TransferOperator,
-    Word,
     apply_Ln,
     indicator,
     stationary,
@@ -130,8 +129,8 @@ def test_unique_flag_matches_closed_class_oracle(case, alphabet):
 def test_stationary_iid_product_measure(iid):
     measure = stationary(TransferOperator(iid))
     assert measure.unique
-    assert measure.prob(Word(0, ("0", "0"))) == pytest.approx(0.09, abs=1e-15)
-    assert measure.prob(Word(0, ("0",))) == pytest.approx(0.3, abs=1e-14)
+    assert measure.prob(("0", "0")) == pytest.approx(0.09, abs=1e-15)
+    assert measure.prob(("0",)) == pytest.approx(0.3, abs=1e-14)
 
 
 def test_stationary_matches_eigensolver(alphabet, rng):
@@ -148,11 +147,21 @@ def test_stationary_matches_eigensolver(alphabet, rng):
 def test_stationary_marginal_consistency(mem1):
     measure = stationary(TransferOperator(mem1, window=2))
     # length-1 marginal sums the length-2 cylinders
-    p0 = measure.prob(Word(0, ("0",)))
+    p0 = measure.prob(("0",))
     assert p0 == pytest.approx(
-        measure.prob(Word(0, ("0", "0"))) + measure.prob(Word(0, ("0", "1"))),
+        measure.prob(("0", "0")) + measure.prob(("0", "1")),
         abs=1e-14,
     )
+
+
+def test_stationary_long_words_extend_by_the_table(mem1):
+    # window 1 < word length: each symbol left of the window adds one table
+    # factor, and summing out the leftmost symbol gives the shorter word
+    measure = stationary(TransferOperator(mem1))
+    assert measure.prob(("0", "1", "1")) == measure.prob(("1",)) * 0.4 * 0.6
+    for word in (("1",), ("0", "1"), ("1", "0", "1")):
+        total = sum(measure.prob((s,) + word) for s in ("0", "1"))
+        assert total == pytest.approx(measure.prob(word), abs=1e-15)
 
 
 def test_reducible_table_flagged(alphabet):
