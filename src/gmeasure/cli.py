@@ -26,7 +26,7 @@ import sys
 import tempfile
 import time
 from dataclasses import asdict, dataclass, field
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -97,23 +97,55 @@ class RunManifest:
 _CSV_ROWS = 16384
 
 
-def _cells(column):
-    """The cells of one column: ``str`` of each value.  A float64 array's
-    distinct bit patterns are formatted once each, as Python floats; keying
-    by bits, not by value, keeps 0.0 apart from -0.0."""
-    if not (isinstance(column, np.ndarray) and column.dtype == np.float64):
-        return map(str, column)
-    _, first, inverse = np.unique(column.view(np.int64), return_index=True, return_inverse=True)
-    return np.array([str(v) for v in column[first].tolist()], dtype=object)[inverse].tolist()
+def _cell_table(cells) -> np.ndarray:
+    """The cells of one chunk of a column as a ``(rows, width)`` uint8 table,
+    each cell's bytes right-aligned after NUL padding.  An integer array or
+    a ``range`` (ends within int64) is written digit by digit; a float64 array
+    formats each distinct bit pattern once, as a Python float, so 0.0 stays
+    apart from -0.0; any other cell is ``str`` of its value, UTF-8 encoded."""
+    if isinstance(cells, range):
+        cells = np.arange(cells.start, cells.stop, cells.step, dtype=np.int64)
+    if isinstance(cells, np.ndarray) and cells.dtype.kind in "iu":
+        negative = cells < 0
+        # the magnitude as uint64: negation wraps, so iinfo(int64).min stays exact
+        magnitude = cells.astype(np.uint64)
+        np.negative(magnitude, out=magnitude, where=negative)
+        width = len(str(int(magnitude.max()))) + bool(negative.any())
+        if width <= 9:
+            magnitude = magnitude.astype(np.uint32)  # halves the cost of each division
+        # '-' waits in `sign` until the column before a cell's first digit
+        sign = np.where(negative, np.uint8(ord("-")), np.uint8(0))
+        table = np.empty((width, len(cells)), np.uint8)
+        live = np.ones(len(cells), bool)  # digits left; a 0 still gets its one digit
+        for col in range(width - 1, -1, -1):
+            quotient = magnitude // 10
+            np.add(magnitude - quotient * 10, ord("0"), out=table[col], casting="unsafe")
+            np.copyto(table[col], sign, where=~live)
+            sign[~live] = 0
+            magnitude, live = quotient, quotient > 0
+        return table.T
+    if isinstance(cells, np.ndarray) and cells.dtype == np.float64:
+        _, first, inverse = np.unique(cells.view(np.int64), return_index=True, return_inverse=True)
+        text = np.array([str(v) for v in cells[first].tolist()], dtype="S")[inverse]
+    else:
+        encoded = [str(v).encode() for v in cells]
+        if any(b"\0" in t for t in encoded):
+            raise ValueError("a CSV cell holds a NUL character")
+        text = np.array(encoded, dtype="S")
+    return text.view(np.uint8).reshape(len(text), -1)
 
 
 def _csv(comments: list[str], header: list[str], columns) -> bytes:
     """CSV artifact: '# ' comment lines, the header, then one row per index
-    of the equal-length ``columns``.  A cell is ``str`` of its value, so a
-    float's cell is its shortest round-trip repr whatever container it came
-    in; a float64 array formats each distinct bit pattern of a chunk once.
-    Rows are built and encoded ``_CSV_ROWS`` at a time, so the row strings
-    of one chunk are held at once, never those of the whole artifact."""
+    of the equal-length ``columns``.  A cell's bytes are those of ``str`` of
+    its value, so a float's cell is its shortest round-trip repr whatever
+    container it came in.  Rows are encoded ``_CSV_ROWS`` at a time: each
+    column's chunk becomes a NUL-padded cell table (``_cell_table``), the
+    tables sit side by side in one uint8 row matrix with ',' and '\\n' in
+    fixed columns, and the chunk's bytes are that matrix without its NULs.
+    No cell holds a NUL of its own: cells are digits, float reprs or the
+    program's own labels, and a string cell that holds one raises
+    ``ValueError``."""
     columns = list(columns)
     lengths = {len(c) for c in columns}
     if len(lengths) > 1:
@@ -121,8 +153,16 @@ def _csv(comments: list[str], header: list[str], columns) -> bytes:
     head = "".join(f"# {c}\n" for c in comments) + ",".join(header) + "\n"
     parts = [head.encode()]
     for lo in range(0, max(lengths, default=0), _CSV_ROWS):
-        cells = (_cells(c[lo : lo + _CSV_ROWS]) for c in columns)
-        parts.append(("\n".join(map(",".join, zip(*cells))) + "\n").encode())
+        tables = [_cell_table(c[lo : lo + _CSV_ROWS]) for c in columns]
+        rows = np.zeros((len(tables[0]), sum(t.shape[1] + 1 for t in tables)), np.uint8)
+        end = 0
+        for t in tables:
+            rows[:, end : end + t.shape[1]] = t
+            end += t.shape[1] + 1
+            rows[:, end - 1] = ord(",")
+        rows[:, -1] = ord("\n")
+        flat = rows.reshape(-1)
+        parts.append(flat[flat != 0].tobytes())
     return b"".join(parts)
 
 
@@ -465,6 +505,7 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@cache  # built on first use, not at import; parsing leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="gmeasure",

@@ -18,6 +18,8 @@ from gmeasure.cli import main
 from gmeasure.renewal import RenewalSpec, build_alphabeta, renewal_solve
 from oracles import csv_cell_by_cell
 
+INT64 = np.iinfo(np.int64)
+
 MEM1_MODEL = """
 variant = finite_memory
 alphabet = 0,1
@@ -312,6 +314,13 @@ CSV_COLUMNS = {
     "int range and strings": [range(3), ["a", "b", "c"], np.array([1.5, -0.0, 1.5])],
     "int array": [np.arange(-2, 2), np.array([1.0, 1.0, 2.0, -0.0])],
     "zero rows": [range(0), np.array([])],
+    "MC coordinates": [range(0, -65, -1), np.linspace(0.0, 1.0, 65)],
+    "negatives across digit counts": [np.array([-9, -10, -99, -100, -1, 0, 9, 10, 99, 100])],
+    "int64 extremes": [np.array([INT64.min, INT64.max, INT64.min + 1, -1, 0])],
+    "uint64 and int32 arrays": [np.array([2**64 - 1, 0, 10], dtype=np.uint64),
+                                np.array([-(2**31), 2**31 - 1, 0], dtype=np.int32)],
+    "all-zero ints": [np.zeros(5, dtype=np.int64)],
+    "tuple of Python ints": [(3, -12, 0, 100, -7)],
 }
 
 
@@ -328,6 +337,7 @@ def _chunk_columns(n):
 _CHUNK = cli._CSV_ROWS
 CSV_COLUMNS.update({f"{n} rows": _chunk_columns(n)
                     for n in (0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1)})
+CSV_COLUMNS["descending range across a chunk"] = [range(_CHUNK + 5, -6, -1)]
 
 
 @pytest.mark.parametrize("case", sorted(CSV_COLUMNS))
@@ -350,6 +360,20 @@ def test_csv_float_columns_match_oracle(values, step):
     columns = [range(len(column)), column, column[::-1]]
     expected = csv_cell_by_cell([], ["n", "x", "y"], _python_values(columns))
     assert cli._csv([], ["n", "x", "y"], columns) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(int(INT64.min), int(INT64.max)), max_size=40))
+def test_csv_int_columns_match_oracle(values):
+    column = np.array(values, dtype=np.int64)
+    columns = [column, column[::-1] // 7, tuple(values)]
+    expected = csv_cell_by_cell([], ["x", "y", "z"], _python_values(columns))
+    assert cli._csv([], ["x", "y", "z"], columns) == expected
+
+
+def test_csv_rejects_a_nul_in_a_cell():
+    with pytest.raises(ValueError, match="NUL"):
+        cli._csv([], ["label"], [["ok", "not\0ok"]])
 
 
 def test_csv_peak_memory_is_bounded():
@@ -547,6 +571,25 @@ def test_bad_input_exits_2_with_one_line(case, longrange_file, tmp_path, capsys)
     err = capsys.readouterr().err
     assert rc == 2, err
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err, err
+
+
+def test_parser_is_built_once_and_parsing_leaves_it_unchanged():
+    parser = cli._build_parser()
+    renewal = ["renewal", "--d", "0.5", "--b", "2,2", "--K", "1", "--out", "r"]
+    before = vars(parser.parse_args(renewal))
+    parser.parse_args(["couple", "--model", "m", "--seed", "1", "--depth", "4", "--out", "c"])
+    with pytest.raises(gmeasure.ConfigError):
+        parser.parse_args(["couple", "--depth", "abc"])
+    assert cli._build_parser() is parser
+    assert vars(parser.parse_args(renewal)) == before
+
+
+def test_parser_is_not_built_at_import():
+    src = Path(gmeasure.__file__).resolve().parents[1]
+    probe = "import gmeasure.cli as cli; print(cli._build_parser.cache_info().currsize)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
+    assert proc.stdout.split() == ["0"], proc.stderr
 
 
 @pytest.mark.parametrize("case", sorted(NON_FINITE))

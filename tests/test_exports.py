@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 import pkgutil
@@ -28,3 +29,32 @@ def test_benchmark_hooks_name_public_functions():
         assert func in module.__all__, f"bench/tracing.py times {name}, not a public name"
     for cls in (gmeasure.FiniteMemoryModel, gmeasure.LongRangeLinearModel):
         assert callable(getattr(cls, "eval_indices", None)), cls.__name__
+
+
+def _top_level_imports(tree):
+    """(bound name, line) of each import in the module body, bar __future__."""
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            yield from ((a.asname or a.name.partition(".")[0], node.lineno) for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from ((a.asname or a.name, node.lineno) for a in node.names)
+
+
+def test_no_unused_top_level_imports():
+    # stands in for a linter: an import must be used as a name or be listed
+    # in the module's __all__ (read from the imported module); a package's
+    # __init__ is its public namespace, so what it imports it exports
+    root = Path(__file__).resolve().parent.parent
+    unused = []
+    for path in sorted([*root.glob("src/gmeasure/*.py"), *root.glob("tests/*.py")]):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        exported = ()
+        if path.parent.name == "gmeasure":
+            exported = getattr(importlib.import_module(f"gmeasure.{path.stem}"), "__all__", ())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.relative_to(root)}:{line} {name}"
+                   for name, line in _top_level_imports(tree)
+                   if name not in used and name not in exported]
+    assert not unused, unused

@@ -17,7 +17,6 @@ from gmeasure import (
     PowerLaw,
     binary_alphabet,
     cylinder_prob,
-    iid_model,
     parse_model,
     variation_profile,
 )

@@ -1,5 +1,4 @@
 import itertools
-import math
 import time
 
 import numpy as np
