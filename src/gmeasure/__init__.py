@@ -59,7 +59,6 @@ from .criteria import (
     CUBIC_REMAINDER_K2,
     CriterionReport,
     MAX_SITE_RATIO,
-    SingleSiteDSequence,
     affinity_product_floor,
     block_tv_bounds,
     check_geometric_window_sums,

@@ -25,7 +25,7 @@ import shutil
 import sys
 import tempfile
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from functools import cache, partial
 from pathlib import Path
 
@@ -66,7 +66,7 @@ from .renewal import (
 from .tails import Exponential, FiniteRange, PowerLaw
 from .transfer import TransferOperator, apply_Ln, stationary, uniqueness_diagnostic
 
-__all__ = ["ExperimentConfig", "RunManifest", "run", "main"]
+__all__ = ["ExperimentConfig", "run", "main"]
 
 
 @dataclass
@@ -82,15 +82,6 @@ class ExperimentConfig:
             # the model file's contents, not only its path, define the run
             record["model_sha256"] = _sha256(Path(self.params["model"]).read_bytes())
         return json.dumps(record, sort_keys=True)
-
-
-@dataclass
-class RunManifest:
-    config_hash: str
-    version: str
-    wall_clock_s: float
-    outputs: dict = field(default_factory=dict)
-    environment: dict = field(default_factory=dict)
 
 
 # rows of a CSV artifact built and encoded at a time
@@ -245,25 +236,20 @@ def _positive(value, name: str):
     return value
 
 
-def _rows(n_max: int) -> int:
-    """n_max, once its n_max + 1 CSV rows (one per n) fit the budget."""
-    check_budget(n_max + 1, f"n_max + 1 = {n_max + 1} rows")
-    return n_max
-
-
 # ---------------------------------------------------------------------------
 # experiment bodies: each maps a configuration to {artifact name: bytes}
 
 
 def _run_transfer(cfg: ExperimentConfig) -> dict[str, bytes]:
     p = cfg.params
-    n_max = _rows(_positive(p["n_max"], "n_max"))
-    rows = uniqueness_diagnostic(load_model(p["model"]), n_max, trunc_memory=p["trunc_memory"])
+    n_max = _positive(p["n_max"], "n_max")
+    check_budget(n_max + 1, f"n_max + 1 = {n_max + 1} rows")
+    columns = uniqueness_diagnostic(load_model(p["model"]), n_max, trunc_memory=p["trunc_memory"])
     return {"transfer.csv": _csv(
         ["oscillation: sup L^n f - inf L^n f for the transfer operator L",
          "truncation_error: bound on the surrogate-vs-true oscillation drift"],
         ["n", "oscillation", "truncation_error"],
-        [[r.n for r in rows], *np.array([(r.oscillation, r.truncation_error) for r in rows]).T],
+        [range(n_max + 1), *columns],
     )}
 
 
@@ -272,6 +258,8 @@ def _run_couple(cfg: ExperimentConfig) -> dict[str, bytes]:
     schedule = _parse_schedule(p["schedule"])
     depth = _positive(p["depth"], "depth")
     n_traj = check_mc_budget(depth, _positive(p["trajectories"], "trajectories"))
+    if p["tail_len"] < 0:
+        raise ConfigError(f"tail_len must be >= 0, got {p['tail_len']}")
     model = load_model(p["model"])
     dn_max = p["dn_max"]
     if dn_max < 0:
@@ -360,12 +348,12 @@ def _run_pipeline(cfg: ExperimentConfig) -> dict[str, bytes]:
     profile = variation_profile(model, schedule.B(K_max + 2))
     bounds = []
     for n in range(1, K_max + 2):
-        btb = block_tv_bounds(profile, schedule, n)
-        if btb.site_product is None:
+        bound = block_tv_bounds(profile, schedule, n)
+        if bound is None:
             raise ConfigError(
                 f"site ratios at block {n} exceed the Hellinger validity bound"
             )
-        bounds.append(btb.site_product)
+        bounds.append(bound)
     dbar_seq = dbar(bounds[:-1], bounds[-1])
     lengths = [schedule.b(i) for i in range(1, K_max + 2)]
     sweep_ratio = coupling_bound_ratio(dbar_seq, lengths, range(1, K_max + 1))
@@ -459,28 +447,28 @@ _RUNNERS = {
 }
 
 
-def run(cfg: ExperimentConfig) -> RunManifest:
-    """Run one experiment and publish its artifacts.  The artifacts are
-    checksummed in memory, written into a temporary directory beside
-    ``cfg.outdir`` and renamed into place, manifest last, so a failed run
-    leaves no partial artifacts."""
+def run(cfg: ExperimentConfig) -> dict:
+    """Run one experiment, publish its artifacts and return the manifest
+    that ``manifest.json`` holds.  The artifacts are checksummed in memory,
+    written into a temporary directory beside ``cfg.outdir`` and renamed
+    into place, manifest last, so a failed run leaves no partial artifacts."""
     if cfg.experiment not in _RUNNERS:
         raise ConfigError(f"unknown experiment {cfg.experiment!r}")
     started = time.perf_counter()
     outputs = _RUNNERS[cfg.experiment](cfg)
-    manifest = RunManifest(
-        config_hash=_sha256(cfg.canonical().encode()),
-        version=__version__,
-        wall_clock_s=time.perf_counter() - started,
-        outputs={name: _sha256(data) for name, data in sorted(outputs.items())},
-        environment={
+    manifest = {
+        "config_hash": _sha256(cfg.canonical().encode()),
+        "version": __version__,
+        "wall_clock_s": time.perf_counter() - started,
+        "outputs": {name: _sha256(data) for name, data in sorted(outputs.items())},
+        "environment": {
             "python": platform.python_version(),
             "numpy": np.__version__,
             "scipy": scipy.__version__,
         },
-    )
+    }
     # the manifest moves last: it never describes outputs not yet in place
-    outputs["manifest.json"] = _json(asdict(manifest))
+    outputs["manifest.json"] = _json(manifest)
     cfg.outdir.parent.mkdir(parents=True, exist_ok=True)
     work = Path(tempfile.mkdtemp(prefix=f".{cfg.outdir.name}.", dir=cfg.outdir.parent))
     try:

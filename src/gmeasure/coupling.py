@@ -212,21 +212,21 @@ TRUNC_TOL = 0.05
 _BATCH_SITES = 1 << 16
 
 
-def _block_laws(model, words: np.ndarray, state: np.ndarray, known_len, terms):
+def _block_laws(model, terms: np.ndarray, state: np.ndarray, known_len):
     """Midpoint block laws and truncation slacks, one per context row.
 
-    ``words`` are all the words of one block length (``all_words``),
-    ``terms`` their ``word_terms``, ``state`` (..., b)
-    rows hold the context state of the block's columns
-    (``gmodel.context_state``) and ``known_len`` gives the lengths of the
-    known contexts, broadcast to the leading axes, which share kernel calls.
+    ``terms`` are the ``word_terms`` of all the words of one block length
+    (``all_words``), words on the last axis; ``state`` (..., b) rows hold
+    the context state of the block's columns (``gmodel.context_state``) and
+    ``known_len`` gives the lengths of the known contexts, broadcast to the
+    leading axes, which share kernel calls.
     Returns ``(probs, slack)``: ``probs`` (..., words) are the normalised
     midpoints of the per-word interval products, ``slack`` the summed
     half-widths plus the normalisation defect.
     """
     lead = state.shape[:-1]
     known_len = np.broadcast_to(known_len, lead).ravel()
-    n_rows, n_words = len(known_len), len(words)
+    n_rows, n_words = len(known_len), terms.shape[-1]
     state = state.reshape(n_rows, state.shape[-1]).T  # sites first
     mids = np.empty((n_rows, n_words))
     halves = np.empty((n_rows, n_words))
@@ -345,8 +345,8 @@ def _couple(model, lengths, depth, x_context, y_context, uniforms) -> _Batch:
             step = max(1, _MAX_ROWS // len(words))
             for part in (group[i : i + step] for i in range(0, len(group), step)):
                 rows = slice(part[0], part[-1] + 1) if part[-1] - part[0] < len(part) else part
-                (p, q), slack = _block_laws(model, words, state[:, rows, c0 : c0 + b],
-                                            len(contexts[0]) + front, terms_of[b])
+                (p, q), slack = _block_laws(model, terms_of[b], state[:, rows, c0 : c0 + b],
+                                            len(contexts[0]) + front)
                 slack = slack[0] + slack[1]
                 if slack.max() > TRUNC_TOL:
                     raise TruncationError(
@@ -512,8 +512,8 @@ def dn_bruteforce(model, schedule: BlockSchedule, n: int, tail_len: int) -> tupl
     lower = upper = 0.0
     for a in range(0, n_agree, step):
         known = contexts[a : a + step]
-        laws, slacks = _block_laws(model, words, context_state(model, known, block_len),
-                                   known.shape[-1], terms)
+        laws, slacks = _block_laws(model, terms, context_state(model, known, block_len),
+                                   known.shape[-1])
         tv = 0.5 * np.abs(laws[:, left] - laws[:, right]).sum(axis=2)
         lower = max(lower, float(tv.max()))
         upper = max(upper, float((tv + 0.5 * (slacks[:, left] + slacks[:, right])).max()))

@@ -34,7 +34,6 @@ __all__ = [
     "check_rho_product_series",
     "check_variation_o_sqrt",
     "check_geometric_window_sums",
-    "SingleSiteDSequence",
     "check_single_site_series",
     "hellinger_floor",
     "MAX_SITE_RATIO",
@@ -43,7 +42,6 @@ __all__ = [
     "CUBIC_REMAINDER_K2",
     "affinity_product_floor",
     "certify_cubic_remainder",
-    "BlockTvBounds",
     "block_tv_bounds",
     "geometric_blocks",
     "coupling_bound_ratio",
@@ -180,17 +178,13 @@ def check_geometric_window_sums(vm, lam: float) -> CriterionReport:
 # single-site coupling series
 
 
-@dataclass(frozen=True)
-class SingleSiteDSequence:
-    """Single-site disagreement bounds d_1, d_2, ...: an explicit prefix,
-    then a closed-form tail law (identically zero by default)."""
-
-    values: tuple[float, ...] = ()
-    tail: PowerLaw | Exponential | FiniteRange | OneMinusPower = FiniteRange(0)
-
-
-def check_single_site_series(dseq: SingleSiteDSequence) -> CriterionReport:
-    """Does sum_n prod_{i<=n} (1 - d_i) diverge?
+def check_single_site_series(
+    values: Sequence[float] = (),
+    tail: PowerLaw | Exponential | FiniteRange | OneMinusPower = FiniteRange(0),
+) -> CriterionReport:
+    """Does sum_n prod_{i<=n} (1 - d_i) diverge, for single-site disagreement
+    bounds d_1, d_2, ...: the explicit prefix ``values``, then the closed-form
+    ``tail`` law (identically zero by default)?
 
     Divergence of this series is a sufficient condition for a unique
     g-measure.  prod (1 - d_i) behaves like exp(-sum d_i) (for d_i ~ a/i,
@@ -198,11 +192,11 @@ def check_single_site_series(dseq: SingleSiteDSequence) -> CriterionReport:
     series with scale 1.
     """
     name = "single_site_series"
-    if any(not 0 <= v <= 1 for v in dseq.values):
+    if any(not 0 <= v <= 1 for v in values):
         raise ConfigError("d values must lie in [0, 1]")
-    if any(v >= 1.0 for v in dseq.values):
+    if any(v >= 1.0 for v in values):
         return CriterionReport(name, VIOLATED, {"kind": "prefix_hits_one"})
-    c, p = dseq.tail.asymptotic
+    c, p = tail.asymptotic
     return CriterionReport(name, *_product_series(c, p, 1.0))
 
 
@@ -262,21 +256,20 @@ def certify_cubic_remainder(lam: float, grid: int = 100_000) -> float:
     return float(margin.min())
 
 
-def affinity_product_floor(rhos: Sequence[float], lam: float = 2.0) -> float:
+def affinity_product_floor(rhos: Sequence[float]) -> float:
     """Lower bound for prod_i (1 - (sqrt(rho_i)-1)**2/2)**2 via log-ratios:
 
-        1 - sum_i ( (log rho_i)**2 / 4 + K(lam) * (log rho_i)**3 ),
+        1 - sum_i ( (log rho_i)**2 / 4 + K(2) * (log rho_i)**3 ),
 
-    valid for 1 <= rho_i <= lam.  The product floor itself never exceeds the
+    valid for 1 <= rho_i <= 2.  The product floor itself never exceeds the
     exact product (Weierstrass inequality plus the cubic remainder bound).
     """
-    K = cubic_remainder_constant(lam)
     acc = 0.0
     for rho in rhos:
-        if not 1.0 <= rho <= lam + 1e-12:
-            raise ConfigError(f"rho={rho} outside [1, lambda={lam}]")
+        if not 1.0 <= rho <= 2.0 + 1e-12:
+            raise ConfigError(f"rho={rho} outside [1, 2]")
         t = math.log(rho)
-        acc += t * t / 4.0 + K * t**3
+        acc += t * t / 4.0 + CUBIC_REMAINDER_K2 * t**3
     return 1.0 - acc
 
 
@@ -284,21 +277,11 @@ def affinity_product_floor(rhos: Sequence[float], lam: float = 2.0) -> float:
 # block total-variation bounds
 
 
-@dataclass(frozen=True)
-class BlockTvBounds:
-    """Upper bounds for the worst-case block-n total variation d_n.
-
-    ``site_product`` is the bound sqrt(1 - prod (affinity floor)**2) over the
-    sites [B_{n-1}, B_n - 1] separating the block from the agreement region;
-    it is None when some site ratio exceeds MAX_SITE_RATIO.
-    """
-
-    n: int
-    site_product: float | None
-
-
-def block_tv_bounds(vm, schedule: BlockSchedule, n: int) -> BlockTvBounds:
-    """The closed-form upper bound for d_n from a variation model.
+def block_tv_bounds(vm, schedule: BlockSchedule, n: int) -> float | None:
+    """The closed-form upper bound for the worst-case block-n total
+    variation d_n from a variation model: sqrt(1 - prod (affinity floor)**2)
+    over the sites [B_{n-1}, B_n - 1] separating the block from the agreement
+    region, or None when some site ratio exceeds MAX_SITE_RATIO.
 
     ``vm`` is anything exposing var_at(n) (a variation profile or a
     parametric variation model).
@@ -307,10 +290,9 @@ def block_tv_bounds(vm, schedule: BlockSchedule, n: int) -> BlockTvBounds:
         raise ConfigError("block index must be >= 1")
     window = range(schedule.B(n - 1), schedule.B(n))
     rhos = [math.exp(vm.var_at(i)) for i in window]
-    site_product = None
     if all(r <= MAX_SITE_RATIO for r in rhos):
-        site_product = tv_bound_from_site_ratios(rhos)
-    return BlockTvBounds(n, site_product)
+        return tv_bound_from_site_ratios(rhos)
+    return None
 
 
 # ---------------------------------------------------------------------------

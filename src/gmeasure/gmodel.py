@@ -220,16 +220,15 @@ class FiniteMemoryModel:
         lo, hi = float(block.min()), float(block.max())
         return 0.5 * (lo + hi), 0.5 * (hi - lo)
 
-    def rho(self, n: int) -> tuple[float, float]:
+    def rho(self, n: int) -> float:
         """Exact oscillation ratio of g over pairs agreeing on [0, n]."""
         if not self.is_positive:
             raise ConfigError("oscillation ratio undefined for a non-positive model")
         if n >= self.memory:
-            return 1.0, 1.0
+            return 1.0
         size = self.alphabet.size
         grouped = self.table.reshape(size ** (n + 1), -1)
-        value = float((grouped.max(axis=1) / grouped.min(axis=1)).max())
-        return value, value
+        return float((grouped.max(axis=1) / grouped.min(axis=1)).max())
 
 
 class LongRangeLinearModel:
@@ -247,8 +246,6 @@ class LongRangeLinearModel:
     with A the total coefficient mass and h_n the partial sum up to n; the
     denominator is the global minimum of g and does not depend on n.
     """
-
-    memory = None
 
     def __init__(self, alphabet: Alphabet, theta: float, coefficients, signs=None):
         if alphabet.size != 2:
@@ -335,11 +332,10 @@ class LongRangeLinearModel:
             mid = 0.5 + self.theta * float(signs[0]) * float(np.dot(avec[1:n], signs[1:]))
         return mid, self.theta * self.coefficients.tail(n - 1)
 
-    def rho(self, n: int) -> tuple[float, float]:
+    def rho(self, n: int) -> float:
         g_min = 0.5 - self.theta * self.total_mass
         h = self.coefficients.prefix(n)
-        value = (0.5 + self.theta * self.total_mass - 2 * self.theta * h) / g_min
-        return value, value
+        return (0.5 + self.theta * self.total_mass - 2 * self.theta * h) / g_min
 
 
 def iid_model(alphabet: Alphabet, probs: Sequence[float]) -> FiniteMemoryModel:
@@ -423,7 +419,7 @@ def interval_product(mid: np.ndarray, rad: np.ndarray):
 
 @dataclass(frozen=True)
 class VariationProfile:
-    """Per-n values (or upper bounds) of the log-oscillation of g.
+    """Per-n values of the log-oscillation of g.
 
     ``values[n]`` is var_{[0,n]}(log g) for n up to the tabulated horizon:
     a non-increasing prefix.  Beyond it, the closed-form ``tail`` law
@@ -432,12 +428,9 @@ class VariationProfile:
 
     values: np.ndarray
     tail: PowerLaw | Exponential | FiniteRange | None = None
-    kind: str = "upper_bound"  # or "exact"
 
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-        if self.kind not in ("exact", "upper_bound"):
-            raise ConfigError("profile kind must be 'exact' or 'upper_bound'")
         diffs = np.diff(self.values)
         if (diffs > 1e-12).any():
             raise ConfigError("variation values must be non-increasing")
@@ -460,18 +453,16 @@ def variation_profile(model, horizon: int) -> VariationProfile:
     """Tabulate var_{[0,n]}(log g) = log rho_{[0,n]} for n = 0..horizon."""
     if horizon < 0:
         raise ConfigError("horizon must be >= 0")
-    uppers = np.array([math.log(model.rho(n)[1]) for n in range(horizon + 1)])
-    uppers = np.minimum.accumulate(uppers)  # clear float noise in flat stretches
+    values = np.array([math.log(model.rho(n)) for n in range(horizon + 1)])
+    values = np.minimum.accumulate(values)  # clear float noise in flat stretches
     if isinstance(model, FiniteMemoryModel):
         # var_n is non-increasing, so values[horizon] bounds it up to the
         # memory, and it vanishes from n = memory on
-        return VariationProfile(
-            uppers, FiniteRange(model.memory, float(uppers[horizon])), "exact"
-        )
+        return VariationProfile(values, FiniteRange(model.memory, float(values[horizon])))
     # var_n = log rho_n <= 2 * theta * tail(n) / g_min, by log(1+x) <= x
     g_min = 0.5 - model.theta * model.total_mass
     law = model.coefficients.tail_law
-    return VariationProfile(uppers, replace(law, c=2 * model.theta * law.c / g_min))
+    return VariationProfile(values, replace(law, c=2 * model.theta * law.c / g_min))
 
 
 def finite_memory_surrogate(model, memory: int):

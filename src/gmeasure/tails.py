@@ -9,9 +9,10 @@ the long-range linear g-model.  ``var_at(n)`` evaluates a law at n >= 0.
 vanish faster than every power, and ``p = 0`` for a positive limit ``c``.
 The criteria classify a law from this pair alone.
 
-The summable laws, ``Exponential`` and ``PowerLaw`` with offset 0 and p > 1,
-give the model its sums ``tail(n)`` = sum_{k>n} a_k, ``prefix(n)`` =
-sum_{1<=k<=n} a_k and ``total``, plus ``from_mass`` and ``tail_law``.
+The summable laws, ``Exponential`` and ``PowerLaw`` with p > 1, give their
+sums ``tail(n)`` = sum_{k>n} a_k, ``prefix(n)`` = sum_{1<=k<=n} a_k and
+``total``, plus ``from_mass`` and ``tail_law``; the model takes those with
+offset 0.  A power law's sums raise ConfigError unless p > 1.
 The power-law sums are Hurwitz zeta values, computed here by an
 Euler-Maclaurin sum in plain floats (no scipy) whose remainder is bounded
 by its first omitted term.
@@ -63,10 +64,11 @@ def _zeta(p: float, q: float) -> float:
 
 @dataclass(frozen=True)
 class PowerLaw:
-    """c * (n + offset)**(-p); p = 0 gives the constant c.  Its sums use the
-    Hurwitz zeta function, so ``tail`` suffers no cancellation: ``tail(n)`` is
-    c * zeta(p, n + 1), evaluated by ``_zeta``'s Euler-Maclaurin sum, whose
-    remainder is below 3e-20 of the value (its first omitted term)."""
+    """c * (n + offset)**(-p); p = 0 gives the constant c.  Its sums, defined
+    for p > 1 only, use the Hurwitz zeta function, so ``tail`` suffers no
+    cancellation: ``tail(n)`` is c * zeta(p, n + 1 + offset), evaluated by
+    ``_zeta``'s Euler-Maclaurin sum, whose remainder is below 3e-20 of the
+    value (its first omitted term)."""
 
     c: float
     p: float
@@ -90,13 +92,19 @@ class PowerLaw:
             raise ConfigError("power-law exponent must exceed 1")
         return cls(mass / _zeta(p, 1), p)
 
+    def _summable(self):
+        if not self.p > 1:
+            raise ConfigError(f"power-law sums need p > 1, got p={self.p}")
+
     def tail(self, n: int) -> float:
-        return self.c * _zeta(self.p, n + 1)
+        self._summable()
+        return self.c * _zeta(self.p, n + 1 + self.offset)
 
     def prefix(self, n: int) -> float:
+        self._summable()
         if n <= 0:
             return 0.0
-        return self.c * (_zeta(self.p, 1) - _zeta(self.p, n + 1))
+        return self.c * (_zeta(self.p, 1 + self.offset) - _zeta(self.p, n + 1 + self.offset))
 
     @property
     def total(self) -> float:
@@ -104,8 +112,9 @@ class PowerLaw:
 
     @property
     def tail_law(self) -> "PowerLaw":
-        """tail(n) <= c * n**(1-p) / (p-1)."""
-        return PowerLaw(self.c / (self.p - 1), self.p - 1)
+        """tail(n) <= c * (n + offset)**(1-p) / (p-1)."""
+        self._summable()
+        return PowerLaw(self.c / (self.p - 1), self.p - 1, self.offset)
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,6 @@ __all__ = [
     "apply_Ln",
     "stationary",
     "uniqueness_diagnostic",
-    "DiagnosticPoint",
 ]
 
 MAX_POWER_ITERATIONS = 100_000
@@ -168,22 +167,17 @@ def stationary(op: TransferOperator, tol: float = 1e-13) -> StationaryMeasure:
     return StationaryMeasure(op.model, op.window, pi, residual, _is_uniquely_ergodic(op))
 
 
-@dataclass(frozen=True)
-class DiagnosticPoint:
-    n: int
-    oscillation: float
-    truncation_error: float
-
-
 def uniqueness_diagnostic(
     model, n_max: int, trunc_memory: int | None = None
-) -> list[DiagnosticPoint]:
-    """Oscillation sup L^n f - inf L^n f for n = 0..n_max, where f is the
-    indicator of the first symbol at coordinate 0.
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(oscillation, truncation_error)``, float64 arrays indexed by
+    n = 0..n_max: the oscillation sup L^n f - inf L^n f, where f is the
+    indicator of the first symbol at coordinate 0, and its truncation error.
 
     Long-range models are projected onto a finite-memory surrogate with
-    memory ``trunc_memory``; the reported truncation error bounds the drift
-    between the surrogate's oscillation and the true one,
+    memory ``trunc_memory``, which a finite-memory model must not be given;
+    the truncation error bounds the drift between the surrogate's
+    oscillation and the true one,
 
         |osc_true(n) - osc_surrogate(n)| <= 2 n |S| (half_width + defect),
 
@@ -194,6 +188,8 @@ def uniqueness_diagnostic(
     if n_max < 0:
         raise ConfigError("n_max must be >= 0")
     if isinstance(model, FiniteMemoryModel):
+        if trunc_memory is not None:
+            raise ConfigError("trunc_memory applies to long-range models only")
         surrogate, defect, half_width = model, 0.0, 0.0
     else:
         if trunc_memory is None:
@@ -201,10 +197,10 @@ def uniqueness_diagnostic(
         surrogate, defect, half_width = finite_memory_surrogate(model, trunc_memory)
     op = TransferOperator(surrogate)
     per_step = 2.0 * model.alphabet.size * (half_width + defect)
-    rows = []
+    oscillation = np.empty(n_max + 1)
     g = indicator(model.alphabet, model.alphabet.symbols[0], op.window)
     for n in range(n_max + 1):
-        rows.append(DiagnosticPoint(n, float(g.max() - g.min()), n * per_step))
+        oscillation[n] = g.max() - g.min()
         if n < n_max:
             g = op.apply(g)
-    return rows
+    return oscillation, np.arange(n_max + 1) * per_step

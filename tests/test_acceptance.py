@@ -226,7 +226,7 @@ def test_criterion_05_hellinger_suite():
         exact = float(
             np.prod([(1 - 0.5 * (math.sqrt(r) - 1) ** 2) ** 2 for r in rhos])
         )
-        assert affinity_product_floor(rhos, lam=2.0) <= exact + 1e-12
+        assert affinity_product_floor(rhos) <= exact + 1e-12
     elapsed = _report(5, "Hellinger bound suite", t0)
     assert elapsed < 60.0
 
@@ -255,7 +255,7 @@ def test_criterion_06_dn_structure(alphabet, longrange):
     profile = variation_profile(longrange, 40)
     schedule = constant_schedule(1)
     for n in (1, 2, 3, 4):
-        bound = block_tv_bounds(profile, schedule, n).site_product
+        bound = block_tv_bounds(profile, schedule, n)
         for tail_len in (1, 2, 3, 4, 5):
             lower, upper = dn_bruteforce(longrange, schedule, n, tail_len)
             assert lower <= bound + (upper - lower) + 1e-12
@@ -271,7 +271,7 @@ def test_criterion_07_coupling_vs_renewal_bound(longrange):
     depth, n_traj = 64, 10_000
     schedule = constant_schedule(1)
     profile = variation_profile(longrange, 80)
-    ubs = [block_tv_bounds(profile, schedule, n).site_product for n in range(1, 76)]
+    ubs = [block_tv_bounds(profile, schedule, n) for n in range(1, 76)]
     dbar_seq = dbar(ubs[:-1], ubs[-1])
 
     bound = disagreement_bound_sweep(dbar_seq, (1,) * 9, [8])[0][1]

@@ -234,6 +234,18 @@ PINNED = {
         "pipeline_bounds.csv": "3d8e4d0a1007ba2584fefebe1e2db31ba6b1501622a6ac3d616294e5f4dba1bb",
         "pipeline_summary.json": "0071d9ba8cd4af19416017b43aa8cc8ec260acf76e122a28fdae4c016a790c77",
     }),
+    # the exact_bounds benchmark workload's transfer and couple runs, at seed 1
+    "transfer-exact_bounds": (["transfer", "--model", "{longrange}", "--trunc-memory", "14",
+                               "--n-max", "200"], {
+        "transfer.csv": "2984c41d234461488e36d9fdba20a47b937a253e544e7a15aa61f6bdb6e7d6bb",
+    }),
+    "couple-exact_bounds": (["couple", "--model", "{longrange}", "--schedule", "const:1",
+                             "--depth", "16", "--trajectories", "20", "--seed", "1",
+                             "--context-x", "1" * 16, "--context-y", "0" * 16,
+                             "--dn-max", "6", "--tail-len", "6"], {
+        "couple_mc.csv": "cb73589f1bc8da77dde8c1544458fccecb6852cfacdb28f86dcd7cb99a680d32",
+        "couple_dn.csv": "fa00f9358a8e874e9dba1c2a46a9e095abe2b520d1331c9b079bc1f2a46f1d57",
+    }),
     "couple-dn": (["couple", "--model", "{longrange}", "--depth", "6", "--trajectories", "20",
                    "--seed", "3", "--dn-max", "3", "--tail-len", "2"], {
         "couple_mc.csv": "50f8226641623c8468143f9ccb88be8690e82620ac886fe54fdaa91deb3d3445",
@@ -529,6 +541,11 @@ BAD_INPUTS = {
     "missing model file": ["transfer", "--model", "{missing}"],
     "model table entry not a number": ["transfer", "--model", "{bad_table}"],
     "negative surrogate memory": ["transfer", "--model", "{longrange}", "--trunc-memory", "-1"],
+    "surrogate memory of a finite-memory model": ["transfer", "--model", "{mem1}",
+                                                  "--trunc-memory", "5"],
+    "negative surrogate memory of a finite-memory model": ["transfer", "--model", "{mem1}",
+                                                           "--trunc-memory", "-1"],
+    "negative tail_len without dn_max": ["couple", "--tail-len", "-3"],
     "negative seed": ["couple", "--seed", "-1"],
     "negative dn_max": ["couple", "--dn-max", "-1"],
     "removed block cap option": ["couple", "--block-cap", "12"],

@@ -347,8 +347,8 @@ def test_estimate_disagreement_rate_decreases(longrange):
 def test_block_conditional_normalised(longrange, rng):
     known = rng.integers(0, 2, (1, 20))
     words = all_words(2, 2)
-    probs, slack = _block_laws(longrange, words, context_state(longrange, known, 2),
-                               np.array([20]), longrange.word_terms(words.T))
+    probs, slack = _block_laws(longrange, longrange.word_terms(words.T),
+                               context_state(longrange, known, 2), np.array([20]))
     assert probs.sum() == pytest.approx(1.0, abs=1e-14)
     assert 0 < slack[0] < 0.1
 

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -13,7 +12,6 @@ from gmeasure import (
     OneMinusPower,
     PowerLaw,
     RenewalSpec,
-    SingleSiteDSequence,
     VariationProfile,
     affinity_product_floor,
     block_tv_bounds,
@@ -135,33 +133,23 @@ def test_tabulated_validation():
 
 
 def test_single_site_series_examples():
-    assert check_single_site_series(SingleSiteDSequence()).verdict == SATISFIED
-    report = check_single_site_series(SingleSiteDSequence(tail=OneMinusPower(1, 1)))
+    assert check_single_site_series().verdict == SATISFIED
+    report = check_single_site_series(tail=OneMinusPower(1, 1))
     assert report.verdict == VIOLATED  # d_n = 1 - 1/n, products decay factorially
-    assert check_single_site_series(
-        SingleSiteDSequence(tail=PowerLaw(0.5, 1))
-    ).verdict == SATISFIED  # d_n = a/n with a < 1
-    assert check_single_site_series(
-        SingleSiteDSequence(tail=PowerLaw(2.0, 1))
-    ).verdict == VIOLATED
-    assert check_single_site_series(
-        SingleSiteDSequence(tail=PowerLaw(0.9, 0.5))
-    ).verdict == VIOLATED
-    assert check_single_site_series(
-        SingleSiteDSequence(tail=PowerLaw(5.0, 2))
-    ).verdict == SATISFIED
-    assert check_single_site_series(
-        SingleSiteDSequence(tail=PowerLaw(0.2, 0))
-    ).verdict == VIOLATED
-    assert check_single_site_series(
-        SingleSiteDSequence(values=(1.0,), tail=FiniteRange(0))
-    ).verdict == VIOLATED  # a prefix entry of 1 kills every product
+    # d_n = a/n with a < 1
+    assert check_single_site_series(tail=PowerLaw(0.5, 1)).verdict == SATISFIED
+    assert check_single_site_series(tail=PowerLaw(2.0, 1)).verdict == VIOLATED
+    assert check_single_site_series(tail=PowerLaw(0.9, 0.5)).verdict == VIOLATED
+    assert check_single_site_series(tail=PowerLaw(5.0, 2)).verdict == SATISFIED
+    assert check_single_site_series(tail=PowerLaw(0.2, 0)).verdict == VIOLATED
+    # a prefix entry of 1 kills every product
+    assert check_single_site_series(values=(1.0,), tail=FiniteRange(0)).verdict == VIOLATED
 
 
 def test_single_site_tv_bound_dominates_exact(longrange, rng):
     # half the summed first-symbol differences vs rho - 1, on random pairs
     for n in (1, 2, 4):
-        _, rho_upper = longrange.rho(n)
+        rho_upper = longrange.rho(n)
         for _ in range(100):
             common = rng.integers(0, 2, n)
             tx = rng.integers(0, 2, 60)
@@ -254,7 +242,7 @@ def test_cubic_remainder_certification():
 def test_affinity_floor_values():
     assert affinity_product_floor([1.0, 1.0]) == 1.0
     with pytest.raises(ConfigError):
-        affinity_product_floor([2.5], lam=2.0)
+        affinity_product_floor([2.5])
 
 
 def test_affinity_floor_below_exact_product(rng):
@@ -262,7 +250,7 @@ def test_affinity_floor_below_exact_product(rng):
         n = int(rng.integers(1, 9))
         rhos = rng.uniform(1.0, 2.0, n)
         exact = float(np.prod([(1 - 0.5 * (math.sqrt(r) - 1) ** 2) ** 2 for r in rhos]))
-        assert affinity_product_floor(rhos, lam=2.0) <= exact + 1e-12
+        assert affinity_product_floor(rhos) <= exact + 1e-12
 
 
 def test_affinity_floor_gap_vanishes_near_one():
@@ -278,8 +266,7 @@ def test_affinity_floor_gap_vanishes_near_one():
 def test_block_bounds_zero_for_finite_range():
     vm = FiniteRange(2, level=0.3)
     sched = constant_schedule(1)
-    bounds = block_tv_bounds(vm, sched, 4)  # window sites {3}: var = 0
-    assert bounds.site_product == 0.0
+    assert block_tv_bounds(vm, sched, 4) == 0.0  # window sites {3}: var = 0
 
 
 def test_block_bounds_dominate_bruteforce(longrange):
@@ -287,31 +274,26 @@ def test_block_bounds_dominate_bruteforce(longrange):
     sched = constant_schedule(1)
     for n in (1, 2, 3):
         lower, upper = dn_bruteforce(longrange, sched, n, 4)
-        bound = block_tv_bounds(profile, sched, n).site_product
+        bound = block_tv_bounds(profile, sched, n)
         assert lower <= bound + (upper - lower) + 1e-12
 
 
 def test_every_block_bound_field_dominates_the_bruteforce_witness(longrange):
-    # the power-law benchmark model on const:1: a field that bounds d_n can
-    # never fall below the largest total variation dn_bruteforce finds
+    # the power-law benchmark model on const:1: a bound on d_n can never
+    # fall below the largest total variation dn_bruteforce finds
     profile = variation_profile(longrange, 40)
     sched = constant_schedule(1)
     for n in range(1, 5):
         lower, _ = dn_bruteforce(longrange, sched, n, 6)
-        bounds = block_tv_bounds(profile, sched, n)
-        for field in dataclasses.fields(bounds):
-            value = getattr(bounds, field.name)
-            if isinstance(value, float):
-                assert value >= lower, (n, field.name, value, lower)
+        bound = block_tv_bounds(profile, sched, n)
+        assert bound >= lower, (n, bound, lower)
 
 
 def test_block_bounds_validity_windows():
     vm = FiniteRange(3, level=2.0)  # rho = e^2 > (1+sqrt(2))^2 early on
     sched = constant_schedule(1)
-    bounds = block_tv_bounds(vm, sched, 1)
-    assert bounds.site_product is None
-    late = block_tv_bounds(vm, sched, 5)
-    assert late.site_product == 0.0
+    assert block_tv_bounds(vm, sched, 1) is None
+    assert block_tv_bounds(vm, sched, 5) == 0.0
 
 
 # --- geometric schedules and the closed-form ratio -------------------------------

@@ -2,6 +2,7 @@ import ast
 import importlib
 import importlib.util
 import pkgutil
+import re
 from pathlib import Path
 
 import gmeasure
@@ -29,6 +30,18 @@ def test_benchmark_hooks_name_public_functions():
         assert func in module.__all__, f"bench/tracing.py times {name}, not a public name"
     for cls in (gmeasure.FiniteMemoryModel, gmeasure.LongRangeLinearModel):
         assert callable(getattr(cls, "eval_indices", None)), cls.__name__
+
+
+def test_readme_names_existing_code():
+    # every backticked `module.name` in README.md, module a gmeasure module,
+    # must still exist: a deleted or renamed name fails here, not in a reader
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    modules = "cli|coupling|criteria|errors|gmodel|renewal|tails|transfer"
+    refs = re.findall(rf"`({modules})\.(\w+)`", readme)
+    assert refs
+    missing = [f"{module}.{name}" for module, name in refs
+               if not hasattr(importlib.import_module(f"gmeasure.{module}"), name)]
+    assert not missing, missing
 
 
 def _top_level_imports(tree):

@@ -129,16 +129,15 @@ def test_cylinder_empty_block(mem1):
 
 
 def test_rho_iid_is_one(iid):
-    assert iid.rho(0) == (1.0, 1.0)
+    assert iid.rho(0) == 1.0
 
 
 def test_rho_finite_memory_cutoff(alphabet, rng):
     from conftest import random_positive_table
 
     model = FiniteMemoryModel(alphabet, 2, random_positive_table(alphabet, 2, rng))
-    assert model.rho(4) == (1.0, 1.0)
-    lo, hi = model.rho(1)
-    assert lo == hi >= 1.0
+    assert model.rho(4) == 1.0
+    assert model.rho(1) >= 1.0
 
 
 def test_rho_rejects_nonpositive_model(alphabet):
@@ -150,7 +149,7 @@ def test_rho_rejects_nonpositive_model(alphabet):
 def test_rho_longrange_dominates_random_search(longrange, rng):
     # random pairs agreeing on [0, n] must not beat the closed-form upper bound
     for n in (0, 1, 3):
-        _, upper = longrange.rho(n)
+        upper = longrange.rho(n)
         best = 1.0
         for _ in range(300):
             common = rng.integers(0, 2, n + 1)
@@ -165,11 +164,9 @@ def test_rho_longrange_dominates_random_search(longrange, rng):
 
 def test_variation_profile_monotone_and_cutoff(mem1, longrange):
     prof = variation_profile(mem1, 6)
-    assert prof.kind == "exact"
     assert prof.values[1] == 0.0  # zero from n = memory on
     assert prof.var_at(50) == 0.0
     prof = variation_profile(longrange, 40)
-    assert prof.kind == "upper_bound"
     assert all(np.diff(prof.values) <= 1e-15)
     # tail model dominates the tabulated values at the horizon crossover
     assert prof.var_at(41) <= prof.var_at(40)
@@ -343,17 +340,31 @@ def test_zeta_of_2_at_1_is_the_correctly_rounded_basel_sum():
 
 @pytest.mark.parametrize("p", ZETA_P)
 def test_powerlaw_sums_are_within_4_ulps_of_the_oracle(p):
-    # c = 1/4 scales exactly, so ulps of the sums are ulps of the zeta values
-    coeffs = PowerLaw(0.25, p)
+    # c = 1/4 scales exactly, so ulps of the sums are ulps of the zeta values;
+    # with an offset the sums run over c * (k + offset)**(-p), k >= 1
     k = np.arange(501)
-    tail = [coeffs.tail(n) for n in k.tolist()]
-    assert np.max(_ulps(tail, coeffs.c * hurwitz_zeta(p, k + 1))) <= 4
-    # prefix(n) subtracts two zeta values: counted in ulps of the larger, the total
-    total = coeffs.c * hurwitz_zeta(p, 1)
-    prefix = [coeffs.prefix(n) for n in k.tolist()]
-    assert prefix[0] == 0.0
-    assert np.max(_ulps(prefix[1:], total - coeffs.c * hurwitz_zeta(p, k[1:] + 1), total)) <= 4
+    for offset in (0, 1, 3):
+        coeffs = PowerLaw(0.25, p, offset)
+        tail = [coeffs.tail(n) for n in k.tolist()]
+        assert np.max(_ulps(tail, coeffs.c * hurwitz_zeta(p, k + 1 + offset))) <= 4
+        # prefix(n) subtracts two zeta values: counted in ulps of the larger, the total
+        total = coeffs.c * hurwitz_zeta(p, 1 + offset)
+        prefix = [coeffs.prefix(n) for n in k.tolist()]
+        assert prefix[0] == 0.0
+        exact = total - coeffs.c * hurwitz_zeta(p, k[1:] + 1 + offset)
+        assert np.max(_ulps(prefix[1:], exact, total)) <= 4
     assert _ulps(PowerLaw.from_mass(p, 0.5).c, 0.5 / hurwitz_zeta(p, 1)) <= 4
+
+
+@pytest.mark.parametrize("p", [0.5, 1])
+def test_powerlaw_sums_need_p_above_one(p):
+    coeffs = PowerLaw(1.0, p)
+    with pytest.raises(ConfigError):
+        coeffs.tail(3)
+    with pytest.raises(ConfigError):
+        coeffs.prefix(3)
+    with pytest.raises(ConfigError):
+        coeffs.tail_law
 
 
 def _bernoulli(n: int) -> Fraction:

@@ -135,9 +135,9 @@ def test_stacked_block_laws_match_oracle(name, b, monkeypatch):
                        for row, L in enumerate(known_len)] for side in range(2)])
     words = all_words(size, b)
     terms = model.word_terms(words.T)
-    probs, slack = _block_laws(model, words, state, known_len, terms)
+    probs, slack = _block_laws(model, terms, state, known_len)
     for side in range(2):
-        one_probs, one_slack = _block_laws(model, words, state[side], known_len, terms)
+        one_probs, one_slack = _block_laws(model, terms, state[side], known_len)
         assert np.array_equal(probs[side], one_probs)
         assert np.array_equal(slack[side], one_slack)
         for row, L in enumerate(known_len.tolist()):

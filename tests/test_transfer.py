@@ -187,28 +187,27 @@ def test_stationary_vs_simulation(mem1, rng):
 
 
 def test_diagnostic_iid_flat_after_one_step(iid):
-    rows = uniqueness_diagnostic(iid, 4)
-    assert rows[0].oscillation == 1.0
-    assert all(r.oscillation == 0.0 for r in rows[1:])
-    assert all(r.truncation_error == 0.0 for r in rows)
+    oscillation, truncation_error = uniqueness_diagnostic(iid, 4)
+    assert oscillation[0] == 1.0
+    assert all(oscillation[1:] == 0.0)
+    assert all(truncation_error == 0.0)
 
 
 def test_diagnostic_memory1_dobrushin_decay(mem1):
-    rows = uniqueness_diagnostic(mem1, 12)
+    oscillation, _ = uniqueness_diagnostic(mem1, 12)
     delta = dobrushin_coefficient(mem1)
-    for r in rows:
-        assert r.oscillation <= rows[0].oscillation * delta**r.n + 1e-12
+    for n, osc in enumerate(oscillation):
+        assert osc <= oscillation[0] * delta**n + 1e-12
 
 
 def test_diagnostic_longrange_surrogate_family(longrange):
     for mt in (4, 6, 8):
-        rows = uniqueness_diagnostic(longrange, 10, trunc_memory=mt)
-        osc = [r.oscillation for r in rows]
+        osc, err = uniqueness_diagnostic(longrange, 10, trunc_memory=mt)
         assert all(osc[i + 1] <= osc[i] + 1e-15 for i in range(len(osc) - 1))
         # error bars grow linearly in n and shrink with the truncation memory
-        assert rows[2].truncation_error == pytest.approx(2 * rows[1].truncation_error)
-    err4 = uniqueness_diagnostic(longrange, 1, trunc_memory=4)[1].truncation_error
-    err8 = uniqueness_diagnostic(longrange, 1, trunc_memory=8)[1].truncation_error
+        assert err[2] == pytest.approx(2 * err[1])
+    err4 = uniqueness_diagnostic(longrange, 1, trunc_memory=4)[1][1]
+    err8 = uniqueness_diagnostic(longrange, 1, trunc_memory=8)[1][1]
     assert err8 < err4
 
 
