@@ -488,22 +488,21 @@ def dn_bruteforce(model, schedule: BlockSchedule, n: int, tail_len: int) -> tupl
 
     Enumerates every agreeing part on the B_{n-1} coordinates right of the
     block and every pair of tail words of length ``tail_len`` beyond them,
-    computing the total variation between the two conditional block laws.
-    Returns ``(lower, upper)``: the lower bound is the largest midpoint
-    total variation found; the upper bound additionally absorbs the largest
-    accumulated truncation slack, and dominates the true supremum over all
-    infinite tail completions.
+    a tail with itself included, computing the total variation between the
+    two conditional block laws.  Returns ``(lower, upper)``: the lower bound
+    is the largest midpoint total variation found; the upper bound
+    additionally absorbs the largest accumulated truncation slack, and
+    dominates the true supremum over all infinite tail completions.
     """
     check_dn_budget(model, schedule, n, tail_len)
     size = model.alphabet.size
     agree_len = schedule.B(n - 1)
     block_len = schedule.b(n)
     n_tails, n_agree = size**tail_len, size**agree_len
-    if n_tails == 1:
-        return 0.0, 0.0  # one tail: no pair of laws to compare
     words = all_words(size, block_len)
     terms = model.word_terms(words.T)  # once: every step reads the same words
-    left, right = np.triu_indices(n_tails, 1)
+    # each tail paired with itself too: two completions beyond a shared tail
+    left, right = np.triu_indices(n_tails)
     # [a, t]: agreeing part a followed by tail t; the budget caps its rows
     # at 2^22 / (n_tails * len(words)) <= 2^20
     contexts = all_words(size, agree_len + tail_len).reshape(n_agree, n_tails, -1)
@@ -527,7 +526,7 @@ def dbar(d_values, tail_bound: float) -> np.ndarray:
     the output is non-increasing and dominates the input pointwise.
     """
     d = np.asarray(d_values, dtype=float)
-    if tail_bound < 0:
+    if not tail_bound >= 0:
         raise ConfigError("tail bound must be >= 0")
     out = np.empty_like(d)
     running = tail_bound

@@ -207,7 +207,7 @@ def check_single_site_series(
 def hellinger_floor(rho: float) -> float:
     """Lower bound 1 - (sqrt(rho)-1)**2 / 2 for the Hellinger affinity
     sum sqrt(mu*nu) of two distributions with oscillation ratio rho."""
-    if rho < 1:
+    if not rho >= 1:
         raise ConfigError("oscillation ratio must be >= 1")
     return 1.0 - 0.5 * (math.sqrt(rho) - 1.0) ** 2
 
@@ -216,13 +216,11 @@ def tv_bound_from_site_ratios(rhos: Sequence[float]) -> float:
     """Total-variation bound sqrt(1 - prod_i (1 - (sqrt(rho_i)-1)**2/2)**2).
 
     Valid for measures on a product of sites whose per-site conditional
-    oscillation ratios are rho_i; each rho_i must stay below MAX_SITE_RATIO
+    oscillation ratios are rho_i; each rho_i must lie in [1, MAX_SITE_RATIO]
     so the per-site affinity floor is non-negative.
     """
     prod = 1.0
     for rho in rhos:
-        if rho < 1:
-            raise ConfigError("oscillation ratios must be >= 1")
         if rho > MAX_SITE_RATIO + 1e-12:
             raise ConfigError(
                 f"site ratio {rho:.6f} exceeds the validity bound {MAX_SITE_RATIO:.6f}"

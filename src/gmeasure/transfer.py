@@ -13,8 +13,8 @@ through the decay of the oscillation of L^n f.
 Functions over S^W are indexed lexicographically, numpy's C order over
 (|S|,) * W, so f at the extensions s.u[:W-1] is one ``np.repeat`` of f
 reshaped to (|S|, |S|^(W-1)).  The operator is one (|S|, |S|^W) weight array,
-weight[s, u] = g(s.u[:M]), read by ``apply``, ``apply_dual`` and the
-uniqueness flag of ``stationary``.
+weight[s, u] = g(s.u[:M]), read by ``apply`` and ``apply_dual``; the
+uniqueness flag of ``stationary`` runs both on 0/1 vectors.
 """
 
 from __future__ import annotations
@@ -43,11 +43,6 @@ def indicator(alphabet: Alphabet, symbol: str, window: int = 1) -> np.ndarray:
     return np.repeat(np.eye(alphabet.size)[alphabet.index(symbol)], alphabet.size ** (window - 1))
 
 
-def _extensions(f: np.ndarray, size: int) -> np.ndarray:
-    """``f`` at the extension s.u[:window-1] of each word u, as a (size, dim) array."""
-    return np.repeat(f.reshape(size, -1), size, axis=1)
-
-
 class TransferOperator:
     """Exact action of the transfer operator on S^window cylinder functions."""
 
@@ -69,7 +64,8 @@ class TransferOperator:
         f = np.asarray(f, dtype=float)
         if f.shape != (self.dim,):
             raise ConfigError(f"function must have shape ({self.dim},), got {f.shape}")
-        return (self.weight * _extensions(f, self.model.alphabet.size)).sum(axis=0)
+        size = self.model.alphabet.size
+        return (self.weight * np.repeat(f.reshape(size, -1), size, axis=1)).sum(axis=0)
 
     def apply_dual(self, pi: np.ndarray) -> np.ndarray:
         size = self.model.alphabet.size
@@ -123,20 +119,27 @@ class StationaryMeasure:
         return p
 
 
-def _is_uniquely_ergodic(op: TransferOperator) -> bool:
-    """True iff the cylinder chain has exactly one closed communicating class."""
-    # ~0.2 s to import; only this check needs them
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import connected_components
+def _closure(step, j: int, dim: int) -> np.ndarray:
+    """Words joined to word j by chains of edges, grown one ``step`` at a time."""
+    reached, grown = None, np.arange(dim) == j
+    while not np.array_equal(reached, grown):
+        reached, grown = grown, grown | (step(grown.astype(float)) > 0)
+    return reached
 
-    mask = op.weight > 0
-    rows = np.broadcast_to(np.arange(op.dim), mask.shape)[mask]
-    cols = _extensions(np.arange(op.dim), op.model.alphabet.size)[mask]
-    adj = coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(op.dim, op.dim))
-    n_comp, labels = connected_components(adj, directed=True, connection="strong")
-    src_class, dst_class = labels[rows], labels[cols]
-    # a class is closed unless one of its edges leaves it
-    return n_comp - len(np.unique(src_class[src_class != dst_class])) == 1
+
+def _is_uniquely_ergodic(op: TransferOperator) -> bool:
+    """True iff the cylinder chain has exactly one closed communicating class.
+
+    On a 0/1 vector, ``apply`` marks the words with an edge into its set and
+    ``apply_dual`` the words its set has an edge to.  A word that j reaches
+    but that cannot reach j back reaches strictly fewer words, so moving j
+    there ends at a closed class, the only one iff every word reaches j."""
+    escapes = [0]
+    while len(escapes):
+        j = escapes[0]
+        ahead, behind = _closure(op.apply_dual, j, op.dim), _closure(op.apply, j, op.dim)
+        escapes = np.flatnonzero(ahead & ~behind)
+    return bool(behind.all())
 
 
 def stationary(op: TransferOperator, tol: float = 1e-13) -> StationaryMeasure:
@@ -147,7 +150,7 @@ def stationary(op: TransferOperator, tol: float = 1e-13) -> StationaryMeasure:
     ConvergenceError when the l1 residual is still at least ``tol`` after
     ``MAX_POWER_ITERATIONS`` steps.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ConfigError("tol must be positive")
     pi = np.full(op.dim, 1.0 / op.dim)
     residual = np.inf

@@ -265,7 +265,7 @@ def dn_enumerate(model, schedule, n: int, tail_len: int) -> tuple[float, float]:
         laws = [block_law(model, block_len, agree + decode(code_t, size, tail_len))
                 for code_t in range(size**tail_len)]
         for i, (p, slack_p) in enumerate(laws):
-            for q, slack_q in laws[i + 1 :]:
+            for q, slack_q in laws[i:]:
                 tv = total_variation(p, q)
                 lower = max(lower, tv)
                 upper = max(upper, tv + 0.5 * (slack_p + slack_q))

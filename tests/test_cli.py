@@ -642,8 +642,10 @@ COUPLE_DN_ARGV = ["couple", "--depth", "8", "--trajectories", "10", "--seed", "1
     ("exponential", COUPLE_DN_ARGV, NO_SCIPY_SUBPACKAGE),
     ("longrange", COUPLE_DN_ARGV, NO_SCIPY_SUBPACKAGE),
     (None, ["renewal", "--d", "0.5", "--b", "2,2", "--K", "1"], NO_SCIPY_SUBPACKAGE),
+    (None, ["selftest"], NO_SCIPY_SUBPACKAGE),
 ], ids=["exponential", "power_law", "transfer-finite-memory", "transfer-exponential",
-        "transfer-power-law", "criteria", "couple-exponential", "couple-power-law", "renewal"])
+        "transfer-power-law", "criteria", "couple-exponential", "couple-power-law", "renewal",
+        "selftest"])
 def test_pipeline_imports_only_the_scipy_it_calls(model, argv, absent, tmp_path):
     if model is not None:
         path = tmp_path / "model.gmodel"
@@ -653,7 +655,8 @@ def test_pipeline_imports_only_the_scipy_it_calls(model, argv, absent, tmp_path)
     src = Path(gmeasure.__file__).resolve().parents[1]
     proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, *argv], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
-    rc, *loaded = proc.stdout.split() or ["no output"]
+    # the probe's line comes last: selftest prints its report first
+    rc, *loaded = (proc.stdout.splitlines() or ["no output"])[-1].split()
     assert rc == "0", proc.stderr
     assert not absent & set(loaded), loaded
 
@@ -668,6 +671,17 @@ def test_couple_dn_cells_are_plain_numbers(longrange_file, tmp_path):
     for row in rows:
         for cell in row:
             float(cell)
+
+
+def test_couple_dn_upper_without_tail_is_a_bound(longrange_file, tmp_path):
+    # tail length 6 finds block-1 laws 0.2267 apart; with no enumerated tail
+    # the upper bound is the one law's truncation slack, and must cover that
+    out = tmp_path / "dn"
+    assert main(["couple", "--model", str(longrange_file), "--schedule", "const:1",
+                 "--depth", "4", "--trajectories", "2", "--seed", "1", "--dn-max", "1",
+                 "--tail-len", "0", "--out", str(out)]) == 0
+    _, rows = read_csv_rows(out / "couple_dn.csv")
+    assert float(rows[0][2]) >= 0.2267
 
 
 def test_config_hash_covers_model_contents(tmp_path):

@@ -12,6 +12,7 @@ from gmeasure import (
     OneMinusPower,
     PowerLaw,
     RenewalSpec,
+    TransferOperator,
     VariationProfile,
     affinity_product_floor,
     block_tv_bounds,
@@ -23,10 +24,12 @@ from gmeasure import (
     check_variation_o_sqrt,
     constant_schedule,
     coupling_bound_ratio,
+    dbar,
     dn_bruteforce,
     geometric_blocks,
     hellinger_floor,
     renewal_limit,
+    stationary,
     tv_bound_from_site_ratios,
     variation_profile,
 )
@@ -187,6 +190,20 @@ def test_hellinger_floor_on_random_distributions(rng):
         assert rho <= 5.0 + 1e-9
         affinity = float(np.sqrt(mu * nu).sum())
         assert affinity >= hellinger_floor(rho) - 1e-12
+
+
+NAN_ARGUMENTS = {
+    "stationary tol": lambda iid: stationary(TransferOperator(iid), tol=math.nan),
+    "dbar tail bound": lambda iid: dbar((0.3, 0.1), math.nan),
+    "hellinger_floor ratio": lambda iid: hellinger_floor(math.nan),
+    "tv_bound_from_site_ratios ratio": lambda iid: tv_bound_from_site_ratios([math.nan]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NAN_ARGUMENTS))
+def test_nan_fails_the_sign_checks(case, iid):
+    with pytest.raises(ConfigError):
+        NAN_ARGUMENTS[case](iid)
 
 
 def test_tv_bound_values():

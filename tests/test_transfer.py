@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gmeasure import (
     Alphabet,
@@ -12,6 +14,7 @@ from gmeasure import (
     stationary,
     uniqueness_diagnostic,
 )
+from gmeasure.transfer import _is_uniquely_ergodic
 from oracles import (
     closed_class_count,
     dense_transfer_matrix,
@@ -112,6 +115,9 @@ UNIQUENESS_CASES = {
     "two closed classes, 3 symbols, memory 2": (lambda a: _two_absorbing_pairs(), False),
     # memory 0 read through windows of 1-2 symbols: only 00.. stays reachable
     "iid with a zero entry": (lambda a: FiniteMemoryModel(a, 0, {"0": 1.0, "1": 0.0}), True),
+    # context 1 forces 1: word 0 is transient, so the search leaves it
+    "transient word 0": (
+        lambda a: FiniteMemoryModel(a, 1, {"00": 0.5, "10": 0.5, "01": 0.0, "11": 1.0}), True),
 }
 
 
@@ -124,6 +130,26 @@ def test_unique_flag_matches_closed_class_oracle(case, alphabet):
         measure = stationary(TransferOperator(model, window))
         assert (closed_class_count(dense_transfer_matrix(model, window)) == 1) == unique
         assert measure.unique == unique
+
+
+@st.composite
+def models_with_random_supports(draw):
+    """2-3 symbols, memory 0-2; each context draws uniformly from a random
+    non-empty set of symbols, so some chains have several closed classes."""
+    size, memory = draw(st.integers(2, 3)), draw(st.integers(0, 2))
+    masks = draw(st.lists(st.integers(1, 2**size - 1), min_size=size**memory,
+                          max_size=size**memory))
+    keep = (np.array(masks) >> np.arange(size)[:, None]) & 1  # [s, context]
+    table = (keep / keep.sum(axis=0)).reshape(-1)
+    return FiniteMemoryModel(Alphabet(tuple("abc"[:size])), memory, table)
+
+
+@settings(max_examples=300, deadline=None)
+@given(models_with_random_supports())
+def test_unique_flag_matches_closed_class_oracle_on_random_supports(model):
+    for window in range(max(model.memory, 1), model.memory + 2):
+        oracle = closed_class_count(dense_transfer_matrix(model, window)) == 1
+        assert _is_uniquely_ergodic(TransferOperator(model, window)) == oracle
 
 
 def test_stationary_iid_product_measure(iid):
