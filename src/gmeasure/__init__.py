@@ -51,8 +51,6 @@ from .renewal import (
     RenewalSpec,
     build_alphabeta,
     disagreement_bound_sweep,
-    effective_lattice,
-    renewal_limit,
     renewal_solve,
 )
 from .criteria import (
@@ -66,7 +64,6 @@ from .criteria import (
     check_single_site_series,
     check_square_summable_variation,
     check_variation_o_sqrt,
-    coupling_bound_ratio,
     geometric_blocks,
     hellinger_floor,
     tv_bound_from_site_ratios,

@@ -8,7 +8,7 @@ config hash and per-output checksums.  Identical configuration and seed
 reproduce byte-identical artifacts.
 
 Exit codes: 0 success; 1 any other gmeasure error (a truncation or
-convergence failure, a failed selftest or ratio/renewal cross-check);
+convergence failure, a failed selftest);
 2 configuration error, every argparse error included; 3 enumeration budget
 exceeded.
 """
@@ -51,18 +51,11 @@ from .criteria import (
     check_rho_product_series,
     check_square_summable_variation,
     check_variation_o_sqrt,
-    coupling_bound_ratio,
     geometric_blocks,
 )
 from .errors import BudgetError, ConfigError, GMeasureError, check_budget
 from .gmodel import binary_alphabet, iid_model, load_model, variation_profile
-from .renewal import (
-    RenewalSpec,
-    build_alphabeta,
-    disagreement_bound_sweep,
-    renewal_limit,
-    renewal_solve,
-)
+from .renewal import RenewalSpec, build_alphabeta, disagreement_bound_sweep, renewal_solve
 from .tails import Exponential, FiniteRange, PowerLaw
 from .transfer import TransferOperator, apply_Ln, stationary, uniqueness_diagnostic
 
@@ -331,16 +324,21 @@ def _run_criteria(cfg: ExperimentConfig) -> dict[str, bytes]:
 
 
 def _run_pipeline(cfg: ExperimentConfig) -> dict[str, bytes]:
-    """Variation profile -> block TV bounds -> dbar -> ratio/renewal bounds
-    -> Monte Carlo comparison."""
+    """Variation profile -> block TV bounds -> dbar -> R_K bounds -> Monte
+    Carlo comparison."""
     p = cfg.params
     schedule = _parse_schedule(p["schedule"])
     K_max = _positive(p["K_max"], "K_max")
-    # the closed-form and renewal sweeps cost K + B_{K+1} at each K; the
-    # check leaves the loop at the first K past the budget
-    work, sweep = 0, f"the K sweep to K_max = {K_max}"
-    for K in range(1, K_max + 1):
-        work = check_budget(work + K + schedule.B(K + 1), sweep)
+    # the work is the K sweep's K_max steps plus the profile's B_{K_max+2}
+    # sites.  B_n >= n bounds it below before any partial sum is taken; the
+    # partial sums are then checked at doubling n, so an over-budget
+    # geometric schedule is refused before B_n leaves float range
+    work = f"K_max + B_(K_max+2) for K_max = {K_max}"
+    check_budget(2 * K_max + 2, work)
+    n = 1
+    while n < K_max + 2:
+        n = min(2 * n, K_max + 2)
+        check_budget(K_max + schedule.B(n), work)
     depth = _positive(p["depth"], "depth")
     n_traj = check_mc_budget(depth, _positive(p["trajectories"], "trajectories"))
     model = load_model(p["model"])
@@ -356,24 +354,17 @@ def _run_pipeline(cfg: ExperimentConfig) -> dict[str, bytes]:
         bounds.append(bound)
     dbar_seq = dbar(bounds[:-1], bounds[-1])
     lengths = [schedule.b(i) for i in range(1, K_max + 2)]
-    sweep_ratio = coupling_bound_ratio(dbar_seq, lengths, range(1, K_max + 1))
-    sweep_renewal = disagreement_bound_sweep(dbar_seq, lengths, range(1, K_max + 1))
-    for (k1, r1), (k2, r2) in zip(sweep_ratio, sweep_renewal):
-        if abs(r1 - r2) > 1e-12:
-            raise GMeasureError(
-                f"ratio/renewal cross-check failed at K={k1}: {r1!r} vs {r2!r}"
-            )
-    Ks, ratio_bounds = zip(*sweep_ratio)
-    renewal_bounds = [r for _, r in sweep_renewal]
-    best = min(renewal_bounds)
+    sweep = disagreement_bound_sweep(dbar_seq, lengths, range(1, K_max + 1))
+    Ks, ratio_bounds = zip(*sweep)
+    best = min(ratio_bounds)
     summary = estimate_disagreement(
         model, schedule, depth, p["context_x"], p["context_y"], n_traj, seed
     )
     return {
         "pipeline_bounds.csv": _csv(
-            ["R_K: asymptotic disagreement bound (closed form and renewal route agree)"],
-            ["K", "ratio_bound", "renewal_bound"],
-            [Ks, ratio_bounds, renewal_bounds],
+            ["R_K: asymptotic disagreement bound of the dominating chain, per truncation K"],
+            ["K", "ratio_bound"],
+            [Ks, ratio_bounds],
         ),
         "pipeline_mc.csv": _csv(
             ["empirical disagreement vs the best asymptotic bound over the K sweep"],
@@ -382,7 +373,7 @@ def _run_pipeline(cfg: ExperimentConfig) -> dict[str, bytes]:
         ),
         "pipeline_summary.json": _json({
             "dbar": [float(v) for v in dbar_seq],
-            "bounds": {str(k): r for k, r in sweep_renewal},
+            "bounds": {str(k): r for k, r in sweep},
             "best_bound": best,
             "max_block_truncation": summary.max_block_slack,
         }),
@@ -412,8 +403,10 @@ def _run_selftest(cfg: ExperimentConfig) -> dict[str, bytes]:
         spec = RenewalSpec(d, b, K)
         ab = build_alphabeta(spec)
         ok &= abs(sum(ab.alpha.values()) - 1.0) < 1e-12
-        ratio = coupling_bound_ratio(d, b, [K])[0][1]
-        ok &= abs(ratio - renewal_limit(ab)) < 1e-12
+        ratio = disagreement_bound_sweep(d, b, [K])[0][1]
+        # the renewal limit as mean boundary-layer mass over mean cycle length
+        mean_cycle = sum(i * a for i, a in ab.alpha.items())
+        ok &= abs(ratio - float(ab.beta.sum()) / mean_cycle) < 1e-12
     checks.append(("renewal limit matches closed-form ratio", ok))
 
     model = iid_model(binary_alphabet(), (0.3, 0.7))

@@ -25,6 +25,12 @@ from .coupling import BlockSchedule
 from .errors import BudgetError, ConfigError, DEFAULT_BUDGET
 from .tails import Exponential, FiniteRange, OneMinusPower, PowerLaw
 
+# The one R_K pass lives in ``renewal``.  This second name stays public only
+# because the benchmark imports it (bench/workloads.py) and times it
+# (bench/tracing.py, whose hooks tests/test_exports.py resolves); it goes
+# with the benchmark change that drops those uses.
+from .renewal import disagreement_bound_sweep as coupling_bound_ratio
+
 __all__ = [
     "SATISFIED",
     "VIOLATED",
@@ -318,31 +324,3 @@ def _geometric_partial_sum(growth: float, n: int) -> int:
         raise ConfigError(
             f"partial sum B_{n} of the growth-{growth} schedule exceeds float range"
         ) from None
-
-
-def coupling_bound_ratio(dbar_seq, b_seq, K_sweep) -> list[tuple[int, float]]:
-    """Closed-form asymptotic disagreement bound of the block coupling:
-
-        R_K = [ sum_{k<=K} b_k d_k prod_{j<k}(1-d_j) + b_{K+1} prod_{j<=K}(1-d_j) ]
-              / [ sum_{k<=K+1} b_k prod_{j<k}(1-d_j) ],
-
-    evaluated directly (the renewal route computes the same number from the
-    alpha/beta arrays; the two are cross-checked in the test suite).
-    """
-    dbar_seq = tuple(float(v) for v in dbar_seq)
-    b_seq = tuple(int(v) for v in b_seq)
-    out = []
-    for K in K_sweep:
-        if K < 1 or len(dbar_seq) < K or len(b_seq) < K + 1:
-            raise ConfigError(f"need K >= 1, {K} d values and {K + 1} block lengths")
-        survive = 1.0
-        num = 0.0
-        den = 0.0
-        for k in range(1, K + 1):
-            num += b_seq[k - 1] * dbar_seq[k - 1] * survive
-            den += b_seq[k - 1] * survive
-            survive *= 1.0 - dbar_seq[k - 1]
-        num += b_seq[K] * survive
-        den += b_seq[K] * survive
-        out.append((K, num / den))
-    return out

@@ -13,10 +13,12 @@ coordinate -n, u satisfies a discrete renewal equation
 
 where alpha is supported on the block boundaries B_1..B_{K+1} (alpha at B_k
 is the probability that the first disagreeing block ends after k blocks)
-and beta is piecewise constant between boundaries.  The renewal theorem
-then yields the limiting disagreement probability along the boundary
-lattice, which is the asymptotic upper bound for the coupling's
-per-coordinate disagreement probability.
+and beta is piecewise constant between boundaries.  By the renewal theorem
+u converges along the boundary lattice to sum_n beta_n / sum_n n*alpha_n,
+the asymptotic upper bound R_K for the coupling's per-coordinate
+disagreement probability.  ``disagreement_bound_sweep`` evaluates R_K in
+closed form for every K in one pass over k; the renewal-theorem route
+that it replaced is an oracle in ``tests/oracles.py``.
 
 Note the summation in the recursion runs up to i = n (the i = n term pairs
 alpha_n with u_0); direct enumeration of the chain confirms this indexing,
@@ -42,9 +44,7 @@ __all__ = [
     "RenewalSpec",
     "AlphaBeta",
     "build_alphabeta",
-    "effective_lattice",
     "renewal_solve",
-    "renewal_limit",
     "disagreement_bound_sweep",
 ]
 
@@ -68,7 +68,7 @@ class RenewalSpec:
             raise ConfigError("d values must lie in [0, 1]")
         if any(self.d[i] < self.d[i + 1] - 1e-12 for i in range(self.K - 1)):
             raise ConfigError("d values must be non-increasing")
-        if any(int(v) != v or v < 1 for v in self.b):
+        if any(not v >= 1 or v % 1 for v in self.b):  # NaN and inf fail too
             raise ConfigError("block lengths must be positive integers")
 
 
@@ -111,16 +111,6 @@ def build_alphabeta(spec: RenewalSpec) -> AlphaBeta:
         raise ConfigError(f"alpha masses sum to {total!r}, not 1")
     m = reduce(math.gcd, boundaries)
     return AlphaBeta(alpha, beta, m, boundaries)
-
-
-def effective_lattice(ab: AlphaBeta) -> int:
-    """gcd of the boundaries that carry strictly positive alpha mass.
-
-    When some d_k vanish this can be coarser than ``AlphaBeta.period``; the
-    renewal sequence then converges only along multiples of this lattice.
-    """
-    support = [i for i, a in ab.alpha.items() if a > 0.0]
-    return reduce(math.gcd, support)
 
 
 def renewal_solve(ab: AlphaBeta, n_max: int) -> np.ndarray:
@@ -195,48 +185,34 @@ def _convolve_head(x: np.ndarray, h: np.ndarray) -> None:
         x[lo:] = np.fft.irfft(np.fft.rfft(x[lo:hi], size) * np.fft.rfft(h[:n], size), size)[:n]
 
 
-def renewal_limit(ab: AlphaBeta, lattice: int | None = None) -> float:
-    """Renewal-theorem limit sum_n beta_{mn} / sum_n n*alpha_{mn}.
-
-    With the default lattice m = period (the boundary gcd) the sums have the
-    closed form
-
-        [ sum_k b_k d_k prod_{j<k}(1-d_j) + b_{K+1} prod_{j<=K}(1-d_j) ]
-        / [ sum_{k<=K+1} b_k prod_{j<k}(1-d_j) ],
-
-    because every block length is then a multiple of m.  When some d_k are
-    zero the sequence u converges only along ``effective_lattice``; pass it
-    explicitly to get the limit the renewal theorem actually provides there.
-    """
-    m = ab.period if lattice is None else int(lattice)
-    if m < 1:
-        raise ConfigError("lattice must be >= 1")
-    num = float(ab.beta[::m].sum())
-    den = 0.0
-    for i, a in ab.alpha.items():
-        if a == 0.0:
-            continue
-        if i % m:
-            raise ConfigError(
-                f"alpha mass at {i} is off the lattice {m}; no limit along it"
-            )
-        den += (i // m) * a
-    if den <= 0.0:
-        raise ConfigError("degenerate renewal: mean inter-arrival time is zero")
-    return num / den
-
-
 def disagreement_bound_sweep(dbar_seq, b_seq, K_sweep) -> list[tuple[int, float]]:
-    """Asymptotic disagreement bound for each truncation level K.
+    """Asymptotic disagreement bound R_K for each truncation level K:
 
-    For each K the bound is the renewal limit of the chain built from the
-    first K entries of ``dbar_seq`` and K+1 entries of ``b_seq``.  The full
-    sweep is reported so the caller can take the minimum over K.
+        R_K = [ sum_{k<=K} b_k d_k S_k + b_{K+1} S_{K+1} ]
+              / [ sum_{k<=K} b_k S_k + b_{K+1} S_{K+1} ],   S_k = prod_{j<k}(1-d_j),
+
+    the renewal-theorem limit of the chain built from the first K entries
+    of ``dbar_seq`` and K+1 entries of ``b_seq``.  The inputs are validated
+    once, as a ``RenewalSpec`` at the largest K; one pass over k then
+    carries S_k and the two partial sums and emits R_K at every K, so a
+    sweep to K_max costs O(K_max).  The full sweep is reported so the
+    caller can take the minimum over K.
     """
-    dbar_seq = tuple(float(v) for v in dbar_seq)
-    b_seq = tuple(int(v) for v in b_seq)
-    out = []
-    for K in K_sweep:
-        spec = RenewalSpec(dbar_seq[:K], b_seq[: K + 1], K)
-        out.append((K, renewal_limit(build_alphabeta(spec))))
-    return out
+    K_sweep = list(K_sweep)
+    if not K_sweep:
+        return []
+    if min(K_sweep) < 1:
+        raise ConfigError("truncation level K must be >= 1")
+    K_max = max(K_sweep)
+    d = tuple(float(v) for v in dbar_seq[:K_max])
+    spec = RenewalSpec(d, tuple(b_seq[: K_max + 1]), K_max)
+    b = [int(v) for v in spec.b]
+    ratios = []
+    survive, num, den = 1.0, 0.0, 0.0
+    for k, d_k in enumerate(d):
+        num += b[k] * d_k * survive
+        den += b[k] * survive
+        survive *= 1.0 - d_k
+        tail = b[k + 1] * survive
+        ratios.append((num + tail) / (den + tail))
+    return [(K, ratios[K - 1]) for K in K_sweep]

@@ -2,21 +2,27 @@
 
 Each oracle recomputes a quantity along a different route than the library
 code it checks: direct chain enumeration and an all-pole IIR filter for the
-renewal sequence, scipy's Hurwitz zeta for the power-law tail sums, dense
-matrix powers and per-symbol index lists for the transfer operator, boolean
-reachability for its closed classes, full eigendecomposition for the
-stationary vector, and plain summation for total variation.  The cylinder,
+renewal sequence, the renewal-theorem limit of the alpha/beta arrays and a
+closed-form loop that restarts at every K for the R_K sweep, scipy's
+Hurwitz zeta for the power-law tail sums, dense matrix powers and
+per-symbol index lists for the transfer operator, boolean reachability for
+its closed classes, full eigendecomposition for the stationary vector, and
+plain summation for total variation.  The cylinder,
 surrogate and d_n oracles loop over words with the scalar ``eval_indices``
 and never call the batched kernel.  The interval-product and context-sum
 oracles add and multiply one term at a time, in the kernel's order.  The CSV
 oracle formats cell by cell.
 """
 
+import math
+from functools import reduce
+
 import numpy as np
 import scipy.linalg
 from scipy.signal import lfilter
 from scipy.special import zeta
 
+from gmeasure.errors import ConfigError
 from gmeasure.gmodel import decode, encode
 from gmeasure.renewal import RenewalSpec
 
@@ -69,6 +75,69 @@ def renewal_lfilter(ab, n_max: int) -> np.ndarray:
     for i, a in ab.alpha.items():
         den[i] -= a
     return lfilter([1.0], den, beta)
+
+
+def effective_lattice(ab) -> int:
+    """gcd of the boundaries that carry strictly positive alpha mass.
+
+    When some d_k vanish this can be coarser than ``AlphaBeta.period``; the
+    renewal sequence then converges only along multiples of this lattice.
+    """
+    support = [i for i, a in ab.alpha.items() if a > 0.0]
+    return reduce(math.gcd, support)
+
+
+def renewal_limit(ab, lattice: int | None = None) -> float:
+    """Renewal-theorem limit sum_n beta_{mn} / sum_n n*alpha_{mn} of u along
+    the lattice m, by default the boundary gcd ``AlphaBeta.period``.
+
+    With the default lattice every block length is a multiple of m, and the
+    limit is the closed-form R_K.  When some d_k are zero the sequence u
+    converges only along ``effective_lattice``; pass it explicitly to get
+    the limit the renewal theorem actually provides there.
+    """
+    m = ab.period if lattice is None else int(lattice)
+    if m < 1:
+        raise ConfigError("lattice must be >= 1")
+    num = float(ab.beta[::m].sum())
+    den = 0.0
+    for i, a in ab.alpha.items():
+        if a == 0.0:
+            continue
+        if i % m:
+            raise ConfigError(
+                f"alpha mass at {i} is off the lattice {m}; no limit along it"
+            )
+        den += (i // m) * a
+    if den <= 0.0:
+        raise ConfigError("degenerate renewal: mean inter-arrival time is zero")
+    return num / den
+
+
+def closed_form_ratio(dbar_seq, b_seq, K_sweep) -> list[tuple[int, float]]:
+    """R_K for each K of ``K_sweep``, each summed afresh from k = 1:
+
+        R_K = [ sum_{k<=K} b_k d_k prod_{j<k}(1-d_j) + b_{K+1} prod_{j<=K}(1-d_j) ]
+              / [ sum_{k<=K+1} b_k prod_{j<k}(1-d_j) ].
+
+    Checks sequence lengths only."""
+    dbar_seq = tuple(float(v) for v in dbar_seq)
+    b_seq = tuple(int(v) for v in b_seq)
+    out = []
+    for K in K_sweep:
+        if K < 1 or len(dbar_seq) < K or len(b_seq) < K + 1:
+            raise ConfigError(f"need K >= 1, {K} d values and {K + 1} block lengths")
+        survive = 1.0
+        num = 0.0
+        den = 0.0
+        for k in range(1, K + 1):
+            num += b_seq[k - 1] * dbar_seq[k - 1] * survive
+            den += b_seq[k - 1] * survive
+            survive *= 1.0 - dbar_seq[k - 1]
+        num += b_seq[K] * survive
+        den += b_seq[K] * survive
+        out.append((K, num / den))
+    return out
 
 
 def hurwitz_zeta(p: float, q) -> np.ndarray:

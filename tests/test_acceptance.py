@@ -27,14 +27,11 @@ from gmeasure import (
     apply_Ln,
     build_alphabeta,
     constant_schedule,
-    coupling_bound_ratio,
     dbar,
     disagreement_bound_sweep,
     dn_bruteforce,
-    effective_lattice,
     estimate_disagreement,
     maximal_coupling,
-    renewal_limit,
     renewal_solve,
     stationary,
     variation_profile,
@@ -48,6 +45,7 @@ from gmeasure.criteria import (
     check_geometric_window_sums,
     check_square_summable_variation,
     check_variation_o_sqrt,
+    coupling_bound_ratio,
     geometric_blocks,
     hellinger_floor,
     tv_bound_from_site_ratios,
@@ -57,7 +55,9 @@ from oracles import (
     chain_disagreement,
     conditional_product_measure,
     dense_transfer_matrix,
+    effective_lattice,
     left_perron_vector,
+    renewal_limit,
     total_variation,
 )
 from test_criteria import random_kernel_pair, site_ratios
@@ -365,14 +365,14 @@ def test_criterion_10_algebraic_cross_check():
         K = int(rng.integers(1, 7))
         d = tuple(sorted(rng.uniform(0.02, 0.98, K), reverse=True))
         b = tuple(int(v) for v in rng.integers(1, 7, K + 1))
-        ratio = coupling_bound_ratio(d, b, [K])[0][1]
+        ratio = disagreement_bound_sweep(d, b, [K])[0][1]
         assert abs(ratio - renewal_limit(build_alphabeta(RenewalSpec(d, b, K)))) < 1e-12
 
     # corrected geometric limit: the final-block share tends to (l-1)/l
     for growth in (1.25, 1.5, 2.0):
         sched = geometric_blocks(growth)
         lengths = [sched.b(n) for n in range(1, 25)]
-        r20 = coupling_bound_ratio((0.0,) * 20, lengths, [20])[0][1]
+        r20 = disagreement_bound_sweep((0.0,) * 20, lengths, [20])[0][1]
         assert abs(r20 - (growth - 1) / growth) < 1e-3
     elapsed = _report(10, "ratio vs renewal cross-check", t0)
     assert elapsed < 5.0

@@ -16,7 +16,7 @@ import gmeasure
 from gmeasure import cli, coupling
 from gmeasure.cli import main
 from gmeasure.renewal import RenewalSpec, build_alphabeta, renewal_solve
-from oracles import csv_cell_by_cell
+from oracles import csv_cell_by_cell, renewal_limit
 
 INT64 = np.iinfo(np.int64)
 
@@ -207,14 +207,14 @@ PINNED = {
         "couple_mc.csv": "7e98175ef253e01190e153a6d7881399cb7bc4623fc7a97577ed5875903c5c0f",
     }),
     "pipeline-const:1": (_mc_argv("pipeline", "const:1"), {
-        "pipeline_mc.csv": "6457f77d0fa47a8b7fe6d451fbe10ac19bac18c6e58e8890f9206ef698f0af80",
-        "pipeline_bounds.csv": "1654337fca0123ff4d719de938434ecff5701160a23d2b75de7fe385b8b9f523",
-        "pipeline_summary.json": "10fe7a4f1cf8cbe1f34e98d204c4831721ee69d2ce97550744fec6e8f0be69c6",
+        "pipeline_mc.csv": "65cdac0b62f5d45207493d5d59576288632bee520078b189d7f53f032f18d80d",
+        "pipeline_bounds.csv": "a651e93523bb13478ff4148e0c608a539a8a36cc7847a04feeb3dd2b06c173f5",
+        "pipeline_summary.json": "15755ce65cfcfff1f18b22cf6fb969576399365ce18ae0176dd95b4c1f62f878",
     }),
     "pipeline-geom:l=1.5": (_mc_argv("pipeline", "geom:l=1.5"), {
-        "pipeline_mc.csv": "a38e38af75c9677fbe3dcdbe3ab5b87e58359b85af70aae23953b1545758d2ba",
-        "pipeline_bounds.csv": "c603ec905ad9773f52bb1622877e99641eb5969e158c019a039d7106bb001a00",
-        "pipeline_summary.json": "7b306ac69033a60a16a61e62941e717a7591064a18e286920ba09c0a3d73b3a8",
+        "pipeline_mc.csv": "67204a79e2e4437fa0efaf5468562f060af8fb7b834be2ca5e779609b9bd11c5",
+        "pipeline_bounds.csv": "e0a48878664c7f241aea8d54cacc1bfe5562f00ca154600c59776b8490887ea7",
+        "pipeline_summary.json": "86250b7f0d900d667efe69f961eda98fc30c47ca67a9462cf9a2475434e9156b",
     }),
     # finite memory through the Monte Carlo sampler, from one-symbol contexts
     "couple-mem1-const:1": (_mc_argv("couple", "const:1", "mem1", context=1), {
@@ -225,14 +225,14 @@ PINNED = {
     }),
     # the two Monte Carlo benchmark workloads at seed 1
     "pipeline-mc_short_blocks": (_bench_argv("longrange", "const:1", 64, 200, 64), {
-        "pipeline_mc.csv": "056abb80e254f3c3438a9547743564fc4c8c07937d6ef9e1322302627b87d2e9",
-        "pipeline_bounds.csv": "3867c26f1d0ca0833e59428e828019c112a75152084b509cfd7fada865b0d86d",
-        "pipeline_summary.json": "ddfd3ca0cfab1cafc7b7150b83aac0b6a3f8bfd7091176ecd0441541be868213",
+        "pipeline_mc.csv": "4fb4833689cc0950fa4f6dfb860eafe2de2939a16ef459bafffe4a81ab0fb102",
+        "pipeline_bounds.csv": "14925026b55b3a7352d90d91d856b2d78910de9b3ac5c2d4b373d51a19f149e3",
+        "pipeline_summary.json": "b88b3246803f97e0fca3fdfbf0da5874f4e97fb39e87f58484f0c4bdb3743457",
     }),
     "pipeline-mc_long_blocks": (_bench_argv("exponential", "geom:l=1.5", 34, 8, 48), {
-        "pipeline_mc.csv": "691398a3cdc0236cabd419ffbab01c35d523c6725e537c9960d84948e52d77ad",
-        "pipeline_bounds.csv": "3d8e4d0a1007ba2584fefebe1e2db31ba6b1501622a6ac3d616294e5f4dba1bb",
-        "pipeline_summary.json": "0071d9ba8cd4af19416017b43aa8cc8ec260acf76e122a28fdae4c016a790c77",
+        "pipeline_mc.csv": "1d308526c79662774c23722807da35be08273982e1f1085e3e4e9746b12bf619",
+        "pipeline_bounds.csv": "5fa4e6d27ee98df6f9982640349f1e72fb05f6cf8c0d8af35169c3a85029195f",
+        "pipeline_summary.json": "9cad88f187c1555116537ce05880bf221bac3ee334818500d1a9a968116cf6a3",
     }),
     # the exact_bounds benchmark workload's transfer and couple runs, at seed 1
     "transfer-exact_bounds": (["transfer", "--model", "{longrange}", "--trunc-memory", "14",
@@ -253,9 +253,9 @@ PINNED = {
     }),
     # the exponential coefficient law, scaled by coeff_mass and given by coeff_c
     "pipeline-exponential": (_mc_argv("pipeline", "geom:l=1.5", "exponential"), {
-        "pipeline_mc.csv": "5f4fcc7eb5af899da8a6dd32b1a0834abc58e652b60bdedf770f3a504bdb57ad",
-        "pipeline_bounds.csv": "c90189c924491452b555824b247b12ebab4fdf2284eac76bb809863003965621",
-        "pipeline_summary.json": "2ced4bb55869897d3f835b980bb200fe46d0048f3c58bc213267497543e9b6d5",
+        "pipeline_mc.csv": "3787b06ef2c694710377db10d45413ede4eb6342b4f9fcce58b90155a1ae0d7f",
+        "pipeline_bounds.csv": "6cb8b1258e77f44e50e875e7be34cdf17477e2372a79149498ad74924df70d73",
+        "pipeline_summary.json": "b4c252e36abc2132f386edb759c8c8a7f5ee08f9738731ce52ba307e63d8b542",
     }),
     "couple-dn-exponential": (["couple", "--model", "{exponential}", "--depth", "6",
                                "--trajectories", "20", "--seed", "3", "--dn-max", "3",
@@ -276,18 +276,18 @@ PINNED = {
     }),
     "renewal": (["renewal", "--d", "0.5,0.3", "--b", "1,2,3", "--K", "2"], {
         "renewal_u.csv": "421c4bc8a77b2ca231291dc05d2c0ec96c604f38c06fe1bfbc00d1184e810a17",
-        "renewal_limit.csv": "9057f7778c6620ac84702fbf54faee9a9a4b1d06916b171658c5148d90b83150",
+        "renewal_limit.csv": "edf5f47fc520545b350a74335e4b623fa0b97f3b0044a05de904ab8d08926bc5",
     }),
     "renewal-n-max": (["renewal", "--d", "0.5,0.3", "--b", "1,2,3", "--K", "2",
                        "--n-max", "40"], {
         "renewal_u.csv": "6f133c5d3759568248130ec535e14e8f7e1f40f24d5ddc6c196c99fb602fb862",
-        "renewal_limit.csv": "9057f7778c6620ac84702fbf54faee9a9a4b1d06916b171658c5148d90b83150",
+        "renewal_limit.csv": "edf5f47fc520545b350a74335e4b623fa0b97f3b0044a05de904ab8d08926bc5",
     }),
     # the benchmark's renewal run: 200 001 rows, 493 distinct u_n values
     "renewal-bench": (["renewal", "--d", "0.5,0.4,0.3,0.25,0.2,0.15,0.1,0.08",
                        "--b", "1,1,2,2,3,3,4,4,5", "--K", "8", "--n-max", "200000"], {
         "renewal_u.csv": "188afed79c825240a0800e4a3975cc1fe3797f56e3839829427b3b842078906f",
-        "renewal_limit.csv": "b6f442a21b749519cf9dfb20cde967fa9a833bde36d0fd77f7547882aee6b004",
+        "renewal_limit.csv": "8073c2400fe582ac77c1e1e683a9a416d89faa81557ffee1bec00c76163d9ae4",
     }),
     "criteria": (["criteria", "--variation", "exponential:c=1,r=0.5"], {
         "criteria.json": "028d38ff4f8a7cf4551e288a7321a684bf3b510cbf98ceda34f02e8e5d8437bd",
@@ -428,10 +428,13 @@ def test_renewal_row_budget_is_checked_first(argv, monkeypatch, tmp_path, capsys
     # n_max + 1 = 2^22 + 1 rows
     (["transfer", "--model", "{mem1}", "--n-max", "4194304"],
      ("load_model", "uniqueness_diagnostic")),
-    # the K sweep passes DEFAULT_BUDGET near K = 2048
-    (["pipeline", "--model", "{exponential}", "--seed", "1", "--K-max", "100000"],
+    # K_max + B_(K_max+2) = 6 000 002 on const:1
+    (["pipeline", "--model", "{exponential}", "--seed", "1", "--K-max", "3000000"],
      ("load_model", "variation_profile")),
-], ids=["transfer-n-max", "pipeline-K-max"])
+    # B_n passes DEFAULT_BUDGET near n = 38; B_2002 would leave float range
+    (["pipeline", "--model", "{exponential}", "--seed", "1", "--schedule", "geom:l=1.5",
+      "--K-max", "2000"], ("load_model", "variation_profile")),
+], ids=["transfer-n-max", "pipeline-K-max", "pipeline-geom-K-max"])
 def test_work_limits_are_checked_first(argv, refused, monkeypatch, tmp_path, capsys):
     # over budget: refused before the model is loaded
     def refuse(*args, **kwargs):
@@ -477,9 +480,26 @@ def test_pipeline_subcommand(longrange_file, tmp_path):
     summary = json.loads((out / "pipeline_summary.json").read_text())
     assert summary["best_bound"] < 0.35
     header, rows = read_csv_rows(out / "pipeline_bounds.csv")
-    assert header == ["K", "ratio_bound", "renewal_bound"]
+    assert header == ["K", "ratio_bound"]
+    # each published R_K is the renewal-theorem limit of its K's chain
+    d = summary["dbar"]
     for row in rows:
-        assert float(row[1]) == pytest.approx(float(row[2]), abs=1e-12)
+        K = int(row[0])
+        ab = build_alphabeta(RenewalSpec(tuple(d[:K]), (1,) * (K + 1), K))
+        assert float(row[1]) == pytest.approx(renewal_limit(ab), abs=1e-12)
+        assert summary["bounds"][row[0]] == float(row[1])
+
+
+def test_pipeline_sweep_is_linear_in_K_max(longrange_file, tmp_path):
+    # 2100 truncation levels: past the quadratic sweep's budget, well inside
+    # K_max + B_(K_max+2)
+    out = tmp_path / "pipe"
+    rc = main(["pipeline", "--model", str(longrange_file), "--schedule", "const:1",
+               "--K-max", "2100", "--depth", "4", "--trajectories", "5", "--seed", "1",
+               "--out", str(out)])
+    assert rc == 0
+    header, rows = read_csv_rows(out / "pipeline_bounds.csv")
+    assert [int(row[0]) for row in rows] == list(range(1, 2101))
 
 
 def test_selftest_subcommand(tmp_path, capsys):

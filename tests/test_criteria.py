@@ -23,12 +23,11 @@ from gmeasure import (
     check_square_summable_variation,
     check_variation_o_sqrt,
     constant_schedule,
-    coupling_bound_ratio,
     dbar,
+    disagreement_bound_sweep,
     dn_bruteforce,
     geometric_blocks,
     hellinger_floor,
-    renewal_limit,
     stationary,
     tv_bound_from_site_ratios,
     variation_profile,
@@ -38,9 +37,10 @@ from gmeasure.criteria import (
     SATISFIED,
     VIOLATED,
     certify_cubic_remainder,
+    coupling_bound_ratio,
     cubic_remainder_constant,
 )
-from oracles import conditional_product_measure, total_variation
+from oracles import conditional_product_measure, renewal_limit, total_variation
 
 
 # --- series criteria -----------------------------------------------------------
@@ -352,7 +352,7 @@ def test_ratio_unit_blocks_numerator_is_one(rng):
     for _ in range(20):
         K = int(rng.integers(1, 5))
         d = tuple(sorted(rng.uniform(0, 1, K), reverse=True))
-        ratio = coupling_bound_ratio(d, (1,) * (K + 1), [K])[0][1]
+        ratio = disagreement_bound_sweep(d, (1,) * (K + 1), [K])[0][1]
         den = 0.0
         survive = 1.0
         for k in range(K):
@@ -367,7 +367,7 @@ def test_ratio_equals_renewal_limit(rng):
         K = int(rng.integers(1, 6))
         d = tuple(sorted(rng.uniform(0.02, 0.98, K), reverse=True))
         b = tuple(int(v) for v in rng.integers(1, 6, K + 1))
-        ratio = coupling_bound_ratio(d, b, [K])[0][1]
+        ratio = disagreement_bound_sweep(d, b, [K])[0][1]
         ab = build_alphabeta(RenewalSpec(d, b, K))
         assert ratio == pytest.approx(renewal_limit(ab), abs=1e-12)
 
@@ -377,7 +377,7 @@ def test_ratio_zero_d_geometric_limit_corrected():
     for growth in (1.25, 1.5, 2.0):
         sched = geometric_blocks(growth)
         lengths = [sched.b(n) for n in range(1, 25)]
-        ratio = coupling_bound_ratio((0.0,) * 20, lengths, [20])[0][1]
+        ratio = disagreement_bound_sweep((0.0,) * 20, lengths, [20])[0][1]
         assert ratio == pytest.approx((growth - 1) / growth, abs=1e-3)
 
 
@@ -395,9 +395,9 @@ def test_ratio_zero_d_geometric_limit_literal():
 
 def test_ratio_input_validation():
     with pytest.raises(ConfigError):
-        coupling_bound_ratio((0.5,), (1,), [1])
+        disagreement_bound_sweep((0.5,), (1,), [1])
     with pytest.raises(ConfigError):
-        coupling_bound_ratio((0.5,), (1, 1), [2])
+        disagreement_bound_sweep((0.5,), (1, 1), [2])
 
 
 @pytest.mark.parametrize("make", [

@@ -33,15 +33,17 @@ def test_benchmark_hooks_name_public_functions():
 
 
 def test_readme_names_existing_code():
-    # every backticked `module.name` in README.md, module a gmeasure module,
-    # must still exist: a deleted or renamed name fails here, not in a reader
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    # every backticked `module.name` in README.md and docs/decisions.md,
+    # module a gmeasure module, must still exist: a deleted or renamed name
+    # fails here, not in a reader
+    root = Path(__file__).resolve().parent.parent
     modules = "cli|coupling|criteria|errors|gmodel|renewal|tails|transfer"
-    refs = re.findall(rf"`({modules})\.(\w+)`", readme)
-    assert refs
-    missing = [f"{module}.{name}" for module, name in refs
-               if not hasattr(importlib.import_module(f"gmeasure.{module}"), name)]
-    assert not missing, missing
+    for doc in ("README.md", "docs/decisions.md"):
+        refs = re.findall(rf"`({modules})\.(\w+)`", (root / doc).read_text())
+        assert refs, doc
+        missing = [f"{module}.{name}" for module, name in refs
+                   if not hasattr(importlib.import_module(f"gmeasure.{module}"), name)]
+        assert not missing, (doc, missing)
 
 
 def _top_level_imports(tree):

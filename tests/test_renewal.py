@@ -11,13 +11,17 @@ from gmeasure import (
     RenewalSpec,
     build_alphabeta,
     disagreement_bound_sweep,
-    effective_lattice,
-    renewal_limit,
     renewal_solve,
 )
 from gmeasure import renewal
-from gmeasure.criteria import geometric_blocks
-from oracles import chain_disagreement, renewal_lfilter
+from gmeasure.criteria import coupling_bound_ratio, geometric_blocks
+from oracles import (
+    chain_disagreement,
+    closed_form_ratio,
+    effective_lattice,
+    renewal_lfilter,
+    renewal_limit,
+)
 from test_acceptance import _grid_specs
 
 
@@ -30,6 +34,8 @@ def test_spec_validation():
         RenewalSpec((1.5,), (1, 1), 1)
     with pytest.raises(ConfigError):
         RenewalSpec((0.5,), (1, 0), 1)
+    with pytest.raises(ConfigError):
+        RenewalSpec((0.5,), (1, float("nan")), 1)
 
 
 def test_build_forced_disagreement():
@@ -276,3 +282,50 @@ def test_bound_sweep_pipeline_decreasing(longrange):
     sweep = disagreement_bound_sweep(db, (1,) * 13, range(1, 13))
     values = [v for _, v in sweep]
     assert all(values[i + 1] <= values[i] + 1e-12 for i in range(len(values) - 1))
+
+
+# d values that mix exact 0s and 1s with interior ones; sorted, they are a
+# non-increasing d_1..d_K
+_d_values = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=1, max_value=12).flatmap(lambda K: st.tuples(
+    st.lists(_d_values, min_size=K, max_size=K),
+    st.lists(st.integers(min_value=1, max_value=6), min_size=K + 1, max_size=K + 1),
+)))
+def test_bound_sweep_matches_oracles(d_and_b):
+    # one pass over k against the renewal-theorem limit of each K's chain
+    # and, bit for bit, against the closed form summed afresh at every K
+    d, b = d_and_b
+    d = tuple(sorted(d, reverse=True))
+    K_max = len(d)
+    sweep = disagreement_bound_sweep(d, b, range(1, K_max + 1))
+    assert [K for K, _ in sweep] == list(range(1, K_max + 1))
+    for K, value in sweep:
+        ab = build_alphabeta(RenewalSpec(d[:K], b[: K + 1], K))
+        assert abs(value - renewal_limit(ab)) <= 1e-12
+    assert sweep == closed_form_ratio(d, b, range(1, K_max + 1))
+
+
+def test_bound_sweep_keeps_the_requested_order():
+    d, b = (0.5, 0.4, 0.3, 0.2), (1, 2, 3, 4, 5)
+    assert disagreement_bound_sweep(d, b, [3, 1, 3]) == closed_form_ratio(d, b, [3, 1, 3])
+    assert disagreement_bound_sweep(d, b, []) == []
+
+
+@pytest.mark.parametrize("d, b, K_sweep", [
+    ((1.5,), (1, 1), [1]),             # a "probability" above 1 gave R_1 = 2
+    ((float("nan"),), (1, 1), [1]),    # gave NaN
+    ((-0.2,), (1, 1), [1]),            # gave 0.4545
+    ((0.25, 0.5), (1, 1, 1), [2]),     # increasing d
+    ((0.5,), (1.5, 1), [1]),           # a non-integer block length
+    ((0.5,), (1, float("inf")), [1]),  # an infinite block length
+    ((0.5, 0.5), (1, 1, 1), [0, 2]),   # K = 0
+], ids=["d above 1", "d nan", "d negative", "d increasing", "b fractional", "b infinite",
+        "K zero"])
+def test_bound_sweep_rejects_invalid_input(d, b, K_sweep):
+    # the closed-form name is the same validated pass
+    for sweep in (disagreement_bound_sweep, coupling_bound_ratio):
+        with pytest.raises(ConfigError):
+            sweep(d, b, K_sweep)
