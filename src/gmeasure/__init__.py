@@ -15,14 +15,13 @@ from .errors import (
     GMeasureError,
     TruncationError,
 )
-from .tails import Exponential, FiniteRange, OneMinusPower, PowerLaw
+from .tails import Exponential, FiniteRange, PowerLaw
 from .gmodel import (
     Alphabet,
     FiniteMemoryModel,
     LongRangeLinearModel,
     VariationProfile,
     binary_alphabet,
-    cylinder_prob,
     iid_model,
     load_model,
     parse_model,

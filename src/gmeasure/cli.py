@@ -30,7 +30,6 @@ from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .coupling import (
@@ -457,7 +456,6 @@ def run(cfg: ExperimentConfig) -> dict:
         "environment": {
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
         },
     }
     # the manifest moves last: it never describes outputs not yet in place

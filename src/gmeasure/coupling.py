@@ -523,14 +523,13 @@ def dbar(d_values, tail_bound: float) -> np.ndarray:
     """Suffix suprema sup_{i >= n} d_i, with a caller-supplied tail bound.
 
     ``tail_bound`` must dominate every d_i beyond the tabulated horizon;
-    the output is non-increasing and dominates the input pointwise.
+    the output is non-increasing and dominates the input pointwise.  A NaN
+    d_i dominates nothing, so it raises ConfigError.
     """
     d = np.asarray(d_values, dtype=float)
     if not tail_bound >= 0:
         raise ConfigError("tail bound must be >= 0")
-    out = np.empty_like(d)
-    running = tail_bound
-    for i in range(len(d) - 1, -1, -1):
-        running = max(running, d[i])
-        out[i] = running
-    return out
+    if np.isnan(d).any():
+        raise ConfigError("d values must not be NaN")
+    # running maxima from the far end, tail_bound first, whose own entry is dropped
+    return np.maximum.accumulate(np.append(d, tail_bound)[::-1])[:0:-1]

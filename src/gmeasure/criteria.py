@@ -23,7 +23,7 @@ import numpy as np
 
 from .coupling import BlockSchedule
 from .errors import BudgetError, ConfigError, DEFAULT_BUDGET
-from .tails import Exponential, FiniteRange, OneMinusPower, PowerLaw
+from .tails import Exponential, FiniteRange, PowerLaw
 
 # The one R_K pass lives in ``renewal``.  This second name stays public only
 # because the benchmark imports it (bench/workloads.py) and times it
@@ -186,7 +186,7 @@ def check_geometric_window_sums(vm, lam: float) -> CriterionReport:
 
 def check_single_site_series(
     values: Sequence[float] = (),
-    tail: PowerLaw | Exponential | FiniteRange | OneMinusPower = FiniteRange(0),
+    tail: PowerLaw | Exponential | FiniteRange = FiniteRange(0),
 ) -> CriterionReport:
     """Does sum_n prod_{i<=n} (1 - d_i) diverge, for single-site disagreement
     bounds d_1, d_2, ...: the explicit prefix ``values``, then the closed-form

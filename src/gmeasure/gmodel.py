@@ -22,9 +22,7 @@ word was too short to pin the value down (for a finite-memory model this
 happens when the word is shorter than M+1 symbols).
 
 A word is a plain sequence of symbols read from left to right, x_0 first;
-g is shift invariant, so no word carries its position.  ``cylinder_prob``
-takes a block and the known context right next to it as two such
-sequences, the context's nearest symbol first.
+g is shift invariant, so no word carries its position.
 
 ``eval_indices`` is the scalar reference route: one word, one interval.
 The batched kernel evaluates every site of a batch of word rows at once,
@@ -60,7 +58,6 @@ __all__ = [
     "FiniteMemoryModel",
     "LongRangeLinearModel",
     "iid_model",
-    "cylinder_prob",
     "variation_profile",
     "VariationProfile",
     "finite_memory_surrogate",
@@ -109,13 +106,6 @@ def encode(digits: Sequence[int], size: int) -> int:
     for d in digits:
         code = code * size + d
     return code
-
-
-def decode(code: int, size: int, length: int) -> tuple[int, ...]:
-    out = [0] * length
-    for j in range(length - 1, -1, -1):
-        code, out[j] = divmod(code, size)
-    return tuple(out)
 
 
 def all_words(size: int, length: int) -> np.ndarray:
@@ -347,35 +337,6 @@ def iid_model(alphabet: Alphabet, probs: Sequence[float]) -> FiniteMemoryModel:
 # operations
 
 
-def cylinder_prob(model, block: Sequence[str], context: Sequence[str] = ()) -> tuple[float, float]:
-    """Probability of the symbols ``block`` under the conditional cylinder
-    law given the symbols ``context`` right next to it, both read from left
-    to right, so ``context[0]`` is the block's right neighbour.
-
-    The value is the product over block sites i of g applied to the
-    sequence starting at i; per-factor truncation intervals are propagated
-    multiplicatively, so the error bound is 0 exactly when every factor's
-    dependence window lies inside block + context.  The empty block has
-    probability 1.
-    """
-    block_idx = model.alphabet.indices(block)
-    context_idx = model.alphabet.indices(context)
-    if not block_idx:
-        return 1.0, 0.0
-    mid, rad = _word_intervals(model, np.array([block_idx]), np.array([context_idx], dtype=int))
-    lo, hi = interval_product(mid, rad)
-    return float(0.5 * (lo[0] + hi[0])), float(0.5 * (hi[0] - lo[0]))
-
-
-def _word_intervals(model, words: np.ndarray, known: np.ndarray):
-    """The kernel on explicit contexts: ``(mid, rad)`` (b, ...) at every site
-    of the word rows ``words`` (..., b), each followed by its known context
-    row ``known`` (..., L); leading axes broadcast."""
-    state = context_state(model, known, words.shape[-1])
-    return model.site_intervals(model.word_terms(np.moveaxis(words, -1, 0)),
-                                np.moveaxis(state, -1, 0), known.shape[-1])
-
-
 def _known_right(state: np.ndarray, known_len):
     """b - j + known_len at site j of the b = len(state) sites of a block."""
     b = len(state)
@@ -431,10 +392,10 @@ class VariationProfile:
 
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-        diffs = np.diff(self.values)
-        if (diffs > 1e-12).any():
+        # written as "not all allowed", so that NaN fails both checks
+        if not (np.diff(self.values) <= 1e-12).all():
             raise ConfigError("variation values must be non-increasing")
-        if (self.values < -1e-15).any():
+        if not (self.values >= -1e-15).all():
             raise ConfigError("variation values must be non-negative")
 
     @property
@@ -478,8 +439,10 @@ def finite_memory_surrogate(model, memory: int):
         raise ConfigError("surrogate memory must be >= 0")
     size = model.alphabet.size
     check_budget(size ** (memory + 1), f"surrogate table {size}^{memory + 1}")
+    # one site per word, its first symbol, read under the rest as known context
     words = all_words(size, memory + 1)
-    mid, rad = _word_intervals(model, words[:, :1], words[:, 1:])
+    state = context_state(model, words[:, 1:], 1)
+    mid, rad = model.site_intervals(model.word_terms(words[:, :1].T), state.T, memory)
     grouped = mid.reshape(size, size**memory)
     rowsums = grouped.sum(axis=0)
     defect = float(np.abs(rowsums - 1.0).max())

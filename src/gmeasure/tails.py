@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .errors import ConfigError
 
-__all__ = ["PowerLaw", "Exponential", "FiniteRange", "OneMinusPower"]
+__all__ = ["PowerLaw", "Exponential", "FiniteRange"]
 
 FASTER_THAN_EVERY_POWER = (0.0, math.inf)
 
@@ -174,17 +174,3 @@ class FiniteRange:
     def var_at(self, n: int) -> float:
         return self.level if n < self.M else 0.0
 
-
-@dataclass(frozen=True)
-class OneMinusPower:
-    """1 - a * n**(-q): a sequence tending to 1 when q > 0."""
-
-    a: float
-    q: float
-
-    def var_at(self, n: int) -> float:
-        return 1.0 - self.a * n ** (-self.q)
-
-    @property
-    def asymptotic(self) -> tuple[float, float]:
-        return (1.0 if self.q > 0 else 1.0 - self.a), 0.0

@@ -12,9 +12,14 @@ surrogate and d_n oracles loop over words with the scalar ``eval_indices``
 and never call the batched kernel.  The interval-product and context-sum
 oracles add and multiply one term at a time, in the kernel's order.  The CSV
 oracle formats cell by cell.
+
+Two helpers that no run of the library needs live here too: ``decode``,
+the inverse of ``gmodel.encode``, and ``OneMinusPower``, a sequence tending
+to 1 for the single-site series criterion.
 """
 
 import math
+from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
@@ -23,8 +28,31 @@ from scipy.signal import lfilter
 from scipy.special import zeta
 
 from gmeasure.errors import ConfigError
-from gmeasure.gmodel import decode, encode
+from gmeasure.gmodel import encode
 from gmeasure.renewal import RenewalSpec
+
+
+def decode(code: int, size: int, length: int) -> tuple[int, ...]:
+    """The word of ``length`` symbols whose lexicographic index is ``code``."""
+    out = [0] * length
+    for j in range(length - 1, -1, -1):
+        code, out[j] = divmod(code, size)
+    return tuple(out)
+
+
+@dataclass(frozen=True)
+class OneMinusPower:
+    """1 - a * n**(-q): a sequence tending to 1 when q > 0."""
+
+    a: float
+    q: float
+
+    def var_at(self, n: int) -> float:
+        return 1.0 - self.a * n ** (-self.q)
+
+    @property
+    def asymptotic(self) -> tuple[float, float]:
+        return (1.0 if self.q > 0 else 1.0 - self.a), 0.0
 
 
 def chain_disagreement(spec: RenewalSpec, n_max: int) -> np.ndarray:

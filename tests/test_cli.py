@@ -681,6 +681,39 @@ def test_pipeline_imports_only_the_scipy_it_calls(model, argv, absent, tmp_path)
     assert not absent & set(loaded), loaded
 
 
+# a fresh interpreter in which any import of scipy raises ImportError runs
+# each subcommand of the JSON list argv[1] in turn and prints the exit codes
+NO_SCIPY_PROBE = """\
+import json, sys
+sys.modules["scipy"] = None
+from gmeasure.cli import main
+print(*(main(argv) for argv in json.loads(sys.argv[1])))
+"""
+
+
+def test_every_subcommand_runs_without_scipy(tmp_path):
+    models = {}
+    for name in ("mem1", "longrange"):
+        models[name] = tmp_path / f"{name}.gmodel"
+        models[name].write_text(MODELS[name])
+    runs = [
+        ["transfer", "--n-max", "5", "--model", str(models["mem1"])],
+        ["transfer", "--n-max", "5", "--trunc-memory", "4", "--model", str(models["longrange"])],
+        COUPLE_DN_ARGV + ["--model", str(models["longrange"])],
+        ["renewal", "--d", "0.5", "--b", "2,2", "--K", "1"],
+        ["criteria", "--variation", "power_law:c=1,p=2"],
+        PIPELINE_ARGV + ["--model", str(models["longrange"])],
+        ["selftest"],
+    ]
+    runs = [argv + ["--out", str(tmp_path / f"out{i}")] for i, argv in enumerate(runs)]
+    src = Path(gmeasure.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_PROBE, json.dumps(runs)],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
+    # the exit codes come last: selftest prints its report first
+    assert proc.stdout.splitlines()[-1:] == [" ".join(["0"] * len(runs))], proc.stderr
+
+
 def test_couple_dn_cells_are_plain_numbers(longrange_file, tmp_path):
     out = tmp_path / "dn"
     assert main(["couple", "--model", str(longrange_file), "--depth", "4",
@@ -713,6 +746,6 @@ def test_config_hash_covers_model_contents(tmp_path):
         assert main(["transfer", "--model", str(path), "--n-max", "3",
                      "--out", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
-        assert set(manifest["environment"]) == {"python", "numpy", "scipy"}
+        assert set(manifest["environment"]) == {"python", "numpy"}
         hashes.append(manifest["config_hash"])
     assert hashes[0] != hashes[1]

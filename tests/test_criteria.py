@@ -9,7 +9,6 @@ from gmeasure import (
     Exponential,
     FiniteRange,
     MAX_SITE_RATIO,
-    OneMinusPower,
     PowerLaw,
     RenewalSpec,
     TransferOperator,
@@ -40,7 +39,7 @@ from gmeasure.criteria import (
     coupling_bound_ratio,
     cubic_remainder_constant,
 )
-from oracles import conditional_product_measure, renewal_limit, total_variation
+from oracles import OneMinusPower, conditional_product_measure, renewal_limit, total_variation
 
 
 # --- series criteria -----------------------------------------------------------
@@ -195,6 +194,11 @@ def test_hellinger_floor_on_random_distributions(rng):
 NAN_ARGUMENTS = {
     "stationary tol": lambda iid: stationary(TransferOperator(iid), tol=math.nan),
     "dbar tail bound": lambda iid: dbar((0.3, 0.1), math.nan),
+    # max(running, nan) keeps running, so a NaN d value would vanish
+    "dbar value": lambda iid: dbar((0.5, math.nan, 0.2), 0.1),
+    "dbar only value": lambda iid: dbar((math.nan,), 0.1),
+    "VariationProfile first value": lambda iid: VariationProfile((math.nan, 0.1)),
+    "VariationProfile only value": lambda iid: VariationProfile((math.nan,)),
     "hellinger_floor ratio": lambda iid: hellinger_floor(math.nan),
     "tv_bound_from_site_ratios ratio": lambda iid: tv_bound_from_site_ratios([math.nan]),
 }

@@ -3,6 +3,7 @@ import importlib
 import importlib.util
 import pkgutil
 import re
+import sys
 from pathlib import Path
 
 import gmeasure
@@ -73,3 +74,26 @@ def test_no_unused_top_level_imports():
                    for name, line in _top_level_imports(tree)
                    if name not in used and name not in exported]
     assert not unused, unused
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    # every import in src/gmeasure, function-local ones included, names the
+    # standard library, numpy or the package itself; scipy and the rest of
+    # the test extra serve the tests only
+    root = Path(__file__).resolve().parent.parent
+    allowed = set(sys.stdlib_module_names) | {"numpy", "gmeasure"}
+    foreign = []
+    for path in sorted(root.glob("src/gmeasure/*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue  # not an import, or a relative one within the package
+            foreign += [f"{path.relative_to(root)}:{node.lineno} {name}" for name in names
+                        if name.partition(".")[0] not in allowed]
+    assert not foreign, foreign
+    pyproject = (root / "pyproject.toml").read_text()
+    dependencies = re.search(r"^dependencies = \[(.*?)\]", pyproject, re.M | re.S).group(1)
+    assert re.findall(r'"([A-Za-z0-9_.-]+)', dependencies) == ["numpy"], dependencies

@@ -13,16 +13,14 @@ from gmeasure import (
     FiniteMemoryModel,
     FiniteRange,
     LongRangeLinearModel,
-    OneMinusPower,
     PowerLaw,
     binary_alphabet,
-    cylinder_prob,
     parse_model,
     variation_profile,
 )
 from gmeasure import tails
-from gmeasure.gmodel import all_words, decode, finite_memory_surrogate
-from oracles import hurwitz_zeta
+from gmeasure.gmodel import all_words, finite_memory_surrogate
+from oracles import OneMinusPower, cylinder_interval, decode, hurwitz_zeta
 
 
 def test_alphabet_validation():
@@ -87,11 +85,12 @@ def test_normalization_over_first_symbol(iid, mem1, longrange, rng):
             assert abs(total - 1.0) <= slack + 1e-12
 
 
-# --- cylinder_prob ----------------------------------------------------------
+# --- cylinder laws, by the scalar route of oracles.cylinder_interval ---------
+# (blocks and contexts as symbol indices: on the binary alphabet, "0" is 0)
 
 
 def test_cylinder_iid_product(iid):
-    value, err = cylinder_prob(iid, ("0", "1"))
+    value, err = cylinder_interval(iid, (0, 1), ())
     assert value == pytest.approx(0.21, abs=0)
     assert err == 0.0
 
@@ -99,7 +98,7 @@ def test_cylinder_iid_product(iid):
 def test_cylinder_mem1_two_table_entries(mem1):
     # block "01" on [-1, 0] with context "1" on [1, 1]:
     # g(0,1) * g(1,1) read off the table
-    value, err = cylinder_prob(mem1, ("0", "1"), ("1",))
+    value, err = cylinder_interval(mem1, (0, 1), (1,))
     assert err == 0.0
     assert value == pytest.approx(0.6 * 0.4, abs=0)
 
@@ -109,12 +108,12 @@ def test_cylinder_consistency_identity(mem1, longrange, rng):
     # exact evaluations agree to 1e-12, truncated ones within their bounds
     for model in (mem1, longrange):
         for _ in range(50):
-            syms = tuple(str(s) for s in rng.integers(0, 2, 6))
-            ctx = tuple(str(s) for s in rng.integers(0, 2, 8))
-            whole, e_whole = cylinder_prob(model, syms, ctx)
+            syms = tuple(rng.integers(0, 2, 6).tolist())
+            ctx = tuple(rng.integers(0, 2, 8).tolist())
+            whole, e_whole = cylinder_interval(model, syms, ctx)
             i = int(rng.integers(1, 6))
-            part_r, e_r = cylinder_prob(model, syms[i:], ctx)
-            part_l, e_l = cylinder_prob(model, syms[:i], syms[i:] + ctx)
+            part_r, e_r = cylinder_interval(model, syms[i:], ctx)
+            part_l, e_l = cylinder_interval(model, syms[:i], syms[i:] + ctx)
             slack = e_whole + e_l + e_r
             assert abs(whole - part_l * part_r) <= slack + 1e-12
             if slack == 0.0:
@@ -122,7 +121,7 @@ def test_cylinder_consistency_identity(mem1, longrange, rng):
 
 
 def test_cylinder_empty_block(mem1):
-    assert cylinder_prob(mem1, ()) == (1.0, 0.0)
+    assert cylinder_interval(mem1, (), ()) == (1.0, 0.0)
 
 
 # --- rho and variation profiles ---------------------------------------------

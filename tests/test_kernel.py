@@ -20,7 +20,6 @@ from gmeasure import (
     PowerLaw,
     binary_alphabet,
     constant_schedule,
-    cylinder_prob,
     dn_bruteforce,
 )
 from gmeasure import coupling, estimate_disagreement
@@ -70,20 +69,6 @@ def test_kernel_matches_eval_indices(model, b, L, seed):
             m, e = model.eval_indices(sequence[j:])
             assert abs((mid[j, row] - rad[j, row]) - (m - e)) <= 1e-15
             assert abs((mid[j, row] + rad[j, row]) - (m + e)) <= 1e-15
-
-
-@settings(max_examples=100, deadline=None)
-@given(models, st.integers(1, 5), st.integers(0, 8), st.integers(0, 2**32 - 1))
-def test_cylinder_prob_matches_oracle(model, b, L, seed):
-    rng = np.random.default_rng(seed)
-    symbols = model.alphabet.symbols
-    block = rng.integers(0, len(symbols), b)
-    context = rng.integers(0, len(symbols), L)
-    value, err = cylinder_prob(model, tuple(symbols[s] for s in block),
-                               tuple(symbols[s] for s in context))
-    expect_value, expect_err = cylinder_interval(model, block, context)
-    assert value == pytest.approx(expect_value, abs=1e-15)
-    assert err == pytest.approx(expect_err, abs=1e-15)
 
 
 @settings(max_examples=30, deadline=None)
