@@ -25,6 +25,7 @@ import shutil
 import sys
 import tempfile
 import time
+from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass
 from functools import cache, partial
 from pathlib import Path
@@ -118,23 +119,23 @@ def _cell_table(cells) -> np.ndarray:
     return text.view(np.uint8).reshape(len(text), -1)
 
 
-def _csv(comments: list[str], header: list[str], columns) -> bytes:
-    """CSV artifact: '# ' comment lines, the header, then one row per index
-    of the equal-length ``columns``.  A cell's bytes are those of ``str`` of
-    its value, so a float's cell is its shortest round-trip repr whatever
-    container it came in.  Rows are encoded ``_CSV_ROWS`` at a time: each
-    column's chunk becomes a NUL-padded cell table (``_cell_table``), the
-    tables sit side by side in one uint8 row matrix with ',' and '\\n' in
-    fixed columns, and the chunk's bytes are that matrix without its NULs.
-    No cell holds a NUL of its own: cells are digits, float reprs or the
-    program's own labels, and a string cell that holds one raises
-    ``ValueError``."""
+def _csv(comments: list[str], header: list[str], columns) -> Iterator[bytes]:
+    """CSV artifact as chunks of bytes: first the '# ' comment lines and the
+    header, then the rows, one per index of the equal-length ``columns``,
+    ``_CSV_ROWS`` rows to a chunk.  Only one chunk is held at a time, so the
+    artifact is never whole in memory.  A cell's bytes are those of ``str``
+    of its value, so a float's cell is its shortest round-trip repr whatever
+    container it came in.  Each column's chunk becomes a NUL-padded cell
+    table (``_cell_table``), the tables sit side by side in one uint8 row
+    matrix with ',' and '\\n' in fixed columns, and the chunk's bytes are
+    that matrix without its NULs.  No cell holds a NUL of its own: cells
+    are digits, float reprs or the program's own labels, and a string cell
+    that holds one raises ``ValueError``."""
     columns = list(columns)
     lengths = {len(c) for c in columns}
     if len(lengths) > 1:
         raise ValueError(f"CSV columns have different lengths {sorted(lengths)}")
-    head = "".join(f"# {c}\n" for c in comments) + ",".join(header) + "\n"
-    parts = [head.encode()]
+    yield ("".join(f"# {c}\n" for c in comments) + ",".join(header) + "\n").encode()
     for lo in range(0, max(lengths, default=0), _CSV_ROWS):
         tables = [_cell_table(c[lo : lo + _CSV_ROWS]) for c in columns]
         rows = np.zeros((len(tables[0]), sum(t.shape[1] + 1 for t in tables)), np.uint8)
@@ -145,16 +146,27 @@ def _csv(comments: list[str], header: list[str], columns) -> bytes:
             rows[:, end - 1] = ord(",")
         rows[:, -1] = ord("\n")
         flat = rows.reshape(-1)
-        parts.append(flat[flat != 0].tobytes())
-    return b"".join(parts)
+        yield flat[flat != 0].tobytes()
 
 
-def _json(record) -> bytes:
-    return (json.dumps(record, indent=2, sort_keys=True) + "\n").encode()
+def _json(record) -> tuple[bytes]:
+    """JSON artifact as one chunk."""
+    return ((json.dumps(record, indent=2, sort_keys=True) + "\n").encode(),)
 
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def _write(path: Path, chunks: Iterable[bytes]) -> str:
+    """Write the chunks to ``path`` one at a time and return the SHA-256 of
+    the file's bytes, hashed as they are written."""
+    digest = hashlib.sha256()
+    with path.open("wb") as f:
+        for chunk in chunks:
+            f.write(chunk)
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def _convert(convert, text: str, what: str):
@@ -229,10 +241,11 @@ def _positive(value, name: str):
 
 
 # ---------------------------------------------------------------------------
-# experiment bodies: each maps a configuration to {artifact name: bytes}
+# experiment bodies: each maps a configuration to {artifact name: chunks},
+# the chunks an iterable of bytes that is consumed once, as it is written
 
 
-def _run_transfer(cfg: ExperimentConfig) -> dict[str, bytes]:
+def _run_transfer(cfg: ExperimentConfig) -> dict[str, Iterable[bytes]]:
     p = cfg.params
     n_max = _positive(p["n_max"], "n_max")
     check_budget(n_max + 1, f"n_max + 1 = {n_max + 1} rows")
@@ -245,7 +258,7 @@ def _run_transfer(cfg: ExperimentConfig) -> dict[str, bytes]:
     )}
 
 
-def _run_couple(cfg: ExperimentConfig) -> dict[str, bytes]:
+def _run_couple(cfg: ExperimentConfig) -> dict[str, Iterable[bytes]]:
     p = cfg.params
     schedule = _parse_schedule(p["schedule"])
     depth = _positive(p["depth"], "depth")
@@ -276,7 +289,7 @@ def _run_couple(cfg: ExperimentConfig) -> dict[str, bytes]:
     return outputs
 
 
-def _run_renewal(cfg: ExperimentConfig) -> dict[str, bytes]:
+def _run_renewal(cfg: ExperimentConfig) -> dict[str, Iterable[bytes]]:
     p = cfg.params
     d, b, K = p["d"], p["b"], _positive(p["K"], "K")
     ab = build_alphabeta(RenewalSpec(tuple(d[:K]), tuple(b[: K + 1]), K))
@@ -297,7 +310,7 @@ def _run_renewal(cfg: ExperimentConfig) -> dict[str, bytes]:
     }
 
 
-def _run_criteria(cfg: ExperimentConfig) -> dict[str, bytes]:
+def _run_criteria(cfg: ExperimentConfig) -> dict[str, Iterable[bytes]]:
     p = cfg.params
     vm = _parse_variation(p["variation"])
     reports = [
@@ -322,7 +335,7 @@ def _run_criteria(cfg: ExperimentConfig) -> dict[str, bytes]:
     }
 
 
-def _run_pipeline(cfg: ExperimentConfig) -> dict[str, bytes]:
+def _run_pipeline(cfg: ExperimentConfig) -> dict[str, Iterable[bytes]]:
     """Variation profile -> block TV bounds -> dbar -> R_K bounds -> Monte
     Carlo comparison."""
     p = cfg.params
@@ -379,7 +392,7 @@ def _run_pipeline(cfg: ExperimentConfig) -> dict[str, bytes]:
     }
 
 
-def _run_selftest(cfg: ExperimentConfig) -> dict[str, bytes]:
+def _run_selftest(cfg: ExperimentConfig) -> dict[str, Iterable[bytes]]:
     rng = np.random.default_rng(0)
     checks: list[tuple[str, bool]] = []
 
@@ -426,7 +439,7 @@ def _run_selftest(cfg: ExperimentConfig) -> dict[str, bytes]:
     print(report)
     if not all(ok for _, ok in checks):
         raise GMeasureError("selftest failed")
-    return {"selftest.txt": (report + "\n").encode()}
+    return {"selftest.txt": [(report + "\n").encode()]}
 
 
 _RUNNERS = {
@@ -441,32 +454,34 @@ _RUNNERS = {
 
 def run(cfg: ExperimentConfig) -> dict:
     """Run one experiment, publish its artifacts and return the manifest
-    that ``manifest.json`` holds.  The artifacts are checksummed in memory,
-    written into a temporary directory beside ``cfg.outdir`` and renamed
-    into place, manifest last, so a failed run leaves no partial artifacts."""
+    that ``manifest.json`` holds.  Each artifact streams chunk by chunk into
+    a temporary directory beside ``cfg.outdir`` and is checksummed as it is
+    written, so no artifact is held whole in memory.  The files are then
+    renamed into place, manifest last, so a failed run, one that fails
+    while writing included, leaves no partial artifacts.  The manifest's
+    ``wall_clock_s`` covers the run and the writing of its artifacts."""
     if cfg.experiment not in _RUNNERS:
         raise ConfigError(f"unknown experiment {cfg.experiment!r}")
     started = time.perf_counter()
     outputs = _RUNNERS[cfg.experiment](cfg)
-    manifest = {
-        "config_hash": _sha256(cfg.canonical().encode()),
-        "version": __version__,
-        "wall_clock_s": time.perf_counter() - started,
-        "outputs": {name: _sha256(data) for name, data in sorted(outputs.items())},
-        "environment": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-        },
-    }
-    # the manifest moves last: it never describes outputs not yet in place
-    outputs["manifest.json"] = _json(manifest)
     cfg.outdir.parent.mkdir(parents=True, exist_ok=True)
     work = Path(tempfile.mkdtemp(prefix=f".{cfg.outdir.name}.", dir=cfg.outdir.parent))
     try:
-        for name, data in outputs.items():
-            (work / name).write_bytes(data)
+        digests = {name: _write(work / name, chunks) for name, chunks in outputs.items()}
+        manifest = {
+            "config_hash": _sha256(cfg.canonical().encode()),
+            "version": __version__,
+            "wall_clock_s": time.perf_counter() - started,
+            "outputs": digests,
+            "environment": {
+                "python": platform.python_version(),
+                "numpy": np.__version__,
+            },
+        }
+        _write(work / "manifest.json", _json(manifest))
         cfg.outdir.mkdir(exist_ok=True)
-        for name in outputs:
+        # the manifest moves last: it never describes outputs not yet in place
+        for name in [*digests, "manifest.json"]:
             os.replace(work / name, cfg.outdir / name)
     finally:
         shutil.rmtree(work, ignore_errors=True)

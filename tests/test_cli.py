@@ -308,7 +308,35 @@ def test_artifact_digests_are_pinned(run, tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert set(manifest["outputs"]) == set(digests)
     for name, digest in digests.items():
-        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+        # the running hash is the hash of the bytes that reached the file
+        on_disk = hashlib.sha256((out / name).read_bytes()).hexdigest()
+        assert manifest["outputs"][name] == on_disk, name
+        assert on_disk == digest, name
+
+
+def test_run_failing_mid_stream_publishes_nothing(monkeypatch, tmp_path, capsys):
+    # renewal_u.csv's 40 001 rows are three chunks of two columns each; the
+    # failure comes on the second chunk, after the first reached the file
+    out = tmp_path / "out"
+    argv = ["renewal", "--d", "0.5", "--b", "1,3", "--K", "1", "--out", str(out)]
+    assert main(argv + ["--n-max", "20000"]) == 0
+    published = {p.name: p.read_bytes() for p in out.iterdir()}
+    cell_table, columns_encoded = cli._cell_table, []
+
+    def fail_on_second_chunk(cells):
+        columns_encoded.append(len(cells))
+        if len(columns_encoded) > 2:
+            raise gmeasure.GMeasureError("injected failure while writing")
+        return cell_table(cells)
+
+    monkeypatch.setattr(cli, "_cell_table", fail_on_second_chunk)
+    capsys.readouterr()
+    rc = main(argv + ["--n-max", "40000"])
+    err = capsys.readouterr().err
+    assert rc == 1 and "injected failure" in err, err
+    assert columns_encoded == [cli._CSV_ROWS] * 3, columns_encoded
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == published
+    assert not list(tmp_path.glob(".out.*"))
 
 
 def _python_values(columns):
@@ -357,7 +385,7 @@ def test_csv_matches_cell_by_cell_oracle(case):
     columns = CSV_COLUMNS[case]
     header = [f"c{i}" for i in range(len(columns))]
     expected = csv_cell_by_cell(["a comment"], header, _python_values(columns))
-    assert cli._csv(["a comment"], header, columns) == expected
+    assert b"".join(cli._csv(["a comment"], header, columns)) == expected
 
 
 # a small pool, so that drawn columns repeat values and bit patterns
@@ -371,7 +399,7 @@ def test_csv_float_columns_match_oracle(values, step):
     column = np.array(values, dtype=np.float64)[::step]
     columns = [range(len(column)), column, column[::-1]]
     expected = csv_cell_by_cell([], ["n", "x", "y"], _python_values(columns))
-    assert cli._csv([], ["n", "x", "y"], columns) == expected
+    assert b"".join(cli._csv([], ["n", "x", "y"], columns)) == expected
 
 
 @settings(max_examples=200, deadline=None)
@@ -380,26 +408,30 @@ def test_csv_int_columns_match_oracle(values):
     column = np.array(values, dtype=np.int64)
     columns = [column, column[::-1] // 7, tuple(values)]
     expected = csv_cell_by_cell([], ["x", "y", "z"], _python_values(columns))
-    assert cli._csv([], ["x", "y", "z"], columns) == expected
+    assert b"".join(cli._csv([], ["x", "y", "z"], columns)) == expected
 
 
 def test_csv_rejects_a_nul_in_a_cell():
     with pytest.raises(ValueError, match="NUL"):
-        cli._csv([], ["label"], [["ok", "not\0ok"]])
+        b"".join(cli._csv([], ["label"], [["ok", "not\0ok"]]))
 
 
 def test_csv_peak_memory_is_bounded():
-    # the benchmark's renewal columns: 200 001 rows of distinct and repeated floats
+    # the benchmark's renewal columns, of distinct and repeated floats, at its
+    # 200 001 rows and at ten times that: the writer holds one chunk at a
+    # time, so its peak does not grow with the row count
     spec = RenewalSpec((0.5, 0.4, 0.3, 0.25, 0.2, 0.15, 0.1, 0.08),
                        (1, 1, 2, 2, 3, 3, 4, 4, 5), 8)
-    columns = [range(200_001), renewal_solve(build_alphabeta(spec), 200_000)]
-    tracemalloc.start()
-    try:
-        data = cli._csv(["u_n"], ["n", "u_n"], columns)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2.5 * len(data), (peak, len(data))
+    ab = build_alphabeta(spec)
+    for n_max in (200_000, 2_000_000):
+        columns = [range(n_max + 1), renewal_solve(ab, n_max)]
+        tracemalloc.start()
+        try:
+            size = sum(len(chunk) for chunk in cli._csv(["u_n"], ["n", "u_n"], columns))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000, (n_max, peak, size)
 
 
 @pytest.mark.parametrize("argv", [
@@ -644,6 +676,40 @@ from gmeasure.cli import main
 rc = main(sys.argv[1:])
 print(rc, *sorted({".".join(m.split(".")[:2]) for m in sys.modules if m.startswith("scipy.")}))
 """
+
+
+# a fresh interpreter runs one subcommand and prints its exit code, then
+# ru_maxrss after `import gmeasure.cli` and at the end, in KiB
+RSS_PROBE = """\
+import resource, sys
+from gmeasure.cli import main
+baseline = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+rc = main(sys.argv[1:])
+print(rc, baseline, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+# ru_maxrss survives exec: a probe started straight from the test process
+# would start at that process's peak, so a bare interpreter, smaller than
+# the probe's import baseline, starts it instead
+LAUNCHER = "import subprocess, sys; sys.exit(subprocess.run(sys.argv[1:]).returncode)"
+
+
+def test_large_artifact_peak_rss_is_bounded(tmp_path):
+    # a 2 000 001-row renewal_u.csv (about 53 MB) reaches disk chunk by
+    # chunk: the run's peak stays within the import baseline plus twice the
+    # 16 MB u array, plus 16 MB
+    n_max = 2_000_000
+    argv = ["renewal", "--d", "0.5", "--b", "1,3", "--K", "1", "--n-max", str(n_max),
+            "--out", str(tmp_path / "out")]
+    src = Path(gmeasure.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", LAUNCHER, sys.executable, "-c", RSS_PROBE,
+                           *argv], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
+    rc, baseline, peak = (proc.stdout.split() or ["no output", 0, 0])[-3:]
+    assert rc == "0", proc.stderr
+    u_bytes = 8 * (n_max + 1)
+    bound = 1024 * int(baseline) + 2 * u_bytes + 16 * 2**20
+    assert 1024 * int(peak) <= bound, (baseline, peak)
 
 
 NO_SCIPY_SUBPACKAGE = {"scipy.special", "scipy.signal", "scipy.sparse"}
