@@ -1,11 +1,12 @@
-"""Reproducible experiment runner.
+"""Reproducible experiment runner; ``main`` is its only entry.
 
 Subcommands: ``transfer``, ``couple``, ``renewal``, ``criteria``,
-``pipeline``, ``selftest``.  Each run validates its configuration, executes
-with an explicit seed where randomness is involved, and publishes CSV/JSON
-artifacts into the output directory together with a manifest holding a
-config hash and per-output checksums.  Identical configuration and seed
-reproduce byte-identical artifacts.
+``pipeline``, ``selftest``.  argparse owns every option: each integer
+option's range is checked as its value is parsed, and each subcommand binds
+its runner.  A run executes with an explicit seed where randomness is
+involved, and publishes CSV/JSON artifacts into the output directory
+together with a manifest holding a config hash and per-output checksums.
+Identical configuration and seed reproduce byte-identical artifacts.
 
 Exit codes: 0 success; 1 any other gmeasure error (a truncation or
 convergence failure, a failed selftest);
@@ -26,7 +27,7 @@ import sys
 import tempfile
 import time
 from collections.abc import Iterable, Iterator
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from functools import cache, partial
 from pathlib import Path
 
@@ -59,22 +60,7 @@ from .renewal import RenewalSpec, build_alphabeta, disagreement_bound_sweep, ren
 from .tails import Exponential, FiniteRange, PowerLaw
 from .transfer import TransferOperator, apply_Ln, stationary, uniqueness_diagnostic
 
-__all__ = ["ExperimentConfig", "run", "main"]
-
-
-@dataclass
-class ExperimentConfig:
-    experiment: str
-    params: dict
-    outdir: Path
-    seed: int | None = None
-
-    def canonical(self) -> str:
-        record = {"experiment": self.experiment, "params": self.params, "seed": self.seed}
-        if "model" in self.params:
-            # the model file's contents, not only its path, define the run
-            record["model_sha256"] = _sha256(Path(self.params["model"]).read_bytes())
-        return json.dumps(record, sort_keys=True)
+__all__ = ["main"]
 
 
 # rows of a CSV artifact built and encoded at a time
@@ -179,6 +165,14 @@ def _convert(convert, text: str, what: str):
     return value
 
 
+def _count(text: str, lo: int, what: str) -> int:
+    """An integer option's value, once it is at least ``lo``."""
+    value = _convert(int, text, what)
+    if value < lo:
+        raise ConfigError(f"{what} must be >= {lo}, got {value}")
+    return value
+
+
 def _numbers(text: str, convert, what: str) -> list:
     """Comma-separated list of numbers."""
     return [_convert(convert, v, what) for v in text.split(",")]
@@ -228,73 +222,57 @@ def _parse_variation(text: str):
     return law(**_key_values(rest, types, optional))
 
 
-def _seed(cfg: ExperimentConfig) -> int:
-    if cfg.seed is None or cfg.seed < 0:
-        raise ConfigError(f"{cfg.experiment} is stochastic: a non-negative seed is mandatory")
-    return cfg.seed
-
-
-def _positive(value, name: str):
-    if value is None or value <= 0:
-        raise ConfigError(f"{name} must be positive, got {value}")
-    return value
-
-
 # ---------------------------------------------------------------------------
-# experiment bodies: each maps a configuration to {artifact name: chunks},
+# experiment bodies: each maps the parsed options to {artifact name: chunks},
 # the chunks an iterable of bytes that is consumed once, as it is written
 
 
-def _run_transfer(cfg: ExperimentConfig) -> dict[str, Iterable[bytes]]:
-    p = cfg.params
-    n_max = _positive(p["n_max"], "n_max")
-    check_budget(n_max + 1, f"n_max + 1 = {n_max + 1} rows")
-    columns = uniqueness_diagnostic(load_model(p["model"]), n_max, trunc_memory=p["trunc_memory"])
+def _run_transfer(a: argparse.Namespace) -> dict[str, Iterable[bytes]]:
+    check_budget(a.n_max + 1, f"n_max + 1 = {a.n_max + 1} rows")
+    columns = uniqueness_diagnostic(load_model(a.model), a.n_max, trunc_memory=a.trunc_memory)
     return {"transfer.csv": _csv(
         ["oscillation: sup L^n f - inf L^n f for the transfer operator L",
          "truncation_error: bound on the surrogate-vs-true oscillation drift"],
         ["n", "oscillation", "truncation_error"],
-        [range(n_max + 1), *columns],
+        [range(a.n_max + 1), *columns],
     )}
 
 
-def _run_couple(cfg: ExperimentConfig) -> dict[str, Iterable[bytes]]:
-    p = cfg.params
-    schedule = _parse_schedule(p["schedule"])
-    depth = _positive(p["depth"], "depth")
-    n_traj = check_mc_budget(depth, _positive(p["trajectories"], "trajectories"))
-    if p["tail_len"] < 0:
-        raise ConfigError(f"tail_len must be >= 0, got {p['tail_len']}")
-    model = load_model(p["model"])
-    dn_max = p["dn_max"]
-    if dn_max < 0:
-        raise ConfigError(f"dn_max must be >= 0, got {dn_max}")
-    for n in range(1, dn_max + 1):  # budgets first: no sampling for a run that cannot finish
-        check_dn_budget(model, schedule, n, p["tail_len"])
-    summary = estimate_disagreement(
-        model, schedule, depth, p["context_x"], p["context_y"], n_traj, _seed(cfg)
-    )
+def _disagreement(a: argparse.Namespace, model, schedule: BlockSchedule):
+    """The Monte Carlo summary of ``couple`` and ``pipeline``."""
+    return estimate_disagreement(model, schedule, a.depth, a.context_x, a.context_y,
+                                 a.trajectories, a.seed)
+
+
+def _run_couple(a: argparse.Namespace) -> dict[str, Iterable[bytes]]:
+    schedule = _parse_schedule(a.schedule)
+    check_mc_budget(a.depth, a.trajectories)
+    model = load_model(a.model)
+    for n in range(1, a.dn_max + 1):  # budgets first: no sampling for a run that cannot finish
+        check_dn_budget(model, schedule, n, a.tail_len)
+    summary = _disagreement(a, model, schedule)
     outputs = {"couple_mc.csv": _csv(
         ["empirical_disagreement: fraction of coupled pairs differing at coordinate -n"],
         ["coordinate", "empirical_disagreement", "stderr"],
-        [range(0, -depth - 1, -1), summary.freq, summary.stderr],
+        [range(0, -a.depth - 1, -1), summary.freq, summary.stderr],
     )}
-    if dn_max:
-        bounds = [dn_bruteforce(model, schedule, n, p["tail_len"]) for n in range(1, dn_max + 1)]
+    if a.dn_max:
+        bounds = [dn_bruteforce(model, schedule, n, a.tail_len) for n in range(1, a.dn_max + 1)]
         outputs["couple_dn.csv"] = _csv(
             ["dn bounds: worst-case block-n total variation after B_{n-1} agreements"],
             ["n", "dn_lower", "dn_upper"],
-            [range(1, dn_max + 1), *zip(*bounds)],
+            [range(1, a.dn_max + 1), *zip(*bounds)],
         )
     return outputs
 
 
-def _run_renewal(cfg: ExperimentConfig) -> dict[str, Iterable[bytes]]:
-    p = cfg.params
-    d, b, K = p["d"], p["b"], _positive(p["K"], "K")
-    ab = build_alphabeta(RenewalSpec(tuple(d[:K]), tuple(b[: K + 1]), K))
-    n_max = 50 * ab.boundaries[-1] if p["n_max"] is None else p["n_max"]
-    work = (_positive(n_max, "n_max") + 1) * (K + 1)  # tap reads of renewal_solve
+def _run_renewal(a: argparse.Namespace) -> dict[str, Iterable[bytes]]:
+    d, b, K = a.d, a.b, a.K
+    if len(d) != K or len(b) != K + 1:
+        raise ConfigError(f"--K {K} takes exactly {K} --d and {K + 1} --b values")
+    ab = build_alphabeta(RenewalSpec(tuple(d), tuple(b), K))
+    n_max = 50 * ab.boundaries[-1] if a.n_max is None else a.n_max
+    work = (n_max + 1) * (K + 1)  # tap reads of renewal_solve
     check_budget(work, f"renewal work (n_max + 1)(K + 1) = {work} tap reads")
     return {
         "renewal_u.csv": _csv(
@@ -310,20 +288,19 @@ def _run_renewal(cfg: ExperimentConfig) -> dict[str, Iterable[bytes]]:
     }
 
 
-def _run_criteria(cfg: ExperimentConfig) -> dict[str, Iterable[bytes]]:
-    p = cfg.params
-    vm = _parse_variation(p["variation"])
+def _run_criteria(a: argparse.Namespace) -> dict[str, Iterable[bytes]]:
+    vm = _parse_variation(a.variation)
     reports = [
         check_square_summable_variation(vm),
-        check_rho_product_series(vm, p["epsilon"]),
+        check_rho_product_series(vm, a.epsilon),
         check_variation_o_sqrt(vm),
-        check_geometric_window_sums(vm, p["lam"]),
+        check_geometric_window_sums(vm, a.lam),
     ]
     return {
         "criteria.json": _json({
-            "variation": p["variation"],
-            "epsilon": p["epsilon"],
-            "lambda": p["lam"],
+            "variation": a.variation,
+            "epsilon": a.epsilon,
+            "lambda": a.lam,
             "reports": [asdict(r) for r in reports],
         }),
         "criteria_evidence.csv": _csv(
@@ -335,12 +312,11 @@ def _run_criteria(cfg: ExperimentConfig) -> dict[str, Iterable[bytes]]:
     }
 
 
-def _run_pipeline(cfg: ExperimentConfig) -> dict[str, Iterable[bytes]]:
+def _run_pipeline(a: argparse.Namespace) -> dict[str, Iterable[bytes]]:
     """Variation profile -> block TV bounds -> dbar -> R_K bounds -> Monte
     Carlo comparison."""
-    p = cfg.params
-    schedule = _parse_schedule(p["schedule"])
-    K_max = _positive(p["K_max"], "K_max")
+    schedule = _parse_schedule(a.schedule)
+    K_max = a.K_max
     # the work is the K sweep's K_max steps plus the profile's B_{K_max+2}
     # sites.  B_n >= n bounds it below before any partial sum is taken; the
     # partial sums are then checked at doubling n, so an over-budget
@@ -351,10 +327,8 @@ def _run_pipeline(cfg: ExperimentConfig) -> dict[str, Iterable[bytes]]:
     while n < K_max + 2:
         n = min(2 * n, K_max + 2)
         check_budget(K_max + schedule.B(n), work)
-    depth = _positive(p["depth"], "depth")
-    n_traj = check_mc_budget(depth, _positive(p["trajectories"], "trajectories"))
-    model = load_model(p["model"])
-    seed = _seed(cfg)
+    check_mc_budget(a.depth, a.trajectories)
+    model = load_model(a.model)
     profile = variation_profile(model, schedule.B(K_max + 2))
     bounds = []
     for n in range(1, K_max + 2):
@@ -369,9 +343,7 @@ def _run_pipeline(cfg: ExperimentConfig) -> dict[str, Iterable[bytes]]:
     sweep = disagreement_bound_sweep(dbar_seq, lengths, range(1, K_max + 1))
     Ks, ratio_bounds = zip(*sweep)
     best = min(ratio_bounds)
-    summary = estimate_disagreement(
-        model, schedule, depth, p["context_x"], p["context_y"], n_traj, seed
-    )
+    summary = _disagreement(a, model, schedule)
     return {
         "pipeline_bounds.csv": _csv(
             ["R_K: asymptotic disagreement bound of the dominating chain, per truncation K"],
@@ -381,7 +353,8 @@ def _run_pipeline(cfg: ExperimentConfig) -> dict[str, Iterable[bytes]]:
         "pipeline_mc.csv": _csv(
             ["empirical disagreement vs the best asymptotic bound over the K sweep"],
             ["coordinate", "empirical_disagreement", "stderr", "bound"],
-            [range(0, -depth - 1, -1), summary.freq, summary.stderr, np.full(depth + 1, best)],
+            [range(0, -a.depth - 1, -1), summary.freq, summary.stderr,
+             np.full(a.depth + 1, best)],
         ),
         "pipeline_summary.json": _json({
             "dbar": [float(v) for v in dbar_seq],
@@ -392,7 +365,7 @@ def _run_pipeline(cfg: ExperimentConfig) -> dict[str, Iterable[bytes]]:
     }
 
 
-def _run_selftest(cfg: ExperimentConfig) -> dict[str, Iterable[bytes]]:
+def _run_selftest(a: argparse.Namespace) -> dict[str, Iterable[bytes]]:
     rng = np.random.default_rng(0)
     checks: list[tuple[str, bool]] = []
 
@@ -442,34 +415,28 @@ def _run_selftest(cfg: ExperimentConfig) -> dict[str, Iterable[bytes]]:
     return {"selftest.txt": [(report + "\n").encode()]}
 
 
-_RUNNERS = {
-    "transfer": _run_transfer,
-    "couple": _run_couple,
-    "renewal": _run_renewal,
-    "criteria": _run_criteria,
-    "pipeline": _run_pipeline,
-    "selftest": _run_selftest,
-}
-
-
-def run(cfg: ExperimentConfig) -> dict:
-    """Run one experiment, publish its artifacts and return the manifest
-    that ``manifest.json`` holds.  Each artifact streams chunk by chunk into
-    a temporary directory beside ``cfg.outdir`` and is checksummed as it is
+def _publish(a: argparse.Namespace) -> None:
+    """Run the parsed subcommand and publish its artifacts and
+    ``manifest.json``.  Each artifact streams chunk by chunk into a
+    temporary directory beside ``--out`` and is checksummed as it is
     written, so no artifact is held whole in memory.  The files are then
     renamed into place, manifest last, so a failed run, one that fails
     while writing included, leaves no partial artifacts.  The manifest's
     ``wall_clock_s`` covers the run and the writing of its artifacts."""
-    if cfg.experiment not in _RUNNERS:
-        raise ConfigError(f"unknown experiment {cfg.experiment!r}")
     started = time.perf_counter()
-    outputs = _RUNNERS[cfg.experiment](cfg)
-    cfg.outdir.parent.mkdir(parents=True, exist_ok=True)
-    work = Path(tempfile.mkdtemp(prefix=f".{cfg.outdir.name}.", dir=cfg.outdir.parent))
+    outputs = a.runner(a)
+    params = {k: v for k, v in vars(a).items() if k not in ("command", "out", "runner", "seed")}
+    record = {"experiment": a.command, "params": params, "seed": getattr(a, "seed", None)}
+    if "model" in params:
+        # the model file's contents, not only its path, define the run
+        record["model_sha256"] = _sha256(Path(a.model).read_bytes())
+    outdir = Path(a.out)
+    outdir.parent.mkdir(parents=True, exist_ok=True)
+    work = Path(tempfile.mkdtemp(prefix=f".{outdir.name}.", dir=outdir.parent))
     try:
         digests = {name: _write(work / name, chunks) for name, chunks in outputs.items()}
         manifest = {
-            "config_hash": _sha256(cfg.canonical().encode()),
+            "config_hash": _sha256(json.dumps(record, sort_keys=True).encode()),
             "version": __version__,
             "wall_clock_s": time.perf_counter() - started,
             "outputs": digests,
@@ -479,13 +446,12 @@ def run(cfg: ExperimentConfig) -> dict:
             },
         }
         _write(work / "manifest.json", _json(manifest))
-        cfg.outdir.mkdir(exist_ok=True)
+        outdir.mkdir(exist_ok=True)
         # the manifest moves last: it never describes outputs not yet in place
         for name in [*digests, "manifest.json"]:
-            os.replace(work / name, cfg.outdir / name)
+            os.replace(work / name, outdir / name)
     finally:
         shutil.rmtree(work, ignore_errors=True)
-    return manifest
 
 
 # ---------------------------------------------------------------------------
@@ -499,6 +465,21 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _add_mc_options(sub, depth: int, trajectories: int, context: int) -> None:
+    """The Monte Carlo options of ``couple`` and ``pipeline``, with the
+    subcommand's defaults.  Each subparser gets Action objects of its own:
+    a shared parent's defaults would follow the last ``set_defaults``."""
+    sub.add_argument("--model", required=True)
+    sub.add_argument("--schedule", default="const:1")
+    sub.add_argument("--depth", type=partial(_count, lo=1, what="--depth"), default=depth)
+    sub.add_argument("--trajectories", type=partial(_count, lo=1, what="--trajectories"),
+                     default=trajectories)
+    sub.add_argument("--seed", type=partial(_count, lo=0, what="--seed"), required=True)
+    sub.add_argument("--context-x", default="1" * context)
+    sub.add_argument("--context-y", default="0" * context)
+    sub.add_argument("--out", required=True)
+
+
 @cache  # built on first use, not at import; parsing leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
@@ -509,30 +490,26 @@ def _build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("transfer", help="oscillation diagnostic of L^n f")
     t.add_argument("--model", required=True)
-    t.add_argument("--n-max", type=int, default=30)
+    t.add_argument("--n-max", type=partial(_count, lo=1, what="--n-max"), default=30)
     t.add_argument("--trunc-memory", type=int, default=None)
     t.add_argument("--out", required=True)
+    t.set_defaults(runner=_run_transfer)
 
     c = sub.add_parser("couple", help="Monte Carlo block coupling")
-    c.add_argument("--model", required=True)
-    c.add_argument("--schedule", default="const:1")
-    c.add_argument("--depth", type=int, default=32)
-    c.add_argument("--trajectories", type=int, default=1000)
-    c.add_argument("--seed", type=int, required=True)
-    c.add_argument("--context-x", default="1" * 32)
-    c.add_argument("--context-y", default="0" * 32)
-    c.add_argument("--dn-max", type=int, default=0)
-    c.add_argument("--tail-len", type=int, default=3)
-    c.add_argument("--out", required=True)
+    _add_mc_options(c, depth=32, trajectories=1000, context=32)
+    c.add_argument("--dn-max", type=partial(_count, lo=0, what="--dn-max"), default=0)
+    c.add_argument("--tail-len", type=partial(_count, lo=0, what="--tail-len"), default=3)
+    c.set_defaults(runner=_run_couple)
 
     r = sub.add_parser("renewal", help="renewal sequence and limits")
     r.add_argument("--d", type=partial(_numbers, convert=float, what="--d"), required=True,
                    help="comma-separated d_1..d_K")
     r.add_argument("--b", type=partial(_numbers, convert=int, what="--b"), required=True,
                    help="comma-separated b_1..b_{K+1}")
-    r.add_argument("--K", type=int, required=True)
-    r.add_argument("--n-max", type=int, default=None)
+    r.add_argument("--K", type=partial(_count, lo=1, what="--K"), required=True)
+    r.add_argument("--n-max", type=partial(_count, lo=1, what="--n-max"), default=None)
     r.add_argument("--out", required=True)
+    r.set_defaults(runner=_run_renewal)
 
     k = sub.add_parser("criteria", help="closed-form uniqueness criteria")
     k.add_argument("--variation", required=True,
@@ -540,29 +517,23 @@ def _build_parser() -> argparse.ArgumentParser:
     k.add_argument("--epsilon", type=partial(_convert, float, what="--epsilon"), default=0.1)
     k.add_argument("--lam", type=partial(_convert, float, what="--lam"), default=2.0)
     k.add_argument("--out", required=True)
+    k.set_defaults(runner=_run_criteria)
 
     pl = sub.add_parser("pipeline", help="bounds pipeline + Monte Carlo comparison")
-    pl.add_argument("--model", required=True)
-    pl.add_argument("--schedule", default="const:1")
-    pl.add_argument("--K-max", type=int, default=8)
-    pl.add_argument("--depth", type=int, default=48)
-    pl.add_argument("--trajectories", type=int, default=2000)
-    pl.add_argument("--seed", type=int, required=True)
-    pl.add_argument("--context-x", default="1" * 48)
-    pl.add_argument("--context-y", default="0" * 48)
-    pl.add_argument("--out", required=True)
+    _add_mc_options(pl, depth=48, trajectories=2000, context=48)
+    pl.add_argument("--K-max", type=partial(_count, lo=1, what="--K-max"), default=8)
+    pl.set_defaults(runner=_run_pipeline)
 
     st = sub.add_parser("selftest", help="quick internal consistency checks")
     st.add_argument("--out", default="selftest_out")
+    st.set_defaults(runner=_run_selftest)
 
     return parser
 
 
 def main(argv=None) -> int:
     try:
-        params = vars(_build_parser().parse_args(argv))
-        command, out, seed = params.pop("command"), params.pop("out"), params.pop("seed", None)
-        run(ExperimentConfig(command, params, Path(out), seed))
+        _publish(_build_parser().parse_args(argv))
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

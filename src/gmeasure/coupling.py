@@ -275,9 +275,11 @@ def _max_uniforms(depth: int) -> int:
 def _reachable_lengths(schedule: BlockSchedule, depth: int) -> np.ndarray:
     """b_{k+1} for every run k a trajectory can reach.  A run of k agreeing
     blocks covers B_k sites, so b_{k+1} is asked for only while
-    B_k <= depth.  An explicit schedule too short for the run, or a
-    reachable block longer than ``BLOCK_CAP``, fails here, before any
-    sampling."""
+    B_k <= depth.  A negative depth, an explicit schedule too short for the
+    run, or a reachable block longer than ``BLOCK_CAP``, fails here, before
+    any sampling."""
+    if depth < 0:
+        raise ConfigError(f"depth must be >= 0, got {depth}")
     lengths = []
     while schedule.B(len(lengths)) <= depth:
         lengths.append(schedule.b(len(lengths) + 1))
@@ -378,15 +380,18 @@ def sample_block_coupling(
 
     Each block is drawn from the maximal coupling of the two conditional
     block laws given history + context, computed via cylinder products with
-    truncation slack recorded per block.  Raises BudgetError, before any
-    uniform is drawn, when a reachable block is longer than ``BLOCK_CAP``,
-    and TruncationError when a block's slack exceeds ``TRUNC_TOL``.  This is
+    truncation slack recorded per block.  Raises, before any uniform is
+    drawn, ConfigError for a negative depth or integer seed and BudgetError
+    when a reachable block is longer than ``BLOCK_CAP``; raises
+    TruncationError when a block's slack exceeds ``TRUNC_TOL``.  This is
     the batch of one of the sampler behind ``estimate_disagreement``: ``rng``
     supplies one uniform per diagonal draw and three per off-diagonal draw,
     and is left advanced by exactly the uniforms used.
     """
     lengths = _reachable_lengths(schedule, depth)
     if isinstance(rng, (int, np.integer)):
+        if rng < 0:
+            raise ConfigError(f"seed must be >= 0, got {rng}")
         rng = np.random.default_rng(rng)
     state = rng.bit_generator.state
     batch = _couple(model, lengths, depth, x_context, y_context,
@@ -426,7 +431,9 @@ def estimate_disagreement(
     seed sequence and each trajectory's uniforms are drawn from its own
     generator, so the result equals that of ``n_traj`` separate
     ``sample_block_coupling`` calls on the spawned children, whatever the
-    batching.  ``check_mc_budget`` comes first."""
+    batching.  ``check_mc_budget`` and the seed's sign are checked first."""
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     check_mc_budget(depth, n_traj)
     lengths = _reachable_lengths(schedule, depth)
     n_runs = len(lengths)

@@ -604,6 +604,16 @@ BAD_INPUTS = {
     "depth not an integer": ["couple", "--depth", "abc"],
     "renewal b not a number": ["renewal", "--d", "0.5", "--b", "2,x", "--K", "1"],
     "renewal n_max zero": ["renewal", "--d", "0.5", "--b", "2,2", "--K", "1", "--n-max", "0"],
+    "renewal K zero": ["renewal", "--d", "0.5", "--b", "2,2", "--K", "0"],
+    "renewal more d than K": ["renewal", "--d", "0.5,0.4,0.3", "--b", "1,2", "--K", "1"],
+    "renewal more b than K + 1": ["renewal", "--d", "0.5", "--b", "1,2,3,4,5", "--K", "1"],
+    "transfer n_max zero": ["transfer", "--model", "{longrange}", "--n-max", "0"],
+    "couple depth zero": ["couple", "--depth", "0"],
+    "couple trajectories zero": ["couple", "--trajectories", "0"],
+    "pipeline depth zero": ["pipeline", "--depth", "0"],
+    "pipeline trajectories zero": ["pipeline", "--trajectories", "0"],
+    "pipeline K_max zero": ["pipeline", "--K-max", "0"],
+    "pipeline negative seed": ["pipeline", "--seed", "-1"],
     "unknown subcommand": ["bogus"],
     "lambda not finite": ["criteria", "--variation", "power_law:c=1,p=2", "--lam", "nan"],
     "epsilon not finite": ["criteria", "--variation", "power_law:c=1,p=2", "--epsilon", "nan"],
@@ -801,6 +811,66 @@ def test_couple_dn_upper_without_tail_is_a_bound(longrange_file, tmp_path):
                  "--tail-len", "0", "--out", str(out)]) == 0
     _, rows = read_csv_rows(out / "couple_dn.csv")
     assert float(rows[0][2]) >= 0.2267
+
+
+# config_hash of one run of each subcommand at its default options, the
+# model at a relative path: it pins the hashed record and each
+# subcommand's own defaults
+CONFIG_HASHES = {
+    "transfer": (["transfer", "--model", "mem1.gmodel"],
+                 "afc5bb257297ad2976538a38053dc08ea73bc0062f372fcb5bb411e55977b5fa"),
+    "couple": (["couple", "--model", "mem1.gmodel", "--seed", "1"],
+               "84afdeb7716862e1144018f20477dedf3d4f26b2f039c83b77c1b6ce45c0363f"),
+    "renewal": (["renewal", "--d", "0.5", "--b", "2,2", "--K", "1"],
+                "99fae05743e6f09a8c6f1ce1600f998937bfca04d160e0c466bf2de625f2d9af"),
+    "criteria": (["criteria", "--variation", "power_law:c=1,p=2"],
+                 "e5ea8e4f242bcc5295f02ad297eb4514f747d637530b242055680b5fe68be426"),
+    "pipeline": (["pipeline", "--model", "mem1.gmodel", "--seed", "1"],
+                 "d2167aca6b9c7ecaae8e9aca43fb47ee7b192d63a257129eb5a21989355882c0"),
+    "selftest": (["selftest"],
+                 "02ff6e79c6a3b1029d08b5ff14ccacb7eb916d1e68691ba43e9780fa11e3162d"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(CONFIG_HASHES))
+def test_config_hash_is_pinned(command, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    Path("mem1.gmodel").write_text(MEM1_MODEL)
+    argv, config_hash = CONFIG_HASHES[command]
+    assert main(argv + ["--out", "out"]) == 0
+    assert json.loads(Path("out/manifest.json").read_text())["config_hash"] == config_hash
+
+
+# a fresh interpreter prints, as JSON, the exit code and stdout of
+# `gmeasure --help` and of `gmeasure <command> --help` for each argv[1:]
+HELP_PROBE = """\
+import contextlib, io, json, sys
+from gmeasure.cli import main
+results = []
+for argv in [[], *([command] for command in sys.argv[1:])]:
+    out, code = io.StringIO(), "no exit"
+    with contextlib.redirect_stdout(out):
+        try:
+            main(argv + ["--help"])
+        except SystemExit as exc:
+            code = exc.code
+    results.append([code, out.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def test_help_exits_0_with_a_usage_line():
+    commands = ["transfer", "couple", "renewal", "criteria", "pipeline", "selftest"]
+    src = Path(gmeasure.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", HELP_PROBE, *commands], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    results = json.loads(proc.stdout)
+    progs = ["gmeasure", *(f"gmeasure {c}" for c in commands)]
+    assert len(results) == len(progs), results
+    for prog, (code, text) in zip(progs, results):
+        assert code == 0, (prog, code)
+        assert text.startswith(f"usage: {prog} "), (prog, text)
 
 
 def test_config_hash_covers_model_contents(tmp_path):

@@ -139,6 +139,24 @@ def test_explicit_schedule_must_cover_the_run(longrange):
                               n_traj=1, seed=0)
 
 
+# a direct caller's bad depth or seed: ConfigError before any generator
+# exists, so before any uniform is drawn (the estimate's rows pass n_traj = 1)
+@pytest.mark.parametrize("sampler, depth, seed", [
+    (estimate_disagreement, -1, 0),
+    (sample_block_coupling, -1, 0),
+    (estimate_disagreement, 4, -1),
+    (sample_block_coupling, 4, -1),
+], ids=["estimate depth -1", "sample depth -1", "estimate seed -1", "sample rng -1"])
+def test_bad_sampler_input_is_config_error(sampler, depth, seed, longrange, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a generator was made")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    n_traj = (1,) if sampler is estimate_disagreement else ()
+    with pytest.raises(ConfigError):
+        sampler(longrange, constant_schedule(1), depth, "1" * 4, "0" * 4, *n_traj, seed)
+
+
 def copy_model(alphabet, memory, eps=1e-9):
     """g copies coordinate ``memory``: x_0 = x_memory except with probability eps."""
     words = np.array([decode(code, 2, memory + 1) for code in range(2 ** (memory + 1))])
