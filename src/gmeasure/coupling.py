@@ -21,13 +21,14 @@ consecutive: the block reads only its own state columns, and once drawn
 adds its sites in place to the columns left of it.  Both sides of a group
 share kernel calls of at most ``_MAX_ROWS`` (context, word) rows, reading
 word terms computed once a batch.
-Uniform-order contract: trajectory i draws its uniforms from its own
-generator (the i-th child of the seed sequence in ``estimate_disagreement``)
-and consumes them in order, one per block drawn on the diagonal and three
-per block drawn off it (the diagonal test, then the two residual draws).
-``rng.random(n)`` gives the same doubles as n calls to ``rng.random()``, so
-pre-drawing them keeps every trajectory, and every artifact, independent of
-the batch size; ``sample_block_coupling`` is the batch of one.
+Uniform-order contract: a run reads one stream, ``default_rng(seed)``, and
+trajectory i reads its window i, uniforms [iU, (i+1)U) with U = 3(depth + 1),
+in order: one per block drawn on the diagonal and three per block drawn off
+it (the diagonal test, then the two residual draws); the rest is unread.
+``rng.random((rows, U))`` gives the same doubles as ``rows`` calls to
+``rng.random(U)``, so every trajectory, and every artifact, is independent
+of the batch size; ``sample_block_coupling`` is the batch of one.  PCG64
+seeks, so advancing it by iU also starts trajectory i.
 
 ``dn_bruteforce`` computes the worst-case block total variation after
 agreement on the previous B_{n-1} coordinates by exhaustive enumeration of
@@ -304,7 +305,6 @@ class _Batch:
     x: np.ndarray
     y: np.ndarray
     covered: np.ndarray  # sites sampled per trajectory
-    used: np.ndarray     # uniforms consumed per trajectory
     blocks: dict
 
 
@@ -365,7 +365,7 @@ def _couple(model, lengths, depth, x_context, y_context, uniforms) -> _Batch:
                 used[part] += n_used
     log = list(zip(*log))  # one tuple per field, freed once its column is built
     blocks = {name: np.concatenate(log.pop(0)) for name in _BLOCK_FIELDS}
-    return _Batch(hist[0], hist[1], covered, used, blocks)
+    return _Batch(hist[0], hist[1], covered, blocks)
 
 
 def sample_block_coupling(
@@ -384,20 +384,18 @@ def sample_block_coupling(
     drawn, ConfigError for a negative depth or integer seed and BudgetError
     when a reachable block is longer than ``BLOCK_CAP``; raises
     TruncationError when a block's slack exceeds ``TRUNC_TOL``.  This is
-    the batch of one of the sampler behind ``estimate_disagreement``: ``rng``
-    supplies one uniform per diagonal draw and three per off-diagonal draw,
-    and is left advanced by exactly the uniforms used.
+    the batch of one of the sampler behind ``estimate_disagreement``: it
+    reads the next window of 3 * (depth + 1) uniforms of ``rng``, so n
+    consecutive calls on ``default_rng(seed)`` draw the n trajectories of
+    ``estimate_disagreement(..., n, seed)``, one for one.
     """
     lengths = _reachable_lengths(schedule, depth)
     if isinstance(rng, (int, np.integer)):
         if rng < 0:
             raise ConfigError(f"seed must be >= 0, got {rng}")
         rng = np.random.default_rng(rng)
-    state = rng.bit_generator.state
     batch = _couple(model, lengths, depth, x_context, y_context,
                     rng.random((1, _max_uniforms(depth))))
-    rng.bit_generator.state = state
-    rng.random(int(batch.used[0]))
     covered = int(batch.covered[0])
     x, y = batch.x[0, -covered:].astype(np.intp), batch.y[0, -covered:].astype(np.intp)
     records = [BlockRecord((-start - length + 1, -start), run, agreed, tv, slack)
@@ -427,11 +425,11 @@ def estimate_disagreement(
 ) -> MonteCarloSummary:
     """Monte Carlo disagreement frequencies from independent trajectories.
 
-    Per-trajectory generators are spawned, a batch at a time, from a single
-    seed sequence and each trajectory's uniforms are drawn from its own
-    generator, so the result equals that of ``n_traj`` separate
-    ``sample_block_coupling`` calls on the spawned children, whatever the
-    batching.  ``check_mc_budget`` and the seed's sign are checked first."""
+    Trajectory i reads window i of one stream, ``default_rng(seed)``, drawn
+    a batch at a time, so the result equals that of ``n_traj`` consecutive
+    ``sample_block_coupling`` calls on one ``default_rng(seed)``, whatever
+    the batching.  The seed's sign and ``check_mc_budget`` are checked
+    first."""
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
     check_mc_budget(depth, n_traj)
@@ -441,12 +439,10 @@ def estimate_disagreement(
     seen = np.zeros(n_runs, dtype=np.int64)
     bad = np.zeros(n_runs, dtype=np.int64)
     max_slack = 0.0
-    seeds = np.random.SeedSequence(seed)  # each spawn continues the child count
+    rng = np.random.default_rng(seed)
     per_batch = max(1, _BATCH_SITES // (depth + 1))
     for start in range(0, n_traj, per_batch):
-        uniforms = np.empty((min(per_batch, n_traj - start), _max_uniforms(depth)))
-        for row, child in zip(uniforms, seeds.spawn(len(uniforms))):
-            np.random.default_rng(child).random(out=row)
+        uniforms = rng.random((min(per_batch, n_traj - start), _max_uniforms(depth)))
         batch = _couple(model, lengths, depth, x_context, y_context, uniforms)
         # column n of the flipped histories is coordinate -n
         counts += (batch.x != batch.y)[:, ::-1][:, : depth + 1].sum(axis=0)

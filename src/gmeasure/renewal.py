@@ -38,7 +38,7 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_budget
 
 __all__ = [
     "RenewalSpec",
@@ -94,10 +94,12 @@ def build_alphabeta(spec: RenewalSpec) -> AlphaBeta:
     alpha_{B_k} = d_k * prod_{j<k} (1 - d_j) for k <= K, and the leftover
     prod_{j<=K} (1 - d_j) sits at B_{K+1}; the masses telescope to 1.
     beta_n repeats the alpha value of the block containing n.  Block lengths
-    are at least 1, so the boundaries are distinct.
+    are at least 1, so the boundaries are distinct.  beta holds B_{K+1}
+    floats, so B_{K+1} is checked against the budget before it is built.
     """
     lengths = [int(v) for v in spec.b[: spec.K + 1]]
     boundaries = tuple(itertools.accumulate(lengths))
+    check_budget(boundaries[-1], f"boundary layer of B_{spec.K + 1} = {boundaries[-1]} entries")
     masses = []
     survive = 1.0
     for d in spec.d[: spec.K]:

@@ -8,6 +8,8 @@ from gmeasure import (
     binary_alphabet,
     iid_model,
 )
+from gmeasure import coupling
+from oracles import spawned_uniforms
 
 
 @pytest.fixture(scope="session")
@@ -45,3 +47,19 @@ def random_positive_table(alphabet, memory, rng):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def use_spawned_stream(monkeypatch, seed, n_traj, depth):
+    """Make the sampler read the per-trajectory stream of ``spawned_uniforms``
+    in place of windows of one stream: each batch ``_couple`` draws gets the
+    spawned rows of its trajectories, so only the uniforms change."""
+    rows, start = spawned_uniforms(seed, n_traj, depth), 0
+    couple = coupling._couple
+
+    def spawned_couple(model, lengths, depth, x_context, y_context, uniforms):
+        nonlocal start
+        start += len(uniforms)
+        return couple(model, lengths, depth, x_context, y_context,
+                      rows[start - len(uniforms) : start])
+
+    monkeypatch.setattr(coupling, "_couple", spawned_couple)

@@ -13,9 +13,11 @@ and never call the batched kernel.  The interval-product and context-sum
 oracles add and multiply one term at a time, in the kernel's order.  The CSV
 oracle formats cell by cell.
 
-Two helpers that no run of the library needs live here too: ``decode``,
-the inverse of ``gmodel.encode``, and ``OneMinusPower``, a sequence tending
-to 1 for the single-site series criterion.
+Three helpers that no run of the library needs live here too: ``decode``,
+the inverse of ``gmodel.encode``; ``OneMinusPower``, a sequence tending to 1
+for the single-site series criterion; and ``spawned_uniforms``, the
+per-trajectory Monte Carlo stream the sampler read before it read one
+stream per run.
 """
 
 import math
@@ -53,6 +55,14 @@ class OneMinusPower:
     @property
     def asymptotic(self) -> tuple[float, float]:
         return (1.0 if self.q > 0 else 1.0 - self.a), 0.0
+
+
+def spawned_uniforms(seed: int, n_traj: int, depth: int) -> np.ndarray:
+    """Row i: the first 3(depth + 1) uniforms of the generator of the i-th
+    child spawned from ``SeedSequence(seed)``, one generator per trajectory."""
+    children = np.random.SeedSequence(seed).spawn(n_traj)
+    return np.array([np.random.default_rng(child).random(3 * (depth + 1))
+                     for child in children])
 
 
 def chain_disagreement(spec: RenewalSpec, n_max: int) -> np.ndarray:

@@ -16,6 +16,7 @@ import gmeasure
 from gmeasure import cli, coupling
 from gmeasure.cli import main
 from gmeasure.renewal import RenewalSpec, build_alphabeta, renewal_solve
+from conftest import use_spawned_stream
 from oracles import csv_cell_by_cell, renewal_limit
 
 INT64 = np.iinfo(np.int64)
@@ -179,10 +180,10 @@ def test_criteria_window_budget_is_checked_first(lam, tmp_path, capsys):
     assert not out.exists()
 
 
-# SHA-256 of every artifact of a fixed set of runs, one row per run.  The
-# sampler consumes each trajectory's uniforms in a fixed order (one per
-# diagonal draw, three otherwise), so the Monte Carlo CSVs stay fixed
-# whatever the batching.
+# SHA-256 of every artifact of a fixed set of runs, one row per run.  A
+# Monte Carlo run reads one stream, default_rng(seed), and trajectory i
+# reads window i of it in a fixed order (one uniform per diagonal draw,
+# three otherwise), so the Monte Carlo CSVs stay fixed whatever the batching.
 def _mc_argv(command, schedule, model="longrange", context=None):
     if context is None:
         context = 12 if schedule == "const:1" else 48  # long blocks need a long context
@@ -201,36 +202,36 @@ def _bench_argv(model, schedule, depth, trajectories, context):
 
 PINNED = {
     "couple-const:1": (_mc_argv("couple", "const:1"), {
-        "couple_mc.csv": "615afcbb7430b486f4163b1369b02f05d341f205ecabebf35a561907f17b6440",
+        "couple_mc.csv": "5da2b14a5aac66eb143e2b865348b6f00fe130bfc35a1c37b5d7946525e203f5",
     }),
     "couple-geom:l=1.5": (_mc_argv("couple", "geom:l=1.5"), {
-        "couple_mc.csv": "7e98175ef253e01190e153a6d7881399cb7bc4623fc7a97577ed5875903c5c0f",
+        "couple_mc.csv": "6c58d4c5d8bcc03bf18ce559832540dd461e0827779a1331e808f8425ad32c35",
     }),
     "pipeline-const:1": (_mc_argv("pipeline", "const:1"), {
-        "pipeline_mc.csv": "65cdac0b62f5d45207493d5d59576288632bee520078b189d7f53f032f18d80d",
+        "pipeline_mc.csv": "41fd1cbab9472dd3baa153aa186f09fdaa60977de72aeb196ff1899e2ae8192d",
         "pipeline_bounds.csv": "a651e93523bb13478ff4148e0c608a539a8a36cc7847a04feeb3dd2b06c173f5",
         "pipeline_summary.json": "15755ce65cfcfff1f18b22cf6fb969576399365ce18ae0176dd95b4c1f62f878",
     }),
     "pipeline-geom:l=1.5": (_mc_argv("pipeline", "geom:l=1.5"), {
-        "pipeline_mc.csv": "67204a79e2e4437fa0efaf5468562f060af8fb7b834be2ca5e779609b9bd11c5",
+        "pipeline_mc.csv": "17bf4140a85c8a98a5c62c56a9f006937fefdbf149e36df9724a384ba794f6df",
         "pipeline_bounds.csv": "e0a48878664c7f241aea8d54cacc1bfe5562f00ca154600c59776b8490887ea7",
-        "pipeline_summary.json": "86250b7f0d900d667efe69f961eda98fc30c47ca67a9462cf9a2475434e9156b",
+        "pipeline_summary.json": "a11fd63d4cf8cff6d2a29816599256f677eac484d0b586ecd30d62481e6c980c",
     }),
     # finite memory through the Monte Carlo sampler, from one-symbol contexts
     "couple-mem1-const:1": (_mc_argv("couple", "const:1", "mem1", context=1), {
-        "couple_mc.csv": "40c9e7c8daaff8971a346a3ea3cf3389969587dcb8d44879a7d8a6d62436b90f",
+        "couple_mc.csv": "c7046acfde7cd5a22971b0e8781b8393834e06f3b246f571345f14a80f127a10",
     }),
     "couple-mem1-geom:l=1.5": (_mc_argv("couple", "geom:l=1.5", "mem1", context=1), {
-        "couple_mc.csv": "8ab01abf283d82499fb31637671073022b5ad72389f3f3d30ea6c50f024b6fad",
+        "couple_mc.csv": "864934fbc7031c70d3e1037aaa7ab6cab2526c779cd1f544c44dbe5cad887867",
     }),
     # the two Monte Carlo benchmark workloads at seed 1
     "pipeline-mc_short_blocks": (_bench_argv("longrange", "const:1", 64, 200, 64), {
-        "pipeline_mc.csv": "4fb4833689cc0950fa4f6dfb860eafe2de2939a16ef459bafffe4a81ab0fb102",
+        "pipeline_mc.csv": "63d498056eb76949734639ec8f44dcabd540a7997976928f31fe09621ca74e94",
         "pipeline_bounds.csv": "14925026b55b3a7352d90d91d856b2d78910de9b3ac5c2d4b373d51a19f149e3",
         "pipeline_summary.json": "b88b3246803f97e0fca3fdfbf0da5874f4e97fb39e87f58484f0c4bdb3743457",
     }),
     "pipeline-mc_long_blocks": (_bench_argv("exponential", "geom:l=1.5", 34, 8, 48), {
-        "pipeline_mc.csv": "1d308526c79662774c23722807da35be08273982e1f1085e3e4e9746b12bf619",
+        "pipeline_mc.csv": "e095787e196f6ebb24490572b15ac5b64264d7dfc32899c0ab1df0d495a1852f",
         "pipeline_bounds.csv": "5fa4e6d27ee98df6f9982640349f1e72fb05f6cf8c0d8af35169c3a85029195f",
         "pipeline_summary.json": "9cad88f187c1555116537ce05880bf221bac3ee334818500d1a9a968116cf6a3",
     }),
@@ -243,24 +244,24 @@ PINNED = {
                              "--depth", "16", "--trajectories", "20", "--seed", "1",
                              "--context-x", "1" * 16, "--context-y", "0" * 16,
                              "--dn-max", "6", "--tail-len", "6"], {
-        "couple_mc.csv": "cb73589f1bc8da77dde8c1544458fccecb6852cfacdb28f86dcd7cb99a680d32",
+        "couple_mc.csv": "ae1296808542840eec506a0623136bf430c83a5176a2dfee7b5f7f5d231bcdb6",
         "couple_dn.csv": "fa00f9358a8e874e9dba1c2a46a9e095abe2b520d1331c9b079bc1f2a46f1d57",
     }),
     "couple-dn": (["couple", "--model", "{longrange}", "--depth", "6", "--trajectories", "20",
                    "--seed", "3", "--dn-max", "3", "--tail-len", "2"], {
-        "couple_mc.csv": "50f8226641623c8468143f9ccb88be8690e82620ac886fe54fdaa91deb3d3445",
+        "couple_mc.csv": "fd56da8d95452549451b939c681d3e2a9999320bc35912256f97966e23335fef",
         "couple_dn.csv": "7ef9db64d47536baa5e8138b6859ad9e44f707e905deaa9d0dbb6cefae833da3",
     }),
     # the exponential coefficient law, scaled by coeff_mass and given by coeff_c
     "pipeline-exponential": (_mc_argv("pipeline", "geom:l=1.5", "exponential"), {
-        "pipeline_mc.csv": "3787b06ef2c694710377db10d45413ede4eb6342b4f9fcce58b90155a1ae0d7f",
+        "pipeline_mc.csv": "f5c564d117c8326721456c82f36f8fc953818451497550c08a44bdaec25f4e5a",
         "pipeline_bounds.csv": "6cb8b1258e77f44e50e875e7be34cdf17477e2372a79149498ad74924df70d73",
         "pipeline_summary.json": "b4c252e36abc2132f386edb759c8c8a7f5ee08f9738731ce52ba307e63d8b542",
     }),
     "couple-dn-exponential": (["couple", "--model", "{exponential}", "--depth", "6",
                                "--trajectories", "20", "--seed", "3", "--dn-max", "3",
                                "--tail-len", "2"], {
-        "couple_mc.csv": "e884267bd772d0efffe580c66c47d82248d5f75ed25aab3b8dc36cf5c134aeaf",
+        "couple_mc.csv": "a0a9778912a631f39b39dc4cdf56592d76205a1570df9ede37de0c8e841b7299",
         "couple_dn.csv": "2ff8b43edc66fcb03929501d86163a61724251c1b37c8d77a4d7505047c26155",
     }),
     "transfer-finite-memory": (["transfer", "--model", "{mem1}", "--n-max", "12"], {
@@ -312,6 +313,65 @@ def test_artifact_digests_are_pinned(run, tmp_path):
         on_disk = hashlib.sha256((out / name).read_bytes()).hexdigest()
         assert manifest["outputs"][name] == on_disk, name
         assert on_disk == digest, name
+
+
+# the digests of the files that move when trajectory i reads the uniforms of
+# the i-th spawned generator (``oracles.spawned_uniforms``) in place of
+# window i of one stream; every other file keeps its PINNED digest
+SPAWNED_STREAM_DIGESTS = {
+    "couple-const:1": {
+        "couple_mc.csv": "615afcbb7430b486f4163b1369b02f05d341f205ecabebf35a561907f17b6440",
+    },
+    "couple-dn": {
+        "couple_mc.csv": "50f8226641623c8468143f9ccb88be8690e82620ac886fe54fdaa91deb3d3445",
+    },
+    "couple-dn-exponential": {
+        "couple_mc.csv": "e884267bd772d0efffe580c66c47d82248d5f75ed25aab3b8dc36cf5c134aeaf",
+    },
+    "couple-exact_bounds": {
+        "couple_mc.csv": "cb73589f1bc8da77dde8c1544458fccecb6852cfacdb28f86dcd7cb99a680d32",
+    },
+    "couple-geom:l=1.5": {
+        "couple_mc.csv": "7e98175ef253e01190e153a6d7881399cb7bc4623fc7a97577ed5875903c5c0f",
+    },
+    "couple-mem1-const:1": {
+        "couple_mc.csv": "40c9e7c8daaff8971a346a3ea3cf3389969587dcb8d44879a7d8a6d62436b90f",
+    },
+    "couple-mem1-geom:l=1.5": {
+        "couple_mc.csv": "8ab01abf283d82499fb31637671073022b5ad72389f3f3d30ea6c50f024b6fad",
+    },
+    "pipeline-const:1": {
+        "pipeline_mc.csv": "65cdac0b62f5d45207493d5d59576288632bee520078b189d7f53f032f18d80d",
+    },
+    "pipeline-exponential": {
+        "pipeline_mc.csv": "3787b06ef2c694710377db10d45413ede4eb6342b4f9fcce58b90155a1ae0d7f",
+    },
+    "pipeline-geom:l=1.5": {
+        "pipeline_mc.csv": "67204a79e2e4437fa0efaf5468562f060af8fb7b834be2ca5e779609b9bd11c5",
+        "pipeline_summary.json": "86250b7f0d900d667efe69f961eda98fc30c47ca67a9462cf9a2475434e9156b",
+    },
+    "pipeline-mc_long_blocks": {
+        "pipeline_mc.csv": "1d308526c79662774c23722807da35be08273982e1f1085e3e4e9746b12bf619",
+    },
+    "pipeline-mc_short_blocks": {
+        "pipeline_mc.csv": "4fb4833689cc0950fa4f6dfb860eafe2de2939a16ef459bafffe4a81ab0fb102",
+    },
+}
+
+
+@pytest.mark.parametrize("run", sorted(SPAWNED_STREAM_DIGESTS))
+def test_spawned_stream_reproduces_the_old_digests(run, monkeypatch, tmp_path):
+    # only the uniforms changed: fed the spawned rows, the sampler writes
+    # every file of the run as it did when it drew them itself
+    argv, digests = PINNED[run]
+    seed, n_traj, depth = (int(argv[argv.index(option) + 1])
+                           for option in ("--seed", "--trajectories", "--depth"))
+    use_spawned_stream(monkeypatch, seed, n_traj, depth)
+    out = tmp_path / "out"
+    argv = [a.format(**write_models(tmp_path)) for a in argv]
+    assert main(argv + ["--out", str(out)]) == 0
+    for name, digest in {**digests, **SPAWNED_STREAM_DIGESTS[run]}.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
 def test_run_failing_mid_stream_publishes_nothing(monkeypatch, tmp_path, capsys):
@@ -441,9 +501,14 @@ def test_csv_peak_memory_is_bounded():
     # --d and --K replace the test's own
     ["--d", ",".join(["0.5"] * 20), "--b", ",".join(["1"] * 21), "--K", "20",
      "--n-max", "250000"],
-], ids=["explicit", "default", "taps"])
+    # a boundary layer of B_2 = 20 000 001 entries, however few rows
+    ["--b", "1,20000000", "--n-max", "10"],
+    # B_2 past the int64 range
+    ["--b", "1,99999999999999999999"],
+], ids=["explicit", "default", "taps", "boundary-layer", "boundary-overflow"])
 def test_renewal_row_budget_is_checked_first(argv, monkeypatch, tmp_path, capsys):
-    # more than DEFAULT_BUDGET rows: refused before u is solved for
+    # more than DEFAULT_BUDGET rows, tap reads or boundary-layer entries:
+    # refused before u is solved for
     def refuse(*args):
         raise AssertionError("renewal_solve called")
 

@@ -10,7 +10,9 @@ from gmeasure import (
     BlockSchedule,
     BudgetError,
     ConfigError,
+    Exponential,
     FiniteMemoryModel,
+    LongRangeLinearModel,
     constant_schedule,
     dbar,
     dn_bruteforce,
@@ -22,7 +24,7 @@ from gmeasure import coupling
 from gmeasure.coupling import TruncationError, _block_laws
 from gmeasure.criteria import geometric_blocks
 from gmeasure.gmodel import all_words, context_state, encode
-from conftest import random_positive_table
+from conftest import random_positive_table, use_spawned_stream
 from oracles import cylinder_interval, decode, total_variation
 
 
@@ -293,12 +295,15 @@ def _memory2_model():
                              random_positive_table(alphabet, 2, np.random.default_rng(8)))
 
 
-@pytest.mark.parametrize("small_batches", [False, True])
-def test_estimate_equals_separate_samples(longrange, monkeypatch, small_batches):
-    # the batched sampler gives each trajectory the path sample_block_coupling
-    # draws from the same spawned child, whatever the batch and tile sizes
-    if small_batches:  # batches of 6 trajectories, 8 (context, word) rows per call
-        monkeypatch.setattr(coupling, "_BATCH_SITES", 100)
+@pytest.mark.parametrize("per_batch", [1, 7, None], ids=["1", "7", "all"])
+def test_estimate_equals_separate_samples(longrange, monkeypatch, per_batch):
+    # trajectory i of the estimate is the path of the i-th of consecutive
+    # sample_block_coupling calls on one generator, whatever the batch and
+    # tile sizes; seeking the stream to window i draws it too
+    sched, depth, n_traj = geometric_blocks(1.5), 14, 40
+    if per_batch is not None:
+        monkeypatch.setattr(coupling, "_BATCH_SITES", per_batch * (depth + 1))
+    if per_batch == 7:  # and 8 (context, word) rows per kernel call
         monkeypatch.setattr(coupling, "_MAX_ROWS", 8)
     batches, kinds = [], set()
     couple, add_context = coupling._couple, coupling.add_context
@@ -314,21 +319,23 @@ def test_estimate_equals_separate_samples(longrange, monkeypatch, small_batches)
 
     monkeypatch.setattr(coupling, "_couple", logged_couple)
     monkeypatch.setattr(coupling, "add_context", logged_add_context)
-    sched, depth, n_traj = geometric_blocks(1.5), 14, 40
     for model in (longrange, _memory2_model()):
         batches.clear()
         summary = estimate_disagreement(model, sched, depth, "1" * 48, "0" * 48,
                                         n_traj=n_traj, seed=21)
         batched = list(batches)
+        step = per_batch or n_traj
+        assert [len(b.covered) for b in batched] == [
+            min(step, n_traj - s) for s in range(0, n_traj, step)]
         x, y = (np.concatenate([getattr(b, side) for b in batched]) for side in "xy")
         covered = np.concatenate([b.covered for b in batched])
         records = sorted(zip(*(np.concatenate([b.blocks[k] for b in batched]).tolist()
                                for k in coupling._BLOCK_FIELDS)))
         counts = np.zeros(depth + 1)
         run_stats, expect_records = {}, []
-        for i, child in enumerate(np.random.SeedSequence(21).spawn(n_traj)):
-            sample = sample_block_coupling(model, sched, depth, "1" * 48, "0" * 48,
-                                           np.random.default_rng(child))
+        rng = np.random.default_rng(21)
+        for i in range(n_traj):
+            sample = sample_block_coupling(model, sched, depth, "1" * 48, "0" * 48, rng)
             assert len(sample.x) == covered[i]
             assert np.array_equal(x[i, -covered[i]:], sample.x)
             assert np.array_equal(y[i, -covered[i]:], sample.y)
@@ -343,15 +350,41 @@ def test_estimate_equals_separate_samples(longrange, monkeypatch, small_batches)
         assert (summary.freq == counts / n_traj).all()
         assert summary.run_stats == run_stats
         assert max(run_stats) >= 2  # blocks of three lengths were drawn together
+        # window i of the stream starts i * 3(depth + 1) doubles in
+        seek = np.random.Generator(np.random.PCG64(21))
+        seek.bit_generator.advance(29 * coupling._max_uniforms(depth))
+        sample = sample_block_coupling(model, sched, depth, "1" * 48, "0" * 48, seek)
+        assert np.array_equal(x[29, -covered[29]:], sample.x)
+        assert np.array_equal(y[29, -covered[29]:], sample.y)
     # groups of consecutive rows and of scattered rows were both drawn
-    assert kinds == {"slice", "ndarray"}
+    assert kinds == (set() if per_batch == 1 else {"slice", "ndarray"})
 
 
-def test_sampler_leaves_generator_after_the_uniforms_used(iid):
-    # i.i.d. blocks always agree: one uniform per block, 21 blocks
+def test_sampler_reads_one_window_of_the_generator(iid):
+    # i.i.d. blocks always agree, so 21 of the window's 3 * 21 uniforms are
+    # used; the generator is left after the whole window all the same
     rng = np.random.default_rng(4)
     sample_block_coupling(iid, constant_schedule(1), 20, "1", "0", rng)
-    assert rng.random() == np.random.default_rng(4).random(22)[-1]
+    assert rng.random() == np.random.default_rng(4).random(64)[-1]
+
+
+@pytest.mark.parametrize("family", ["power_law", "exponential", "memory2"])
+def test_spawned_and_one_stream_estimates_agree(family, longrange, alphabet, monkeypatch):
+    # one stream per run changes the draws, not their law: at 20 000
+    # trajectories every coordinate's frequency agrees with that of the
+    # spawned per-trajectory stream within 4 combined standard errors
+    model = {
+        "power_law": longrange,
+        "exponential": LongRangeLinearModel(alphabet, 0.25, Exponential.from_mass(0.7, 0.5)),
+        "memory2": _memory2_model(),
+    }[family]
+    args = (model, constant_schedule(1), 16, "1" * 16, "0" * 16)
+    one = estimate_disagreement(*args, n_traj=20_000, seed=7)
+    use_spawned_stream(monkeypatch, 7, 20_000, 16)
+    spawned = estimate_disagreement(*args, n_traj=20_000, seed=7)
+    assert not (one.freq == spawned.freq).all()  # the draws did change
+    assert (np.abs(one.freq - spawned.freq)
+            <= 4 * np.hypot(one.stderr, spawned.stderr)).all()
 
 
 def test_estimate_disagreement_rate_decreases(longrange):

@@ -97,3 +97,78 @@ def test_numpy_is_the_only_runtime_dependency():
     pyproject = (root / "pyproject.toml").read_text()
     dependencies = re.search(r"^dependencies = \[(.*?)\]", pyproject, re.M | re.S).group(1)
     assert re.findall(r'"([A-Za-z0-9_.-]+)', dependencies) == ["numpy"], dependencies
+
+
+def _defined_functions(tree, prefix=""):
+    """Qualified name of every function and method written in a module."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield prefix + node.name
+            yield from _defined_functions(node, f"{prefix}{node.name}.<locals>.")
+        elif isinstance(node, ast.ClassDef):
+            yield from _defined_functions(node, f"{prefix}{node.name}.")
+        else:
+            yield from _defined_functions(node, prefix)
+
+
+_CONTEXT = ["--context-x", "1" * 48, "--context-y", "0" * 48]
+_MC = ["--depth", "6", "--trajectories", "4", "--seed", "1", *_CONTEXT]
+# one small run per subcommand, plus a finite-memory model through the
+# sampler and an explicit schedule list
+REACH_RUNS = [
+    ["transfer", "--model", "{mem1}", "--n-max", "8"],
+    ["transfer", "--model", "{longrange}", "--n-max", "8", "--trunc-memory", "4"],
+    ["couple", "--model", "{longrange}", *_MC, "--dn-max", "2", "--tail-len", "2"],
+    ["couple", "--model", "{mem1}", "--schedule", "1,2,2,2,2", *_MC],
+    ["renewal", "--d", "0.5,0.3", "--b", "1,2,3", "--K", "2"],
+    ["criteria", "--variation", "power_law:c=1,p=2"],
+    ["criteria", "--variation", "exponential:c=1,r=0.5"],
+    ["criteria", "--variation", "finite_range:M=3"],
+    ["pipeline", "--model", "{longrange}", *_MC, "--K-max", "3"],
+    ["pipeline", "--model", "{exponential}", "--schedule", "geom:l=1.5", *_MC, "--K-max", "3"],
+    ["pipeline", "--model", "{mem1}", *_MC, "--K-max", "3"],
+    ["selftest"],
+]
+
+# functions no REACH_RUNS run reaches, each with its reason
+UNREACHED = {
+    ("cli.py", "_Parser.error"): "bad input",
+    ("errors.py", "ConvergenceError.__init__"): "bad input: a solve that does not converge",
+    ("coupling.py", "sample_block_coupling"): "bench hook; ROADMAP item 1",
+    ("gmodel.py", "FiniteMemoryModel.eval_indices"): "bench hook and oracle route; item 1",
+    ("gmodel.py", "LongRangeLinearModel.eval_indices"): "bench hook and oracle route; item 1",
+    ("coupling.py", "BlockSchedule.J"): "test helper or API; ROADMAP item 21",
+    ("transfer.py", "StationaryMeasure.prob"): "test helper or API; ROADMAP item 21",
+    ("criteria.py", "_tabulated_report"): "criteria --model; ROADMAP item 14",
+    ("criteria.py", "affinity_product_floor"): "the tail term; ROADMAP item 6",
+    ("criteria.py", "check_single_site_series"): "the d-bar bound; ROADMAP item 7",
+}
+
+
+def test_every_src_function_is_reached(tmp_path, capsys):
+    # a function no CLI run reaches is dead code unless UNREACHED names why;
+    # an entry whose function is reached, or gone, is stale
+    from gmeasure import cli
+    from test_cli import write_models
+
+    src = Path(gmeasure.__file__).resolve().parent
+    written = {(path.name, name) for path in src.glob("*.py")
+               for name in _defined_functions(ast.parse(path.read_text()))}
+    codes = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            codes.add(frame.f_code)
+
+    paths = write_models(tmp_path)
+    sys.setprofile(profile)
+    try:
+        cli._build_parser.__wrapped__()  # cached per process: a test may have built it
+        exits = [cli.main([a.format(**paths) for a in argv] + ["--out", str(tmp_path / str(i))])
+                 for i, argv in enumerate(REACH_RUNS)]
+    finally:
+        sys.setprofile(None)
+    assert exits == [0] * len(REACH_RUNS), capsys.readouterr().err
+    reached = {(Path(code.co_filename).name, code.co_qualname) for code in codes
+               if Path(code.co_filename).parent == src}
+    assert written - reached == set(UNREACHED), sorted((written - reached) ^ set(UNREACHED))
