@@ -141,7 +141,7 @@ def maximal_coupling(p, q) -> MaximalCoupling:
 
 class BlockSchedule:
     """Block lengths b_1, b_2, ... through their partial sums B_0 = 0 and
-    B_n = b_1 + ... + b_n; the n-th block interval is J_n.
+    B_n = b_1 + ... + b_n; block n covers the coordinates [1 - B_n, -B_{n-1}].
 
     ``BlockSchedule(lengths)`` takes an explicit list: B_n is its cumulative
     sum, and an index past its end raises ConfigError, so a run never
@@ -177,10 +177,6 @@ class BlockSchedule:
         if n < 0:
             raise ConfigError("partial-sum index must be >= 0")
         return self._partial_sum(n)
-
-    def J(self, n: int) -> tuple[int, int]:
-        """The n-th block interval [1 - B_n, -B_{n-1}], n >= 1."""
-        return (1 - self.B(n), -self.B(n - 1))
 
 
 def _explicit_partial_sum(sums: tuple[int, ...], n: int) -> int:

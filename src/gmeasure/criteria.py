@@ -210,29 +210,38 @@ def check_single_site_series(
 # Hellinger toolchain
 
 
-def hellinger_floor(rho: float) -> float:
+def hellinger_floor(rho):
     """Lower bound 1 - (sqrt(rho)-1)**2 / 2 for the Hellinger affinity
-    sum sqrt(mu*nu) of two distributions with oscillation ratio rho."""
-    if not rho >= 1:
+    sum sqrt(mu*nu) of two distributions with oscillation ratio rho,
+    elementwise over an array of ratios."""
+    if not np.all(np.asarray(rho) >= 1):
         raise ConfigError("oscillation ratio must be >= 1")
-    return 1.0 - 0.5 * (math.sqrt(rho) - 1.0) ** 2
+    return 1.0 - 0.5 * (np.sqrt(rho) - 1.0) ** 2
 
 
-def tv_bound_from_site_ratios(rhos: Sequence[float]) -> float:
-    """Total-variation bound sqrt(1 - prod_i (1 - (sqrt(rho_i)-1)**2/2)**2).
+def tv_bound_from_site_ratios(rhos: Sequence[float], starts: Sequence[int] = (0,)) -> np.ndarray:
+    """Total-variation bounds sqrt(1 - prod_i (1 - (sqrt(rho_i)-1)**2/2)**2),
+    one per block of sites ``rhos[starts[j]:starts[j + 1]]``, the last block
+    running to the end; by default one block of every site.  Only the last
+    block may be empty (its bound is 0).
 
     Valid for measures on a product of sites whose per-site conditional
-    oscillation ratios are rho_i; each rho_i must lie in [1, MAX_SITE_RATIO]
-    so the per-site affinity floor is non-negative.
+    oscillation ratios are rho_i.  Each rho_i must lie in [1, MAX_SITE_RATIO]
+    so the per-site affinity floor is non-negative; a larger one raises
+    ConfigError naming its block (1-based).  One ``np.multiply.reduceat``
+    takes the products, site after site from the left, as a loop would.
     """
-    prod = 1.0
-    for rho in rhos:
-        if rho > MAX_SITE_RATIO + 1e-12:
-            raise ConfigError(
-                f"site ratio {rho:.6f} exceeds the validity bound {MAX_SITE_RATIO:.6f}"
-            )
-        prod *= hellinger_floor(rho) ** 2
-    return math.sqrt(max(1.0 - prod, 0.0))
+    rhos = np.asarray(rhos, dtype=float)
+    over = np.flatnonzero(rhos > MAX_SITE_RATIO)
+    if over.size:
+        block = int(np.searchsorted(starts, over[0], side="right"))
+        raise ConfigError(
+            f"site ratio {rhos[over[0]]:.6f} in block {block} exceeds the validity bound "
+            f"{MAX_SITE_RATIO:.6f}"
+        )
+    # the trailing 1.0 changes no product, and is the last block's if empty
+    prods = np.multiply.reduceat(np.append(hellinger_floor(rhos) ** 2, 1.0), starts)
+    return np.sqrt(np.maximum(1.0 - prods, 0.0))
 
 
 def cubic_remainder_constant(lam: float) -> float:
@@ -281,22 +290,22 @@ def affinity_product_floor(rhos: Sequence[float]) -> float:
 # block total-variation bounds
 
 
-def block_tv_bounds(vm, schedule: BlockSchedule, n: int) -> float | None:
-    """The closed-form upper bound for the worst-case block-n total
-    variation d_n from a variation model: sqrt(1 - prod (affinity floor)**2)
-    over the sites [B_{n-1}, B_n - 1] separating the block from the agreement
-    region, or None when some site ratio exceeds MAX_SITE_RATIO.
+def block_tv_bounds(vm, schedule: BlockSchedule, n: int) -> np.ndarray:
+    """Closed-form upper bounds for the worst-case block total variations
+    d_1..d_n from a variation model, as one float64 array: d_k is
+    ``tv_bound_from_site_ratios`` over the ratios rho_i = exp(var_i) of the
+    sites [B_{k-1}, B_k - 1] that separate block k from the agreement
+    region.  A site ratio above MAX_SITE_RATIO raises ConfigError naming
+    the first block that holds one.
 
-    ``vm`` is anything exposing var_at(n) (a variation profile or a
-    parametric variation model).
+    ``vm`` is anything whose var_at takes an array of sites (a variation
+    profile or a parametric variation model).
     """
     if n < 1:
         raise ConfigError("block index must be >= 1")
-    window = range(schedule.B(n - 1), schedule.B(n))
-    rhos = [math.exp(vm.var_at(i)) for i in window]
-    if all(r <= MAX_SITE_RATIO for r in rhos):
-        return tv_bound_from_site_ratios(rhos)
-    return None
+    starts = [schedule.B(k) for k in range(n + 1)]
+    rhos = np.exp(vm.var_at(np.arange(starts[-1])))
+    return tv_bound_from_site_ratios(rhos, starts[:-1])
 
 
 # ---------------------------------------------------------------------------

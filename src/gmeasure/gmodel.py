@@ -210,15 +210,16 @@ class FiniteMemoryModel:
         lo, hi = float(block.min()), float(block.max())
         return 0.5 * (lo + hi), 0.5 * (hi - lo)
 
-    def rho(self, n: int) -> float:
-        """Exact oscillation ratio of g over pairs agreeing on [0, n]."""
+    def rho(self, n):
+        """Exact oscillation ratio of g over pairs agreeing on [0, n],
+        elementwise over an int or an integer array n >= 0; it is 1 from
+        n = memory on."""
         if not self.is_positive:
             raise ConfigError("oscillation ratio undefined for a non-positive model")
-        if n >= self.memory:
-            return 1.0
         size = self.alphabet.size
-        grouped = self.table.reshape(size ** (n + 1), -1)
-        return float((grouped.max(axis=1) / grouped.min(axis=1)).max())
+        grouped = (self.table.reshape(size ** (m + 1), -1) for m in range(self.memory))
+        ratios = [(g.max(axis=1) / g.min(axis=1)).max() for g in grouped]
+        return np.array(ratios + [1.0])[np.minimum(_nonnegative(n), self.memory)]
 
 
 class LongRangeLinearModel:
@@ -322,9 +323,11 @@ class LongRangeLinearModel:
             mid = 0.5 + self.theta * float(signs[0]) * float(np.dot(avec[1:n], signs[1:]))
         return mid, self.theta * self.coefficients.tail(n - 1)
 
-    def rho(self, n: int) -> float:
+    def rho(self, n):
+        """The closed-form rho_n, elementwise over an int or an integer
+        array n >= 0."""
         g_min = 0.5 - self.theta * self.total_mass
-        h = self.coefficients.prefix(n)
+        h = self.coefficients.prefix(_nonnegative(n))
         return (0.5 + self.theta * self.total_mass - 2 * self.theta * h) / g_min
 
 
@@ -335,6 +338,13 @@ def iid_model(alphabet: Alphabet, probs: Sequence[float]) -> FiniteMemoryModel:
 
 # ---------------------------------------------------------------------------
 # operations
+
+
+def _nonnegative(n):
+    """``n`` once no entry is negative, where an array index would wrap."""
+    if np.min(n) < 0:
+        raise ConfigError(f"oscillation ratio needs n >= 0, got {np.min(n)}")
+    return n
 
 
 def _known_right(state: np.ndarray, known_len):
@@ -402,19 +412,26 @@ class VariationProfile:
     def horizon(self) -> int:
         return len(self.values) - 1
 
-    def var_at(self, n: int) -> float:
-        if n <= self.horizon:
-            return float(self.values[n])
+    def var_at(self, n):
+        """var_n for an int or an integer array n >= 0: the tabulated value
+        up to the horizon, the tail law beyond it."""
+        n = np.asarray(n)
+        if (n <= self.horizon).all():
+            return self.values[n]
         if self.tail is None:
-            raise ConfigError(f"n={n} beyond horizon {self.horizon} and no tail model")
-        return self.tail.var_at(n)
+            raise ConfigError(f"n={n.max()} beyond horizon {self.horizon} and no tail model")
+        beyond = self.tail.var_at(np.maximum(n, self.horizon + 1))
+        return np.where(n > self.horizon, beyond, self.values[np.minimum(n, self.horizon)])[()]
 
 
 def variation_profile(model, horizon: int) -> VariationProfile:
-    """Tabulate var_{[0,n]}(log g) = log rho_{[0,n]} for n = 0..horizon."""
+    """Tabulate var_{[0,n]}(log g) = log rho_{[0,n]} for n = 0..horizon,
+    from one call of ``model.rho`` on all of them."""
     if horizon < 0:
         raise ConfigError("horizon must be >= 0")
-    values = np.array([math.log(model.rho(n)) for n in range(horizon + 1)])
+    # rho_n >= 1; a ratio rounded below 1 would give a negative var_n and a
+    # site ratio exp(var_n) that the Hellinger floor refuses
+    values = np.log(np.maximum(model.rho(np.arange(horizon + 1)), 1.0))
     values = np.minimum.accumulate(values)  # clear float noise in flat stretches
     if isinstance(model, FiniteMemoryModel):
         # var_n is non-increasing, so values[horizon] bounds it up to the

@@ -12,7 +12,8 @@ The criteria classify a law from this pair alone.
 The summable laws, ``Exponential`` and ``PowerLaw`` with p > 1, give their
 sums ``tail(n)`` = sum_{k>n} a_k, ``prefix(n)`` = sum_{1<=k<=n} a_k and
 ``total``, plus ``from_mass`` and ``tail_law``; the model takes those with
-offset 0.  A power law's sums raise ConfigError unless p > 1.
+offset 0.  ``var_at`` and ``prefix`` take an int or an integer array, and
+work elementwise.  A power law's sums raise ConfigError unless p > 1.
 The power-law sums are Hurwitz zeta values, computed here by an
 Euler-Maclaurin sum in plain floats (no scipy) whose remainder is bounded
 by its first omitted term.
@@ -22,6 +23,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import ConfigError
 
@@ -48,7 +51,9 @@ def _zeta(p: float, q: float) -> float:
     near p = 2.5, q = 1): far below rounding.  The corrections are summed by
     Horner's rule, the direct terms smallest first, and the integral term,
     the largest for large q, last.  Python floats stay Python floats, so a
-    scalar call costs a few microseconds.
+    scalar call costs a few microseconds; an array q runs the same
+    operations elementwise, where numpy's ``**`` may differ from the scalar
+    one in the last bit.
     """
     a = q + _DIRECT
     x = a ** -p
@@ -79,7 +84,7 @@ class PowerLaw:
             raise ConfigError("power law needs c >= 0 and p >= 0")
 
     def var_at(self, n: int) -> float:
-        return self.c * (n + self.offset) ** (-self.p)
+        return self.c * (n + self.offset) ** -float(self.p)  # no int ** -int on arrays
 
     @property
     def asymptotic(self) -> tuple[float, float]:
@@ -102,8 +107,6 @@ class PowerLaw:
 
     def prefix(self, n: int) -> float:
         self._summable()
-        if n <= 0:
-            return 0.0
         return self.c * (_zeta(self.p, 1 + self.offset) - _zeta(self.p, n + 1 + self.offset))
 
     @property
@@ -144,8 +147,6 @@ class Exponential:
         return self.c * self.r ** (n + 1) / (1 - self.r)
 
     def prefix(self, n: int) -> float:
-        if n <= 0:
-            return 0.0
         return self.c * self.r * (1 - self.r**n) / (1 - self.r)
 
     @property
@@ -172,5 +173,5 @@ class FiniteRange:
             raise ConfigError("finite-range law needs M >= 0 and level >= 0")
 
     def var_at(self, n: int) -> float:
-        return self.level if n < self.M else 0.0
+        return np.where(np.asarray(n) < self.M, self.level, 0.0)[()]
 

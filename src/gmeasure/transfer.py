@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ConvergenceError, check_budget
-from .gmodel import Alphabet, FiniteMemoryModel, encode, finite_memory_surrogate
+from .gmodel import Alphabet, FiniteMemoryModel, finite_memory_surrogate
 
 __all__ = [
     "TransferOperator",
@@ -96,27 +96,6 @@ class StationaryMeasure:
     probs: np.ndarray
     residual: float
     unique: bool
-
-    def prob(self, symbols) -> float:
-        """Stationary probability of the cylinder of the symbol sequence
-        ``symbols``, wherever it sits (the measure is shift invariant).
-
-        Up to ``window`` symbols it sums or reads ``probs``; a longer word
-        extends the last ``window`` symbols leftward one table factor at a
-        time, and every factor reads a full window of memory + 1 symbols
-        because ``window`` is at least the memory."""
-        idx = self.model.alphabet.indices(symbols)
-        size = self.model.alphabet.size
-        k = len(idx)
-        if k == 0:
-            return 1.0
-        if k < self.window:
-            grouped = self.probs.reshape(size**k, -1)
-            return float(grouped[encode(idx, size)].sum())
-        p = float(self.probs[encode(idx[k - self.window :], size)])
-        for i in range(k - self.window - 1, -1, -1):
-            p *= float(self.model.table[encode(idx[i : i + self.model.memory + 1], size)])
-        return p
 
 
 def _closure(step, j: int, dim: int) -> np.ndarray:

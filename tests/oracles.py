@@ -13,11 +13,17 @@ and never call the batched kernel.  The interval-product and context-sum
 oracles add and multiply one term at a time, in the kernel's order.  The CSV
 oracle formats cell by cell.
 
-Three helpers that no run of the library needs live here too: ``decode``,
+The scalar per-n and per-block routes of the pipeline's bound path are
+references for its array code: ``rho_scalar`` and ``profile_scalar``
+evaluate one n at a time with Python floats, and ``block_bound_scalar``
+multiplies one site's Hellinger floor at a time.
+
+Four helpers that no run of the library needs live here too: ``decode``,
 the inverse of ``gmodel.encode``; ``OneMinusPower``, a sequence tending to 1
-for the single-site series criterion; and ``spawned_uniforms``, the
+for the single-site series criterion; ``spawned_uniforms``, the
 per-trajectory Monte Carlo stream the sampler read before it read one
-stream per run.
+stream per run; and ``stationary_prob``, the stationary probability of a
+cylinder.
 """
 
 import math
@@ -29,8 +35,9 @@ import scipy.linalg
 from scipy.signal import lfilter
 from scipy.special import zeta
 
+from gmeasure.criteria import MAX_SITE_RATIO
 from gmeasure.errors import ConfigError
-from gmeasure.gmodel import encode
+from gmeasure.gmodel import FiniteMemoryModel, encode
 from gmeasure.renewal import RenewalSpec
 
 
@@ -63,6 +70,74 @@ def spawned_uniforms(seed: int, n_traj: int, depth: int) -> np.ndarray:
     children = np.random.SeedSequence(seed).spawn(n_traj)
     return np.array([np.random.default_rng(child).random(3 * (depth + 1))
                      for child in children])
+
+
+def stationary_prob(measure, symbols) -> float:
+    """Stationary probability of the cylinder of the symbol sequence
+    ``symbols`` under a ``StationaryMeasure``, wherever it sits (the measure
+    is shift invariant).
+
+    Up to ``window`` symbols it sums or reads ``probs``; a longer word
+    extends the last ``window`` symbols leftward one table factor at a
+    time, and every factor reads a full window of memory + 1 symbols
+    because ``window`` is at least the memory."""
+    model, window = measure.model, measure.window
+    idx = model.alphabet.indices(symbols)
+    size = model.alphabet.size
+    k = len(idx)
+    if k == 0:
+        return 1.0
+    if k < window:
+        grouped = measure.probs.reshape(size**k, -1)
+        return float(grouped[encode(idx, size)].sum())
+    p = float(measure.probs[encode(idx[k - window :], size)])
+    for i in range(k - window - 1, -1, -1):
+        p *= float(model.table[encode(idx[i : i + model.memory + 1], size)])
+    return p
+
+
+def rho_scalar(model, n: int) -> float:
+    """rho_n for one n: on a finite-memory model the largest max/min ratio
+    over the table's groups of words agreeing on [0, n], 1 from the memory
+    on; on the linear model its closed form with the scalar ``prefix``."""
+    if isinstance(model, FiniteMemoryModel):
+        if n >= model.memory:
+            return 1.0
+        grouped = model.table.reshape(model.alphabet.size ** (n + 1), -1)
+        return float((grouped.max(axis=1) / grouped.min(axis=1)).max())
+    g_min = 0.5 - model.theta * model.total_mass
+    h = model.coefficients.prefix(n) if n > 0 else 0.0
+    return (0.5 + model.theta * model.total_mass - 2 * model.theta * h) / g_min
+
+
+def profile_scalar(model, horizon: int) -> np.ndarray:
+    """var_0..var_horizon by one ``rho_scalar`` and one ``math.log`` per n,
+    each ratio floored at 1 and the values made non-increasing, as
+    ``variation_profile`` does."""
+    logs = [math.log(max(rho_scalar(model, n), 1.0)) for n in range(horizon + 1)]
+    return np.minimum.accumulate(logs)
+
+
+def block_bound_scalar(vm, schedule, n: int) -> float:
+    """sqrt(1 - prod (1 - (sqrt(rho_i) - 1)**2 / 2)**2) over the sites of
+    block n, one ``math.exp`` and one Hellinger floor per site, multiplied
+    from the left; None when a site ratio exceeds ``MAX_SITE_RATIO``."""
+    prod = 1.0
+    for i in range(schedule.B(n - 1), schedule.B(n)):
+        rho = math.exp(vm.var_at(i))
+        if rho > MAX_SITE_RATIO:
+            return None
+        prod *= (1.0 - 0.5 * (math.sqrt(rho) - 1.0) ** 2) ** 2
+    return math.sqrt(max(1.0 - prod, 0.0))
+
+
+def suffix_max(values, tail: float) -> list[float]:
+    """max(values[k:] + [tail]) for each k, one comparison at a time."""
+    out, running = [], tail
+    for v in reversed(values):
+        running = max(running, v)
+        out.append(running)
+    return out[::-1]
 
 
 def chain_disagreement(spec: RenewalSpec, n_max: int) -> np.ndarray:

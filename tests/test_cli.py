@@ -13,11 +13,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gmeasure
-from gmeasure import cli, coupling
+from gmeasure import VariationProfile, cli, coupling, dbar, load_model, variation_profile
 from gmeasure.cli import main
-from gmeasure.renewal import RenewalSpec, build_alphabeta, renewal_solve
+from gmeasure.criteria import block_tv_bounds
+from gmeasure.renewal import (
+    RenewalSpec,
+    build_alphabeta,
+    disagreement_bound_sweep,
+    renewal_solve,
+)
 from conftest import use_spawned_stream
-from oracles import csv_cell_by_cell, renewal_limit
+from oracles import (
+    block_bound_scalar,
+    closed_form_ratio,
+    csv_cell_by_cell,
+    profile_scalar,
+    renewal_limit,
+    suffix_max,
+)
 
 INT64 = np.iinfo(np.int64)
 
@@ -209,13 +222,13 @@ PINNED = {
     }),
     "pipeline-const:1": (_mc_argv("pipeline", "const:1"), {
         "pipeline_mc.csv": "41fd1cbab9472dd3baa153aa186f09fdaa60977de72aeb196ff1899e2ae8192d",
-        "pipeline_bounds.csv": "a651e93523bb13478ff4148e0c608a539a8a36cc7847a04feeb3dd2b06c173f5",
-        "pipeline_summary.json": "15755ce65cfcfff1f18b22cf6fb969576399365ce18ae0176dd95b4c1f62f878",
+        "pipeline_bounds.csv": "edeb85cbdc69e71f9fce4a4ac5b16c256ea6e5ffadad82712a09c856770281ca",
+        "pipeline_summary.json": "0ff94a4874454aef086e37afed09da1f9d2c39594939558c0cc932c8fed7eaf6",
     }),
     "pipeline-geom:l=1.5": (_mc_argv("pipeline", "geom:l=1.5"), {
         "pipeline_mc.csv": "17bf4140a85c8a98a5c62c56a9f006937fefdbf149e36df9724a384ba794f6df",
-        "pipeline_bounds.csv": "e0a48878664c7f241aea8d54cacc1bfe5562f00ca154600c59776b8490887ea7",
-        "pipeline_summary.json": "a11fd63d4cf8cff6d2a29816599256f677eac484d0b586ecd30d62481e6c980c",
+        "pipeline_bounds.csv": "ad7aeed16634cc4343327cd97c6dae045a244f9e3459eea9c451c3cd09b78131",
+        "pipeline_summary.json": "74a314a83d12ddf75d5f5b6fe1bab08679f9ebd54b40da9cea332ef93b8e09f3",
     }),
     # finite memory through the Monte Carlo sampler, from one-symbol contexts
     "couple-mem1-const:1": (_mc_argv("couple", "const:1", "mem1", context=1), {
@@ -227,13 +240,13 @@ PINNED = {
     # the two Monte Carlo benchmark workloads at seed 1
     "pipeline-mc_short_blocks": (_bench_argv("longrange", "const:1", 64, 200, 64), {
         "pipeline_mc.csv": "63d498056eb76949734639ec8f44dcabd540a7997976928f31fe09621ca74e94",
-        "pipeline_bounds.csv": "14925026b55b3a7352d90d91d856b2d78910de9b3ac5c2d4b373d51a19f149e3",
-        "pipeline_summary.json": "b88b3246803f97e0fca3fdfbf0da5874f4e97fb39e87f58484f0c4bdb3743457",
+        "pipeline_bounds.csv": "ee7fc046f8f524d2350138a84acf5d6c4c58c74ec23d47b646dd5538135ac9a6",
+        "pipeline_summary.json": "2bd19fc1ca6371aa62d163d9f45d6394a233ae9a480f285fb4051c753fee653d",
     }),
     "pipeline-mc_long_blocks": (_bench_argv("exponential", "geom:l=1.5", 34, 8, 48), {
         "pipeline_mc.csv": "e095787e196f6ebb24490572b15ac5b64264d7dfc32899c0ab1df0d495a1852f",
-        "pipeline_bounds.csv": "5fa4e6d27ee98df6f9982640349f1e72fb05f6cf8c0d8af35169c3a85029195f",
-        "pipeline_summary.json": "9cad88f187c1555116537ce05880bf221bac3ee334818500d1a9a968116cf6a3",
+        "pipeline_bounds.csv": "494d139550b908514d031f686a2d8cc38b892325244ea3c55a108ca4153cacb7",
+        "pipeline_summary.json": "76861e4baa644a2942833cad3f2b087e32d4e4061b1a24d67888bc23abeb3c74",
     }),
     # the exact_bounds benchmark workload's transfer and couple runs, at seed 1
     "transfer-exact_bounds": (["transfer", "--model", "{longrange}", "--trunc-memory", "14",
@@ -255,8 +268,8 @@ PINNED = {
     # the exponential coefficient law, scaled by coeff_mass and given by coeff_c
     "pipeline-exponential": (_mc_argv("pipeline", "geom:l=1.5", "exponential"), {
         "pipeline_mc.csv": "f5c564d117c8326721456c82f36f8fc953818451497550c08a44bdaec25f4e5a",
-        "pipeline_bounds.csv": "6cb8b1258e77f44e50e875e7be34cdf17477e2372a79149498ad74924df70d73",
-        "pipeline_summary.json": "b4c252e36abc2132f386edb759c8c8a7f5ee08f9738731ce52ba307e63d8b542",
+        "pipeline_bounds.csv": "7896da1089c8eeedbce59e9ea119015905d8ce41a689bf9300c2d28493f9240f",
+        "pipeline_summary.json": "79210f5f650607e4b9eb8dbb9097b427ff1ad1b92f4cc971393ae9ccf4a39c8a",
     }),
     "couple-dn-exponential": (["couple", "--model", "{exponential}", "--depth", "6",
                                "--trajectories", "20", "--seed", "3", "--dn-max", "3",
@@ -315,6 +328,30 @@ def test_artifact_digests_are_pinned(run, tmp_path):
         assert on_disk == digest, name
 
 
+@pytest.mark.parametrize("run", sorted(r for r in PINNED if r.startswith("pipeline")))
+def test_pinned_pipeline_bound_paths_equal_the_scalar_routes(run, tmp_path):
+    # on the pinned pipeline configs the array bound path moves no bit: the
+    # profile on the B_(K_max+1) sites the bounds read, the block bounds,
+    # d-bar and R_K equal the scalar routes exactly
+    argv = PINNED[run][0]
+    option = {argv[i]: argv[i + 1] for i in range(1, len(argv) - 1, 2)}
+    model = load_model(option["--model"].format(**write_models(tmp_path)))
+    schedule, K_max = cli._parse_schedule(option["--schedule"]), int(option["--K-max"])
+    horizon, read = schedule.B(K_max + 2), schedule.B(K_max + 1)
+    profile = variation_profile(model, horizon)
+    values = profile_scalar(model, horizon)
+    assert profile.values[:read].tolist() == values[:read].tolist()
+    bounds = block_tv_bounds(profile, schedule, K_max + 1)
+    scalar = [block_bound_scalar(VariationProfile(values, profile.tail), schedule, n)
+              for n in range(1, K_max + 2)]
+    assert bounds.tolist() == scalar
+    dbar_seq = dbar(bounds[:-1], bounds[-1])
+    assert dbar_seq.tolist() == suffix_max(scalar[:-1], scalar[-1])
+    lengths = [schedule.b(n) for n in range(1, K_max + 2)]
+    assert (disagreement_bound_sweep(dbar_seq, lengths, range(1, K_max + 1))
+            == closed_form_ratio(dbar_seq.tolist(), lengths, range(1, K_max + 1)))
+
+
 # the digests of the files that move when trajectory i reads the uniforms of
 # the i-th spawned generator (``oracles.spawned_uniforms``) in place of
 # window i of one stream; every other file keeps its PINNED digest
@@ -348,7 +385,7 @@ SPAWNED_STREAM_DIGESTS = {
     },
     "pipeline-geom:l=1.5": {
         "pipeline_mc.csv": "67204a79e2e4437fa0efaf5468562f060af8fb7b834be2ca5e779609b9bd11c5",
-        "pipeline_summary.json": "86250b7f0d900d667efe69f961eda98fc30c47ca67a9462cf9a2475434e9156b",
+        "pipeline_summary.json": "91b9883cc9fd0a1d3d609dfa6bb1ac64bf01ccca1a6ea4db1b8972bf4e8cddf0",
     },
     "pipeline-mc_long_blocks": {
         "pipeline_mc.csv": "1d308526c79662774c23722807da35be08273982e1f1085e3e4e9746b12bf619",
@@ -576,15 +613,18 @@ def test_pipeline_subcommand(longrange_file, tmp_path):
     assert rc == 0
     summary = json.loads((out / "pipeline_summary.json").read_text())
     assert summary["best_bound"] < 0.35
+    # the summary repeats nothing of the bounds table but its best row
+    assert set(summary) == {"best_bound", "best_K", "max_block_truncation"}
     header, rows = read_csv_rows(out / "pipeline_bounds.csv")
-    assert header == ["K", "ratio_bound"]
+    assert header == ["K", "dbar", "ratio_bound"]
+    assert [int(row[0]) for row in rows] == [1, 2, 3, 4, 5]
+    assert float(rows[summary["best_K"] - 1][2]) == summary["best_bound"]
     # each published R_K is the renewal-theorem limit of its K's chain
-    d = summary["dbar"]
+    d = [float(row[1]) for row in rows]
     for row in rows:
         K = int(row[0])
         ab = build_alphabeta(RenewalSpec(tuple(d[:K]), (1,) * (K + 1), K))
-        assert float(row[1]) == pytest.approx(renewal_limit(ab), abs=1e-12)
-        assert summary["bounds"][row[0]] == float(row[1])
+        assert float(row[2]) == pytest.approx(renewal_limit(ab), abs=1e-12)
 
 
 def test_pipeline_sweep_is_linear_in_K_max(longrange_file, tmp_path):
@@ -597,6 +637,8 @@ def test_pipeline_sweep_is_linear_in_K_max(longrange_file, tmp_path):
     assert rc == 0
     header, rows = read_csv_rows(out / "pipeline_bounds.csv")
     assert [int(row[0]) for row in rows] == list(range(1, 2101))
+    # the summary holds the best row only, whatever K_max
+    assert (out / "pipeline_summary.json").stat().st_size < 200
 
 
 def test_selftest_subcommand(tmp_path, capsys):

@@ -111,9 +111,9 @@ def test_schedule_partial_sums():
         # schedules can be sent to worker processes
         copy = pickle.loads(pickle.dumps(schedule))
         assert [copy.B(n) for n in range(4)] == [schedule.B(n) for n in range(4)]
-    assert sched.J(1) == (0, 0)
-    assert sched.J(2) == (-2, -1)
-    assert sched.J(3) == (-6, -3)
+    # the n-th block interval [1 - B_n, -B_{n-1}]
+    intervals = [(1 - sched.B(n), -sched.B(n - 1)) for n in (1, 2, 3)]
+    assert intervals == [(0, 0), (-2, -1), (-6, -3)]
 
 
 def test_schedule_validation():

@@ -2,18 +2,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gmeasure import (
     CUBIC_REMAINDER_K2,
     ConfigError,
     Exponential,
+    FiniteMemoryModel,
     FiniteRange,
+    LongRangeLinearModel,
     MAX_SITE_RATIO,
     PowerLaw,
     RenewalSpec,
     TransferOperator,
     VariationProfile,
     affinity_product_floor,
+    binary_alphabet,
     block_tv_bounds,
     build_alphabeta,
     check_geometric_window_sums,
@@ -39,7 +44,18 @@ from gmeasure.criteria import (
     coupling_bound_ratio,
     cubic_remainder_constant,
 )
-from oracles import OneMinusPower, conditional_product_measure, renewal_limit, total_variation
+from oracles import (
+    OneMinusPower,
+    block_bound_scalar,
+    closed_form_ratio,
+    conditional_product_measure,
+    profile_scalar,
+    renewal_limit,
+    rho_scalar,
+    suffix_max,
+    total_variation,
+)
+from test_gmodel import _ulps
 
 
 # --- series criteria -----------------------------------------------------------
@@ -212,9 +228,14 @@ def test_nan_fails_the_sign_checks(case, iid):
 
 def test_tv_bound_values():
     assert tv_bound_from_site_ratios([1.0, 1.0, 1.0]) == 0.0
+    assert tv_bound_from_site_ratios([]) == 0.0  # no site, no disagreement
     assert tv_bound_from_site_ratios([4.0]) == pytest.approx(math.sqrt(0.75), abs=1e-12)
     with pytest.raises(ConfigError):
         tv_bound_from_site_ratios([MAX_SITE_RATIO + 0.1])
+    # one validity check, with no slack: the next float above is refused
+    assert tv_bound_from_site_ratios([MAX_SITE_RATIO]) == pytest.approx(1.0, abs=1e-7)
+    with pytest.raises(ConfigError, match="block 1 exceeds"):
+        tv_bound_from_site_ratios([np.nextafter(MAX_SITE_RATIO, np.inf)])
     with pytest.raises(ConfigError):
         tv_bound_from_site_ratios([0.5])
 
@@ -287,15 +308,16 @@ def test_affinity_floor_gap_vanishes_near_one():
 def test_block_bounds_zero_for_finite_range():
     vm = FiniteRange(2, level=0.3)
     sched = constant_schedule(1)
-    assert block_tv_bounds(vm, sched, 4) == 0.0  # window sites {3}: var = 0
+    assert block_tv_bounds(vm, sched, 4)[3] == 0.0  # window sites {3}: var = 0
 
 
 def test_block_bounds_dominate_bruteforce(longrange):
     profile = variation_profile(longrange, 40)
     sched = constant_schedule(1)
+    bounds = block_tv_bounds(profile, sched, 3)
     for n in (1, 2, 3):
         lower, upper = dn_bruteforce(longrange, sched, n, 4)
-        bound = block_tv_bounds(profile, sched, n)
+        bound = bounds[n - 1]
         assert lower <= bound + (upper - lower) + 1e-12
 
 
@@ -304,17 +326,95 @@ def test_every_block_bound_field_dominates_the_bruteforce_witness(longrange):
     # fall below the largest total variation dn_bruteforce finds
     profile = variation_profile(longrange, 40)
     sched = constant_schedule(1)
+    bounds = block_tv_bounds(profile, sched, 4)
     for n in range(1, 5):
         lower, _ = dn_bruteforce(longrange, sched, n, 6)
-        bound = block_tv_bounds(profile, sched, n)
+        bound = bounds[n - 1]
         assert bound >= lower, (n, bound, lower)
 
 
+def test_ratio_rounded_below_one_gives_zero_bounds(alphabet):
+    # at theta = 0.4, r = 0.5 the closed-form rho_n rounds to 1 - 2**-52
+    # from n = 54 on; unfloored, its log is a negative var_n whose site ratio
+    # the Hellinger floor refuses, and the pipeline exited 2
+    model = LongRangeLinearModel(alphabet, 0.4, Exponential.from_mass(0.5, 0.5))
+    assert model.rho(54) < 1.0
+    profile = variation_profile(model, 300)
+    assert profile.values.min() == 0.0
+    assert (block_tv_bounds(profile, constant_schedule(1), 299)[60:] == 0.0).all()
+
+
 def test_block_bounds_validity_windows():
-    vm = FiniteRange(3, level=2.0)  # rho = e^2 > (1+sqrt(2))^2 early on
+    # rho = e^2 > (1+sqrt(2))^2 on sites 0..2: refused, naming block 1
     sched = constant_schedule(1)
-    assert block_tv_bounds(vm, sched, 1) is None
-    assert block_tv_bounds(vm, sched, 5) == 0.0
+    with pytest.raises(ConfigError, match="block 1 exceeds"):
+        block_tv_bounds(FiniteRange(3, level=2.0), sched, 5)
+    bounds = block_tv_bounds(FiniteRange(3, level=1.0), sched, 5)  # rho = e
+    assert (bounds[:3] > 0).all() and (bounds[3:] == 0.0).all()
+
+
+def _finite_memory(memory, entries):
+    table = np.reshape(entries, (2, 2**memory))
+    return FiniteMemoryModel(binary_alphabet(), memory, (table / table.sum(axis=0)).reshape(-1))
+
+
+_bound_models = st.one_of(
+    st.builds(lambda theta, p, mass: LongRangeLinearModel(
+        binary_alphabet(), theta, PowerLaw.from_mass(p, mass)),
+        st.floats(0.02, 0.45), st.floats(1.05, 4.0), st.floats(0.05, 1.0)),
+    st.builds(lambda theta, r, mass: LongRangeLinearModel(
+        binary_alphabet(), theta, Exponential.from_mass(r, mass)),
+        st.floats(0.02, 0.45), st.floats(0.05, 0.95), st.floats(0.05, 1.0)),
+    st.integers(1, 3).flatmap(lambda memory: st.builds(
+        _finite_memory, st.just(memory),
+        st.lists(st.floats(0.05, 1.0), min_size=2 ** (memory + 1), max_size=2 ** (memory + 1)))),
+)
+_bound_schedules = st.one_of(
+    st.integers(1, 4).map(constant_schedule), st.floats(1.25, 3.0).map(geometric_blocks))
+
+
+@st.composite
+def _schedule_and_K_max(draw):
+    """A schedule and a K_max up to 24 whose profile horizon B_(K_max+2)
+    stays within 3000 sites, so the scalar routes stay quick."""
+    schedule = draw(_bound_schedules)
+    top = max(K for K in range(1, 25) if schedule.B(K + 2) <= 3000)
+    return schedule, draw(st.integers(1, top))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_bound_models, _schedule_and_K_max())
+def test_bound_path_arrays_match_the_scalar_oracles(model, schedule_and_K_max):
+    schedule, K_max = schedule_and_K_max
+    # the pipeline's bound path, each array stage against its scalar route.
+    # The linear model's rho_n subtracts two zeta sums from rho_0's terms, so
+    # ratios count in ulps of rho_0; a bound d = sqrt(1 - P), P a product of
+    # floors in [0, 1], counts through P in ulps of 1, since near P = 1 the
+    # root turns one ulp of P into many of d
+    horizon = schedule.B(K_max + 2)
+    rho = np.array([rho_scalar(model, n) for n in range(horizon + 1)])
+    assert _ulps(model.rho(np.arange(horizon + 1)), rho, rho[0]).max() <= 4
+    profile = variation_profile(model, horizon)
+    values = profile_scalar(model, horizon)
+    assert _ulps(np.exp(profile.values), np.exp(values), rho[0]).max() <= 4
+    scalar = [block_bound_scalar(VariationProfile(values, profile.tail), schedule, n)
+              for n in range(1, K_max + 2)]
+    if None in scalar:
+        with pytest.raises(ConfigError, match=f"block {scalar.index(None) + 1} exceeds"):
+            block_tv_bounds(profile, schedule, K_max + 1)
+        return
+    bounds = block_tv_bounds(profile, schedule, K_max + 1)
+    assert bounds.dtype == np.float64 and bounds.shape == (K_max + 1,)
+    assert _ulps(1 - bounds**2, 1 - np.square(scalar), 1.0).max() <= 4
+    dbar_seq = dbar(bounds[:-1], bounds[-1])
+    scalar_dbar = suffix_max(scalar[:-1], scalar[-1])
+    assert _ulps(1 - dbar_seq**2, 1 - np.square(scalar_dbar), 1.0).max() <= 4
+    # R_K from the same d-bar: the check above bounds what the profile's
+    # last bits move upstream of it
+    lengths = [schedule.b(k) for k in range(1, K_max + 2)]
+    sweep = disagreement_bound_sweep(dbar_seq, lengths, range(1, K_max + 1))
+    oracle = closed_form_ratio(dbar_seq, lengths, range(1, K_max + 1))
+    assert _ulps([r for _, r in sweep], [r for _, r in oracle]).max() <= 4
 
 
 # --- geometric schedules and the closed-form ratio -------------------------------

@@ -137,8 +137,6 @@ UNREACHED = {
     ("coupling.py", "sample_block_coupling"): "bench hook; ROADMAP item 1",
     ("gmodel.py", "FiniteMemoryModel.eval_indices"): "bench hook and oracle route; item 1",
     ("gmodel.py", "LongRangeLinearModel.eval_indices"): "bench hook and oracle route; item 1",
-    ("coupling.py", "BlockSchedule.J"): "test helper or API; ROADMAP item 21",
-    ("transfer.py", "StationaryMeasure.prob"): "test helper or API; ROADMAP item 21",
     ("criteria.py", "_tabulated_report"): "criteria --model; ROADMAP item 14",
     ("criteria.py", "affinity_product_floor"): "the tail term; ROADMAP item 6",
     ("criteria.py", "check_single_site_series"): "the d-bar bound; ROADMAP item 7",

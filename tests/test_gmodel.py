@@ -145,6 +145,15 @@ def test_rho_rejects_nonpositive_model(alphabet):
         model.rho(0)
 
 
+@pytest.mark.parametrize("name", ["mem1", "longrange"])
+def test_rho_rejects_negative_n(name, request):
+    # a negative n would read the whole table, or wrap in an array index
+    model = request.getfixturevalue(name)
+    for n in (-1, np.arange(-1, 3)):
+        with pytest.raises(ConfigError, match="n >= 0"):
+            model.rho(n)
+
+
 def test_rho_longrange_dominates_random_search(longrange, rng):
     # random pairs agreeing on [0, n] must not beat the closed-form upper bound
     for n in (0, 1, 3):

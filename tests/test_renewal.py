@@ -277,7 +277,7 @@ def test_bound_sweep_pipeline_decreasing(longrange):
 
     prof = variation_profile(longrange, 40)
     sched = constant_schedule(1)
-    ubs = [block_tv_bounds(prof, sched, n) for n in range(1, 14)]
+    ubs = block_tv_bounds(prof, sched, 13)
     db = dbar(ubs[:-1], ubs[-1])
     sweep = disagreement_bound_sweep(db, (1,) * 13, range(1, 13))
     values = [v for _, v in sweep]
