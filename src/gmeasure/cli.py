@@ -270,7 +270,7 @@ def _run_renewal(a: argparse.Namespace) -> dict[str, Iterable[bytes]]:
     d, b, K = a.d, a.b, a.K
     if len(d) != K or len(b) != K + 1:
         raise ConfigError(f"--K {K} takes exactly {K} --d and {K + 1} --b values")
-    ab = build_alphabeta(RenewalSpec(tuple(d), tuple(b), K))
+    ab = build_alphabeta(RenewalSpec(d, b, K))
     n_max = 50 * ab.boundaries[-1] if a.n_max is None else a.n_max
     work = (n_max + 1) * (K + 1)  # tap reads of renewal_solve
     check_budget(work, f"renewal work (n_max + 1)(K + 1) = {work} tap reads")
@@ -283,7 +283,7 @@ def _run_renewal(a: argparse.Namespace) -> dict[str, Iterable[bytes]]:
         "renewal_limit.csv": _csv(
             ["limit: renewal-theorem limit of u along the boundary lattice, per truncation K"],
             ["K", "limit"],
-            zip(*disagreement_bound_sweep(tuple(d), tuple(b), range(1, K + 1))),
+            [range(1, K + 1), disagreement_bound_sweep(d, b, range(1, K + 1))[:, 1]],
         ),
     }
 
@@ -317,25 +317,24 @@ def _run_pipeline(a: argparse.Namespace) -> dict[str, Iterable[bytes]]:
     Carlo comparison."""
     schedule = _parse_schedule(a.schedule)
     K_max = a.K_max
-    # the work is the K sweep's K_max steps plus the profile's B_{K_max+2}
-    # sites.  B_n >= n bounds it below before any partial sum is taken; the
-    # partial sums are then checked at doubling n, so an over-budget
-    # geometric schedule is refused before B_n leaves float range
-    work = f"K_max + B_(K_max+2) for K_max = {K_max}"
-    check_budget(2 * K_max + 2, work)
+    # the work is the K sweep's K_max steps plus the profile's B_{K_max+1}
+    # sites, the ones the bounds on blocks 1..K_max+1 read.  B_n >= n bounds
+    # it below before any partial sum is taken; the partial sums are then
+    # checked at doubling n, so an over-budget geometric schedule is refused
+    # before B_n leaves float range
+    work = f"K_max + B_(K_max+1) for K_max = {K_max}"
+    check_budget(2 * K_max + 1, work)
     n = 1
-    while n < K_max + 2:
-        n = min(2 * n, K_max + 2)
+    while n < K_max + 1:
+        n = min(2 * n, K_max + 1)
         check_budget(K_max + schedule.B(n), work)
     check_mc_budget(a.depth, a.trajectories)
     model = load_model(a.model)
-    profile = variation_profile(model, schedule.B(K_max + 2))
+    profile = variation_profile(model, schedule.B(K_max + 1) - 1)
     bounds = block_tv_bounds(profile, schedule, K_max + 1)
     dbar_seq = dbar(bounds[:-1], bounds[-1])
-    sweep = disagreement_bound_sweep(
-        dbar_seq, np.diff([schedule.B(n) for n in range(K_max + 2)]), range(1, K_max + 1)
-    )
-    ratio_bounds = np.array([r for _, r in sweep])
+    lengths = np.diff([schedule.B(n) for n in range(K_max + 2)])
+    ratio_bounds = disagreement_bound_sweep(dbar_seq, lengths, range(1, K_max + 1))[:, 1]
     best_K = int(np.argmin(ratio_bounds)) + 1
     best = float(ratio_bounds[best_K - 1])
     summary = _disagreement(a, model, schedule)
@@ -380,12 +379,11 @@ def _run_selftest(a: argparse.Namespace) -> dict[str, Iterable[bytes]]:
         K = int(rng.integers(1, 4))
         d = tuple(sorted(rng.uniform(0.05, 0.95, K), reverse=True))
         b = tuple(int(v) for v in rng.integers(1, 5, K + 1))
-        spec = RenewalSpec(d, b, K)
-        ab = build_alphabeta(spec)
-        ok &= abs(sum(ab.alpha.values()) - 1.0) < 1e-12
-        ratio = disagreement_bound_sweep(d, b, [K])[0][1]
+        ab = build_alphabeta(RenewalSpec(d, b, K))
+        ok &= abs(ab.masses.sum() - 1.0) < 1e-12
+        ratio = disagreement_bound_sweep(d, b, [K])[0, 1]
         # the renewal limit as mean boundary-layer mass over mean cycle length
-        mean_cycle = sum(i * a for i, a in ab.alpha.items())
+        mean_cycle = ab.boundaries @ ab.masses
         ok &= abs(ratio - float(ab.beta.sum()) / mean_cycle) < 1e-12
     checks.append(("renewal limit matches closed-form ratio", ok))
 

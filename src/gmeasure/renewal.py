@@ -16,103 +16,110 @@ is the probability that the first disagreeing block ends after k blocks)
 and beta is piecewise constant between boundaries.  By the renewal theorem
 u converges along the boundary lattice to sum_n beta_n / sum_n n*alpha_n,
 the asymptotic upper bound R_K for the coupling's per-coordinate
-disagreement probability.  ``disagreement_bound_sweep`` evaluates R_K in
-closed form for every K in one pass over k; the renewal-theorem route
-that it replaced is an oracle in ``tests/oracles.py``.
+disagreement probability.  Both alpha and the closed-form R_K of
+``disagreement_bound_sweep`` are built on the chain's survival product
+S_k = prod_{j<k} (1 - d_j), computed once per call by ``_survival``.
 
 Note the summation in the recursion runs up to i = n (the i = n term pairs
 alpha_n with u_0); direct enumeration of the chain confirms this indexing,
 e.g. d_1 = 1, b = (1, 1) forces u_n = 1 for every n.
-
-``renewal_solve`` uses numpy only: fixed-length chunks, each a few slice
-additions for the boundary lags that reach back before the chunk and one
-convolution with the truncated series 1 / (1 - alpha(z)).
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
-from .errors import ConfigError, check_budget
+from .errors import BudgetError, ConfigError, check_budget
 
-__all__ = [
-    "RenewalSpec",
-    "AlphaBeta",
-    "build_alphabeta",
-    "renewal_solve",
-    "disagreement_bound_sweep",
-]
+__all__ = ["RenewalSpec", "AlphaBeta", "build_alphabeta", "renewal_solve",
+           "disagreement_bound_sweep"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RenewalSpec:
-    """Truncated chain data: d_1..d_K (non-increasing), b_1..b_{K+1}."""
+    """Truncated chain data: d_1..d_K (non-increasing) as a float64 array
+    and b_1..b_{K+1} as an int64 array; longer inputs are cut to these
+    lengths.  A B_{K+1} of 2^62 or more, past what int64 safely holds,
+    raises BudgetError like any other oversized run."""
 
-    d: tuple[float, ...]
-    b: tuple[int, ...]
+    d: np.ndarray
+    b: np.ndarray
     K: int
 
     def __post_init__(self):
-        if self.K < 1:
+        K = self.K
+        if K < 1:
             raise ConfigError("truncation level K must be >= 1")
-        if len(self.d) < self.K:
-            raise ConfigError(f"need at least K={self.K} disagreement bounds")
-        if len(self.b) < self.K + 1:
-            raise ConfigError(f"need at least K+1={self.K + 1} block lengths")
-        if any(not 0.0 <= v <= 1.0 for v in self.d):
+        if len(self.d) < K or len(self.b) < K + 1:
+            raise ConfigError(f"need at least K={K} disagreement bounds and K+1 block lengths")
+        d = np.array(self.d[:K], dtype=np.float64)
+        # each check is written as "not all allowed", so that NaN fails it
+        if not ((d >= 0.0) & (d <= 1.0)).all():
             raise ConfigError("d values must lie in [0, 1]")
-        if any(self.d[i] < self.d[i + 1] - 1e-12 for i in range(self.K - 1)):
+        if not (np.diff(d) <= 0.0).all():
             raise ConfigError("d values must be non-increasing")
-        if any(not v >= 1 or v % 1 for v in self.b):  # NaN and inf fail too
+        lengths = np.asarray(self.b[: K + 1], dtype=np.float64)
+        if not (np.isfinite(lengths).all() and (lengths >= 1).all() and (lengths % 1 == 0).all()):
             raise ConfigError("block lengths must be positive integers")
+        if lengths.sum() >= 2.0**62:
+            raise BudgetError(f"boundary B_{K + 1} = {lengths.sum():.6g} is beyond the int64 range")
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "b", np.array(self.b[: K + 1], dtype=np.int64))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AlphaBeta:
     """Renewal data: alpha on the boundaries B_1..B_{K+1}, beta below B_{K+1}.
 
-    ``alpha`` maps each boundary to its mass (zero entries are kept so the
-    structural support is explicit); ``beta[n]`` covers 0 <= n < B_{K+1} and
-    is zero beyond.  ``period`` is the gcd of the boundary set, the largest
-    m with every boundary in m*N; it divides every index carrying alpha mass.
+    ``masses[k]`` is alpha's mass at ``boundaries[k]`` (zero masses are kept
+    so the structural support is explicit); ``beta[n]`` covers
+    0 <= n < B_{K+1} and is zero beyond.  ``period`` is the gcd of the
+    boundary set, the largest m with every boundary in m*N; it divides
+    every index carrying alpha mass.
     """
 
-    alpha: dict[int, float]
+    masses: np.ndarray
     beta: np.ndarray
     period: int
-    boundaries: tuple[int, ...]
+    boundaries: np.ndarray
+
+
+def _survival(d: np.ndarray) -> np.ndarray:
+    """S_0..S_K, S_k = prod_{j<k} (1 - d_j), multiplied in order from S_0 = 1."""
+    return np.cumprod(np.concatenate(([1.0], 1.0 - d)))
 
 
 def build_alphabeta(spec: RenewalSpec) -> AlphaBeta:
     """First-disagreement law alpha and boundary-layer term beta.
 
-    alpha_{B_k} = d_k * prod_{j<k} (1 - d_j) for k <= K, and the leftover
-    prod_{j<=K} (1 - d_j) sits at B_{K+1}; the masses telescope to 1.
-    beta_n repeats the alpha value of the block containing n.  Block lengths
-    are at least 1, so the boundaries are distinct.  beta holds B_{K+1}
-    floats, so B_{K+1} is checked against the budget before it is built.
+    alpha_{B_k} = d_k * S_k for k <= K, and the leftover S_{K+1} sits at
+    B_{K+1}; beta_n repeats the alpha value of the block containing n.
+    Block lengths are at least 1, so the boundaries are distinct.  beta
+    holds B_{K+1} floats, so B_{K+1} is checked against the budget first.
+
+    The masses telescope to 1; their float sum is checked against the
+    rounding of that telescoping.  Each operation errs by a factor
+    (1 + delta), |delta| <= eps/2 with eps = 2^-52, and each computed S_k
+    lies in [0, 1].  Step k computes m_k = d_k S_k (1 + delta_1) and
+    S_{k+1} = S_k (1 - d_k)(1 + delta_2)(1 + delta_3), so
+    |m_k + S_{k+1} - S_k| <= S_k (eps + eps^2/4), and the exact sum of the
+    computed masses, 1 + sum_{k<=K} (m_k + S_{k+1} - S_k), is within
+    K (eps + eps^2/4) of 1.  Adding the K + 1 non-negative masses errs by
+    at most K (eps/2)(1 + K eps) times their sum.  For K eps <= 1/4 the
+    total is below 3 K eps, inside the bound 4 (K + 1) eps checked.
     """
-    lengths = [int(v) for v in spec.b[: spec.K + 1]]
-    boundaries = tuple(itertools.accumulate(lengths))
-    check_budget(boundaries[-1], f"boundary layer of B_{spec.K + 1} = {boundaries[-1]} entries")
-    masses = []
-    survive = 1.0
-    for d in spec.d[: spec.K]:
-        masses.append(d * survive)
-        survive *= 1.0 - d
-    masses.append(survive)
-    alpha = dict(zip(boundaries, masses))
-    beta = np.repeat(masses, lengths)
-    total = sum(alpha.values())
-    if abs(total - 1.0) > 1e-12:
+    K = spec.K
+    boundaries = np.cumsum(spec.b)
+    check_budget(int(boundaries[-1]), f"boundary layer of B_{K + 1} = {boundaries[-1]} entries")
+    masses = _survival(spec.d)
+    masses[:K] *= spec.d
+    total = float(masses.sum())
+    if abs(total - 1.0) > 4 * (K + 1) * 2.0**-52:
         raise ConfigError(f"alpha masses sum to {total!r}, not 1")
-    m = reduce(math.gcd, boundaries)
-    return AlphaBeta(alpha, beta, m, boundaries)
+    beta = np.repeat(masses, spec.b)
+    return AlphaBeta(masses, beta, int(np.gcd.reduce(boundaries)), boundaries)
 
 
 def renewal_solve(ab: AlphaBeta, n_max: int) -> np.ndarray:
@@ -132,7 +139,8 @@ def renewal_solve(ab: AlphaBeta, n_max: int) -> np.ndarray:
     """
     if n_max < 0:
         raise ConfigError("n_max must be >= 0")
-    taps = [(i, a) for i, a in ab.alpha.items() if a != 0.0]
+    carried = ab.masses != 0.0
+    taps = list(zip(ab.boundaries[carried].tolist(), ab.masses[carried].tolist()))
     u = np.zeros(n_max + 1)
     m = min(n_max + 1, len(ab.beta))
     u[:m] = ab.beta[:m]
@@ -187,7 +195,7 @@ def _convolve_head(x: np.ndarray, h: np.ndarray) -> None:
         x[lo:] = np.fft.irfft(np.fft.rfft(x[lo:hi], size) * np.fft.rfft(h[:n], size), size)[:n]
 
 
-def disagreement_bound_sweep(dbar_seq, b_seq, K_sweep) -> list[tuple[int, float]]:
+def disagreement_bound_sweep(dbar_seq, b_seq, K_sweep) -> np.ndarray:
     """Asymptotic disagreement bound R_K for each truncation level K:
 
         R_K = [ sum_{k<=K} b_k d_k S_k + b_{K+1} S_{K+1} ]
@@ -195,26 +203,19 @@ def disagreement_bound_sweep(dbar_seq, b_seq, K_sweep) -> list[tuple[int, float]
 
     the renewal-theorem limit of the chain built from the first K entries
     of ``dbar_seq`` and K+1 entries of ``b_seq``.  The inputs are validated
-    once, as a ``RenewalSpec`` at the largest K; one pass over k then
-    carries S_k and the two partial sums and emits R_K at every K, so a
-    sweep to K_max costs O(K_max).  The full sweep is reported so the
-    caller can take the minimum over K.
+    once, as a ``RenewalSpec`` at the largest K; both partial sums are then
+    one cumulative sum over k, so a sweep to K_max costs O(K_max).  Returns
+    the rows (K, R_K) in the order of ``K_sweep``, as a float64 array of
+    shape (len(K_sweep), 2), so the caller can take the minimum over K.
     """
-    K_sweep = list(K_sweep)
-    if not K_sweep:
-        return []
-    if min(K_sweep) < 1:
+    Ks = np.fromiter(K_sweep, dtype=np.int64)
+    if not Ks.size:
+        return np.empty((0, 2))
+    if Ks.min() < 1:
         raise ConfigError("truncation level K must be >= 1")
-    K_max = max(K_sweep)
-    d = tuple(float(v) for v in dbar_seq[:K_max])
-    spec = RenewalSpec(d, tuple(b_seq[: K_max + 1]), K_max)
-    b = [int(v) for v in spec.b]
-    ratios = []
-    survive, num, den = 1.0, 0.0, 0.0
-    for k, d_k in enumerate(d):
-        num += b[k] * d_k * survive
-        den += b[k] * survive
-        survive *= 1.0 - d_k
-        tail = b[k + 1] * survive
-        ratios.append((num + tail) / (den + tail))
-    return [(K, ratios[K - 1]) for K in K_sweep]
+    spec = RenewalSpec(dbar_seq, b_seq, int(Ks.max()))
+    b, S = spec.b, _survival(spec.d)
+    tail = b[1:] * S[1:]
+    # the numerator's terms are (b_k d_k) S_k, as the chain's recursion rounds them
+    R = (np.cumsum(b[:-1] * spec.d * S[:-1]) + tail) / (np.cumsum(b[:-1] * S[:-1]) + tail)
+    return np.column_stack((Ks, R[Ks - 1]))

@@ -16,7 +16,8 @@ oracle formats cell by cell.
 The scalar per-n and per-block routes of the pipeline's bound path are
 references for its array code: ``rho_scalar`` and ``profile_scalar``
 evaluate one n at a time with Python floats, and ``block_bound_scalar``
-multiplies one site's Hellinger floor at a time.
+multiplies one site's Hellinger floor at a time.  ``alpha_beta_scalar``
+builds the renewal law's masses and beta one block at a time.
 
 Four helpers that no run of the library needs live here too: ``decode``,
 the inverse of ``gmodel.encode``; ``OneMinusPower``, a sequence tending to 1
@@ -148,7 +149,7 @@ def chain_disagreement(spec: RenewalSpec, n_max: int) -> np.ndarray:
     coordinates each block covers.  Interval mass is added through a
     difference array so the cost is O(n_max * K).
     """
-    K, d, b = spec.K, spec.d, spec.b
+    K, d, b = spec.K, spec.d.tolist(), spec.b.tolist()
     diff = np.zeros(n_max + 2)
     # states[cover] maps run -> probability of reaching that state
     states: dict[int, dict[int, float]] = {0: {0: 1.0}}
@@ -185,7 +186,7 @@ def renewal_lfilter(ab, n_max: int) -> np.ndarray:
     beta[:m] = ab.beta[:m]
     den = np.zeros(ab.boundaries[-1] + 1)
     den[0] = 1.0
-    for i, a in ab.alpha.items():
+    for i, a in zip(ab.boundaries.tolist(), ab.masses.tolist()):
         den[i] -= a
     return lfilter([1.0], den, beta)
 
@@ -196,7 +197,7 @@ def effective_lattice(ab) -> int:
     When some d_k vanish this can be coarser than ``AlphaBeta.period``; the
     renewal sequence then converges only along multiples of this lattice.
     """
-    support = [i for i, a in ab.alpha.items() if a > 0.0]
+    support = [i for i, a in zip(ab.boundaries.tolist(), ab.masses.tolist()) if a > 0.0]
     return reduce(math.gcd, support)
 
 
@@ -214,7 +215,7 @@ def renewal_limit(ab, lattice: int | None = None) -> float:
         raise ConfigError("lattice must be >= 1")
     num = float(ab.beta[::m].sum())
     den = 0.0
-    for i, a in ab.alpha.items():
+    for i, a in zip(ab.boundaries.tolist(), ab.masses.tolist()):
         if a == 0.0:
             continue
         if i % m:
@@ -225,6 +226,21 @@ def renewal_limit(ab, lattice: int | None = None) -> float:
     if den <= 0.0:
         raise ConfigError("degenerate renewal: mean inter-arrival time is zero")
     return num / den
+
+
+def alpha_beta_scalar(spec: RenewalSpec) -> tuple[list[float], list[float]]:
+    """alpha's masses and beta, one block at a time: the mass of block k
+    is d_k times the survival carried so far, the survival then takes the
+    factor 1 - d_k, and the leftover survival is the mass of block K+1;
+    beta repeats each mass b_k times."""
+    masses = []
+    survive = 1.0
+    for d in spec.d.tolist():
+        masses.append(d * survive)
+        survive *= 1.0 - d
+    masses.append(survive)
+    beta = [m for m, length in zip(masses, spec.b.tolist()) for _ in range(length)]
+    return masses, beta
 
 
 def closed_form_ratio(dbar_seq, b_seq, K_sweep) -> list[tuple[int, float]]:

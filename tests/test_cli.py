@@ -337,10 +337,10 @@ def test_pinned_pipeline_bound_paths_equal_the_scalar_routes(run, tmp_path):
     option = {argv[i]: argv[i + 1] for i in range(1, len(argv) - 1, 2)}
     model = load_model(option["--model"].format(**write_models(tmp_path)))
     schedule, K_max = cli._parse_schedule(option["--schedule"]), int(option["--K-max"])
-    horizon, read = schedule.B(K_max + 2), schedule.B(K_max + 1)
+    horizon = schedule.B(K_max + 1) - 1
     profile = variation_profile(model, horizon)
     values = profile_scalar(model, horizon)
-    assert profile.values[:read].tolist() == values[:read].tolist()
+    assert profile.values.tolist() == values.tolist()
     bounds = block_tv_bounds(profile, schedule, K_max + 1)
     scalar = [block_bound_scalar(VariationProfile(values, profile.tail), schedule, n)
               for n in range(1, K_max + 2)]
@@ -348,8 +348,8 @@ def test_pinned_pipeline_bound_paths_equal_the_scalar_routes(run, tmp_path):
     dbar_seq = dbar(bounds[:-1], bounds[-1])
     assert dbar_seq.tolist() == suffix_max(scalar[:-1], scalar[-1])
     lengths = [schedule.b(n) for n in range(1, K_max + 2)]
-    assert (disagreement_bound_sweep(dbar_seq, lengths, range(1, K_max + 1))
-            == closed_form_ratio(dbar_seq.tolist(), lengths, range(1, K_max + 1)))
+    assert np.array_equal(disagreement_bound_sweep(dbar_seq, lengths, range(1, K_max + 1)),
+                          closed_form_ratio(dbar_seq.tolist(), lengths, range(1, K_max + 1)))
 
 
 # the digests of the files that move when trajectory i reads the uniforms of
@@ -562,7 +562,7 @@ def test_renewal_row_budget_is_checked_first(argv, monkeypatch, tmp_path, capsys
     # n_max + 1 = 2^22 + 1 rows
     (["transfer", "--model", "{mem1}", "--n-max", "4194304"],
      ("load_model", "uniqueness_diagnostic")),
-    # K_max + B_(K_max+2) = 6 000 002 on const:1
+    # K_max + B_(K_max+1) = 6 000 001 on const:1
     (["pipeline", "--model", "{exponential}", "--seed", "1", "--K-max", "3000000"],
      ("load_model", "variation_profile")),
     # B_n passes DEFAULT_BUDGET near n = 38; B_2002 would leave float range
@@ -629,7 +629,7 @@ def test_pipeline_subcommand(longrange_file, tmp_path):
 
 def test_pipeline_sweep_is_linear_in_K_max(longrange_file, tmp_path):
     # 2100 truncation levels: past the quadratic sweep's budget, well inside
-    # K_max + B_(K_max+2)
+    # K_max + B_(K_max+1)
     out = tmp_path / "pipe"
     rc = main(["pipeline", "--model", str(longrange_file), "--schedule", "const:1",
                "--K-max", "2100", "--depth", "4", "--trajectories", "5", "--seed", "1",
@@ -639,6 +639,31 @@ def test_pipeline_sweep_is_linear_in_K_max(longrange_file, tmp_path):
     assert [int(row[0]) for row in rows] == list(range(1, 2101))
     # the summary holds the best row only, whatever K_max
     assert (out / "pipeline_summary.json").stat().st_size < 200
+
+
+def test_pipeline_profile_stops_at_the_sites_the_bounds_read(tmp_path):
+    # K_max + B_(K_max+1) = 20 + 2^21 fits the budget; counting the unread
+    # block 22 as well (20 + 2^22) did not
+    out = tmp_path / "pipe"
+    paths = write_models(tmp_path)
+    rc = main(["pipeline", "--model", str(paths["exponential"]), "--schedule", "geom:l=2",
+               "--K-max", "20", "--depth", "8", "--trajectories", "5", "--seed", "1",
+               "--out", str(out)])
+    assert rc == 0
+    header, rows = read_csv_rows(out / "pipeline_bounds.csv")
+    assert [row[0] for row in rows] == [str(K) for K in range(1, 21)]
+
+
+def test_renewal_runs_at_large_K(tmp_path):
+    # 50 001 alpha masses whose float sum is 1 + 1.8e-12: within the
+    # rounding bound 4 (K + 1) 2^-52 of the telescoping sum
+    K = 50_000
+    out = tmp_path / "ren"
+    rc = main(["renewal", "--d", ",".join(["1e-05"] * K), "--b", ",".join(["1"] * (K + 1)),
+               "--K", str(K), "--n-max", "10", "--out", str(out)])
+    assert rc == 0
+    header, rows = read_csv_rows(out / "renewal_limit.csv")
+    assert len(rows) == K and rows[-1][0] == str(K)
 
 
 def test_selftest_subcommand(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import itertools
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from gmeasure import (
 from gmeasure import renewal
 from gmeasure.criteria import coupling_bound_ratio, geometric_blocks
 from oracles import (
+    alpha_beta_scalar,
     chain_disagreement,
     closed_form_ratio,
     effective_lattice,
@@ -40,14 +42,13 @@ def test_spec_validation():
 
 def test_build_forced_disagreement():
     ab = build_alphabeta(RenewalSpec((1.0,), (1, 1), 1))
-    assert ab.alpha == {1: 1.0, 2: 0.0}
+    assert ab.boundaries.tolist() == [1, 2] and ab.masses.tolist() == [1.0, 0.0]
     assert ab.beta.tolist() == [1.0, 0.0]
 
 
 def test_build_zero_disagreement():
     ab = build_alphabeta(RenewalSpec((0.0, 0.0), (1, 2, 2), 2))
-    assert ab.alpha[5] == 1.0
-    assert all(ab.alpha[b] == 0.0 for b in (1, 3))
+    assert ab.boundaries.tolist() == [1, 3, 5] and ab.masses.tolist() == [0.0, 0.0, 1.0]
     # beta is 1 exactly on [B_K, B_{K+1})
     assert ab.beta.tolist() == [0.0, 0.0, 0.0, 1.0, 1.0]
 
@@ -62,17 +63,50 @@ def test_alpha_telescopes_to_one(K, seed):
     d = tuple(sorted(rng.uniform(0, 1, K), reverse=True))
     b = tuple(int(v) for v in rng.integers(1, 8, K + 1))
     ab = build_alphabeta(RenewalSpec(d, b, K))
-    assert abs(sum(ab.alpha.values()) - 1.0) < 1e-12
+    assert abs(ab.masses.sum() - 1.0) < 1e-12
+
+
+# d values that mix exact 0s and 1s with interior ones; sorted, they are a
+# non-increasing d_1..d_K
+_d_values = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
+# K d values and K + 1 block lengths, K from 1 to 12
+_d_and_b = st.integers(min_value=1, max_value=12).flatmap(lambda K: st.tuples(
+    st.lists(_d_values, min_size=K, max_size=K),
+    st.lists(st.integers(min_value=1, max_value=6), min_size=K + 1, max_size=K + 1),
+))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_d_and_b)
+def test_alpha_beta_match_the_scalar_loop(d_and_b):
+    # one survival product against the mass loop, bit for bit
+    d, b = d_and_b
+    spec = RenewalSpec(sorted(d, reverse=True), b, len(d))
+    ab = build_alphabeta(spec)
+    masses, beta = alpha_beta_scalar(spec)
+    assert ab.masses.tobytes() == np.array(masses).tobytes()
+    assert ab.beta.tobytes() == np.array(beta).tobytes()
+    assert ab.boundaries.tolist() == list(itertools.accumulate(b))
+
+
+@pytest.mark.parametrize("K", [20_000, 50_000, 100_000])
+def test_alpha_sum_check_scales_with_K(K):
+    # the float sum of K + 1 masses drifts from 1 by rounding that grows
+    # with K: 1.8e-12 at K = 50 000, past a fixed 1e-12 tolerance
+    spec = RenewalSpec((1e-5,) * K, (1,) * (K + 1), K)
+    ab = build_alphabeta(spec)
+    assert abs(ab.masses.sum() - 1.0) <= 4 * (K + 1) * 2.0**-52
+    assert ab.masses.tolist() == alpha_beta_scalar(spec)[0]
 
 
 def test_period_examples():
     ab = build_alphabeta(RenewalSpec((0.5, 0.25), (2, 2, 2), 2))
-    assert ab.boundaries == (2, 4, 6)
+    assert ab.boundaries.tolist() == [2, 4, 6]
     assert ab.period == 2
     ab = build_alphabeta(RenewalSpec((0.5,), (1, 5), 1))
     assert ab.period == 1
     ab = build_alphabeta(RenewalSpec((0.5, 0.25), (3, 3, 3), 2))
-    assert ab.boundaries == (3, 6, 9)
+    assert ab.boundaries.tolist() == [3, 6, 9]
     assert ab.period == 3
 
 
@@ -284,16 +318,8 @@ def test_bound_sweep_pipeline_decreasing(longrange):
     assert all(values[i + 1] <= values[i] + 1e-12 for i in range(len(values) - 1))
 
 
-# d values that mix exact 0s and 1s with interior ones; sorted, they are a
-# non-increasing d_1..d_K
-_d_values = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
-
-
 @settings(max_examples=300, deadline=None)
-@given(st.integers(min_value=1, max_value=12).flatmap(lambda K: st.tuples(
-    st.lists(_d_values, min_size=K, max_size=K),
-    st.lists(st.integers(min_value=1, max_value=6), min_size=K + 1, max_size=K + 1),
-)))
+@given(_d_and_b)
 def test_bound_sweep_matches_oracles(d_and_b):
     # one pass over k against the renewal-theorem limit of each K's chain
     # and, bit for bit, against the closed form summed afresh at every K
@@ -302,16 +328,32 @@ def test_bound_sweep_matches_oracles(d_and_b):
     K_max = len(d)
     sweep = disagreement_bound_sweep(d, b, range(1, K_max + 1))
     assert [K for K, _ in sweep] == list(range(1, K_max + 1))
-    for K, value in sweep:
+    for K, value in zip(range(1, K_max + 1), sweep[:, 1]):
         ab = build_alphabeta(RenewalSpec(d[:K], b[: K + 1], K))
         assert abs(value - renewal_limit(ab)) <= 1e-12
-    assert sweep == closed_form_ratio(d, b, range(1, K_max + 1))
+    assert np.array_equal(sweep, closed_form_ratio(d, b, range(1, K_max + 1)))
+
+
+def test_bound_sweep_memory_is_a_few_arrays():
+    # K = 200 000: the inputs, the survival product, the partial sums and
+    # the (K, R_K) rows, each a few MB
+    K = 200_000
+    d, b = np.linspace(0.5, 0.0, K), np.ones(K + 1, dtype=np.int64)
+    tracemalloc.start()
+    try:
+        sweep = disagreement_bound_sweep(d, b, range(1, K + 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sweep.shape == (K, 2) and sweep.dtype == np.float64
+    assert peak < 20_000_000, peak
 
 
 def test_bound_sweep_keeps_the_requested_order():
     d, b = (0.5, 0.4, 0.3, 0.2), (1, 2, 3, 4, 5)
-    assert disagreement_bound_sweep(d, b, [3, 1, 3]) == closed_form_ratio(d, b, [3, 1, 3])
-    assert disagreement_bound_sweep(d, b, []) == []
+    assert np.array_equal(disagreement_bound_sweep(d, b, [3, 1, 3]),
+                          closed_form_ratio(d, b, [3, 1, 3]))
+    assert disagreement_bound_sweep(d, b, []).shape == (0, 2)
 
 
 @pytest.mark.parametrize("d, b, K_sweep", [
@@ -319,11 +361,12 @@ def test_bound_sweep_keeps_the_requested_order():
     ((float("nan"),), (1, 1), [1]),    # gave NaN
     ((-0.2,), (1, 1), [1]),            # gave 0.4545
     ((0.25, 0.5), (1, 1, 1), [2]),     # increasing d
+    ((0.5, 0.5 + 1e-13), (1, 1, 1), [2]),  # increasing d, by less than the old slack
     ((0.5,), (1.5, 1), [1]),           # a non-integer block length
     ((0.5,), (1, float("inf")), [1]),  # an infinite block length
     ((0.5, 0.5), (1, 1, 1), [0, 2]),   # K = 0
-], ids=["d above 1", "d nan", "d negative", "d increasing", "b fractional", "b infinite",
-        "K zero"])
+], ids=["d above 1", "d nan", "d negative", "d increasing", "d increasing by 1e-13",
+        "b fractional", "b infinite", "K zero"])
 def test_bound_sweep_rejects_invalid_input(d, b, K_sweep):
     # the closed-form name is the same validated pass
     for sweep in (disagreement_bound_sweep, coupling_bound_ratio):
