@@ -42,6 +42,7 @@ from .coupling import (
     dbar,
     dn_bruteforce,
     estimate_disagreement,
+    geometric_blocks,
     maximal_coupling,
     sample_block_coupling,
 )
@@ -63,7 +64,6 @@ from .criteria import (
     check_single_site_series,
     check_square_summable_variation,
     check_variation_o_sqrt,
-    geometric_blocks,
     hellinger_floor,
     tv_bound_from_site_ratios,
 )

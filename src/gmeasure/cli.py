@@ -42,6 +42,7 @@ from .coupling import (
     dbar,
     dn_bruteforce,
     estimate_disagreement,
+    geometric_blocks,
     maximal_coupling,
 )
 from .criteria import (
@@ -52,9 +53,8 @@ from .criteria import (
     check_rho_product_series,
     check_square_summable_variation,
     check_variation_o_sqrt,
-    geometric_blocks,
 )
-from .errors import BudgetError, ConfigError, GMeasureError, check_budget
+from .errors import DEFAULT_BUDGET, BudgetError, ConfigError, GMeasureError, check_budget
 from .gmodel import binary_alphabet, iid_model, load_model, variation_profile
 from .renewal import RenewalSpec, build_alphabeta, disagreement_bound_sweep, renewal_solve
 from .tails import Exponential, FiniteRange, PowerLaw
@@ -317,23 +317,17 @@ def _run_pipeline(a: argparse.Namespace) -> dict[str, Iterable[bytes]]:
     Carlo comparison."""
     schedule = _parse_schedule(a.schedule)
     K_max = a.K_max
-    # the work is the K sweep's K_max steps plus the profile's B_{K_max+1}
-    # sites, the ones the bounds on blocks 1..K_max+1 read.  B_n >= n bounds
-    # it below before any partial sum is taken; the partial sums are then
-    # checked at doubling n, so an over-budget geometric schedule is refused
-    # before B_n leaves float range
-    work = f"K_max + B_(K_max+1) for K_max = {K_max}"
-    check_budget(2 * K_max + 1, work)
-    n = 1
-    while n < K_max + 1:
-        n = min(2 * n, K_max + 1)
-        check_budget(K_max + schedule.B(n), work)
+    # the work is the sweep's K_max steps plus the B_(K_max+1) profile sites
+    # that the bounds on blocks 1..K_max+1 read; the sums stop at the first
+    # past the budget, so no B_n of an over-budget schedule leaves int64
+    lengths = np.diff(schedule.partial_sums(K_max + 1, past=DEFAULT_BUDGET - K_max))
+    sites = int(lengths.sum())  # B_(K_max+1), or an earlier sum past the budget
+    check_budget(K_max + sites, f"K_max + B_(K_max+1) for K_max = {K_max}")
     check_mc_budget(a.depth, a.trajectories)
     model = load_model(a.model)
-    profile = variation_profile(model, schedule.B(K_max + 1) - 1)
+    profile = variation_profile(model, sites - 1)
     bounds = block_tv_bounds(profile, schedule, K_max + 1)
     dbar_seq = dbar(bounds[:-1], bounds[-1])
-    lengths = np.diff([schedule.B(n) for n in range(K_max + 2)])
     ratio_bounds = disagreement_bound_sweep(dbar_seq, lengths, range(1, K_max + 1))[:, 1]
     best_K = int(np.argmin(ratio_bounds)) + 1
     best = float(ratio_bounds[best_K - 1])

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-import operator
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +55,7 @@ __all__ = [
     "TRUNC_TOL",
     "BlockSchedule",
     "constant_schedule",
+    "geometric_blocks",
     "BlockRecord",
     "BlockCouplingSample",
     "sample_block_coupling",
@@ -143,55 +144,87 @@ class BlockSchedule:
     """Block lengths b_1, b_2, ... through their partial sums B_0 = 0 and
     B_n = b_1 + ... + b_n; block n covers the coordinates [1 - B_n, -B_{n-1}].
 
-    ``BlockSchedule(lengths)`` takes an explicit list: B_n is its cumulative
-    sum, and an index past its end raises ConfigError, so a run never
-    silently reuses a length.  ``constant_schedule`` (B_n = b*n) and
-    ``criteria.geometric_blocks`` are closed forms defined for every n.
+    ``BlockSchedule(lengths)`` takes an explicit list, which ends the
+    schedule, so a run never silently reuses a length; ``constant_schedule``
+    and ``geometric_blocks`` are closed forms, which end before their first
+    sum of 2^63.  Each holds one picklable ``_sums(start, stop)``, which
+    gives B_start..B_(k-1) as int64 for a k in [start, stop], short of stop
+    only at the end.  ``partial_sums`` is the one route from it to callers.
     """
 
     def __init__(self, lengths):
-        lengths = tuple(int(b) for b in lengths)
-        if not lengths:
-            raise ConfigError("schedule needs at least one block length")
-        if any(b < 1 for b in lengths):
+        lengths = list(lengths)
+        # written as "not all allowed", so that NaN fails it
+        if not all(1 <= b < math.inf and b % 1 == 0 for b in lengths):
             raise ConfigError("block lengths must be positive integers")
-        sums = (0, *itertools.accumulate(lengths))
-        self._partial_sum = functools.partial(_explicit_partial_sum, sums)
+        sums = (0, *itertools.accumulate(int(b) for b in lengths))
+        if len(sums) == 1 or sums[-1] >= 2**63:
+            raise ConfigError("a schedule needs one or more block lengths, summing below 2^63")
+        self._sums = functools.partial(_explicit_sums, np.array(sums, dtype=np.int64))
 
-    @classmethod
-    def closed_form(cls, partial_sum) -> "BlockSchedule":
-        """Schedule from a strictly increasing map n -> B_n with B_0 = 0
-        (a module-level function or a partial of one keeps it picklable)."""
-        schedule = cls.__new__(cls)
-        schedule._partial_sum = partial_sum
-        return schedule
+    def partial_sums(self, n: int, past: float = math.inf) -> np.ndarray:
+        """B_0..B_m as one int64 array: through m = n, or through the first
+        m with B_m > ``past`` if that comes first.  The first window holds
+        B_1..B_15 and each later one doubles the indices covered, so at
+        most about twice the sums needed are computed."""
+        chunks, size = [np.zeros(1, dtype=np.int64)], 1
+        while size <= n and chunks[-1][-1] <= past:
+            chunks.append(self._sums(size, min(max(2 * size, 16), n + 1)))
+            if not len(chunks[-1]):
+                raise ConfigError(f"partial sum B_{size} lies past the end of the schedule "
+                                  "(an explicit list's last length, or 2^63)")
+            size += len(chunks[-1])
+        sums = np.concatenate(chunks)
+        # the last window may run on past the first sum beyond the bound
+        return sums[: np.searchsorted(sums, past, side="right") + 1] if sums[-1] > past else sums
 
     def b(self, n: int) -> int:
-        """Length of the n-th block, n >= 1."""
-        if n < 1:
-            raise ConfigError("block index starts at 1")
+        """Length of the n-th block, n >= 1, as a Python int."""
         return self.B(n) - self.B(n - 1)
 
     def B(self, n: int) -> int:
-        """Partial sum b_1 + ... + b_n, with B(0) = 0."""
+        """Partial sum b_1 + ... + b_n, with B(0) = 0, as a Python int."""
         if n < 0:
-            raise ConfigError("partial-sum index must be >= 0")
-        return self._partial_sum(n)
+            raise ConfigError("block and partial-sum indices start at 1 and 0")
+        return int(self.partial_sums(n)[-1])
 
 
-def _explicit_partial_sum(sums: tuple[int, ...], n: int) -> int:
-    if n >= len(sums):
-        raise ConfigError(
-            f"block {n} lies past the end of an explicit schedule of {len(sums) - 1} lengths"
-        )
-    return sums[n]
+def _explicit_sums(sums: np.ndarray, start: int, stop: int) -> np.ndarray:
+    return sums[start:stop]
 
 
 def constant_schedule(b: int = 1) -> BlockSchedule:
-    b = int(b)
-    if b < 1:
-        raise ConfigError("block lengths must be positive integers")
-    return BlockSchedule.closed_form(functools.partial(operator.mul, b))
+    """Every block of length b: B_n = b*n."""
+    schedule = BlockSchedule([b])  # checks b as an explicit list would
+    schedule._sums = functools.partial(_constant_sums, schedule.B(1))
+    return schedule
+
+
+def _constant_sums(b: int, start: int, stop: int) -> np.ndarray:
+    return np.arange(start, min(stop, (2**63 - 1) // b + 1), dtype=np.int64) * b
+
+
+def geometric_blocks(growth: float) -> BlockSchedule:
+    """Schedule with partial sums B_0 = 0 and B_n = ceil(growth**n / (growth - 1)),
+    so that b_n lies within 1 of growth**(n-1) for n >= 2.  A growth of 2^63
+    or more would end the schedule at B_1, so it raises ConfigError."""
+    if not 1 < growth < 2.0**63:
+        raise ConfigError("growth must lie strictly between 1 and 2^63")
+    schedule = BlockSchedule.__new__(BlockSchedule)
+    schedule._sums = functools.partial(_geometric_sums, growth)
+    return schedule
+
+
+def _geometric_sums(growth: float, start: int, stop: int) -> np.ndarray:
+    # index by index in Python floats: numpy's array ** may round otherwise
+    # (at growth 1.468689060639555 it gives B_68 one less than math.ceil).
+    # B_(start-1) < 2^63 and growth < 2^63 keep growth**start below 2^189
+    sums = []
+    for n in range(start, stop):
+        if (value := growth**n / (growth - 1.0)) >= 2.0**63:
+            break
+        sums.append(math.ceil(value))
+    return np.array(sums, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -272,20 +305,21 @@ def _max_uniforms(depth: int) -> int:
 def _reachable_lengths(schedule: BlockSchedule, depth: int) -> np.ndarray:
     """b_{k+1} for every run k a trajectory can reach.  A run of k agreeing
     blocks covers B_k sites, so b_{k+1} is asked for only while
-    B_k <= depth.  A negative depth, an explicit schedule too short for the
-    run, or a reachable block longer than ``BLOCK_CAP``, fails here, before
-    any sampling."""
+    B_k <= depth: the lengths are the steps of B_0..B_m, m the first index
+    with B_m > depth.  A negative depth, an explicit schedule too short for
+    the run, or a reachable block longer than ``BLOCK_CAP``, fails here,
+    before any sampling."""
     if depth < 0:
         raise ConfigError(f"depth must be >= 0, got {depth}")
-    lengths = []
-    while schedule.B(len(lengths)) <= depth:
-        lengths.append(schedule.b(len(lengths) + 1))
-        if lengths[-1] > BLOCK_CAP:
-            raise BudgetError(
-                f"run {len(lengths) - 1} reaches a block of length {lengths[-1]}; "
-                f"the sampler enumerates blocks of at most {BLOCK_CAP} sites"
-            )
-    return np.asarray(lengths)
+    # B_n >= n, so the first B_m > depth has m <= depth + 1
+    lengths = np.diff(schedule.partial_sums(depth + 1, past=depth))
+    if lengths.max() > BLOCK_CAP:
+        k = int(np.argmax(lengths > BLOCK_CAP))
+        raise BudgetError(
+            f"run {k} reaches a block of length {lengths[k]}; "
+            f"the sampler enumerates blocks of at most {BLOCK_CAP} sites"
+        )
+    return lengths
 
 
 _BLOCK_FIELDS = ("start", "length", "run_before", "agreed", "tv", "slack")

@@ -14,7 +14,6 @@ resulting upper bounds for the worst-case block total variation d_n.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -49,7 +48,6 @@ __all__ = [
     "affinity_product_floor",
     "certify_cubic_remainder",
     "block_tv_bounds",
-    "geometric_blocks",
     "coupling_bound_ratio",
 ]
 
@@ -303,33 +301,6 @@ def block_tv_bounds(vm, schedule: BlockSchedule, n: int) -> np.ndarray:
     """
     if n < 1:
         raise ConfigError("block index must be >= 1")
-    starts = [schedule.B(k) for k in range(n + 1)]
+    starts = schedule.partial_sums(n)
     rhos = np.exp(vm.var_at(np.arange(starts[-1])))
     return tv_bound_from_site_ratios(rhos, starts[:-1])
-
-
-# ---------------------------------------------------------------------------
-# block schedules with geometric growth
-
-
-def geometric_blocks(growth: float) -> BlockSchedule:
-    """Schedule with partial sums B_0 = 0 and B_n = ceil(growth**n / (growth - 1)).
-
-    The increments then satisfy floor(growth**(n-1)) <= b_n <=
-    ceil(growth**(n-1)) for n >= 2 (the gap between consecutive partial sums
-    is growth**(n-1) before rounding).
-    """
-    if not 1 < growth < math.inf:
-        raise ConfigError("growth must be a finite number above 1")
-    return BlockSchedule.closed_form(functools.partial(_geometric_partial_sum, growth))
-
-
-def _geometric_partial_sum(growth: float, n: int) -> int:
-    if n == 0:
-        return 0
-    try:
-        return math.ceil(growth**n / (growth - 1.0))
-    except OverflowError:
-        raise ConfigError(
-            f"partial sum B_{n} of the growth-{growth} schedule exceeds float range"
-        ) from None

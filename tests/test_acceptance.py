@@ -31,6 +31,7 @@ from gmeasure import (
     disagreement_bound_sweep,
     dn_bruteforce,
     estimate_disagreement,
+    geometric_blocks,
     maximal_coupling,
     renewal_solve,
     stationary,
@@ -46,7 +47,6 @@ from gmeasure.criteria import (
     check_square_summable_variation,
     check_variation_o_sqrt,
     coupling_bound_ratio,
-    geometric_blocks,
     hellinger_floor,
     tv_bound_from_site_ratios,
 )

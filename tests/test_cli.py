@@ -641,6 +641,37 @@ def test_pipeline_sweep_is_linear_in_K_max(longrange_file, tmp_path):
     assert (out / "pipeline_summary.json").stat().st_size < 200
 
 
+def test_pipeline_reads_the_schedule_as_arrays(longrange_file, tmp_path, monkeypatch):
+    # the budget check and the R_K lengths share one partial-sum array, the
+    # block bounds and the sampler read one each, in doubling windows; one
+    # evaluation per block would make over 200 000 calls here
+    calls = []
+    constant_sums = coupling._constant_sums
+
+    def counted(*args):
+        calls.append(args)
+        return constant_sums(*args)
+
+    monkeypatch.setattr(coupling, "_constant_sums", counted)
+    rc = main(["pipeline", "--model", str(longrange_file), "--schedule", "const:1",
+               "--K-max", "100000", "--depth", "4", "--trajectories", "5", "--seed", "1",
+               "--out", str(tmp_path / "pipe")])
+    assert rc == 0
+    assert 0 < len(calls) <= 64, len(calls)
+
+
+def test_sampler_computes_no_partial_sum_past_the_depth(longrange_file, tmp_path, capsys):
+    # geom:l=1.1 reaches a 13-site block at run 27, and B_8001 would leave
+    # float range: the run is refused for BLOCK_CAP (exit 3), not for a
+    # partial sum it never needs (exit 2)
+    rc = main(["couple", "--model", str(longrange_file), "--schedule", "geom:l=1.1",
+               "--depth", "8000", "--trajectories", "1", "--seed", "1",
+               "--out", str(tmp_path / "c")])
+    err = capsys.readouterr().err
+    assert rc == 3, err
+    assert "run 27 reaches a block of length 13" in err and "at most 12 sites" in err, err
+
+
 def test_pipeline_profile_stops_at_the_sites_the_bounds_read(tmp_path):
     # K_max + B_(K_max+1) = 20 + 2^21 fits the budget; counting the unread
     # block 22 as well (20 + 2^22) did not

@@ -1,8 +1,9 @@
+import math
 import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gmeasure import (
@@ -17,12 +18,12 @@ from gmeasure import (
     dbar,
     dn_bruteforce,
     estimate_disagreement,
+    geometric_blocks,
     maximal_coupling,
     sample_block_coupling,
 )
 from gmeasure import coupling
 from gmeasure.coupling import TruncationError, _block_laws
-from gmeasure.criteria import geometric_blocks
 from gmeasure.gmodel import all_words, context_state, encode
 from conftest import random_positive_table, use_spawned_stream
 from oracles import cylinder_interval, decode, total_variation
@@ -117,10 +118,20 @@ def test_schedule_partial_sums():
 
 
 def test_schedule_validation():
-    with pytest.raises(ConfigError):
-        BlockSchedule(())
-    with pytest.raises(ConfigError):
-        BlockSchedule((1, 0))
+    for make, length in [
+        (BlockSchedule, ()),
+        (BlockSchedule, (1, 0)),
+        (BlockSchedule, (1.5, 2.7)),  # never truncated to (1, 2)
+        (BlockSchedule, (1, math.nan)),
+        (BlockSchedule, (math.inf,)),
+        (BlockSchedule, (2**62, 2**62)),  # B_2 = 2^63
+        (constant_schedule, 1.5),  # never truncated to const:1
+        (constant_schedule, math.nan),
+        (constant_schedule, math.inf),
+        (constant_schedule, 0),
+    ]:
+        with pytest.raises(ConfigError):
+            make(length)
 
 
 def test_schedule_past_end_raises():
@@ -132,6 +143,97 @@ def test_schedule_past_end_raises():
         sched.B(3)
     assert constant_schedule(1).b(100) == 1  # closed forms cover every n
     assert constant_schedule(3).B(100) == 300
+
+
+def _schedule(kind, param):
+    return {"const": constant_schedule, "list": BlockSchedule, "geom": geometric_blocks}[kind](param)
+
+
+def _defining_sum(kind, param, n):
+    """B_n by its definition, in Python ints; None where the schedule has no
+    B_n: past an explicit list, or at 2^63 or more."""
+    if kind == "const":
+        value = param * n
+    elif kind == "list":
+        value = sum(param[:n]) if n <= len(param) else None
+    else:
+        try:
+            value = math.ceil(param**n / (param - 1)) if n else 0
+        except OverflowError:
+            value = None
+    return value if value is not None and value < 2**63 else None
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.one_of(
+        st.tuples(st.just("const"), st.integers(1, 64)),
+        st.tuples(st.just("list"), st.lists(st.integers(1, 64), min_size=1, max_size=40)),
+        st.tuples(st.just("geom"), st.floats(1.05, 3.0)),
+    ),
+    st.integers(0, 200),
+    st.one_of(st.integers(-1, 10**6), st.just(math.inf)),
+)
+@example(("geom", 1.468689060639555), 120, math.inf)
+@example(("geom", 1.468689060639555), 111, math.inf)
+@example(("geom", 3.0), 200, 2**62)
+def test_partial_sums_match_the_scalar_route(spec, n, past):
+    # B_0..B_m through m = n or the first B_m > past: the array route, the
+    # scalar B and b, and the definition agree element for element, and a
+    # sum the schedule does not have raises ConfigError on every route
+    schedule = _schedule(*spec)
+    expect = [0]
+    while len(expect) <= n and expect[-1] <= past:
+        expect.append(_defining_sum(*spec, len(expect)))
+        if expect[-1] is None:
+            with pytest.raises(ConfigError):
+                schedule.partial_sums(n, past)
+            with pytest.raises(ConfigError):
+                schedule.B(len(expect) - 1)
+            return
+    sums = schedule.partial_sums(n, past)
+    assert sums.dtype == np.int64 and sums.tolist() == expect
+    scalar = [schedule.B(k) for k in range(len(expect))]
+    assert scalar == expect and all(type(v) is int for v in scalar)
+    assert np.diff(sums).tolist() == [schedule.b(k) for k in range(1, len(expect))]
+    # schedules can be sent to worker processes
+    assert pickle.loads(pickle.dumps(schedule)).partial_sums(n, past).tolist() == expect
+
+
+def test_geometric_sums_are_python_float_ceilings():
+    # numpy's array ** gives 479011201259 at n = 68; a naive int64 cast of
+    # the float sums wraps to -2^63 from n = 112
+    schedule = geometric_blocks(1.468689060639555)
+    assert schedule.B(68) == schedule.partial_sums(68)[-1] == 479011201260
+    assert (np.diff(schedule.partial_sums(111)) > 0).all()
+    with pytest.raises(ConfigError, match="B_112"):
+        schedule.partial_sums(112)
+
+
+def test_partial_sums_stop_where_the_caller_needs():
+    # an explicit list whose last sum is the first past the bound is enough,
+    # and a bound past every sum it holds is not
+    sched = BlockSchedule((1, 2, 4))
+    assert sched.partial_sums(10, past=6).tolist() == [0, 1, 3, 7]
+    assert sched.partial_sums(2).tolist() == [0, 1, 3]
+    with pytest.raises(ConfigError, match="past the end"):
+        sched.partial_sums(10, past=7)
+    # B_3 = 2^124 is past int64; a caller that stops at B_2 never asks for it
+    schedule = geometric_blocks(2.0**62)
+    assert schedule.partial_sums(10, past=2).tolist() == [0, 1, 2**62]
+    for make, arg, n in ((geometric_blocks, 2.0**62, 3), (constant_schedule, 2**62, 2)):
+        with pytest.raises(ConfigError, match="past the end"):
+            make(arg).partial_sums(n)
+    with pytest.raises(ConfigError):
+        geometric_blocks(2.0**63)  # B_2 >= 2^63: a schedule of one block
+
+
+def test_schedule_reachable_within_an_explicit_list(iid):
+    # depth 5 reaches b_1..b_3 only: B_3 = 7 > 5, so no length past the list
+    sched = BlockSchedule((1, 2, 4))
+    assert coupling._reachable_lengths(sched, 5).tolist() == [1, 2, 4]
+    summary = estimate_disagreement(iid, sched, 5, "1", "0", n_traj=4, seed=0)
+    assert summary.run_stats == {0: (4, 0), 1: (4, 0), 2: (4, 0)}
 
 
 def test_explicit_schedule_must_cover_the_run(longrange):
@@ -429,6 +531,12 @@ def test_dn_positive_for_longrange(longrange):
 def test_dn_budget_error(longrange):
     with pytest.raises(BudgetError):
         dn_bruteforce(longrange, constant_schedule(1), 20, 12)
+
+
+def test_dn_budget_counts_in_python_ints(longrange):
+    # 2^69 agreeing words: an np.int64 B_69 would wrap 2 ** 69 to 0
+    with pytest.raises(BudgetError):
+        coupling.check_dn_budget(longrange, constant_schedule(1), 70, 0)
 
 
 def test_dn_monotone_in_tail_length(longrange):

@@ -23,8 +23,7 @@ from gmeasure import (
     dn_bruteforce,
 )
 from gmeasure import coupling, estimate_disagreement
-from gmeasure.coupling import BlockSchedule, _block_laws
-from gmeasure.criteria import geometric_blocks
+from gmeasure.coupling import BlockSchedule, _block_laws, geometric_blocks
 from gmeasure.gmodel import (add_context, all_words, context_state, finite_memory_surrogate,
                              interval_product)
 from oracles import (block_law, context_sums, cylinder_interval, dn_enumerate,

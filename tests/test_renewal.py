@@ -15,7 +15,8 @@ from gmeasure import (
     renewal_solve,
 )
 from gmeasure import renewal
-from gmeasure.criteria import coupling_bound_ratio, geometric_blocks
+from gmeasure.coupling import geometric_blocks
+from gmeasure.criteria import coupling_bound_ratio
 from oracles import (
     alpha_beta_scalar,
     chain_disagreement,
