@@ -233,6 +233,9 @@ def _geometric_sums(growth: float, start: int, stop: int) -> np.ndarray:
 # (context, word) rows per kernel call: a fixed cap, so each kernel array
 # holds at most _MAX_ROWS x block length floats whatever the batch
 _MAX_ROWS = 1024
+# cells (agreeing parts x tail pairs x words) of one dn_bruteforce step, so
+# that each of its pair arrays holds at most 2^16 floats (0.5 MB)
+_MAX_CELLS = 1 << 16
 # longest block the sampler enumerates: both block laws hold |S|^b words
 BLOCK_CAP = 12
 # largest truncation slack of a block law the sampler draws from
@@ -507,8 +510,8 @@ def check_dn_budget(model, schedule: BlockSchedule, n: int, tail_len: int) -> in
     if tail_len < 0:
         raise ConfigError("tail_len must be >= 0")
     size = model.alphabet.size
-    agree_len = schedule.B(n - 1)
-    block_len = schedule.b(n)
+    agree_len, end = schedule.partial_sums(n)[-2:].tolist()
+    block_len = end - agree_len
     return check_budget(
         size**agree_len * (size**tail_len) ** 2 * size**block_len,
         f"enumerating {size}^{agree_len + 2 * tail_len + block_len} joint states "
@@ -526,11 +529,14 @@ def dn_bruteforce(model, schedule: BlockSchedule, n: int, tail_len: int) -> tupl
     is the largest midpoint total variation found; the upper bound
     additionally absorbs the largest accumulated truncation slack, and
     dominates the true supremum over all infinite tail completions.
+    Each step takes the agreeing parts whose pair table (parts x tail pairs
+    x words) fits in ``_MAX_CELLS`` cells, or one part, and adds the pair
+    differences one word slice at a time, in word order, whatever the step.
     """
     check_dn_budget(model, schedule, n, tail_len)
     size = model.alphabet.size
-    agree_len = schedule.B(n - 1)
-    block_len = schedule.b(n)
+    agree_len, end = schedule.partial_sums(n)[-2:].tolist()
+    block_len = end - agree_len
     n_tails, n_agree = size**tail_len, size**agree_len
     words = all_words(size, block_len)
     terms = model.word_terms(words.T)  # once: every step reads the same words
@@ -539,14 +545,18 @@ def dn_bruteforce(model, schedule: BlockSchedule, n: int, tail_len: int) -> tupl
     # [a, t]: agreeing part a followed by tail t; the budget caps its rows
     # at 2^22 / (n_tails * len(words)) <= 2^20
     contexts = all_words(size, agree_len + tail_len).reshape(n_agree, n_tails, -1)
-    # agreeing parts per step, so that the step's pairs of laws stay small
-    step = max(1, _MAX_ROWS // (len(left) * len(words)))
+    step = max(1, _MAX_CELLS // (len(left) * len(words)))  # agreeing parts
     lower = upper = 0.0
     for a in range(0, n_agree, step):
         known = contexts[a : a + step]
         laws, slacks = _block_laws(model, terms, context_state(model, known, block_len),
                                    known.shape[-1])
-        tv = 0.5 * np.abs(laws[:, left] - laws[:, right]).sum(axis=2)
+        # words first, [w, a, t]: the sum adds whole word slices in word order;
+        # numpy sums one-cell slices pairwise, but those (tail_len 0) are all 0
+        laws = np.moveaxis(laws, -1, 0).copy()
+        diffs = laws[..., left]
+        diffs -= laws[..., right]
+        tv = 0.5 * np.abs(diffs, out=diffs).sum(axis=0)
         lower = max(lower, float(tv.max()))
         upper = max(upper, float((tv + 0.5 * (slacks[:, left] + slacks[:, right])).max()))
     return lower, max(upper, lower)

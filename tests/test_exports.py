@@ -135,6 +135,7 @@ UNREACHED = {
     ("cli.py", "_Parser.error"): "bad input",
     ("errors.py", "ConvergenceError.__init__"): "bad input: a solve that does not converge",
     ("coupling.py", "sample_block_coupling"): "bench hook; ROADMAP item 1",
+    ("coupling.py", "BlockSchedule.b"): "bench hook and test route; src reads partial_sums",
     ("gmodel.py", "FiniteMemoryModel.eval_indices"): "bench hook and oracle route; item 1",
     ("gmodel.py", "LongRangeLinearModel.eval_indices"): "bench hook and oracle route; item 1",
     ("criteria.py", "_tabulated_report"): "criteria --model; ROADMAP item 14",

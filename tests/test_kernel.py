@@ -90,6 +90,37 @@ def test_dn_bruteforce_matches_oracle(model, lengths, n, tail_len):
     assert upper == pytest.approx(expect_upper, abs=1e-15)
 
 
+@pytest.mark.parametrize("tail_len", [0, 1, 2])
+@pytest.mark.parametrize("name, b", [("power", 3), ("memory-2 on 3 symbols", 2)])
+def test_dn_bruteforce_is_independent_of_its_steps(name, b, tail_len, monkeypatch):
+    # 8 and 9 words: from 8 words on, numpy's pairwise sum has another order
+    model = _stacked_models()[name]
+    schedule = constant_schedule(b)
+    size = model.alphabet.size
+    n_pairs = size**tail_len * (size**tail_len + 1) // 2
+    default = dn_bruteforce(model, schedule, 2, tail_len)
+    expect_lower, expect_upper = dn_enumerate(model, schedule, 2, tail_len)
+    # one agreeing part a step, then three of the size**b parts a step
+    for cells in (1, 3 * n_pairs * size**b):
+        monkeypatch.setattr(coupling, "_MAX_CELLS", cells)
+        lower, upper = dn_bruteforce(model, schedule, 2, tail_len)
+        assert (lower, upper) == default
+        assert lower == pytest.approx(expect_lower, abs=1e-15)
+        assert upper == pytest.approx(expect_upper, abs=1e-15)
+
+
+@pytest.mark.parametrize("tail_len", [0, 2, 6])
+@pytest.mark.parametrize("name", ["power", "exponential"])
+def test_dn_bruteforce_brackets_the_closed_form(name, tail_len):
+    # one-site blocks of the binary linear model: the agreeing part cancels
+    # and d_n = 2 theta tail(n - 1), the supremum over all completions
+    model = _stacked_models()[name]
+    for n in range(1, 7):
+        lower, upper = dn_bruteforce(model, constant_schedule(1), n, tail_len)
+        closed_form = 2 * model.theta * model.coefficients.tail(n - 1)
+        assert lower - 1e-15 <= closed_form <= upper + 1e-15
+
+
 def _stacked_models():
     rng = np.random.default_rng(5)
     tables = {size: rng.uniform(0.05, 1.0, (size, size**2)) for size in (2, 3)}
@@ -156,7 +187,8 @@ def test_word_terms_computed_once_per_block_length(monkeypatch):
     estimate_disagreement(model, geometric_blocks(1.5), 34, "1" * 48, "0" * 48, 8, seed=3)
     assert sorted(shape[0] for shape in calls) == [2, 3, 4, 5, 7, 12]  # sites first
     calls.clear()
-    # 16 agreeing parts x 8 tails, enumerated in two steps
+    # 16 agreeing parts x 36 tail pairs x 4 words, enumerated in two steps
+    monkeypatch.setattr(coupling, "_MAX_CELLS", 8 * 36 * 4)
     dn_bruteforce(model, constant_schedule(2), 3, 3)
     assert len(calls) == 1
 
