@@ -35,15 +35,17 @@ so a window code, for a finite-memory model.  ``context_state`` builds it,
 ``add_context`` adds symbols to it in place, ``word_terms`` is the
 context-free part, computed once for words read under many contexts, and
 ``site_intervals`` returns ``(mid, rad)`` per site with the interval
-semantics of ``eval_indices``.  The long-range kernel reads cached tail
-radii, never ``zeta``; the finite-memory kernel gathers from the table, or
-from min/max tables over completions of windows under M+1 symbols.
+semantics of ``eval_indices``.  Each lag table has one route: the
+long-range kernel reads one coefficient table of a_k and theta * tail(k),
+never ``zeta``; the finite-memory kernel and ``rho`` read the min/max tables
+over completions of windows of 1..M+1 symbols.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -152,12 +154,11 @@ class FiniteMemoryModel:
         if (vec < 0).any():
             raise ConfigError("table entries must be non-negative")
         rowsums = vec.reshape(size, size**memory).sum(axis=0)
-        if not np.allclose(rowsums, 1.0, atol=1e-9):
+        if not np.allclose(rowsums, 1.0, rtol=0, atol=1e-9):
             raise ConfigError("conditional probabilities must sum to 1 per context")
         self.table = vec
         self.symbol_values = np.arange(size)  # v(s) = s: the state is a code
         self._place = size ** np.arange(memory, -1, -1)
-        self._bounds = None  # stacked min/max tables, built on first kernel call
 
     @property
     def is_positive(self) -> bool:
@@ -185,17 +186,21 @@ class FiniteMemoryModel:
         a full window reads the table, a shorter one the min/max over completions."""
         size, full = self.alphabet.size, self.memory + 1
         n = np.minimum(_known_right(state, known_len), full)
-        if self._bounds is None:
-            grouped = [self.table.reshape(size**m, -1) for m in range(1, full + 1)]
-            self._bounds = (
-                np.cumsum([0, 0] + [size**m for m in range(1, full)]),
-                np.concatenate([g.min(axis=1) for g in grouped]),
-                np.concatenate([g.max(axis=1) for g in grouped]),
-            )
-        offsets, lo_table, hi_table = self._bounds
+        offsets, lo_table, hi_table = self._completions
         idx = offsets[n] + (codes + state) // size ** (full - n)
         lo, hi = lo_table[idx], hi_table[idx]
         return 0.5 * (lo + hi), 0.5 * (hi - lo)
+
+    @cached_property
+    def _completions(self):
+        """``(offsets, lo, hi)``: the min and max of g over the completions of
+        each word of m = 1..memory+1 known symbols, the word of code c at
+        ``offsets[m] + c``; built on first use."""
+        size, full = self.alphabet.size, self.memory + 1
+        grouped = [self.table.reshape(size**m, -1) for m in range(1, full + 1)]
+        return (np.cumsum([0, 0] + [size**m for m in range(1, full)]),
+                np.concatenate([g.min(axis=1) for g in grouped]),
+                np.concatenate([g.max(axis=1) for g in grouped]))
 
     def eval_indices(self, idx: Sequence[int]) -> tuple[float, float]:
         """Interval for g on a word given as symbol indices for coords 0..len-1."""
@@ -211,15 +216,14 @@ class FiniteMemoryModel:
         return 0.5 * (lo + hi), 0.5 * (hi - lo)
 
     def rho(self, n):
-        """Exact oscillation ratio of g over pairs agreeing on [0, n],
-        elementwise over an int or an integer array n >= 0; it is 1 from
-        n = memory on."""
+        """Exact oscillation ratio of g over pairs agreeing on [0, n], for an
+        int or elementwise over an integer array n >= 0: the largest max/min
+        over the completions of a word of n + 1 symbols, 1 from n = memory on."""
         if not self.is_positive:
             raise ConfigError("oscillation ratio undefined for a non-positive model")
-        size = self.alphabet.size
-        grouped = (self.table.reshape(size ** (m + 1), -1) for m in range(self.memory))
-        ratios = [(g.max(axis=1) / g.min(axis=1)).max() for g in grouped]
-        return np.array(ratios + [1.0])[np.minimum(_nonnegative(n), self.memory)]
+        offsets, lo, hi = self._completions
+        ratios = np.maximum.reduceat(hi / lo, offsets[1:])
+        return ratios[np.minimum(_nonnegative(n), self.memory)]
 
 
 class LongRangeLinearModel:
@@ -232,10 +236,10 @@ class LongRangeLinearModel:
     keeps g strictly positive.  The oscillation ratio over pairs agreeing on
     [0, n] has the closed form
 
-        rho_n = (1/2 + theta*A - 2*theta*h_n) / (1/2 - theta*A),
+        rho_n = 1 + 2*theta*tail(n) / g_min,    g_min = 1/2 - theta*A,
 
-    with A the total coefficient mass and h_n the partial sum up to n; the
-    denominator is the global minimum of g and does not depend on n.
+    with A the total coefficient mass and g_min the global minimum of g; so
+    rho_n >= 1 holds in floats too.
     """
 
     def __init__(self, alphabet: Alphabet, theta: float, coefficients, signs=None):
@@ -255,39 +259,40 @@ class LongRangeLinearModel:
         self.total_mass = coefficients.total
         if self.total_mass > 1 + 1e-12:
             raise ConfigError(f"coefficient mass {self.total_mass:.6f} exceeds 1")
+        self.g_min = 0.5 - self.theta * self.total_mass
         if signs is None:
             signs = (-1.0, 1.0)
         signs = tuple(float(s) for s in signs)
         if sorted(signs) != [-1.0, 1.0]:
             raise ConfigError("sign map must assign -1 and +1")
         self.symbol_values = np.asarray(signs)
-        self._avec = np.zeros(1)  # a_k at index k >= 1 (index 0 kept 0), grown on demand
-        self._rad = np.zeros(0)  # theta * tail(k) at index k, grown on demand
+        self._lags = np.zeros((2, 0))  # rows a_k and theta * tail(k) at column k
 
     @property
     def is_positive(self) -> bool:
         return True  # enforced by the constructor constraints
 
+    def _lag_table(self, n: int) -> np.ndarray:
+        """The coefficient table (2, m), m >= n: column k holds a_k (a_0 kept
+        0) and theta * tail(k), the half-width of g on a word of k + 1
+        symbols.  It at least doubles as it grows, and each entry comes from
+        one scalar ``var_at`` or ``tail`` call, bit for bit as in
+        ``eval_indices`` on any CPU (an array ``**`` may differ in the last bit)."""
+        have, law = self._lags.shape[1], self.coefficients
+        if have < n:
+            new = [(law.var_at(k) if k else 0.0, self.theta * law.tail(k))
+                   for k in range(have, max(2 * have, n))]
+            self._lags = np.concatenate([self._lags, np.transpose(new)], axis=1)
+        return self._lags
+
     def context_weights(self, n: int) -> np.ndarray:
         """Coefficients a_1..a_n as a vector (index 0 kept 0: a site's own
         sign enters through ``word_terms``)."""
-        if len(self._avec) <= n:
-            m = max(2 * len(self._avec), n + 1)
-            k = np.arange(1, m, dtype=float)
-            self._avec = np.concatenate([[0.0], self.coefficients.var_at(k)])
-        return self._avec[: n + 1]
+        return self._lag_table(n + 1)[0, : n + 1]
 
     def _radii(self, n: int) -> np.ndarray:
-        """theta * tail(k) for k = 0..n-1: the half-width of g on a word of
-        k + 1 symbols, bit for bit as ``eval_indices`` computes it.  The cache
-        at least doubles when it grows and keeps its entries, so each k costs
-        one scalar ``tail`` call per model (an array ``**`` would differ from
-        the scalar one in the last bit)."""
-        have = len(self._rad)
-        if have < n:
-            new = [self.coefficients.tail(k) for k in range(have, max(2 * have, n))]
-            self._rad = np.concatenate([self._rad, self.theta * np.array(new)])
-        return self._rad
+        """theta * tail(k) for k = 0..m-1, m >= n."""
+        return self._lag_table(n)[1]
 
     def word_terms(self, words) -> np.ndarray:
         """The word part of the kernel for word rows ``words`` (b, ...), built in
@@ -326,9 +331,7 @@ class LongRangeLinearModel:
     def rho(self, n):
         """The closed-form rho_n, elementwise over an int or an integer
         array n >= 0."""
-        g_min = 0.5 - self.theta * self.total_mass
-        h = self.coefficients.prefix(_nonnegative(n))
-        return (0.5 + self.theta * self.total_mass - 2 * self.theta * h) / g_min
+        return 1 + 2 * self.theta * self.coefficients.tail(_nonnegative(n)) / self.g_min
 
 
 def iid_model(alphabet: Alphabet, probs: Sequence[float]) -> FiniteMemoryModel:
@@ -429,18 +432,15 @@ def variation_profile(model, horizon: int) -> VariationProfile:
     from one call of ``model.rho`` on all of them."""
     if horizon < 0:
         raise ConfigError("horizon must be >= 0")
-    # rho_n >= 1; a ratio rounded below 1 would give a negative var_n and a
-    # site ratio exp(var_n) that the Hellinger floor refuses
-    values = np.log(np.maximum(model.rho(np.arange(horizon + 1)), 1.0))
+    values = np.log(model.rho(np.arange(horizon + 1)))
     values = np.minimum.accumulate(values)  # clear float noise in flat stretches
     if isinstance(model, FiniteMemoryModel):
         # var_n is non-increasing, so values[horizon] bounds it up to the
         # memory, and it vanishes from n = memory on
         return VariationProfile(values, FiniteRange(model.memory, float(values[horizon])))
     # var_n = log rho_n <= 2 * theta * tail(n) / g_min, by log(1+x) <= x
-    g_min = 0.5 - model.theta * model.total_mass
     law = model.coefficients.tail_law
-    return VariationProfile(values, replace(law, c=2 * model.theta * law.c / g_min))
+    return VariationProfile(values, replace(law, c=2 * model.theta * law.c / model.g_min))
 
 
 def finite_memory_surrogate(model, memory: int):
@@ -502,11 +502,14 @@ def parse_model(text: str):
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         if key.startswith("table[") and key.endswith("]"):
-            table[key[6:-1]] = value
+            entries, name = table, key[6:-1]
         elif key.startswith("sign[") and key.endswith("]"):
-            signs[key[5:-1]] = value
+            entries, name = signs, key[5:-1]
         else:
-            plain[key] = value
+            entries, name = plain, key
+        if name in entries:
+            raise ConfigError(f"line {lineno}: repeated key {key!r}")
+        entries[name] = value
 
     def need(key: str) -> str:
         if key not in plain:
@@ -550,7 +553,9 @@ def parse_model(text: str):
 
 def load_model(path):
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read model file {str(path)!r}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"model file {str(path)!r} is not UTF-8: {exc.reason}") from None
     return parse_model(text)

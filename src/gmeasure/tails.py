@@ -10,11 +10,11 @@ vanish faster than every power, and ``p = 0`` for a positive limit ``c``.
 The criteria classify a law from this pair alone.
 
 The summable laws, ``Exponential`` and ``PowerLaw`` with p > 1, give their
-sums ``tail(n)`` = sum_{k>n} a_k, ``prefix(n)`` = sum_{1<=k<=n} a_k and
-``total``, plus ``from_mass`` and ``tail_law``; the model takes those with
-offset 0.  ``var_at`` and ``prefix`` take an int or an integer array, and
-work elementwise.  A power law's sums raise ConfigError unless p > 1.
-The power-law sums are Hurwitz zeta values, computed here by an
+sums ``tail(n)`` = sum_{k>n} a_k and ``total`` = ``tail(0)``, plus
+``from_mass`` and ``tail_law``; the model takes those with offset 0, and
+reads rho_n off ``tail(n)``.  ``var_at`` and ``tail`` take an int or an
+integer array, and work elementwise.  A power law's sums raise ConfigError
+unless p > 1.  They are Hurwitz zeta values, computed here by an
 Euler-Maclaurin sum in plain floats (no scipy) whose remainder is bounded
 by its first omitted term.
 """
@@ -105,10 +105,6 @@ class PowerLaw:
         self._summable()
         return self.c * _zeta(self.p, n + 1 + self.offset)
 
-    def prefix(self, n: int) -> float:
-        self._summable()
-        return self.c * (_zeta(self.p, 1 + self.offset) - _zeta(self.p, n + 1 + self.offset))
-
     @property
     def total(self) -> float:
         return self.tail(0)
@@ -145,9 +141,6 @@ class Exponential:
 
     def tail(self, n: int) -> float:
         return self.c * self.r ** (n + 1) / (1 - self.r)
-
-    def prefix(self, n: int) -> float:
-        return self.c * self.r * (1 - self.r**n) / (1 - self.r)
 
     @property
     def total(self) -> float:

@@ -100,22 +100,21 @@ def stationary_prob(measure, symbols) -> float:
 def rho_scalar(model, n: int) -> float:
     """rho_n for one n: on a finite-memory model the largest max/min ratio
     over the table's groups of words agreeing on [0, n], 1 from the memory
-    on; on the linear model its closed form with the scalar ``prefix``."""
+    on; on the linear model its closed form 1 + 2 theta tail(n) / g_min
+    with the scalar ``tail``."""
     if isinstance(model, FiniteMemoryModel):
         if n >= model.memory:
             return 1.0
         grouped = model.table.reshape(model.alphabet.size ** (n + 1), -1)
         return float((grouped.max(axis=1) / grouped.min(axis=1)).max())
     g_min = 0.5 - model.theta * model.total_mass
-    h = model.coefficients.prefix(n) if n > 0 else 0.0
-    return (0.5 + model.theta * model.total_mass - 2 * model.theta * h) / g_min
+    return 1 + 2 * model.theta * model.coefficients.tail(n) / g_min
 
 
 def profile_scalar(model, horizon: int) -> np.ndarray:
     """var_0..var_horizon by one ``rho_scalar`` and one ``math.log`` per n,
-    each ratio floored at 1 and the values made non-increasing, as
-    ``variation_profile`` does."""
-    logs = [math.log(max(rho_scalar(model, n), 1.0)) for n in range(horizon + 1)]
+    the values made non-increasing, as ``variation_profile`` does."""
+    logs = [math.log(rho_scalar(model, n)) for n in range(horizon + 1)]
     return np.minimum.accumulate(logs)
 
 

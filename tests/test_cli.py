@@ -69,14 +69,17 @@ MODELS = {
     "fractional_memory": MEM1_MODEL.replace("memory = 1", "memory = 1.5"),
     "memory_40": MEM1_MODEL.replace("memory = 1", "memory = 40"),
     "memory_100": MEM1_MODEL.replace("memory = 1", "memory = 100"),
+    "repeated_theta": LONGRANGE_MODEL + "theta = 0.4\n",
+    "not_utf8": b"\xff\xfe\x00",
 }
 
 
 def write_models(tmp_path):
-    """Every MODELS text written to ``tmp_path``: {name: path}."""
+    """Every MODELS text (or bytes) written to ``tmp_path``: {name: path}."""
     paths = {name: tmp_path / f"{name}.gmodel" for name in MODELS}
     for name, path in paths.items():
-        path.write_text(MODELS[name])
+        text = MODELS[name]
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
     return paths
 
 
@@ -244,9 +247,9 @@ PINNED = {
         "pipeline_summary.json": "2bd19fc1ca6371aa62d163d9f45d6394a233ae9a480f285fb4051c753fee653d",
     }),
     "pipeline-mc_long_blocks": (_bench_argv("exponential", "geom:l=1.5", 34, 8, 48), {
-        "pipeline_mc.csv": "e095787e196f6ebb24490572b15ac5b64264d7dfc32899c0ab1df0d495a1852f",
-        "pipeline_bounds.csv": "494d139550b908514d031f686a2d8cc38b892325244ea3c55a108ca4153cacb7",
-        "pipeline_summary.json": "76861e4baa644a2942833cad3f2b087e32d4e4061b1a24d67888bc23abeb3c74",
+        "pipeline_mc.csv": "10054a11639d0e3c3d554a289d044d627a2996f478e145571e8d074824bd8bae",
+        "pipeline_bounds.csv": "81186a2027131a84669adfa3cbbe0b1d6b3a2d9b707d8a65aff1cf85100c8128",
+        "pipeline_summary.json": "04abe364629ea9a05b694c100ac4949498118ee3d522d0f5596a0834e5632363",
     }),
     # the exact_bounds benchmark workload's transfer and couple runs, at seed 1
     "transfer-exact_bounds": (["transfer", "--model", "{longrange}", "--trunc-memory", "14",
@@ -267,9 +270,9 @@ PINNED = {
     }),
     # the exponential coefficient law, scaled by coeff_mass and given by coeff_c
     "pipeline-exponential": (_mc_argv("pipeline", "geom:l=1.5", "exponential"), {
-        "pipeline_mc.csv": "f5c564d117c8326721456c82f36f8fc953818451497550c08a44bdaec25f4e5a",
-        "pipeline_bounds.csv": "7896da1089c8eeedbce59e9ea119015905d8ce41a689bf9300c2d28493f9240f",
-        "pipeline_summary.json": "79210f5f650607e4b9eb8dbb9097b427ff1ad1b92f4cc971393ae9ccf4a39c8a",
+        "pipeline_mc.csv": "d37d8a3f8af0ca501f5c0829366085a088c4a0ffa1d77a85d486b30d57585dc8",
+        "pipeline_bounds.csv": "549ba2577073109ddd3edc879af7b14a65849287ba8d68ce490cd1b73ca5138a",
+        "pipeline_summary.json": "e75d0e5f09c560adeee070d7174cf88d6b484f085f0e6b949b31786cb538f675",
     }),
     "couple-dn-exponential": (["couple", "--model", "{exponential}", "--depth", "6",
                                "--trajectories", "20", "--seed", "3", "--dn-max", "3",
@@ -381,14 +384,14 @@ SPAWNED_STREAM_DIGESTS = {
         "pipeline_mc.csv": "65cdac0b62f5d45207493d5d59576288632bee520078b189d7f53f032f18d80d",
     },
     "pipeline-exponential": {
-        "pipeline_mc.csv": "3787b06ef2c694710377db10d45413ede4eb6342b4f9fcce58b90155a1ae0d7f",
+        "pipeline_mc.csv": "35ce979cd315f86d28f992d93bf3417bbb159972a13238fe274541ad12178de6",
     },
     "pipeline-geom:l=1.5": {
         "pipeline_mc.csv": "67204a79e2e4437fa0efaf5468562f060af8fb7b834be2ca5e779609b9bd11c5",
         "pipeline_summary.json": "91b9883cc9fd0a1d3d609dfa6bb1ac64bf01ccca1a6ea4db1b8972bf4e8cddf0",
     },
     "pipeline-mc_long_blocks": {
-        "pipeline_mc.csv": "1d308526c79662774c23722807da35be08273982e1f1085e3e4e9746b12bf619",
+        "pipeline_mc.csv": "691398a3cdc0236cabd419ffbab01c35d523c6725e537c9960d84948e52d77ad",
     },
     "pipeline-mc_short_blocks": {
         "pipeline_mc.csv": "4fb4833689cc0950fa4f6dfb860eafe2de2939a16ef459bafffe4a81ab0fb102",
@@ -409,6 +412,31 @@ def test_spawned_stream_reproduces_the_old_digests(run, monkeypatch, tmp_path):
     assert main(argv + ["--out", str(out)]) == 0
     for name, digest in {**digests, **SPAWNED_STREAM_DIGESTS[run]}.items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
+def test_pinned_digests_do_not_depend_on_numpy_simd_dispatch(tmp_path):
+    # every PINNED run again, in one interpreter whose numpy may use none of
+    # the SIMD code it would pick on this host: exp, log and ** on arrays
+    # then round as the baseline code does, and no artifact may move
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+    targets = [t for t in __cpu_dispatch__ if __cpu_features__.get(t)]
+    if not targets:
+        pytest.skip("numpy dispatches no SIMD target on this host: nothing to compare")
+    models = write_models(tmp_path)
+    runs = {run: [a.format(**models) for a in argv] + ["--out", str(tmp_path / run)]
+            for run, (argv, _) in PINNED.items()}
+    probe = ("import json, sys\nfrom gmeasure.cli import main\n"
+             "print(*[main(argv) for argv in json.loads(sys.argv[1]).values()])")
+    src = Path(gmeasure.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src), NPY_DISABLE_CPU_FEATURES=" ".join(targets))
+    proc = subprocess.run([sys.executable, "-c", probe, json.dumps(runs)], capture_output=True,
+                          text=True, env=env, timeout=600)
+    assert proc.stdout.splitlines()[-1:] == [" ".join(["0"] * len(runs))], proc.stderr
+    moved = [f"{run}/{name}" for run, (_, digests) in sorted(PINNED.items())
+             for name, digest in digests.items()
+             if hashlib.sha256((tmp_path / run / name).read_bytes()).hexdigest() != digest]
+    assert moved == [], f"with {' '.join(targets)} disabled"
 
 
 def test_run_failing_mid_stream_publishes_nothing(monkeypatch, tmp_path, capsys):
@@ -786,6 +814,8 @@ BAD_INPUTS = {
     "model memory not an integer": ["transfer", "--model", "{fractional_memory}"],
     "model memory 40": ["transfer", "--model", "{memory_40}"],
     "model memory 100": ["transfer", "--model", "{memory_100}"],
+    "model key repeated": ["transfer", "--model", "{repeated_theta}", "--trunc-memory", "4"],
+    "model file not UTF-8": ["transfer", "--model", "{not_utf8}"],
 }
 
 # the BAD_INPUTS rows holding a non-finite number, and what their message says

@@ -334,11 +334,11 @@ def test_every_block_bound_field_dominates_the_bruteforce_witness(longrange):
 
 
 def test_ratio_rounded_below_one_gives_zero_bounds(alphabet):
-    # at theta = 0.4, r = 0.5 the closed-form rho_n rounds to 1 - 2**-52
-    # from n = 54 on; unfloored, its log is a negative var_n whose site ratio
-    # the Hellinger floor refuses, and the pipeline exited 2
+    # at theta = 0.4, r = 0.5 a rho_n that subtracts a partial sum rounds to
+    # 1 - 2**-52 from n = 54 on, and the Hellinger floor refuses the site
+    # ratio of its negative log; 1 + 2 theta tail(n) / g_min stays >= 1
     model = LongRangeLinearModel(alphabet, 0.4, Exponential.from_mass(0.5, 0.5))
-    assert model.rho(54) < 1.0
+    assert (model.rho(np.arange(300)) >= 1.0).all()
     profile = variation_profile(model, 300)
     assert profile.values.min() == 0.0
     assert (block_tv_bounds(profile, constant_schedule(1), 299)[60:] == 0.0).all()
@@ -387,16 +387,16 @@ def _schedule_and_K_max(draw):
 def test_bound_path_arrays_match_the_scalar_oracles(model, schedule_and_K_max):
     schedule, K_max = schedule_and_K_max
     # the pipeline's bound path, each array stage against its scalar route.
-    # The linear model's rho_n subtracts two zeta sums from rho_0's terms, so
-    # ratios count in ulps of rho_0; a bound d = sqrt(1 - P), P a product of
-    # floors in [0, 1], counts through P in ulps of 1, since near P = 1 the
-    # root turns one ulp of P into many of d
+    # Ratios count in ulps of their own value: the linear model's rho_n adds
+    # a nonnegative tail term to 1, so nothing cancels.  A bound
+    # d = sqrt(1 - P), P a product of floors in [0, 1], counts through P in
+    # ulps of 1, since near P = 1 the root turns one ulp of P into many of d
     horizon = schedule.B(K_max + 2)
     rho = np.array([rho_scalar(model, n) for n in range(horizon + 1)])
-    assert _ulps(model.rho(np.arange(horizon + 1)), rho, rho[0]).max() <= 4
+    assert _ulps(model.rho(np.arange(horizon + 1)), rho).max() <= 4
     profile = variation_profile(model, horizon)
     values = profile_scalar(model, horizon)
-    assert _ulps(np.exp(profile.values), np.exp(values), rho[0]).max() <= 4
+    assert _ulps(np.exp(profile.values), np.exp(values)).max() <= 4
     scalar = [block_bound_scalar(VariationProfile(values, profile.tail), schedule, n)
               for n in range(1, K_max + 2)]
     if None in scalar:

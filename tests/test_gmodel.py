@@ -20,7 +20,7 @@ from gmeasure import (
 )
 from gmeasure import tails
 from gmeasure.gmodel import all_words, finite_memory_surrogate
-from oracles import OneMinusPower, cylinder_interval, decode, hurwitz_zeta
+from oracles import OneMinusPower, cylinder_interval, decode, hurwitz_zeta, rho_scalar
 
 
 def test_alphabet_validation():
@@ -139,6 +139,29 @@ def test_rho_finite_memory_cutoff(alphabet, rng):
     assert model.rho(1) >= 1.0
 
 
+@pytest.mark.parametrize("memory", [0, 1, 2, 4])
+def test_finite_memory_rho_reads_the_completion_tables_bit_for_bit(alphabet, rng, memory):
+    # the ratios read off the kernel's min/max tables equal those of the
+    # table regrouped per n, the oracle's route
+    from conftest import random_positive_table
+
+    model = FiniteMemoryModel(alphabet, memory, random_positive_table(alphabet, memory, rng))
+    n = np.arange(memory + 3)
+    assert model.rho(n).tolist() == [rho_scalar(model, k) for k in n.tolist()]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.floats(0.01, 0.49), st.one_of(
+    st.builds(PowerLaw.from_mass, st.floats(1.01, 6.0), st.floats(0.01, 1.0)),
+    st.builds(Exponential.from_mass, st.floats(0.01, 0.99), st.floats(0.01, 1.0))))
+def test_longrange_rho_is_at_least_one(theta, coefficients):
+    # rho_n = 1 + 2 theta tail(n) / g_min cannot round below 1, however
+    # small the tail
+    model = LongRangeLinearModel(binary_alphabet(), theta, coefficients)
+    n = np.concatenate([np.arange(400), 2 ** np.arange(9, 31)])
+    assert (model.rho(n) >= 1.0).all()
+
+
 def test_rho_rejects_nonpositive_model(alphabet):
     model = FiniteMemoryModel(alphabet, 0, (0.0, 1.0))
     with pytest.raises(ConfigError):
@@ -241,6 +264,10 @@ def test_surrogate_longrange_rows_normalised(longrange):
 def test_table_validation(alphabet):
     with pytest.raises(ConfigError):
         FiniteMemoryModel(alphabet, 0, (0.5, 0.6))
+    # the row sums are held to 1e-9 absolute, with no relative slack
+    FiniteMemoryModel(alphabet, 0, (0.5, 0.5 + 5e-10))
+    with pytest.raises(ConfigError, match="sum to 1"):
+        FiniteMemoryModel(alphabet, 0, (0.5, 0.500009))
     with pytest.raises(ConfigError):
         FiniteMemoryModel(alphabet, 1, {"00": 1.0})
     with pytest.raises(ConfigError):
@@ -313,18 +340,37 @@ def test_parse_errors(text):
         parse_model(text)
 
 
+MEMORY_0 = "variant = finite_memory\nalphabet = 0,1\nmemory = 0\ntable[0] = 0.4\ntable[1] = 0.6\n"
+
+
+@pytest.mark.parametrize("text, line", [
+    (LONG_RANGE + "theta = 0.4\ncoeff_law = exponential\ncoeff_r = 0.5\ncoeff_mass = 0.5\n", 4),
+    (MEMORY_0 + "# same word again\ntable[1] = 0.6\n", 7),
+    (LONG_RANGE + "coeff_law = exponential\ncoeff_r = 0.5\ncoeff_mass = 0.5\n"
+     "sign[0] = -1\nsign[1] = 1\nsign[0] = 1\n", 9),
+], ids=["plain key", "table key", "sign key"])
+def test_parse_refuses_a_repeated_key(text, line):
+    # the last value would win silently: theta 0.25 then 0.4 ran with 0.4
+    with pytest.raises(ConfigError, match=f"line {line}: repeated key"):
+        parse_model(text)
+    lines = text.splitlines()
+    del lines[line - 1]
+    parse_model("\n".join(lines))  # accepted without the repeat
+
+
 def test_exponential_coefficients():
     coeffs = Exponential.from_mass(0.5, 0.8)
     assert coeffs.total == pytest.approx(0.8, abs=1e-12)
     assert coeffs.tail(3) == pytest.approx(sum(coeffs.c * 0.5**k for k in range(4, 200)), abs=1e-12)
-    assert coeffs.prefix(3) + coeffs.tail(3) == pytest.approx(0.8, abs=1e-12)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(min_value=0, max_value=500))
 def test_powerlaw_prefix_plus_tail_is_total(n):
     coeffs = PowerLaw.from_mass(2.0, 0.5)
-    assert coeffs.prefix(n) + coeffs.tail(n) == pytest.approx(0.5, abs=1e-12)
+    prefix = math.fsum(coeffs.var_at(k) for k in range(1, n + 1))
+    assert prefix + coeffs.tail(n) == pytest.approx(coeffs.total, abs=1e-12)
+    assert coeffs.total == pytest.approx(0.5, abs=1e-12)
 
 
 ZETA_P = [1.001, 1.01, 1.2, 1.5, 2, 2.5, 3, 6]
@@ -355,12 +401,6 @@ def test_powerlaw_sums_are_within_4_ulps_of_the_oracle(p):
         coeffs = PowerLaw(0.25, p, offset)
         tail = [coeffs.tail(n) for n in k.tolist()]
         assert np.max(_ulps(tail, coeffs.c * hurwitz_zeta(p, k + 1 + offset))) <= 4
-        # prefix(n) subtracts two zeta values: counted in ulps of the larger, the total
-        total = coeffs.c * hurwitz_zeta(p, 1 + offset)
-        prefix = [coeffs.prefix(n) for n in k.tolist()]
-        assert prefix[0] == 0.0
-        exact = total - coeffs.c * hurwitz_zeta(p, k[1:] + 1 + offset)
-        assert np.max(_ulps(prefix[1:], exact, total)) <= 4
     assert _ulps(PowerLaw.from_mass(p, 0.5).c, 0.5 / hurwitz_zeta(p, 1)) <= 4
 
 
@@ -369,8 +409,6 @@ def test_powerlaw_sums_need_p_above_one(p):
     coeffs = PowerLaw(1.0, p)
     with pytest.raises(ConfigError):
         coeffs.tail(3)
-    with pytest.raises(ConfigError):
-        coeffs.prefix(3)
     with pytest.raises(ConfigError):
         coeffs.tail_law
 
