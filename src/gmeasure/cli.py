@@ -180,12 +180,14 @@ def _numbers(text: str, convert, what: str) -> list:
 
 def _key_values(text: str, types: dict, optional=()) -> dict:
     """'k=v,...' with each value converted by ``types[k]``; the keys not in
-    ``optional`` are required."""
+    ``optional`` are required, and no key may repeat."""
     params = {}
     for part in text.split(","):
         key, sep, value = part.partition("=")
         if not sep or key not in types:
             raise ConfigError(f"cannot parse {part!r}: expected key=value, keys {sorted(types)}")
+        if key in params:
+            raise ConfigError(f"{text!r} repeats key {key!r}")
         params[key] = _convert(types[key], value, key)
     missing = sorted(types.keys() - params.keys() - set(optional))
     if missing:

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError, ConfigError, TruncationError, check_budget
-from .gmodel import add_context, all_words, context_state, interval_product
+from .gmodel import add_context, all_words, context_state, interval_product, word_terms
 
 __all__ = [
     "MaximalCoupling",
@@ -245,22 +245,21 @@ TRUNC_TOL = 0.05
 _BATCH_SITES = 1 << 16
 
 
-def _block_laws(model, terms: np.ndarray, state: np.ndarray, known_len):
+def _block_laws(model, terms: np.ndarray, state: np.ndarray, known_len: int):
     """Midpoint block laws and truncation slacks, one per context row.
 
     ``terms`` are the ``word_terms`` of all the words of one block length
     (``all_words``), words on the last axis; ``state`` (..., b) rows hold
-    the context state of the block's columns (``gmodel.context_state``) and
-    ``known_len`` gives the lengths of the known contexts, broadcast to the
-    leading axes, which share kernel calls.
+    the context state of the block's columns (``gmodel.context_state``),
+    each followed by a known context of ``known_len`` symbols; all rows
+    share kernel calls.
     Returns ``(probs, slack)``: ``probs`` (..., words) are the normalised
     midpoints of the per-word interval products, ``slack`` the summed
     half-widths plus the normalisation defect.
     """
     lead = state.shape[:-1]
-    known_len = np.broadcast_to(known_len, lead).ravel()
-    n_rows, n_words = len(known_len), terms.shape[-1]
-    state = state.reshape(n_rows, state.shape[-1]).T  # sites first
+    state = state.reshape(-1, state.shape[-1]).T  # sites first
+    n_rows, n_words = state.shape[1], terms.shape[-1]
     mids = np.empty((n_rows, n_words))
     halves = np.empty((n_rows, n_words))
     rows_per_call = max(1, _MAX_ROWS // n_words)
@@ -268,8 +267,7 @@ def _block_laws(model, terms: np.ndarray, state: np.ndarray, known_len):
         for w in range(0, n_words, _MAX_ROWS):
             tile = np.s_[r : r + rows_per_call, w : w + _MAX_ROWS]
             lo, hi = interval_product(*model.site_intervals(
-                terms[..., None, tile[1]], state[:, tile[0], None], known_len[tile[0], None]
-            ))
+                terms[..., None, tile[1]], state[:, tile[0], None], known_len))
             mids[tile] = 0.5 * (lo + hi)
             halves[tile] = 0.5 * (hi - lo)
     total = mids.sum(axis=1)
@@ -363,7 +361,7 @@ def _couple(model, lengths, depth, x_context, y_context, uniforms) -> _Batch:
     # the last block starts at most depth sites in, so width covers every site
     width = depth + int(lengths.max())
     words_of = {b: all_words(size, b) for b in set(lengths.tolist())}
-    terms_of = {b: model.word_terms(words.T) for b, words in words_of.items()}
+    terms_of = {b: word_terms(model, words.T) for b, words in words_of.items()}
     hist = np.zeros((2, n_traj, width), dtype=np.min_scalar_type(size - 1))
     state = np.repeat(context_state(model, np.stack(contexts), width)[:, None], n_traj, axis=1)
     covered = np.zeros(n_traj, dtype=np.intp)
@@ -539,7 +537,7 @@ def dn_bruteforce(model, schedule: BlockSchedule, n: int, tail_len: int) -> tupl
     block_len = end - agree_len
     n_tails, n_agree = size**tail_len, size**agree_len
     words = all_words(size, block_len)
-    terms = model.word_terms(words.T)  # once: every step reads the same words
+    terms = word_terms(model, words.T)  # once: every step reads the same words
     # each tail paired with itself too: two completions beyond a shared tail
     left, right = np.triu_indices(n_tails)
     # [a, t]: agreeing part a followed by tail t; the budget caps its rows

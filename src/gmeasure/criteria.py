@@ -165,7 +165,12 @@ def check_geometric_window_sums(vm, lam: float) -> CriterionReport:
     windows = {}
     for n in (4, 6, 8):
         lo, hi = math.ceil(lam ** (n - 1)), math.ceil(lam**n)
-        windows[n] = float(sum(vm.var_at(i) ** 2 for i in range(lo, hi + 1)))
+        try:  # Python floats: a square past the float range raises, a sum goes to inf
+            windows[n] = float(sum(float(vm.var_at(i)) ** 2 for i in range(lo, hi + 1)))
+        except OverflowError:
+            windows[n] = math.inf
+    if math.inf in windows.values():
+        raise ConfigError(f"window sums of var_i**2 overflow floats for {vm}")
     c, p = vm.asymptotic
     if p == math.inf:
         return CriterionReport(

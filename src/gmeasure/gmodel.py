@@ -32,13 +32,14 @@ coordinate -n): column c holds sum_k a_k v(x_{c+k}) over the known symbols
 right of c, with v the sign and a_k the coefficient for the long-range
 model, and v the symbol index and a_k its place value size**(memory - k),
 so a window code, for a finite-memory model.  ``context_state`` builds it,
-``add_context`` adds symbols to it in place, ``word_terms`` is the
-context-free part, computed once for words read under many contexts, and
-``site_intervals`` returns ``(mid, rad)`` per site with the interval
-semantics of ``eval_indices``.  Each lag table has one route: the
-long-range kernel reads one coefficient table of a_k and theta * tail(k),
-never ``zeta``; the finite-memory kernel and ``rho`` read the min/max tables
-over completions of windows of 1..M+1 symbols.
+``add_context`` adds symbols to it in place, ``word_terms`` sums the same
+terms within the word, once for words read under many contexts, and
+``site_intervals`` returns ``(mid, rad)`` per site, for one known context
+length per call, with the interval semantics of ``eval_indices``.  Each lag
+table has one route: the long-range kernel reads one coefficient table of
+a_k and theta * tail(k), never ``zeta``; the finite-memory kernel and
+``rho`` read the min/max tables over completions of windows of 1..M+1
+symbols.
 """
 
 from __future__ import annotations
@@ -169,25 +170,17 @@ class FiniteMemoryModel:
         k = 0..memory; none further right enters the code."""
         return self._place
 
-    def word_terms(self, words) -> np.ndarray:
-        """The word part of the kernel for word rows ``words`` (b, ...), sites
-        first: at site j, the code of w_j..w_{j+memory} within the word."""
-        words = np.asarray(words)
-        codes = np.zeros(words.shape, dtype=np.int64)
-        for k in range(min(len(words), self.memory + 1)):
-            codes[: len(words) - k] += words[k:] * self._place[k]
-        return codes
-
-    def site_intervals(self, codes, state: np.ndarray, known_len):
+    def site_intervals(self, terms, state: np.ndarray, known_len: int):
         """``(mid, rad)`` (b, ...) of g at each site of word rows with
-        ``word_terms`` ``codes`` (b, ...), followed by known contexts of length
-        ``known_len`` whose context state at the block's columns is ``state``
-        (b, ...).  Site j sees n = min(b - j + known_len, memory + 1) symbols:
-        a full window reads the table, a shorter one the min/max over completions."""
+        ``word_terms`` ``terms`` (2, b, ...), followed by known contexts of
+        ``known_len`` symbols whose context state at the block's columns is
+        ``state`` (b, ...).  Site j sees n = min(b - j + known_len, memory + 1)
+        symbols: a full window reads the table, a shorter one the min/max
+        over completions."""
         size, full = self.alphabet.size, self.memory + 1
         n = np.minimum(_known_right(state, known_len), full)
         offsets, lo_table, hi_table = self._completions
-        idx = offsets[n] + (codes + state) // size ** (full - n)
+        idx = offsets[n] + (terms[1] + state) // size ** (full - n)
         lo, hi = lo_table[idx], hi_table[idx]
         return 0.5 * (lo + hi), 0.5 * (hi - lo)
 
@@ -294,28 +287,14 @@ class LongRangeLinearModel:
         """theta * tail(k) for k = 0..m-1, m >= n."""
         return self._lag_table(n)[1]
 
-    def word_terms(self, words) -> np.ndarray:
-        """The word part of the kernel for word rows ``words`` (b, ...), built in
-        place: theta * s(w_j) at ``[0, j]``, sum_k a_k s(w_{j+k}) at ``[1, j]``."""
-        words = np.asarray(words)
-        b = len(words)
-        avec = self.context_weights(b)
-        signs, inner = terms = np.zeros((2,) + words.shape)
-        signs[...] = self.symbol_values[words]
-        for k in range(1, b):
-            inner[: b - k] += avec[k] * signs[k:]
-        signs *= self.theta
-        return terms
-
-    def site_intervals(self, terms, state: np.ndarray, known_len):
+    def site_intervals(self, terms, state: np.ndarray, known_len: int):
         """``(mid, rad)`` (b, ...) of g at each site of word rows with
         ``word_terms`` ``terms`` (2, b, ...), followed by known contexts of
-        length ``known_len`` whose context sums at the block's columns are
+        ``known_len`` symbols whose context sums at the block's columns are
         ``state`` (b, ...).  Site j adds its context sum and reads its tail
         radius theta * tail(b - j + known_len - 1) from a cached vector."""
-        mid = 0.5 + terms[0] * (terms[1] + state)
-        idx = _known_right(state, known_len) - 1
-        rad = self._radii(int(np.max(idx)) + 1)[idx]
+        mid = 0.5 + self.theta * terms[0] * (terms[1] + state)
+        rad = self._radii(known_len + len(state))[_known_right(state, known_len) - 1]
         return mid, np.broadcast_to(rad, mid.shape)
 
     def eval_indices(self, idx: Sequence[int]) -> tuple[float, float]:
@@ -350,7 +329,7 @@ def _nonnegative(n):
     return n
 
 
-def _known_right(state: np.ndarray, known_len):
+def _known_right(state: np.ndarray, known_len: int):
     """b - j + known_len at site j of the b = len(state) sites of a block."""
     b = len(state)
     return np.arange(b, 0, -1).reshape((b,) + (1,) * (state.ndim - 1)) + known_len
@@ -363,6 +342,19 @@ def context_state(model, known, width: int) -> np.ndarray:
     state = np.zeros(known.shape[:-1] + (width,), dtype=model.symbol_values.dtype)
     add_context(model, state, (...,), known, width)
     return state
+
+
+def word_terms(model, words) -> np.ndarray:
+    """The context-free part of the kernel for word rows ``words`` (b, ...),
+    sites first: v(w_j) at ``[0, j]`` and sum_k a_k v(w_{j+k}) over the
+    word at ``[1, j]``, k ascending from 0."""
+    words = np.asarray(words)
+    weights = model.context_weights(len(words))
+    values, inner = terms = np.zeros((2,) + words.shape, dtype=model.symbol_values.dtype)
+    values[...] = model.symbol_values[words]
+    for k in range(min(len(words), len(weights))):
+        inner[: len(words) - k] += weights[k] * values[k:]
+    return terms
 
 
 def add_context(model, state: np.ndarray, rows: tuple, symbols: np.ndarray, c0: int):
@@ -459,7 +451,7 @@ def finite_memory_surrogate(model, memory: int):
     # one site per word, its first symbol, read under the rest as known context
     words = all_words(size, memory + 1)
     state = context_state(model, words[:, 1:], 1)
-    mid, rad = model.site_intervals(model.word_terms(words[:, :1].T), state.T, memory)
+    mid, rad = model.site_intervals(word_terms(model, words[:, :1].T), state.T, memory)
     grouped = mid.reshape(size, size**memory)
     rowsums = grouped.sum(axis=0)
     defect = float(np.abs(rowsums - 1.0).max())

@@ -55,7 +55,7 @@ def _zeta(p: float, q: float) -> float:
     operations elementwise, where numpy's ``**`` may differ from the scalar
     one in the last bit.
     """
-    a = q + _DIRECT
+    a = q + float(_DIRECT)  # a float, so a * a cannot wrap for an integer array q
     x = a ** -p
     h = 1 / (a * a)
     s = 0.0

@@ -816,6 +816,12 @@ BAD_INPUTS = {
     "model memory 100": ["transfer", "--model", "{memory_100}"],
     "model key repeated": ["transfer", "--model", "{repeated_theta}", "--trunc-memory", "4"],
     "model file not UTF-8": ["transfer", "--model", "{not_utf8}"],
+    "geom growth repeated": ["pipeline", "--schedule", "geom:l=1.5,l=2"],
+    "variation key repeated": ["criteria", "--variation", "power_law:c=1,p=2,c=3"],
+    "power-law window sums overflow": ["criteria", "--variation", "power_law:c=1e200,p=2"],
+    "exponential window sums overflow": ["criteria", "--variation", "exponential:c=1e200,r=0.5"],
+    "finite-range window sums overflow": ["criteria", "--variation",
+                                          "finite_range:M=100,level=1e200"],
 }
 
 # the BAD_INPUTS rows holding a non-finite number, and what their message says

@@ -24,9 +24,9 @@ from gmeasure import (
 )
 from gmeasure import coupling
 from gmeasure.coupling import TruncationError, _block_laws
-from gmeasure.gmodel import all_words, context_state, encode
+from gmeasure.gmodel import all_words, context_state, word_terms
 from conftest import random_positive_table, use_spawned_stream
-from oracles import cylinder_interval, decode, total_variation
+from oracles import cylinder_interval, decode, spawned_uniforms, total_variation
 
 
 # --- maximal coupling ---------------------------------------------------------
@@ -367,15 +367,12 @@ def test_sampler_marginal_law_matches_cylinder_probs(mem1):
     # finite memory: the exact conditional block law comes from the scalar
     # route, not from the kernel the sampler runs on
     n_traj = 4000
-    summary_counts = np.zeros(8)
-    children = np.random.SeedSequence(99).spawn(n_traj)
     ctx = "11"
-    for child in children:
-        s = sample_block_coupling(mem1, constant_schedule(1), 2, ctx, ctx,
-                                  rng=np.random.default_rng(child))
-        code = encode(tuple(int(v) for v in s.x[-3:]), 2)
-        summary_counts[code] += 1
-    freq = summary_counts / n_traj
+    # one batch: trajectory i reads the generator of the i-th spawned child
+    lengths = coupling._reachable_lengths(constant_schedule(1), 2)
+    batch = coupling._couple(mem1, lengths, 2, ctx, ctx, spawned_uniforms(99, n_traj, 2))
+    codes = batch.x[:, -3:] @ [4, 2, 1]  # coordinates -2, -1, 0
+    freq = np.bincount(codes, minlength=8) / n_traj
     for code in range(8):
         exact, err = cylinder_interval(mem1, decode(code, 2, 3), mem1.alphabet.indices(ctx))
         assert err == 0.0
@@ -500,8 +497,8 @@ def test_estimate_disagreement_rate_decreases(longrange):
 def test_block_conditional_normalised(longrange, rng):
     known = rng.integers(0, 2, (1, 20))
     words = all_words(2, 2)
-    probs, slack = _block_laws(longrange, longrange.word_terms(words.T),
-                               context_state(longrange, known, 2), np.array([20]))
+    probs, slack = _block_laws(longrange, word_terms(longrange, words.T),
+                               context_state(longrange, known, 2), 20)
     assert probs.sum() == pytest.approx(1.0, abs=1e-14)
     assert 0 < slack[0] < 0.1
 

@@ -392,6 +392,13 @@ def test_zeta_of_2_at_1_is_the_correctly_rounded_basel_sum():
     assert tails._zeta(2.0, 1) == math.pi**2 / 6
 
 
+def test_powerlaw_tail_on_an_integer_array_past_the_int64_square():
+    # at k = 2^32 - 13, a = k + 1 + 12 = 2^32, whose square wraps to 0 in int64
+    law = PowerLaw.from_mass(2.0, 0.5)
+    k = 2**32 - 13
+    assert _ulps(law.tail(np.array([k]))[0], law.tail(k)) <= 4
+
+
 @pytest.mark.parametrize("p", ZETA_P)
 def test_powerlaw_sums_are_within_4_ulps_of_the_oracle(p):
     # c = 1/4 scales exactly, so ulps of the sums are ulps of the zeta values;

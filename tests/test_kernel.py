@@ -25,7 +25,7 @@ from gmeasure import (
 from gmeasure import coupling, estimate_disagreement
 from gmeasure.coupling import BlockSchedule, _block_laws, geometric_blocks
 from gmeasure.gmodel import (add_context, all_words, context_state, finite_memory_surrogate,
-                             interval_product)
+                             interval_product, word_terms)
 from oracles import (block_law, context_sums, cylinder_interval, dn_enumerate,
                      interval_product_loop, surrogate_table)
 
@@ -61,7 +61,7 @@ def test_kernel_matches_eval_indices(model, b, L, seed):
     size = model.alphabet.size
     words = rng.integers(0, size, (4, b))
     known = rng.integers(0, size, (4, L))
-    mid, rad = model.site_intervals(model.word_terms(words.T), context_state(model, known, b).T, L)
+    mid, rad = model.site_intervals(word_terms(model, words.T), context_state(model, known, b).T, L)
     for row in range(4):
         sequence = tuple(words[row]) + tuple(known[row])
         for j in range(b):
@@ -143,39 +143,36 @@ def test_stacked_block_laws_match_oracle(name, b, monkeypatch):
     model = _stacked_models()[name]
     size = model.alphabet.size
     rng = np.random.default_rng(b)
-    known_len = np.array([0, 1, 2, 5])
-    known = rng.integers(0, size, (2, len(known_len), known_len.max()))
-    # row r of each side knows the first known_len[r] symbols of its context
-    state = np.array([[context_state(model, known[side, row, :L], b)
-                       for row, L in enumerate(known_len)] for side in range(2)])
     words = all_words(size, b)
-    terms = model.word_terms(words.T)
-    probs, slack = _block_laws(model, terms, state, known_len)
-    for side in range(2):
-        one_probs, one_slack = _block_laws(model, terms, state[side], known_len)
-        assert np.array_equal(probs[side], one_probs)
-        assert np.array_equal(slack[side], one_slack)
-        for row, L in enumerate(known_len.tolist()):
-            context = known[side, row, :L]
-            lo, hi = interval_product(*model.site_intervals(terms, state[side, row, :, None], L))
-            for w, word in enumerate(words):
-                mid, half = cylinder_interval(model, word, context)
-                assert abs(0.5 * (lo[w] + hi[w]) - mid) <= 1e-15
-                assert abs(0.5 * (hi[w] - lo[w]) - half) <= 1e-15
-            expect_probs, expect_slack = block_law(model, b, tuple(context))
-            assert np.abs(probs[side, row] - expect_probs).max() <= 1e-15
-            assert slack[side, row] == pytest.approx(expect_slack, abs=1e-15)
+    terms = word_terms(model, words.T)
+    # one call per known context length, two context rows per side
+    for L in (0, 1, 2, 5):
+        known = rng.integers(0, size, (2, 2, L))
+        state = context_state(model, known, b)
+        probs, slack = _block_laws(model, terms, state, L)
+        for side in range(2):
+            one_probs, one_slack = _block_laws(model, terms, state[side], L)
+            assert np.array_equal(probs[side], one_probs)
+            assert np.array_equal(slack[side], one_slack)
+            for row, context in enumerate(known[side]):
+                lo, hi = interval_product(*model.site_intervals(terms, state[side, row, :, None], L))
+                for w, word in enumerate(words):
+                    mid, half = cylinder_interval(model, word, context)
+                    assert abs(0.5 * (lo[w] + hi[w]) - mid) <= 1e-15
+                    assert abs(0.5 * (hi[w] - lo[w]) - half) <= 1e-15
+                expect_probs, expect_slack = block_law(model, b, tuple(context))
+                assert np.abs(probs[side, row] - expect_probs).max() <= 1e-15
+                assert slack[side, row] == pytest.approx(expect_slack, abs=1e-15)
 
 
-def _count_word_terms(monkeypatch, model):
+def _count_word_terms(monkeypatch):
     calls = []
-    word_terms = type(model).word_terms
 
-    def counted(self, words):
+    def counted(model, words):
         calls.append(np.shape(words))
-        return word_terms(self, words)
+        return word_terms(model, words)
 
-    monkeypatch.setattr(type(model), "word_terms", counted)
+    monkeypatch.setattr(coupling, "word_terms", counted)
     return calls
 
 
@@ -183,7 +180,7 @@ def test_word_terms_computed_once_per_block_length(monkeypatch):
     # the mc_long_blocks benchmark configuration: one batch, whose runs reach
     # the block lengths 3, 2, 2, 4, 5, 7 and 12
     model = LongRangeLinearModel(binary_alphabet(), 0.25, Exponential.from_mass(0.7, 0.5))
-    calls = _count_word_terms(monkeypatch, model)
+    calls = _count_word_terms(monkeypatch)
     estimate_disagreement(model, geometric_blocks(1.5), 34, "1" * 48, "0" * 48, 8, seed=3)
     assert sorted(shape[0] for shape in calls) == [2, 3, 4, 5, 7, 12]  # sites first
     calls.clear()
