@@ -441,17 +441,21 @@ def finite_memory_surrogate(model, memory: int):
     Returns ``(surrogate, defect, half_width)`` where ``half_width`` bounds
     |g - g_mid| over all words of length memory+1 and ``defect`` is the
     largest per-context normalisation correction that was applied.  Raises
-    BudgetError, before any word is enumerated, when the size**(memory+1)
-    words exceed ``DEFAULT_BUDGET``.
+    BudgetError, before anything is built, when the size**(memory+1) table
+    entries exceed ``DEFAULT_BUDGET``.  The sums of the size**memory contexts
+    grow by prefix doubling, v(x_k) a_k added from the left as ``add_context``
+    adds them; one kernel call reads each first symbol under each context.
     """
     if memory < 0:
         raise ConfigError("surrogate memory must be >= 0")
     size = model.alphabet.size
     check_budget(size ** (memory + 1), f"surrogate table {size}^{memory + 1}")
-    # one site per word, its first symbol, read under the rest as known context
-    words = all_words(size, memory + 1)
-    state = context_state(model, words[:, 1:], 1)
-    mid, rad = model.site_intervals(word_terms(model, words[:, :1].T), state.T, memory)
+    weights, values = model.context_weights(memory), model.symbol_values
+    sums = np.zeros(1, dtype=values.dtype)
+    for k in range(1, memory + 1):  # a site past a finite memory adds 0 to the code
+        sums = (sums[:, None] + values * (weights[k] if k < len(weights) else 0)).reshape(-1)
+    first = np.arange(size)[None, :, None]
+    mid, rad = model.site_intervals(word_terms(model, first), sums[None, None, :], memory)
     grouped = mid.reshape(size, size**memory)
     rowsums = grouped.sum(axis=0)
     defect = float(np.abs(rowsums - 1.0).max())

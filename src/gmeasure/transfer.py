@@ -11,10 +11,12 @@ length-W cylinders.  Uniqueness of the g-chain is *diagnosed* (never proved)
 through the decay of the oscillation of L^n f.
 
 Functions over S^W are indexed lexicographically, numpy's C order over
-(|S|,) * W, so f at the extensions s.u[:W-1] is one ``np.repeat`` of f
-reshaped to (|S|, |S|^(W-1)).  The operator is one (|S|, |S|^W) weight array,
-weight[s, u] = g(s.u[:M]), read by ``apply`` and ``apply_dual``; the
-uniqueness flag of ``stationary`` runs both on 0/1 vectors.
+(|S|,) * W, so f at the extension s.v of u = v.t is f reshaped to
+(|S|, |S|^(W-1)) at [s, v].  The operator is one (|S|, |S|^W) weight array,
+weight[s, u] = g(s.u[:M]), and one scratch array of that shape (so one thread
+at a time), read by ``apply`` and ``apply_dual``.  The loops of ``stationary``,
+its uniqueness flag (both actions on 0/1 vectors) and ``uniqueness_diagnostic``
+pass preallocated results as ``_out``: no step allocates an |S|^W array.
 """
 
 from __future__ import annotations
@@ -59,29 +61,43 @@ class TransferOperator:
         self.dim = check_budget(size**self.window, f"state dimension {size}^{self.window}")
         table = model.table.reshape(size, -1)  # [s, window code of x_1..x_memory]
         self.weight = np.repeat(table, self.dim // table.shape[1], axis=1)
+        self._terms = np.empty_like(self.weight)
 
-    def apply(self, f: np.ndarray) -> np.ndarray:
-        f = np.asarray(f, dtype=float)
-        if f.shape != (self.dim,):
-            raise ConfigError(f"function must have shape ({self.dim},), got {f.shape}")
-        size = self.model.alphabet.size
-        return (self.weight * np.repeat(f.reshape(size, -1), size, axis=1)).sum(axis=0)
+    def _vector(self, x: np.ndarray, name: str) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.dim,):
+            raise ConfigError(f"{name} must have shape ({self.dim},), got {x.shape}")
+        return x
 
-    def apply_dual(self, pi: np.ndarray) -> np.ndarray:
+    def apply(self, f: np.ndarray, _out: np.ndarray | None = None) -> np.ndarray:
+        f = self._vector(f, "function")
+        size, terms = self.model.alphabet.size, self._terms
+        # [s, v, t]: f at the extension s.v of word v.t, for every t
+        np.stack([f.reshape(size, -1)] * size, axis=-1, out=terms.reshape(size, -1, size))
+        np.multiply(self.weight, terms, out=terms)
+        return np.add.reduce(terms, axis=0, out=_out)
+
+    def apply_dual(self, pi: np.ndarray, _out: np.ndarray | None = None) -> np.ndarray:
+        pi = self._vector(pi, "distribution")
         size = self.model.alphabet.size
-        # [s, v, t]: the mass word v.t sends to s.v; slices added in order,
-        # which is faster than a reduction over the short last axis
-        terms = (self.weight * pi).reshape(size, -1, size)
-        return sum(terms[..., t] for t in range(size)).reshape(-1)
+        # [s, t, v]: the mass word v.t sends to s.v, so the slice of each t is
+        # contiguous; the slices are added in order onto zeros
+        terms = self._terms.reshape(size, size, -1)
+        np.multiply(self.weight.reshape(size, -1, size).transpose(0, 2, 1),
+                    pi.reshape(-1, size).T, out=terms)
+        image = np.empty(self.dim) if _out is None else _out
+        grouped = image.reshape(size, -1)  # [s, v]
+        grouped[...] = 0.0
+        for t in range(size):
+            grouped += terms[:, t]
+        return image
 
 
 def apply_Ln(op: TransferOperator, f: np.ndarray, n: int) -> np.ndarray:
     """n-fold application; n = 0 returns f unchanged."""
     if n < 0:
         raise ConfigError("n must be >= 0")
-    out = np.asarray(f, dtype=float)
-    if out.shape != (op.dim,):
-        raise ConfigError(f"function must have shape ({op.dim},), got {out.shape}")
+    out = op._vector(f, "function")
     for _ in range(n):
         out = op.apply(out)
     return out
@@ -98,11 +114,14 @@ class StationaryMeasure:
     unique: bool
 
 
-def _closure(step, j: int, dim: int) -> np.ndarray:
-    """Words joined to word j by chains of edges, grown one ``step`` at a time."""
-    reached, grown = None, np.arange(dim) == j
-    while not np.array_equal(reached, grown):
-        reached, grown = grown, grown | (step(grown.astype(float)) > 0)
+def _closure(step, j: int, values: np.ndarray, image: np.ndarray, edge: np.ndarray) -> np.ndarray:
+    """Words joined to word j by chains of edges, grown one ``step`` at a time
+    until the set stops growing; ``values``, ``image`` and ``edge`` are scratch."""
+    reached, count = np.arange(len(values)) == j, 0
+    while count < np.count_nonzero(reached):
+        count = np.count_nonzero(reached)
+        values[...] = reached
+        reached |= np.greater(step(values, image), 0.0, out=edge)
     return reached
 
 
@@ -113,10 +132,11 @@ def _is_uniquely_ergodic(op: TransferOperator) -> bool:
     ``apply_dual`` the words its set has an edge to.  A word that j reaches
     but that cannot reach j back reaches strictly fewer words, so moving j
     there ends at a closed class, the only one iff every word reaches j."""
+    scratch = np.empty(op.dim), np.empty(op.dim), np.empty(op.dim, dtype=bool)
     escapes = [0]
     while len(escapes):
         j = escapes[0]
-        ahead, behind = _closure(op.apply_dual, j, op.dim), _closure(op.apply, j, op.dim)
+        ahead, behind = _closure(op.apply_dual, j, *scratch), _closure(op.apply, j, *scratch)
         escapes = np.flatnonzero(ahead & ~behind)
     return bool(behind.all())
 
@@ -131,15 +151,16 @@ def stationary(op: TransferOperator, tol: float = 1e-13) -> StationaryMeasure:
     """
     if not tol > 0:
         raise ConfigError("tol must be positive")
-    pi = np.full(op.dim, 1.0 / op.dim)
+    pi, image, gap = np.full(op.dim, 1.0 / op.dim), np.empty(op.dim), np.empty(op.dim)
     residual = np.inf
     for _ in range(MAX_POWER_ITERATIONS):
-        image = op.apply_dual(pi)
-        residual = float(np.abs(image - pi).sum())
+        op.apply_dual(pi, image)
+        residual = float(np.abs(np.subtract(image, pi, out=gap), out=gap).sum())
         if residual < tol:
             pi = image / image.sum()
             break
-        pi = 0.5 * pi + 0.5 * image
+        # 0.5 * pi + 0.5 * image in place, operations and order unchanged
+        np.add(np.multiply(0.5, pi, out=pi), np.multiply(0.5, image, out=image), out=pi)
         pi /= pi.sum()
     else:
         raise ConvergenceError(
@@ -181,8 +202,9 @@ def uniqueness_diagnostic(
     per_step = 2.0 * model.alphabet.size * (half_width + defect)
     oscillation = np.empty(n_max + 1)
     g = indicator(model.alphabet, model.alphabet.symbols[0], op.window)
+    image = np.empty_like(g)
     for n in range(n_max + 1):
         oscillation[n] = g.max() - g.min()
         if n < n_max:
-            g = op.apply(g)
+            g, image = op.apply(g, image), g
     return oscillation, np.arange(n_max + 1) * per_step

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -256,6 +257,22 @@ def test_surrogate_longrange_rows_normalised(longrange):
     surrogate, defect, width = finite_memory_surrogate(longrange, 5)
     assert defect < 1e-12  # midpoints of this family are exactly normalised
     assert 0 < width == longrange.theta * longrange.coefficients.tail(5)
+
+
+@pytest.mark.parametrize("law", [PowerLaw.from_mass(2.0, 0.5), Exponential.from_mass(0.7, 0.5)],
+                         ids=["power", "exponential"])
+def test_surrogate_memory_is_a_few_tables(law):
+    # memory 16: the table holds 2^17 floats; a table of all 2^17 words of
+    # 17 symbols, with their context sums, takes about 7 tables
+    model = LongRangeLinearModel(binary_alphabet(), 0.25, law)
+    tracemalloc.start()
+    try:
+        surrogate, _, _ = finite_memory_surrogate(model, 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert surrogate.table.nbytes == 2**17 * 8
+    assert peak <= 4 * surrogate.table.nbytes, peak / surrogate.table.nbytes
 
 
 # --- table validation and model files ----------------------------------------

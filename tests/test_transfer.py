@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,13 +9,17 @@ from gmeasure import (
     Alphabet,
     BudgetError,
     ConfigError,
+    Exponential,
     FiniteMemoryModel,
+    LongRangeLinearModel,
+    PowerLaw,
     TransferOperator,
     apply_Ln,
     indicator,
     stationary,
     uniqueness_diagnostic,
 )
+from gmeasure.gmodel import finite_memory_surrogate
 from gmeasure.transfer import _is_uniquely_ergodic
 from oracles import (
     closed_class_count,
@@ -84,11 +90,28 @@ def test_matches_dense_matrix_power_oracle(mem1, rng):
 
 
 def test_apply_and_dual_match_index_list_loops_bit_for_bit(rng):
-    for model, window in models_with_zero_entries(rng):
-        op = TransferOperator(model, window)
-        f, pi = rng.random(op.dim), rng.random(op.dim)
-        assert op.apply(f).tobytes() == transfer_apply_loop(model, window, f).tobytes()
-        assert op.apply_dual(pi).tobytes() == transfer_apply_dual_loop(model, window, pi).tobytes()
+    # signed inputs with about 30% -0.0: -0.0 + -0.0 is -0.0 but 0.0 + -0.0
+    # is 0.0, so the sign of a zero result shows the order and the start of
+    # the additions
+    def signed(dim):
+        x = rng.standard_normal(dim)
+        x[rng.random(dim) < 0.3] = -0.0
+        return x
+
+    for draw in (rng.random, signed):
+        for model, window in models_with_zero_entries(rng):
+            op = TransferOperator(model, window)
+            f, pi = draw(op.dim), draw(op.dim)
+            assert op.apply(f).tobytes() == transfer_apply_loop(model, window, f).tobytes()
+            assert (op.apply_dual(pi).tobytes()
+                    == transfer_apply_dual_loop(model, window, pi).tobytes())
+
+
+def test_apply_dual_refuses_a_wrong_shape(mem1):
+    op = TransferOperator(mem1, window=2)
+    for pi in (np.ones(1), np.ones((2, 4)), np.ones(8)):
+        with pytest.raises(ConfigError, match=r"shape \(4,\)"):
+            op.apply_dual(pi)
 
 
 def test_apply_dual_is_the_dense_transpose(rng):
@@ -209,6 +232,39 @@ def test_stationary_vs_simulation(mem1, rng):
         state = 0 if rng.random() < mem1.table[state] else 1
         counts[state] += 1
     assert np.abs(counts / N - measure.probs).max() < 4 / np.sqrt(N)
+
+
+# SHA-256 of the stationary probabilities and of the oscillation of
+# uniqueness_diagnostic(model, 200, trunc_memory), with the stationary
+# residual as float.hex, on surrogates of the benchmark's models; no CLI
+# artifact carries the stationary vector
+PINNED_SOLVES = {
+    ("power_law", 8): (
+        "193cea722d4b72abd567f6a63808c378aae202d574ce1979be5f129a3f73519d",
+        "0x1.4736000000000p-44",
+        "918124bd2cc675cdadc662dca0121b083c1d11711b9bd19bed9a1d9cbc5c4dc4"),
+    ("power_law", 14): (
+        "2498e82cbca4e1301be321ae890c906b18b5ce48fcfe6c071354b9373a713ddd",
+        "0x1.70a8540000000p-44",
+        "c45a77f451a0f56aa60cff3ba3f3ff34d0424409e7014264aa307a346247d88c"),
+    ("exponential", 10): (
+        "1a21c9b22216bf7e1ebb2f6402f9ba74f257bbe23cafb2dab3a4306dfc3301fa",
+        "0x1.7f24c00000000p-44",
+        "a585b68cac8566e908573042046cfe89ac3519d73d37b7da7a54fa30d2bb4158"),
+}
+
+
+@pytest.mark.parametrize("law, memory", sorted(PINNED_SOLVES))
+def test_stationary_and_diagnostic_keep_their_bytes(alphabet, law, memory):
+    laws = {"power_law": PowerLaw.from_mass(2.0, 0.5), "exponential": Exponential.from_mass(0.7, 0.5)}
+    model = LongRangeLinearModel(alphabet, 0.25, laws[law])
+    probs_digest, residual, oscillation_digest = PINNED_SOLVES[law, memory]
+    measure = stationary(TransferOperator(finite_memory_surrogate(model, memory)[0]))
+    oscillation, _ = uniqueness_diagnostic(model, 200, trunc_memory=memory)
+    assert hashlib.sha256(measure.probs.tobytes()).hexdigest() == probs_digest
+    assert measure.residual.hex() == residual
+    assert measure.unique
+    assert hashlib.sha256(oscillation.tobytes()).hexdigest() == oscillation_digest
 
 
 # --- uniqueness diagnostic ----------------------------------------------------
