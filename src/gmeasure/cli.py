@@ -412,6 +412,11 @@ def _publish(a: argparse.Namespace) -> None:
     renamed into place, manifest last, so a failed run, one that fails
     while writing included, leaves no partial artifacts.  The manifest's
     ``wall_clock_s`` covers the run and the writing of its artifacts."""
+    outdir = Path(a.out)
+    # the nearest existing path: --out itself or its first existing ancestor
+    existing = next(p for p in (outdir, *outdir.parents) if p.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"--out {a.out}: {existing} is not a directory")
     started = time.perf_counter()
     outputs = a.runner(a)
     params = {k: v for k, v in vars(a).items() if k not in ("command", "out", "runner", "seed")}
@@ -419,7 +424,6 @@ def _publish(a: argparse.Namespace) -> None:
     if "model" in params:
         # the model file's contents, not only its path, define the run
         record["model_sha256"] = _sha256(Path(a.model).read_bytes())
-    outdir = Path(a.out)
     outdir.parent.mkdir(parents=True, exist_ok=True)
     work = Path(tempfile.mkdtemp(prefix=f".{outdir.name}.", dir=outdir.parent))
     try:

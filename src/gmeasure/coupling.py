@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetError, ConfigError, TruncationError, check_budget
+from .errors import BudgetError, ConfigError, TruncationError, _check_power, check_budget
 from .gmodel import add_context, all_words, context_state, interval_product, word_terms
 
 __all__ = [
@@ -147,9 +147,9 @@ class BlockSchedule:
     ``BlockSchedule(lengths)`` takes an explicit list, which ends the
     schedule, so a run never silently reuses a length; ``constant_schedule``
     and ``geometric_blocks`` are closed forms, which end before their first
-    sum of 2^63.  Each holds one picklable ``_sums(start, stop)``, which
-    gives B_start..B_(k-1) as int64 for a k in [start, stop], short of stop
-    only at the end.  ``partial_sums`` is the one route from it to callers.
+    sum of 2^63.  Each holds one picklable ``_sums(n, past)``: the array
+    ``partial_sums`` returns, computed no further, short of it only where
+    the schedule ends; ``partial_sums`` is the one route to callers.
     """
 
     def __init__(self, lengths):
@@ -164,19 +164,12 @@ class BlockSchedule:
 
     def partial_sums(self, n: int, past: float = math.inf) -> np.ndarray:
         """B_0..B_m as one int64 array: through m = n, or through the first
-        m with B_m > ``past`` if that comes first.  The first window holds
-        B_1..B_15 and each later one doubles the indices covered, so at
-        most about twice the sums needed are computed."""
-        chunks, size = [np.zeros(1, dtype=np.int64)], 1
-        while size <= n and chunks[-1][-1] <= past:
-            chunks.append(self._sums(size, min(max(2 * size, 16), n + 1)))
-            if not len(chunks[-1]):
-                raise ConfigError(f"partial sum B_{size} lies past the end of the schedule "
-                                  "(an explicit list's last length, or 2^63)")
-            size += len(chunks[-1])
-        sums = np.concatenate(chunks)
-        # the last window may run on past the first sum beyond the bound
-        return sums[: np.searchsorted(sums, past, side="right") + 1] if sums[-1] > past else sums
+        m with B_m > ``past`` if that comes first."""
+        sums = self._sums(n, past)
+        if len(sums) <= n and sums[-1] <= past:
+            raise ConfigError(f"partial sum B_{len(sums)} lies past the end of the schedule "
+                              "(an explicit list's last length, or 2^63)")
+        return sums
 
     def b(self, n: int) -> int:
         """Length of the n-th block, n >= 1, as a Python int."""
@@ -189,8 +182,8 @@ class BlockSchedule:
         return int(self.partial_sums(n)[-1])
 
 
-def _explicit_sums(sums: np.ndarray, start: int, stop: int) -> np.ndarray:
-    return sums[start:stop]
+def _explicit_sums(sums: np.ndarray, n: int, past: float) -> np.ndarray:
+    return sums[: min(n, np.searchsorted(sums, past, side="right")) + 1]
 
 
 def constant_schedule(b: int = 1) -> BlockSchedule:
@@ -200,8 +193,10 @@ def constant_schedule(b: int = 1) -> BlockSchedule:
     return schedule
 
 
-def _constant_sums(b: int, start: int, stop: int) -> np.ndarray:
-    return np.arange(start, min(stop, (2**63 - 1) // b + 1), dtype=np.int64) * b
+def _constant_sums(b: int, n: int, past: float) -> np.ndarray:
+    # through n, the first B_m = b*m past the bound (B_0 for one below 0) or the last below 2^63
+    m = min(n, max(past // b + 1, 0), (2**63 - 1) // b)
+    return np.arange(int(m) + 1, dtype=np.int64) * b
 
 
 def geometric_blocks(growth: float) -> BlockSchedule:
@@ -215,13 +210,13 @@ def geometric_blocks(growth: float) -> BlockSchedule:
     return schedule
 
 
-def _geometric_sums(growth: float, start: int, stop: int) -> np.ndarray:
+def _geometric_sums(growth: float, n: int, past: float) -> np.ndarray:
     # index by index in Python floats: numpy's array ** may round otherwise
     # (at growth 1.468689060639555 it gives B_68 one less than math.ceil).
-    # B_(start-1) < 2^63 and growth < 2^63 keep growth**start below 2^189
-    sums = []
-    for n in range(start, stop):
-        if (value := growth**n / (growth - 1.0)) >= 2.0**63:
+    # B_(m-1) < 2^63 and growth < 2^63 keep growth**m below 2^189
+    sums = [0]
+    while len(sums) <= n and sums[-1] <= past:
+        if (value := growth ** len(sums) / (growth - 1.0)) >= 2.0**63:
             break
         sums.append(math.ceil(value))
     return np.array(sums, dtype=np.int64)
@@ -510,8 +505,8 @@ def check_dn_budget(model, schedule: BlockSchedule, n: int, tail_len: int) -> in
     size = model.alphabet.size
     agree_len, end = schedule.partial_sums(n)[-2:].tolist()
     block_len = end - agree_len
-    return check_budget(
-        size**agree_len * (size**tail_len) ** 2 * size**block_len,
+    return _check_power(
+        size, agree_len + 2 * tail_len + block_len,
         f"enumerating {size}^{agree_len + 2 * tail_len + block_len} joint states "
         f"(agree {agree_len}, tails 2x{tail_len}, block {block_len})",
     )

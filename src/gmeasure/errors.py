@@ -36,3 +36,10 @@ def check_budget(count: int, what: str) -> int:
     if count > DEFAULT_BUDGET:
         raise BudgetError(f"{what} exceeds budget {DEFAULT_BUDGET}")
     return count
+
+
+def _check_power(size: int, exponent: int, what: str) -> int:
+    """``size**exponent`` for a size >= 2, through ``check_budget``.  An
+    exponent past ``DEFAULT_BUDGET.bit_length()`` is over budget whatever the
+    size, so the power is never formed for it."""
+    return check_budget(size ** min(exponent, DEFAULT_BUDGET.bit_length()), what)

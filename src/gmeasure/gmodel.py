@@ -52,7 +52,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, check_budget
+from .errors import ConfigError, _check_power
 from .tails import Exponential, FiniteRange, PowerLaw
 
 __all__ = [
@@ -324,8 +324,8 @@ def iid_model(alphabet: Alphabet, probs: Sequence[float]) -> FiniteMemoryModel:
 
 def _nonnegative(n):
     """``n`` once no entry is negative, where an array index would wrap."""
-    if np.min(n) < 0:
-        raise ConfigError(f"oscillation ratio needs n >= 0, got {np.min(n)}")
+    if (np.asarray(n) < 0).any():
+        raise ConfigError(f"site indices need n >= 0, got {np.min(n)}")
     return n
 
 
@@ -410,7 +410,7 @@ class VariationProfile:
     def var_at(self, n):
         """var_n for an int or an integer array n >= 0: the tabulated value
         up to the horizon, the tail law beyond it."""
-        n = np.asarray(n)
+        n = np.asarray(_nonnegative(n))
         if (n <= self.horizon).all():
             return self.values[n]
         if self.tail is None:
@@ -449,7 +449,7 @@ def finite_memory_surrogate(model, memory: int):
     if memory < 0:
         raise ConfigError("surrogate memory must be >= 0")
     size = model.alphabet.size
-    check_budget(size ** (memory + 1), f"surrogate table {size}^{memory + 1}")
+    _check_power(size, memory + 1, f"surrogate table {size}^{memory + 1}")
     weights, values = model.context_weights(memory), model.symbol_values
     sums = np.zeros(1, dtype=values.dtype)
     for k in range(1, memory + 1):  # a site past a finite memory adds 0 to the code

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ConvergenceError, check_budget
+from .errors import ConfigError, ConvergenceError, _check_power
 from .gmodel import Alphabet, FiniteMemoryModel, finite_memory_surrogate
 
 __all__ = [
@@ -58,7 +58,7 @@ class TransferOperator:
             raise ConfigError(
                 f"window must be at least max(memory, 1) = {max(model.memory, 1)}"
             )
-        self.dim = check_budget(size**self.window, f"state dimension {size}^{self.window}")
+        self.dim = _check_power(size, self.window, f"state dimension {size}^{self.window}")
         table = model.table.reshape(size, -1)  # [s, window code of x_1..x_memory]
         self.weight = np.repeat(table, self.dim // table.shape[1], axis=1)
         self._terms = np.empty_like(self.weight)

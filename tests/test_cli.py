@@ -671,8 +671,8 @@ def test_pipeline_sweep_is_linear_in_K_max(longrange_file, tmp_path):
 
 def test_pipeline_reads_the_schedule_as_arrays(longrange_file, tmp_path, monkeypatch):
     # the budget check and the R_K lengths share one partial-sum array, the
-    # block bounds and the sampler read one each, in doubling windows; one
-    # evaluation per block would make over 200 000 calls here
+    # block bounds and the sampler read one each, each computed by one call;
+    # one evaluation per block would make over 200 000 calls here
     calls = []
     constant_sums = coupling._constant_sums
 
@@ -685,7 +685,7 @@ def test_pipeline_reads_the_schedule_as_arrays(longrange_file, tmp_path, monkeyp
                "--K-max", "100000", "--depth", "4", "--trajectories", "5", "--seed", "1",
                "--out", str(tmp_path / "pipe")])
     assert rc == 0
-    assert 0 < len(calls) <= 64, len(calls)
+    assert len(calls) == 3, len(calls)
 
 
 def test_sampler_computes_no_partial_sum_past_the_depth(longrange_file, tmp_path, capsys):
@@ -760,6 +760,45 @@ def test_surrogate_budget_is_checked_before_its_words(longrange_file, tmp_path, 
     assert sorted(p.name for p in tmp_path.iterdir()) == ["longrange.gmodel"]
 
 
+def test_power_budgets_never_form_the_power(longrange_file, mem1_file):
+    # |S|^k over the budget is refused from k alone: 2^k itself takes 1.25 MB
+    # at k = 10^7 (and 12.5 GB at 10^11)
+    model, mem1 = load_model(longrange_file), load_model(mem1_file)
+    k = 10**7
+    checks = [
+        lambda: gmeasure.gmodel.finite_memory_surrogate(model, k),
+        lambda: gmeasure.TransferOperator(mem1, window=k),
+        lambda: coupling.check_dn_budget(model, coupling.constant_schedule(k), 1, 0),
+        lambda: coupling.check_dn_budget(model, coupling.constant_schedule(1), 1, k),
+    ]
+    for check in checks:
+        tracemalloc.start()
+        try:
+            with pytest.raises(gmeasure.BudgetError, match="exceeds budget"):
+                check()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024, peak
+
+
+@pytest.mark.parametrize("out", ["F", "F/sub"])
+def test_out_through_a_file_is_refused_before_the_run(out, tmp_path, monkeypatch, capsys):
+    # --out naming an existing regular file, or a path through one, cannot
+    # be published to: refused before any criterion is computed
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(cli, "check_square_summable_variation", refuse)
+    (tmp_path / "F").write_text("kept")
+    rc = main(["criteria", "--variation", "power_law:c=1,p=2", "--out", str(tmp_path / out)])
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err, err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["F"]  # no .F.* work directory
+    assert (tmp_path / "F").read_text() == "kept"
+
+
 def test_missing_seed_is_config_error(longrange_file, tmp_path, capsys):
     # argparse enforces the mandatory seed for stochastic experiments
     rc = main(["couple", "--model", str(longrange_file), "--out", str(tmp_path / "z")])
@@ -768,7 +807,8 @@ def test_missing_seed_is_config_error(longrange_file, tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1 and "--seed" in err, err
 
 
-# malformed input -> exit code 2 and a one-line message, never a traceback
+# malformed input -> exit code 2 and a one-line message, never a traceback;
+# the OVER_BUDGET rows ask for |S|^k states with k = 10^7 -> exit code 3
 BAD_INPUTS = {
     "geom growth not a number": ["pipeline", "--schedule", "geom:l=abc"],
     "geom without growth": ["pipeline", "--schedule", "geom:count=3"],
@@ -822,7 +862,11 @@ BAD_INPUTS = {
     "exponential window sums overflow": ["criteria", "--variation", "exponential:c=1e200,r=0.5"],
     "finite-range window sums overflow": ["criteria", "--variation",
                                           "finite_range:M=100,level=1e200"],
+    "surrogate memory 10^7": ["transfer", "--model", "{longrange}", "--trunc-memory", "10000000"],
+    "dn block of 10^7 sites": ["couple", "--schedule", "const:10000000", "--dn-max", "1"],
+    "dn tails of 10^7 sites": ["couple", "--tail-len", "10000000", "--dn-max", "1"],
 }
+OVER_BUDGET = {"surrogate memory 10^7", "dn block of 10^7 sites", "dn tails of 10^7 sites"}
 
 # the BAD_INPUTS rows holding a non-finite number, and what their message says
 NON_FINITE = {
@@ -847,7 +891,7 @@ def bad_input_argv(case, longrange_file, tmp_path):
 def test_bad_input_exits_2_with_one_line(case, longrange_file, tmp_path, capsys):
     rc = main(bad_input_argv(case, longrange_file, tmp_path))
     err = capsys.readouterr().err
-    assert rc == 2, err
+    assert rc == (3 if case in OVER_BUDGET else 2), err
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err, err
 
 

@@ -177,6 +177,11 @@ def _defining_sum(kind, param, n):
 @example(("geom", 1.468689060639555), 120, math.inf)
 @example(("geom", 1.468689060639555), 111, math.inf)
 @example(("geom", 3.0), 200, 2**62)
+@example(("list", [1, 2, 4]), 10, 3)  # past equal to a partial sum
+@example(("const", 3), 7, 21)  # past == b * n
+@example(("geom", 1.5), 0, math.inf)  # n = 0
+@example(("const", 2), 5, -1)  # past below B_0
+@example(("list", [1, 2, 4]), 10, 7)  # the list's last sum equals past
 def test_partial_sums_match_the_scalar_route(spec, n, past):
     # B_0..B_m through m = n or the first B_m > past: the array route, the
     # scalar B and b, and the definition agree element for element, and a
@@ -226,6 +231,9 @@ def test_partial_sums_stop_where_the_caller_needs():
             make(arg).partial_sums(n)
     with pytest.raises(ConfigError):
         geometric_blocks(2.0**63)  # B_2 >= 2^63: a schedule of one block
+    # B_0 = 0 is past any negative bound, as for pipeline's budget at a K_max past it
+    for schedule in (sched, constant_schedule(3), geometric_blocks(1.5)):
+        assert schedule.partial_sums(10, past=-5).tolist() == [0]
 
 
 def test_schedule_reachable_within_an_explicit_list(iid):

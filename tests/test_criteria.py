@@ -147,6 +147,14 @@ def test_tabulated_validation():
         VariationProfile((0.5, 0.1)).var_at(5)
 
 
+def test_tabulated_profile_rejects_negative_sites():
+    # a negative site would read from the end of the table, as in rho
+    vm = VariationProfile((0.5, 0.2, 0.1))
+    for n in (-1, [-1, 0], np.arange(-2, 5)):
+        with pytest.raises(ConfigError, match="n >= 0"):
+            vm.var_at(n)
+
+
 # --- single-site series -----------------------------------------------------------
 
 
