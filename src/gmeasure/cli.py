@@ -413,8 +413,8 @@ def _publish(a: argparse.Namespace) -> None:
     while writing included, leaves no partial artifacts.  The manifest's
     ``wall_clock_s`` covers the run and the writing of its artifacts."""
     outdir = Path(a.out)
-    # the nearest existing path: --out itself or its first existing ancestor
-    existing = next(p for p in (outdir, *outdir.parents) if p.exists())
+    # the nearest existing path (a dangling symlink too): --out or an ancestor
+    existing = next(p for p in (outdir, *outdir.parents) if os.path.lexists(p))
     if not existing.is_dir():
         raise ConfigError(f"--out {a.out}: {existing} is not a directory")
     started = time.perf_counter()

@@ -308,8 +308,7 @@ class LongRangeLinearModel:
         return mid, self.theta * self.coefficients.tail(n - 1)
 
     def rho(self, n):
-        """The closed-form rho_n, elementwise over an int or an integer
-        array n >= 0."""
+        """The closed-form rho_n, for an int or elementwise over site indices."""
         return 1 + 2 * self.theta * self.coefficients.tail(_nonnegative(n)) / self.g_min
 
 
@@ -323,8 +322,12 @@ def iid_model(alphabet: Alphabet, probs: Sequence[float]) -> FiniteMemoryModel:
 
 
 def _nonnegative(n):
-    """``n`` once no entry is negative, where an array index would wrap."""
-    if (np.asarray(n) < 0).any():
+    """Site indices: an int as is, anything else an integer array; none negative."""
+    if not isinstance(n, (int, np.integer)):
+        n = np.asarray(n) if np.size(n) else np.zeros(np.shape(n), np.intp)
+        if n.dtype.kind not in "iu":
+            raise ConfigError(f"site indices must be integers, got {n.dtype}")
+    if np.any(n < 0):
         raise ConfigError(f"site indices need n >= 0, got {np.min(n)}")
     return n
 

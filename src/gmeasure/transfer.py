@@ -5,17 +5,18 @@ averaging over one-symbol extensions weighted by g:
 
     (L f)(x) = sum_s g(s x) * f(s x).
 
-For a model with memory M the operator is closed on functions of W >= max(M, 1)
-coordinates; its dual fixed point is a stationary g-measure restricted to
-length-W cylinders.  Uniqueness of the g-chain is *diagnosed* (never proved)
-through the decay of the oscillation of L^n f.
+For a model with memory M the operator acts on functions of its own window of
+W = max(M, 1) coordinates; its dual fixed point is a stationary g-measure
+restricted to length-W cylinders.  Uniqueness of the g-chain is *diagnosed*
+(never proved) through the decay of the oscillation of L^n f.
 
 Functions over S^W are indexed lexicographically, numpy's C order over
 (|S|,) * W, so f at the extension s.v of u = v.t is f reshaped to
-(|S|, |S|^(W-1)) at [s, v].  The operator is one (|S|, |S|^W) weight array,
-weight[s, u] = g(s.u[:M]), and one scratch array of that shape (so one thread
-at a time), read by ``apply`` and ``apply_dual``.  The loops of ``stationary``,
-its uniqueness flag (both actions on 0/1 vectors) and ``uniqueness_diagnostic``
+(|S|, |S|^(W-1)) at [s, v].  The (|S|, |S|^W) weight array, weight[s, u] =
+g(s.u[:M]), is a view of the table (for M = 0 its |S| entries broadcast along
+the window); it and one scratch array of that shape (so one thread at a time)
+are read by ``apply`` and ``apply_dual``.  The loops of ``stationary``, its
+uniqueness flag (both actions on 0/1 vectors) and ``uniqueness_diagnostic``
 pass preallocated results as ``_out``: no step allocates an |S|^W array.
 """
 
@@ -46,22 +47,17 @@ def indicator(alphabet: Alphabet, symbol: str, window: int = 1) -> np.ndarray:
 
 
 class TransferOperator:
-    """Exact action of the transfer operator on S^window cylinder functions."""
+    """Exact action of the transfer operator on S^window, window = max(memory, 1)."""
 
-    def __init__(self, model: FiniteMemoryModel, window: int | None = None):
+    def __init__(self, model: FiniteMemoryModel):
         if not isinstance(model, FiniteMemoryModel):
             raise ConfigError("the exact transfer operator needs a finite-memory model")
         self.model = model
         size = model.alphabet.size
-        self.window = max(model.memory, 1) if window is None else int(window)
-        if self.window < max(model.memory, 1):
-            raise ConfigError(
-                f"window must be at least max(memory, 1) = {max(model.memory, 1)}"
-            )
+        self.window = max(model.memory, 1)
         self.dim = _check_power(size, self.window, f"state dimension {size}^{self.window}")
-        table = model.table.reshape(size, -1)  # [s, window code of x_1..x_memory]
-        self.weight = np.repeat(table, self.dim // table.shape[1], axis=1)
-        self._terms = np.empty_like(self.weight)
+        self.weight = np.broadcast_to(model.table.reshape(size, -1), (size, self.dim))
+        self._terms = np.empty(self.weight.shape)
 
     def _vector(self, x: np.ndarray, name: str) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -105,7 +101,7 @@ def apply_Ln(op: TransferOperator, f: np.ndarray, n: int) -> np.ndarray:
 
 @dataclass
 class StationaryMeasure:
-    """Fixed point of the dual operator on length-``window`` cylinders."""
+    """Fixed point of the dual operator on length-``window`` cylinders, window = max(M, 1)."""
 
     model: FiniteMemoryModel
     window: int

@@ -44,6 +44,14 @@ table[01] = 0.6
 table[11] = 0.4
 """
 
+IID_MODEL = """
+variant = finite_memory
+alphabet = 0,1
+memory = 0
+table[0] = 0.3
+table[1] = 0.7
+"""
+
 LONGRANGE_MODEL = """
 variant = long_range_linear
 alphabet = 0,1
@@ -59,6 +67,7 @@ EXPONENTIAL_MODEL = LONGRANGE_MODEL.replace(
 
 MODELS = {
     "mem1": MEM1_MODEL,
+    "iid": IID_MODEL,
     "longrange": LONGRANGE_MODEL,
     "exponential": EXPONENTIAL_MODEL,
     "exponential_c": EXPONENTIAL_MODEL.replace("coeff_mass = 0.5", "coeff_c = 0.2"),
@@ -282,6 +291,10 @@ PINNED = {
     }),
     "transfer-finite-memory": (["transfer", "--model", "{mem1}", "--n-max", "12"], {
         "transfer.csv": "8a720e5604398a8031723189d146206f75b2d2d8956d542a48fbb698f7408917",
+    }),
+    # memory 0: the operator broadcasts the table along its one-symbol window
+    "transfer-memory-0": (["transfer", "--model", "{iid}", "--n-max", "12"], {
+        "transfer.csv": "5df448ecfd5da246fe7843f68f2f1d2b73156717f8b54e47c082e4b9ddef0ec9",
     }),
     "transfer-trunc-memory": (["transfer", "--model", "{longrange}", "--n-max", "12",
                                "--trunc-memory", "6"], {
@@ -760,14 +773,13 @@ def test_surrogate_budget_is_checked_before_its_words(longrange_file, tmp_path, 
     assert sorted(p.name for p in tmp_path.iterdir()) == ["longrange.gmodel"]
 
 
-def test_power_budgets_never_form_the_power(longrange_file, mem1_file):
+def test_power_budgets_never_form_the_power(longrange_file):
     # |S|^k over the budget is refused from k alone: 2^k itself takes 1.25 MB
     # at k = 10^7 (and 12.5 GB at 10^11)
-    model, mem1 = load_model(longrange_file), load_model(mem1_file)
+    model = load_model(longrange_file)
     k = 10**7
     checks = [
         lambda: gmeasure.gmodel.finite_memory_surrogate(model, k),
-        lambda: gmeasure.TransferOperator(mem1, window=k),
         lambda: coupling.check_dn_budget(model, coupling.constant_schedule(k), 1, 0),
         lambda: coupling.check_dn_budget(model, coupling.constant_schedule(1), 1, k),
     ]
@@ -797,6 +809,24 @@ def test_out_through_a_file_is_refused_before_the_run(out, tmp_path, monkeypatch
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err, err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["F"]  # no .F.* work directory
     assert (tmp_path / "F").read_text() == "kept"
+
+
+@pytest.mark.parametrize("out", ["L", "L/sub"])
+def test_out_through_a_dangling_symlink_is_refused_before_the_run(out, tmp_path, monkeypatch,
+                                                                  capsys):
+    # a symlink to a missing path is no directory to publish to, nor a path
+    # through one: refused before any criterion is computed
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(cli, "check_square_summable_variation", refuse)
+    (tmp_path / "L").symlink_to(tmp_path / "missing")
+    rc = main(["criteria", "--variation", "power_law:c=1,p=2", "--out", str(tmp_path / out)])
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err, err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["L"]  # no .L.* work directory
+    assert os.readlink(tmp_path / "L") == str(tmp_path / "missing")
 
 
 def test_missing_seed_is_config_error(longrange_file, tmp_path, capsys):

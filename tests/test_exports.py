@@ -171,3 +171,69 @@ def test_every_src_function_is_reached(tmp_path, capsys):
     reached = {(Path(code.co_filename).name, code.co_qualname) for code in codes
                if Path(code.co_filename).parent == src}
     assert written - reached == set(UNREACHED), sorted((written - reached) ^ set(UNREACHED))
+
+
+# parameters with a default that no call in src/ sets, each with its reason
+UNSET_DEFAULTS = {
+    "stationary.tol": "the benchmark passes it",
+    "main.argv": "console-script entry",
+    "check_single_site_series.values": "the d-bar bound; ROADMAP item 7",
+    "check_single_site_series.tail": "the d-bar bound; ROADMAP item 7",
+}
+
+
+def _defaults(func, qualname, callee, bound):
+    """(qualified parameter, callee name, position or None) of each parameter
+    of ``func`` with a default; ``bound`` leading parameters are not passed."""
+    args = func.args
+    positional = [*args.posonlyargs, *args.args]
+    for i, arg in enumerate(positional[len(positional) - len(args.defaults):],
+                            len(positional) - len(args.defaults)):
+        yield f"{qualname}.{arg.arg}", callee, i - bound
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield f"{qualname}.{arg.arg}", callee, None
+
+
+def _public_defaults(tree, public):
+    """Every parameter with a default of a public callable of a module:
+    its ``__all__`` functions, its ``__all__`` classes' constructors, public
+    methods and dataclass fields."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name in public:
+            yield from _defaults(node, node.name, node.name, 0)
+        elif isinstance(node, ast.ClassDef) and node.name in public:
+            if any(ast.unparse(d).startswith("dataclass") for d in node.decorator_list):
+                fields = [f for f in node.body if isinstance(f, ast.AnnAssign)]
+                yield from ((f"{node.name}.{f.target.id}", node.name, i)
+                            for i, f in enumerate(fields) if f.value is not None)
+            # the instance or class binds a method's first parameter
+            for method in node.body:
+                if isinstance(method, ast.FunctionDef) and method.name == "__init__":
+                    yield from _defaults(method, node.name, node.name, 1)
+                elif isinstance(method, ast.FunctionDef) and not method.name.startswith("_"):
+                    yield from _defaults(method, f"{node.name}.{method.name}", method.name, 1)
+
+
+def test_every_public_default_is_set_by_src():
+    # a default that no call in src/ overrides is a knob with one value in
+    # use: a constant unless UNSET_DEFAULTS names why; a stale entry fails too
+    src = Path(gmeasure.__file__).resolve().parent
+    defaults, passed = set(), set()
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        public = getattr(importlib.import_module(f"gmeasure.{path.stem}"), "__all__", ())
+        if path.name != "__init__.py":
+            defaults |= set(_public_defaults(tree, public))
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            starred = any(isinstance(a, ast.Starred) for a in call.args)
+            passed |= {(name, i) for i in range(len(call.args) if not starred else 64)}
+            passed |= {(name, k.arg) for k in call.keywords}
+    unset = {qualname for qualname, callee, position in defaults
+             if (callee, qualname.rpartition(".")[2]) not in passed
+             and (callee, position) not in passed}
+    assert unset == set(UNSET_DEFAULTS), sorted(unset ^ set(UNSET_DEFAULTS))

@@ -15,6 +15,7 @@ from gmeasure import (
     FiniteRange,
     LongRangeLinearModel,
     PowerLaw,
+    VariationProfile,
     binary_alphabet,
     parse_model,
     variation_profile,
@@ -176,6 +177,28 @@ def test_rho_rejects_negative_n(name, request):
     for n in (-1, np.arange(-1, 3)):
         with pytest.raises(ConfigError, match="n >= 0"):
             model.rho(n)
+
+
+SITE_INDEX_ENTRIES = {
+    "finite-memory rho": lambda request: request.getfixturevalue("mem1").rho,
+    "long-range rho": lambda request: request.getfixturevalue("longrange").rho,
+    "profile var_at": lambda request: VariationProfile((0.5, 0.2, 0.1), PowerLaw(0.3, 2, 1)).var_at,
+}
+
+
+@pytest.mark.parametrize("n", [[], [1, 2], (0, 3), 1.5], ids=repr)
+@pytest.mark.parametrize("entry", sorted(SITE_INDEX_ENTRIES))
+def test_site_indices_go_through_one_conversion(entry, n, request):
+    # every entry point reads an int as a scalar and any other input as an
+    # integer array, the empty one included; a fractional site does not exist
+    at = SITE_INDEX_ENTRIES[entry](request)
+    if n == 1.5:
+        with pytest.raises(ConfigError, match="integers"):
+            at(n)
+        return
+    values = at(n)
+    assert values.dtype == np.float64 and values.shape == (len(n),)
+    assert values.tolist() == pytest.approx([at(k) for k in n], rel=1e-15)
 
 
 def test_rho_longrange_dominates_random_search(longrange, rng):

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from gmeasure import (
     stationary,
     uniqueness_diagnostic,
 )
+from gmeasure import errors
 from gmeasure.gmodel import finite_memory_surrogate
 from gmeasure.transfer import _is_uniquely_ergodic
 from oracles import (
@@ -33,17 +35,15 @@ from oracles import (
 
 
 def models_with_zero_entries(rng):
-    """(model, window): 2-4 symbols, memory 0-3, windows M..M+2 (at least 1),
-    random tables with about a third of their entries zero."""
+    """2-4 symbols, memory 0-3, random tables with about a third of their
+    entries zero."""
     for size in (2, 3, 4):
         alphabet = Alphabet(tuple("abcd"[:size]))
         for memory in range(4):
             table = rng.random((size, size**memory))
             table[rng.random(table.shape) < 0.3] = 0.0
             table[0, table.sum(axis=0) == 0.0] = 1.0
-            model = FiniteMemoryModel(alphabet, memory, (table / table.sum(axis=0)).reshape(-1))
-            for window in range(max(memory, 1), memory + 3):
-                yield model, window
+            yield FiniteMemoryModel(alphabet, memory, (table / table.sum(axis=0)).reshape(-1))
 
 
 def test_preserves_constants(iid, mem1):
@@ -54,10 +54,11 @@ def test_preserves_constants(iid, mem1):
             assert np.abs(apply_Ln(op, ones, n) - 1.0).max() < 1e-14
 
 
-def test_positivity(mem1, rng):
-    op = TransferOperator(mem1, window=3)
-    f = rng.random(op.dim)
-    assert (apply_Ln(op, f, 4) >= 0).all()
+def test_positivity(rng):
+    for model in models_with_zero_entries(rng):
+        op = TransferOperator(model)
+        f = rng.random(op.dim)
+        assert (apply_Ln(op, f, 4) >= 0).all()
 
 
 def test_apply_L0_is_identity(mem1):
@@ -79,10 +80,10 @@ def test_dimension_mismatch(mem1):
         apply_Ln(op, np.ones(5), 1)
 
 
-def test_matches_dense_matrix_power_oracle(mem1, rng):
-    for window in (1, 2, 3):
-        op = TransferOperator(mem1, window=window)
-        A = dense_transfer_matrix(mem1, window)
+def test_matches_dense_matrix_power_oracle(rng):
+    for model in models_with_zero_entries(rng):
+        op = TransferOperator(model)
+        A = dense_transfer_matrix(model, op.window)
         f = rng.random(op.dim)
         for n in (1, 3, 7):
             expect = np.linalg.matrix_power(A, n) @ f
@@ -99,28 +100,49 @@ def test_apply_and_dual_match_index_list_loops_bit_for_bit(rng):
         return x
 
     for draw in (rng.random, signed):
-        for model, window in models_with_zero_entries(rng):
-            op = TransferOperator(model, window)
+        for model in models_with_zero_entries(rng):
+            op = TransferOperator(model)
             f, pi = draw(op.dim), draw(op.dim)
-            assert op.apply(f).tobytes() == transfer_apply_loop(model, window, f).tobytes()
+            assert op.apply(f).tobytes() == transfer_apply_loop(model, op.window, f).tobytes()
             assert (op.apply_dual(pi).tobytes()
-                    == transfer_apply_dual_loop(model, window, pi).tobytes())
+                    == transfer_apply_dual_loop(model, op.window, pi).tobytes())
 
 
 def test_apply_dual_refuses_a_wrong_shape(mem1):
-    op = TransferOperator(mem1, window=2)
-    for pi in (np.ones(1), np.ones((2, 4)), np.ones(8)):
-        with pytest.raises(ConfigError, match=r"shape \(4,\)"):
+    op = TransferOperator(mem1)
+    for pi in (np.ones(1), np.ones((2, 2)), np.ones(4)):
+        with pytest.raises(ConfigError, match=r"shape \(2,\)"):
             op.apply_dual(pi)
 
 
 def test_apply_dual_is_the_dense_transpose(rng):
-    for model, window in models_with_zero_entries(rng):
-        op = TransferOperator(model, window)
+    for model in models_with_zero_entries(rng):
+        op = TransferOperator(model)
         pi = rng.random(op.dim)
         pi /= pi.sum()
-        expect = dense_transfer_matrix(model, window).T @ pi
+        expect = dense_transfer_matrix(model, op.window).T @ pi
         assert np.abs(op.apply_dual(pi) - expect).max() < 1e-12
+
+
+@pytest.mark.parametrize("memory", [1, 2, 3])
+def test_weight_is_a_view_of_the_table(alphabet, rng, memory):
+    from conftest import random_positive_table
+
+    model = FiniteMemoryModel(alphabet, memory, random_positive_table(alphabet, memory, rng))
+    assert np.shares_memory(TransferOperator(model).weight, model.table)
+
+
+def test_operator_allocates_one_scratch_table(longrange):
+    # memory 14: the operator reads the surrogate's 2^15 entries in place
+    # and allocates one scratch array of that size
+    surrogate = finite_memory_surrogate(longrange, 14)[0]
+    tracemalloc.start()
+    try:
+        TransferOperator(surrogate)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * surrogate.table.nbytes, peak / surrogate.table.nbytes
 
 
 def _two_absorbing_pairs():
@@ -137,7 +159,7 @@ UNIQUENESS_CASES = {
     "zero entries, one closed class": (
         lambda a: FiniteMemoryModel(a, 1, {"00": 1.0, "10": 0.0, "01": 0.5, "11": 0.5}), True),
     "two closed classes, 3 symbols, memory 2": (lambda a: _two_absorbing_pairs(), False),
-    # memory 0 read through windows of 1-2 symbols: only 00.. stays reachable
+    # memory 0 read through its one-symbol window: only 0 stays reachable
     "iid with a zero entry": (lambda a: FiniteMemoryModel(a, 0, {"0": 1.0, "1": 0.0}), True),
     # context 1 forces 1: word 0 is transient, so the search leaves it
     "transient word 0": (
@@ -149,11 +171,9 @@ UNIQUENESS_CASES = {
 def test_unique_flag_matches_closed_class_oracle(case, alphabet):
     build, unique = UNIQUENESS_CASES[case]
     model = build(alphabet)
-    # windows from max(memory, 1) to memory + 2, so some exceed the memory
-    for window in range(max(model.memory, 1), model.memory + 3):
-        measure = stationary(TransferOperator(model, window))
-        assert (closed_class_count(dense_transfer_matrix(model, window)) == 1) == unique
-        assert measure.unique == unique
+    op = TransferOperator(model)
+    assert (closed_class_count(dense_transfer_matrix(model, op.window)) == 1) == unique
+    assert stationary(op).unique == unique
 
 
 @st.composite
@@ -171,9 +191,9 @@ def models_with_random_supports(draw):
 @settings(max_examples=300, deadline=None)
 @given(models_with_random_supports())
 def test_unique_flag_matches_closed_class_oracle_on_random_supports(model):
-    for window in range(max(model.memory, 1), model.memory + 2):
-        oracle = closed_class_count(dense_transfer_matrix(model, window)) == 1
-        assert _is_uniquely_ergodic(TransferOperator(model, window)) == oracle
+    op = TransferOperator(model)
+    oracle = closed_class_count(dense_transfer_matrix(model, op.window)) == 1
+    assert _is_uniquely_ergodic(op) == oracle
 
 
 def test_stationary_iid_product_measure(iid):
@@ -195,8 +215,9 @@ def test_stationary_matches_eigensolver(alphabet, rng):
 
 
 def test_stationary_marginal_consistency(mem1):
-    measure = stationary(TransferOperator(mem1, window=2))
-    # length-1 marginal sums the length-2 cylinders
+    measure = stationary(TransferOperator(mem1))
+    # length-1 marginal sums the length-2 cylinders over their right symbol,
+    # which extend the window by the table: the fixed-point equation
     p0 = stationary_prob(measure, ("0",))
     assert p0 == pytest.approx(
         stationary_prob(measure, ("0", "0")) + stationary_prob(measure, ("0", "1")),
@@ -305,6 +326,11 @@ def test_diagnostic_budget_error_is_explicit(longrange):
         uniqueness_diagnostic(longrange, 5, trunc_memory=40)
 
 
-def test_operator_budget(mem1):
-    with pytest.raises(BudgetError):
-        TransferOperator(mem1, window=40)
+def test_operator_budget(alphabet, rng, monkeypatch):
+    # the state dimension 2^2 of a memory-2 model, over a budget of 3
+    from conftest import random_positive_table
+
+    model = FiniteMemoryModel(alphabet, 2, random_positive_table(alphabet, 2, rng))
+    monkeypatch.setattr(errors, "DEFAULT_BUDGET", 3)
+    with pytest.raises(BudgetError, match=r"state dimension 2\^2 exceeds budget 3"):
+        TransferOperator(model)
