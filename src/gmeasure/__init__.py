@@ -56,7 +56,6 @@ from .renewal import (
 from .criteria import (
     CUBIC_REMAINDER_K2,
     CriterionReport,
-    MAX_SITE_RATIO,
     affinity_product_floor,
     block_tv_bounds,
     check_geometric_window_sums,
@@ -64,6 +63,5 @@ from .criteria import (
     check_single_site_series,
     check_square_summable_variation,
     check_variation_o_sqrt,
-    hellinger_floor,
     tv_bound_from_site_ratios,
 )

@@ -136,8 +136,9 @@ def _csv(comments: list[str], header: list[str], columns) -> Iterator[bytes]:
 
 
 def _json(record) -> tuple[bytes]:
-    """JSON artifact as one chunk."""
-    return ((json.dumps(record, indent=2, sort_keys=True) + "\n").encode(),)
+    """JSON artifact as one chunk.  RFC 8259 has no NaN or infinity, so a
+    non-finite float raises ``ValueError`` instead of writing one."""
+    return ((json.dumps(record, indent=2, sort_keys=True, allow_nan=False) + "\n").encode(),)
 
 
 def _sha256(data: bytes) -> str:
@@ -240,19 +241,14 @@ def _run_transfer(a: argparse.Namespace) -> dict[str, Iterable[bytes]]:
     )}
 
 
-def _disagreement(a: argparse.Namespace, model, schedule: BlockSchedule):
-    """The Monte Carlo summary of ``couple`` and ``pipeline``."""
-    return estimate_disagreement(model, schedule, a.depth, a.context_x, a.context_y,
-                                 a.trajectories, a.seed)
-
-
 def _run_couple(a: argparse.Namespace) -> dict[str, Iterable[bytes]]:
     schedule = _parse_schedule(a.schedule)
     check_mc_budget(a.depth, a.trajectories)
     model = load_model(a.model)
     for n in range(1, a.dn_max + 1):  # budgets first: no sampling for a run that cannot finish
         check_dn_budget(model, schedule, n, a.tail_len)
-    summary = _disagreement(a, model, schedule)
+    summary = estimate_disagreement(model, schedule, a.depth, a.context_x, a.context_y,
+                                    a.trajectories, a.seed)
     outputs = {"couple_mc.csv": _csv(
         ["empirical_disagreement: fraction of coupled pairs differing at coordinate -n"],
         ["coordinate", "empirical_disagreement", "stderr"],
@@ -298,12 +294,16 @@ def _run_criteria(a: argparse.Namespace) -> dict[str, Iterable[bytes]]:
         check_variation_o_sqrt(vm),
         check_geometric_window_sums(vm, a.lam),
     ]
+    records = [asdict(r) for r in reports]
+    for record in records:  # a divergent window-sum limit is JSON null
+        if record["evidence"].get("limit") == math.inf:
+            record["evidence"]["limit"] = None
     return {
         "criteria.json": _json({
             "variation": a.variation,
             "epsilon": a.epsilon,
             "lambda": a.lam,
-            "reports": [asdict(r) for r in reports],
+            "reports": records,
         }),
         "criteria_evidence.csv": _csv(
             ["verdict per criterion with scalar evidence where available"],
@@ -333,7 +333,8 @@ def _run_pipeline(a: argparse.Namespace) -> dict[str, Iterable[bytes]]:
     ratio_bounds = disagreement_bound_sweep(dbar_seq, lengths, range(1, K_max + 1))[:, 1]
     best_K = int(np.argmin(ratio_bounds)) + 1
     best = float(ratio_bounds[best_K - 1])
-    summary = _disagreement(a, model, schedule)
+    summary = estimate_disagreement(model, schedule, a.depth, a.context_x, a.context_y,
+                                    a.trajectories, a.seed)
     return {
         "pipeline_bounds.csv": _csv(
             ["dbar: non-increasing bound on the worst-case block total variation d_K",

@@ -1,15 +1,12 @@
 """Uniqueness criteria for g-chains over parametric variation models.
 
-The criteria act on the log-oscillation sequence var_n = var_{[0,n]}(log g)
-(equivalently rho_n = exp(var_n)).  Closed-form tail laws (``tails``) are
-classified from their asymptotic class; tabulated profiles can only be
-reported as inconclusive with diagnostics, since a numeric prefix cannot
-certify divergence of a series.
-
-The Hellinger toolchain provides the affinity floor for a single
-distribution pair, a total-variation bound built from per-site conditional
-oscillation ratios, a certified cubic-remainder product floor, and the
-resulting upper bounds for the worst-case block total variation d_n.
+The criteria act on the log-oscillation sequence var_n = var_{[0,n]}(log g),
+or on an upper bound with its asymptotic class, such as a variation
+profile's x_n = rho_n - 1.  Closed-form tail laws (``tails``) are classified
+from that class; tabulated profiles are reported inconclusive, since a
+numeric prefix cannot certify divergence of a series.  ``block_tv_bounds``
+bounds block total variations by the exact per-site affinity floor; the
+cubic-remainder floor of the older Hellinger floor is the paper's own.
 """
 
 from __future__ import annotations
@@ -40,8 +37,6 @@ __all__ = [
     "check_variation_o_sqrt",
     "check_geometric_window_sums",
     "check_single_site_series",
-    "hellinger_floor",
-    "MAX_SITE_RATIO",
     "tv_bound_from_site_ratios",
     "cubic_remainder_constant",
     "CUBIC_REMAINDER_K2",
@@ -54,10 +49,6 @@ __all__ = [
 SATISFIED = "satisfied"
 VIOLATED = "violated"
 INCONCLUSIVE = "inconclusive"
-
-# Largest per-site oscillation ratio for which the Hellinger floor is
-# non-negative: (1 + sqrt(2))**2.
-MAX_SITE_RATIO = 3.0 + 2.0 * math.sqrt(2.0)
 
 
 @dataclass
@@ -210,41 +201,34 @@ def check_single_site_series(
 
 
 # ---------------------------------------------------------------------------
-# Hellinger toolchain
+# site-ratio bounds
 
 
-def hellinger_floor(rho):
-    """Lower bound 1 - (sqrt(rho)-1)**2 / 2 for the Hellinger affinity
-    sum sqrt(mu*nu) of two distributions with oscillation ratio rho,
-    elementwise over an array of ratios."""
-    if not np.all(np.asarray(rho) >= 1):
-        raise ConfigError("oscillation ratio must be >= 1")
-    return 1.0 - 0.5 * (np.sqrt(rho) - 1.0) ** 2
-
-
-def tv_bound_from_site_ratios(rhos: Sequence[float], starts: Sequence[int] = (0,)) -> np.ndarray:
-    """Total-variation bounds sqrt(1 - prod_i (1 - (sqrt(rho_i)-1)**2/2)**2),
-    one per block of sites ``rhos[starts[j]:starts[j + 1]]``, the last block
-    running to the end; by default one block of every site.  Only the last
-    block may be empty (its bound is 0).
-
-    Valid for measures on a product of sites whose per-site conditional
-    oscillation ratios are rho_i.  Each rho_i must lie in [1, MAX_SITE_RATIO]
-    so the per-site affinity floor is non-negative; a larger one raises
-    ConfigError naming its block (1-based).  One ``np.multiply.reduceat``
-    takes the products, site after site from the left, as a loop would.
-    """
-    rhos = np.asarray(rhos, dtype=float)
-    over = np.flatnonzero(rhos > MAX_SITE_RATIO)
-    if over.size:
-        block = int(np.searchsorted(starts, over[0], side="right"))
-        raise ConfigError(
-            f"site ratio {rhos[over[0]]:.6f} in block {block} exceeds the validity bound "
-            f"{MAX_SITE_RATIO:.6f}"
-        )
-    # the trailing 1.0 changes no product, and is the last block's if empty
-    prods = np.multiply.reduceat(np.append(hellinger_floor(rhos) ** 2, 1.0), starts)
-    return np.sqrt(np.maximum(1.0 - prods, 0.0))
+def tv_bound_from_site_ratios(xs: Sequence[float], starts: Sequence[int] = (0,)) -> np.ndarray:
+    """Total-variation bounds d = sqrt(1 - prod_i sech(t_i/2)**2), one per
+    block of sites ``xs[starts[j]:starts[j + 1]]``, the last running to the
+    end (by default one block of every site; only the last may be empty, with
+    bound 0), for any per-site oscillation ratios e**t_i = 1 + x_i, x = ``xs``.
+    With y_i = (x_i/(2 + x_i))**2, d**2 = sum_i y_i prod_{j<i} (1 - y_j) in
+    nonnegative terms, summed in site order bit for bit as a scalar loop, by
+    ``np.cumprod`` and ``np.cumsum`` along one (blocks, b) array per block
+    length b.  The squares are of z scaled by an exact power of 2, so a
+    positive x cannot underflow to a bound of 0."""
+    xs = np.asarray(xs, dtype=float)
+    if not ((xs >= 0) & (xs < np.inf)).all():  # NaN fails too
+        raise ConfigError("site ratio excesses x = rho - 1 must be finite and >= 0")
+    z = xs / (2.0 + xs)
+    starts = np.asarray(starts)
+    lengths = np.diff(starts, append=len(xs))
+    bounds = np.zeros(len(starts))
+    for b in (np.flatnonzero(np.bincount(lengths)[1:]) + 1).tolist():
+        blocks = np.flatnonzero(lengths == b)
+        zb = z[starts[blocks, None] + np.arange(b)]
+        scale = np.frexp(zb.max(axis=1, keepdims=True))[1]  # max zb < 2**scale
+        terms = np.ldexp(zb, -scale) ** 2
+        terms[:, 1:] *= np.cumprod(1.0 - zb[:, :-1] ** 2, axis=1)
+        bounds[blocks] = np.ldexp(np.sqrt(np.cumsum(terms, axis=1)[:, -1]), scale[:, 0])
+    return bounds
 
 
 def cubic_remainder_constant(lam: float) -> float:
@@ -254,8 +238,9 @@ def cubic_remainder_constant(lam: float) -> float:
     Derivation: with x = t/2, exp(x) - 1 - x <= x**2 * exp(x) / 2, so
     (e**(t/2)-1)**2 <= t**2/4 + t**3 * (e**(T/2)/8 + T*e**T/64) on [0, T].
     """
-    if not 1 < lam < MAX_SITE_RATIO:
-        raise ConfigError(f"lambda must lie in (1, {MAX_SITE_RATIO:.6f})")
+    top = 3.0 + 2.0 * math.sqrt(2.0)  # (1 + sqrt(2))**2, where 1 - (sqrt(rho)-1)**2/2 is 0
+    if not 1 < lam < top:
+        raise ConfigError(f"lambda must lie in (1, {top:.6f})")
     T = math.log(lam)
     return math.exp(0.5 * T) / 8.0 + T * math.exp(T) / 64.0
 
@@ -295,17 +280,16 @@ def affinity_product_floor(rhos: Sequence[float]) -> float:
 
 def block_tv_bounds(vm, schedule: BlockSchedule, n: int) -> np.ndarray:
     """Closed-form upper bounds for the worst-case block total variations
-    d_1..d_n from a variation model, as one float64 array: d_k is
-    ``tv_bound_from_site_ratios`` over the ratios rho_i = exp(var_i) of the
-    sites [B_{k-1}, B_k - 1] that separate block k from the agreement
-    region.  A site ratio above MAX_SITE_RATIO raises ConfigError naming
-    the first block that holds one.
-
-    ``vm`` is anything whose var_at takes an array of sites (a variation
-    profile or a parametric variation model).
-    """
+    d_1..d_n, as one float64 array: d_k is ``tv_bound_from_site_ratios`` over
+    the x_i = rho_i - 1 of the sites [B_{k-1}, B_k - 1] that separate block k
+    from the agreement region, read from ``vm.var_at`` (a variation profile
+    holds x; a tail law is read as a law for x).  If p/q lies in [1/rho, rho],
+    rho = e**t, then sum sqrt(p*q) = E_q[sqrt(p/q)] >= 2 sqrt(rho)/(1 + rho)
+    = sech(t/2), attained on the two-point law at 1/rho and rho (Le Cam &
+    Yang 2000); 1 - sech(t/2)**2 = (x/(2 + x))**2, and one site's bound
+    tanh(t/2) is sharp (Birkhoff 1957).  The floor is positive for every
+    ratio, so every finite x >= 0 is accepted."""
     if n < 1:
         raise ConfigError("block index must be >= 1")
     starts = schedule.partial_sums(n)
-    rhos = np.exp(vm.var_at(np.arange(starts[-1])))
-    return tv_bound_from_site_ratios(rhos, starts[:-1])
+    return tv_bound_from_site_ratios(vm.var_at(np.arange(starts[-1])), starts[:-1])

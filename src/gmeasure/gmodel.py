@@ -38,7 +38,7 @@ terms within the word, once for words read under many contexts, and
 length per call, with the interval semantics of ``eval_indices``.  Each lag
 table has one route: the long-range kernel reads one coefficient table of
 a_k and theta * tail(k), never ``zeta``; the finite-memory kernel and
-``rho`` read the min/max tables over completions of windows of 1..M+1
+``ratio_excess`` read the min/max tables over completions of windows of 1..M+1
 symbols.
 """
 
@@ -208,15 +208,16 @@ class FiniteMemoryModel:
         lo, hi = float(block.min()), float(block.max())
         return 0.5 * (lo + hi), 0.5 * (hi - lo)
 
-    def rho(self, n):
-        """Exact oscillation ratio of g over pairs agreeing on [0, n], for an
-        int or elementwise over an integer array n >= 0: the largest max/min
-        over the completions of a word of n + 1 symbols, 1 from n = memory on."""
+    def ratio_excess(self, n):
+        """x_n = rho_n - 1 for the exact oscillation ratio rho_n of g over
+        pairs agreeing on [0, n], for an int or elementwise over an integer
+        array n >= 0: the largest (max - min)/min over the completions of a
+        word of n + 1 symbols, 0 from n = memory on."""
         if not self.is_positive:
             raise ConfigError("oscillation ratio undefined for a non-positive model")
         offsets, lo, hi = self._completions
-        ratios = np.maximum.reduceat(hi / lo, offsets[1:])
-        return ratios[np.minimum(_nonnegative(n), self.memory)]
+        excess = np.maximum.reduceat((hi - lo) / lo, offsets[1:])
+        return excess[np.minimum(_nonnegative(n), self.memory)]
 
 
 class LongRangeLinearModel:
@@ -227,12 +228,11 @@ class LongRangeLinearModel:
     Signs s map the two symbols to -1/+1 (alphabet order by default), theta
     lies in (0, 1/2), and the coefficient mass sum_k a_k is at most 1, which
     keeps g strictly positive.  The oscillation ratio over pairs agreeing on
-    [0, n] has the closed form
+    [0, n] has the closed form rho_n = 1 + x_n, with nothing to cancel in
 
-        rho_n = 1 + 2*theta*tail(n) / g_min,    g_min = 1/2 - theta*A,
+        x_n = 2*theta*tail(n) / g_min,    g_min = 1/2 - theta*A,
 
-    with A the total coefficient mass and g_min the global minimum of g; so
-    rho_n >= 1 holds in floats too.
+    A the total coefficient mass and g_min the global minimum of g.
     """
 
     def __init__(self, alphabet: Alphabet, theta: float, coefficients, signs=None):
@@ -307,9 +307,9 @@ class LongRangeLinearModel:
             mid = 0.5 + self.theta * float(signs[0]) * float(np.dot(avec[1:n], signs[1:]))
         return mid, self.theta * self.coefficients.tail(n - 1)
 
-    def rho(self, n):
-        """The closed-form rho_n, for an int or elementwise over site indices."""
-        return 1 + 2 * self.theta * self.coefficients.tail(_nonnegative(n)) / self.g_min
+    def ratio_excess(self, n):
+        """The closed-form x_n = rho_n - 1, for an int or elementwise over sites."""
+        return 2 * self.theta * self.coefficients.tail(_nonnegative(n)) / self.g_min
 
 
 def iid_model(alphabet: Alphabet, probs: Sequence[float]) -> FiniteMemoryModel:
@@ -388,11 +388,13 @@ def interval_product(mid: np.ndarray, rad: np.ndarray):
 
 @dataclass(frozen=True)
 class VariationProfile:
-    """Per-n values of the log-oscillation of g.
+    """Per-n excesses x_n = rho_n - 1 of the oscillation ratio of g.
 
-    ``values[n]`` is var_{[0,n]}(log g) for n up to the tabulated horizon:
-    a non-increasing prefix.  Beyond it, the closed-form ``tail`` law
-    supplies an upper bound.
+    ``values[n]`` is x_n for n up to the tabulated horizon: a non-increasing
+    prefix.  Beyond it, the closed-form ``tail`` law supplies an upper bound.
+    x_n >= var_n = log1p(x_n) with x_n / var_n -> 1: x has var's asymptotic
+    class, and what a criterion asks to be small (a sum, a product series'
+    decay) holds for var where it holds for x, so the criteria stay sound.
     """
 
     values: np.ndarray
@@ -411,8 +413,8 @@ class VariationProfile:
         return len(self.values) - 1
 
     def var_at(self, n):
-        """var_n for an int or an integer array n >= 0: the tabulated value
-        up to the horizon, the tail law beyond it."""
+        """x_n, an upper bound on var_n, for an int or an integer array
+        n >= 0: the tabulated value up to the horizon, the tail law beyond it."""
         n = np.asarray(_nonnegative(n))
         if (n <= self.horizon).all():
             return self.values[n]
@@ -423,17 +425,18 @@ class VariationProfile:
 
 
 def variation_profile(model, horizon: int) -> VariationProfile:
-    """Tabulate var_{[0,n]}(log g) = log rho_{[0,n]} for n = 0..horizon,
-    from one call of ``model.rho`` on all of them."""
+    """Tabulate x_n = rho_n - 1 for n = 0..horizon, from one call of
+    ``model.ratio_excess`` on all of them; no logarithm is taken, so a
+    positive x_n stays positive however small it is."""
     if horizon < 0:
         raise ConfigError("horizon must be >= 0")
-    values = np.log(model.rho(np.arange(horizon + 1)))
+    values = model.ratio_excess(np.arange(horizon + 1))
     values = np.minimum.accumulate(values)  # clear float noise in flat stretches
     if isinstance(model, FiniteMemoryModel):
-        # var_n is non-increasing, so values[horizon] bounds it up to the
+        # x_n is non-increasing, so values[horizon] bounds it up to the
         # memory, and it vanishes from n = memory on
         return VariationProfile(values, FiniteRange(model.memory, float(values[horizon])))
-    # var_n = log rho_n <= 2 * theta * tail(n) / g_min, by log(1+x) <= x
+    # x_n = 2 * theta * tail(n) / g_min, and the tail law bounds tail(n)
     law = model.coefficients.tail_law
     return VariationProfile(values, replace(law, c=2 * model.theta * law.c / model.g_min))
 

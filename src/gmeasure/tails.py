@@ -67,6 +67,17 @@ def _zeta(p: float, q: float) -> float:
     return total + x * a / (p - 1)
 
 
+def _powers(r: float, k):
+    """r**k for 0 < r < 1 and an int or integer array k >= 0, rounded as the
+    scalar ``**`` rounds it (numpy's SIMD ``**`` may differ in the last bit):
+    one scalar call per exponent until r**k is 0, past 1075 halvings."""
+    if isinstance(k, (int, np.integer)):
+        return r**k
+    k = np.asarray(k)
+    top = min(int(k.max(initial=0)), int(1075 / -math.log2(r)) + 1)
+    return np.array([r**i for i in range(top + 1)] + [0.0])[np.minimum(k, top + 1)]
+
+
 @dataclass(frozen=True)
 class PowerLaw:
     """c * (n + offset)**(-p); p = 0 gives the constant c.  Its sums, defined
@@ -140,7 +151,7 @@ class Exponential:
         return cls(mass * (1 - r) / r, r)
 
     def tail(self, n: int) -> float:
-        return self.c * self.r ** (n + 1) / (1 - self.r)
+        return self.c * _powers(self.r, n + 1) / (1 - self.r)
 
     @property
     def total(self) -> float:

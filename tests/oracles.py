@@ -14,10 +14,14 @@ oracles add and multiply one term at a time, in the kernel's order.  The CSV
 oracle formats cell by cell.
 
 The scalar per-n and per-block routes of the pipeline's bound path are
-references for its array code: ``rho_scalar`` and ``profile_scalar``
-evaluate one n at a time with Python floats, and ``block_bound_scalar``
-multiplies one site's Hellinger floor at a time.  ``alpha_beta_scalar``
-builds the renewal law's masses and beta one block at a time.
+references for its array code: ``ratio_excess_scalar`` and
+``profile_scalar`` evaluate x_n = rho_n - 1 one n at a time with Python
+floats, and ``block_bound_scalar`` adds one site's term of the sech-floor
+bound at a time, from the left.  ``hellinger_floor`` and
+``hellinger_bound_decimal`` keep the Hellinger floor the block bounds used
+before, as the reference the sech floor must not exceed.
+``alpha_beta_scalar`` builds the renewal law's masses and beta one block at
+a time.
 
 Four helpers that no run of the library needs live here too: ``decode``,
 the inverse of ``gmodel.encode``; ``OneMinusPower``, a sequence tending to 1
@@ -27,6 +31,7 @@ stream per run; and ``stationary_prob``, the stationary probability of a
 cylinder.
 """
 
+import decimal
 import math
 from dataclasses import dataclass
 from functools import reduce
@@ -36,7 +41,6 @@ import scipy.linalg
 from scipy.signal import lfilter
 from scipy.special import zeta
 
-from gmeasure.criteria import MAX_SITE_RATIO
 from gmeasure.errors import ConfigError
 from gmeasure.gmodel import FiniteMemoryModel, encode
 from gmeasure.renewal import RenewalSpec
@@ -97,38 +101,57 @@ def stationary_prob(measure, symbols) -> float:
     return p
 
 
-def rho_scalar(model, n: int) -> float:
-    """rho_n for one n: on a finite-memory model the largest max/min ratio
-    over the table's groups of words agreeing on [0, n], 1 from the memory
-    on; on the linear model its closed form 1 + 2 theta tail(n) / g_min
-    with the scalar ``tail``."""
+def ratio_excess_scalar(model, n: int) -> float:
+    """x_n = rho_n - 1 for one n: on a finite-memory model the largest
+    (max - min)/min over the table's groups of words agreeing on [0, n], 0
+    from the memory on; on the linear model its closed form
+    2 theta tail(n) / g_min with the scalar ``tail``."""
     if isinstance(model, FiniteMemoryModel):
         if n >= model.memory:
-            return 1.0
+            return 0.0
         grouped = model.table.reshape(model.alphabet.size ** (n + 1), -1)
-        return float((grouped.max(axis=1) / grouped.min(axis=1)).max())
+        lo, hi = grouped.min(axis=1), grouped.max(axis=1)
+        return max(float(h - l) / float(l) for l, h in zip(lo, hi))
     g_min = 0.5 - model.theta * model.total_mass
-    return 1 + 2 * model.theta * model.coefficients.tail(n) / g_min
+    return 2 * model.theta * model.coefficients.tail(n) / g_min
 
 
 def profile_scalar(model, horizon: int) -> np.ndarray:
-    """var_0..var_horizon by one ``rho_scalar`` and one ``math.log`` per n,
-    the values made non-increasing, as ``variation_profile`` does."""
-    logs = [math.log(rho_scalar(model, n)) for n in range(horizon + 1)]
-    return np.minimum.accumulate(logs)
+    """x_0..x_horizon by one ``ratio_excess_scalar`` per n, the values made
+    non-increasing, as ``variation_profile`` does."""
+    return np.minimum.accumulate([ratio_excess_scalar(model, n) for n in range(horizon + 1)])
 
 
 def block_bound_scalar(vm, schedule, n: int) -> float:
-    """sqrt(1 - prod (1 - (sqrt(rho_i) - 1)**2 / 2)**2) over the sites of
-    block n, one ``math.exp`` and one Hellinger floor per site, multiplied
-    from the left; None when a site ratio exceeds ``MAX_SITE_RATIO``."""
-    prod = 1.0
+    """sqrt(1 - prod (1 - y_i)) over the sites of block n, y_i =
+    (x_i / (2 + x_i))**2 the complement of a site's squared sech floor,
+    summed as sum_i y_i prod_{j<i} (1 - y_j) one site at a time from the
+    left."""
+    total, survive = 0.0, 1.0
     for i in range(schedule.B(n - 1), schedule.B(n)):
-        rho = math.exp(vm.var_at(i))
-        if rho > MAX_SITE_RATIO:
-            return None
-        prod *= (1.0 - 0.5 * (math.sqrt(rho) - 1.0) ** 2) ** 2
-    return math.sqrt(max(1.0 - prod, 0.0))
+        x = float(vm.var_at(i))
+        z = x / (2.0 + x)
+        total += z * z * survive
+        survive *= 1.0 - z * z
+    return math.sqrt(total)
+
+
+def hellinger_floor(rho):
+    """The Hellinger affinity floor 1 - (sqrt(rho) - 1)**2 / 2 of two
+    distributions with oscillation ratio rho, elementwise; nonnegative for
+    rho <= (1 + sqrt(2))**2."""
+    return 1.0 - 0.5 * (np.sqrt(rho) - 1.0) ** 2
+
+
+def hellinger_bound_decimal(xs) -> decimal.Decimal:
+    """sqrt(1 - prod_i hellinger_floor(1 + x_i)**2) in 60-digit decimal
+    arithmetic on the float x_i, for x_i up to 2 + 2 sqrt(2)."""
+    with decimal.localcontext(decimal.Context(prec=60)):
+        prod = decimal.Decimal(1)
+        for x in xs:
+            root = (1 + decimal.Decimal(float(x))).sqrt()
+            prod *= (1 - (root - 1) ** 2 / 2) ** 2
+        return (1 - prod).sqrt()
 
 
 def suffix_max(values, tail: float) -> list[float]:

@@ -47,7 +47,6 @@ from gmeasure.criteria import (
     check_square_summable_variation,
     check_variation_o_sqrt,
     coupling_bound_ratio,
-    hellinger_floor,
     tv_bound_from_site_ratios,
 )
 from conftest import random_positive_table
@@ -56,6 +55,7 @@ from oracles import (
     conditional_product_measure,
     dense_transfer_matrix,
     effective_lattice,
+    hellinger_floor,
     left_perron_vector,
     renewal_limit,
     stationary_prob,
@@ -213,11 +213,11 @@ def test_criterion_05_hellinger_suite():
     for _ in range(300):
         length = int(rng.integers(1, 7))  # supports up to 64 outcomes
         mu_k, nu_k = random_kernel_pair(rng, length, 5.82)
-        rhos = site_ratios(mu_k, nu_k)
+        xs = np.array(site_ratios(mu_k, nu_k)) - 1.0
         tv = total_variation(
             conditional_product_measure(mu_k), conditional_product_measure(nu_k)
         )
-        assert tv <= tv_bound_from_site_ratios(rhos) + 1e-12
+        assert tv <= tv_bound_from_site_ratios(xs) + 1e-12
 
     # certified cubic-remainder floor on 10^4 random tuples with lambda = 2
     assert certify_cubic_remainder(2.0) >= 0.0

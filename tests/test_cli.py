@@ -71,6 +71,9 @@ MODELS = {
     "longrange": LONGRANGE_MODEL,
     "exponential": EXPONENTIAL_MODEL,
     "exponential_c": EXPONENTIAL_MODEL.replace("coeff_mass = 0.5", "coeff_c = 0.2"),
+    # strongly dependent: site ratio 0.9 / 0.02 = 45, past (1 + sqrt(2))**2
+    "mem1_strong": "variant = finite_memory\nalphabet = 0,1\nmemory = 1\n"
+                   "table[00] = 0.9\ntable[01] = 0.02\ntable[10] = 0.1\ntable[11] = 0.98\n",
     # model files of the BAD_INPUTS rows
     "bad_table": MEM1_MODEL.replace("0.3", "x"),
     "nan_mass": LONGRANGE_MODEL.replace("coeff_mass = 0.5", "coeff_mass = nan"),
@@ -134,6 +137,22 @@ def test_criteria_subcommand_verdicts(tmp_path):
     assert verdicts["square_summable_variation"] == "satisfied"
     assert verdicts["variation_o_sqrt"] == "satisfied"
     assert verdicts["geometric_window_sums"] == "satisfied"
+
+
+def test_criteria_json_holds_no_infinity_for_a_diverging_law(tmp_path):
+    # RFC 8259 has no Infinity token: a divergent window-sum limit is null
+    # in criteria.json, and inf in the CSV
+    out = tmp_path / "criteria"
+    assert main(["criteria", "--variation", "power_law:c=1,p=0.3", "--out", str(out)]) == 0
+
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    report = json.loads((out / "criteria.json").read_text(), parse_constant=refuse)
+    limits = {r["criterion"]: r["evidence"].get("limit") for r in report["reports"]}
+    assert limits["geometric_window_sums"] is None
+    _, rows = read_csv_rows(out / "criteria_evidence.csv")
+    assert rows[-1] == ["geometric_window_sums", "violated", "inf"]
 
 
 def test_transfer_subcommand(mem1_file, tmp_path):
@@ -233,14 +252,14 @@ PINNED = {
         "couple_mc.csv": "6c58d4c5d8bcc03bf18ce559832540dd461e0827779a1331e808f8425ad32c35",
     }),
     "pipeline-const:1": (_mc_argv("pipeline", "const:1"), {
-        "pipeline_mc.csv": "41fd1cbab9472dd3baa153aa186f09fdaa60977de72aeb196ff1899e2ae8192d",
-        "pipeline_bounds.csv": "edeb85cbdc69e71f9fce4a4ac5b16c256ea6e5ffadad82712a09c856770281ca",
-        "pipeline_summary.json": "0ff94a4874454aef086e37afed09da1f9d2c39594939558c0cc932c8fed7eaf6",
+        "pipeline_mc.csv": "aeead6084f8e2b6356e99faa3aa3f016be13883193e7a73283a7c183cd2d4442",
+        "pipeline_bounds.csv": "572e01d3179bb6af8324c4f391fe006e945b9eb5f6bd79bc892cdd5426c23638",
+        "pipeline_summary.json": "3211d6ca745abad796fd74345ec15bafeafa808470cc73840ea9702788beb3f6",
     }),
     "pipeline-geom:l=1.5": (_mc_argv("pipeline", "geom:l=1.5"), {
-        "pipeline_mc.csv": "17bf4140a85c8a98a5c62c56a9f006937fefdbf149e36df9724a384ba794f6df",
-        "pipeline_bounds.csv": "ad7aeed16634cc4343327cd97c6dae045a244f9e3459eea9c451c3cd09b78131",
-        "pipeline_summary.json": "74a314a83d12ddf75d5f5b6fe1bab08679f9ebd54b40da9cea332ef93b8e09f3",
+        "pipeline_mc.csv": "da7eb0523870c48cfb691f5fe05ce301742af547a5fc5d488d63d507716d4ecc",
+        "pipeline_bounds.csv": "c04623a9b614e5382b90f13fec6247d9e7cead721e776c52497ef5e2333f07d3",
+        "pipeline_summary.json": "d0082c5c421757358b862a7f5996d8f584a1852718fcb4fcfca12efb9ef45770",
     }),
     # finite memory through the Monte Carlo sampler, from one-symbol contexts
     "couple-mem1-const:1": (_mc_argv("couple", "const:1", "mem1", context=1), {
@@ -249,16 +268,21 @@ PINNED = {
     "couple-mem1-geom:l=1.5": (_mc_argv("couple", "geom:l=1.5", "mem1", context=1), {
         "couple_mc.csv": "864934fbc7031c70d3e1037aaa7ab6cab2526c779cd1f544c44dbe5cad887867",
     }),
+    "pipeline-mem1-strong": (_mc_argv("pipeline", "const:1", "mem1_strong", context=1), {
+        "pipeline_mc.csv": "53d07684b81a6378ee73713475c205c4b1f5f344b0240249cca2208a1cecb45b",
+        "pipeline_bounds.csv": "61114d29e81bf807785f2ebcb6e95f3e2ae8d946c82d44826de6209a9182bffb",
+        "pipeline_summary.json": "c93645ab1c31623a6ee43a131a71b88863cd58cc64fadf97243d43b73c0d20f4",
+    }),
     # the two Monte Carlo benchmark workloads at seed 1
     "pipeline-mc_short_blocks": (_bench_argv("longrange", "const:1", 64, 200, 64), {
-        "pipeline_mc.csv": "63d498056eb76949734639ec8f44dcabd540a7997976928f31fe09621ca74e94",
-        "pipeline_bounds.csv": "ee7fc046f8f524d2350138a84acf5d6c4c58c74ec23d47b646dd5538135ac9a6",
-        "pipeline_summary.json": "2bd19fc1ca6371aa62d163d9f45d6394a233ae9a480f285fb4051c753fee653d",
+        "pipeline_mc.csv": "6aa2091b303498af711a7e0060850368080b655ece2a331ba4a0a017d0d36cc9",
+        "pipeline_bounds.csv": "9d0cd94b40f528001a174131f457c53e051b7e4e112693a3fad6ba23700c642f",
+        "pipeline_summary.json": "15d1435c45449be1e11e39c73b991e9a88f2a6aa100e3ec64e78acd896d50e94",
     }),
     "pipeline-mc_long_blocks": (_bench_argv("exponential", "geom:l=1.5", 34, 8, 48), {
-        "pipeline_mc.csv": "10054a11639d0e3c3d554a289d044d627a2996f478e145571e8d074824bd8bae",
-        "pipeline_bounds.csv": "81186a2027131a84669adfa3cbbe0b1d6b3a2d9b707d8a65aff1cf85100c8128",
-        "pipeline_summary.json": "04abe364629ea9a05b694c100ac4949498118ee3d522d0f5596a0834e5632363",
+        "pipeline_mc.csv": "956b5da5be4c016bd4d02bd240664316eabe559bcf161af4842212d9cc885586",
+        "pipeline_bounds.csv": "a24a3f582b33845b61d713ab9637343d1468ecc5cb370e589883359ebef1695b",
+        "pipeline_summary.json": "0fef76adebe3bd15bdf3e62fb6b99de1ed02e15c6c53c8957837db3afed2e23e",
     }),
     # the exact_bounds benchmark workload's transfer and couple runs, at seed 1
     "transfer-exact_bounds": (["transfer", "--model", "{longrange}", "--trunc-memory", "14",
@@ -279,9 +303,9 @@ PINNED = {
     }),
     # the exponential coefficient law, scaled by coeff_mass and given by coeff_c
     "pipeline-exponential": (_mc_argv("pipeline", "geom:l=1.5", "exponential"), {
-        "pipeline_mc.csv": "d37d8a3f8af0ca501f5c0829366085a088c4a0ffa1d77a85d486b30d57585dc8",
-        "pipeline_bounds.csv": "549ba2577073109ddd3edc879af7b14a65849287ba8d68ce490cd1b73ca5138a",
-        "pipeline_summary.json": "e75d0e5f09c560adeee070d7174cf88d6b484f085f0e6b949b31786cb538f675",
+        "pipeline_mc.csv": "4f8a92c6e6e081f5835968285fb0f164beaa6d869665e471738246976240850d",
+        "pipeline_bounds.csv": "2fcd4d7941b1362e39147a8f2b23d42660074069a1476033efec6a5f86c8eba6",
+        "pipeline_summary.json": "0ac548629ee8c3965fd3381ba7285f92b50662adbbf93c0e2db77e993a94dba7",
     }),
     "couple-dn-exponential": (["couple", "--model", "{exponential}", "--depth", "6",
                                "--trajectories", "20", "--seed", "3", "--dn-max", "3",
@@ -344,6 +368,16 @@ def test_artifact_digests_are_pinned(run, tmp_path):
         assert on_disk == digest, name
 
 
+def test_pipeline_on_a_strongly_dependent_table(tmp_path):
+    # one site with ratio 45 separates block 1 from the agreement region:
+    # d_1 = x / (2 + x) = 44/46, and every later block reads x = 0
+    argv = [a.format(**write_models(tmp_path)) for a in PINNED["pipeline-mem1-strong"][0]]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+    _, rows = read_csv_rows(tmp_path / "out" / "pipeline_bounds.csv")
+    assert abs(float(rows[0][1]) - 44 / 46) <= 2 * np.spacing(44 / 46)
+    assert [float(r[1]) for r in rows[1:]] == [0.0] * (len(rows) - 1)
+
+
 @pytest.mark.parametrize("run", sorted(r for r in PINNED if r.startswith("pipeline")))
 def test_pinned_pipeline_bound_paths_equal_the_scalar_routes(run, tmp_path):
     # on the pinned pipeline configs the array bound path moves no bit: the
@@ -394,20 +428,20 @@ SPAWNED_STREAM_DIGESTS = {
         "couple_mc.csv": "8ab01abf283d82499fb31637671073022b5ad72389f3f3d30ea6c50f024b6fad",
     },
     "pipeline-const:1": {
-        "pipeline_mc.csv": "65cdac0b62f5d45207493d5d59576288632bee520078b189d7f53f032f18d80d",
+        "pipeline_mc.csv": "372a4f1052c5539c8251c77dd55f9ac3e0301292cb5f833ada0729a1e06ad3fd",
     },
     "pipeline-exponential": {
-        "pipeline_mc.csv": "35ce979cd315f86d28f992d93bf3417bbb159972a13238fe274541ad12178de6",
+        "pipeline_mc.csv": "5fe0d20cb71bc68c65e7e51d09165ef2180de533e619ed3381b016445e22816d",
     },
     "pipeline-geom:l=1.5": {
-        "pipeline_mc.csv": "67204a79e2e4437fa0efaf5468562f060af8fb7b834be2ca5e779609b9bd11c5",
-        "pipeline_summary.json": "91b9883cc9fd0a1d3d609dfa6bb1ac64bf01ccca1a6ea4db1b8972bf4e8cddf0",
+        "pipeline_mc.csv": "daa3472314240e87f6eb21a2777fb8038e4be5535d623e04bec4df1c6301d83f",
+        "pipeline_summary.json": "06ab8fef0f64ad79dd330c84a3b54518475ec4a999f93b2b32e7c44514264b62",
     },
     "pipeline-mc_long_blocks": {
-        "pipeline_mc.csv": "691398a3cdc0236cabd419ffbab01c35d523c6725e537c9960d84948e52d77ad",
+        "pipeline_mc.csv": "1ddb14171975f299c2bf5bfd73d1f10a36246a433cd341676a3efca03f14fd4e",
     },
     "pipeline-mc_short_blocks": {
-        "pipeline_mc.csv": "4fb4833689cc0950fa4f6dfb860eafe2de2939a16ef459bafffe4a81ab0fb102",
+        "pipeline_mc.csv": "36d50e953b6ee699e30b7c6c6c06f1019c627798d51114d44da329917e40a97c",
     },
 }
 

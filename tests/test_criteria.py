@@ -12,7 +12,6 @@ from gmeasure import (
     FiniteMemoryModel,
     FiniteRange,
     LongRangeLinearModel,
-    MAX_SITE_RATIO,
     PowerLaw,
     RenewalSpec,
     TransferOperator,
@@ -31,7 +30,6 @@ from gmeasure import (
     disagreement_bound_sweep,
     dn_bruteforce,
     geometric_blocks,
-    hellinger_floor,
     stationary,
     tv_bound_from_site_ratios,
     variation_profile,
@@ -49,9 +47,11 @@ from oracles import (
     block_bound_scalar,
     closed_form_ratio,
     conditional_product_measure,
+    hellinger_bound_decimal,
+    hellinger_floor,
     profile_scalar,
+    ratio_excess_scalar,
     renewal_limit,
-    rho_scalar,
     suffix_max,
     total_variation,
 )
@@ -148,7 +148,7 @@ def test_tabulated_validation():
 
 
 def test_tabulated_profile_rejects_negative_sites():
-    # a negative site would read from the end of the table, as in rho
+    # a negative site would read from the end of the table, as in ratio_excess
     vm = VariationProfile((0.5, 0.2, 0.1))
     for n in (-1, [-1, 0], np.arange(-2, 5)):
         with pytest.raises(ConfigError, match="n >= 0"):
@@ -175,7 +175,7 @@ def test_single_site_series_examples():
 def test_single_site_tv_bound_dominates_exact(longrange, rng):
     # half the summed first-symbol differences vs rho - 1, on random pairs
     for n in (1, 2, 4):
-        rho_upper = longrange.rho(n)
+        x_upper = longrange.ratio_excess(n)
         for _ in range(100):
             common = rng.integers(0, 2, n)
             tx = rng.integers(0, 2, 60)
@@ -187,21 +187,26 @@ def test_single_site_tv_bound_dominates_exact(longrange, rng):
                 vy, ey = longrange.eval_indices(np.concatenate([[s], common, ty]))
                 half_sum += 0.5 * abs(vx - vy)
                 slack += ex + ey
-            assert half_sum <= rho_upper - 1.0 + slack + 1e-12
+            assert half_sum <= x_upper + slack + 1e-12
 
 
-# --- Hellinger toolchain ------------------------------------------------------
+# --- site-ratio bounds ---------------------------------------------------------
 
 
 def test_hellinger_floor_values():
+    # the Hellinger floor the block bounds used before, kept as a reference:
+    # it reaches 0 at rho = (1 + sqrt(2))**2, while the sech floor
+    # 2 sqrt(rho) / (1 + rho) stays positive for every ratio and above it
+    cap = 3.0 + 2.0 * math.sqrt(2.0)
     assert hellinger_floor(1.0) == 1.0
-    assert hellinger_floor(MAX_SITE_RATIO) == pytest.approx(0.0, abs=1e-12)
+    assert hellinger_floor(cap) == pytest.approx(0.0, abs=1e-12)
     assert hellinger_floor(4.0) == pytest.approx(0.5, abs=1e-15)
-    with pytest.raises(ConfigError):
-        hellinger_floor(0.5)
+    rho = np.linspace(1.0, cap, 1001)
+    assert (2 * np.sqrt(rho) / (1 + rho) >= hellinger_floor(rho)).all()
 
 
 def test_hellinger_floor_on_random_distributions(rng):
+    # affinity >= sech floor >= Hellinger floor
     for _ in range(2000):
         size = int(rng.integers(2, 17))
         base = rng.uniform(0.05, 1.0, size)
@@ -212,7 +217,9 @@ def test_hellinger_floor_on_random_distributions(rng):
         rho = float(max((mu / nu).max(), (nu / mu).max()))
         assert rho <= 5.0 + 1e-9
         affinity = float(np.sqrt(mu * nu).sum())
-        assert affinity >= hellinger_floor(rho) - 1e-12
+        sech_floor = 2 * math.sqrt(rho) / (1 + rho)
+        assert affinity >= sech_floor - 1e-12
+        assert sech_floor >= hellinger_floor(rho) - 1e-12
 
 
 NAN_ARGUMENTS = {
@@ -223,7 +230,6 @@ NAN_ARGUMENTS = {
     "dbar only value": lambda iid: dbar((math.nan,), 0.1),
     "VariationProfile first value": lambda iid: VariationProfile((math.nan, 0.1)),
     "VariationProfile only value": lambda iid: VariationProfile((math.nan,)),
-    "hellinger_floor ratio": lambda iid: hellinger_floor(math.nan),
     "tv_bound_from_site_ratios ratio": lambda iid: tv_bound_from_site_ratios([math.nan]),
 }
 
@@ -235,17 +241,20 @@ def test_nan_fails_the_sign_checks(case, iid):
 
 
 def test_tv_bound_values():
-    assert tv_bound_from_site_ratios([1.0, 1.0, 1.0]) == 0.0
+    assert tv_bound_from_site_ratios([0.0, 0.0, 0.0]) == 0.0
     assert tv_bound_from_site_ratios([]) == 0.0  # no site, no disagreement
-    assert tv_bound_from_site_ratios([4.0]) == pytest.approx(math.sqrt(0.75), abs=1e-12)
-    with pytest.raises(ConfigError):
-        tv_bound_from_site_ratios([MAX_SITE_RATIO + 0.1])
-    # one validity check, with no slack: the next float above is refused
-    assert tv_bound_from_site_ratios([MAX_SITE_RATIO]) == pytest.approx(1.0, abs=1e-7)
-    with pytest.raises(ConfigError, match="block 1 exceeds"):
-        tv_bound_from_site_ratios([np.nextafter(MAX_SITE_RATIO, np.inf)])
-    with pytest.raises(ConfigError):
-        tv_bound_from_site_ratios([0.5])
+    # one site: tanh(t/2) = x / (2 + x), the sharp bound given the ratio
+    assert tv_bound_from_site_ratios([3.0]) == 0.6
+    assert tv_bound_from_site_ratios([44.0]) == 44 / 46
+    # no ratio is refused: far past (1 + sqrt(2))**2 the bound stays below 1
+    big = tv_bound_from_site_ratios([1e6, 1e6])
+    assert 0.99 < big < 1.0
+    # sum y_i prod_{j<i} (1 - y_j) for y = (0.5, 0.2)**2, one block per start
+    assert tv_bound_from_site_ratios([2.0, 0.5, 2.0], [0, 2]).tolist() == [
+        math.sqrt(0.25 + 0.04 * 0.75), 0.5]
+    for x in (-0.5, math.inf):
+        with pytest.raises(ConfigError):
+            tv_bound_from_site_ratios([x])
 
 
 def random_kernel_pair(rng, length, ratio_cap):
@@ -272,12 +281,11 @@ def site_ratios(mu_k, nu_k):
 def test_tv_bound_dominates_exact_tv(rng):
     for _ in range(200):
         length = int(rng.integers(1, 7))
-        mu_k, nu_k = random_kernel_pair(rng, length, 3.0)
-        rhos = site_ratios(mu_k, nu_k)
-        assert max(rhos) <= MAX_SITE_RATIO
+        mu_k, nu_k = random_kernel_pair(rng, length, 20.0)  # far past any old cap
+        xs = np.array(site_ratios(mu_k, nu_k)) - 1.0
         mu = conditional_product_measure(mu_k)
         nu = conditional_product_measure(nu_k)
-        assert total_variation(mu, nu) <= tv_bound_from_site_ratios(rhos) + 1e-12
+        assert total_variation(mu, nu) <= tv_bound_from_site_ratios(xs) + 1e-12
 
 
 def test_cubic_remainder_certification():
@@ -286,7 +294,7 @@ def test_cubic_remainder_certification():
     for lam in (1.2, 2.0, 3.0, 5.0):
         assert certify_cubic_remainder(lam) >= 0.0
     with pytest.raises(ConfigError):
-        cubic_remainder_constant(MAX_SITE_RATIO + 0.5)
+        cubic_remainder_constant(3.0 + 2.0 * math.sqrt(2.0) + 0.5)
 
 
 def test_affinity_floor_values():
@@ -341,24 +349,99 @@ def test_every_block_bound_field_dominates_the_bruteforce_witness(longrange):
         assert bound >= lower, (n, bound, lower)
 
 
-def test_ratio_rounded_below_one_gives_zero_bounds(alphabet):
-    # at theta = 0.4, r = 0.5 a rho_n that subtracts a partial sum rounds to
-    # 1 - 2**-52 from n = 54 on, and the Hellinger floor refuses the site
-    # ratio of its negative log; 1 + 2 theta tail(n) / g_min stays >= 1
-    model = LongRangeLinearModel(alphabet, 0.4, Exponential.from_mass(0.5, 0.5))
-    assert (model.rho(np.arange(300)) >= 1.0).all()
-    profile = variation_profile(model, 300)
-    assert profile.values.min() == 0.0
-    assert (block_tv_bounds(profile, constant_schedule(1), 299)[60:] == 0.0).all()
+EXPONENTIAL_BENCHMARK = LongRangeLinearModel(
+    binary_alphabet(), 0.25, Exponential.from_mass(0.7, 0.5))
 
 
-def test_block_bounds_validity_windows():
-    # rho = e^2 > (1+sqrt(2))^2 on sites 0..2: refused, naming block 1
+@pytest.mark.parametrize("model, K_max", [
+    (LongRangeLinearModel(binary_alphabet(), 0.4, Exponential.from_mass(0.5, 0.5)), 299),
+    (EXPONENTIAL_BENCHMARK, 2000),
+], ids=["theta=0.4,r=0.5", "exponential-benchmark"])
+def test_block_bounds_are_positive_wherever_x_is(model, K_max):
+    # on const:1 block n reads site n - 1 alone.  x is positive at every
+    # site, down to 1e-310 on the benchmark model, where x**2 underflows;
+    # so is every published d_n, and the d-bar built from them
+    profile = variation_profile(model, K_max)
+    assert (profile.values > 0).all()
+    bounds = block_tv_bounds(profile, constant_schedule(1), K_max + 1)
+    assert (bounds > 0).all() and (dbar(bounds[:-1], bounds[-1]) > 0).all()
+
+
+def test_block_bounds_accept_every_ratio():
+    # rho = 1 + x far past (1 + sqrt(2))**2 on sites 0..2: no block is
+    # refused, and each bound stays below 1
     sched = constant_schedule(1)
-    with pytest.raises(ConfigError, match="block 1 exceeds"):
-        block_tv_bounds(FiniteRange(3, level=2.0), sched, 5)
-    bounds = block_tv_bounds(FiniteRange(3, level=1.0), sched, 5)  # rho = e
-    assert (bounds[:3] > 0).all() and (bounds[3:] == 0.0).all()
+    bounds = block_tv_bounds(FiniteRange(3, level=1e6), sched, 5)
+    assert bounds[:3].tolist() == [1e6 / (2 + 1e6)] * 3 and (bounds[3:] == 0.0).all()
+    bounds = block_tv_bounds(FiniteRange(3, level=1.0), constant_schedule(2), 3)
+    assert bounds.tolist() == [math.sqrt(1 / 9 + 1 / 9 * (1 - 1 / 9)), 1 / 3, 0.0]
+
+
+def test_block_bounds_between_exact_dn_and_the_hellinger_formula(rng):
+    # on random positive binary tables: the exact worst case d_n
+    # (dn_bruteforce with the whole memory as tail) <= the sech-floor bound
+    # <= the Hellinger-floor formula, evaluated in decimal on the same float
+    # x where every site ratio lets that floor be nonnegative
+    checked = compared = 0
+    while checked < 2000:
+        memory = int(rng.integers(1, 4))
+        model = _finite_memory(memory, rng.uniform(0.05, 1.0, 2 ** (memory + 1)))
+        profile = variation_profile(model, 8)
+        for b in (1, 2):
+            schedule = constant_schedule(b)
+            bounds = block_tv_bounds(profile, schedule, 4)
+            for n in range(1, 5):
+                if schedule.B(n - 1) >= memory:
+                    break
+                checked += 1
+                lower, upper = dn_bruteforce(model, schedule, n, memory)
+                assert lower == upper <= bounds[n - 1]
+                xs = profile.var_at(np.arange(schedule.B(n - 1), schedule.B(n)))
+                if xs.max() <= 2.0 + 2.0 * math.sqrt(2.0):
+                    compared += 1
+                    assert float(bounds[n - 1]) <= hellinger_bound_decimal(xs)
+    assert compared > 1000
+
+
+_GUARD_MODELS = {
+    "power-law": lambda rng: LongRangeLinearModel(
+        binary_alphabet(), 0.25, PowerLaw.from_mass(2.0, 0.5)),
+    "exponential": lambda rng: EXPONENTIAL_BENCHMARK,
+    "memory-3": lambda rng: _finite_memory(3, rng.uniform(0.05, 1.0, 16)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GUARD_MODELS))
+def test_bound_path_takes_no_array_exp_or_log(name, monkeypatch, rng):
+    # numpy's array exp and log may round differently on another CPU, so
+    # the profile and the block bounds use neither
+    model = _GUARD_MODELS[name](rng)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the bound path called an array exp or log")
+
+    for func in ("exp", "log", "log1p", "expm1"):
+        monkeypatch.setattr(np, func, refuse)
+    for schedule in (constant_schedule(1), geometric_blocks(1.5)):
+        profile = variation_profile(model, schedule.B(9) - 1)
+        assert (block_tv_bounds(profile, schedule, 9) >= 0).all()
+
+
+_ONE_SITE_LAWS = [
+    *(PowerLaw.from_mass(p, mass) for p in (1.01, 1.5, 2.0, 4.0) for mass in (0.05, 0.5, 1.0)),
+    *(Exponential.from_mass(r, mass) for r in (0.05, 0.3, 0.5, 0.7, 0.95)
+      for mass in (0.05, 0.5, 1.0)),
+]
+
+
+@pytest.mark.parametrize("theta", np.linspace(0.01, 0.49, 30).tolist())
+def test_one_site_bound_is_the_exact_worst_case(theta):
+    # d_1 = x_0 / (2 + x_0) = 2 theta tail(0): the binary linear model's
+    # exact worst case
+    for law in _ONE_SITE_LAWS:
+        model = LongRangeLinearModel(binary_alphabet(), theta, law)
+        d_1 = block_tv_bounds(variation_profile(model, 0), constant_schedule(1), 1)[0]
+        assert _ulps(d_1, 2 * theta * law.tail(0)) <= 2, law
 
 
 def _finite_memory(memory, entries):
@@ -394,29 +477,28 @@ def _schedule_and_K_max(draw):
 @given(_bound_models, _schedule_and_K_max())
 def test_bound_path_arrays_match_the_scalar_oracles(model, schedule_and_K_max):
     schedule, K_max = schedule_and_K_max
-    # the pipeline's bound path, each array stage against its scalar route.
-    # Ratios count in ulps of their own value: the linear model's rho_n adds
-    # a nonnegative tail term to 1, so nothing cancels.  A bound
-    # d = sqrt(1 - P), P a product of floors in [0, 1], counts through P in
-    # ulps of 1, since near P = 1 the root turns one ulp of P into many of d
+    # the pipeline's bound path, each array stage against its scalar route,
+    # in ulps of its own value: x_n is a product and a quotient of
+    # nonnegative numbers, and a bound a sum of nonnegative terms, so
+    # nothing cancels.  Bounds whose square nears the float minimum are
+    # left out, since the scalar loop lets their terms underflow
     horizon = schedule.B(K_max + 2)
-    rho = np.array([rho_scalar(model, n) for n in range(horizon + 1)])
-    assert _ulps(model.rho(np.arange(horizon + 1)), rho).max() <= 4
+    x = np.array([ratio_excess_scalar(model, n) for n in range(horizon + 1)])
+    assert _ulps(model.ratio_excess(np.arange(horizon + 1)), x).max() <= 4
     profile = variation_profile(model, horizon)
     values = profile_scalar(model, horizon)
-    assert _ulps(np.exp(profile.values), np.exp(values)).max() <= 4
-    scalar = [block_bound_scalar(VariationProfile(values, profile.tail), schedule, n)
-              for n in range(1, K_max + 2)]
-    if None in scalar:
-        with pytest.raises(ConfigError, match=f"block {scalar.index(None) + 1} exceeds"):
-            block_tv_bounds(profile, schedule, K_max + 1)
-        return
+    assert _ulps(profile.values, values).max() <= 4
+    scalar = np.array([block_bound_scalar(VariationProfile(values, profile.tail), schedule, n)
+                       for n in range(1, K_max + 2)])
     bounds = block_tv_bounds(profile, schedule, K_max + 1)
     assert bounds.dtype == np.float64 and bounds.shape == (K_max + 1,)
-    assert _ulps(1 - bounds**2, 1 - np.square(scalar), 1.0).max() <= 4
+    normal = scalar > 1e-140
+    assert _ulps(bounds[normal], scalar[normal]).max(initial=0) <= 8
+    assert (bounds[~normal] <= 1e-140).all()
     dbar_seq = dbar(bounds[:-1], bounds[-1])
-    scalar_dbar = suffix_max(scalar[:-1], scalar[-1])
-    assert _ulps(1 - dbar_seq**2, 1 - np.square(scalar_dbar), 1.0).max() <= 4
+    scalar_dbar = np.array(suffix_max(scalar[:-1].tolist(), scalar[-1]))
+    normal = scalar_dbar > 1e-140
+    assert _ulps(dbar_seq[normal], scalar_dbar[normal]).max(initial=0) <= 8
     # R_K from the same d-bar: the check above bounds what the profile's
     # last bits move upstream of it
     lengths = [schedule.b(k) for k in range(1, K_max + 2)]

@@ -22,7 +22,7 @@ from gmeasure import (
 )
 from gmeasure import tails
 from gmeasure.gmodel import all_words, finite_memory_surrogate
-from oracles import OneMinusPower, cylinder_interval, decode, hurwitz_zeta, rho_scalar
+from oracles import OneMinusPower, cylinder_interval, decode, hurwitz_zeta, ratio_excess_scalar
 
 
 def test_alphabet_validation():
@@ -126,30 +126,30 @@ def test_cylinder_empty_block(mem1):
     assert cylinder_interval(mem1, (), ()) == (1.0, 0.0)
 
 
-# --- rho and variation profiles ---------------------------------------------
+# --- ratio excesses and variation profiles ---------------------------------------------
 
 
 def test_rho_iid_is_one(iid):
-    assert iid.rho(0) == 1.0
+    assert iid.ratio_excess(0) == 0.0
 
 
 def test_rho_finite_memory_cutoff(alphabet, rng):
     from conftest import random_positive_table
 
     model = FiniteMemoryModel(alphabet, 2, random_positive_table(alphabet, 2, rng))
-    assert model.rho(4) == 1.0
-    assert model.rho(1) >= 1.0
+    assert model.ratio_excess(4) == 0.0
+    assert model.ratio_excess(1) >= 0.0
 
 
 @pytest.mark.parametrize("memory", [0, 1, 2, 4])
 def test_finite_memory_rho_reads_the_completion_tables_bit_for_bit(alphabet, rng, memory):
-    # the ratios read off the kernel's min/max tables equal those of the
+    # the excesses read off the kernel's min/max tables equal those of the
     # table regrouped per n, the oracle's route
     from conftest import random_positive_table
 
     model = FiniteMemoryModel(alphabet, memory, random_positive_table(alphabet, memory, rng))
     n = np.arange(memory + 3)
-    assert model.rho(n).tolist() == [rho_scalar(model, k) for k in n.tolist()]
+    assert model.ratio_excess(n).tolist() == [ratio_excess_scalar(model, k) for k in n.tolist()]
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -157,17 +157,17 @@ def test_finite_memory_rho_reads_the_completion_tables_bit_for_bit(alphabet, rng
     st.builds(PowerLaw.from_mass, st.floats(1.01, 6.0), st.floats(0.01, 1.0)),
     st.builds(Exponential.from_mass, st.floats(0.01, 0.99), st.floats(0.01, 1.0))))
 def test_longrange_rho_is_at_least_one(theta, coefficients):
-    # rho_n = 1 + 2 theta tail(n) / g_min cannot round below 1, however
-    # small the tail
+    # x_n = 2 theta tail(n) / g_min subtracts nothing, so it cannot round
+    # below 0, however small the tail
     model = LongRangeLinearModel(binary_alphabet(), theta, coefficients)
     n = np.concatenate([np.arange(400), 2 ** np.arange(9, 31)])
-    assert (model.rho(n) >= 1.0).all()
+    assert (model.ratio_excess(n) >= 0.0).all()
 
 
 def test_rho_rejects_nonpositive_model(alphabet):
     model = FiniteMemoryModel(alphabet, 0, (0.0, 1.0))
     with pytest.raises(ConfigError):
-        model.rho(0)
+        model.ratio_excess(0)
 
 
 @pytest.mark.parametrize("name", ["mem1", "longrange"])
@@ -176,12 +176,12 @@ def test_rho_rejects_negative_n(name, request):
     model = request.getfixturevalue(name)
     for n in (-1, np.arange(-1, 3)):
         with pytest.raises(ConfigError, match="n >= 0"):
-            model.rho(n)
+            model.ratio_excess(n)
 
 
 SITE_INDEX_ENTRIES = {
-    "finite-memory rho": lambda request: request.getfixturevalue("mem1").rho,
-    "long-range rho": lambda request: request.getfixturevalue("longrange").rho,
+    "finite-memory rho": lambda request: request.getfixturevalue("mem1").ratio_excess,
+    "long-range rho": lambda request: request.getfixturevalue("longrange").ratio_excess,
     "profile var_at": lambda request: VariationProfile((0.5, 0.2, 0.1), PowerLaw(0.3, 2, 1)).var_at,
 }
 
@@ -204,7 +204,7 @@ def test_site_indices_go_through_one_conversion(entry, n, request):
 def test_rho_longrange_dominates_random_search(longrange, rng):
     # random pairs agreeing on [0, n] must not beat the closed-form upper bound
     for n in (0, 1, 3):
-        upper = longrange.rho(n)
+        upper = 1.0 + longrange.ratio_excess(n)
         best = 1.0
         for _ in range(300):
             common = rng.integers(0, 2, n + 1)
@@ -243,7 +243,7 @@ def test_finite_memory_profile_tail_is_a_bound(alphabet, rng):
 
 
 def test_variation_profile_powerlaw_tail_tracks_coefficients(longrange):
-    # var_n = log(1 + 2*theta*tail_n/g_min) is pinched between linear bounds
+    # x_n = 2*theta*tail_n/g_min is linear in the tail
     prof = variation_profile(longrange, 30)
     tails = np.array([longrange.coefficients.tail(n) for n in range(31)])
     g_min = 0.5 - longrange.theta * longrange.total_mass
@@ -437,6 +437,15 @@ def test_powerlaw_tail_on_an_integer_array_past_the_int64_square():
     law = PowerLaw.from_mass(2.0, 0.5)
     k = 2**32 - 13
     assert _ulps(law.tail(np.array([k]))[0], law.tail(k)) <= 4
+
+
+@pytest.mark.parametrize("r", [0.05, 0.5, 0.7, 0.99])
+def test_exponential_tail_on_an_array_rounds_as_the_scalar_tail(r):
+    # numpy's SIMD ** may round r**k differently from the scalar **; the
+    # array tail reads scalar powers, and 0 once they underflow
+    law = Exponential.from_mass(r, 0.5)
+    k = np.arange(80_000)
+    assert law.tail(k).tolist() == [law.tail(n) for n in k.tolist()]
 
 
 @pytest.mark.parametrize("p", ZETA_P)
