@@ -18,9 +18,14 @@ context states (``gmodel.context_state``) sit in right-aligned
 ``(side, trajectory, width)`` buffers.  Trajectories due a block of one
 length at one frontier form a group, indexed by a slice when its rows are
 consecutive: the block reads only its own state columns, and once drawn
-adds its sites in place to the columns left of it.  Both sides of a group
-share kernel calls of at most ``_MAX_ROWS`` (context, word) rows, reading
-word terms computed once a batch.
+adds its sites in place to the columns left of it; a step whose
+trajectories all form one group, as every step of a constant schedule
+does, takes it without a sort.  Both sides of a group share kernel calls
+of at most ``_MAX_ROWS`` (context, word) cells, reading word terms and an
+initial context state computed once a run (``_Run``).  A block of fewer
+than 8 words is laid out along the rows, so numpy's loops run over the
+rows, not over the few words; longer blocks keep the words innermost (see
+``_block_laws``).
 Uniform-order contract: a run reads one stream, ``default_rng(seed)``, and
 trajectory i reads its window i, uniforms [iU, (i+1)U) with U = 3(depth + 1),
 in order: one per block drawn on the diagonal and three per block drawn off
@@ -225,8 +230,10 @@ def _geometric_sums(growth: float, n: int, past: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # conditional block distributions
 
-# (context, word) rows per kernel call: a fixed cap, so each kernel array
-# holds at most _MAX_ROWS x block length floats whatever the batch
+# (context, word) cells per kernel call: a fixed cap, so each kernel array
+# holds at most _MAX_ROWS x block length floats whatever the batch (a block
+# of fewer than 8 words is never split by word, so a cap below 7 words
+# admits one row of all its words)
 _MAX_ROWS = 1024
 # cells (agreeing parts x tail pairs x words) of one dn_bruteforce step, so
 # that each of its pair arrays holds at most 2^16 floats (0.5 MB)
@@ -247,29 +254,45 @@ def _block_laws(model, terms: np.ndarray, state: np.ndarray, known_len: int):
     (``all_words``), words on the last axis; ``state`` (..., b) rows hold
     the context state of the block's columns (``gmodel.context_state``),
     each followed by a known context of ``known_len`` symbols; all rows
-    share kernel calls.
+    share kernel calls of at most ``_MAX_ROWS`` (context, word) cells.
     Returns ``(probs, slack)``: ``probs`` (..., words) are the normalised
     midpoints of the per-word interval products, ``slack`` the summed
     half-widths plus the normalisation defect.
+
+    Fewer than 8 words are laid out along the rows: the kernel runs on
+    (sites, words, rows) arrays, a word sum adds whole row slices in word
+    order, and ``probs`` is a view of a (words, rows) array.  numpy sums 8
+    or more contiguous floats pairwise, not in order, so longer blocks keep
+    the words innermost, in row tiles and, past ``_MAX_ROWS`` words, word
+    tiles.  The layout reads the word count only, so no batch or tile size
+    changes a bit.
     """
     lead = state.shape[:-1]
     state = state.reshape(-1, state.shape[-1]).T  # sites first
     n_rows, n_words = state.shape[1], terms.shape[-1]
-    mids = np.empty((n_rows, n_words))
-    halves = np.empty((n_rows, n_words))
     rows_per_call = max(1, _MAX_ROWS // n_words)
-    for r in range(0, n_rows, rows_per_call):
-        for w in range(0, n_words, _MAX_ROWS):
-            tile = np.s_[r : r + rows_per_call, w : w + _MAX_ROWS]
-            lo, hi = interval_product(*model.site_intervals(
-                terms[..., None, tile[1]], state[:, tile[0], None], known_len))
-            mids[tile] = 0.5 * (lo + hi)
-            halves[tile] = 0.5 * (hi - lo)
-    total = mids.sum(axis=1)
-    slack = halves.sum(axis=1)
+    if n_words < 8:
+        tiles = [interval_product(*model.site_intervals(
+                     terms[..., None], state[:, None, r : r + rows_per_call], known_len))
+                 for r in range(0, n_rows, rows_per_call)]
+        lo, hi = tiles[0] if len(tiles) == 1 else np.concatenate(tiles, axis=-1)
+        mids, halves = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    else:
+        mids = np.empty((n_rows, n_words))
+        halves = np.empty((n_rows, n_words))
+        for r in range(0, n_rows, rows_per_call):
+            for w in range(0, n_words, _MAX_ROWS):
+                tile = np.s_[r : r + rows_per_call, w : w + _MAX_ROWS]
+                lo, hi = interval_product(*model.site_intervals(
+                    terms[..., None, tile[1]], state[:, tile[0], None], known_len))
+                mids[tile] = 0.5 * (lo + hi)
+                halves[tile] = 0.5 * (hi - lo)
+        mids, halves = mids.T, halves.T  # (words, rows) views, words still innermost
+    total = mids.sum(axis=0)
+    slack = halves.sum(axis=0)
     # exact factors: the midpoints sum to 1 up to float roundoff only
     slack = np.where(slack == 0.0, 0.0, slack + np.abs(total - 1.0))
-    return (mids / total[:, None]).reshape(lead + (n_words,)), slack.reshape(lead)
+    return (mids / total).T.reshape(lead + (n_words,)), slack.reshape(lead)
 
 
 @dataclass(frozen=True)
@@ -334,63 +357,87 @@ class _Batch:
     blocks: dict
 
 
-def _couple(model, lengths, depth, x_context, y_context, uniforms) -> _Batch:
+class _Run:
+    """What every batch of one run shares, built once per run: the model and
+    block lengths by run (``_reachable_lengths``), the depth, the buffer
+    width, each reachable length's words and their ``word_terms``, and the
+    (side, width) context state of the two tail contexts.  Raises
+    ConfigError for a model that is not positive or contexts of unequal
+    length."""
+
+    def __init__(self, model, lengths, depth, x_context, y_context):
+        if not model.is_positive:
+            raise ConfigError("block coupling requires a positive model")
+        contexts = [np.asarray(model.alphabet.indices(c), dtype=np.intp)
+                    for c in (x_context, y_context)]
+        if len(contexts[0]) != len(contexts[1]):
+            raise ConfigError("tail contexts must have equal length")
+        self.model, self.lengths, self.depth = model, lengths, depth
+        self.known_len = len(contexts[0])
+        # the last block starts at most depth sites in, so width covers every site
+        self.width = depth + int(lengths.max())
+        self.words_of = {b: all_words(model.alphabet.size, b) for b in set(lengths.tolist())}
+        self.terms_of = {b: word_terms(model, words.T) for b, words in self.words_of.items()}
+        self.state = context_state(model, np.stack(contexts), self.width)
+
+
+def _couple(run: _Run, uniforms) -> _Batch:
     """Grow one coupled pair of histories per row of ``uniforms`` leftward
-    past coordinate ``-depth``, all rows together; ``lengths`` are the
-    block lengths by run (``_reachable_lengths``).
+    past coordinate ``-run.depth``, all rows together.
 
     Each step draws the next block of every unfinished trajectory; those
-    with the same block length and frontier share kernel calls and one
-    context-state update.  Trajectory i reads ``uniforms[i]`` in order, one
+    with the same block length and frontier form a group, which shares
+    kernel calls and one context-state update.  When every trajectory of a
+    step is in one group, as at every step of a constant schedule, it is
+    taken without a sort.  Trajectory i reads ``uniforms[i]`` in order, one
     per diagonal and three per off-diagonal draw, so its path does not
     depend on the batch it is drawn in.
     """
-    if not model.is_positive:
-        raise ConfigError("block coupling requires a positive model")
-    contexts = [np.asarray(model.alphabet.indices(c), dtype=np.intp)
-                for c in (x_context, y_context)]
-    if len(contexts[0]) != len(contexts[1]):
-        raise ConfigError("tail contexts must have equal length")
-    size = model.alphabet.size
+    model, lengths, depth = run.model, run.lengths, run.depth
     n_traj = len(uniforms)
-    # the last block starts at most depth sites in, so width covers every site
-    width = depth + int(lengths.max())
-    words_of = {b: all_words(size, b) for b in set(lengths.tolist())}
-    terms_of = {b: word_terms(model, words.T) for b, words in words_of.items()}
-    hist = np.zeros((2, n_traj, width), dtype=np.min_scalar_type(size - 1))
-    state = np.repeat(context_state(model, np.stack(contexts), width)[:, None], n_traj, axis=1)
+    hist = np.zeros((2, n_traj, run.width), dtype=np.min_scalar_type(model.alphabet.size - 1))
+    state = np.repeat(run.state[:, None], n_traj, axis=1)
     covered = np.zeros(n_traj, dtype=np.intp)
-    run = np.zeros(n_traj, dtype=np.intp)
+    runs = np.zeros(n_traj, dtype=np.intp)
     used = np.zeros(n_traj, dtype=np.intp)
     log = []
     while (active := np.flatnonzero(covered <= depth)).size:
         # one group per (block length, frontier), rows ascending
-        key = lengths[run[active]] * (depth + 1) + covered[active]
-        order = np.argsort(key, kind="stable")
-        for group in np.split(active[order], np.flatnonzero(np.diff(key[order])) + 1):
-            b, front = int(lengths[run[group[0]]]), int(covered[group[0]])
-            words, c0 = words_of[b], width - b - front
+        key = lengths[runs[active]] * (depth + 1) + covered[active]
+        if key.min() == key.max():
+            groups = (active,)
+        else:
+            order = np.argsort(key, kind="stable")
+            groups = np.split(active[order], np.flatnonzero(np.diff(key[order])) + 1)
+        for group in groups:
+            b, front = int(lengths[runs[group[0]]]), int(covered[group[0]])
+            words, c0 = run.words_of[b], run.width - b - front
             step = max(1, _MAX_ROWS // len(words))
             for part in (group[i : i + step] for i in range(0, len(group), step)):
+                # the part's rows: a slice (a view) when they are consecutive
                 rows = slice(part[0], part[-1] + 1) if part[-1] - part[0] < len(part) else part
-                (p, q), slack = _block_laws(model, terms_of[b], state[:, rows, c0 : c0 + b],
-                                            len(contexts[0]) + front)
+                (p, q), slack = _block_laws(model, run.terms_of[b], state[:, rows, c0 : c0 + b],
+                                            run.known_len + front)
                 slack = slack[0] + slack[1]
                 if slack.max() > TRUNC_TOL:
                     raise TruncationError(
                         f"block truncation slack {slack.max():.3e} exceeds tolerance {TRUNC_TOL}"
                     )
                 pair = maximal_coupling(p, q)
-                jx, jy, n_used = pair.draw(uniforms[part[:, None], used[part, None] + np.arange(3)])
+                jx, jy, n_used = pair.draw(uniforms[part[:, None], used[rows, None] + np.arange(3)])
                 hist[:, rows, c0 : c0 + b] = drawn = words[np.array((jx, jy))]
                 add_context(model, state, (slice(None), rows), drawn, c0)
                 agreed = jx == jy
-                log.append((covered[part], np.full(len(part), b), run[part], agreed, pair.tv, slack))
-                covered[part] += b
-                run[part] = np.where(agreed, run[part] + 1, 0)
-                used[part] += n_used
-    log = list(zip(*log))  # one tuple per field, freed once its column is built
-    blocks = {name: np.concatenate(log.pop(0)) for name in _BLOCK_FIELDS}
+                before = runs[rows].copy()  # a view of a slice is overwritten below
+                log.append((front, b, before, agreed, pair.tv, slack))
+                covered[rows] += b
+                runs[rows] = np.where(agreed, before + 1, 0)
+                used[rows] += n_used
+    # one tuple per field, each array freed once its column is built
+    fronts, sizes, *log = zip(*log)
+    counts = [len(before) for before in log[0]]
+    blocks = {"start": np.repeat(fronts, counts), "length": np.repeat(sizes, counts)}
+    blocks.update((name, np.concatenate(log.pop(0))) for name in _BLOCK_FIELDS[2:])
     return _Batch(hist[0], hist[1], covered, blocks)
 
 
@@ -420,7 +467,7 @@ def sample_block_coupling(
         if rng < 0:
             raise ConfigError(f"seed must be >= 0, got {rng}")
         rng = np.random.default_rng(rng)
-    batch = _couple(model, lengths, depth, x_context, y_context,
+    batch = _couple(_Run(model, lengths, depth, x_context, y_context),
                     rng.random((1, _max_uniforms(depth))))
     covered = int(batch.covered[0])
     x, y = batch.x[0, -covered:].astype(np.intp), batch.y[0, -covered:].astype(np.intp)
@@ -466,10 +513,11 @@ def estimate_disagreement(
     bad = np.zeros(n_runs, dtype=np.int64)
     max_slack = 0.0
     rng = np.random.default_rng(seed)
+    run = _Run(model, lengths, depth, x_context, y_context)
     per_batch = max(1, _BATCH_SITES // (depth + 1))
     for start in range(0, n_traj, per_batch):
         uniforms = rng.random((min(per_batch, n_traj - start), _max_uniforms(depth)))
-        batch = _couple(model, lengths, depth, x_context, y_context, uniforms)
+        batch = _couple(run, uniforms)
         # column n of the flipped histories is coordinate -n
         counts += (batch.x != batch.y)[:, ::-1][:, : depth + 1].sum(axis=0)
         runs = batch.blocks["run_before"]

@@ -340,11 +340,33 @@ def _known_right(state: np.ndarray, known_len: int):
 
 def context_state(model, known, width: int) -> np.ndarray:
     """Context state (..., width) of ``width`` columns followed by the known
-    context rows ``known`` (..., L), nearest symbol first."""
+    context rows ``known`` (..., L), nearest symbol first.
+
+    Bit for bit what ``add_context`` builds from zeros: the running state
+    and a chunk of symbol terms a_{width+i-c} v(known_i) are stacked on a
+    first axis, and one ``np.add.reduce`` over it adds them to each column
+    in symbol order, a lag past a finite memory adding 0.  numpy adds the
+    slices of a first axis in order only when each holds two or more cells
+    (a single cell it sums pairwise), so the state carries one spare column
+    on its left.  Chunks of 64 symbols keep the stack at 65 states.
+    """
     known = np.asarray(known)
-    state = np.zeros(known.shape[:-1] + (width,), dtype=model.symbol_values.dtype)
-    add_context(model, state, (...,), known, width)
-    return state
+    n_known, lead = known.shape[-1], known.shape[:-1]
+    weights = model.context_weights(width + n_known)
+    weights = np.append(weights, np.zeros(1, weights.dtype))  # a lag past them reads 0
+    values = model.symbol_values
+    state = np.zeros(lead + (width + 1,), dtype=values.dtype)
+    for start in range(0, n_known, 64):
+        chunk = np.moveaxis(values[known[..., start : start + 64]], -1, 0)
+        # lag of symbol start + i from column c, the spare column being c = -1
+        lags = width + 1 + start + np.arange(len(chunk))[:, None] - np.arange(width + 1)
+        lag_weights = weights[np.minimum(lags, len(weights) - 1)]
+        stack = np.empty((len(chunk) + 1,) + state.shape, dtype=values.dtype)
+        stack[0] = state
+        np.multiply(chunk[..., None], lag_weights.reshape(
+            (len(chunk),) + (1,) * len(lead) + (width + 1,)), out=stack[1:])
+        state = np.add.reduce(stack, axis=0)
+    return state[..., 1:]
 
 
 def word_terms(model, words) -> np.ndarray:

@@ -56,10 +56,9 @@ def use_spawned_stream(monkeypatch, seed, n_traj, depth):
     rows, start = spawned_uniforms(seed, n_traj, depth), 0
     couple = coupling._couple
 
-    def spawned_couple(model, lengths, depth, x_context, y_context, uniforms):
+    def spawned_couple(run, uniforms):
         nonlocal start
         start += len(uniforms)
-        return couple(model, lengths, depth, x_context, y_context,
-                      rows[start - len(uniforms) : start])
+        return couple(run, rows[start - len(uniforms) : start])
 
     monkeypatch.setattr(coupling, "_couple", spawned_couple)

@@ -378,7 +378,8 @@ def test_sampler_marginal_law_matches_cylinder_probs(mem1):
     ctx = "11"
     # one batch: trajectory i reads the generator of the i-th spawned child
     lengths = coupling._reachable_lengths(constant_schedule(1), 2)
-    batch = coupling._couple(mem1, lengths, 2, ctx, ctx, spawned_uniforms(99, n_traj, 2))
+    batch = coupling._couple(coupling._Run(mem1, lengths, 2, ctx, ctx),
+                             spawned_uniforms(99, n_traj, 2))
     codes = batch.x[:, -3:] @ [4, 2, 1]  # coordinates -2, -1, 0
     freq = np.bincount(codes, minlength=8) / n_traj
     for code in range(8):

@@ -165,6 +165,67 @@ def test_stacked_block_laws_match_oracle(name, b, monkeypatch):
                 assert slack[side, row] == pytest.approx(expect_slack, abs=1e-15)
 
 
+@pytest.mark.parametrize("max_rows", [coupling._MAX_ROWS, 3], ids=["default cap", "cap 3"])
+@pytest.mark.parametrize("name, b", [
+    *((name, b) for name in ("power", "memory-2 on 2 symbols") for b in (1, 2, 3, 4)),
+    ("memory-2 on 3 symbols", 1), ("memory-2 on 3 symbols", 2)])
+def test_block_laws_do_not_depend_on_the_row_count(name, b, max_rows, monkeypatch):
+    # 2, 4, 8 and 16 words on two symbols, 3 and 9 on three: from 8 words
+    # on, numpy sums a contiguous row of words pairwise, so a layout chosen
+    # by the row count would change the bits of some rows
+    monkeypatch.setattr(coupling, "_MAX_ROWS", max_rows)
+    model = _stacked_models()[name]
+    size, L = model.alphabet.size, 6
+    terms = word_terms(model, all_words(size, b).T)
+    state = context_state(model, np.random.default_rng(b).integers(0, size, (2, 40, L)), b)
+    probs, slack = _block_laws(model, terms, state, L)
+    assert probs.shape == (2, 40, size**b) and slack.shape == (2, 40)
+    for side, row in np.ndindex(2, 40):
+        one_probs, one_slack = _block_laws(model, terms, state[side, row, None], L)
+        assert np.array_equal(probs[side, row], one_probs[0])
+        assert np.array_equal(slack[side, row], one_slack[0])
+
+
+def test_short_blocks_take_the_row_layout(monkeypatch):
+    # the mc_short_blocks benchmark configuration: one-site blocks, so every
+    # step is one group of all 200 trajectories, both sides in one kernel
+    # call on (sites, words, rows) arrays with the 400 rows innermost
+    model = LongRangeLinearModel(binary_alphabet(), 0.25, PowerLaw.from_mass(2.0, 0.5))
+    shapes, site_intervals = [], model.site_intervals
+
+    def recorded(terms, state, known_len):
+        mid, rad = site_intervals(terms, state, known_len)
+        shapes.append((state.shape, mid.shape, mid.flags.c_contiguous))
+        return mid, rad
+
+    def no_sort(*args, **kwargs):
+        raise AssertionError("a step of one group was sorted")
+
+    monkeypatch.setattr(model, "site_intervals", recorded)
+    monkeypatch.setattr(np, "argsort", no_sort)
+    estimate_disagreement(model, constant_schedule(1), 64, "1" * 64, "0" * 64, 200, seed=1)
+    assert shapes == [((1, 1, 400), (1, 2, 400), True)] * 65  # one call per step, 65 steps
+
+
+@pytest.mark.parametrize("lead", [(), (1,), (2, 3)], ids=["one row", "one of one", "2x3"])
+@pytest.mark.parametrize("name", ["power", "exponential", "memory-2 on 3 symbols"])
+def test_context_state_matches_the_add_context_loop(name, lead):
+    # one in-order reduction over the symbols gives the bits of one
+    # add_context pass per symbol, for contexts around the memory M = 2,
+    # and for a single cell, which numpy would otherwise sum pairwise
+    model = _stacked_models()[name]
+    rng = np.random.default_rng(len(lead))
+    for L in (0, 1, 2, 5, 64, 150):
+        for width in sorted({0, 1, L // 2, L + 3}):
+            known = rng.integers(0, model.alphabet.size, lead + (L,))
+            expect = np.zeros(lead + (width,), dtype=model.symbol_values.dtype)
+            for i in range(L):
+                add_context(model, expect, (...,), known[..., i : i + 1], width + i)
+            state = context_state(model, known, width)
+            assert state.dtype == expect.dtype
+            assert np.array_equal(_bits(state), _bits(expect))
+
+
 def _count_word_terms(monkeypatch):
     calls = []
 
@@ -183,6 +244,14 @@ def test_word_terms_computed_once_per_block_length(monkeypatch):
     calls = _count_word_terms(monkeypatch)
     estimate_disagreement(model, geometric_blocks(1.5), 34, "1" * 48, "0" * 48, 8, seed=3)
     assert sorted(shape[0] for shape in calls) == [2, 3, 4, 5, 7, 12]  # sites first
+    calls.clear()
+    # three batches of at most 3 trajectories share the run's word terms
+    monkeypatch.setattr(coupling, "_BATCH_SITES", 3 * 35)
+    batches, couple = [], coupling._couple
+    monkeypatch.setattr(coupling, "_couple", lambda *args: batches.append(couple(*args)) or batches[-1])
+    estimate_disagreement(model, geometric_blocks(1.5), 34, "1" * 48, "0" * 48, 8, seed=3)
+    assert [len(batch.covered) for batch in batches] == [3, 3, 2]
+    assert sorted(shape[0] for shape in calls) == [2, 3, 4, 5, 7, 12]
     calls.clear()
     # 16 agreeing parts x 36 tail pairs x 4 words, enumerated in two steps
     monkeypatch.setattr(coupling, "_MAX_CELLS", 8 * 36 * 4)
