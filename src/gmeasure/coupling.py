@@ -20,11 +20,17 @@ length at one frontier form a group, indexed by a slice when its rows are
 consecutive: the block reads only its own state columns, and once drawn
 adds its sites in place to the columns left of it; a step whose
 trajectories all form one group, as every step of a constant schedule
-does, takes it without a sort.  Both sides of a group share kernel calls
-of at most ``_MAX_ROWS`` (context, word) cells, reading word terms and an
-initial context state computed once a run (``_Run``).  A block of fewer
-than 8 words is laid out along the rows, so numpy's loops run over the
-rows, not over the few words; longer blocks keep the words innermost (see
+does, takes it without a sort.  A group is drawn in parts of at most
+``_MAX_ROWS`` (trajectory, word) cells, or of one trajectory, both sides
+sharing each kernel call.  The words and word terms of every block length
+are slices of one table of the longest reachable length, built once a run
+with the initial context state (``_Run``).  A block law evaluates site j only on the |S|^(b-j)
+distinct suffixes it reads and multiplies it in place into the product
+over all words, repeated over the word prefixes, so a 12-site binary
+block costs about 2 x 4096 kernel cells, not 12 x 4096; its last sites
+share one call on ``_TAIL_WORDS`` words.  A block of fewer than 8 words
+is laid out along the rows, so numpy's loops run over the rows, not over
+the few words; longer blocks keep the words innermost (see
 ``_block_laws``).
 Uniform-order contract: a run reads one stream, ``default_rng(seed)``, and
 trajectory i reads its window i, uniforms [iU, (i+1)U) with U = 3(depth + 1),
@@ -230,11 +236,16 @@ def _geometric_sums(growth: float, n: int, past: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # conditional block distributions
 
-# (context, word) cells per kernel call: a fixed cap, so each kernel array
-# holds at most _MAX_ROWS x block length floats whatever the batch (a block
-# of fewer than 8 words is never split by word, so a cap below 7 words
-# admits one row of all its words)
+# (trajectory, word) cells of one sampler part: a group is drawn in parts
+# of at most _MAX_ROWS // words trajectories (one, for a longer block), and
+# a block-law kernel call takes at most the rows of one part, both sides,
+# so each kernel array stays flat whatever the batch or dn_bruteforce step
 _MAX_ROWS = 1024
+# suffix words of the kernel call that a block's last sites share: a site
+# with fewer suffixes is evaluated on this many words, so that its in-place
+# product over the word prefixes is never only a few words long (a sweep of
+# 16 to 512 is in CHANGES.md)
+_TAIL_WORDS = 256
 # cells (agreeing parts x tail pairs x words) of one dn_bruteforce step, so
 # that each of its pair arrays holds at most 2^16 floats (0.5 MB)
 _MAX_CELLS = 1 << 16
@@ -253,46 +264,61 @@ def _block_laws(model, terms: np.ndarray, state: np.ndarray, known_len: int):
     ``terms`` are the ``word_terms`` of all the words of one block length
     (``all_words``), words on the last axis; ``state`` (..., b) rows hold
     the context state of the block's columns (``gmodel.context_state``),
-    each followed by a known context of ``known_len`` symbols; all rows
-    share kernel calls of at most ``_MAX_ROWS`` (context, word) cells.
+    each followed by a known context of ``known_len`` symbols; rows share
+    kernel calls of at most both sides of one sampler part (``_MAX_ROWS``).
     Returns ``(probs, slack)``: ``probs`` (..., words) are the normalised
     midpoints of the per-word interval products, ``slack`` the summed
     half-widths plus the normalisation defect.
 
-    Fewer than 8 words are laid out along the rows: the kernel runs on
-    (sites, words, rows) arrays, a word sum adds whole row slices in word
-    order, and ``probs`` is a view of a (words, rows) array.  numpy sums 8
-    or more contiguous floats pairwise, not in order, so longer blocks keep
-    the words innermost, in row tiles and, past ``_MAX_ROWS`` words, word
-    tiles.  The layout reads the word count only, so no batch or tile size
-    changes a bit.
+    Site j's factor reads only the suffix w_j..w_{b-1}, and the first
+    m = |S|^(b-j) words of the lexicographic table hold each suffix once:
+    site j is evaluated on those m words only and multiplied in place into
+    the product of the sites left of it, repeated over the word prefixes
+    (``gmodel.interval_product``), the multiplications of a product over
+    all words in the same order.  The last sites, of at most
+    ``_TAIL_WORDS`` suffixes, share one kernel call on that many words, so
+    a block of at most that many words is one call.  Fewer than 8 words
+    are laid out along the rows: the kernel runs on (sites, words, rows)
+    arrays, a word sum adds whole row slices in word order, and ``probs``
+    is a view of a (words, rows) array.  numpy sums 8 or more contiguous
+    floats pairwise, not in order, so longer blocks keep the words
+    innermost.  The layout reads the word count only, so no batch or tile
+    size changes a bit.
     """
     lead = state.shape[:-1]
     state = state.reshape(-1, state.shape[-1]).T  # sites first
     n_rows, n_words = state.shape[1], terms.shape[-1]
-    rows_per_call = max(1, _MAX_ROWS // n_words)
-    if n_words < 8:
-        tiles = [interval_product(*model.site_intervals(
-                     terms[..., None], state[:, None, r : r + rows_per_call], known_len))
-                 for r in range(0, n_rows, rows_per_call)]
-        lo, hi = tiles[0] if len(tiles) == 1 else np.concatenate(tiles, axis=-1)
-        mids, halves = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    else:
-        mids = np.empty((n_rows, n_words))
-        halves = np.empty((n_rows, n_words))
-        for r in range(0, n_rows, rows_per_call):
-            for w in range(0, n_words, _MAX_ROWS):
-                tile = np.s_[r : r + rows_per_call, w : w + _MAX_ROWS]
-                lo, hi = interval_product(*model.site_intervals(
-                    terms[..., None, tile[1]], state[:, tile[0], None], known_len))
-                mids[tile] = 0.5 * (lo + hi)
-                halves[tile] = 0.5 * (hi - lo)
-        mids, halves = mids.T, halves.T  # (words, rows) views, words still innermost
+    rows_per_call = 2 * max(1, _MAX_ROWS // n_words)  # both sides of one sampler part
+    tiles = [_interval_bounds(model, terms, state[:, r : r + rows_per_call], known_len)
+             for r in range(0, n_rows, rows_per_call)]
+    bounds = tiles[0] if len(tiles) == 1 else np.concatenate(tiles, axis=-1 if n_words < 8 else 1)
+    # (words, rows), as views with the words innermost for 8 or more words
+    lo, hi = bounds if n_words < 8 else bounds.transpose(0, 2, 1)
+    mids, halves = 0.5 * (lo + hi), 0.5 * (hi - lo)
     total = mids.sum(axis=0)
     slack = halves.sum(axis=0)
     # exact factors: the midpoints sum to 1 up to float roundoff only
     slack = np.where(slack == 0.0, 0.0, slack + np.abs(total - 1.0))
     return (mids / total).T.reshape(lead + (n_words,)), slack.reshape(lead)
+
+
+def _interval_bounds(model, terms: np.ndarray, state: np.ndarray, known_len: int):
+    """The stacked ``(lo, hi)`` interval products of ``_block_laws`` for the
+    context rows of ``state`` (b, rows): (2, words, rows) for fewer than 8
+    words, else (2, rows, words).  A site with more than ``_TAIL_WORDS``
+    suffixes is evaluated alone, as a one-site block with b - j - 1 more
+    symbols known."""
+    if terms.shape[-1] < 8:
+        return interval_product(*model.site_intervals(terms[..., None], state[:, None], known_len))
+    b = len(state)
+    bounds, j, m = None, 0, terms.shape[-1]
+    while m > _TAIL_WORDS:
+        bounds = interval_product(*model.site_intervals(
+            terms[:, j : j + 1, None, :m], state[j : j + 1, :, None], known_len + b - j - 1),
+            bounds)
+        j, m = j + 1, m // model.alphabet.size
+    return interval_product(*model.site_intervals(
+        terms[:, j:, None, :m], state[j:, :, None], known_len), bounds)
 
 
 @dataclass(frozen=True)
@@ -360,7 +386,8 @@ class _Batch:
 class _Run:
     """What every batch of one run shares, built once per run: the model and
     block lengths by run (``_reachable_lengths``), the depth, the buffer
-    width, each reachable length's words and their ``word_terms``, and the
+    width, the words of the longest reachable length and their
+    ``word_terms``, of which ``table`` slices every shorter length, and the
     (side, width) context state of the two tail contexts.  Raises
     ConfigError for a model that is not positive or contexts of unequal
     length."""
@@ -376,9 +403,17 @@ class _Run:
         self.known_len = len(contexts[0])
         # the last block starts at most depth sites in, so width covers every site
         self.width = depth + int(lengths.max())
-        self.words_of = {b: all_words(model.alphabet.size, b) for b in set(lengths.tolist())}
-        self.terms_of = {b: word_terms(model, words.T) for b, words in self.words_of.items()}
+        self.words = all_words(model.alphabet.size, int(lengths.max()))
+        self.terms = word_terms(model, self.words.T)
         self.state = context_state(model, np.stack(contexts), self.width)
+
+    def table(self, b: int):
+        """The words of b sites and their ``word_terms``, bit for bit: the
+        first |S|^b words of the longest length end in every word of b
+        sites, in order, and a site's terms read only the symbols from it
+        rightward."""
+        n_words = self.model.alphabet.size ** b
+        return self.words[:n_words, -b:], self.terms[:, -b:, :n_words]
 
 
 def _couple(run: _Run, uniforms) -> _Batch:
@@ -411,12 +446,12 @@ def _couple(run: _Run, uniforms) -> _Batch:
             groups = np.split(active[order], np.flatnonzero(np.diff(key[order])) + 1)
         for group in groups:
             b, front = int(lengths[runs[group[0]]]), int(covered[group[0]])
-            words, c0 = run.words_of[b], run.width - b - front
+            (words, terms), c0 = run.table(b), run.width - b - front
             step = max(1, _MAX_ROWS // len(words))
             for part in (group[i : i + step] for i in range(0, len(group), step)):
                 # the part's rows: a slice (a view) when they are consecutive
                 rows = slice(part[0], part[-1] + 1) if part[-1] - part[0] < len(part) else part
-                (p, q), slack = _block_laws(model, run.terms_of[b], state[:, rows, c0 : c0 + b],
+                (p, q), slack = _block_laws(model, terms, state[:, rows, c0 : c0 + b],
                                             run.known_len + front)
                 slack = slack[0] + slack[1]
                 if slack.max() > TRUNC_TOL:

@@ -292,10 +292,10 @@ class LongRangeLinearModel:
         ``word_terms`` ``terms`` (2, b, ...), followed by known contexts of
         ``known_len`` symbols whose context sums at the block's columns are
         ``state`` (b, ...).  Site j adds its context sum and reads its tail
-        radius theta * tail(b - j + known_len - 1) from a cached vector."""
+        radius theta * tail(b - j + known_len - 1) from a cached vector, so
+        ``rad`` is (b, 1, ...), broadcasting against ``mid``."""
         mid = 0.5 + self.theta * terms[0] * (terms[1] + state)
-        rad = self._radii(known_len + len(state))[_known_right(state, known_len) - 1]
-        return mid, np.broadcast_to(rad, mid.shape)
+        return mid, self._radii(known_len + len(state))[_known_right(mid, known_len) - 1]
 
     def eval_indices(self, idx: Sequence[int]) -> tuple[float, float]:
         n = len(idx)
@@ -332,10 +332,11 @@ def _nonnegative(n):
     return n
 
 
-def _known_right(state: np.ndarray, known_len: int):
-    """b - j + known_len at site j of the b = len(state) sites of a block."""
-    b = len(state)
-    return np.arange(b, 0, -1).reshape((b,) + (1,) * (state.ndim - 1)) + known_len
+def _known_right(sites: np.ndarray, known_len: int):
+    """b - j + known_len at site j of the b = len(sites) sites of a block,
+    shaped (b, 1, ...) with the dimensions of ``sites``."""
+    b = len(sites)
+    return np.arange(b, 0, -1).reshape((b,) + (1,) * (sites.ndim - 1)) + known_len
 
 
 def context_state(model, known, width: int) -> np.ndarray:
@@ -397,11 +398,28 @@ def add_context(model, state: np.ndarray, rows: tuple, symbols: np.ndarray, c0: 
             state[rows + (slice(lo, hi),)] += value * weights[c - lo : c - hi : -1]
 
 
-def interval_product(mid: np.ndarray, rad: np.ndarray):
-    """Bounds ``(lo, hi)`` on products over axis 0 of factors lying in
-    [mid - rad, mid + rad], each clipped to [0, 1].  A reduction over axis 0
-    multiplies element by element, site after site, from the left."""
-    return np.maximum(mid - rad, 0.0).prod(axis=0), np.minimum(mid + rad, 1.0).prod(axis=0)
+# -rad and +rad, exactly: mid + (-rad) rounds as mid - rad does
+_SIGNS = np.array([-1.0, 1.0])
+
+
+def interval_product(mid: np.ndarray, rad: np.ndarray, bounds=None):
+    """Bounds ``(lo, hi)``, stacked on a first axis, on products over axis 0
+    of factors lying in [mid - rad, mid + rad], each clipped to [0, 1],
+    multiplied element by element from the left, and into ``bounds`` in
+    place when it is given.  A factor's last axis, of m entries, repeats
+    along that of ``bounds``: entry p*m + i gains factor i, so a site whose
+    factor reads only the last m words of a lexicographic table is
+    evaluated once per such suffix."""
+    factors = mid + _SIGNS.reshape((2,) + (1,) * mid.ndim) * rad
+    np.maximum(factors[0], 0.0, out=factors[0])
+    np.minimum(factors[1], 1.0, out=factors[1])
+    if bounds is None:
+        return factors.prod(axis=1)
+    # splitting the last axis is always a view, so ``bounds`` is updated
+    prefixes = bounds.reshape(bounds.shape[:-1] + (-1, factors.shape[-1]))
+    for site in range(factors.shape[1]):
+        prefixes *= factors[:, site, ..., None, :]
+    return bounds
 
 
 # ---------------------------------------------------------------------------

@@ -411,7 +411,7 @@ def test_estimate_equals_separate_samples(longrange, monkeypatch, per_batch):
     sched, depth, n_traj = geometric_blocks(1.5), 14, 40
     if per_batch is not None:
         monkeypatch.setattr(coupling, "_BATCH_SITES", per_batch * (depth + 1))
-    if per_batch == 7:  # and 8 (context, word) rows per kernel call
+    if per_batch == 7:  # and parts of 8 (trajectory, word) cells
         monkeypatch.setattr(coupling, "_MAX_ROWS", 8)
     batches, kinds = [], set()
     couple, add_context = coupling._couple, coupling.add_context

@@ -62,6 +62,7 @@ def test_kernel_matches_eval_indices(model, b, L, seed):
     words = rng.integers(0, size, (4, b))
     known = rng.integers(0, size, (4, L))
     mid, rad = model.site_intervals(word_terms(model, words.T), context_state(model, known, b).T, L)
+    rad = np.broadcast_to(rad, mid.shape)  # the long-range radius is one per site
     for row in range(4):
         sequence = tuple(words[row]) + tuple(known[row])
         for j in range(b):
@@ -137,9 +138,11 @@ def _stacked_models():
 @pytest.mark.parametrize("b", [1, 2, 3, 4])
 @pytest.mark.parametrize("name", list(_stacked_models()))
 def test_stacked_block_laws_match_oracle(name, b, monkeypatch):
-    # three (context, word) rows per kernel call: tiles split the words and
-    # the context rows, and the two sides share every call
+    # parts of three (trajectory, word) cells, so kernel calls of two rows,
+    # and a tail of 3 words: a block of 4 or more words evaluates its first
+    # sites one at a time on their suffixes
     monkeypatch.setattr(coupling, "_MAX_ROWS", 3)
+    monkeypatch.setattr(coupling, "_TAIL_WORDS", 3)
     model = _stacked_models()[name]
     size = model.alphabet.size
     rng = np.random.default_rng(b)
@@ -165,15 +168,19 @@ def test_stacked_block_laws_match_oracle(name, b, monkeypatch):
                 assert slack[side, row] == pytest.approx(expect_slack, abs=1e-15)
 
 
-@pytest.mark.parametrize("max_rows", [coupling._MAX_ROWS, 3], ids=["default cap", "cap 3"])
+@pytest.mark.parametrize("cap", [(coupling._MAX_ROWS, coupling._TAIL_WORDS), (3, 3)],
+                         ids=["default cap", "cap 3"])
 @pytest.mark.parametrize("name, b", [
     *((name, b) for name in ("power", "memory-2 on 2 symbols") for b in (1, 2, 3, 4)),
     ("memory-2 on 3 symbols", 1), ("memory-2 on 3 symbols", 2)])
-def test_block_laws_do_not_depend_on_the_row_count(name, b, max_rows, monkeypatch):
+def test_block_laws_do_not_depend_on_the_row_count(name, b, cap, monkeypatch):
     # 2, 4, 8 and 16 words on two symbols, 3 and 9 on three: from 8 words
     # on, numpy sums a contiguous row of words pairwise, so a layout chosen
-    # by the row count would change the bits of some rows
-    monkeypatch.setattr(coupling, "_MAX_ROWS", max_rows)
+    # by the row count would change the bits of some rows; under cap 3 the
+    # 80 rows take kernel calls of two rows, and the first sites of 8, 16
+    # and 9 words are evaluated one by one on their suffixes
+    monkeypatch.setattr(coupling, "_MAX_ROWS", cap[0])
+    monkeypatch.setattr(coupling, "_TAIL_WORDS", cap[1])
     model = _stacked_models()[name]
     size, L = model.alphabet.size, 6
     terms = word_terms(model, all_words(size, b).T)
@@ -237,13 +244,14 @@ def _count_word_terms(monkeypatch):
     return calls
 
 
-def test_word_terms_computed_once_per_block_length(monkeypatch):
+def test_word_terms_computed_once_per_run(monkeypatch):
     # the mc_long_blocks benchmark configuration: one batch, whose runs reach
-    # the block lengths 3, 2, 2, 4, 5, 7 and 12
+    # the block lengths 3, 2, 2, 4, 5, 7 and 12, all sliced from one table
+    # of the longest
     model = LongRangeLinearModel(binary_alphabet(), 0.25, Exponential.from_mass(0.7, 0.5))
     calls = _count_word_terms(monkeypatch)
     estimate_disagreement(model, geometric_blocks(1.5), 34, "1" * 48, "0" * 48, 8, seed=3)
-    assert sorted(shape[0] for shape in calls) == [2, 3, 4, 5, 7, 12]  # sites first
+    assert calls == [(12, 4096)]  # sites first
     calls.clear()
     # three batches of at most 3 trajectories share the run's word terms
     monkeypatch.setattr(coupling, "_BATCH_SITES", 3 * 35)
@@ -251,12 +259,82 @@ def test_word_terms_computed_once_per_block_length(monkeypatch):
     monkeypatch.setattr(coupling, "_couple", lambda *args: batches.append(couple(*args)) or batches[-1])
     estimate_disagreement(model, geometric_blocks(1.5), 34, "1" * 48, "0" * 48, 8, seed=3)
     assert [len(batch.covered) for batch in batches] == [3, 3, 2]
-    assert sorted(shape[0] for shape in calls) == [2, 3, 4, 5, 7, 12]
+    assert calls == [(12, 4096)]
     calls.clear()
     # 16 agreeing parts x 36 tail pairs x 4 words, enumerated in two steps
     monkeypatch.setattr(coupling, "_MAX_CELLS", 8 * 36 * 4)
     dn_bruteforce(model, constant_schedule(2), 3, 3)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name", list(_stacked_models()))
+def test_run_table_slices_are_the_per_length_tables(name):
+    # a run builds the words and word terms of its longest length once, and
+    # every shorter length reads a slice of them, bit for bit
+    model = _stacked_models()[name]
+    size = model.alphabet.size
+    longest = coupling.BLOCK_CAP if size == 2 else 7  # 3^12 words: 100 MB of terms
+    run = coupling._Run(model, np.array([1, longest]), 0, "", "")
+    for b in range(1, longest + 1):
+        words, terms = run.table(b)
+        expect = word_terms(model, all_words(size, b).T)
+        assert np.array_equal(words, all_words(size, b))
+        assert terms.dtype == expect.dtype and np.array_equal(_bits(terms), _bits(expect))
+
+
+@pytest.mark.parametrize("name", ["power", "exponential", "memory-2 on 2 symbols"])
+def test_long_block_laws_evaluate_each_suffix_once(name, monkeypatch):
+    # site j of a 12-site block reads only its 2^(12 - j) suffixes: the
+    # kernel evaluates 4096 + 2048 + ... cells a row, under 2 x 4096, plus
+    # the last sites on one tile of words, not 12 x 4096 = 49 152
+    model = _stacked_models()[name]
+    b, n_rows, L = coupling.BLOCK_CAP, 3, 5
+    cells, site_intervals = [], model.site_intervals
+
+    def counted(terms, state, known_len):
+        mid, rad = site_intervals(terms, state, known_len)
+        cells.append(mid.size)
+        return mid, rad
+
+    monkeypatch.setattr(model, "site_intervals", counted)
+    terms = word_terms(model, all_words(2, b).T)
+    state = context_state(model, np.random.default_rng(b).integers(0, 2, (n_rows, L)), b)
+    _block_laws(model, terms, state, L)
+    assert sum(cells) <= n_rows * (2 * 2**b + b * coupling._TAIL_WORDS)
+
+
+def _reference_block_laws(model, terms, state, known_len):
+    """``_block_laws`` from one kernel call on every (site, row, word) cell
+    and the loop oracle's product, words innermost, then the same word sums
+    and normalisation."""
+    lead, rows = state.shape[:-1], state.reshape(-1, state.shape[-1]).T
+    mid, rad = model.site_intervals(terms[:, :, None, :], rows[:, :, None], known_len)
+    lo, hi = interval_product_loop(np.moveaxis(mid, 0, -1),
+                                   np.moveaxis(np.broadcast_to(rad, mid.shape), 0, -1))
+    mids, halves = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    # contiguous words: numpy sums fewer than 8 in order, as the row layout does
+    total, slack = mids.sum(axis=-1), halves.sum(axis=-1)
+    slack = np.where(slack == 0.0, 0.0, slack + np.abs(total - 1.0))
+    return (mids / total[:, None]).reshape(lead + (-1,)), slack.reshape(lead)
+
+
+@pytest.mark.parametrize("name, b", [
+    *((name, b) for name in ("power", "exponential", "memory-2 on 2 symbols")
+      for b in range(5, coupling.BLOCK_CAP + 1)),
+    *(("memory-2 on 3 symbols", b) for b in range(1, 7))])
+def test_block_laws_are_bit_exact_up_to_the_cap(name, b):
+    # the suffix-by-suffix product makes the multiplications of the full
+    # (sites, words) product in the same order, so every bit is kept
+    model = _stacked_models()[name]
+    size = model.alphabet.size
+    terms = word_terms(model, all_words(size, b).T)
+    rng = np.random.default_rng(b)
+    for L in (0, 1, 7):
+        state = context_state(model, rng.integers(0, size, (2, 3, L)), b)
+        probs, slack = _block_laws(model, terms, state, L)
+        expect_probs, expect_slack = _reference_block_laws(model, terms, state, L)
+        assert np.array_equal(probs, expect_probs)
+        assert np.array_equal(slack, expect_slack)
 
 
 def _bits(x):
@@ -280,6 +358,28 @@ def test_interval_product_matches_loop_oracle(b, n_rows, n_words, radii, strided
         np.moveaxis(mid, 0, -1), np.moveaxis(np.broadcast_to(rad, mid.shape), 0, -1))
     assert np.array_equal(_bits(lo), _bits(expect_lo))
     assert np.array_equal(_bits(hi), _bits(expect_hi))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 6), st.integers(1, 3), st.integers(1, 4),
+       st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_interval_product_into_bounds_matches_loop_oracle(head, tail, n_rows, m, n_prefixes,
+                                                          seed):
+    # the tail sites' factors on m words, repeated over n_prefixes word
+    # prefixes, multiplied in place into the product of the head sites
+    rng = np.random.default_rng(seed)
+    n_words = n_prefixes * m
+    mid = rng.uniform(-0.1, 1.1, (head, n_rows, n_words))
+    rad = rng.uniform(0, 0.2, (head, n_rows, 1))
+    tail_mid = rng.uniform(-0.1, 1.1, (tail, n_rows, m))
+    tail_rad = rng.uniform(0, 0.2, (tail, 1, 1))
+    bounds = interval_product(mid, rad)
+    assert interval_product(tail_mid, tail_rad, bounds) is bounds
+    full_mid = np.concatenate([mid, np.tile(tail_mid, n_prefixes)])
+    full_rad = np.concatenate([np.broadcast_to(rad, mid.shape),
+                               np.broadcast_to(tail_rad, (tail, n_rows, n_words))])
+    expect = interval_product_loop(np.moveaxis(full_mid, 0, -1), np.moveaxis(full_rad, 0, -1))
+    assert np.array_equal(_bits(bounds), _bits(np.array(expect)))
 
 
 def _draw_blocks(model, rng, n_rows, width, L):
