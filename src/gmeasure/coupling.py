@@ -15,14 +15,16 @@ given everything sampled so far plus the initial tail contexts.
 
 The sampler runs all trajectories of a batch together.  Histories and
 context states (``gmodel.context_state``) sit in right-aligned
-``(side, trajectory, width)`` buffers.  Trajectories due a block of one
-length at one frontier form a group, indexed by a slice when its rows are
-consecutive: the block reads only its own state columns, and once drawn
-adds its sites in place to the columns left of it; a step whose
-trajectories all form one group, as every step of a constant schedule
-does, takes it without a sort.  A group is drawn in parts of at most
-``_MAX_ROWS`` (trajectory, word) cells, or of one trajectory, both sides
-sharing each kernel call.  The words and word terms of every block length
+``(width, side, trajectory)`` buffers, sites first as in the kernel.
+Trajectories due a block of one length at one frontier form a group,
+indexed by a slice when its rows are consecutive: the block reads only its
+own state columns, for a slice one (b, 2, rows) slab that the kernel reads
+in place, and once drawn adds each site into the slab of the columns left
+of it; a schedule of one reachable length keeps the whole batch one group
+at every step, and other steps whose trajectories form one group take it
+without a sort.  A group is drawn in parts of at most ``_MAX_ROWS``
+(trajectory, word) cells, or of one trajectory, both sides sharing each
+kernel call.  The words and word terms of every block length
 are slices of one table of the longest reachable length, built once a run
 with the initial context state (``_Run``).  A block law evaluates site j only on the |S|^(b-j)
 distinct suffixes it reads and multiplies it in place into the product
@@ -87,42 +89,52 @@ __all__ = [
 class MaximalCoupling:
     """Maximal coupling of ``p`` and ``q``, one law per row (last axis):
     ``common = min(p, q)`` stays on the diagonal; ``tv = 1 - overlap``, with
-    ``overlap = common.sum(-1)``, is the total variation.  ``scan`` holds the
-    running sums of ``common``, ``p - common`` and ``q - common`` over words
-    (axis 1, rows last, so one scan serves all rows); ``draw`` searches it."""
+    ``overlap = common.sum(-1)``, is the total variation.  ``scan`` (3, ...,
+    words) holds the running sums of ``common``, ``p - common`` and
+    ``q - common`` over the words, in one buffer laid out as ``p`` is;
+    ``draw`` searches it."""
 
     p: np.ndarray
     q: np.ndarray
-    common: np.ndarray
     overlap: np.ndarray  # kept: 1 - tv need not round back to it
     tv: np.ndarray
     scan: np.ndarray
+
+    @property
+    def common(self) -> np.ndarray:
+        """min(p, q), recomputed: ``scan`` holds only its running sums."""
+        return np.minimum(self.p, self.q)
 
     @property
     def joint(self) -> np.ndarray:
         """Dense joint law per row, ``diag(common) + outer(p - common,
         q - common) / tv``: off the diagonal the two residuals are drawn
         independently; for small supports only."""
-        off = (self.p - self.common)[..., :, None] * (self.q - self.common)[..., None, :]
+        common = self.common
+        off = (self.p - common)[..., :, None] * (self.q - common)[..., None, :]
         # equal marginals leave no residual to spread
         tv = np.where(self.tv > 0, self.tv, np.inf)[..., None, None]
-        return self.common[..., None, :] * np.eye(self.p.shape[-1]) + off / tv
+        return common[..., None, :] * np.eye(self.p.shape[-1]) + off / tv
 
     def draw(self, u: np.ndarray):
         """One draw per row from the joint law.
 
-        ``u[..., :3]`` holds the row's next three uniforms.  The first decides
-        the diagonal branch and picks the common word; only off the diagonal
-        are the other two used, to draw the two residuals independently.
-        Returns ``(jx, jy, used)`` with ``used`` = 1 or 3 uniforms consumed.
+        ``u[..., :3]``, 1-D or one row per law, holds the row's next three
+        uniforms.  The first decides the diagonal branch and picks the
+        common word; only off the diagonal are the other two used, to draw
+        the two residuals independently.
+        Returns ``(j, used)``: ``j`` (2, ...) the x and y words, ``used`` = 1
+        or 3 uniforms consumed.
         """
-        v = np.array((u[..., 0], u[..., 1] * self.tv, u[..., 2] * self.tv))
-        # searchsorted(scan, v, side="right") for the three at once
-        last = self.p.shape[-1] - 1
-        j, jx, jy = np.minimum((self.scan <= v[:, None]).sum(axis=1), last)
-        diagonal = u[..., 0] < self.overlap
-        jx, jy = np.where(diagonal, j, (jx, jy))
-        return jx, jy, np.where(diagonal, 1, 3)
+        u = np.asarray(u)[..., :3].T
+        v = np.multiply(u, self.tv)  # the two residual draws scaled by tv
+        v[0] = u[0]
+        # searchsorted(scan, v, side="right") for the three at once: the
+        # running sums do not decrease, so counting the first words - 1
+        # caps the index at the last word
+        j = (self.scan[..., :-1] <= v[..., None]).sum(axis=-1)
+        diagonal = u[0] < self.overlap
+        return np.where(diagonal, j[0], j[1:]), np.where(diagonal, 1, 3)
 
 
 def maximal_coupling(p, q) -> MaximalCoupling:
@@ -133,18 +145,33 @@ def maximal_coupling(p, q) -> MaximalCoupling:
     q = np.asarray(q, dtype=float)
     if p.shape != q.shape or p.ndim not in (1, 2) or not p.shape[-1]:
         raise ConfigError(f"laws need one non-empty 1-D or 2-D shape, got {p.shape}, {q.shape}")
-    common = np.minimum(p, q)
+    # one buffer in the memory order of p, so that the overlap below adds
+    # each row's words as a sum over p's own layout does
+    words_outer = p.ndim == 2 and p.strides[0] < p.strides[1]
+    if words_outer:
+        scan = np.empty((3,) + p.shape[::-1]).transpose(0, 2, 1)
+    else:
+        scan = np.empty((3,) + p.shape)
+    common = np.minimum(p, q, out=scan[0])
     # min(p, q) >= 0 exactly when both laws are; `not >=` also rejects NaN
     if not common.min() >= 0:
         raise ConfigError("probabilities must be non-negative")
     overlap = common.sum(axis=-1)
     tv = 1.0 - overlap
-    scan = np.cumsum(np.array((common.T, (p - common).T, (q - common).T)), axis=1)
+    np.subtract(p, common, out=scan[1])
+    np.subtract(q, common, out=scan[2])
+    if words_outer:
+        # one add per word over all rows, where numpy's accumulate would
+        # make one call per row
+        for w in range(1, p.shape[-1]):
+            scan[..., w] += scan[..., w - 1]
+    else:
+        np.cumsum(scan, axis=-1, out=scan)
     # a row of p sums to 1 exactly when its residual p - common sums to tv
-    defect = np.abs(scan[1:, -1] - tv).max()
+    defect = np.abs(scan[1:, ..., -1] - tv).max()
     if not defect <= 1e-12:
         raise ConfigError(f"probabilities sum to 1 only within {defect!r}")
-    return MaximalCoupling(p, q, common, overlap, tv, scan)
+    return MaximalCoupling(p, q, overlap, tv, scan)
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +280,8 @@ _MAX_CELLS = 1 << 16
 BLOCK_CAP = 12
 # largest truncation slack of a block law the sampler draws from
 TRUNC_TOL = 0.05
+# lo times these, plus hi: hi + lo and hi - lo, exactly
+_PLUS_MINUS = np.array([1.0, -1.0])[:, None, None]
 # trajectories x (depth + 1) sampled together: uniforms, histories, context
 # sums and block records of a batch grow with this product
 _BATCH_SITES = 1 << 16
@@ -262,10 +291,13 @@ def _block_laws(model, terms: np.ndarray, state: np.ndarray, known_len: int):
     """Midpoint block laws and truncation slacks, one per context row.
 
     ``terms`` are the ``word_terms`` of all the words of one block length
-    (``all_words``), words on the last axis; ``state`` (..., b) rows hold
-    the context state of the block's columns (``gmodel.context_state``),
-    each followed by a known context of ``known_len`` symbols; rows share
+    (``all_words``), words on the last axis; ``state`` (b, ...) holds the
+    context state of the block's columns, sites first
+    (``gmodel.context_state``), one context row per trailing index, each
+    followed by a known context of ``known_len`` symbols; rows share
     kernel calls of at most both sides of one sampler part (``_MAX_ROWS``).
+    The rows are read as one (b, rows) array: a view when the trailing
+    axes are contiguous, as the sampler's slab of a whole group is.
     Returns ``(probs, slack)``: ``probs`` (..., words) are the normalised
     midpoints of the per-word interval products, ``slack`` the summed
     half-widths plus the normalisation defect.
@@ -285,21 +317,29 @@ def _block_laws(model, terms: np.ndarray, state: np.ndarray, known_len: int):
     innermost.  The layout reads the word count only, so no batch or tile
     size changes a bit.
     """
-    lead = state.shape[:-1]
-    state = state.reshape(-1, state.shape[-1]).T  # sites first
+    lead = state.shape[1:]
+    state = state.reshape(len(state), -1)
     n_rows, n_words = state.shape[1], terms.shape[-1]
     rows_per_call = 2 * max(1, _MAX_ROWS // n_words)  # both sides of one sampler part
-    tiles = [_interval_bounds(model, terms, state[:, r : r + rows_per_call], known_len)
-             for r in range(0, n_rows, rows_per_call)]
-    bounds = tiles[0] if len(tiles) == 1 else np.concatenate(tiles, axis=-1 if n_words < 8 else 1)
-    # (words, rows), as views with the words innermost for 8 or more words
-    lo, hi = bounds if n_words < 8 else bounds.transpose(0, 2, 1)
-    mids, halves = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    total = mids.sum(axis=0)
-    slack = halves.sum(axis=0)
+    if n_rows <= rows_per_call:
+        bounds = _interval_bounds(model, terms, state, known_len)
+    else:
+        bounds = np.concatenate([
+            _interval_bounds(model, terms, state[:, r : r + rows_per_call], known_len)
+            for r in range(0, n_rows, rows_per_call)], axis=-1 if n_words < 8 else 1)
+    # the midpoints and half-widths 0.5 (hi + lo) and 0.5 (hi + (-lo)),
+    # stacked, (2, words, rows) in the memory order of ``bounds``: views
+    # with the words innermost for 8 or more words
+    mid_half = np.empty_like(bounds)
+    if n_words >= 8:
+        bounds, mid_half = bounds.transpose(0, 2, 1), mid_half.transpose(0, 2, 1)
+    np.multiply(_PLUS_MINUS, bounds[0], out=mid_half)
+    mid_half += bounds[1]
+    mid_half *= 0.5
+    total, slack = mid_half.sum(axis=1)
     # exact factors: the midpoints sum to 1 up to float roundoff only
-    slack = np.where(slack == 0.0, 0.0, slack + np.abs(total - 1.0))
-    return (mids / total).T.reshape(lead + (n_words,)), slack.reshape(lead)
+    np.add(slack, np.abs(total - 1.0), out=slack, where=slack != 0.0)
+    return (mid_half[0] / total).T.reshape(lead + (n_words,)), slack.reshape(lead)
 
 
 def _interval_bounds(model, terms: np.ndarray, state: np.ndarray, known_len: int):
@@ -368,14 +408,16 @@ def _reachable_lengths(schedule: BlockSchedule, depth: int) -> np.ndarray:
 
 
 _BLOCK_FIELDS = ("start", "length", "run_before", "agreed", "tv", "slack")
+# offsets of a trajectory's next three uniforms, one row each
+_NEXT_THREE = np.arange(3)[:, None]
 
 
 @dataclass
 class _Batch:
-    """Coupled trajectories, one per row.  Histories are right-aligned:
-    column ``width - 1 - n`` holds coordinate -n.  ``blocks`` maps each of
-    ``_BLOCK_FIELDS`` to one entry per drawn block, in drawing order per
-    trajectory."""
+    """Coupled trajectories, sites first: ``x`` and ``y`` are (width,
+    trajectory) histories, right-aligned, row ``width - 1 - n`` holding
+    coordinate -n.  ``blocks`` maps each of ``_BLOCK_FIELDS`` to one entry
+    per drawn block, in drawing order per trajectory."""
 
     x: np.ndarray
     y: np.ndarray
@@ -387,10 +429,10 @@ class _Run:
     """What every batch of one run shares, built once per run: the model and
     block lengths by run (``_reachable_lengths``), the depth, the buffer
     width, the words of the longest reachable length and their
-    ``word_terms``, of which ``table`` slices every shorter length, and the
-    (side, width) context state of the two tail contexts.  Raises
-    ConfigError for a model that is not positive or contexts of unequal
-    length."""
+    ``word_terms``, of which ``table`` slices every shorter length, the
+    (width, side) context state of the two tail contexts, and per
+    reachable length what a step reads (``blocks``).  Raises ConfigError
+    for a model that is not positive or contexts of unequal length."""
 
     def __init__(self, model, lengths, depth, x_context, y_context):
         if not model.is_positive:
@@ -406,6 +448,11 @@ class _Run:
         self.words = all_words(model.alphabet.size, int(lengths.max()))
         self.terms = word_terms(model, self.words.T)
         self.state = context_state(model, np.stack(contexts), self.width)
+        # per length: the words sites first, their terms, trajectories per part
+        self.blocks = {}
+        for b in set(lengths.tolist()):
+            words, terms = self.table(b)
+            self.blocks[b] = words.T, terms, max(1, _MAX_ROWS // len(words))
 
     def table(self, b: int):
         """The words of b sites and their ``word_terms``, bit for bit: the
@@ -422,36 +469,48 @@ def _couple(run: _Run, uniforms) -> _Batch:
 
     Each step draws the next block of every unfinished trajectory; those
     with the same block length and frontier form a group, which shares
-    kernel calls and one context-state update.  When every trajectory of a
-    step is in one group, as at every step of a constant schedule, it is
-    taken without a sort.  Trajectory i reads ``uniforms[i]`` in order, one
-    per diagonal and three per off-diagonal draw, so its path does not
-    depend on the batch it is drawn in.
+    kernel calls and one context-state update.  Where every reachable
+    block has one length, as in a constant schedule, every trajectory is
+    at one frontier at every step, which is one group of the whole batch;
+    otherwise a step whose unfinished trajectories form one group takes it
+    without a sort.  Trajectory i reads ``uniforms[i]`` in order, one per
+    diagonal and three per off-diagonal draw, so its path does not depend
+    on the batch it is drawn in.
     """
-    model, lengths, depth = run.model, run.lengths, run.depth
-    n_traj = len(uniforms)
-    hist = np.zeros((2, n_traj, run.width), dtype=np.min_scalar_type(model.alphabet.size - 1))
-    state = np.repeat(run.state[:, None], n_traj, axis=1)
+    model, lengths, depth, n_traj = run.model, run.lengths, run.depth, len(uniforms)
+    # trajectory i's uniforms start at flat[i * U]; cursor points at its next one
+    flat = np.ascontiguousarray(uniforms).reshape(-1)
+    cursor = np.arange(n_traj) * uniforms.shape[1]
+    everyone = np.arange(n_traj)
+    hist = np.zeros((run.width, 2, n_traj), dtype=np.min_scalar_type(model.alphabet.size - 1))
+    state = np.repeat(run.state[..., None], n_traj, axis=-1)
     covered = np.zeros(n_traj, dtype=np.intp)
     runs = np.zeros(n_traj, dtype=np.intp)
-    used = np.zeros(n_traj, dtype=np.intp)
     log = []
-    while (active := np.flatnonzero(covered <= depth)).size:
-        # one group per (block length, frontier), rows ascending
-        key = lengths[runs[active]] * (depth + 1) + covered[active]
-        if key.min() == key.max():
-            groups = (active,)
+    while True:
+        if len(run.blocks) == 1:  # one length: every trajectory at one frontier
+            if covered[0] > depth:
+                break
+            groups = (everyone,)
+        elif (active := np.flatnonzero(covered <= depth)).size:
+            # one group per (block length, frontier), rows ascending
+            key = lengths[runs[active]] * (depth + 1) + covered[active]
+            if key.min() == key.max():
+                groups = (active,)
+            else:
+                order = np.argsort(key, kind="stable")
+                groups = np.split(active[order], np.flatnonzero(np.diff(key[order])) + 1)
         else:
-            order = np.argsort(key, kind="stable")
-            groups = np.split(active[order], np.flatnonzero(np.diff(key[order])) + 1)
+            break
         for group in groups:
             b, front = int(lengths[runs[group[0]]]), int(covered[group[0]])
-            (words, terms), c0 = run.table(b), run.width - b - front
-            step = max(1, _MAX_ROWS // len(words))
+            words, terms, step = run.blocks[b]
+            c0 = run.width - b - front
+            cols = slice(c0, c0 + b)
             for part in (group[i : i + step] for i in range(0, len(group), step)):
                 # the part's rows: a slice (a view) when they are consecutive
                 rows = slice(part[0], part[-1] + 1) if part[-1] - part[0] < len(part) else part
-                (p, q), slack = _block_laws(model, terms, state[:, rows, c0 : c0 + b],
+                (p, q), slack = _block_laws(model, terms, state[cols, :, rows],
                                             run.known_len + front)
                 slack = slack[0] + slack[1]
                 if slack.max() > TRUNC_TOL:
@@ -459,21 +518,21 @@ def _couple(run: _Run, uniforms) -> _Batch:
                         f"block truncation slack {slack.max():.3e} exceeds tolerance {TRUNC_TOL}"
                     )
                 pair = maximal_coupling(p, q)
-                jx, jy, n_used = pair.draw(uniforms[part[:, None], used[rows, None] + np.arange(3)])
-                hist[:, rows, c0 : c0 + b] = drawn = words[np.array((jx, jy))]
+                j, n_used = pair.draw(flat[cursor[rows] + _NEXT_THREE].T)
+                hist[cols, :, rows] = drawn = words[:, j]
                 add_context(model, state, (slice(None), rows), drawn, c0)
-                agreed = jx == jy
+                agreed = j[0] == j[1]
                 before = runs[rows].copy()  # a view of a slice is overwritten below
                 log.append((front, b, before, agreed, pair.tv, slack))
                 covered[rows] += b
                 runs[rows] = np.where(agreed, before + 1, 0)
-                used[rows] += n_used
+                cursor[rows] += n_used
     # one tuple per field, each array freed once its column is built
     fronts, sizes, *log = zip(*log)
     counts = [len(before) for before in log[0]]
     blocks = {"start": np.repeat(fronts, counts), "length": np.repeat(sizes, counts)}
     blocks.update((name, np.concatenate(log.pop(0))) for name in _BLOCK_FIELDS[2:])
-    return _Batch(hist[0], hist[1], covered, blocks)
+    return _Batch(hist[:, 0], hist[:, 1], covered, blocks)
 
 
 def sample_block_coupling(
@@ -505,7 +564,7 @@ def sample_block_coupling(
     batch = _couple(_Run(model, lengths, depth, x_context, y_context),
                     rng.random((1, _max_uniforms(depth))))
     covered = int(batch.covered[0])
-    x, y = batch.x[0, -covered:].astype(np.intp), batch.y[0, -covered:].astype(np.intp)
+    x, y = batch.x[-covered:, 0].astype(np.intp), batch.y[-covered:, 0].astype(np.intp)
     records = [BlockRecord((-start - length + 1, -start), run, agreed, tv, slack)
                for start, length, run, agreed, tv, slack
                in zip(*(batch.blocks[k].tolist() for k in _BLOCK_FIELDS))]
@@ -553,8 +612,8 @@ def estimate_disagreement(
     for start in range(0, n_traj, per_batch):
         uniforms = rng.random((min(per_batch, n_traj - start), _max_uniforms(depth)))
         batch = _couple(run, uniforms)
-        # column n of the flipped histories is coordinate -n
-        counts += (batch.x != batch.y)[:, ::-1][:, : depth + 1].sum(axis=0)
+        # row n of the flipped histories is coordinate -n
+        counts += (batch.x != batch.y)[::-1][: depth + 1].sum(axis=1)
         runs = batch.blocks["run_before"]
         seen += np.bincount(runs, minlength=n_runs)
         bad += np.bincount(runs[~batch.blocks["agreed"]], minlength=n_runs)

@@ -27,19 +27,20 @@ g is shift invariant, so no word carries its position.
 ``eval_indices`` is the scalar reference route: one word, one interval.
 The batched kernel evaluates every site of a batch of word rows at once,
 sites on axis 0.  A known right context enters through its context state,
-laid out like the sampler's histories (column ``width - 1 - n`` is
-coordinate -n): column c holds sum_k a_k v(x_{c+k}) over the known symbols
-right of c, with v the sign and a_k the coefficient for the long-range
-model, and v the symbol index and a_k its place value size**(memory - k),
-so a window code, for a finite-memory model.  ``context_state`` builds it,
-``add_context`` adds symbols to it in place, ``word_terms`` sums the same
-terms within the word, once for words read under many contexts, and
-``site_intervals`` returns ``(mid, rad)`` per site, for one known context
-length per call, with the interval semantics of ``eval_indices``.  Each lag
-table has one route: the long-range kernel reads one coefficient table of
-a_k and theta * tail(k), never ``zeta``; the finite-memory kernel and
-``ratio_excess`` read the min/max tables over completions of windows of 1..M+1
-symbols.
+sites first like the kernel and the sampler's histories (entry
+``width - 1 - n`` of axis 0 is coordinate -n): column c holds
+sum_k a_k v(x_{c+k}) over the known symbols right of c, with v the sign and
+a_k the coefficient for the long-range model, and v the symbol index and
+a_k its place value size**(memory - k), so a window code, for a
+finite-memory model.  ``context_state`` builds it, ``add_context`` adds
+symbols to it in place, one slab of columns per site, ``word_terms`` sums
+the same terms within the word, once for words read under many contexts,
+and ``site_intervals`` returns ``(mid, rad)`` per site, for one known
+context length per call, with the interval semantics of ``eval_indices``.
+Each lag table has one route: the long-range kernel reads one coefficient
+table of a_k and theta * tail(k), never ``zeta``; the finite-memory kernel
+and ``ratio_excess`` read the min/max tables over completions of windows of
+1..M+1 symbols.
 """
 
 from __future__ import annotations
@@ -295,7 +296,7 @@ class LongRangeLinearModel:
         radius theta * tail(b - j + known_len - 1) from a cached vector, so
         ``rad`` is (b, 1, ...), broadcasting against ``mid``."""
         mid = 0.5 + self.theta * terms[0] * (terms[1] + state)
-        return mid, self._radii(known_len + len(state))[_known_right(mid, known_len) - 1]
+        return mid, self._radii(known_len + len(state))[_known_right(mid, known_len - 1)]
 
     def eval_indices(self, idx: Sequence[int]) -> tuple[float, float]:
         n = len(idx)
@@ -336,12 +337,13 @@ def _known_right(sites: np.ndarray, known_len: int):
     """b - j + known_len at site j of the b = len(sites) sites of a block,
     shaped (b, 1, ...) with the dimensions of ``sites``."""
     b = len(sites)
-    return np.arange(b, 0, -1).reshape((b,) + (1,) * (sites.ndim - 1)) + known_len
+    return np.arange(b + known_len, known_len, -1).reshape((b,) + (1,) * (sites.ndim - 1))
 
 
 def context_state(model, known, width: int) -> np.ndarray:
-    """Context state (..., width) of ``width`` columns followed by the known
-    context rows ``known`` (..., L), nearest symbol first.
+    """Context state (width, ...), sites first, of ``width`` columns
+    followed by the known context rows ``known`` (..., L), nearest symbol
+    first.
 
     Bit for bit what ``add_context`` builds from zeros: the running state
     and a chunk of symbol terms a_{width+i-c} v(known_i) are stacked on a
@@ -349,14 +351,14 @@ def context_state(model, known, width: int) -> np.ndarray:
     in symbol order, a lag past a finite memory adding 0.  numpy adds the
     slices of a first axis in order only when each holds two or more cells
     (a single cell it sums pairwise), so the state carries one spare column
-    on its left.  Chunks of 64 symbols keep the stack at 65 states.
+    ahead of the first.  Chunks of 64 symbols keep the stack at 65 states.
     """
     known = np.asarray(known)
     n_known, lead = known.shape[-1], known.shape[:-1]
     weights = model.context_weights(width + n_known)
     weights = np.append(weights, np.zeros(1, weights.dtype))  # a lag past them reads 0
     values = model.symbol_values
-    state = np.zeros(lead + (width + 1,), dtype=values.dtype)
+    state = np.zeros((width + 1,) + lead, dtype=values.dtype)
     for start in range(0, n_known, 64):
         chunk = np.moveaxis(values[known[..., start : start + 64]], -1, 0)
         # lag of symbol start + i from column c, the spare column being c = -1
@@ -364,10 +366,10 @@ def context_state(model, known, width: int) -> np.ndarray:
         lag_weights = weights[np.minimum(lags, len(weights) - 1)]
         stack = np.empty((len(chunk) + 1,) + state.shape, dtype=values.dtype)
         stack[0] = state
-        np.multiply(chunk[..., None], lag_weights.reshape(
-            (len(chunk),) + (1,) * len(lead) + (width + 1,)), out=stack[1:])
+        np.multiply(chunk[:, None], lag_weights.reshape(lag_weights.shape + (1,) * len(lead)),
+                    out=stack[1:])
         state = np.add.reduce(stack, axis=0)
-    return state[..., 1:]
+    return state[1:]
 
 
 def word_terms(model, words) -> np.ndarray:
@@ -384,18 +386,22 @@ def word_terms(model, words) -> np.ndarray:
 
 
 def add_context(model, state: np.ndarray, rows: tuple, symbols: np.ndarray, c0: int):
-    """Add ``symbols`` (..., b), at columns c0, c0 + 1, ..., to the context
-    state ``state[rows]`` of the columns left of c0, in place: column c gains
-    a_{c0+i-c} v(symbols_i), one site at a time, from the left.  ``rows``
-    indexes the leading axes; sites past a finite memory are skipped."""
-    weights = model.context_weights(c0 + symbols.shape[-1])
-    hi = min(c0, state.shape[-1])
-    for i in range(symbols.shape[-1]):
+    """Add ``symbols`` (b, ...), sites first, at columns c0, c0 + 1, ..., to
+    the context state ``state`` (width, ...) of the columns left of c0, in
+    place: column c gains a_{c0+i-c} v(symbols_i), one site at a time, from
+    the left.  ``rows`` indexes the axes after the first, so each site adds
+    into one slab ``state[lo:hi][rows]``: a view when ``rows`` are slices,
+    contiguous when they select every trailing index; sites past a finite
+    memory are skipped."""
+    weights = model.context_weights(c0 + len(symbols))
+    hi = min(c0, len(state))
+    for i, site in enumerate(symbols):
         c = c0 + i
         lo = max(0, c + 1 - len(weights))
         if lo < hi:
-            value = model.symbol_values[symbols[..., i, None]]
-            state[rows + (slice(lo, hi),)] += value * weights[c - lo : c - hi : -1]
+            lags = weights[c - lo : c - hi : -1]
+            state[(slice(lo, hi),) + rows] += (lags.reshape(lags.shape + (1,) * site.ndim)
+                                               * model.symbol_values[site])
 
 
 # -rad and +rad, exactly: mid + (-rad) rounds as mid - rad does

@@ -94,7 +94,7 @@ def test_draw_reproduces_the_joint_table():
     n = 200_000
     p, q = np.array([0.1, 0.4, 0.2, 0.3]), np.array([0.3, 0.1, 0.5, 0.1])
     pair = maximal_coupling(np.tile(p, (n, 1)), np.tile(q, (n, 1)))
-    jx, jy, used = pair.draw(np.random.default_rng(0).random((n, 3)))
+    (jx, jy), used = pair.draw(np.random.default_rng(0).random((n, 3)))
     # one uniform on the diagonal; the residuals have disjoint supports
     assert ((used == 1) == (jx == jy)).all()
     empirical = np.bincount(4 * jx + jy, minlength=16).reshape(4, 4) / n
@@ -380,7 +380,7 @@ def test_sampler_marginal_law_matches_cylinder_probs(mem1):
     lengths = coupling._reachable_lengths(constant_schedule(1), 2)
     batch = coupling._couple(coupling._Run(mem1, lengths, 2, ctx, ctx),
                              spawned_uniforms(99, n_traj, 2))
-    codes = batch.x[:, -3:] @ [4, 2, 1]  # coordinates -2, -1, 0
+    codes = batch.x[-3:].T @ [4, 2, 1]  # coordinates -2, -1, 0
     freq = np.bincount(codes, minlength=8) / n_traj
     for code in range(8):
         exact, err = cylinder_interval(mem1, decode(code, 2, 3), mem1.alphabet.indices(ctx))
@@ -421,7 +421,7 @@ def test_estimate_equals_separate_samples(longrange, monkeypatch, per_batch):
         return batches[-1]
 
     def logged_add_context(model, state, rows, symbols, c0):
-        if symbols.shape[1] > 1:  # the row index of a group of several rows
+        if symbols.shape[-1] > 1:  # the row index of a group of several rows
             kinds.add(type(rows[1]).__name__)
         add_context(model, state, rows, symbols, c0)
 
@@ -435,7 +435,7 @@ def test_estimate_equals_separate_samples(longrange, monkeypatch, per_batch):
         step = per_batch or n_traj
         assert [len(b.covered) for b in batched] == [
             min(step, n_traj - s) for s in range(0, n_traj, step)]
-        x, y = (np.concatenate([getattr(b, side) for b in batched]) for side in "xy")
+        x, y = (np.concatenate([getattr(b, side).T for b in batched]) for side in "xy")
         covered = np.concatenate([b.covered for b in batched])
         records = sorted(zip(*(np.concatenate([b.blocks[k] for b in batched]).tolist()
                                for k in coupling._BLOCK_FIELDS)))

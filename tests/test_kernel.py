@@ -61,7 +61,7 @@ def test_kernel_matches_eval_indices(model, b, L, seed):
     size = model.alphabet.size
     words = rng.integers(0, size, (4, b))
     known = rng.integers(0, size, (4, L))
-    mid, rad = model.site_intervals(word_terms(model, words.T), context_state(model, known, b).T, L)
+    mid, rad = model.site_intervals(word_terms(model, words.T), context_state(model, known, b), L)
     rad = np.broadcast_to(rad, mid.shape)  # the long-range radius is one per site
     for row in range(4):
         sequence = tuple(words[row]) + tuple(known[row])
@@ -154,11 +154,11 @@ def test_stacked_block_laws_match_oracle(name, b, monkeypatch):
         state = context_state(model, known, b)
         probs, slack = _block_laws(model, terms, state, L)
         for side in range(2):
-            one_probs, one_slack = _block_laws(model, terms, state[side], L)
+            one_probs, one_slack = _block_laws(model, terms, state[:, side], L)
             assert np.array_equal(probs[side], one_probs)
             assert np.array_equal(slack[side], one_slack)
             for row, context in enumerate(known[side]):
-                lo, hi = interval_product(*model.site_intervals(terms, state[side, row, :, None], L))
+                lo, hi = interval_product(*model.site_intervals(terms, state[:, side, row, None], L))
                 for w, word in enumerate(words):
                     mid, half = cylinder_interval(model, word, context)
                     assert abs(0.5 * (lo[w] + hi[w]) - mid) <= 1e-15
@@ -188,7 +188,7 @@ def test_block_laws_do_not_depend_on_the_row_count(name, b, cap, monkeypatch):
     probs, slack = _block_laws(model, terms, state, L)
     assert probs.shape == (2, 40, size**b) and slack.shape == (2, 40)
     for side, row in np.ndindex(2, 40):
-        one_probs, one_slack = _block_laws(model, terms, state[side, row, None], L)
+        one_probs, one_slack = _block_laws(model, terms, state[:, side, row, None], L)
         assert np.array_equal(probs[side, row], one_probs[0])
         assert np.array_equal(slack[side, row], one_slack[0])
 
@@ -214,6 +214,33 @@ def test_short_blocks_take_the_row_layout(monkeypatch):
     assert shapes == [((1, 1, 400), (1, 2, 400), True)] * 65  # one call per step, 65 steps
 
 
+def test_short_blocks_read_and_update_the_state_in_place(monkeypatch):
+    # the mc_short_blocks configuration: each step's kernel call reads the
+    # block's columns of the sampler's own context state, and each context
+    # update adds into one contiguous slab of it, with no copy or transpose
+    model = LongRangeLinearModel(binary_alphabet(), 0.25, PowerLaw.from_mass(2.0, 0.5))
+    reads, slabs, states = [], [], []
+    site_intervals, add_context = model.site_intervals, coupling.add_context
+
+    def recorded(terms, state, known_len):
+        reads.append(state)
+        return site_intervals(terms, state, known_len)
+
+    def logged(model, state, rows, symbols, c0):
+        states.append(state)
+        slabs.append(state[(slice(0, c0),) + rows])  # the power law reaches every column
+        add_context(model, state, rows, symbols, c0)
+
+    monkeypatch.setattr(model, "site_intervals", recorded)
+    monkeypatch.setattr(coupling, "add_context", logged)
+    estimate_disagreement(model, constant_schedule(1), 64, "1" * 64, "0" * 64, 200, seed=1)
+    assert len(reads) == len(slabs) == 65 and all(s is states[0] for s in states)
+    for state in reads:
+        assert state.flags.c_contiguous and np.shares_memory(state, states[0])
+    for slab in slabs[:-1]:  # the last block has no column left of it
+        assert slab.size and slab.flags.c_contiguous and np.shares_memory(slab, states[0])
+
+
 @pytest.mark.parametrize("lead", [(), (1,), (2, 3)], ids=["one row", "one of one", "2x3"])
 @pytest.mark.parametrize("name", ["power", "exponential", "memory-2 on 3 symbols"])
 def test_context_state_matches_the_add_context_loop(name, lead):
@@ -225,9 +252,9 @@ def test_context_state_matches_the_add_context_loop(name, lead):
     for L in (0, 1, 2, 5, 64, 150):
         for width in sorted({0, 1, L // 2, L + 3}):
             known = rng.integers(0, model.alphabet.size, lead + (L,))
-            expect = np.zeros(lead + (width,), dtype=model.symbol_values.dtype)
+            expect = np.zeros((width,) + lead, dtype=model.symbol_values.dtype)
             for i in range(L):
-                add_context(model, expect, (...,), known[..., i : i + 1], width + i)
+                add_context(model, expect, (...,), known[None, ..., i], width + i)
             state = context_state(model, known, width)
             assert state.dtype == expect.dtype
             assert np.array_equal(_bits(state), _bits(expect))
@@ -307,7 +334,7 @@ def _reference_block_laws(model, terms, state, known_len):
     """``_block_laws`` from one kernel call on every (site, row, word) cell
     and the loop oracle's product, words innermost, then the same word sums
     and normalisation."""
-    lead, rows = state.shape[:-1], state.reshape(-1, state.shape[-1]).T
+    lead, rows = state.shape[1:], state.reshape(len(state), -1)
     mid, rad = model.site_intervals(terms[:, :, None, :], rows[:, :, None], known_len)
     lo, hi = interval_product_loop(np.moveaxis(mid, 0, -1),
                                    np.moveaxis(np.broadcast_to(rad, mid.shape), 0, -1))
@@ -389,7 +416,7 @@ def _draw_blocks(model, rng, n_rows, width, L):
     histories, each row's ``(c0, b)`` in drawing order, the in-place sums and
     the kinds of row index used."""
     contexts = rng.integers(0, 2, (2, L))
-    state = np.repeat(context_state(model, contexts, width)[:, None], n_rows, axis=1)
+    state = np.repeat(context_state(model, contexts, width)[..., None], n_rows, axis=-1)
     hist = np.zeros((2, n_rows, width), dtype=np.intp)
     covered = np.zeros(n_rows, dtype=np.intp)
     blocks = [[] for _ in range(n_rows)]
@@ -406,7 +433,7 @@ def _draw_blocks(model, rng, n_rows, width, L):
                 kinds.add(type(index).__name__)
             c0 = width - b - front
             hist[:, rows, c0 : c0 + b] = drawn = rng.integers(0, 2, (2, len(rows), b))
-            add_context(model, state, (slice(None), index), drawn, c0)
+            add_context(model, state, (slice(None), index), np.moveaxis(drawn, -1, 0), c0)
             for row in rows.tolist():
                 blocks[row].append((c0, b))
             covered[rows] += b
@@ -425,11 +452,11 @@ def test_in_place_context_sums_match_oracle(law, seed):
     for side in range(2):
         for row in range(9):
             expect = context_sums(model, contexts[side], hist[side, row], blocks[row], width)
-            assert np.array_equal(_bits(state[side, row]), _bits(expect))
+            assert np.array_equal(_bits(state[:, side, row]), _bits(expect))
             # the plain sum over the symbols right of each column's block
             seq = hist[side, row].tolist() + contexts[side].tolist()
             for c0, b in blocks[row]:
                 for c in range(c0, c0 + b):
                     plain = math.fsum(law.var_at(col - c) * model.symbol_values[seq[col]]
                                       for col in range(c0 + b, width + L))
-                    assert abs(state[side, row, c] - plain) <= 1e-15
+                    assert abs(state[c, side, row] - plain) <= 1e-15
