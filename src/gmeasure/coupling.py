@@ -23,17 +23,12 @@ in place, and once drawn adds each site into the slab of the columns left
 of it; a schedule of one reachable length keeps the whole batch one group
 at every step, and other steps whose trajectories form one group take it
 without a sort.  A group is drawn in parts of at most ``_MAX_ROWS``
-(trajectory, word) cells, or of one trajectory, both sides sharing each
-kernel call.  The words and word terms of every block length
-are slices of one table of the longest reachable length, built once a run
-with the initial context state (``_Run``).  A block law evaluates site j only on the |S|^(b-j)
-distinct suffixes it reads and multiplies it in place into the product
-over all words, repeated over the word prefixes, so a 12-site binary
-block costs about 2 x 4096 kernel cells, not 12 x 4096; its last sites
-share one call on ``_TAIL_WORDS`` words.  A block of fewer than 8 words
-is laid out along the rows, so numpy's loops run over the rows, not over
-the few words; longer blocks keep the words innermost (see
-``_block_laws``).
+(trajectory, word) cells, or of one trajectory, and the block laws of a
+part, both sides, are one kernel pass (``_block_laws``, which evaluates
+each site on its distinct suffixes only: a 12-site binary block costs
+about 2 x 4096 kernel cells, not 12 x 4096).  The words and word terms of
+every block length are slices of one table of the longest reachable
+length, built once a run with the initial context state (``_Run``).
 Uniform-order contract: a run reads one stream, ``default_rng(seed)``, and
 trajectory i reads its window i, uniforms [iU, (i+1)U) with U = 3(depth + 1),
 in order: one per block drawn on the diagonal and three per block drawn off
@@ -264,9 +259,8 @@ def _geometric_sums(growth: float, n: int, past: float) -> np.ndarray:
 # conditional block distributions
 
 # (trajectory, word) cells of one sampler part: a group is drawn in parts
-# of at most _MAX_ROWS // words trajectories (one, for a longer block), and
-# a block-law kernel call takes at most the rows of one part, both sides,
-# so each kernel array stays flat whatever the batch or dn_bruteforce step
+# of at most _MAX_ROWS // words trajectories (one, for a longer block),
+# both sides of a part in one _block_laws call
 _MAX_ROWS = 1024
 # suffix words of the kernel call that a block's last sites share: a site
 # with fewer suffixes is evaluated on this many words, so that its in-place
@@ -276,6 +270,10 @@ _TAIL_WORDS = 256
 # cells (agreeing parts x tail pairs x words) of one dn_bruteforce step, so
 # that each of its pair arrays holds at most 2^16 floats (0.5 MB)
 _MAX_CELLS = 1 << 16
+# (context row, word, site) kernel cells of one dn_bruteforce pass, so that
+# the kernel's temporaries stay within 256 KB, which the heap reuses from
+# pass to pass; larger passes faulted them in anew (a sweep is in CHANGES.md)
+_PASS_CELLS = 1 << 14
 # longest block the sampler enumerates: both block laws hold |S|^b words
 BLOCK_CAP = 12
 # largest truncation slack of a block law the sampler draws from
@@ -288,51 +286,54 @@ _BATCH_SITES = 1 << 16
 
 
 def _block_laws(model, terms: np.ndarray, state: np.ndarray, known_len: int):
-    """Midpoint block laws and truncation slacks, one per context row.
+    """Midpoint block laws and truncation slacks, one per context row, all
+    rows in one pass of the kernel: the caller bounds them (a sampler part
+    by ``_MAX_ROWS``, a ``dn_bruteforce`` pass by ``_PASS_CELLS``).
 
     ``terms`` are the ``word_terms`` of all the words of one block length
     (``all_words``), words on the last axis; ``state`` (b, ...) holds the
     context state of the block's columns, sites first
     (``gmodel.context_state``), one context row per trailing index, each
-    followed by a known context of ``known_len`` symbols; rows share
-    kernel calls of at most both sides of one sampler part (``_MAX_ROWS``).
-    The rows are read as one (b, rows) array: a view when the trailing
-    axes are contiguous, as the sampler's slab of a whole group is.
-    Returns ``(probs, slack)``: ``probs`` (..., words) are the normalised
-    midpoints of the per-word interval products, ``slack`` the summed
-    half-widths plus the normalisation defect.
+    followed by a known context of ``known_len`` symbols, read as one
+    (b, rows) array: a view when the trailing axes are contiguous, as the
+    sampler's slab of a whole group is.  Returns ``(probs, slack)``:
+    ``probs`` (..., words) are the normalised midpoints of the per-word
+    interval products, ``slack`` the summed half-widths plus the
+    normalisation defect.
 
     Site j's factor reads only the suffix w_j..w_{b-1}, and the first
     m = |S|^(b-j) words of the lexicographic table hold each suffix once:
-    site j is evaluated on those m words only and multiplied in place into
-    the product of the sites left of it, repeated over the word prefixes
+    site j is evaluated on those m words only, as a one-site block with
+    b - j - 1 more symbols known, and multiplied in place into the product
+    of the sites left of it, repeated over the word prefixes
     (``gmodel.interval_product``), the multiplications of a product over
     all words in the same order.  The last sites, of at most
-    ``_TAIL_WORDS`` suffixes, share one kernel call on that many words, so
-    a block of at most that many words is one call.  Fewer than 8 words
-    are laid out along the rows: the kernel runs on (sites, words, rows)
-    arrays, a word sum adds whole row slices in word order, and ``probs``
-    is a view of a (words, rows) array.  numpy sums 8 or more contiguous
-    floats pairwise, not in order, so longer blocks keep the words
-    innermost.  The layout reads the word count only, so no batch or tile
-    size changes a bit.
+    ``_TAIL_WORDS`` suffixes, share one kernel call on that many words.
+    Fewer than 8 words are laid out along the rows: the kernel runs on
+    (sites, words, rows) arrays, a word sum adds whole row slices in word
+    order, and ``probs`` is a view of a (words, rows) array.  numpy sums 8
+    or more contiguous floats pairwise, not in order, so longer blocks keep
+    the words innermost.  The layout reads the word count only, so no row
+    count changes a bit.
     """
     lead = state.shape[1:]
     state = state.reshape(len(state), -1)
-    n_rows, n_words = state.shape[1], terms.shape[-1]
-    rows_per_call = 2 * max(1, _MAX_ROWS // n_words)  # both sides of one sampler part
-    if n_rows <= rows_per_call:
-        bounds = _interval_bounds(model, terms, state, known_len)
+    b, n_words = len(state), terms.shape[-1]
+    # the stacked (lo, hi) products, (2, words, rows) whatever the layout
+    if n_words < 8:
+        bounds = interval_product(*model.site_intervals(terms[..., None], state[:, None], known_len))
     else:
-        bounds = np.concatenate([
-            _interval_bounds(model, terms, state[:, r : r + rows_per_call], known_len)
-            for r in range(0, n_rows, rows_per_call)], axis=-1 if n_words < 8 else 1)
+        bounds, j, m = None, 0, n_words
+        while m > _TAIL_WORDS:
+            bounds = interval_product(*model.site_intervals(
+                terms[:, j : j + 1, None, :m], state[j : j + 1, :, None], known_len + b - j - 1),
+                bounds)
+            j, m = j + 1, m // model.alphabet.size
+        bounds = interval_product(*model.site_intervals(
+            terms[:, j:, None, :m], state[j:, :, None], known_len), bounds).transpose(0, 2, 1)
     # the midpoints and half-widths 0.5 (hi + lo) and 0.5 (hi + (-lo)),
-    # stacked, (2, words, rows) in the memory order of ``bounds``: views
-    # with the words innermost for 8 or more words
+    # stacked in the memory order of ``bounds``
     mid_half = np.empty_like(bounds)
-    if n_words >= 8:
-        bounds, mid_half = bounds.transpose(0, 2, 1), mid_half.transpose(0, 2, 1)
     np.multiply(_PLUS_MINUS, bounds[0], out=mid_half)
     mid_half += bounds[1]
     mid_half *= 0.5
@@ -340,25 +341,6 @@ def _block_laws(model, terms: np.ndarray, state: np.ndarray, known_len: int):
     # exact factors: the midpoints sum to 1 up to float roundoff only
     np.add(slack, np.abs(total - 1.0), out=slack, where=slack != 0.0)
     return (mid_half[0] / total).T.reshape(lead + (n_words,)), slack.reshape(lead)
-
-
-def _interval_bounds(model, terms: np.ndarray, state: np.ndarray, known_len: int):
-    """The stacked ``(lo, hi)`` interval products of ``_block_laws`` for the
-    context rows of ``state`` (b, rows): (2, words, rows) for fewer than 8
-    words, else (2, rows, words).  A site with more than ``_TAIL_WORDS``
-    suffixes is evaluated alone, as a one-site block with b - j - 1 more
-    symbols known."""
-    if terms.shape[-1] < 8:
-        return interval_product(*model.site_intervals(terms[..., None], state[:, None], known_len))
-    b = len(state)
-    bounds, j, m = None, 0, terms.shape[-1]
-    while m > _TAIL_WORDS:
-        bounds = interval_product(*model.site_intervals(
-            terms[:, j : j + 1, None, :m], state[j : j + 1, :, None], known_len + b - j - 1),
-            bounds)
-        j, m = j + 1, m // model.alphabet.size
-    return interval_product(*model.site_intervals(
-        terms[:, j:, None, :m], state[j:, :, None], known_len), bounds)
 
 
 @dataclass(frozen=True)
@@ -665,8 +647,10 @@ def dn_bruteforce(model, schedule: BlockSchedule, n: int, tail_len: int) -> tupl
     additionally absorbs the largest accumulated truncation slack, and
     dominates the true supremum over all infinite tail completions.
     Each step takes the agreeing parts whose pair table (parts x tail pairs
-    x words) fits in ``_MAX_CELLS`` cells, or one part, and adds the pair
-    differences one word slice at a time, in word order, whatever the step.
+    x words) fits in ``_MAX_CELLS`` cells, or one part, evaluates their
+    block laws in kernel passes of at most ``_PASS_CELLS`` cells, or of one
+    part, and adds the pair differences one word slice at a time, in word
+    order, whatever the step.
     """
     check_dn_budget(model, schedule, n, tail_len)
     size = model.alphabet.size
@@ -681,14 +665,21 @@ def dn_bruteforce(model, schedule: BlockSchedule, n: int, tail_len: int) -> tupl
     # at 2^22 / (n_tails * len(words)) <= 2^20
     contexts = all_words(size, agree_len + tail_len).reshape(n_agree, n_tails, -1)
     step = max(1, _MAX_CELLS // (len(left) * len(words)))  # agreeing parts
+    # agreeing parts a kernel pass: a context row's widest kernel call
+    # evaluates every site on at most _TAIL_WORDS words, or one site on all
+    row_cells = max(len(words), block_len * min(len(words), _TAIL_WORDS))
+    per_pass = max(1, _PASS_CELLS // (n_tails * row_cells))
     lower = upper = 0.0
     for a in range(0, n_agree, step):
         known = contexts[a : a + step]
-        laws, slacks = _block_laws(model, terms, context_state(model, known, block_len),
-                                   known.shape[-1])
+        state = context_state(model, known, block_len)
         # words first, [w, a, t]: the sum adds whole word slices in word order;
         # numpy sums one-cell slices pairwise, but those (tail_len 0) are all 0
-        laws = np.moveaxis(laws, -1, 0).copy()
+        laws, slacks = np.empty((len(words),) + known.shape[:2]), np.empty(known.shape[:2])
+        for p in range(0, len(known), per_pass):
+            probs, slacks[p : p + per_pass] = _block_laws(
+                model, terms, state[:, p : p + per_pass], known.shape[-1])
+            laws[:, p : p + per_pass] = np.moveaxis(probs, -1, 0)
         diffs = laws[..., left]
         diffs -= laws[..., right]
         tv = 0.5 * np.abs(diffs, out=diffs).sum(axis=0)

@@ -47,6 +47,51 @@ def test_readme_names_existing_code():
         assert not missing, (doc, missing)
 
 
+def _bound_names(tree):
+    """Every name a module binds: defs, classes, arguments, imports and
+    assignment targets, attributes (``self._x = ...``) included."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, ast.arg):
+            yield node.arg
+        elif isinstance(node, ast.alias):
+            yield node.asname or node.name
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            yield node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            yield node.attr
+
+
+def test_src_docstrings_name_existing_code():
+    # in the docstrings and comments of src/gmeasure, a double-backticked
+    # private name must be bound in its own module, and a ``module.name``
+    # reference (a gmeasure module, or np) must resolve: a helper folded
+    # away or renamed fails here, not in a reader
+    src = Path(gmeasure.__file__).resolve().parent
+    modules = {info.name: importlib.import_module(f"gmeasure.{info.name}")
+               for info in pkgutil.iter_modules(gmeasure.__path__)}
+    modules["np"] = importlib.import_module("numpy")
+    pattern = rf"``({'|'.join(modules)})((?:\.\w+)+)"
+    private, dotted, stale = 0, 0, []
+    for path in sorted(src.glob("*.py")):
+        text = path.read_text()
+        bound = set(_bound_names(ast.parse(text, filename=str(path))))
+        for name in re.findall(r"``(_[A-Za-z]\w*)\b", text):
+            private += 1
+            if name not in bound:
+                stale.append(f"{path.name}: ``{name}``")
+        for module, chain in re.findall(pattern, text):
+            dotted += 1
+            target = modules[module]
+            for attr in chain[1:].split("."):
+                target = getattr(target, attr, None)
+            if target is None:
+                stale.append(f"{path.name}: ``{module}{chain}``")
+    assert private and dotted, (private, dotted)
+    assert not stale, stale
+
+
 def _top_level_imports(tree):
     """(bound name, line) of each import in the module body, bar __future__."""
     for node in tree.body:

@@ -5,6 +5,7 @@ gives on the same word; the routes built on the kernel must match the
 word-by-word oracles, which never call it.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -101,13 +102,39 @@ def test_dn_bruteforce_is_independent_of_its_steps(name, b, tail_len, monkeypatc
     n_pairs = size**tail_len * (size**tail_len + 1) // 2
     default = dn_bruteforce(model, schedule, 2, tail_len)
     expect_lower, expect_upper = dn_enumerate(model, schedule, 2, tail_len)
-    # one agreeing part a step, then three of the size**b parts a step
-    for cells in (1, 3 * n_pairs * size**b):
+    # one agreeing part a step, then three of the size**b parts a step,
+    # each in kernel passes of one part or of the whole step
+    for cells, pass_cells in itertools.product((1, 3 * n_pairs * size**b),
+                                               (1, coupling._PASS_CELLS)):
         monkeypatch.setattr(coupling, "_MAX_CELLS", cells)
+        monkeypatch.setattr(coupling, "_PASS_CELLS", pass_cells)
         lower, upper = dn_bruteforce(model, schedule, 2, tail_len)
         assert (lower, upper) == default
         assert lower == pytest.approx(expect_lower, abs=1e-15)
         assert upper == pytest.approx(expect_upper, abs=1e-15)
+
+
+@pytest.mark.parametrize("b, n, passes", [(1, 12, 3), (3, 4, 7)], ids=["2 words", "8 words"])
+def test_dn_bruteforce_takes_the_fewest_kernel_passes(b, n, passes, monkeypatch):
+    # the power-law benchmark model, tails of 3 sites (8 tails, 36 pairs):
+    # 2^11 agreeing parts of 2 words take steps of 910 parts (7280 rows),
+    # each one kernel pass; 2^9 parts of 3 sites and 8 words take steps of
+    # 227, 227 and 58 parts, in passes of at most 85 parts (680 rows), so
+    # 3 + 3 + 1; a block of at most _TAIL_WORDS words is one kernel call
+    model = _stacked_models()["power"]
+    rows, site_intervals = [], model.site_intervals
+
+    def counted(terms, state, known_len):
+        rows.append(state.size // b)
+        return site_intervals(terms, state, known_len)
+
+    monkeypatch.setattr(model, "site_intervals", counted)
+    lower, upper = dn_bruteforce(model, constant_schedule(b), n, 3)
+    assert len(rows) == passes
+    assert max(rows) * b * 2**b <= coupling._PASS_CELLS
+    expect_lower, expect_upper = dn_enumerate(model, constant_schedule(b), n, 3)
+    assert lower == pytest.approx(expect_lower, abs=1e-15)
+    assert upper == pytest.approx(expect_upper, abs=1e-15)
 
 
 @pytest.mark.parametrize("tail_len", [0, 2, 6])
@@ -138,10 +165,8 @@ def _stacked_models():
 @pytest.mark.parametrize("b", [1, 2, 3, 4])
 @pytest.mark.parametrize("name", list(_stacked_models()))
 def test_stacked_block_laws_match_oracle(name, b, monkeypatch):
-    # parts of three (trajectory, word) cells, so kernel calls of two rows,
-    # and a tail of 3 words: a block of 4 or more words evaluates its first
+    # a tail of 3 words: a block of 8 or more words evaluates its first
     # sites one at a time on their suffixes
-    monkeypatch.setattr(coupling, "_MAX_ROWS", 3)
     monkeypatch.setattr(coupling, "_TAIL_WORDS", 3)
     model = _stacked_models()[name]
     size = model.alphabet.size
@@ -168,19 +193,18 @@ def test_stacked_block_laws_match_oracle(name, b, monkeypatch):
                 assert slack[side, row] == pytest.approx(expect_slack, abs=1e-15)
 
 
-@pytest.mark.parametrize("cap", [(coupling._MAX_ROWS, coupling._TAIL_WORDS), (3, 3)],
-                         ids=["default cap", "cap 3"])
+@pytest.mark.parametrize("cap", [coupling._TAIL_WORDS, 3], ids=["default cap", "cap 3"])
 @pytest.mark.parametrize("name, b", [
     *((name, b) for name in ("power", "memory-2 on 2 symbols") for b in (1, 2, 3, 4)),
     ("memory-2 on 3 symbols", 1), ("memory-2 on 3 symbols", 2)])
 def test_block_laws_do_not_depend_on_the_row_count(name, b, cap, monkeypatch):
     # 2, 4, 8 and 16 words on two symbols, 3 and 9 on three: from 8 words
     # on, numpy sums a contiguous row of words pairwise, so a layout chosen
-    # by the row count would change the bits of some rows; under cap 3 the
-    # 80 rows take kernel calls of two rows, and the first sites of 8, 16
-    # and 9 words are evaluated one by one on their suffixes
-    monkeypatch.setattr(coupling, "_MAX_ROWS", cap[0])
-    monkeypatch.setattr(coupling, "_TAIL_WORDS", cap[1])
+    # by the row count would change the bits of some rows; the 80 rows take
+    # one pass of the kernel against one row each, and under cap 3 the
+    # first sites of 8, 16 and 9 words are evaluated one by one on their
+    # suffixes
+    monkeypatch.setattr(coupling, "_TAIL_WORDS", cap)
     model = _stacked_models()[name]
     size, L = model.alphabet.size, 6
     terms = word_terms(model, all_words(size, b).T)
